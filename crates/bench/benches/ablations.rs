@@ -1,14 +1,13 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablations for the design choices DESIGN.md calls out, as deterministic
+//! modeled cycle counts (host wall-clock lives in `benchmark/`):
 //! * LSU style (burst-coalesced vs `__pipelined_load`) — the §III-B
 //!   area/performance trade;
 //! * divergence lowering cost — SPLIT/JOIN cycles vs an equivalent
 //!   branch-free (select-based) kernel, the §IV-A challenge ❸;
-//! * D-cache size sensitivity of the cycle simulator;
-//! * compiler-stage costs (front end, passes, codegen).
+//! * D-cache size sensitivity of the cycle simulator.
 
 use fpga_arch::{Device, VortexConfig};
 use ocl_ir::interp::{KernelArg, Memory, NdRange};
-use repro_util::timing::{bench, report};
 use vortex_sim::{CacheConfig, SimConfig};
 
 const BURST: &str = r#"
@@ -44,12 +43,7 @@ fn hls_cycles(src: &str, n: u32) -> u64 {
     .cycles
 }
 
-fn bench_lsu_style() {
-    for (label, src) in [("burst", BURST), ("pipelined", PIPED)] {
-        let s = bench(20, || hls_cycles(src, 4096));
-        report(&format!("ablation/lsu_style/{label}"), &s);
-    }
-    // Report the modeled trade-off once, outside the timing loop.
+fn lsu_style() {
     let (cb, cp) = (hls_cycles(BURST, 4096), hls_cycles(PIPED, 4096));
     eprintln!("ablation/lsu_style modeled kernel cycles: burst={cb} pipelined={cp}");
 }
@@ -83,12 +77,8 @@ fn vortex_cycles(src: &str, cfg: &SimConfig, level: ocl_ir::passes::OptLevel) ->
     r.stats.cycles
 }
 
-fn bench_divergence_lowering(level: ocl_ir::passes::OptLevel) {
+fn divergence_lowering(level: ocl_ir::passes::OptLevel) {
     let cfg = SimConfig::new(VortexConfig::new(2, 4, 8));
-    for (label, src) in [("split_join", DIVERGENT), ("ternary", SELECTED)] {
-        let s = bench(20, || vortex_cycles(src, &cfg, level));
-        report(&format!("ablation/divergence/{label}"), &s);
-    }
     let (cd, cs) = (
         vortex_cycles(DIVERGENT, &cfg, level),
         vortex_cycles(SELECTED, &cfg, level),
@@ -99,7 +89,7 @@ fn bench_divergence_lowering(level: ocl_ir::passes::OptLevel) {
     );
 }
 
-fn bench_dcache_sensitivity(level: ocl_ir::passes::OptLevel) {
+fn dcache_sensitivity(level: ocl_ir::passes::OptLevel) {
     for kb in [1u32, 4, 16] {
         let mut cfg = SimConfig::new(VortexConfig::new(4, 8, 8));
         cfg.dcache = CacheConfig {
@@ -108,36 +98,11 @@ fn bench_dcache_sensitivity(level: ocl_ir::passes::OptLevel) {
             line_bytes: 64,
         };
         let b = ocl_suite::benchmark("Transpose").unwrap();
-        let s = bench(10, || {
-            ocl_suite::run_vortex_at(&b, ocl_suite::Scale::Test, &cfg, level).unwrap()
-        });
-        report(&format!("ablation/dcache_size/{kb}kb"), &s);
+        let cycles = ocl_suite::run_vortex_at(&b, ocl_suite::Scale::Test, &cfg, level)
+            .unwrap()
+            .cycles;
+        eprintln!("ablation/dcache_size simulated cycles: transpose at {kb} KiB = {cycles}");
     }
-}
-
-fn bench_compiler_stages(level: ocl_ir::passes::OptLevel) {
-    let b = ocl_suite::benchmark("Gaussian").unwrap();
-    let s = bench(50, || ocl_front::compile(b.source).unwrap());
-    report("compiler/frontend", &s);
-    let module = ocl_front::compile(b.source).unwrap();
-    let s = bench(50, || {
-        let mut m = module.clone();
-        ocl_ir::passes::optimize_module(&mut m, level)
-    });
-    report("compiler/passes", &s);
-    let s = bench(50, || {
-        module
-            .kernels
-            .iter()
-            .map(|k| {
-                vortex_cc::compile_kernel(k, &vortex_cc::CodegenOpts { threads: 8 })
-                    .unwrap()
-                    .program
-                    .len()
-            })
-            .sum::<usize>()
-    });
-    report("compiler/vortex_codegen", &s);
 }
 
 fn main() {
@@ -156,8 +121,7 @@ fn main() {
             }),
     };
     eprintln!("ablations at middle-end level `{}`", level.flag_name());
-    bench_lsu_style();
-    bench_divergence_lowering(level);
-    bench_dcache_sensitivity(level);
-    bench_compiler_stages(level);
+    lsu_style();
+    divergence_lowering(level);
+    dcache_sensitivity(level);
 }

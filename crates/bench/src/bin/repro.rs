@@ -7,7 +7,6 @@
 //! repro table4              Table IV  Vortex area across configurations
 //! repro fig7 [--fast]       Figure 7  warp/thread cycle sweep + §III-C numbers
 //! repro analytic            §IV-A     analytical model vs cycle simulator
-//! repro bench-sim [--fast]  scheduler wall-clock: fast-forward vs dense loop
 //! repro trace <bench>       chrome://tracing export of a Vortex run
 //! repro trace --serve <log> chrome://tracing export of a serve session's
 //!                           per-job span trees (host time)
@@ -18,34 +17,31 @@
 //!                           one benchmark as a scheduled job
 //! repro serve [--once] [--listen <addr>] [--deadline-ms <n>]
 //!                           long-running NDJSON batch service (stdin/socket)
-//! repro bench-serve         batch throughput at 1/2/4 workers (BENCH_serve.json)
 //! repro top [--addr <a>] [--interval-ms <n>] [--frames <n>] [--clear]
 //!                           live dashboard over a serving --listen process
-//! repro perf-report [--baseline <file>] [--threshold <frac>] [--no-grid]
+//! repro perf-report [--baseline <manifest>] [--threshold <frac>]
 //!                           perf dashboard (markdown + HTML + manifest)
 //! repro cache stats|clear   inspect or wipe the compile cache (runs/cache)
 //! repro chaos [--scenarios smoke|all|cache|sched|sim|serve|<name>] [--seed <n>]
 //!                           seeded fault-injection sweep (exit 1 on violation)
-//! repro all [--fast]        everything above (bench-sim runs separately)
+//! repro all [--fast]        every table and figure above
 //! ```
 //!
 //! `check` exits nonzero if any benchmark is classified `Hang` or `Panic`
 //! — the CI smoke-test contract. `perf-report --baseline` exits nonzero
 //! when any tracked metric regresses beyond the threshold (default 20%);
-//! the baseline may be a previous `runs/perf-report.json` manifest or a
-//! `BENCH_sim.json`.
+//! the baseline is a previous `runs/perf-report.json` manifest. Host
+//! wall-clock performance is measured by the benchmark in `benchmark/`
+//! (see `benchmark/README.md`), not by this binary.
 //!
 //! `--fast` shrinks the Figure 7 problem sizes (useful without `--release`).
 //! `--workers N` sizes the work-stealing executor pool every execution
 //! command submits its jobs to (`run`, `check`, `serve`, `perf-report`) —
 //! cycle counts are bit-identical at any width, and the actual pool size is
 //! recorded in the manifest fingerprint.
-//! `--sim-threads N` runs the cycle simulator on N deterministic worker
-//! threads (`bench-sim`, `perf-report`) — results are bit-identical at any
-//! N, and the count is recorded in the manifest fingerprint.
 //! `--opt none|basic|reuse|loop` selects the middle-end level for the
-//! execution commands (`trace`, `profile`, `bench-sim`, `analytic`); the
-//! default is the suite-wide [`ocl_suite::DEFAULT_OPT`]. Output is markdown
+//! execution commands (`trace`, `profile`, `analytic`); the default is
+//! the suite-wide [`ocl_suite::DEFAULT_OPT`]. Output is markdown
 //! on stdout; a JSON copy of each artifact is written to `target/repro/`
 //! for EXPERIMENTS.md bookkeeping, and every invocation records a
 //! RunManifest (host/commit/config metadata, per-benchmark wall times, and
@@ -197,174 +193,6 @@ fn run_analytic(level: OptLevel) {
             );
         }
     }
-}
-
-/// Time the cycle simulator on a fixed Figure 7 sub-grid under the run
-/// loops — the event-driven/traced loop at `sim_threads` workers (the
-/// default path) and the dense reference loop — in the same process, and
-/// write `BENCH_sim.json`. With `--sim-threads N > 1` the 1-thread
-/// sequential loop is timed as a third column so the parallel speedup is
-/// visible on its own. Cycle counts are asserted equal across every loop
-/// along the way, so the timing run doubles as a differential check.
-///
-/// Field-name compat: `fast_host_secs` is always the wall time of the
-/// *default* loop at the recorded `meta.threads` count — baselines gate
-/// wall deltas on that fingerprint, so sequential and parallel baselines
-/// never silently compare.
-fn run_bench_sim(fast: bool, level: OptLevel, sim_threads: u32, manifest: &mut RunManifest) {
-    use repro_util::timing::bench;
-    use repro_util::{Json, ToJson};
-    use vortex_sim::SimConfig;
-    let scale = if fast { Scale::Test } else { Scale::Paper };
-    let iters = if fast { 3 } else { 2 };
-    let par = sim_threads > 1;
-    println!("## Simulator scheduler wall-clock (fast-forward vs dense reference)\n");
-    if par {
-        println!(
-            "{sim_threads} sim threads; `fast` is the parallel loop, `seq` its 1-thread path\n"
-        );
-        println!("| benchmark | config | sim cycles | dense s | seq s | fast s | fast cyc/s | speedup | par speedup |");
-        println!("|---|---|---|---|---|---|---|---|---|");
-    } else {
-        println!("| benchmark | config | sim cycles | dense s | fast s | dense cyc/s | fast cyc/s | speedup |");
-        println!("|---|---|---|---|---|---|---|---|");
-    }
-    let mut cells: Vec<Json> = Vec::new();
-    let (mut dense_total, mut fast_total, mut seq_total) = (0.0f64, 0.0f64, 0.0f64);
-    // The {4,8,16}² corner of the Figure 7 grid: the region the paper's
-    // §III-C scaling discussion is about (vecadd saturating, transpose
-    // scaling), and where warp-level parallelism gives the scheduler real
-    // spans to skip.
-    for name in ["Vecadd", "Transpose"] {
-        let b = ocl_suite::benchmark(name).unwrap();
-        for w in [4u32, 8, 16] {
-            for t in [4u32, 8, 16] {
-                let mut cfg = SimConfig::new(VortexConfig::new(4, w, t));
-                cfg.sim_threads = sim_threads;
-                let ff = bench(iters, || {
-                    ocl_suite::run_vortex_at(&b, scale, &cfg, level)
-                        .unwrap()
-                        .cycles
-                });
-                let cycles = ocl_suite::run_vortex_at(&b, scale, &cfg, level)
-                    .unwrap()
-                    .cycles;
-                // 1-thread sequential loop, only timed separately when the
-                // default loop above ran parallel.
-                let sq = if par {
-                    cfg.sim_threads = 1;
-                    let sq = bench(iters, || {
-                        ocl_suite::run_vortex_at(&b, scale, &cfg, level)
-                            .unwrap()
-                            .cycles
-                    });
-                    let seq_cycles = ocl_suite::run_vortex_at(&b, scale, &cfg, level)
-                        .unwrap()
-                        .cycles;
-                    assert_eq!(
-                        cycles, seq_cycles,
-                        "{name} 4c{w}w{t}t: parallel and sequential loops disagree"
-                    );
-                    Some(sq)
-                } else {
-                    None
-                };
-                cfg.reference_mode = true;
-                let dn = bench(iters, || {
-                    ocl_suite::run_vortex_at(&b, scale, &cfg, level)
-                        .unwrap()
-                        .cycles
-                });
-                let dense_cycles = ocl_suite::run_vortex_at(&b, scale, &cfg, level)
-                    .unwrap()
-                    .cycles;
-                assert_eq!(
-                    cycles, dense_cycles,
-                    "{name} 4c{w}w{t}t: schedulers disagree"
-                );
-                let speedup = dn.best_secs / ff.best_secs;
-                dense_total += dn.best_secs;
-                fast_total += ff.best_secs;
-                if let Some(sq) = &sq {
-                    seq_total += sq.best_secs;
-                    println!(
-                        "| {name} | 4c{w}w{t}t | {cycles} | {:.4} | {:.4} | {:.4} | {:.3e} | {speedup:.2}x | {:.2}x |",
-                        dn.best_secs,
-                        sq.best_secs,
-                        ff.best_secs,
-                        cycles as f64 / ff.best_secs,
-                        sq.best_secs / ff.best_secs,
-                    );
-                } else {
-                    println!(
-                        "| {name} | 4c{w}w{t}t | {cycles} | {:.4} | {:.4} | {:.3e} | {:.3e} | {speedup:.2}x |",
-                        dn.best_secs,
-                        ff.best_secs,
-                        cycles as f64 / dn.best_secs,
-                        cycles as f64 / ff.best_secs,
-                    );
-                }
-                manifest.push_bench(
-                    &format!("{name} 4c{w}w{t}t"),
-                    "grid",
-                    ff.best_secs,
-                    Some(cycles),
-                    true,
-                );
-                let mut cell = vec![
-                    ("benchmark", name.to_json()),
-                    ("cores", 4u32.to_json()),
-                    ("warps", w.to_json()),
-                    ("threads", t.to_json()),
-                    ("sim_cycles", cycles.to_json()),
-                    ("dense_host_secs", dn.best_secs.to_json()),
-                    ("fast_host_secs", ff.best_secs.to_json()),
-                    (
-                        "dense_cycles_per_sec",
-                        (cycles as f64 / dn.best_secs).to_json(),
-                    ),
-                    (
-                        "fast_cycles_per_sec",
-                        (cycles as f64 / ff.best_secs).to_json(),
-                    ),
-                    ("speedup", speedup.to_json()),
-                ];
-                if let Some(sq) = &sq {
-                    cell.push(("seq_host_secs", sq.best_secs.to_json()));
-                    cell.push(("par_speedup", (sq.best_secs / ff.best_secs).to_json()));
-                }
-                cells.push(Json::obj(cell));
-            }
-        }
-    }
-    let overall = dense_total / fast_total;
-    println!("\nOverall: dense {dense_total:.3}s vs fast-forward {fast_total:.3}s = {overall:.2}x");
-    if par {
-        println!(
-            "Parallel ({sim_threads} threads): sequential {seq_total:.3}s vs parallel \
-             {fast_total:.3}s = {:.2}x",
-            seq_total / fast_total
-        );
-    }
-    let mut doc = vec![
-        ("scale", if fast { "test" } else { "paper" }.to_json()),
-        ("timing_iters_best_of", (iters as u64).to_json()),
-        (
-            "meta",
-            host_meta(level, Some(iters as u64), sim_threads, 1).to_json(),
-        ),
-        ("grid", Json::Array(cells)),
-        ("dense_total_secs", dense_total.to_json()),
-        ("fast_total_secs", fast_total.to_json()),
-        ("speedup", overall.to_json()),
-    ];
-    if par {
-        doc.push(("seq_total_secs", seq_total.to_json()));
-        doc.push(("par_speedup", (seq_total / fast_total).to_json()));
-    }
-    let doc = Json::obj(doc);
-    let _ = fs::write("BENCH_sim.json", doc.to_pretty());
-    save_json("bench_sim", &doc);
 }
 
 /// The machine shape `repro trace` / `repro profile` simulate: one core
@@ -579,20 +407,13 @@ fn run_check(exec: &Executor, manifest: &mut RunManifest) -> i32 {
     0
 }
 
-/// `repro perf-report [--baseline <file>] [--threshold <frac>] [--no-grid]`.
+/// `repro perf-report [--baseline <manifest>] [--threshold <frac>]`.
 ///
-/// Collects the dashboard (suite sweep + stage spans + Fig. 7 sub-grid),
-/// prints the markdown report, writes `target/repro/perf_report.{json,html}`,
-/// and — when a baseline is given — exits 3 if any tracked metric regressed
-/// beyond the threshold.
-fn run_perf_report(
-    args: &[String],
-    level: OptLevel,
-    fast: bool,
-    sim_threads: u32,
-    workers: usize,
-    manifest: &mut RunManifest,
-) -> i32 {
+/// Collects the dashboard (suite sweep + stage spans), prints the markdown
+/// report, writes `target/repro/perf_report.{json,html}`, and — when a
+/// baseline is given — exits 3 if any tracked metric regressed beyond the
+/// threshold.
+fn run_perf_report(args: &[String], workers: usize, manifest: &mut RunManifest) -> i32 {
     use repro_core::{collect_perf, compare_to_baseline, PerfOptions};
     use repro_util::Json;
     let flag_value = |flag: &str| {
@@ -612,11 +433,7 @@ fn run_perf_report(
     };
     let opts = PerfOptions {
         hw: VortexConfig::new(2, 4, 16),
-        level,
-        grid_scale: if fast { Scale::Test } else { Scale::Paper },
         bench_filter: None,
-        grid: !args.iter().any(|a| a == "--no-grid"),
-        sim_threads,
         workers,
     };
     let perf = collect_perf(&opts);
@@ -836,42 +653,6 @@ fn run_serve(args: &[String], exec: &Executor, manifest: &mut RunManifest) -> i3
     }
 }
 
-/// `repro bench-serve` — batch throughput over the 56-job workload at
-/// 1/2/4 workers, asserting bit-identical results across widths, written
-/// to `BENCH_serve.json`.
-fn run_bench_serve(manifest: &mut RunManifest) {
-    println!("## Batch throughput — 28 benchmarks x 2 opt levels, Vortex flow\n");
-    let doc = repro_core::bench_serve(&[1, 2, 4]);
-    println!("| workers | jobs | ok | wall s | jobs/s | p50 s | p95 s | steals |");
-    println!("|---|---|---|---|---|---|---|---|");
-    for row in doc.get("widths").and_then(|v| v.as_array()).unwrap_or(&[]) {
-        let f = |k: &str| row.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        println!(
-            "| {} | {} | {} | {:.3} | {:.1} | {:.4} | {:.4} | {} |",
-            f("workers"),
-            f("jobs"),
-            f("ok"),
-            f("wall_secs"),
-            f("jobs_per_sec"),
-            f("p50_latency_secs"),
-            f("p95_latency_secs"),
-            f("steals"),
-        );
-        manifest.push_bench(
-            &format!("serve@{}w", f("workers")),
-            "grid",
-            f("wall_secs"),
-            None,
-            true,
-        );
-    }
-    if let Some(note) = doc.get("note").and_then(|v| v.as_str()) {
-        println!("\n{note}");
-    }
-    let _ = fs::write("BENCH_serve.json", doc.to_pretty());
-    save_json("bench_serve", &doc);
-}
-
 /// `repro chaos [--scenarios smoke|all|<subsystem>|<name>] [--seed <n>]
 /// [--plan <json>]` — the seeded fault-injection sweep. Each scenario arms
 /// a fault plan against one subsystem, runs a real workload twice at the
@@ -995,16 +776,6 @@ fn main() {
             }
         },
     };
-    let sim_threads = match args.iter().position(|a| a == "--sim-threads") {
-        None => 1,
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse::<u32>().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--sim-threads expects a positive integer");
-                std::process::exit(2);
-            }
-        },
-    };
     let workers = match args.iter().position(|a| a == "--workers") {
         None => 1,
         Some(i) => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
@@ -1023,11 +794,7 @@ fn main() {
     // registry is a single relaxed atomic when nothing reads it, so this
     // costs nothing measurable even on the timing commands.
     repro_util::metrics::enable();
-    let iters = match cmd {
-        "bench-sim" => Some(if fast { 3 } else { 2 }),
-        _ => None,
-    };
-    let mut manifest = RunManifest::new(cmd, &args, host_meta(level, iters, sim_threads, workers));
+    let mut manifest = RunManifest::new(cmd, &args, host_meta(level, workers));
     let t0 = std::time::Instant::now();
     let code = match cmd {
         "table1" => {
@@ -1054,22 +821,14 @@ fn main() {
             run_analytic(level);
             0
         }
-        "bench-sim" => {
-            run_bench_sim(fast, level, sim_threads, &mut manifest);
-            0
-        }
         "check" => run_check(&exec, &mut manifest),
         "run" => run_run(&args, &exec, level, &mut manifest),
         "serve" => run_serve(&args, &exec, &mut manifest),
-        "bench-serve" => {
-            run_bench_serve(&mut manifest);
-            0
-        }
         "top" => run_top_cmd(&args),
         "cache" => run_cache(args.get(1).map(String::as_str)),
         "chaos" => run_chaos_cmd(&args),
         "trace" if args.iter().any(|a| a == "--serve") => run_trace_serve(&args),
-        "perf-report" => run_perf_report(&args, level, fast, sim_threads, workers, &mut manifest),
+        "perf-report" => run_perf_report(&args, workers, &mut manifest),
         "trace" | "profile" | "opt-report" => {
             let Some(bench) = args.get(1).filter(|a| !a.starts_with("--")) else {
                 eprintln!("usage: repro {cmd} <bench>");

@@ -1,2 +1,2 @@
-//! `repro-bench` — experiment harness (`repro` binary) and Criterion
-//! benchmarks, one bench target per paper table/figure plus ablations.
+//! `repro-bench` — experiment harness (`repro` binary) and the
+//! `ablations` bench target (deterministic modeled numbers).

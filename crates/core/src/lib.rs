@@ -22,8 +22,7 @@
 //! * [`perf_report`] — the `repro perf-report` perf-regression dashboard
 //!   (markdown + HTML + baseline comparison);
 //! * [`serve`] — the `repro serve` long-running batch service (NDJSON jobs
-//!   over stdin or a socket into the shared work-stealing executor) and the
-//!   `BENCH_serve.json` throughput harness.
+//!   over stdin or a socket into the shared work-stealing executor).
 
 pub mod analytic;
 pub mod chaos;
@@ -55,6 +54,6 @@ pub use perf_report::{
     collect_perf, compare_to_baseline, fill_manifest, render_perf_markdown, Comparison,
     MetricDelta, PerfOptions, PerfReport, DEFAULT_THRESHOLD,
 };
-pub use serve::{bench_serve, serve_lines, serve_socket, ServeOptions, ServeSummary};
+pub use serve::{serve_lines, serve_socket, ServeOptions, ServeSummary};
 pub use tables::{table2, table3, table4, AreaRow};
 pub use top::{render_top, run_top, TopOptions};

@@ -14,7 +14,7 @@
 //!   "schema_version": 1,
 //!   "command": "check",
 //!   "args": ["check"],
-//!   "meta": { "git_rev": "…", "opt_level": "reuse", "threads": 8, … },
+//!   "meta": { "git_rev": "…", "opt_level": "reuse", "workers": 2, … },
 //!   "benchmarks": [ {"name": "Vecadd", "flow": "vortex",
 //!                    "wall_secs": 0.01, "cycles": 4242, "ok": true}, … ],
 //!   "failure_classes": { "Synthesis": 6, … },
@@ -42,17 +42,10 @@ pub struct HostMeta {
     pub git_rev: String,
     /// Middle-end level the run executed at (CLI spelling).
     pub opt_level: String,
-    /// Best-of iteration count for timing commands (`bench-sim`), when the
-    /// command times anything repeatedly.
-    pub timing_iters_best_of: Option<u64>,
-    /// Simulator worker threads the run used (`--sim-threads`). Part of
-    /// the wall-clock comparability fingerprint, so parallel-sim baselines
-    /// never silently gate against sequential ones.
-    pub threads: u64,
     /// Scheduler worker-pool size the run used (`--workers`) — the actual
-    /// executor width, never a hardcoded placeholder. Also part of the
-    /// comparability fingerprint: a 4-worker batch's wall times are not
-    /// comparable to a sequential run's.
+    /// executor width, never a hardcoded placeholder. Part of the
+    /// wall-clock comparability fingerprint: a 4-worker batch's wall times
+    /// are not comparable to a sequential run's.
     pub workers: u64,
     pub os: &'static str,
     pub arch: &'static str,
@@ -89,27 +82,23 @@ fn git_rev() -> String {
     rev
 }
 
-/// Collect [`HostMeta`] for a run at `level` using `sim_threads` simulator
-/// worker threads on a `workers`-wide scheduler pool.
-pub fn host_meta(
-    level: OptLevel,
-    timing_iters_best_of: Option<u64>,
-    sim_threads: u32,
-    workers: usize,
-) -> HostMeta {
+/// The build profile this binary was compiled under.
+pub const PROFILE: &str = if cfg!(debug_assertions) {
+    "debug"
+} else {
+    "release"
+};
+
+/// Collect [`HostMeta`] for a run at `level` on a `workers`-wide scheduler
+/// pool.
+pub fn host_meta(level: OptLevel, workers: usize) -> HostMeta {
     HostMeta {
         git_rev: git_rev(),
         opt_level: level.flag_name().to_string(),
-        timing_iters_best_of,
-        threads: sim_threads as u64,
         workers: workers as u64,
         os: std::env::consts::OS,
         arch: std::env::consts::ARCH,
-        profile: if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        },
+        profile: PROFILE,
         timestamp_secs: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -122,8 +111,6 @@ impl ToJson for HostMeta {
         Json::obj(vec![
             ("git_rev", self.git_rev.to_json()),
             ("opt_level", self.opt_level.to_json()),
-            ("timing_iters_best_of", self.timing_iters_best_of.to_json()),
-            ("threads", self.threads.to_json()),
             ("workers", self.workers.to_json()),
             ("os", self.os.to_json()),
             ("arch", self.arch.to_json()),
@@ -251,7 +238,6 @@ pub fn manifest_benchmarks(doc: &Json) -> Option<Vec<BenchWall>> {
                 "vortex" => "vortex",
                 "hls" => "hls",
                 "interp" => "interp",
-                "grid" => "grid",
                 _ => "other",
             },
             wall_secs: r.get("wall_secs")?.as_f64()?,
@@ -271,7 +257,7 @@ mod tests {
         let mut m = RunManifest::new(
             "check",
             &["check".to_string()],
-            host_meta(OptLevel::VariableReuse, None, 2, 4),
+            host_meta(OptLevel::VariableReuse, 4),
         );
         m.push_bench("Vecadd", "vortex", 0.01, Some(4242), true);
         m.push_bench("Hybridsort", "hls", 0.02, None, false);
@@ -285,7 +271,6 @@ mod tests {
         );
         let meta = doc.get("meta").unwrap();
         assert_eq!(meta.get("opt_level").unwrap().as_str(), Some("reuse"));
-        assert_eq!(meta.get("threads").unwrap().as_u64(), Some(2));
         assert_eq!(meta.get("workers").unwrap().as_u64(), Some(4));
         let rows = manifest_benchmarks(&doc).unwrap();
         assert_eq!(rows.len(), 2);

@@ -106,12 +106,9 @@ pub fn render_perf_html(r: &PerfReport, cmp: Option<&Comparison>) -> String {
     b.push_str("</style>\n</head>\n<body>\n<main>\n");
     b.push_str("<h1>Pipeline performance report</h1>\n");
     b.push_str(&format!(
-        "<p class=\"meta\">{} benchmarks &middot; {} pipeline stages &middot; \
-         {} grid cells ({} scale)</p>\n",
+        "<p class=\"meta\">{} benchmarks &middot; {} pipeline stages</p>\n",
         r.rows.len(),
-        r.stages.len(),
-        r.grid.len(),
-        esc(r.grid_scale)
+        r.stages.len()
     ));
 
     // Headline tiles.
@@ -145,12 +142,11 @@ pub fn render_perf_html(r: &PerfReport, cmp: Option<&Comparison>) -> String {
         };
         b.push_str(&format!(
             "<div class=\"tile {cls}\"><div class=\"v\">{icon} {}</div>\
-             <div class=\"k\">{} of {} tracked metrics ({} baseline, \
+             <div class=\"k\">{} of {} tracked metrics (manifest baseline, \
              threshold {:.0}%)</div></div>\n",
             word,
             cmp.regressions.len(),
             cmp.deltas.len(),
-            esc(cmp.baseline_kind),
             cmp.threshold * 100.0
         ));
     }
@@ -247,37 +243,9 @@ pub fn render_perf_html(r: &PerfReport, cmp: Option<&Comparison>) -> String {
     }
     b.push_str("</table></details>\n");
 
-    // Fig. 7 sub-grid.
-    if !r.grid.is_empty() {
-        b.push_str(&format!(
-            "<h2>Figure 7 sub-grid ({} scale)</h2>\n",
-            esc(r.grid_scale)
-        ));
-        b.push_str(
-            "<table><tr><th>benchmark</th><th>config</th>\
-             <th class=\"num\">sim cycles</th><th class=\"num\">host ms</th></tr>\n",
-        );
-        for cell in &r.grid {
-            b.push_str(&format!(
-                "<tr><td>{}</td><td>{}c{}w{}t</td><td class=\"num\">{}</td>\
-                 <td class=\"num\">{}</td></tr>\n",
-                esc(&cell.benchmark),
-                cell.cores,
-                cell.warps,
-                cell.threads,
-                cell.sim_cycles,
-                ms(cell.host_secs)
-            ));
-        }
-        b.push_str("</table>\n");
-    }
-
     // Baseline comparison.
     if let Some(cmp) = cmp {
-        b.push_str(&format!(
-            "<h2>Baseline comparison ({})</h2>\n",
-            esc(cmp.baseline_kind)
-        ));
+        b.push_str("<h2>Baseline comparison (manifest)</h2>\n");
         b.push_str(
             "<table><tr><th>metric</th><th class=\"num\">baseline</th>\
              <th class=\"num\">current</th><th class=\"num\">ratio</th><th>verdict</th></tr>\n",
@@ -321,9 +289,6 @@ pub fn render_perf_html(r: &PerfReport, cmp: Option<&Comparison>) -> String {
         }
     }
 
-    for note in &r.notes {
-        b.push_str(&format!("<p class=\"note\">note: {}</p>\n", esc(note)));
-    }
     b.push_str("</main>\n</body>\n</html>\n");
     b
 }
@@ -332,7 +297,7 @@ pub fn render_perf_html(r: &PerfReport, cmp: Option<&Comparison>) -> String {
 mod tests {
     use super::*;
     use crate::check::{CheckRow, FlowCheck, FlowStats};
-    use crate::perf_report::{GridCell, PerfReport, StagePerf};
+    use crate::perf_report::{PerfReport, StagePerf};
 
     #[test]
     fn html_is_self_contained_and_escapes() {
@@ -362,17 +327,6 @@ mod tests {
                 p95_secs: 0.003,
                 max_secs: 0.003,
             }],
-            grid: vec![GridCell {
-                benchmark: "Vecadd".to_string(),
-                cores: 4,
-                warps: 4,
-                threads: 4,
-                sim_cycles: 999,
-                host_secs: 0.001,
-            }],
-            grid_scale: "test",
-            notes: vec!["grid: skipped (--no-grid)".to_string()],
-            sim_threads: 1,
             workers: 1,
         };
         let html = render_perf_html(&r, None);
@@ -380,7 +334,6 @@ mod tests {
         assert!(html.contains("prefers-color-scheme: dark"));
         assert!(html.contains("A&lt;b&gt;"));
         assert!(!html.contains("<script"));
-        assert!(html.contains("Figure 7 sub-grid"));
         assert!(html.ends_with("</html>\n"));
     }
 }

@@ -1,30 +1,27 @@
 //! `repro perf-report` — the perf-regression dashboard.
 //!
-//! Collects three views of the pipeline in one pass with the metrics
+//! Collects two views of the pipeline in one pass with the metrics
 //! registry enabled:
 //!
 //! 1. **suite** — the fail-soft 28-benchmark sweep on both flows
 //!    ([`crate::check_suite`]), with per-benchmark wall times and cycles;
 //! 2. **stages** — the registry's histogram series (frontend, per-pass,
-//!    HLS synthesis/area/estimate, Vortex codegen/regalloc, launches);
-//! 3. **grid** — the Figure 7 `{4,8,16}²` sub-grid, single timed run per
-//!    cell (the same cells `repro bench-sim` writes into `BENCH_sim.json`).
+//!    HLS synthesis/area/estimate, Vortex codegen/regalloc, launches).
 //!
 //! The report renders as markdown (deterministic with `timing: false` — the
 //! golden test pins that form) and as a self-contained HTML dashboard, and
-//! can be compared against a baseline: either a previous `perf-report`
-//! RunManifest or a `BENCH_sim.json`. Comparison separates **deterministic**
-//! metrics (simulated cycles — any increase beyond the threshold is a real
-//! regression) from **wall-clock** metrics (compared only above a noise
-//! floor). `repro perf-report --baseline …` exits nonzero when any tracked
-//! metric regresses beyond the threshold.
+//! can be compared against a baseline, a previous `perf-report`
+//! RunManifest. Comparison separates **deterministic** metrics (simulated
+//! cycles — any increase beyond the threshold is a real regression) from
+//! **wall-clock** metrics (compared only above a noise floor). `repro
+//! perf-report --baseline …` exits nonzero when any tracked metric
+//! regresses beyond the threshold.
 
 use crate::check::{check_suite_on, CheckRow};
 use crate::manifest::{manifest_benchmarks, RunManifest};
 use fpga_arch::VortexConfig;
-use ocl_ir::passes::OptLevel;
-use ocl_suite::{benchmark, Scale};
-use repro_sched::{ExecConfig, Executor, Flow, JobRequest};
+use ocl_suite::Scale;
+use repro_sched::{ExecConfig, Executor};
 use repro_util::{metrics, Json, ToJson};
 
 /// Default regression threshold: a tracked metric regresses when
@@ -34,27 +31,6 @@ pub const DEFAULT_THRESHOLD: f64 = 0.20;
 /// Wall-clock spans shorter than this (seconds) are never compared —
 /// scheduler noise dominates below it.
 pub const WALL_NOISE_FLOOR_SECS: f64 = 0.005;
-
-/// One cell of the Figure 7 sub-grid measurement.
-#[derive(Debug, Clone)]
-pub struct GridCell {
-    pub benchmark: String,
-    pub cores: u32,
-    pub warps: u32,
-    pub threads: u32,
-    pub sim_cycles: u64,
-    pub host_secs: f64,
-}
-
-impl GridCell {
-    /// The stable row label used in manifests and comparisons.
-    pub fn label(&self) -> String {
-        format!(
-            "{} {}c{}w{}t",
-            self.benchmark, self.cores, self.warps, self.threads
-        )
-    }
-}
 
 /// One histogram series from the metrics registry, flattened for rendering.
 #[derive(Debug, Clone)]
@@ -73,33 +49,18 @@ pub struct PerfReport {
     /// Fail-soft both-flow sweep (at `Scale::Test`).
     pub rows: Vec<CheckRow>,
     pub stages: Vec<StagePerf>,
-    pub grid: Vec<GridCell>,
-    /// Scale the grid ran at (`"test"` / `"paper"`) — `BENCH_sim.json`
-    /// baselines are only comparable at the same scale.
-    pub grid_scale: &'static str,
-    /// Cells or comparisons that were skipped, with reasons. Surfaced in
-    /// every rendering so bounded coverage is never silent.
-    pub notes: Vec<String>,
-    /// Simulator worker threads the grid ran with — part of the
-    /// wall-comparability fingerprint against baselines.
-    pub sim_threads: u32,
-    /// Scheduler worker-pool width the collection ran at — also part of
-    /// the fingerprint (wall times from a 4-worker batch are not
-    /// comparable to a sequential run's).
+    /// Scheduler worker-pool width the collection ran at — part of the
+    /// wall-comparability fingerprint against baselines (wall times from
+    /// a 4-worker batch are not comparable to a sequential run's).
     pub workers: usize,
 }
 
 /// What to collect. `bench_filter` limits the suite sweep (tests use a
-/// small subset); `grid` can be disabled for a quick suite-only report.
+/// small subset).
 #[derive(Debug, Clone)]
 pub struct PerfOptions {
     pub hw: VortexConfig,
-    pub level: OptLevel,
-    pub grid_scale: Scale,
     pub bench_filter: Option<Vec<String>>,
-    pub grid: bool,
-    /// Simulator worker threads for the grid cells (`--sim-threads`).
-    pub sim_threads: u32,
     /// Scheduler worker-pool width (`--workers`); everything the report
     /// measures goes through one executor of this size.
     pub workers: usize,
@@ -109,20 +70,11 @@ impl Default for PerfOptions {
     fn default() -> Self {
         PerfOptions {
             hw: VortexConfig::new(2, 4, 16),
-            level: ocl_suite::DEFAULT_OPT,
-            grid_scale: Scale::Test,
             bench_filter: None,
-            grid: true,
-            sim_threads: 1,
             workers: 1,
         }
     }
 }
-
-/// The benchmark × config cells `bench-sim` and the perf grid share: the
-/// `{4,8,16}²` corner of Figure 7 on 4 cores.
-pub const GRID_BENCHES: [&str; 2] = ["Vecadd", "Transpose"];
-pub const GRID_STEPS: [u32; 3] = [4, 8, 16];
 
 /// Run the collection pass. Enables the metrics registry for its duration
 /// (resetting it first so the snapshot describes exactly this run), and
@@ -134,60 +86,6 @@ pub fn collect_perf(opts: &PerfOptions) -> PerfReport {
     let mut rows = check_suite_on(&exec, Scale::Test, opts.hw);
     if let Some(filter) = &opts.bench_filter {
         rows.retain(|r| filter.iter().any(|f| f == &r.name));
-    }
-    let mut grid = Vec::new();
-    let mut notes = Vec::new();
-    if opts.grid {
-        let mut reqs = Vec::new();
-        for name in GRID_BENCHES {
-            if benchmark(name).is_none() {
-                notes.push(format!("grid: unknown benchmark `{name}`"));
-                continue;
-            }
-            for w in GRID_STEPS {
-                for t in GRID_STEPS {
-                    reqs.push(grid_request(name, w, t, opts));
-                }
-            }
-        }
-        // Best-of-3 like `bench-sim`, so wall deltas against its baseline
-        // compare like with like (a single run is systematically slower
-        // and noisier than a best-of). Each round is one executor batch;
-        // cycles are deterministic, so only the wall times differ between
-        // rounds.
-        const ROUNDS: usize = 3;
-        let rounds: Vec<Vec<repro_sched::JobOutcome>> = (0..ROUNDS)
-            .map(|_| {
-                exec.run(
-                    reqs.iter()
-                        .cloned()
-                        .map(ocl_suite::instantiate)
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        for (i, req) in reqs.iter().enumerate() {
-            let first = &rounds[0][i];
-            match &first.result {
-                Ok(stats) => grid.push(GridCell {
-                    benchmark: match &req.payload {
-                        repro_sched::Payload::Bench { name, .. } => name.clone(),
-                        _ => unreachable!("grid requests are bench payloads"),
-                    },
-                    cores: req.cores,
-                    warps: req.warps,
-                    threads: req.threads,
-                    sim_cycles: stats.cycles,
-                    host_secs: rounds
-                        .iter()
-                        .map(|r| r[i].wall_secs)
-                        .fold(f64::INFINITY, f64::min),
-                }),
-                Err(e) => notes.push(format!("grid: {} failed: {e}", first.label)),
-            }
-        }
-    } else {
-        notes.push("grid: skipped (--no-grid)".to_string());
     }
     let snap = metrics::snapshot();
     metrics::disable();
@@ -206,35 +104,12 @@ pub fn collect_perf(opts: &PerfOptions) -> PerfReport {
     PerfReport {
         rows,
         stages,
-        grid,
-        grid_scale: match opts.grid_scale {
-            Scale::Test => "test",
-            Scale::Paper => "paper",
-        },
-        notes,
-        sim_threads: opts.sim_threads,
         workers: exec.workers(),
     }
 }
 
-/// One Figure 7 grid cell as a job request: `name` at 4 cores, `w`×`t`,
-/// on the Vortex flow at the report's level, scale and simulator threads.
-fn grid_request(name: &str, w: u32, t: u32, opts: &PerfOptions) -> JobRequest {
-    let mut req = JobRequest::bench(name, Flow::Vortex);
-    req.payload = repro_sched::Payload::Bench {
-        name: name.to_string(),
-        paper_scale: matches!(opts.grid_scale, Scale::Paper),
-    };
-    req.opt = Some(opts.level);
-    req.cores = 4;
-    req.warps = w;
-    req.threads = t;
-    req.sim_threads = opts.sim_threads;
-    req
-}
-
 /// Fill a [`RunManifest`]'s benchmark rows from a collected report: one
-/// entry per benchmark per flow, plus one per grid cell (flow `grid`).
+/// entry per benchmark per flow.
 pub fn fill_manifest(m: &mut RunManifest, r: &PerfReport) {
     for row in &r.rows {
         m.push_bench(
@@ -252,15 +127,6 @@ pub fn fill_manifest(m: &mut RunManifest, r: &PerfReport) {
             row.hls.is_ok(),
         );
     }
-    for cell in &r.grid {
-        m.push_bench(
-            &cell.label(),
-            "grid",
-            cell.host_secs,
-            Some(cell.sim_cycles),
-            true,
-        );
-    }
     for (class, n) in crate::check::check_class_counts(&r.rows) {
         if n > 0 {
             m.failure_classes.push((class.name().to_string(), n as u64));
@@ -271,7 +137,7 @@ pub fn fill_manifest(m: &mut RunManifest, r: &PerfReport) {
 /// One compared metric.
 #[derive(Debug, Clone)]
 pub struct MetricDelta {
-    /// e.g. `cycles/vortex/Vecadd`, `wall/grid/Vecadd 4c8w8t`.
+    /// e.g. `cycles/vortex/Vecadd`, `wall/hls/Vecadd`.
     pub metric: String,
     pub baseline: f64,
     pub current: f64,
@@ -302,7 +168,6 @@ impl MetricDelta {
 /// Outcome of comparing a report against a baseline.
 #[derive(Debug)]
 pub struct Comparison {
-    pub baseline_kind: &'static str,
     pub threshold: f64,
     /// Every compared metric (regressed or not).
     pub deltas: Vec<MetricDelta>,
@@ -312,9 +177,9 @@ pub struct Comparison {
     pub skipped: Vec<String>,
 }
 
-/// Compare a collected report against a baseline document: either a
-/// RunManifest (from `runs/`) or a `BENCH_sim.json`. Unknown schemas are an
-/// error so a typo'd path can never silently "pass".
+/// Compare a collected report against a baseline RunManifest (from
+/// `runs/`). Any other document is an error so a typo'd path can never
+/// silently "pass".
 pub fn compare_to_baseline(
     report: &PerfReport,
     baseline: &Json,
@@ -322,10 +187,8 @@ pub fn compare_to_baseline(
 ) -> Result<Comparison, String> {
     if baseline.get("schema_version").is_some() {
         Ok(compare_to_manifest(report, baseline, threshold))
-    } else if baseline.get("grid").is_some() {
-        Ok(compare_to_bench_sim(report, baseline, threshold))
     } else {
-        Err("baseline is neither a RunManifest nor a BENCH_sim.json document".to_string())
+        Err("baseline is not a RunManifest document".to_string())
     }
 }
 
@@ -338,24 +201,21 @@ fn classify(deltas: Vec<MetricDelta>, threshold: f64) -> (Vec<MetricDelta>, Vec<
     (deltas, regressions)
 }
 
-/// True when the baseline's host fingerprint (`meta`: os, arch, sim
-/// threads, scheduler workers, build profile) matches this run, i.e. its
-/// wall-clock numbers are comparable to ours. Cycles are
-/// machine-independent and always compared; a baseline recorded on
-/// different hardware, under a different build profile, or with a
-/// different simulator thread or worker-pool count contributes only
+/// True when the baseline's host fingerprint (`meta`: os, arch, scheduler
+/// workers, build profile) matches this run, i.e. its wall-clock numbers
+/// are comparable to ours. Cycles are machine-independent and always
+/// compared; a baseline recorded on different hardware, under a different
+/// build profile, or with a different worker-pool count contributes only
 /// those. Baselines without a `meta` block (or whose meta predates the
 /// `workers` field) get cycles-only treatment too.
 fn wall_comparable(baseline_meta: Option<&Json>, report: &PerfReport) -> bool {
     let Some(meta) = baseline_meta else {
         return false;
     };
-    let here = crate::manifest::host_meta(OptLevel::None, None, report.sim_threads, report.workers);
-    meta.get("os").and_then(|v| v.as_str()) == Some(here.os)
-        && meta.get("arch").and_then(|v| v.as_str()) == Some(here.arch)
-        && meta.get("threads").and_then(|v| v.as_u64()) == Some(here.threads)
-        && meta.get("workers").and_then(|v| v.as_u64()) == Some(here.workers)
-        && meta.get("profile").and_then(|v| v.as_str()) == Some(here.profile)
+    meta.get("os").and_then(|v| v.as_str()) == Some(std::env::consts::OS)
+        && meta.get("arch").and_then(|v| v.as_str()) == Some(std::env::consts::ARCH)
+        && meta.get("workers").and_then(|v| v.as_u64()) == Some(report.workers as u64)
+        && meta.get("profile").and_then(|v| v.as_str()) == Some(crate::manifest::PROFILE)
 }
 
 fn compare_to_manifest(report: &PerfReport, baseline: &Json, threshold: f64) -> Comparison {
@@ -363,7 +223,6 @@ fn compare_to_manifest(report: &PerfReport, baseline: &Json, threshold: f64) -> 
     let mut skipped = Vec::new();
     let Some(base_rows) = manifest_benchmarks(baseline) else {
         return Comparison {
-            baseline_kind: "manifest",
             threshold,
             deltas: Vec::new(),
             regressions: Vec::new(),
@@ -390,15 +249,6 @@ fn compare_to_manifest(report: &PerfReport, baseline: &Json, threshold: f64) -> 
             row.hls.cycles(),
             row.hls.wall_secs,
             row.hls.is_ok(),
-        ));
-    }
-    for cell in &report.grid {
-        current.push((
-            cell.label(),
-            "grid",
-            Some(cell.sim_cycles),
-            cell.host_secs,
-            true,
         ));
     }
     let walls = wall_comparable(baseline.get("meta"), report);
@@ -457,75 +307,6 @@ fn compare_to_manifest(report: &PerfReport, baseline: &Json, threshold: f64) -> 
     }
     let (deltas, regressions) = classify(deltas, threshold);
     Comparison {
-        baseline_kind: "manifest",
-        threshold,
-        deltas,
-        regressions,
-        skipped,
-    }
-}
-
-fn compare_to_bench_sim(report: &PerfReport, baseline: &Json, threshold: f64) -> Comparison {
-    let mut deltas = Vec::new();
-    let mut skipped = Vec::new();
-    let base_scale = baseline.get("scale").and_then(|s| s.as_str()).unwrap_or("");
-    if base_scale != report.grid_scale {
-        return Comparison {
-            baseline_kind: "bench_sim",
-            threshold,
-            deltas: Vec::new(),
-            regressions: Vec::new(),
-            skipped: vec![format!(
-                "BENCH_sim baseline is at scale `{base_scale}` but this report's grid ran at \
-                 `{}` — no comparable cells (rerun with matching --fast)",
-                report.grid_scale
-            )],
-        };
-    }
-    let walls = wall_comparable(baseline.get("meta"), report);
-    if !walls {
-        skipped.push(
-            "wall-clock deltas: baseline host/profile fingerprint differs (cycles still compared)"
-                .to_string(),
-        );
-    }
-    let cells = baseline
-        .get("grid")
-        .and_then(|g| g.as_array())
-        .unwrap_or(&[]);
-    for cur in &report.grid {
-        let base = cells.iter().find(|c| {
-            c.get("benchmark").and_then(|v| v.as_str()) == Some(cur.benchmark.as_str())
-                && c.get("cores").and_then(|v| v.as_u64()) == Some(cur.cores as u64)
-                && c.get("warps").and_then(|v| v.as_u64()) == Some(cur.warps as u64)
-                && c.get("threads").and_then(|v| v.as_u64()) == Some(cur.threads as u64)
-        });
-        let Some(base) = base else {
-            skipped.push(format!("grid/{}: not in baseline", cur.label()));
-            continue;
-        };
-        if let Some(bc) = base.get("sim_cycles").and_then(|v| v.as_u64()) {
-            deltas.push(MetricDelta {
-                metric: format!("cycles/grid/{}", cur.label()),
-                baseline: bc as f64,
-                current: cur.sim_cycles as f64,
-                deterministic: true,
-            });
-        }
-        if let Some(bh) = base.get("fast_host_secs").and_then(|v| v.as_f64()) {
-            if walls && bh >= WALL_NOISE_FLOOR_SECS {
-                deltas.push(MetricDelta {
-                    metric: format!("wall/grid/{}", cur.label()),
-                    baseline: bh,
-                    current: cur.host_secs,
-                    deterministic: false,
-                });
-            }
-        }
-    }
-    let (deltas, regressions) = classify(deltas, threshold);
-    Comparison {
-        baseline_kind: "bench_sim",
         threshold,
         deltas,
         regressions,
@@ -645,41 +426,8 @@ pub fn render_perf_markdown(r: &PerfReport, cmp: Option<&Comparison>, timing: bo
             let _ = writeln!(s, "| {} | {} |", st.name, st.count);
         }
     }
-    if !r.grid.is_empty() {
-        let _ = writeln!(s, "\n### Figure 7 sub-grid ({} scale)\n", r.grid_scale);
-        if timing {
-            let _ = writeln!(s, "| benchmark | config | sim cycles | host ms |");
-            let _ = writeln!(s, "|---|---|---|---|");
-        } else {
-            let _ = writeln!(s, "| benchmark | config | sim cycles |");
-            let _ = writeln!(s, "|---|---|---|");
-        }
-        for cell in &r.grid {
-            if timing {
-                let _ = writeln!(
-                    s,
-                    "| {} | {}c{}w{}t | {} | {} |",
-                    cell.benchmark,
-                    cell.cores,
-                    cell.warps,
-                    cell.threads,
-                    cell.sim_cycles,
-                    ms(cell.host_secs)
-                );
-            } else {
-                let _ = writeln!(
-                    s,
-                    "| {} | {}c{}w{}t | {} |",
-                    cell.benchmark, cell.cores, cell.warps, cell.threads, cell.sim_cycles
-                );
-            }
-        }
-    }
-    for note in &r.notes {
-        let _ = writeln!(s, "\n> note: {note}");
-    }
     if let Some(cmp) = cmp {
-        let _ = writeln!(s, "\n### Baseline comparison ({})\n", cmp.baseline_kind);
+        let _ = writeln!(s, "\n### Baseline comparison (manifest)\n");
         let _ = writeln!(
             s,
             "threshold: {:.0}% — {} metrics compared, {} regressed\n",
@@ -760,29 +508,6 @@ impl ToJson for PerfReport {
                         .collect(),
                 ),
             ),
-            (
-                "grid",
-                Json::Array(
-                    self.grid
-                        .iter()
-                        .map(|c| {
-                            Json::obj(vec![
-                                ("benchmark", c.benchmark.to_json()),
-                                ("cores", c.cores.to_json()),
-                                ("warps", c.warps.to_json()),
-                                ("threads", c.threads.to_json()),
-                                ("sim_cycles", c.sim_cycles.to_json()),
-                                ("host_secs", c.host_secs.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("grid_scale", self.grid_scale.to_json()),
-            (
-                "notes",
-                Json::Array(self.notes.iter().map(|n| n.to_json()).collect()),
-            ),
         ])
     }
 }
@@ -823,17 +548,6 @@ mod tests {
                 p95_secs: 0.02,
                 max_secs: 0.02,
             }],
-            grid: vec![GridCell {
-                benchmark: "Vecadd".to_string(),
-                cores: 4,
-                warps: 8,
-                threads: 8,
-                sim_cycles: 5000,
-                host_secs: 0.05,
-            }],
-            grid_scale: "test",
-            notes: Vec::new(),
-            sim_threads: 1,
             workers: 1,
         }
     }
@@ -844,7 +558,7 @@ mod tests {
         let mut m = RunManifest::new(
             "perf-report",
             &[],
-            crate::manifest::host_meta(OptLevel::VariableReuse, None, 1, 1),
+            crate::manifest::host_meta(ocl_ir::passes::OptLevel::VariableReuse, 1),
         );
         for row in &r.rows {
             m.push_bench(
@@ -862,15 +576,6 @@ mod tests {
                 true,
             );
         }
-        for cell in &r.grid {
-            m.push_bench(
-                &cell.label(),
-                "grid",
-                cell.host_secs * scale,
-                Some((cell.sim_cycles as f64 * scale) as u64),
-                true,
-            );
-        }
         Json::parse(&m.to_json().to_pretty()).unwrap()
     }
 
@@ -878,7 +583,6 @@ mod tests {
     fn identical_baseline_has_no_regressions() {
         let r = synthetic_report();
         let cmp = compare_to_baseline(&r, &baseline_manifest(1.0), DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(cmp.baseline_kind, "manifest");
         assert!(!cmp.deltas.is_empty());
         assert!(cmp.regressions.is_empty(), "{:?}", cmp.regressions);
     }
@@ -909,39 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_sim_baseline_compares_grid_cells() {
-        let r = synthetic_report();
-        let base = Json::parse(
-            r#"{
-              "scale": "test",
-              "timing_iters_best_of": 3,
-              "grid": [
-                {"benchmark": "Vecadd", "cores": 4, "warps": 8, "threads": 8,
-                 "sim_cycles": 2500, "dense_host_secs": 0.1, "fast_host_secs": 0.025}
-              ]
-            }"#,
-        )
-        .unwrap();
-        let cmp = compare_to_baseline(&r, &base, DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(cmp.baseline_kind, "bench_sim");
-        // 5000 current vs 2500 baseline cycles: deterministic regression.
-        assert!(cmp
-            .regressions
-            .iter()
-            .any(|d| d.metric == "cycles/grid/Vecadd 4c8w8t"));
-    }
-
-    #[test]
-    fn bench_sim_scale_mismatch_is_skipped_not_compared() {
-        let r = synthetic_report();
-        let base = Json::parse(r#"{"scale": "paper", "grid": []}"#).unwrap();
-        let cmp = compare_to_baseline(&r, &base, DEFAULT_THRESHOLD).unwrap();
-        assert!(cmp.deltas.is_empty());
-        assert!(cmp.regressions.is_empty());
-        assert!(cmp.skipped[0].contains("scale"), "{:?}", cmp.skipped);
-    }
-
-    #[test]
     fn foreign_host_baseline_contributes_cycles_only() {
         // Same numbers, but recorded on a "different machine": wall-clock
         // deltas must be dropped while cycle deltas survive.
@@ -951,7 +622,7 @@ mod tests {
             let meta = fields.iter_mut().find(|(k, _)| k == "meta").unwrap();
             if let Json::Object(m) = &mut meta.1 {
                 for (k, v) in m.iter_mut() {
-                    if k == "threads" {
+                    if k == "workers" {
                         *v = Json::UInt(100_000);
                     }
                 }

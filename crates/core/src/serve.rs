@@ -49,7 +49,7 @@
 //!   exits cleanly. The compile cache's disk tier is write-through, so
 //!   there is nothing left to flush at drain time by construction.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -59,10 +59,8 @@ use repro_util::metrics;
 
 use ocl_ir::passes::OptLevel;
 use ocl_suite::{all_benchmarks, instantiate};
-use repro_sched::{ExecConfig, Executor, Flow, JobOutcome, JobRequest};
+use repro_sched::{Executor, Flow, JobOutcome, JobRequest};
 use repro_util::{Json, ToJson};
-
-use crate::manifest::host_meta;
 
 /// Configuration for one serve session.
 #[derive(Debug, Clone)]
@@ -470,8 +468,12 @@ pub fn serve_lines(
     exec: &Executor,
     opts: &ServeOptions,
     mut input: impl BufRead,
-    mut out: impl Write,
+    out: impl Write,
 ) -> std::io::Result<ServeSummary> {
+    // Every response helper ends in `flush`, so a response reaches the
+    // sink as one write (one TCP segment, not one per `writeln!` piece)
+    // and the buffer is empty whenever this function returns.
+    let mut out = BufWriter::new(out);
     let mut summary = ServeSummary::default();
     let mut pending: Vec<JobRequest> = Vec::new();
     let flush = |pending: &mut Vec<JobRequest>,
@@ -617,6 +619,7 @@ pub fn serve_socket(
     let mut total = ServeSummary::default();
     for conn in listener.incoming() {
         let conn = conn?;
+        conn.set_nodelay(true)?;
         let reader = BufReader::new(conn.try_clone()?);
         let s = serve_lines(exec, opts, reader, conn)?;
         total.batches += s.batches;
@@ -636,20 +639,9 @@ pub fn serve_socket(
     Ok(total)
 }
 
-/// Linear-interpolated percentile of an unsorted sample set.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = p * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// The 56-job throughput workload: every suite benchmark on the Vortex
-/// flow at two middle-end levels.
+/// The 56-job suite batch: every benchmark on the Vortex flow at two
+/// middle-end levels (the workload `tests/serve_batch.rs` pins bit-identical
+/// between a 4-worker pool and the sequential one-shot path).
 pub fn serve_bench_requests() -> Vec<JobRequest> {
     all_benchmarks()
         .iter()
@@ -670,86 +662,10 @@ pub fn serve_bench_requests() -> Vec<JobRequest> {
         .collect()
 }
 
-/// `BENCH_serve.json` — batch throughput at 1/2/4 workers over the 56-job
-/// workload (28 benchmarks × 2 opt levels, Vortex flow, `Scale::Test`).
-///
-/// Asserts the determinism contract while it measures: every width must
-/// produce a bit-identical result signature (cycles / instructions /
-/// failure kind, per job). Wall-clock throughput is reported with the
-/// host's core count in the fingerprint — on a 1-core host the wider pools
-/// measure scheduling overhead, not speedup, and the numbers say so.
-pub fn bench_serve(widths: &[usize]) -> Json {
-    let reqs = serve_bench_requests();
-    let mut reference: Option<Vec<String>> = None;
-    let mut rows = Vec::new();
-    for &w in widths {
-        let exec = Executor::new(ExecConfig::with_workers(w));
-        let started = Instant::now();
-        let outcomes = exec.run(reqs.iter().cloned().map(instantiate).collect());
-        let wall = started.elapsed().as_secs_f64();
-        let signature: Vec<String> = outcomes
-            .iter()
-            .map(|oc| match &oc.result {
-                Ok(s) => format!("{}:{}c:{}i", oc.label, s.cycles, s.instructions),
-                Err(e) => format!("{}:{}", oc.label, e.kind()),
-            })
-            .collect();
-        match &reference {
-            None => reference = Some(signature),
-            Some(want) => assert_eq!(
-                want, &signature,
-                "scheduled results diverged between pool widths"
-            ),
-        }
-        let ok = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
-        let mut walls: Vec<f64> = outcomes.iter().map(|o| o.wall_secs).collect();
-        walls.sort_by(|a, b| a.total_cmp(b));
-        rows.push(Json::obj(vec![
-            ("workers", (w as u64).to_json()),
-            ("jobs", (outcomes.len() as u64).to_json()),
-            ("ok", ok.to_json()),
-            ("failed", (outcomes.len() as u64 - ok).to_json()),
-            ("wall_secs", wall.to_json()),
-            (
-                "jobs_per_sec",
-                (outcomes.len() as f64 / wall.max(1e-9)).to_json(),
-            ),
-            ("p50_latency_secs", percentile(&walls, 0.50).to_json()),
-            ("p95_latency_secs", percentile(&walls, 0.95).to_json()),
-            ("steals", exec.stats().steals().to_json()),
-        ]));
-    }
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    Json::obj(vec![
-        (
-            "meta",
-            host_meta(
-                OptLevel::VariableReuse,
-                None,
-                1,
-                widths.iter().copied().max().unwrap_or(1),
-            )
-            .to_json(),
-        ),
-        ("host_threads", host_threads.to_json()),
-        (
-            "note",
-            format!(
-                "throughput at {host_threads} host thread(s); wider pools on a \
-                 1-thread host measure scheduling overhead, not speedup"
-            )
-            .to_json(),
-        ),
-        ("deterministic_across_widths", Json::Bool(true)),
-        ("widths", Json::Array(rows)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repro_sched::ExecConfig;
 
     fn exec(workers: usize) -> Executor {
         Executor::new(ExecConfig::with_workers(workers))
@@ -906,6 +822,37 @@ mod tests {
     }
 
     #[test]
+    fn each_flushed_response_is_a_single_write() {
+        /// Counts calls the way a socket would see them.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            flushes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                self.flushes += 1;
+                Ok(())
+            }
+        }
+        let input = "not json\n[{\"bench\": \"Vecadd\"}, {\"bench\": \"Saxpy\"}]\n\
+                     {\"cmd\": \"health\"}\n";
+        let mut sink = Counting::default();
+        let e = exec(1);
+        let s = serve_lines(&e, &ServeOptions::default(), input.as_bytes(), &mut sink).unwrap();
+        assert_eq!((s.rejected, s.jobs), (1, 2));
+        assert_eq!(
+            sink.flushes, 3,
+            "reject, batch (2 outcomes + summary), health"
+        );
+        assert_eq!(sink.writes, sink.flushes, "one write per flushed response");
+    }
+
+    #[test]
     fn invalid_utf8_and_oversize_lines_get_typed_rejects() {
         let mut input: Vec<u8> = Vec::new();
         input.extend_from_slice(b"{\"bench\": \"Vec\xffadd\"}\n");
@@ -1055,14 +1002,5 @@ mod tests {
             .as_str()
             .unwrap();
         assert!(detail.contains("unknown cmd `bogus`"), "{detail}");
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let s = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&s, 0.0), 1.0);
-        assert_eq!(percentile(&s, 1.0), 4.0);
-        assert_eq!(percentile(&s, 0.5), 2.5);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 }

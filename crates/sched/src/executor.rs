@@ -288,6 +288,11 @@ impl Executor {
         });
         let start = self.shared.next_worker.fetch_add(n, Ordering::Relaxed);
         let now = Instant::now();
+        // Count before publishing: a worker that is already awake can pop a
+        // task the moment it lands in a deque, and its decrement must find
+        // the increment already there.
+        let depth = self.shared.queued.fetch_add(n, Ordering::AcqRel) + n;
+        metrics::gauge_set("sched.queue_depth", depth as f64);
         for (index, job) in jobs.into_iter().enumerate() {
             let w = (start + index) % self.workers;
             let deadline = job
@@ -304,8 +309,6 @@ impl Executor {
                 submitted: now,
             });
         }
-        let depth = self.shared.queued.fetch_add(n, Ordering::AcqRel) + n;
-        metrics::gauge_set("sched.queue_depth", depth as f64);
         let mut woken = 0u64;
         for p in &self.shared.parkers {
             // `sched.lost_unpark` drops the notification; liveness must
@@ -717,6 +720,51 @@ mod tests {
             exec.stats().parks() > 0,
             "workers should have parked between 200 sequential batches"
         );
+    }
+
+    #[test]
+    fn queue_depth_is_exact_on_a_live_pool() {
+        /// Releases the gate jobs when dropped — also on unwind, so a
+        /// failing run fails instead of hanging in `Executor::drop`.
+        struct Gate(Arc<AtomicBool>);
+        impl Drop for Gate {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        // Every worker spins inside a gate job, so the whole pool is awake
+        // with nothing queued. Opening the gate and submitting in the same
+        // breath makes workers pop tasks of the new batch while `submit`
+        // is still dealing it. The depth counter must already include
+        // those tasks: it never underflows, and it reads zero once both
+        // batches are done.
+        for workers in [2, 4, 8] {
+            let exec = Executor::new(ExecConfig::with_workers(workers));
+            for round in 0..200u64 {
+                let gate = Gate(Arc::new(AtomicBool::new(false)));
+                let gated = exec.submit(
+                    (0..workers as u64)
+                        .map(|i| {
+                            let open = Arc::clone(&gate.0);
+                            quick_job(i, move || {
+                                while !open.load(Ordering::Acquire) {
+                                    std::thread::yield_now();
+                                }
+                                i
+                            })
+                        })
+                        .collect(),
+                );
+                while exec.queue_depth() != 0 {
+                    std::thread::yield_now();
+                }
+                drop(gate);
+                let batch = exec.submit((0..64).map(|i| quick_job(i, move || round + i)).collect());
+                assert!(gated.wait().iter().all(JobOutcome::is_ok));
+                assert!(batch.wait().iter().all(JobOutcome::is_ok));
+                assert_eq!(exec.queue_depth(), 0, "{workers} workers, round {round}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! `repro-sched` — the job-oriented work-stealing executor behind every
 //! `repro` entry point.
 //!
-//! Before this crate, each CLI verb (`run`, `check`, `bench-sim`,
-//! `perf-report`) owned its own ad-hoc loop over benchmarks: its own
-//! timing, its own isolation, its own failure handling. This crate gives
+//! Before this crate, each CLI verb (`run`, `check`, `perf-report`) owned
+//! its own ad-hoc loop over benchmarks: its own timing, its own
+//! isolation, its own failure handling. This crate gives
 //! the pipeline ONE compute substrate instead:
 //!
 //! - [`job`] defines the unit of work — [`job::JobRequest`] (pure data

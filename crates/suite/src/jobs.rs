@@ -5,7 +5,7 @@
 //! benchmarks, flows, or simulators), so a [`Job`] carries its execution
 //! as a closure; [`instantiate`] is where that closure is bound. Every
 //! entry point that used to own a private run loop — `repro run`, `check`,
-//! `bench-sim`, `perf-report`, and the long-running `repro serve` — builds
+//! `perf-report`, and the long-running `repro serve` — builds
 //! requests, instantiates them here, and submits the batch to one
 //! [`repro_sched::Executor`].
 //!

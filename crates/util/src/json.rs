@@ -1,6 +1,6 @@
 //! Minimal JSON support: a value tree, a pretty printer, a `ToJson`
 //! trait for the artifact types the `repro` harness writes to
-//! `target/repro/*.json` and `BENCH_sim.json`, and a small
+//! `target/repro/*.json` and `runs/*.json`, and a small
 //! recursive-descent parser ([`Json::parse`]) so tests and CI checks can
 //! round-trip those artifacts (e.g. validating Chrome-trace exports)
 //! without external dependencies.

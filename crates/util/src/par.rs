@@ -133,7 +133,7 @@ where
 /// indices from a shared atomic counter; results come back in input order.
 ///
 /// Unlike [`par_map`], the worker count is a parameter rather than
-/// `available_parallelism`: the caller (e.g. `--sim-threads`) owns the
+/// `available_parallelism`: the caller (a job's `sim_threads`) owns the
 /// policy. `workers <= 1` or a single item degrades to a plain sequential
 /// loop with no thread spawns at all.
 pub fn par_map_mut<T, R, F>(items: &mut [T], workers: usize, f: F) -> Vec<R>

@@ -1,68 +1,11 @@
-//! Wall-clock measurement helpers for the bench harnesses (the offline
-//! replacement for criterion): warm up once, run a fixed iteration count,
-//! report best/mean seconds. Deliberately simple — the harnesses track
-//! trends across PRs, not microsecond-accurate confidence intervals.
+//! Wall-clock measurement helper for per-pass timing.
 
 use std::time::Instant;
 
-/// Timing summary for one benchmark case.
-#[derive(Debug, Clone, Copy)]
-pub struct Sample {
-    pub iters: u32,
-    pub best_secs: f64,
-    pub mean_secs: f64,
-}
-
-/// Run `f` once as warm-up, then `iters` timed iterations.
-pub fn bench<R>(iters: u32, mut f: impl FnMut() -> R) -> Sample {
-    assert!(iters > 0);
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    let mut total = 0.0;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        let dt = t0.elapsed().as_secs_f64();
-        best = best.min(dt);
-        total += dt;
-    }
-    Sample {
-        iters,
-        best_secs: best,
-        mean_secs: total / iters as f64,
-    }
-}
-
 /// Time a single invocation of `f`; returns its result and the elapsed
-/// wall-clock seconds. Used by the IR pass manager for per-pass timing,
-/// where the repeated-iteration protocol of [`bench`] would re-run a
-/// mutating transform.
+/// wall-clock seconds. Used by the IR pass manager for per-pass timing.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64())
-}
-
-/// Print one result row in the shared `name  best  mean` format.
-pub fn report(name: &str, s: &Sample) {
-    println!(
-        "{name:<44} best {:>10.3} ms   mean {:>10.3} ms   ({} iters)",
-        s.best_secs * 1e3,
-        s.mean_secs * 1e3,
-        s.iters
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_counts_iterations() {
-        let mut calls = 0u32;
-        let s = bench(5, || calls += 1);
-        assert_eq!(calls, 6, "warm-up + 5 timed");
-        assert_eq!(s.iters, 5);
-        assert!(s.best_secs <= s.mean_secs);
-    }
 }

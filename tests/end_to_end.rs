@@ -170,3 +170,23 @@ fn all_experiment_generators_run() {
     let g = fpga_gpu_repro::repro::fig7_grid("Vecadd", 1, &[2, 4], &[4], Scale::Test);
     assert_eq!(g.cells.len(), 2);
 }
+
+/// The `{4,8,16}²` corner of Figure 7 at test scale: simulated cycle counts
+/// are a pure function of (kernel, machine shape), so any change here is a
+/// timing-model change and must be deliberate.
+#[test]
+fn fig7_subgrid_cycles_are_pinned() {
+    let steps = [4, 8, 16];
+    for (name, want) in [
+        ("Vecadd", [701, 521, 482, 950, 761, 882, 1334, 1418, 1708]),
+        (
+            "Transpose",
+            [1608, 1208, 1062, 1879, 1429, 1271, 2809, 1869, 2494],
+        ),
+    ] {
+        let g = fpga_gpu_repro::repro::fig7_grid(name, 4, &steps, &steps, Scale::Test);
+        // Cells come back sorted by (warps, threads).
+        let got: Vec<u64> = g.cells.iter().map(|c| c.cycles).collect();
+        assert_eq!(got, want, "{name} 4c{{4,8,16}}w{{4,8,16}}t");
+    }
+}
