@@ -201,22 +201,21 @@ impl VxSession {
     /// Allocate and fill from host u32 data.
     pub fn alloc_u32(&mut self, data: &[u32]) -> Result<Buffer, RtError> {
         let b = self.alloc((data.len() * 4) as u32)?;
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.sim.mem.write_bytes(b.addr, &bytes)?;
+        self.sim.mem.write_words(b.addr, data.iter().copied())?;
         Ok(b)
     }
 
     /// Host -> device copy.
     pub fn write_f32(&mut self, b: Buffer, data: &[f32]) -> Result<(), RtError> {
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.sim.mem.write_bytes(b.addr, &bytes)?;
+        let words = data.iter().map(|v| v.to_bits());
+        self.sim.mem.write_words(b.addr, words)?;
         Ok(())
     }
 
     /// Host -> device copy.
     pub fn write_i32(&mut self, b: Buffer, data: &[i32]) -> Result<(), RtError> {
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.sim.mem.write_bytes(b.addr, &bytes)?;
+        let words = data.iter().map(|&v| v as u32);
+        self.sim.mem.write_words(b.addr, words)?;
         Ok(())
     }
 

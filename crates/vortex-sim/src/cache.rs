@@ -26,6 +26,9 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// log2 of the line size (a power of two), so the memory path never
+    /// divides.
+    line_shift: u32,
     ways: Vec<Way>,
     pub hits: u64,
     pub misses: u64,
@@ -40,6 +43,7 @@ impl Cache {
         );
         Cache {
             cfg,
+            line_shift: cfg.line_bytes.trailing_zeros(),
             ways: vec![Way::default(); (cfg.sets * cfg.ways) as usize],
             hits: 0,
             misses: 0,
@@ -51,8 +55,9 @@ impl Cache {
     }
 
     /// Line address (byte address / line size) of `addr`.
+    #[inline]
     pub fn line_of(&self, addr: u32) -> u32 {
-        addr / self.cfg.line_bytes
+        addr >> self.line_shift
     }
 
     /// Access the line containing `addr` at time `now`; returns true on hit.

@@ -1,11 +1,13 @@
 //! One SIMT core: warps, register files, scoreboard, LSU and the Vortex
 //! SIMT control-flow semantics (Figure 4 of the paper).
 
+use std::cmp::Ordering;
+
 use crate::cache::Cache;
 use crate::mem::{DeviceMem, SimMemory};
 use crate::memsys::MemView;
 use crate::stats::{CoreStats, StallKind};
-use crate::tcache::{MacroOp, TraceCache};
+use crate::tcache::TraceCache;
 use crate::trace::{CacheLevel, TraceEvent, TraceSink};
 use crate::{SimConfig, SimError};
 use vortex_isa::layout::{PRINTF_BASE, PRINTF_STRIDE};
@@ -31,75 +33,6 @@ struct Warp {
     stack: Vec<Ipdom>,
     /// Some((id, count)) while waiting at a barrier.
     barrier: Option<(u32, u32)>,
-}
-
-/// Scoreboard-relevant registers of one instruction, in fixed storage: at
-/// most two sources per register file and one destination on each.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Operands {
-    isrc: [u8; 2],
-    isrc_n: u8,
-    fsrc: [u8; 2],
-    fsrc_n: u8,
-    idst: Option<u8>,
-    fdst: Option<u8>,
-}
-
-impl Operands {
-    fn mixed(isrc: &[u8], fsrc: &[u8], idst: Option<u8>, fdst: Option<u8>) -> Operands {
-        let mut o = Operands {
-            idst,
-            fdst,
-            isrc_n: isrc.len() as u8,
-            fsrc_n: fsrc.len() as u8,
-            ..Operands::default()
-        };
-        o.isrc[..isrc.len()].copy_from_slice(isrc);
-        o.fsrc[..fsrc.len()].copy_from_slice(fsrc);
-        o
-    }
-
-    fn int(isrc: &[u8], idst: Option<u8>) -> Operands {
-        Operands::mixed(isrc, &[], idst, None)
-    }
-
-    /// All integer-file registers the scoreboard must check (sources, then
-    /// the destination for WAW).
-    fn ints(&self) -> impl Iterator<Item = u8> + '_ {
-        self.isrc[..self.isrc_n as usize]
-            .iter()
-            .copied()
-            .chain(self.idst)
-    }
-
-    /// All float-file registers the scoreboard must check.
-    fn floats(&self) -> impl Iterator<Item = u8> + '_ {
-        self.fsrc[..self.fsrc_n as usize]
-            .iter()
-            .copied()
-            .chain(self.fdst)
-    }
-}
-
-/// Per-warp issue snapshot: the pre-resolved macro-op at the warp's
-/// current PC plus the first cycle its scoreboard operands are ready.
-///
-/// Everything in here is a function of the warp's PC and its own register
-/// ready-times, and those change *only* when the warp itself issues (or is
-/// respawned/reset) — other warps' issues touch shared LSU/MSHR state, which
-/// is deliberately kept out of the snapshot. So the per-cycle issue scan
-/// can reuse the snapshot across ticks instead of re-walking the operands
-/// and re-fetching the macro-op for every blocked warp every cycle.
-#[derive(Debug, Clone, Copy)]
-enum IssueSlot {
-    /// The warp issued (or was reset/respawned) since the last resolve;
-    /// re-resolve before use.
-    Stale,
-    /// The warp's PC is outside the program: scanning it faults the tick,
-    /// exactly like the raw fetch failure it stands for.
-    BadPc,
-    /// Resolved macro-op and first scoreboard-ready cycle.
-    Ready { mop: MacroOp, t_sb: u64 },
 }
 
 /// Outcome of one [`Core::tick`].
@@ -138,39 +71,43 @@ impl Iterator for Lanes {
     }
 }
 
-/// Source/destination registers of an instruction for the scoreboard.
-/// Fixed-size (at most two sources per file, one destination each) so the
-/// per-cycle issue scan never allocates. The trace cache pre-resolves this
-/// per PC; only the reference path and cache fills call it directly.
-pub(crate) fn regs_of(i: &Instr) -> Operands {
+/// Scoreboard indices of an instruction: two sources, then the
+/// destination, each an index into the warp's 64-entry ready-time row
+/// (integer `r` at `r`, float `r` at `32 + r`). Unused positions hold index
+/// 0 — `x0`, whose ready time is always 0 because [`Core::mark_dest`] never
+/// writes it — so the scoreboard check is three loads and two `max`es for
+/// every instruction. The destination is checked too (WAW). The trace cache
+/// pre-resolves this per PC; only the reference path and cache fills call
+/// it directly.
+pub(crate) fn regs_of(i: &Instr) -> [u8; 3] {
+    /// Scoreboard index of float register `r`.
+    const fn f(r: u8) -> u8 {
+        32 + r
+    }
     match *i {
-        Instr::Lui { rd, .. } => Operands::int(&[], Some(rd)),
-        Instr::OpImm { rd, rs1, .. } => Operands::int(&[rs1], Some(rd)),
-        Instr::Op { rd, rs1, rs2, .. } | Instr::MulDiv { rd, rs1, rs2, .. } => {
-            Operands::int(&[rs1, rs2], Some(rd))
+        Instr::Lui { rd, .. } | Instr::Jal { rd, .. } | Instr::CsrRead { rd, .. } => [0, 0, rd],
+        Instr::OpImm { rd, rs1, .. } | Instr::Lw { rd, rs1, .. } | Instr::Jalr { rd, rs1, .. } => {
+            [rs1, 0, rd]
         }
-        Instr::Lw { rd, rs1, .. } => Operands::int(&[rs1], Some(rd)),
-        Instr::Sw { rs1, rs2, .. } => Operands::int(&[rs1, rs2], None),
-        Instr::Branch { rs1, rs2, .. } => Operands::int(&[rs1, rs2], None),
-        Instr::Jal { rd, .. } => Operands::int(&[], Some(rd)),
-        Instr::Jalr { rd, rs1, .. } => Operands::int(&[rs1], Some(rd)),
-        Instr::Flw { rd, rs1, .. } => Operands::mixed(&[rs1], &[], None, Some(rd)),
-        Instr::Fsw { rs1, rs2, .. } => Operands::mixed(&[rs1], &[rs2], None, None),
-        Instr::FpOp { rd, rs1, rs2, .. } => Operands::mixed(&[], &[rs1, rs2], None, Some(rd)),
-        Instr::FpUn { rd, rs1, .. } => Operands::mixed(&[], &[rs1], None, Some(rd)),
-        Instr::FpCmp { rd, rs1, rs2, .. } => Operands::mixed(&[], &[rs1, rs2], Some(rd), None),
+        Instr::Op { rd, rs1, rs2, .. }
+        | Instr::MulDiv { rd, rs1, rs2, .. }
+        | Instr::Amo { rd, rs1, rs2, .. } => [rs1, rs2, rd],
+        Instr::Sw { rs1, rs2, .. }
+        | Instr::Branch { rs1, rs2, .. }
+        | Instr::Wspawn { rs1, rs2 }
+        | Instr::Pred { rs1, rs2, .. }
+        | Instr::Bar { rs1, rs2 } => [rs1, rs2, 0],
+        Instr::Flw { rd, rs1, .. } => [rs1, 0, f(rd)],
+        Instr::Fsw { rs1, rs2, .. } => [rs1, f(rs2), 0],
+        Instr::FpOp { rd, rs1, rs2, .. } => [f(rs1), f(rs2), f(rd)],
+        Instr::FpUn { rd, rs1, .. } => [f(rs1), 0, f(rd)],
+        Instr::FpCmp { rd, rs1, rs2, .. } => [f(rs1), f(rs2), rd],
         Instr::FpCvt { op, rd, rs1 } => match op {
-            CvtOp::F2I | CvtOp::F2U | CvtOp::MvF2X => Operands::mixed(&[], &[rs1], Some(rd), None),
-            CvtOp::I2F | CvtOp::U2F | CvtOp::MvX2F => Operands::mixed(&[rs1], &[], None, Some(rd)),
+            CvtOp::F2I | CvtOp::F2U | CvtOp::MvF2X => [f(rs1), 0, rd],
+            CvtOp::I2F | CvtOp::U2F | CvtOp::MvX2F => [rs1, 0, f(rd)],
         },
-        Instr::Amo { rd, rs1, rs2, .. } => Operands::int(&[rs1, rs2], Some(rd)),
-        Instr::CsrRead { rd, .. } => Operands::int(&[], Some(rd)),
-        Instr::Tmc { rs1 } => Operands::int(&[rs1], None),
-        Instr::Wspawn { rs1, rs2 } => Operands::int(&[rs1, rs2], None),
-        Instr::Split { rs1, .. } => Operands::int(&[rs1], None),
-        Instr::Join { .. } | Instr::Halt | Instr::Print { .. } => Operands::int(&[], None),
-        Instr::Pred { rs1, rs2, .. } => Operands::int(&[rs1, rs2], None),
-        Instr::Bar { rs1, rs2 } => Operands::int(&[rs1, rs2], None),
+        Instr::Tmc { rs1 } | Instr::Split { rs1, .. } => [rs1, 0, 0],
+        Instr::Join { .. } | Instr::Halt | Instr::Print { .. } => [0, 0, 0],
     }
 }
 
@@ -187,20 +124,41 @@ pub(crate) fn is_mem(i: &Instr) -> bool {
     )
 }
 
+/// `match $op` with one arm per listed variant, each binding `$k` to its
+/// variant as a constant: `$body`'s lane kernel is compiled once per opcode
+/// with the scalar semantics (`alu`, `muldiv`, `fp_op`, ...) folded in, so
+/// the opcode dispatch happens once, outside the lane loop.
+macro_rules! per_op {
+    ($op:expr, $k:ident: $ty:ident { $($v:ident)* } => $body:expr) => {
+        match $op {
+            $($ty::$v => {
+                const $k: $ty = $ty::$v;
+                $body
+            })*
+        }
+    };
+}
+
 /// A single core.
 pub struct Core {
     id: u32,
     warps_n: u32,
     threads_n: u32,
     warps: Vec<Warp>,
-    /// Integer registers: [warp][reg][lane].
+    /// Integer registers: [warp][reg][lane]. Row 0 of every warp (`x0`)
+    /// is all-zero and never written, so the read side needs no `x0`
+    /// branch.
     iregs: Vec<u32>,
     /// Float registers, same layout.
     fregs: Vec<u32>,
-    /// Scoreboard: cycle each (warp, int reg) becomes ready.
-    ireg_ready: Vec<u64>,
-    /// Scoreboard for float regs.
-    freg_ready: Vec<u64>,
+    /// Copy of a destination row that is also a source of the same
+    /// instruction, taken before the lane kernel overwrites it (see
+    /// [`split_rows`]).
+    row_tmp: [u32; 64],
+    /// Scoreboard: cycle each register becomes ready, 64 entries per warp
+    /// — integer `r` at `r`, float `r` at `32 + r` (the indices
+    /// [`regs_of`] produces). Entry 0 (`x0`) is never written and stays 0.
+    ready: Vec<u64>,
     /// MSHR slots: cycle each becomes free.
     mshr_free: Vec<u64>,
     /// Cached `min(mshr_free)`. Slot times only move at miss allocation
@@ -221,20 +179,21 @@ pub struct Core {
     /// from-scratch decode path) and after a program swap.
     tcache: Option<TraceCache>,
     tcache_enabled: bool,
-    /// Per-warp issue snapshots (see [`IssueSlot`]), lazily refreshed by
-    /// the issue scan and invalidated only where a warp's PC or its own
-    /// register ready-times can change: its own issue, WSPAWN, and launch
-    /// reset.
-    islots: Vec<IssueSlot>,
-    /// Flat mirror of each snapshot's scoreboard-ready cycle, so the
-    /// per-cycle scan touches 8 bytes per warp instead of the whole
-    /// [`IssueSlot`]. `u64::MAX` marks a stale snapshot; a resolved
-    /// `BadPc` snapshot mirrors as 0 so the scan funnels it into the
-    /// issue path, which faults on the slot. Kept in lockstep with
-    /// `islots` by [`refresh_slot`](Core::refresh_slot) and the
-    /// invalidation sites.
+    /// Per-warp issue snapshot: the first cycle the scoreboard operands
+    /// of the instruction at the warp's PC are ready. It is a function of
+    /// the warp's PC and its own register ready-times, and those change
+    /// *only* when the warp itself issues (or is respawned/reset) — other
+    /// warps' issues touch shared LSU/MSHR state, which is deliberately
+    /// kept out of the snapshot. So the per-cycle scan reuses it across
+    /// ticks (8 bytes per blocked warp) instead of re-walking the operands
+    /// every cycle. `u64::MAX` marks a stale snapshot, lazily re-resolved
+    /// by [`refresh_slot`](Core::refresh_slot); a PC outside the program
+    /// resolves to 0 so the scan funnels the warp into the issue path,
+    /// whose fetch faults. Invalidated at the warp's own issue, WSPAWN,
+    /// launch reset and program swap.
     scan_tsb: Vec<u64>,
-    /// Flat mirror of each snapshot's `is_mem` flag (same lifecycle).
+    /// The snapshot's other half: whether that instruction goes through
+    /// the LSU (same lifecycle; meaningless while `scan_tsb` is stale).
     scan_mem: Vec<bool>,
     /// Bit per warp: active and not parked at a barrier — the candidates
     /// the per-cycle issue scan must consider. Maintained at the
@@ -290,8 +249,8 @@ impl Core {
             ],
             iregs: vec![0; regs],
             fregs: vec![0; regs],
-            ireg_ready: vec![0; (w * 32) as usize],
-            freg_ready: vec![0; (w * 32) as usize],
+            row_tmp: [0; 64],
+            ready: vec![0; (w * 64) as usize],
             mshr_free: vec![0; cfg.mshrs as usize],
             mshr_min: 0,
             lsu_next_free: 0,
@@ -301,7 +260,6 @@ impl Core {
             active_n: 0,
             tcache: None,
             tcache_enabled: !cfg.reference_mode,
-            islots: vec![IssueSlot::Stale; w as usize],
             scan_tsb: vec![u64::MAX; w as usize],
             scan_mem: vec![false; w as usize],
             ready_mask: 0,
@@ -337,14 +295,12 @@ impl Core {
         self.parked_mask = 0;
         self.iregs.fill(0);
         self.fregs.fill(0);
-        self.ireg_ready.fill(0);
-        self.freg_ready.fill(0);
+        self.ready.fill(0);
         self.mshr_free.fill(0);
         self.mshr_min = 0;
         self.lsu_next_free = 0;
         self.dcache.flush();
         self.rr_next = 0;
-        self.islots.fill(IssueSlot::Stale);
         self.scan_tsb.fill(u64::MAX);
         self.barrier_waiters.clear();
         self.next_event = 0;
@@ -364,41 +320,49 @@ impl Core {
     }
 
     /// Drop the macro-op cache: the loaded binary is about to change. The
-    /// issue snapshots hold macro-ops resolved from it, so they go too.
+    /// issue snapshots were resolved from it, so they go too.
     pub(crate) fn invalidate_tcache(&mut self) {
         self.tcache = None;
-        self.islots.fill(IssueSlot::Stale);
         self.scan_tsb.fill(u64::MAX);
     }
 
-    /// Mark one warp's issue snapshot stale (its PC or ready-times moved).
-    #[inline]
-    fn invalidate_slot(&mut self, wi: usize) {
-        self.islots[wi] = IssueSlot::Stale;
-        self.scan_tsb[wi] = u64::MAX;
+    /// Re-resolve one warp's issue snapshot from its current PC and
+    /// register ready-times: the one counted trace-cache lookup per
+    /// snapshot. Returns the scoreboard-ready cycle it stored.
+    fn refresh_slot(&mut self, wi: usize, program: &Program) -> u64 {
+        let pc = self.warps[wi].pc;
+        let decoded = if self.tcache_enabled {
+            self.tcache
+                .get_or_insert_with(|| TraceCache::new(program.instrs.len()))
+                .get(pc, program)
+                .map(|m| (m.sb, m.is_mem()))
+        } else {
+            program
+                .instrs
+                .get(pc as usize)
+                .map(|i| (regs_of(i), is_mem(i)))
+        };
+        let (t_sb, mem) = match decoded {
+            Some((sb, mem)) => (self.operands_ready_of(wi as u32, sb), mem),
+            // "Ready now", so the scan funnels the warp into the issue
+            // path, whose fetch raises the fault.
+            None => (0, false),
+        };
+        self.scan_tsb[wi] = t_sb;
+        self.scan_mem[wi] = mem;
+        t_sb
     }
 
-    /// Re-resolve one warp's issue snapshot from its current PC and
-    /// register ready-times.
-    fn refresh_slot(&mut self, wi: usize, program: &Program) -> IssueSlot {
-        let pc = self.warps[wi].pc;
-        let slot = match self.mop_at(pc, program) {
-            Some(mop) => {
-                let t_sb = self.operands_ready_of(wi as u32, &mop.ops);
-                self.scan_tsb[wi] = t_sb;
-                self.scan_mem[wi] = mop.is_mem;
-                IssueSlot::Ready { mop, t_sb }
-            }
-            None => {
-                // Mirror as "ready now" so the scan funnels the warp into
-                // the issue path, which faults on the BadPc slot.
-                self.scan_tsb[wi] = 0;
-                self.scan_mem[wi] = false;
-                IssueSlot::BadPc
-            }
-        };
-        self.islots[wi] = slot;
-        slot
+    /// The instruction at `pc` and its scoreboard destination index, for a
+    /// warp whose snapshot says it can issue: read in place from the trace
+    /// cache slot the refresh decoded (counter-free), or decoded on the
+    /// spot in `reference_mode`. `None` = PC outside the program.
+    #[inline]
+    fn fetch(&self, pc: u32, program: &Program) -> Option<(Instr, u8)> {
+        match &self.tcache {
+            Some(tc) => tc.peek(pc).map(|m| (m.instr, m.sb[2])),
+            None => program.instrs.get(pc as usize).map(|i| (*i, regs_of(i)[2])),
+        }
     }
 
     /// Whether the macro-op cache has been materialized (the zero-overhead
@@ -423,52 +387,40 @@ impl Core {
         }
     }
 
-    /// The pre-decoded macro-op at `pc`, from the trace cache when enabled
-    /// or decoded on the spot in `reference_mode`. `None` = PC outside the
-    /// program, identical to a raw fetch failure.
+    /// Index range of one register row — the `threads_n` lanes of `reg`
+    /// in `warp` — in `iregs`/`fregs`.
     #[inline]
-    fn mop_at(&mut self, pc: u32, program: &Program) -> Option<MacroOp> {
-        if self.tcache_enabled {
-            self.tcache
-                .get_or_insert_with(|| TraceCache::new(program.instrs.len()))
-                .get(pc, program)
-        } else {
-            let instr = *program.instrs.get(pc as usize)?;
-            Some(MacroOp {
-                instr,
-                ops: regs_of(&instr),
-                is_mem: is_mem(&instr),
-            })
-        }
+    fn row(&self, warp: u32, reg: u8) -> std::ops::Range<usize> {
+        let t = self.threads_n as usize;
+        let base = (warp as usize * 32 + reg as usize) * t;
+        base..base + t
     }
 
+    /// Rows `rd` (to write), `rs1` and `rs2` (to read) of `warp` in the
+    /// integer file.
     #[inline]
-    fn ireg_idx(&self, warp: u32, reg: u8, lane: u32) -> usize {
-        ((warp * 32 + reg as u32) * self.threads_n + lane) as usize
+    fn int_rows(&mut self, warp: u32, rd: u8, rs1: u8, rs2: u8) -> (&mut [u32], &[u32], &[u32]) {
+        let t = self.threads_n as usize;
+        split_rows(&mut self.iregs, &mut self.row_tmp, t, warp, rd, rs1, rs2)
     }
 
+    /// [`int_rows`](Core::int_rows) on the float file.
+    #[inline]
+    fn fp_rows(&mut self, warp: u32, rd: u8, rs1: u8, rs2: u8) -> (&mut [u32], &[u32], &[u32]) {
+        let t = self.threads_n as usize;
+        split_rows(&mut self.fregs, &mut self.row_tmp, t, warp, rd, rs1, rs2)
+    }
+
+    /// One lane of an integer register (`x0` reads its all-zero row).
     fn read_int(&self, warp: u32, reg: u8, lane: u32) -> u32 {
-        if reg == 0 {
-            0
-        } else {
-            self.iregs[self.ireg_idx(warp, reg, lane)]
-        }
+        self.iregs[self.row(warp, reg).start + lane as usize]
     }
 
     fn write_int(&mut self, warp: u32, reg: u8, lane: u32, v: u32) {
         if reg != 0 {
-            let i = self.ireg_idx(warp, reg, lane);
+            let i = self.row(warp, reg).start + lane as usize;
             self.iregs[i] = v;
         }
-    }
-
-    fn read_fp(&self, warp: u32, reg: u8, lane: u32) -> u32 {
-        self.fregs[self.ireg_idx(warp, reg, lane)]
-    }
-
-    fn write_fp(&mut self, warp: u32, reg: u8, lane: u32, v: u32) {
-        let i = self.ireg_idx(warp, reg, lane);
-        self.fregs[i] = v;
     }
 
     /// Value of an integer register in the first active lane (used by the
@@ -478,15 +430,12 @@ impl Core {
         self.read_int(warp, reg, lane.min(self.threads_n - 1))
     }
 
-    fn mark_dest(&mut self, warp: u32, ops: &Operands, ready_at: u64) {
-        let base = (warp * 32) as usize;
-        if let Some(r) = ops.idst {
-            if r != 0 {
-                self.ireg_ready[base + r as usize] = ready_at;
-            }
-        }
-        if let Some(r) = ops.fdst {
-            self.freg_ready[base + r as usize] = ready_at;
+    /// Mark scoreboard entry `dst` of `warp` busy until `ready_at`. Index 0
+    /// is both `x0` and "no destination": never written, always ready.
+    #[inline]
+    fn mark_dest(&mut self, warp: u32, dst: u8, ready_at: u64) {
+        if dst != 0 {
+            self.ready[warp as usize * 64 + dst as usize] = ready_at;
         }
     }
 
@@ -556,12 +505,11 @@ impl Core {
             while m != 0 {
                 let wi = m.trailing_zeros() as usize;
                 m &= m - 1;
-                // Flat-array fast path: one ready-cycle load per blocked
-                // warp; the full snapshot is only read on an actual issue.
+                // One ready-cycle load per blocked warp; the decoded
+                // instruction is only read on an actual issue.
                 let mut t_sb = self.scan_tsb[wi];
                 if t_sb == u64::MAX {
-                    self.refresh_slot(wi, program);
-                    t_sb = self.scan_tsb[wi];
+                    t_sb = self.refresh_slot(wi, program);
                 }
                 let t_ready = if self.scan_mem[wi] {
                     // Both conditions must hold at once; both are monotone,
@@ -579,28 +527,31 @@ impl Core {
                     next_event = next_event.min(t_ready);
                     continue;
                 }
-                let IssueSlot::Ready { mop, .. } = self.islots[wi] else {
+                let pc = self.warps[wi].pc;
+                let Some((instr, dst)) = self.fetch(pc, program) else {
                     return Err(SimError::BadPc {
                         core: self.id,
                         warp: wi as u32,
-                        pc: self.warps[wi].pc,
+                        pc,
                     });
                 };
-                if !amo_ok && matches!(mop.instr, Instr::Amo { .. }) {
+                if !amo_ok && matches!(instr, Instr::Amo { .. }) {
                     return Ok(TickResult::AmoPending);
                 }
                 // Issue.
-                self.rr_next = (wi + 1) % n;
+                self.rr_next = if wi + 1 == n { 0 } else { wi + 1 };
                 self.stats.instructions += 1;
                 sink.event(&TraceEvent::Issue {
                     core: self.id,
                     warp: wi as u32,
                     cycle: now,
-                    pc: self.warps[wi].pc,
+                    pc,
                 });
-                self.execute(now, wi as u32, mop, program, mem, view, printf_out, sink)?;
+                self.execute(
+                    now, wi as u32, instr, dst, program, mem, view, printf_out, sink,
+                )?;
                 // The issue moved the warp's PC and its register ready-times.
-                self.invalidate_slot(wi);
+                self.scan_tsb[wi] = u64::MAX;
                 return Ok(TickResult::Issued);
             }
         }
@@ -680,15 +631,9 @@ impl Core {
         }
         let span = to - from;
         let n = self.warps_n as usize;
-        let mut first: Option<(u32, u32)> = None;
-        for k in 0..n {
-            let wi = (self.rr_next + k) % n;
-            let w = &self.warps[wi];
-            if w.active && w.barrier.is_none() {
-                first = Some((wi as u32, w.pc));
-                break;
-            }
-        }
+        let first = (0..n)
+            .map(|k| (self.rr_next + k) % n)
+            .find(|&wi| self.warps[wi].active && self.warps[wi].barrier.is_none());
         let core_id = self.id;
         let mut charge = |stats: &mut CoreStats, kind: StallKind, a: u64, b: u64| {
             if b > a {
@@ -701,21 +646,18 @@ impl Core {
                 });
             }
         };
-        let Some((wi, _pc)) = first else {
+        let Some(wi) = first else {
             charge(&mut self.stats, StallKind::Barrier, from, to);
             return;
         };
-        let slot = match self.islots[wi as usize] {
-            IssueSlot::Stale => self.refresh_slot(wi as usize, program),
-            s => s,
-        };
-        let IssueSlot::Ready { mop, t_sb: ready } = slot else {
-            // Unreachable: next_issue_cycle forces dense stepping on a bad
-            // PC, so no span is ever opened over one.
-            return;
+        // A bad PC (snapshot 0, not a memory op) cannot get here: the tick
+        // that would have opened the span faults on it instead.
+        let ready = match self.scan_tsb[wi] {
+            u64::MAX => self.refresh_slot(wi, program),
+            t => t,
         };
         let sb_cycles = ready.clamp(from, to) - from;
-        if mop.is_mem {
+        if self.scan_mem[wi] {
             charge(
                 &mut self.stats,
                 StallKind::Scoreboard,
@@ -735,24 +677,18 @@ impl Core {
     /// decode — the trace-cache-independent path `next_issue_cycle` uses as
     /// a cross-check.
     fn operands_ready_at(&self, warp: u32, i: &Instr) -> u64 {
-        self.operands_ready_of(warp, &regs_of(i))
+        self.operands_ready_of(warp, regs_of(i))
     }
 
-    /// Latest ready-cycle over the scoreboard operands: the first cycle at
-    /// which the scoreboard no longer blocks the instruction.
-    fn operands_ready_of(&self, warp: u32, ops: &Operands) -> u64 {
-        let base = (warp * 32) as usize;
-        let ir = ops
-            .ints()
-            .map(|r| self.ireg_ready[base + r as usize])
-            .max()
-            .unwrap_or(0);
-        let fr = ops
-            .floats()
-            .map(|r| self.freg_ready[base + r as usize])
-            .max()
-            .unwrap_or(0);
-        ir.max(fr)
+    /// Latest ready-cycle over the scoreboard entries `sb` (see
+    /// [`regs_of`]): the first cycle at which the scoreboard no longer
+    /// blocks the instruction.
+    #[inline]
+    fn operands_ready_of(&self, warp: u32, sb: [u8; 3]) -> u64 {
+        let row = &self.ready[warp as usize * 64..][..64];
+        row[sb[0] as usize]
+            .max(row[sb[1] as usize])
+            .max(row[sb[2] as usize])
     }
 
     /// The next-event cycle cached by the last tick that issued nothing.
@@ -861,90 +797,191 @@ impl Core {
         }
     }
 
+    /// Execute the register-to-register instructions — everything whose
+    /// whole effect is one lane-row written from at most two lane-rows —
+    /// and return the producing unit's latency. Not generic over the memory
+    /// or the sink, so the per-opcode lane kernels are compiled once.
+    ///
+    /// Every arm resolves its rows and its opcode *before* the lane loop:
+    /// source rows are slices (`x0` reads its all-zero row), `rd == x0`
+    /// skips the write altogether, and the kernel runs over whole rows
+    /// under the full mask or walks the set bits of a divergent one (see
+    /// [`lanes2`]).
+    fn execute_rows(&mut self, wi: u32, instr: Instr, tmask: u64) -> u32 {
+        let part = (tmask != self.full_mask).then_some(Lanes(tmask));
+        match instr {
+            Instr::Lui { rd, imm } => {
+                self.set_int_row(wi, rd, part, |_| (imm as u32) << 12);
+                self.lat_alu
+            }
+            Instr::OpImm { op, rd, rs1, imm } => {
+                if rd != 0 {
+                    let (dst, a, _) = self.int_rows(wi, rd, rs1, rs1);
+                    let b = imm as u32;
+                    per_op!(op, K: AluOp { Add Sub Sll Slt Sltu Xor Srl Sra Or And } =>
+                        lanes1(dst, a, part, |x| alu(K, x, b)));
+                }
+                self.lat_alu
+            }
+            Instr::Op { op, rd, rs1, rs2 } => {
+                if rd != 0 {
+                    let (dst, a, b) = self.int_rows(wi, rd, rs1, rs2);
+                    per_op!(op, K: AluOp { Add Sub Sll Slt Sltu Xor Srl Sra Or And } =>
+                        lanes2(dst, a, b, part, |x, y| alu(K, x, y)));
+                }
+                self.lat_alu
+            }
+            Instr::MulDiv { op, rd, rs1, rs2 } => {
+                if rd != 0 {
+                    let (dst, a, b) = self.int_rows(wi, rd, rs1, rs2);
+                    per_op!(op, K: MulOp { Mul Mulh Mulhu Div Divu Rem Remu } =>
+                        lanes2(dst, a, b, part, |x, y| muldiv(K, x, y)));
+                }
+                match op {
+                    MulOp::Mul | MulOp::Mulh | MulOp::Mulhu => self.lat_mul,
+                    _ => self.lat_div,
+                }
+            }
+            Instr::FpOp { op, rd, rs1, rs2 } => {
+                let (dst, a, b) = self.fp_rows(wi, rd, rs1, rs2);
+                per_op!(op, K: FpOp { Add Sub Mul Div Min Max Sgnj SgnjN SgnjX } =>
+                    lanes2(dst, a, b, part, |x, y| fp_op(K, x, y)));
+                match op {
+                    FpOp::Div => self.lat_fdiv,
+                    _ => self.lat_fpu,
+                }
+            }
+            Instr::FpUn { op, rd, rs1 } => {
+                let (dst, a, _) = self.fp_rows(wi, rd, rs1, rs1);
+                per_op!(op, K: FpUnOp { Sqrt Exp Log Sin Cos Floor } =>
+                    lanes1(dst, a, part, |x| fp_un(K, x)));
+                match op {
+                    FpUnOp::Sqrt => self.lat_fdiv,
+                    _ => self.lat_sfu,
+                }
+            }
+            Instr::FpCmp { op, rd, rs1, rs2 } => {
+                if rd != 0 {
+                    let (d, a, b) = (self.row(wi, rd), self.row(wi, rs1), self.row(wi, rs2));
+                    let (dst, a, b) = (&mut self.iregs[d], &self.fregs[a], &self.fregs[b]);
+                    per_op!(op, K: FpCmpOp { Eq Lt Le } =>
+                        lanes2(dst, a, b, part, |x, y| fp_cmp(K, x, y)));
+                }
+                self.lat_fpu
+            }
+            Instr::FpCvt { op, rd, rs1 } => {
+                let to_int = matches!(op, CvtOp::F2I | CvtOp::F2U | CvtOp::MvF2X);
+                if !(to_int && rd == 0) {
+                    let (d, a) = (self.row(wi, rd), self.row(wi, rs1));
+                    let (dst, a) = if to_int {
+                        (&mut self.iregs[d], &self.fregs[a])
+                    } else {
+                        (&mut self.fregs[d], &self.iregs[a])
+                    };
+                    per_op!(op, K: CvtOp { F2I F2U I2F U2F MvF2X MvX2F } =>
+                        lanes1(dst, a, part, |x| fp_cvt(K, x)));
+                }
+                self.lat_fpu
+            }
+            Instr::CsrRead { rd, csr } => {
+                let uniform = match csr {
+                    Csr::ThreadId => None,
+                    Csr::WarpId => Some(wi),
+                    Csr::CoreId => Some(self.id),
+                    Csr::NumThreads => Some(self.threads_n),
+                    Csr::NumWarps => Some(self.warps_n),
+                    Csr::NumCores => Some(self.num_cores),
+                    Csr::Tmask => Some(tmask as u32),
+                };
+                self.set_int_row(wi, rd, part, |t| uniform.unwrap_or(t));
+                self.lat_alu
+            }
+            _ => unreachable!("{instr:?} is not a register-to-register instruction"),
+        }
+    }
+
+    /// Write `f(lane)` to the active lanes of integer register `rd`.
+    #[inline]
+    fn set_int_row(&mut self, wi: u32, rd: u8, part: Option<Lanes>, f: impl Fn(u32) -> u32) {
+        if rd != 0 {
+            let d = self.row(wi, rd);
+            lanes0(&mut self.iregs[d], part, f);
+        }
+    }
+
+    /// Bit `t` set for every lane whose integer register `reg` is non-zero
+    /// (over all lanes; the caller masks with the thread mask).
+    fn nonzero_lanes(&self, wi: u32, reg: u8) -> u64 {
+        self.iregs[self.row(wi, reg)]
+            .iter()
+            .enumerate()
+            .fold(0, |m, (t, &v)| m | (u64::from(v != 0) << t))
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn execute<M: DeviceMem, S: TraceSink>(
         &mut self,
         now: u64,
         wi: u32,
-        mop: MacroOp,
+        instr: Instr,
+        dst: u8,
         program: &Program,
         mem: &mut M,
         view: &mut MemView,
         printf_out: &mut Vec<String>,
         sink: &mut S,
     ) -> Result<(), SimError> {
-        let instr = mop.instr;
         let tmask = self.warps[wi as usize].tmask;
         let pc = self.warps[wi as usize].pc;
         let mut next_pc = pc.wrapping_add(1);
         let mut lat = self.lat_alu;
         let lanes = Lanes(tmask);
+        let part = (tmask != self.full_mask).then_some(lanes);
         match instr {
-            Instr::Lui { rd, imm } => {
-                for t in lanes {
-                    self.write_int(wi, rd, t, (imm as u32) << 12);
-                }
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                for t in lanes {
-                    let a = self.read_int(wi, rs1, t);
-                    self.write_int(wi, rd, t, alu(op, a, imm as u32));
-                }
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                for t in lanes {
-                    let a = self.read_int(wi, rs1, t);
-                    let b = self.read_int(wi, rs2, t);
-                    self.write_int(wi, rd, t, alu(op, a, b));
-                }
-            }
-            Instr::MulDiv { op, rd, rs1, rs2 } => {
-                lat = match op {
-                    MulOp::Mul | MulOp::Mulh | MulOp::Mulhu => self.lat_mul,
-                    _ => self.lat_div,
-                };
-                for t in lanes {
-                    let a = self.read_int(wi, rs1, t);
-                    let b = self.read_int(wi, rs2, t);
-                    self.write_int(wi, rd, t, muldiv(op, a, b));
-                }
-            }
+            Instr::Lui { .. }
+            | Instr::OpImm { .. }
+            | Instr::Op { .. }
+            | Instr::MulDiv { .. }
+            | Instr::FpOp { .. }
+            | Instr::FpUn { .. }
+            | Instr::FpCmp { .. }
+            | Instr::FpCvt { .. }
+            | Instr::CsrRead { .. } => lat = self.execute_rows(wi, instr, tmask),
             Instr::Lw { rd, rs1, imm } | Instr::Flw { rd, rs1, imm } => {
                 self.stats.loads += 1;
-                let is_fp = matches!(instr, Instr::Flw { .. });
                 let mut addrs = [0u32; 64];
-                let mut na = 0usize;
-                for t in lanes {
-                    let addr = self.read_int(wi, rs1, t).wrapping_add(imm as u32);
+                let na = lane_addrs(&mut addrs, &self.iregs[self.row(wi, rs1)], imm, part);
+                let d = self.row(wi, rd);
+                // A load into `x0` still makes its accesses (they can
+                // fault) but writes nothing.
+                let mut dst_row = match instr {
+                    Instr::Flw { .. } => Some(&mut self.fregs[d]),
+                    _ if rd != 0 => Some(&mut self.iregs[d]),
+                    _ => None,
+                };
+                for (&addr, t) in addrs[..na].iter().zip(lanes) {
                     let v = mem.load(self.id, addr).map_err(|e| at_pc(e, pc))?;
-                    if is_fp {
-                        self.write_fp(wi, rd, t, v);
-                    } else {
-                        self.write_int(wi, rd, t, v);
+                    if let Some(row) = dst_row.as_deref_mut() {
+                        row[t as usize] = v;
                     }
-                    addrs[na] = addr;
-                    na += 1;
                 }
                 let done = self.memory_time(now, &addrs[..na], view, sink);
-                self.mark_dest(wi, &mop.ops, done);
+                self.mark_dest(wi, dst, done);
                 self.warps[wi as usize].pc = next_pc;
                 return Ok(());
             }
             Instr::Sw { rs1, rs2, imm } | Instr::Fsw { rs1, rs2, imm } => {
                 self.stats.stores += 1;
-                let is_fp = matches!(instr, Instr::Fsw { .. });
                 let mut addrs = [0u32; 64];
-                let mut na = 0usize;
-                for t in lanes {
-                    let addr = self.read_int(wi, rs1, t).wrapping_add(imm as u32);
-                    let v = if is_fp {
-                        self.read_fp(wi, rs2, t)
-                    } else {
-                        self.read_int(wi, rs2, t)
-                    };
-                    mem.store(self.id, addr, v).map_err(|e| at_pc(e, pc))?;
-                    addrs[na] = addr;
-                    na += 1;
+                let na = lane_addrs(&mut addrs, &self.iregs[self.row(wi, rs1)], imm, part);
+                let s = self.row(wi, rs2);
+                let src = match instr {
+                    Instr::Fsw { .. } => &self.fregs[s],
+                    _ => &self.iregs[s],
+                };
+                for (&addr, t) in addrs[..na].iter().zip(lanes) {
+                    mem.store(self.id, addr, src[t as usize])
+                        .map_err(|e| at_pc(e, pc))?;
                 }
                 // Stores retire through the same LSU path (write-through),
                 // consuming bandwidth but not blocking a destination.
@@ -966,7 +1003,7 @@ impl Core {
                     self.write_int(wi, rd, t, old);
                     done = done.max(self.memory_time(now, &[addr], view, sink));
                 }
-                self.mark_dest(wi, &mop.ops, done);
+                self.mark_dest(wi, dst, done);
                 self.warps[wi as usize].pc = next_pc;
                 return Ok(());
             }
@@ -994,125 +1031,13 @@ impl Core {
                 }
             }
             Instr::Jal { rd, offset } => {
-                for t in lanes {
-                    self.write_int(wi, rd, t, pc + 1);
-                }
+                self.set_int_row(wi, rd, part, |_| pc + 1);
                 next_pc = pc.wrapping_add(offset as u32);
             }
             Instr::Jalr { rd, rs1, imm } => {
                 let target = self.read_uniform(wi, rs1).wrapping_add(imm as u32);
-                for t in lanes {
-                    self.write_int(wi, rd, t, pc + 1);
-                }
+                self.set_int_row(wi, rd, part, |_| pc + 1);
                 next_pc = target;
-            }
-            Instr::FpOp { op, rd, rs1, rs2 } => {
-                lat = match op {
-                    FpOp::Div => self.lat_fdiv,
-                    _ => self.lat_fpu,
-                };
-                for t in lanes {
-                    let a = f32::from_bits(self.read_fp(wi, rs1, t));
-                    let b = f32::from_bits(self.read_fp(wi, rs2, t));
-                    let r = match op {
-                        FpOp::Add => a + b,
-                        FpOp::Sub => a - b,
-                        FpOp::Mul => a * b,
-                        FpOp::Div => a / b,
-                        FpOp::Min => a.min(b),
-                        FpOp::Max => a.max(b),
-                        FpOp::Sgnj => a.copysign(b),
-                        FpOp::SgnjN => a.copysign(-b),
-                        FpOp::SgnjX => f32::from_bits(a.to_bits() ^ (b.to_bits() & 0x8000_0000)),
-                    };
-                    self.write_fp(wi, rd, t, r.to_bits());
-                }
-            }
-            Instr::FpUn { op, rd, rs1 } => {
-                lat = match op {
-                    FpUnOp::Sqrt => self.lat_fdiv,
-                    _ => self.lat_sfu,
-                };
-                for t in lanes {
-                    let a = f32::from_bits(self.read_fp(wi, rs1, t));
-                    let r = match op {
-                        FpUnOp::Sqrt => a.sqrt(),
-                        FpUnOp::Exp => a.exp(),
-                        FpUnOp::Log => a.ln(),
-                        FpUnOp::Sin => a.sin(),
-                        FpUnOp::Cos => a.cos(),
-                        FpUnOp::Floor => a.floor(),
-                    };
-                    self.write_fp(wi, rd, t, r.to_bits());
-                }
-            }
-            Instr::FpCmp { op, rd, rs1, rs2 } => {
-                lat = self.lat_fpu;
-                for t in lanes {
-                    let a = f32::from_bits(self.read_fp(wi, rs1, t));
-                    let b = f32::from_bits(self.read_fp(wi, rs2, t));
-                    let r = match op {
-                        FpCmpOp::Eq => a == b,
-                        FpCmpOp::Lt => a < b,
-                        FpCmpOp::Le => a <= b,
-                    };
-                    self.write_int(wi, rd, t, r as u32);
-                }
-            }
-            Instr::FpCvt { op, rd, rs1 } => {
-                lat = self.lat_fpu;
-                for t in lanes {
-                    match op {
-                        CvtOp::F2I => {
-                            let a = f32::from_bits(self.read_fp(wi, rs1, t));
-                            let v = if a.is_nan() {
-                                i32::MAX
-                            } else {
-                                (a as i64).clamp(i32::MIN as i64, i32::MAX as i64) as i32
-                            };
-                            self.write_int(wi, rd, t, v as u32);
-                        }
-                        CvtOp::F2U => {
-                            let a = f32::from_bits(self.read_fp(wi, rs1, t));
-                            let v = if a.is_nan() || a < 0.0 {
-                                0
-                            } else {
-                                (a as u64).min(u32::MAX as u64) as u32
-                            };
-                            self.write_int(wi, rd, t, v);
-                        }
-                        CvtOp::I2F => {
-                            let a = self.read_int(wi, rs1, t) as i32;
-                            self.write_fp(wi, rd, t, (a as f32).to_bits());
-                        }
-                        CvtOp::U2F => {
-                            let a = self.read_int(wi, rs1, t);
-                            self.write_fp(wi, rd, t, (a as f32).to_bits());
-                        }
-                        CvtOp::MvF2X => {
-                            let a = self.read_fp(wi, rs1, t);
-                            self.write_int(wi, rd, t, a);
-                        }
-                        CvtOp::MvX2F => {
-                            let a = self.read_int(wi, rs1, t);
-                            self.write_fp(wi, rd, t, a);
-                        }
-                    }
-                }
-            }
-            Instr::CsrRead { rd, csr } => {
-                for t in lanes {
-                    let v = match csr {
-                        Csr::ThreadId => t,
-                        Csr::WarpId => wi,
-                        Csr::CoreId => self.id,
-                        Csr::NumThreads => self.threads_n,
-                        Csr::NumWarps => self.warps_n,
-                        Csr::NumCores => self.num_cores,
-                        Csr::Tmask => tmask as u32,
-                    };
-                    self.write_int(wi, rd, t, v);
-                }
             }
             Instr::Tmc { rs1 } => {
                 lat = self.lat_sfu;
@@ -1147,7 +1072,6 @@ impl Core {
                     warp.stack.clear();
                     // The spawn rewrote this warp's PC out from under its
                     // issue snapshot.
-                    self.islots[w as usize] = IssueSlot::Stale;
                     self.scan_tsb[w as usize] = u64::MAX;
                     self.ready_mask |= 1 << w;
                     self.parked_mask &= !(1 << w);
@@ -1159,12 +1083,7 @@ impl Core {
             }
             Instr::Split { rs1, else_off } => {
                 lat = self.lat_sfu;
-                let mut taken = 0u64;
-                for t in lanes {
-                    if self.read_int(wi, rs1, t) != 0 {
-                        taken |= 1 << t;
-                    }
-                }
+                let taken = self.nonzero_lanes(wi, rs1) & tmask;
                 let else_mask = tmask & !taken;
                 let w = &mut self.warps[wi as usize];
                 if else_mask == 0 {
@@ -1204,12 +1123,7 @@ impl Core {
             }
             Instr::Pred { rs1, rs2, exit_off } => {
                 lat = self.lat_sfu;
-                let mut live = 0u64;
-                for t in lanes {
-                    if self.read_int(wi, rs1, t) != 0 {
-                        live |= 1 << t;
-                    }
-                }
+                let live = self.nonzero_lanes(wi, rs1) & tmask;
                 if live != 0 {
                     self.warps[wi as usize].tmask = live;
                 } else {
@@ -1270,7 +1184,7 @@ impl Core {
             }
         }
         let done = now + lat as u64;
-        self.mark_dest(wi, &mop.ops, done);
+        self.mark_dest(wi, dst, done);
         self.warps[wi as usize].pc = next_pc;
         Ok(())
     }
@@ -1353,8 +1267,17 @@ impl Core {
             } else {
                 self.stats.dcache_misses += 1;
                 // Take the earliest-free MSHR (backpressure as latency).
-                let slot = self.mshr_free.iter_mut().min().expect("at least one MSHR");
-                let start = t0.max(*slot);
+                // One pass yields the slot, its free time and the runner-up
+                // — the floor of all the others.
+                let (mut slot, mut free, mut others) = (0, u64::MAX, u64::MAX);
+                for (i, &t) in self.mshr_free.iter().enumerate() {
+                    if t < free {
+                        (slot, others, free) = (i, free, t);
+                    } else {
+                        others = others.min(t);
+                    }
+                }
+                let start = t0.max(free);
                 let l2_hit = view.l2_access(addr, start);
                 sink.event(&TraceEvent::CacheAccess {
                     core: self.id,
@@ -1377,8 +1300,8 @@ impl Core {
                     });
                     fill
                 };
-                *slot = fill;
-                self.mshr_min = self.mshr_free.iter().copied().min().unwrap_or(0);
+                self.mshr_free[slot] = fill;
+                self.mshr_min = others.min(fill);
                 sink.event(&TraceEvent::MshrAcquire {
                     core: self.id,
                     cycle: start,
@@ -1399,6 +1322,112 @@ fn at_pc(e: SimError, pc: u32) -> SimError {
     }
 }
 
+/// Rows `rd` (to write), `rs1` and `rs2` (to read) of `warp` in the register
+/// file `regs` (`[warp][reg][lane]`, `t` lanes a row), borrowed disjointly.
+/// A source that *is* `rd` is served from `tmp`, a copy of the row taken
+/// here, before the lane kernel overwrites it; lane kernels are
+/// element-wise, so the copy reads exactly what an in-place loop would.
+#[inline]
+fn split_rows<'a>(
+    regs: &'a mut [u32],
+    tmp: &'a mut [u32; 64],
+    t: usize,
+    warp: u32,
+    rd: u8,
+    rs1: u8,
+    rs2: u8,
+) -> (&'a mut [u32], &'a [u32], &'a [u32]) {
+    let (lo, rest) = regs.split_at_mut((warp as usize * 32 + rd as usize) * t);
+    let (dst, hi) = rest.split_at_mut(t);
+    if rs1 == rd || rs2 == rd {
+        tmp[..t].copy_from_slice(dst);
+    }
+    let (lo, hi, tmp) = (&*lo, &*hi, &tmp[..t]);
+    let src = |r: u8| match r.cmp(&rd) {
+        Ordering::Less => &lo[lo.len() - (rd - r) as usize * t..][..t],
+        Ordering::Equal => tmp,
+        Ordering::Greater => &hi[((r - rd) as usize - 1) * t..][..t],
+    };
+    (dst, src(rs1), src(rs2))
+}
+
+/// `dst[t] = f(t)` on the active lanes; see [`lanes2`].
+#[inline(always)]
+fn lanes0(dst: &mut [u32], part: Option<Lanes>, f: impl Fn(u32) -> u32) {
+    match part {
+        None => {
+            for (t, d) in dst.iter_mut().enumerate() {
+                *d = f(t as u32);
+            }
+        }
+        Some(lanes) => {
+            for t in lanes {
+                dst[t as usize] = f(t);
+            }
+        }
+    }
+}
+
+/// `dst[t] = f(a[t])` on the active lanes; see [`lanes2`].
+#[inline(always)]
+fn lanes1(dst: &mut [u32], a: &[u32], part: Option<Lanes>, f: impl Fn(u32) -> u32) {
+    match part {
+        None => {
+            for (d, &x) in dst.iter_mut().zip(a) {
+                *d = f(x);
+            }
+        }
+        Some(lanes) => {
+            for t in lanes {
+                dst[t as usize] = f(a[t as usize]);
+            }
+        }
+    }
+}
+
+/// The lane kernel: `dst[t] = f(a[t], b[t])` on the active lanes. `part` is
+/// `None` under the full thread mask — then this is a plain loop over three
+/// disjoint equal-length rows, which the compiler vectorises — and the
+/// set-bit walk of the mask when the warp is divergent.
+#[inline(always)]
+fn lanes2(dst: &mut [u32], a: &[u32], b: &[u32], part: Option<Lanes>, f: impl Fn(u32, u32) -> u32) {
+    match part {
+        None => {
+            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                *d = f(x, y);
+            }
+        }
+        Some(lanes) => {
+            for t in lanes {
+                dst[t as usize] = f(a[t as usize], b[t as usize]);
+            }
+        }
+    }
+}
+
+/// Address generation of a warp memory access: `base[t] + imm` for the
+/// active lanes, compacted into `out` in lane order. Returns the count.
+#[inline]
+fn lane_addrs(out: &mut [u32; 64], base: &[u32], imm: i32, part: Option<Lanes>) -> usize {
+    match part {
+        None => {
+            for (o, &b) in out.iter_mut().zip(base) {
+                *o = b.wrapping_add(imm as u32);
+            }
+            base.len()
+        }
+        Some(lanes) => {
+            let mut n = 0;
+            for t in lanes {
+                out[n] = base[t as usize].wrapping_add(imm as u32);
+                n += 1;
+            }
+            n
+        }
+    }
+}
+
+#[inline(always)]
 fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),
@@ -1414,6 +1443,7 @@ fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     }
 }
 
+#[inline(always)]
 fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
     match op {
         MulOp::Mul => a.wrapping_mul(b),
@@ -1444,6 +1474,79 @@ fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
     }
 }
 
+/// Two-operand float arithmetic on register bit patterns.
+#[inline(always)]
+fn fp_op(op: FpOp, a: u32, b: u32) -> u32 {
+    let (a, b) = (f32::from_bits(a), f32::from_bits(b));
+    let r = match op {
+        FpOp::Add => a + b,
+        FpOp::Sub => a - b,
+        FpOp::Mul => a * b,
+        FpOp::Div => a / b,
+        FpOp::Min => a.min(b),
+        FpOp::Max => a.max(b),
+        FpOp::Sgnj => a.copysign(b),
+        FpOp::SgnjN => a.copysign(-b),
+        FpOp::SgnjX => f32::from_bits(a.to_bits() ^ (b.to_bits() & 0x8000_0000)),
+    };
+    r.to_bits()
+}
+
+/// One-operand float functions on register bit patterns.
+#[inline(always)]
+fn fp_un(op: FpUnOp, a: u32) -> u32 {
+    let a = f32::from_bits(a);
+    let r = match op {
+        FpUnOp::Sqrt => a.sqrt(),
+        FpUnOp::Exp => a.exp(),
+        FpUnOp::Log => a.ln(),
+        FpUnOp::Sin => a.sin(),
+        FpUnOp::Cos => a.cos(),
+        FpUnOp::Floor => a.floor(),
+    };
+    r.to_bits()
+}
+
+/// Float comparison on register bit patterns; 1 if it holds.
+#[inline(always)]
+fn fp_cmp(op: FpCmpOp, a: u32, b: u32) -> u32 {
+    let (a, b) = (f32::from_bits(a), f32::from_bits(b));
+    let r = match op {
+        FpCmpOp::Eq => a == b,
+        FpCmpOp::Lt => a < b,
+        FpCmpOp::Le => a <= b,
+    };
+    r as u32
+}
+
+/// Conversions and moves between the register files, bit pattern in, bit
+/// pattern out (float→int saturates; NaN converts to `i32::MAX` / 0).
+#[inline(always)]
+fn fp_cvt(op: CvtOp, a: u32) -> u32 {
+    match op {
+        CvtOp::F2I => {
+            let a = f32::from_bits(a);
+            let v = if a.is_nan() {
+                i32::MAX
+            } else {
+                (a as i64).clamp(i32::MIN as i64, i32::MAX as i64) as i32
+            };
+            v as u32
+        }
+        CvtOp::F2U => {
+            let a = f32::from_bits(a);
+            if a.is_nan() || a < 0.0 {
+                0
+            } else {
+                (a as u64).min(u32::MAX as u64) as u32
+            }
+        }
+        CvtOp::I2F => (a as i32 as f32).to_bits(),
+        CvtOp::U2F => (a as f32).to_bits(),
+        CvtOp::MvF2X | CvtOp::MvX2F => a,
+    }
+}
+
 fn amo(op: AmoOp, old: u32, v: u32) -> u32 {
     match op {
         AmoOp::Add => old.wrapping_add(v),
@@ -1463,6 +1566,7 @@ mod tests {
     use super::*;
     use crate::trace::NopSink;
     use fpga_arch::VortexConfig;
+    use repro_util::Rng;
     use vortex_isa::abi;
 
     fn test_core(warps: u32, threads: u32) -> Core {
@@ -1489,7 +1593,7 @@ mod tests {
             rs1: abi::T0,
             imm: 1,
         });
-        core.ireg_ready[abi::T0 as usize] = 40;
+        core.ready[abi::T0 as usize] = 40;
         assert_eq!(core.next_issue_cycle(7, &p), 40);
         // The whole span is a scoreboard stall for a non-memory instruction.
         core.fast_forward_stalls(8, 40, &p, &mut NopSink);
@@ -1506,7 +1610,7 @@ mod tests {
             rs1: abi::T0,
             imm: 0,
         });
-        core.ireg_ready[abi::T0 as usize] = 10;
+        core.ready[abi::T0 as usize] = 10;
         core.mshr_free.fill(33);
         core.mshr_min = 33;
         // Operands ready at 10, but every MSHR is busy until 33.
@@ -1587,6 +1691,165 @@ mod tests {
         );
         assert_eq!(muldiv(MulOp::Mulh, -2i32 as u32, 3), u32::MAX);
         assert_eq!(muldiv(MulOp::Mulhu, 1 << 31, 2), 1);
+    }
+
+    #[test]
+    fn fp_semantics() {
+        let f = f32::to_bits;
+        assert_eq!(fp_op(FpOp::Sub, f(1.5), f(4.0)), f(-2.5));
+        assert_eq!(fp_op(FpOp::Min, f(f32::NAN), f(2.0)), f(2.0));
+        assert_eq!(fp_op(FpOp::SgnjN, f(3.0), f(1.0)), f(-3.0));
+        assert_eq!(fp_op(FpOp::SgnjX, f(-3.0), f(-1.0)), f(3.0));
+        assert_eq!(fp_un(FpUnOp::Floor, f(-1.5)), f(-2.0));
+        assert_eq!(fp_cmp(FpCmpOp::Le, f(2.0), f(2.0)), 1);
+        assert_eq!(fp_cmp(FpCmpOp::Eq, f(f32::NAN), f(f32::NAN)), 0);
+        assert_eq!(fp_cvt(CvtOp::F2I, f(-3.0e9)), i32::MIN as u32);
+        assert_eq!(fp_cvt(CvtOp::F2I, f(f32::NAN)), i32::MAX as u32);
+        assert_eq!(fp_cvt(CvtOp::F2U, f(-1.0)), 0);
+        assert_eq!(fp_cvt(CvtOp::F2U, f(1.0e20)), u32::MAX);
+        assert_eq!(fp_cvt(CvtOp::I2F, -2i32 as u32), f(-2.0));
+        assert_eq!(fp_cvt(CvtOp::U2F, u32::MAX), f(4294967296.0));
+    }
+
+    /// Fill both register files of `core` from `rng`, edge values mixed in;
+    /// the `x0` rows stay zero.
+    fn fill_regs(core: &mut Core, rng: &mut Rng) {
+        const INTS: [u32; 6] = [i32::MIN as u32, u32::MAX, 0, 1, i32::MAX as u32, 31];
+        const FLOATS: [f32; 10] = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+            -2.25,
+            3.0e9,
+            -3.0e9,
+            1.0e20,
+        ];
+        let t = core.threads_n as usize;
+        for (i, v) in core.iregs.iter_mut().enumerate() {
+            *v = match ((i / t) % 32, rng.bool()) {
+                (0, _) => 0,
+                (_, true) => *rng.pick(&INTS),
+                (_, false) => rng.next_u32(),
+            };
+        }
+        for v in core.fregs.iter_mut() {
+            *v = if rng.bool() {
+                rng.pick(&FLOATS).to_bits()
+            } else {
+                (rng.range_i32(-4000, 4000) as f32 * 0.37).to_bits()
+            };
+        }
+    }
+
+    /// Execute `instr` on warp 1 of a `t_n`-thread core under the full mask
+    /// and three divergent ones, and compare both whole register files with
+    /// the prior state plus `want(lane, src1, src2)` in the active lanes of
+    /// the destination row — so inactive lanes, other rows, the other warp
+    /// and `x0` are checked too. Rows come from [`regs_of`], which makes
+    /// this a cross-check of the scoreboard indices as well.
+    fn check_rows(t_n: u32, instr: Instr, rng: &mut Rng, want: &dyn Fn(u32, u32, u32) -> u32) {
+        let mut core = test_core(2, t_n);
+        let full = core.full_mask;
+        let masks = [
+            full,
+            1 << (t_n / 2),
+            full & 0x5555_5555_5555_5555,
+            full & !(1 << (t_n - 1)),
+        ];
+        let (wi, t_n) = (1u32, t_n as usize);
+        let [s1, s2, d] = regs_of(&instr).map(|i| (wi as usize * 64 + i as usize) * t_n);
+        let file = t_n * 32;
+        for tmask in masks {
+            fill_regs(&mut core, rng);
+            // Both files back to back, indexed like the scoreboard.
+            let regs = |c: &Core| -> Vec<u32> {
+                let warp = |w: usize| {
+                    let r = w * file..(w + 1) * file;
+                    c.iregs[r.clone()].iter().chain(&c.fregs[r]).copied()
+                };
+                warp(0).chain(warp(1)).collect()
+            };
+            let mut expect = regs(&core);
+            if d != wi as usize * 64 * t_n {
+                for t in Lanes(tmask) {
+                    let i = t as usize;
+                    expect[d + i] = want(t, expect[s1 + i], expect[s2 + i]);
+                }
+            }
+            core.execute_rows(wi, instr, tmask);
+            for (i, (got, want)) in regs(&core).into_iter().zip(expect).enumerate() {
+                let both_nan = f32::from_bits(got).is_nan() && f32::from_bits(want).is_nan();
+                assert!(
+                    got == want || (both_nan && (i / file) % 2 == 1),
+                    "{instr:?} T={t_n} mask={tmask:#x}: word {i} is {got:#x}, expected {want:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernels_match_the_scalar_semantics() {
+        use vortex_isa::{AluOp::*, CvtOp::*, FpUnOp::*};
+        let mut rng = Rng::new(14);
+        // Distinct rows, rd aliasing either or both sources, one row read
+        // twice, and x0 as destination and as either source.
+        let shapes = [
+            (12, 10, 11),
+            (10, 10, 11),
+            (11, 10, 11),
+            (12, 10, 10),
+            (10, 10, 10),
+            (0, 10, 11),
+            (12, 0, 11),
+            (12, 10, 0),
+        ];
+        for t_n in [1, 4, 8, 16, 64] {
+            for (rd, rs1, rs2) in shapes {
+                let mut check = |instr, want: &dyn Fn(u32, u32, u32) -> u32| {
+                    check_rows(t_n, instr, &mut rng, want)
+                };
+                for op in [Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And] {
+                    check(Instr::Op { op, rd, rs1, rs2 }, &|_, a, b| alu(op, a, b));
+                    for imm in [-7, 33] {
+                        let i = Instr::OpImm { op, rd, rs1, imm };
+                        check(i, &|_, a, _| alu(op, a, imm as u32));
+                    }
+                }
+                {
+                    use MulOp::*;
+                    for op in [Mul, Mulh, Mulhu, Div, Divu, Rem, Remu] {
+                        check(Instr::MulDiv { op, rd, rs1, rs2 }, &|_, a, b| {
+                            muldiv(op, a, b)
+                        });
+                    }
+                }
+                {
+                    use FpOp::*;
+                    for op in [Add, Sub, Mul, Div, Min, Max, Sgnj, SgnjN, SgnjX] {
+                        check(Instr::FpOp { op, rd, rs1, rs2 }, &|_, a, b| fp_op(op, a, b));
+                    }
+                }
+                for op in [Sqrt, Exp, Log, Sin, Cos, Floor] {
+                    check(Instr::FpUn { op, rd, rs1 }, &|_, a, _| fp_un(op, a));
+                }
+                for op in [FpCmpOp::Eq, FpCmpOp::Lt, FpCmpOp::Le] {
+                    check(Instr::FpCmp { op, rd, rs1, rs2 }, &|_, a, b| {
+                        fp_cmp(op, a, b)
+                    });
+                }
+                for op in [F2I, F2U, I2F, U2F, MvF2X, MvX2F] {
+                    check(Instr::FpCvt { op, rd, rs1 }, &|_, a, _| fp_cvt(op, a));
+                }
+                check(Instr::Lui { rd, imm: 0x1234 }, &|_, _, _| 0x1234 << 12);
+                let csr = Csr::ThreadId;
+                check(Instr::CsrRead { rd, csr }, &|t, _, _| t);
+                let csr = Csr::NumThreads;
+                check(Instr::CsrRead { rd, csr }, &|_, _, _| t_n);
+            }
+        }
     }
 
     #[test]

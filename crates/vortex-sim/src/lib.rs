@@ -425,7 +425,8 @@ impl Simulator {
         }
     }
 
-    /// Instructions issued so far this launch, across all cores.
+    /// Instructions issued so far this launch, across all cores (the dense
+    /// loop's budget check; the event loop keeps a running count).
     fn instructions_total(&self) -> u64 {
         self.cores.iter().map(|c| c.stats.instructions).sum()
     }
@@ -535,6 +536,9 @@ impl Simulator {
         let n = self.cores.len();
         let mut next_tick = vec![0u64; n];
         let mut end: u64 = 0;
+        // Running count of this launch's issues, so the budget check does
+        // not re-sum the cores after every event cycle.
+        let mut issued: u64 = 0;
         loop {
             let mut cycle = u64::MAX;
             let mut any_alive = false;
@@ -581,6 +585,7 @@ impl Simulator {
                     .map_err(|e| (e, cycle + 1))?;
                 if matches!(r, TickResult::Issued) {
                     *tick_at = cycle + 1;
+                    issued += 1;
                 } else {
                     let target = self.cores[ci].next_event();
                     debug_assert_eq!(
@@ -604,7 +609,8 @@ impl Simulator {
                 }
             }
             end = cycle + 1;
-            if budget != u64::MAX && self.instructions_total() > budget {
+            debug_assert_eq!(issued, self.instructions_total());
+            if issued > budget {
                 // Issues happen in the identical order in both scheduler
                 // modes, so the budget trips at the identical instruction.
                 return Err((SimError::InstrLimit(budget), end));
@@ -1040,6 +1046,43 @@ mod tests {
             dense_fault.partial.stats.instructions
         );
         assert_eq!(fast_fault.partial.stats.instructions, 101);
+    }
+
+    /// A warp that jumps outside the program faults at its next issue slot,
+    /// with the same structured error from every run loop: the dense loop
+    /// (from-scratch fetch), the event loop and the parallel epoch loop
+    /// (trace-cache fetch).
+    #[test]
+    fn bad_pc_faults_identically_in_every_run_loop() {
+        let p = Program {
+            instrs: vec![
+                Instr::OpImm {
+                    op: AluOp::Add,
+                    rd: abi::T0,
+                    rs1: abi::ZERO,
+                    imm: 1,
+                },
+                Instr::Jal { rd: 0, offset: 41 },
+            ],
+            printf_table: vec![],
+            entry: 0,
+        };
+        let want = SimError::BadPc {
+            core: 0,
+            warp: 0,
+            pc: 42,
+        };
+        let mut faults = Vec::new();
+        for (reference_mode, sim_threads) in [(true, 1), (false, 1), (false, 2)] {
+            let mut cfg = SimConfig::new(VortexConfig::new(2, 2, 4));
+            cfg.reference_mode = reference_mode;
+            cfg.sim_threads = sim_threads;
+            let fault = Simulator::new(cfg, p.clone()).run().unwrap_err();
+            assert_eq!(fault.error, want);
+            faults.push((fault.partial.stats.cycles, fault.partial.stats.instructions));
+        }
+        assert_eq!(faults[0], faults[1]);
+        assert_eq!(faults[0], faults[2]);
     }
 
     /// WSPAWN fan-out + BAR rendezvous: both schedulers must agree on every

@@ -112,11 +112,31 @@ impl SimMemory {
 
     /// Bulk copy into global memory (runtime buffer writes).
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) -> Result<(), SimError> {
+        self.global_mut(addr, data.len())?.copy_from_slice(data);
+        Ok(())
+    }
+
+    /// `len` bytes of global memory at `addr`: the one bounds check of the
+    /// bulk writes.
+    fn global_mut(&mut self, addr: u32, len: usize) -> Result<&mut [u8], SimError> {
         let a = addr as usize;
-        if a + data.len() > self.global.len() {
-            return Err(SimError::BadAccess { addr, pc: 0 });
+        self.global
+            .get_mut(a..a + len)
+            .ok_or(SimError::BadAccess { addr, pc: 0 })
+    }
+
+    /// Bulk copy of 32-bit words into global memory, little-endian, with no
+    /// intermediate byte buffer (runtime typed-buffer writes). Same bounds
+    /// check and error as [`write_bytes`](SimMemory::write_bytes).
+    pub fn write_words(
+        &mut self,
+        addr: u32,
+        words: impl ExactSizeIterator<Item = u32>,
+    ) -> Result<(), SimError> {
+        let dst = self.global_mut(addr, words.len() * 4)?;
+        for (bytes, w) in dst.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&w.to_le_bytes());
         }
-        self.global[a..a + data.len()].copy_from_slice(data);
         Ok(())
     }
 
@@ -183,6 +203,10 @@ mod tests {
         assert!(m.read_u32(64).is_err());
         assert!(m.store(0, LOCAL_BASE + 64, 0).is_err());
         assert!(m.write_bytes(60, &[0; 8]).is_err());
+        assert_eq!(
+            m.write_words(60, [0u32; 2].into_iter()),
+            m.write_bytes(60, &[0; 8])
+        );
     }
 
     #[test]
@@ -233,5 +257,11 @@ mod tests {
         m.write_bytes(8, &[1, 2, 3, 4]).unwrap();
         assert_eq!(m.read_bytes(8, 4).unwrap(), &[1, 2, 3, 4]);
         assert_eq!(m.read_u32(8).unwrap(), u32::from_le_bytes([1, 2, 3, 4]));
+        m.write_words(120, [0x0403_0201, u32::MAX].into_iter())
+            .unwrap();
+        assert_eq!(
+            m.read_bytes(120, 8).unwrap(),
+            &[1, 2, 3, 4, 255, 255, 255, 255]
+        );
     }
 }

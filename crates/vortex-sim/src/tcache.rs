@@ -6,17 +6,20 @@
 //! launch, so each core instead decodes straight-line runs once — on first
 //! touch of a PC the whole run from there to the next instruction that can
 //! redirect or stall the warp (branch/jump/SIMT op/barrier/memory op/halt)
-//! is fused into per-PC [`MacroOp`] slots with the operands and the
-//! memory-op flag pre-resolved. The hot loop then dispatches over a flat
-//! `Vec` lookup; nothing is ever invalidated within a launch, and
-//! [`crate::Simulator::set_program`] drops the cache when the loaded binary
-//! actually changes.
+//! is fused into per-PC [`MacroOp`] slots with the scoreboard indices and
+//! the memory-op flag pre-resolved. A slot is 12 bytes and is never copied
+//! out: the snapshot refresh reads its scoreboard bytes through
+//! [`TraceCache::get`] (the one counted lookup) and the issue path re-reads
+//! the instruction in place through [`TraceCache::peek`]. An undecoded slot
+//! is a sentinel with no flag set, not an `Option`. Nothing is ever
+//! invalidated within a launch, and [`crate::Simulator::set_program`] drops
+//! the cache when the loaded binary actually changes.
 //!
 //! The cache is not constructed in `reference_mode` (the dense loop is the
 //! semantic baseline and stays on the from-scratch decode path), which the
 //! zero-overhead tests assert.
 
-use crate::core::{is_mem, regs_of, Operands};
+use crate::core::{is_mem, regs_of};
 use vortex_isa::{Instr, Program};
 
 /// One pre-decoded instruction: the raw instruction plus everything the
@@ -24,15 +27,48 @@ use vortex_isa::{Instr, Program};
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MacroOp {
     pub instr: Instr,
-    pub ops: Operands,
-    pub is_mem: bool,
+    /// Scoreboard indices (see [`regs_of`]): two sources, then the
+    /// destination.
+    pub sb: [u8; 3],
+    /// [`MacroOp::DECODED`] | [`MacroOp::MEM`].
+    flags: u8,
+}
+
+impl MacroOp {
+    /// The slot holds a decoded instruction (clear only in the sentinel).
+    const DECODED: u8 = 1;
+    /// The instruction goes through the LSU.
+    const MEM: u8 = 2;
+
+    /// The undecoded-slot sentinel.
+    const EMPTY: MacroOp = MacroOp {
+        instr: Instr::Halt,
+        sb: [0; 3],
+        flags: 0,
+    };
+
+    fn decode(instr: Instr) -> MacroOp {
+        MacroOp {
+            instr,
+            sb: regs_of(&instr),
+            flags: MacroOp::DECODED | if is_mem(&instr) { MacroOp::MEM } else { 0 },
+        }
+    }
+
+    fn decoded(&self) -> bool {
+        self.flags & MacroOp::DECODED != 0
+    }
+
+    pub fn is_mem(&self) -> bool {
+        self.flags & MacroOp::MEM != 0
+    }
 }
 
 /// Per-core trace cache: one slot per PC, filled a straight-line run at a
 /// time. Counters feed the `sim.trace_cache.*` metrics.
 #[derive(Debug)]
 pub(crate) struct TraceCache {
-    slots: Vec<Option<MacroOp>>,
+    slots: Vec<MacroOp>,
     pub hits: u64,
     pub misses: u64,
     /// Macro-ops decoded across all runs (Σ run lengths).
@@ -64,7 +100,7 @@ fn ends_run(i: &Instr) -> bool {
 impl TraceCache {
     pub fn new(program_len: usize) -> Self {
         TraceCache {
-            slots: vec![None; program_len],
+            slots: vec![MacroOp::EMPTY; program_len],
             hits: 0,
             misses: 0,
             fused_ops: 0,
@@ -76,44 +112,55 @@ impl TraceCache {
     /// `None` means the PC is outside the program (the caller raises the
     /// same `BadPc` the raw fetch would).
     #[inline]
-    pub fn get(&mut self, pc: u32, program: &Program) -> Option<MacroOp> {
-        match self.slots.get(pc as usize) {
-            Some(Some(m)) => {
-                self.hits += 1;
-                Some(*m)
-            }
-            Some(None) => self.fill_run(pc, program),
-            None => None,
+    pub fn get(&mut self, pc: u32, program: &Program) -> Option<&MacroOp> {
+        let pc = pc as usize;
+        if self.slots.get(pc)?.decoded() {
+            self.hits += 1;
+        } else {
+            self.fill_run(pc, program);
         }
+        Some(&self.slots[pc])
+    }
+
+    /// The already-decoded macro-op at `pc`, without touching the counters:
+    /// the issue path's re-read of a slot its snapshot refresh looked up.
+    /// `None` for a PC outside the program.
+    #[inline]
+    pub fn peek(&self, pc: u32) -> Option<&MacroOp> {
+        let m = self.slots.get(pc as usize)?;
+        debug_assert!(m.decoded(), "issue re-read of a slot no refresh decoded");
+        Some(m)
     }
 
     /// Decode the straight-line run starting at `pc` into the cache. Stops
     /// at (and includes) the first run-ending instruction, at the end of
     /// the program, or where it meets an already-decoded slot.
     #[cold]
-    fn fill_run(&mut self, pc: u32, program: &Program) -> Option<MacroOp> {
+    fn fill_run(&mut self, pc: usize, program: &Program) {
         self.misses += 1;
         self.runs += 1;
-        let mut j = pc as usize;
-        let mut first: Option<MacroOp> = None;
+        let mut j = pc;
         loop {
-            let instr = program.instrs[j];
-            let m = MacroOp {
-                instr,
-                ops: regs_of(&instr),
-                is_mem: is_mem(&instr),
-            };
-            self.slots[j] = Some(m);
+            let m = MacroOp::decode(program.instrs[j]);
+            self.slots[j] = m;
             self.fused_ops += 1;
-            first.get_or_insert(m);
-            if ends_run(&m.instr) {
-                break;
-            }
             j += 1;
-            if j >= self.slots.len() || self.slots[j].is_some() {
+            if ends_run(&m.instr) || j >= self.slots.len() || self.slots[j].decoded() {
                 break;
             }
         }
-        first
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn macro_op_fits_in_sixteen_bytes() {
+        // The issue path reads these in place; a slot that outgrows one
+        // 16-byte load is a regression of the whole design.
+        assert!(std::mem::size_of::<MacroOp>() <= 16);
+        assert_eq!(std::mem::size_of::<Instr>(), 8);
     }
 }

@@ -74,6 +74,37 @@ fn arb_kernel(r: &mut Rng) -> String {
     )
 }
 
+/// [`arb_kernel`]'s divergent `if`/`else` on the float side: an integer
+/// expression is converted to float, goes through add/mul/min/max under a
+/// branch only some lanes of a warp take, and is converted back, so the
+/// simulator runs its float arithmetic and both conversions under partial
+/// thread masks. The conversion back saturates identically on both sides
+/// and every operation is plain IEEE single precision, so the comparison
+/// with the interpreter stays bit-for-bit.
+fn arb_float_kernel(r: &mut Rng) -> String {
+    let seed_e = arb_int_expr(r, 2);
+    let then_e = arb_int_expr(r, 1);
+    let cond_e = arb_int_expr(r, 1);
+    let scale = r.range_i32(1, 9);
+    let bias = r.range_i32(-50, 50);
+    let then_op = match r.below(3) {
+        0 => format!("f * {scale}.25f + (float)({then_e})"),
+        1 => format!("fmin(f, (float)({then_e})) * 0.5f"),
+        _ => format!("(f + {bias}.5f) * (float)(({then_e}) & 7)"),
+    };
+    format!(
+        "__kernel void fuzz(__global const int* a, __global int* o, int n) {{
+            int i = get_global_id(0);
+            int v = a[i];
+            int acc = i & 5;
+            float f = (float)({seed_e});
+            if ((({cond_e}) & 3) == 1) {{ f = {then_op}; acc = (int)(f * 0.25f); }} else {{ f = f - 1.5f; }}
+            f = fmax(fmin(f, 1000000.0f), -1000000.0f);
+            o[i] = (int)f ^ acc;
+        }}"
+    )
+}
+
 /// A random group-mode kernel: every work-item publishes into its own
 /// `__local` slot, synchronizes with `barrier()`, then reads a rotated
 /// neighbor's slot — optionally repeated in a uniform-trip loop with a
@@ -240,6 +271,22 @@ fn local_barrier_kernels_match_interpreter() {
     let mut r = Rng::new(0xD1FF_0003);
     for case in 0..CASES {
         let src = arb_local_kernel(&mut r);
+        let seed = r.below(1000);
+        let n = 64u32;
+        let input = case_input(n, seed);
+        let zeros = vec![0i32; n as usize];
+        assert_differential(case, &src, &input, &zeros, &NdRange::d1(n, 8));
+    }
+}
+
+/// Random kernels with float arithmetic and int↔float conversions under a
+/// divergent branch match the interpreter bit-for-bit: the independent
+/// oracle for the simulator's partial-mask float lanes.
+#[test]
+fn divergent_float_kernels_match_interpreter() {
+    let mut r = Rng::new(0xD1FF_0008);
+    for case in 0..CASES {
+        let src = arb_float_kernel(&mut r);
         let seed = r.below(1000);
         let n = 64u32;
         let input = case_input(n, seed);
