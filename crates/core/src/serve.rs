@@ -754,6 +754,28 @@ mod tests {
     }
 
     #[test]
+    fn oversized_inline_buffer_is_a_typed_memory_failure_on_the_wire() {
+        let job = |id: u32, flow: &str| {
+            format!(
+                "{{\"id\": {id}, \"flow\": \"{flow}\", \"kernel\": \"k\", \
+                 \"source\": \"__kernel void k(__global int* o) {{ o[0] = 1; }}\", \
+                 \"nd\": {{\"gx\": 1, \"lx\": 1}}, \"buffers\": [1073741825], \
+                 \"args\": [{{\"buf\": 0}}]}}"
+            )
+        };
+        let input = format!("[{}, {}]\n", job(1, "vortex"), job(2, "interp"));
+        let mut out = Vec::new();
+        let e = exec(2);
+        let s = serve_lines(&e, &ServeOptions::default(), input.as_bytes(), &mut out).unwrap();
+        assert_eq!((s.jobs, s.ok, s.failed), (2, 0, 2));
+        for r in &lines(&out)[..2] {
+            let err = r.get("error").unwrap();
+            assert_eq!(err.get("kind").unwrap().as_str(), Some("OutOfMemory"));
+            assert_eq!(err.get("class").unwrap().as_str(), Some("Memory"));
+        }
+    }
+
+    #[test]
     fn once_mode_returns_after_the_first_batch() {
         let input = "{\"bench\": \"Vecadd\"}\n\n{\"bench\": \"Saxpy\"}\n\n";
         let mut out = Vec::new();

@@ -1,18 +1,63 @@
 //! Reference NDRange interpreter — the functional golden model.
 //!
 //! Executes a kernel over an OpenCL NDRange exactly as the specification
-//! describes, one work-group at a time. Work-items within a group run
-//! round-robin in segments separated by barriers, which gives well-defined
-//! results for every barrier-synchronized kernel in the suite.
+//! describes, one work-group at a time. It is the `interp` flow, the
+//! functional half of the HLS flow (`hls_flow::execute_ndrange` is this
+//! plus a timing estimate) and the oracle of every differential test.
+//!
+//! A launch runs in three stages:
+//!
+//! 1. **Decode**, once per launch (`decode`). The blocks are flattened
+//!    into one vector of 20-byte `Copy` ops: block ids become absolute
+//!    pcs, terminators become ordinary ops, and every operand — register,
+//!    constant, kernel argument, `__local` base address or work-item
+//!    builtin — becomes a slot of one register row laid out `[vregs |
+//!    scratch | constants and builtins]`. Operand fetch in the run loop is
+//!    `row[slot]`; `Operand`, `Const` and `Function` are not looked at
+//!    again.
+//! 2. **Register rows.** `group_size` rows are allocated once per launch.
+//!    At the start of each group every row is reset by copying a template
+//!    row (arguments, zeros, constants) and patching in the item's global
+//!    and local ids; local memory is cleared. Nothing is allocated inside
+//!    the group loop.
+//! 3. **Run to barrier.** Work-items of a group run round-robin in
+//!    lz/ly/lx order, each until it parks at a barrier or returns
+//!    (`Launch::run_item`), which gives well-defined results for every
+//!    barrier-synchronized kernel in the suite. When every item is parked
+//!    the barrier releases; if some returned while others wait, that is a
+//!    [`InterpError::BarrierDivergence`].
+//!
+//! **Opcodes.** The `(op, type)` pairs the suite's inner loops are made of
+//! — wrapping integer add/sub/mul, the bitwise ops and shifts, `f32`
+//! add/sub/mul/div, every comparison (`>`/`>=` as `<`/`<=` with swapped
+//! operands), select, mov, gep, global and local load and store, and the
+//! three terminators — have an opcode each, so one `match` dispatches
+//! them. Division, remainder, min/max, every [`UnOp`], atomics and printf
+//! are rare: they share one opcode that looks the operation up in a side
+//! table and calls [`eval_bin`], [`eval_un`] or [`eval_atomic`]. Those
+//! public functions (with [`eval_cmp`]) are the definition of the scalar
+//! semantics; the specialised arms are tested equal to them for every
+//! operator, type and operand shape.
+//!
+//! **Step accounting.** Every instruction and every terminator is one
+//! step, barriers and the final `ret` included. The per-item limit is
+//! tested *before* each step as `steps > limit`, so an item may take
+//! `limit + 1` steps; [`InterpError::StepLimit`] is raised before the
+//! step that would be number `limit + 2`, with every earlier store
+//! already applied. [`ExecResult::steps`] and the global load/store
+//! counts feed the HLS cycle estimate, so they are part of the contract
+//! (`tests/interp_counts.rs` pins them for the whole suite).
 //!
 //! Integer division semantics follow RISC-V (div-by-zero yields all-ones,
 //! `INT_MIN / -1` wraps) so that the interpreter and the Vortex simulator
 //! agree bit-for-bit and differential tests are meaningful.
 
-use crate::func::{BlockId, Function};
+use crate::func::Function;
 use crate::inst::{AtomicOp, BinOp, Builtin, CmpOp, Op, Terminator, UnOp};
 use crate::types::AddressSpace;
 use crate::value::{Operand, VReg};
+use rustc_hash::FxHashMap;
+use std::ops::Range;
 
 /// Base address of the first allocation in [`Memory`]; keeps address 0
 /// unmapped so null-pointer bugs in kernels surface as errors.
@@ -196,61 +241,89 @@ impl Memory {
         self.try_alloc(bytes).expect("interpreter memory exhausted")
     }
 
-    /// Fallible variant of [`Memory::alloc_u32`].
-    pub fn try_alloc_u32(&mut self, init: &[u32]) -> Result<u32, InterpError> {
-        let base = self.try_alloc((init.len() * 4) as u32)?;
-        for (i, v) in init.iter().enumerate() {
-            self.write_u32(base + (i * 4) as u32, *v)?;
+    /// Allocate `len` words and fill them from `words` with one chunked
+    /// copy: `try_alloc` has already proved the range in bounds.
+    fn try_alloc_words(
+        &mut self,
+        len: usize,
+        words: impl Iterator<Item = u32>,
+    ) -> Result<u32, InterpError> {
+        // A size past `u32` saturates, which `try_alloc` always refuses.
+        let bytes = u32::try_from(len).ok().and_then(|n| n.checked_mul(4));
+        let base = self.try_alloc(bytes.unwrap_or(u32::MAX))?;
+        let dst = &mut self.data[base as usize..][..4 * len];
+        for (chunk, w) in dst.chunks_exact_mut(4).zip(words) {
+            chunk.copy_from_slice(&w.to_le_bytes());
         }
         Ok(base)
     }
 
+    /// Fallible variant of [`Memory::alloc_u32`].
+    pub fn try_alloc_u32(&mut self, init: &[u32]) -> Result<u32, InterpError> {
+        self.try_alloc_words(init.len(), init.iter().copied())
+    }
+
     /// Allocate and initialize from an `f32` slice.
     pub fn alloc_f32(&mut self, init: &[f32]) -> u32 {
-        let base = self.alloc((init.len() * 4) as u32);
-        for (i, v) in init.iter().enumerate() {
-            self.write_u32(base + (i * 4) as u32, v.to_bits()).unwrap();
-        }
-        base
+        self.try_alloc_words(init.len(), init.iter().map(|v| v.to_bits()))
+            .expect("interpreter memory exhausted")
     }
 
     /// Allocate and initialize from an `i32` slice.
     pub fn alloc_i32(&mut self, init: &[i32]) -> u32 {
-        let base = self.alloc((init.len() * 4) as u32);
-        for (i, v) in init.iter().enumerate() {
-            self.write_u32(base + (i * 4) as u32, *v as u32).unwrap();
-        }
-        base
+        self.try_alloc_words(init.len(), init.iter().map(|&v| v as u32))
+            .expect("interpreter memory exhausted")
     }
 
     /// Allocate and initialize from a `u32` slice.
     pub fn alloc_u32(&mut self, init: &[u32]) -> u32 {
-        let base = self.alloc((init.len() * 4) as u32);
-        for (i, v) in init.iter().enumerate() {
-            self.write_u32(base + (i * 4) as u32, *v).unwrap();
+        self.try_alloc_u32(init)
+            .expect("interpreter memory exhausted")
+    }
+
+    /// Byte range of the `len` words at `addr`: the one alignment and
+    /// bounds check of a bulk read. The error is the one the first
+    /// offending word of a word-by-word [`Memory::read_u32`] loop reports.
+    fn word_range(&self, addr: u32, len: usize) -> Result<Range<usize>, InterpError> {
+        if len == 0 {
+            return Ok(0..0);
         }
-        base
+        check_aligned(addr, "global")?;
+        let start = addr as usize;
+        // Whole words between `addr` and the end of memory.
+        let fit = self.data.len().saturating_sub(start) / 4;
+        if addr >= GLOBAL_BASE && len <= fit {
+            return Ok(start..start + 4 * len);
+        }
+        let first_bad = if addr < GLOBAL_BASE { 0 } else { fit as u32 };
+        Err(InterpError::OutOfBounds {
+            addr: addr + 4 * first_bad,
+            space: "global",
+        })
+    }
+
+    /// The `len` words starting at `addr`; panics on an out-of-range or
+    /// misaligned read.
+    fn words(&self, addr: u32, len: usize) -> impl Iterator<Item = u32> + '_ {
+        let range = self.word_range(addr, len).expect("bulk read");
+        self.data[range]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks of four bytes")))
     }
 
     /// Read `len` floats starting at `addr`.
     pub fn read_f32_slice(&self, addr: u32, len: usize) -> Vec<f32> {
-        (0..len)
-            .map(|i| f32::from_bits(self.read_u32(addr + (i * 4) as u32).unwrap()))
-            .collect()
+        self.words(addr, len).map(f32::from_bits).collect()
     }
 
     /// Read `len` i32s starting at `addr`.
     pub fn read_i32_slice(&self, addr: u32, len: usize) -> Vec<i32> {
-        (0..len)
-            .map(|i| self.read_u32(addr + (i * 4) as u32).unwrap() as i32)
-            .collect()
+        self.words(addr, len).map(|w| w as i32).collect()
     }
 
     /// Read `len` u32s starting at `addr`.
     pub fn read_u32_slice(&self, addr: u32, len: usize) -> Vec<u32> {
-        (0..len)
-            .map(|i| self.read_u32(addr + (i * 4) as u32).unwrap())
-            .collect()
+        self.words(addr, len).collect()
     }
 
     /// Read a 32-bit word.
@@ -399,21 +472,350 @@ pub struct ExecResult {
     pub global_stores: u64,
 }
 
-enum StepOutcome {
-    Continue,
+/// Opcode of a pre-decoded instruction.
+///
+/// The hot `(BinOp | CmpOp, Scalar)` pairs are folded into the opcode so the
+/// run loop dispatches through one `match`; `Gt`/`Ge` decode to `Lt`/`Le`
+/// with the operands swapped. Everything rare stays generic and calls the
+/// public `eval_*` functions, which are the definition of the semantics the
+/// specialised arms must equal (`tests::specialised_opcodes_match_eval`).
+#[derive(Debug, Clone, Copy)]
+enum Code {
+    /// Wrapping integer arithmetic, any integer type.
+    AddI,
+    SubI,
+    MulI,
+    /// Bitwise ops, any type (`eval_bin` treats float operands as bits).
+    And,
+    Or,
+    Xor,
+    Shl,
+    ShrS,
+    ShrU,
+    AddF,
+    SubF,
+    MulF,
+    DivF,
+    /// Integer equality on the raw bits.
+    Eq,
+    Ne,
+    LtS,
+    LeS,
+    LtU,
+    LeU,
+    EqF,
+    NeF,
+    LtF,
+    LeF,
+    /// `d = a != 0 ? b : c`.
+    Select,
+    /// Register copy; also `WorkItem` and `LocalAddr`, whose values live in
+    /// row slots.
+    Mov,
+    /// `d = a + b * c` with `c` an immediate.
+    Gep,
+    LoadG,
+    LoadL,
+    /// `*a = b`.
+    StoreG,
+    StoreL,
     Barrier,
+    /// Jump to pc `a`.
+    Br,
+    /// Jump to pc `b` if slot `a` is non-zero, else to pc `c`.
+    CondBr,
+    Ret,
+    /// Entry `c` of [`Program::rare`].
+    Rare,
+}
+
+/// The operations too rare to earn an opcode each; they run through the
+/// public `eval_*` functions.
+enum Rare<'f> {
+    /// `d = a <op> b`.
+    Bin(BinOp, crate::Scalar),
+    /// `d = <op> a`.
+    Un(UnOp, crate::Scalar),
+    /// `d = old(*a); *a = old <op> b`.
+    Atomic(AtomicOp, crate::Scalar, AddressSpace),
+    /// Format string and `(slot, type)` arguments.
+    Printf(&'f str, Vec<(u32, crate::Scalar)>),
+}
+
+/// One pre-decoded instruction: an opcode, a destination slot and up to
+/// three operand slots of the work-item's register row (or a pc / an
+/// immediate, per opcode).
+#[derive(Debug, Clone, Copy)]
+struct DOp {
+    code: Code,
+    d: u32,
+    a: u32,
+    b: u32,
+    c: u32,
+}
+
+/// A kernel decoded for one launch.
+struct Program<'f> {
+    /// Every block's instructions followed by its terminator, in block
+    /// order; branch targets are indices into this vector.
+    ops: Vec<DOp>,
+    rare: Vec<Rare<'f>>,
+    /// Initial register row: `[vregs (arguments, then zeros) | one scratch
+    /// slot for result-less writes | de-duplicated constants and work-item
+    /// builtin values, in order of first use]`.
+    template: Vec<u32>,
+    /// `(index into the builtin table, row slot)` of each builtin the
+    /// kernel queries.
+    builtins: Vec<(usize, u32)>,
+}
+
+/// The program under construction plus what only decoding needs.
+struct Decoder<'f> {
+    prog: Program<'f>,
+    /// The slot after the last vreg: the destination of result-less ops.
+    scratch: u32,
+    /// Row slot of each constant word seen so far.
+    const_slots: FxHashMap<u32, u32>,
+}
+
+impl<'f> Decoder<'f> {
+    fn push_slot(&mut self, word: u32) -> u32 {
+        self.prog.template.push(word);
+        (self.prog.template.len() - 1) as u32
+    }
+
+    fn konst(&mut self, bits: u32) -> u32 {
+        if let Some(&slot) = self.const_slots.get(&bits) {
+            return slot;
+        }
+        let slot = self.push_slot(bits);
+        self.const_slots.insert(bits, slot);
+        slot
+    }
+
+    /// A vreg's slot is its number; one past the function's register
+    /// count would alias the constants.
+    fn reg(&self, r: VReg) -> u32 {
+        assert!(r.0 < self.scratch, "{r} is not a register of the kernel");
+        r.0
+    }
+
+    fn slot(&mut self, o: Operand) -> u32 {
+        match o {
+            Operand::Reg(r) => self.reg(r),
+            Operand::Const(c) => self.konst(c.bits()),
+        }
+    }
+
+    fn builtin(&mut self, b: Builtin) -> u32 {
+        let index = builtin_index(b);
+        let known = self.prog.builtins.iter().find(|&&(i, _)| i == index);
+        if let Some(&(_, slot)) = known {
+            return slot;
+        }
+        let slot = self.push_slot(0);
+        self.prog.builtins.push((index, slot));
+        slot
+    }
+
+    fn rare(&mut self, r: Rare<'f>) -> u32 {
+        self.prog.rare.push(r);
+        (self.prog.rare.len() - 1) as u32
+    }
+}
+
+/// Position of a builtin in the 18-entry table [`builtin_table`] fills.
+fn builtin_index(b: Builtin) -> usize {
+    let (kind, d) = match b {
+        Builtin::GlobalId(d) => (0, d),
+        Builtin::LocalId(d) => (1, d),
+        Builtin::GroupId(d) => (2, d),
+        Builtin::GlobalSize(d) => (3, d),
+        Builtin::LocalSize(d) => (4, d),
+        Builtin::NumGroups(d) => (5, d),
+    };
+    assert!(d < 3, "work-item builtin dimension {d} out of range");
+    kind * 3 + d as usize
+}
+
+/// The work-item builtin values of `group`, indexed by [`builtin_index`].
+/// The global and local ids (entries 0..6) differ per item; the group loop
+/// rewrites them as it walks the items.
+fn builtin_table(nd: &NdRange, group: [u32; 3]) -> [u32; 18] {
+    let mut t = [0; 18];
+    t[6..9].copy_from_slice(&group);
+    t[9..12].copy_from_slice(&nd.global);
+    t[12..15].copy_from_slice(&nd.local);
+    t[15..18].copy_from_slice(&nd.num_groups());
+    t
+}
+
+/// The specialised opcode of a binary op, if it has one.
+fn bin_code(op: BinOp, ty: crate::Scalar) -> Option<Code> {
+    use crate::Scalar::*;
+    Some(match (op, ty) {
+        (BinOp::Add, F32) => Code::AddF,
+        (BinOp::Sub, F32) => Code::SubF,
+        (BinOp::Mul, F32) => Code::MulF,
+        (BinOp::Div, F32) => Code::DivF,
+        (BinOp::Add, _) => Code::AddI,
+        (BinOp::Sub, _) => Code::SubI,
+        (BinOp::Mul, _) => Code::MulI,
+        (BinOp::And, _) => Code::And,
+        (BinOp::Or, _) => Code::Or,
+        (BinOp::Xor, _) => Code::Xor,
+        (BinOp::Shl, I32 | U32 | Bool) => Code::Shl,
+        (BinOp::Shr, I32) => Code::ShrS,
+        (BinOp::Shr, U32 | Bool) => Code::ShrU,
+        _ => return None,
+    })
+}
+
+/// The opcode of a comparison and whether its operands swap.
+fn cmp_code(op: CmpOp, ty: crate::Scalar) -> (Code, bool) {
+    use crate::Scalar::*;
+    let (lt, le, eq, ne) = match ty {
+        F32 => (Code::LtF, Code::LeF, Code::EqF, Code::NeF),
+        I32 => (Code::LtS, Code::LeS, Code::Eq, Code::Ne),
+        U32 | Bool => (Code::LtU, Code::LeU, Code::Eq, Code::Ne),
+    };
+    match op {
+        CmpOp::Eq => (eq, false),
+        CmpOp::Ne => (ne, false),
+        CmpOp::Lt => (lt, false),
+        CmpOp::Le => (le, false),
+        CmpOp::Gt => (lt, true),
+        CmpOp::Ge => (le, true),
+    }
+}
+
+/// Flatten `f` into a [`Program`]: block ids become absolute pcs and every
+/// operand becomes a slot of the register row, so the run loop fetches
+/// operands as `row[slot]` without looking at `Operand` or `Const`.
+fn decode<'f>(f: &'f Function, args: &[KernelArg], local_offsets: &[u32]) -> Program<'f> {
+    let mut template = vec![0u32; f.num_vregs() + 1];
+    for (slot, a) in template.iter_mut().zip(args) {
+        *slot = a.bits();
+    }
+    let mut block_pc = Vec::with_capacity(f.blocks.len());
+    let mut pc = 0u32;
+    for b in &f.blocks {
+        block_pc.push(pc);
+        pc += b.insts.len() as u32 + 1;
+    }
+    let mut p = Decoder {
+        prog: Program {
+            ops: Vec::with_capacity(pc as usize),
+            rare: Vec::new(),
+            template,
+            builtins: Vec::new(),
+        },
+        scratch: f.num_vregs() as u32,
+        const_slots: FxHashMap::default(),
+    };
+    for block in &f.blocks {
+        for inst in &block.insts {
+            let (code, a, b, c) = match &inst.op {
+                Op::Bin { op, ty, a, b } => match bin_code(*op, *ty) {
+                    Some(code) => (code, p.slot(*a), p.slot(*b), 0),
+                    None => (
+                        Code::Rare,
+                        p.slot(*a),
+                        p.slot(*b),
+                        p.rare(Rare::Bin(*op, *ty)),
+                    ),
+                },
+                Op::Un { op, ty, a } => (Code::Rare, p.slot(*a), 0, p.rare(Rare::Un(*op, *ty))),
+                Op::Cmp { op, ty, a, b } => match cmp_code(*op, *ty) {
+                    (code, false) => (code, p.slot(*a), p.slot(*b), 0),
+                    (code, true) => (code, p.slot(*b), p.slot(*a), 0),
+                },
+                Op::Select { cond, a, b, .. } => {
+                    (Code::Select, p.slot(*cond), p.slot(*a), p.slot(*b))
+                }
+                Op::Mov { a, .. } => (Code::Mov, p.slot(*a), 0, 0),
+                Op::Gep {
+                    base,
+                    index,
+                    elem_bytes,
+                    ..
+                } => (Code::Gep, p.slot(*base), p.slot(*index), *elem_bytes),
+                Op::Load { ptr, space, .. } => match space {
+                    AddressSpace::Global => (Code::LoadG, p.slot(*ptr), 0, 0),
+                    AddressSpace::Local => (Code::LoadL, p.slot(*ptr), 0, 0),
+                },
+                Op::Store {
+                    ptr, value, space, ..
+                } => match space {
+                    AddressSpace::Global => (Code::StoreG, p.slot(*ptr), p.slot(*value), 0),
+                    AddressSpace::Local => (Code::StoreL, p.slot(*ptr), p.slot(*value), 0),
+                },
+                Op::AtomicRmw {
+                    op,
+                    ptr,
+                    value,
+                    ty,
+                    space,
+                } => (
+                    Code::Rare,
+                    p.slot(*ptr),
+                    p.slot(*value),
+                    p.rare(Rare::Atomic(*op, *ty, *space)),
+                ),
+                Op::WorkItem(b) => (Code::Mov, p.builtin(*b), 0, 0),
+                Op::LocalAddr(id) => {
+                    let addr = LOCAL_BASE + local_offsets[id.index()];
+                    (Code::Mov, p.konst(addr), 0, 0)
+                }
+                Op::Barrier => (Code::Barrier, 0, 0, 0),
+                Op::Printf { fmt, args } => {
+                    let args = args.iter().map(|&(o, t)| (p.slot(o), t)).collect();
+                    (Code::Rare, 0, 0, p.rare(Rare::Printf(fmt, args)))
+                }
+            };
+            let d = inst.result.map_or(p.scratch, |r| p.reg(r));
+            p.prog.ops.push(DOp { code, d, a, b, c });
+        }
+        let (code, a, b, c) = match &block.term {
+            Terminator::Ret => (Code::Ret, 0, 0, 0),
+            Terminator::Br { target } => (Code::Br, block_pc[target.index()], 0, 0),
+            Terminator::CondBr {
+                cond,
+                then_bb,
+                else_bb,
+            } => (
+                Code::CondBr,
+                p.slot(*cond),
+                block_pc[then_bb.index()],
+                block_pc[else_bb.index()],
+            ),
+        };
+        let d = p.scratch;
+        p.prog.ops.push(DOp { code, d, a, b, c });
+    }
+    p.prog
+}
+
+/// Where a work-item stands between scheduling passes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Ready,
+    AtBarrier,
     Done,
 }
 
-struct ItemState {
-    block: BlockId,
-    ip: usize,
+/// The per-launch execution state: one register row, pc, step count and
+/// status per work-item of a group, allocated once and reset per group.
+struct Launch<'a> {
+    prog: &'a Program<'a>,
+    nd: &'a NdRange,
+    limit: u64,
+    /// `group_size` rows of `prog.template.len()` words.
     regs: Vec<u32>,
-    gid: [u32; 3],
-    lid: [u32; 3],
-    done: bool,
-    at_barrier: bool,
-    steps: u64,
+    pc: Vec<u32>,
+    steps: Vec<u64>,
+    status: Vec<Status>,
+    local_mem: Vec<u8>,
 }
 
 /// Execute `f` over the NDRange against `mem`.
@@ -433,8 +835,6 @@ pub fn run_ndrange(
             args.len()
         )));
     }
-    let groups = nd.num_groups();
-    let mut result = ExecResult::default();
     // Local array layout: assign offsets within the per-group buffer.
     let mut local_offsets = Vec::with_capacity(f.local_arrays.len());
     let mut local_total = 0u32;
@@ -442,279 +842,254 @@ pub fn run_ndrange(
         local_offsets.push(local_total);
         local_total += a.bytes();
     }
+    let prog = decode(f, args, &local_offsets);
+    let items = nd
+        .local
+        .iter()
+        .try_fold(1usize, |n, &l| n.checked_mul(l as usize));
+    let (Some(items), Some(words)) = (
+        items,
+        items.and_then(|n| n.checked_mul(prog.template.len())),
+    ) else {
+        return Err(InterpError::BadNdRange(format!(
+            "work-group of {:?} items does not fit in host memory",
+            nd.local
+        )));
+    };
+    let mut launch = Launch {
+        prog: &prog,
+        nd,
+        limit: limits.max_steps_per_item,
+        regs: vec![0; words],
+        pc: vec![0; items],
+        steps: vec![0; items],
+        status: vec![Status::Ready; items],
+        local_mem: vec![0; local_total as usize],
+    };
+    let groups = nd.num_groups();
+    let mut result = ExecResult::default();
     for gz in 0..groups[2] {
         for gy in 0..groups[1] {
             for gx in 0..groups[0] {
-                run_group(
-                    f,
-                    args,
-                    nd,
-                    [gx, gy, gz],
-                    mem,
-                    &local_offsets,
-                    local_total,
-                    limits,
-                    &mut result,
-                )?;
+                launch.run_group([gx, gy, gz], mem, &mut result)?;
             }
         }
     }
     Ok(result)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    f: &Function,
-    args: &[KernelArg],
-    nd: &NdRange,
-    group: [u32; 3],
-    mem: &mut Memory,
-    local_offsets: &[u32],
-    local_total: u32,
-    limits: &Limits,
-    result: &mut ExecResult,
-) -> Result<(), InterpError> {
-    let mut local_mem = vec![0u8; local_total as usize];
-    let gsize = nd.group_size() as usize;
-    let mut items: Vec<ItemState> = Vec::with_capacity(gsize);
-    for lz in 0..nd.local[2] {
-        for ly in 0..nd.local[1] {
-            for lx in 0..nd.local[0] {
-                let mut regs = vec![0u32; f.num_vregs()];
-                for (i, a) in args.iter().enumerate() {
-                    regs[i] = a.bits();
-                }
-                items.push(ItemState {
-                    block: f.entry(),
-                    ip: 0,
-                    regs,
-                    gid: [
-                        group[0] * nd.local[0] + lx,
-                        group[1] * nd.local[1] + ly,
-                        group[2] * nd.local[2] + lz,
-                    ],
-                    lid: [lx, ly, lz],
-                    done: false,
-                    at_barrier: false,
-                    steps: 0,
-                });
-            }
-        }
-    }
-    loop {
-        let mut all_done = true;
-        for item in items.iter_mut() {
-            if item.done || item.at_barrier {
-                continue;
-            }
-            all_done = false;
-            // Run the item until it blocks or finishes.
-            loop {
-                if item.steps > limits.max_steps_per_item {
-                    return Err(InterpError::StepLimit {
-                        item: item.gid,
-                        limit: limits.max_steps_per_item,
-                    });
-                }
-                match step(
-                    f,
-                    item,
-                    nd,
-                    group,
-                    mem,
-                    &mut local_mem,
-                    local_offsets,
-                    result,
-                )? {
-                    StepOutcome::Continue => {}
-                    StepOutcome::Barrier => {
-                        item.at_barrier = true;
-                        break;
+impl Launch<'_> {
+    /// Run one work-group to completion: items round-robin in lz/ly/lx
+    /// order, each until it blocks at a barrier or returns.
+    fn run_group(
+        &mut self,
+        group: [u32; 3],
+        mem: &mut Memory,
+        result: &mut ExecResult,
+    ) -> Result<(), InterpError> {
+        let row_len = self.prog.template.len();
+        let mut rows = self.regs.chunks_exact_mut(row_len);
+        let mut table = builtin_table(self.nd, group);
+        for lz in 0..self.nd.local[2] {
+            for ly in 0..self.nd.local[1] {
+                for lx in 0..self.nd.local[0] {
+                    let row = rows.next().expect("one row per work-item");
+                    row.copy_from_slice(&self.prog.template);
+                    let lid = [lx, ly, lz];
+                    for d in 0..3 {
+                        table[d] = group[d] * self.nd.local[d] + lid[d];
+                        table[3 + d] = lid[d];
                     }
-                    StepOutcome::Done => {
-                        item.done = true;
-                        break;
+                    for &(index, slot) in &self.prog.builtins {
+                        row[slot as usize] = table[index];
                     }
                 }
             }
         }
-        // Barrier release: every non-done item is waiting. If some items
-        // already *returned* while others wait, the barrier was executed
-        // under divergent control flow and can never release — report a
-        // structured deadlock instead of spinning forever.
-        let waiting = items.iter().filter(|i| i.at_barrier).count();
-        if waiting > 0 && items.iter().all(|i| i.done || i.at_barrier) {
-            let done = items.iter().filter(|i| i.done).count();
-            if done > 0 {
+        self.pc.fill(0);
+        self.steps.fill(0);
+        self.status.fill(Status::Ready);
+        self.local_mem.fill(0);
+        loop {
+            for item in 0..self.status.len() {
+                if self.status[item] == Status::Ready {
+                    self.status[item] = self.run_item(item, group, mem, result)?;
+                }
+            }
+            // Every item is now done or waiting. If some items already
+            // *returned* while others wait, the barrier was executed under
+            // divergent control flow and can never release — report a
+            // structured deadlock instead of spinning forever.
+            let parked = |s: &Status| *s == Status::AtBarrier;
+            let waiting = self.status.iter().filter(|s| parked(s)).count();
+            if waiting == 0 {
+                break;
+            }
+            if waiting < self.status.len() {
                 return Err(InterpError::BarrierDivergence {
                     group,
-                    done: done as u32,
-                    waiting: items
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, i)| i.at_barrier)
-                        .map(|(li, _)| li as u32)
+                    done: (self.status.len() - waiting) as u32,
+                    waiting: (0..self.status.len() as u32)
+                        .filter(|&li| parked(&self.status[li as usize]))
                         .collect(),
                 });
             }
-            for i in items.iter_mut() {
-                i.at_barrier = false;
-            }
-            continue;
+            self.status.fill(Status::Ready);
         }
-        if all_done && waiting == 0 {
-            break;
-        }
+        result.steps += self.steps.iter().sum::<u64>();
+        Ok(())
     }
-    for i in &items {
-        result.steps += i.steps;
-    }
-    Ok(())
-}
 
-#[allow(clippy::too_many_arguments)]
-fn step(
-    f: &Function,
-    item: &mut ItemState,
-    nd: &NdRange,
-    group: [u32; 3],
-    mem: &mut Memory,
-    local_mem: &mut [u8],
-    local_offsets: &[u32],
-    result: &mut ExecResult,
-) -> Result<StepOutcome, InterpError> {
-    item.steps += 1;
-    let block = f.block(item.block);
-    if item.ip >= block.insts.len() {
-        // Execute terminator.
-        match &block.term {
-            Terminator::Ret => return Ok(StepOutcome::Done),
-            Terminator::Br { target } => {
-                item.block = *target;
-                item.ip = 0;
-            }
-            Terminator::CondBr {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let c = read_operand(item, *cond);
-                item.block = if c != 0 { *then_bb } else { *else_bb };
-                item.ip = 0;
-            }
-        }
-        return Ok(StepOutcome::Continue);
+    /// Global id of the `item`-th work-item (lz/ly/lx order) of `group`.
+    fn global_id(&self, group: [u32; 3], item: usize) -> [u32; 3] {
+        let [lx, ly, _] = self.nd.local;
+        let item = item as u32;
+        let lid = [item % lx, item / lx % ly, item / (lx * ly)];
+        [0, 1, 2].map(|d| group[d] * self.nd.local[d] + lid[d])
     }
-    let inst = &block.insts[item.ip];
-    item.ip += 1;
-    let value: Option<u32> = match &inst.op {
-        Op::Bin { op, ty, a, b } => {
-            let x = read_operand(item, *a);
-            let y = read_operand(item, *b);
-            Some(eval_bin(*op, *ty, x, y))
-        }
-        Op::Un { op, ty, a } => {
-            let x = read_operand(item, *a);
-            Some(eval_un(*op, *ty, x))
-        }
-        Op::Cmp { op, ty, a, b } => {
-            let x = read_operand(item, *a);
-            let y = read_operand(item, *b);
-            Some(eval_cmp(*op, *ty, x, y) as u32)
-        }
-        Op::Select { cond, a, b, .. } => {
-            let c = read_operand(item, *cond);
-            Some(if c != 0 {
-                read_operand(item, *a)
-            } else {
-                read_operand(item, *b)
-            })
-        }
-        Op::Mov { a, .. } => Some(read_operand(item, *a)),
-        Op::Gep {
-            base,
-            index,
-            elem_bytes,
-            ..
-        } => {
-            let b = read_operand(item, *base);
-            let i = read_operand(item, *index);
-            Some(b.wrapping_add(i.wrapping_mul(*elem_bytes)))
-        }
-        Op::Load { ptr, space, .. } => {
-            let addr = read_operand(item, *ptr);
-            if *space == AddressSpace::Global {
-                result.global_loads += 1;
+
+    /// Run one item from its saved pc until it parks at a barrier or
+    /// returns. Every instruction and every terminator is one step; the
+    /// limit is tested before each step, so an item may take `limit + 1`.
+    /// Kept out of line: inlined into the group loop, the step loop's
+    /// pc, step count and row pointer live on the stack.
+    #[inline(never)]
+    fn run_item(
+        &mut self,
+        item: usize,
+        group: [u32; 3],
+        mem: &mut Memory,
+        result: &mut ExecResult,
+    ) -> Result<Status, InterpError> {
+        let ops = &self.prog.ops[..];
+        let row_len = self.prog.template.len();
+        let row = &mut self.regs[item * row_len..(item + 1) * row_len];
+        let local = &mut self.local_mem[..];
+        let mut pc = self.pc[item] as usize;
+        let mut steps = self.steps[item];
+        let f = f32::from_bits;
+        let status = loop {
+            if steps > self.limit {
+                return Err(InterpError::StepLimit {
+                    item: self.global_id(group, item),
+                    limit: self.limit,
+                });
             }
-            Some(load_word(mem, local_mem, *space, addr)?)
-        }
-        Op::Store {
-            ptr, value, space, ..
-        } => {
-            let addr = read_operand(item, *ptr);
-            let v = read_operand(item, *value);
-            if *space == AddressSpace::Global {
-                result.global_stores += 1;
-            }
-            store_word(mem, local_mem, *space, addr, v)?;
-            None
-        }
-        Op::AtomicRmw {
-            op,
-            ptr,
-            value,
-            ty,
-            space,
-        } => {
-            let addr = read_operand(item, *ptr);
-            let v = read_operand(item, *value);
-            let old = load_word(mem, local_mem, *space, addr)?;
-            let new = eval_atomic(*op, *ty, old, v);
-            store_word(mem, local_mem, *space, addr, new)?;
-            Some(old)
-        }
-        Op::WorkItem(b) => Some(eval_builtin(*b, item, nd, group)),
-        Op::LocalAddr(id) => Some(LOCAL_BASE + local_offsets[id.index()]),
-        Op::Barrier => return Ok(StepOutcome::Barrier),
-        Op::Printf { fmt, args } => {
-            let mut out = String::with_capacity(fmt.len() + 8);
-            let mut vals = args.iter();
-            let mut chars = fmt.chars().peekable();
-            while let Some(c) = chars.next() {
-                if c == '{' && chars.peek() == Some(&'}') {
-                    chars.next();
-                    match vals.next() {
-                        Some((o, t)) => {
-                            let bits = read_operand(item, *o);
-                            match t {
-                                crate::Scalar::F32 => {
-                                    out.push_str(&format!("{}", f32::from_bits(bits)))
-                                }
-                                crate::Scalar::I32 => out.push_str(&format!("{}", bits as i32)),
-                                _ => out.push_str(&format!("{bits}")),
-                            }
-                        }
-                        None => out.push_str("{}"),
+            steps += 1;
+            let op = ops[pc];
+            pc += 1;
+            let (a, b) = (op.a as usize, op.b as usize);
+            let value = match op.code {
+                Code::AddI => row[a].wrapping_add(row[b]),
+                Code::SubI => row[a].wrapping_sub(row[b]),
+                Code::MulI => row[a].wrapping_mul(row[b]),
+                Code::And => row[a] & row[b],
+                Code::Or => row[a] | row[b],
+                Code::Xor => row[a] ^ row[b],
+                Code::Shl => row[a] << (row[b] & 31),
+                Code::ShrS => ((row[a] as i32) >> (row[b] & 31)) as u32,
+                Code::ShrU => row[a] >> (row[b] & 31),
+                Code::AddF => (f(row[a]) + f(row[b])).to_bits(),
+                Code::SubF => (f(row[a]) - f(row[b])).to_bits(),
+                Code::MulF => (f(row[a]) * f(row[b])).to_bits(),
+                Code::DivF => (f(row[a]) / f(row[b])).to_bits(),
+                Code::Eq => (row[a] == row[b]) as u32,
+                Code::Ne => (row[a] != row[b]) as u32,
+                Code::LtS => ((row[a] as i32) < row[b] as i32) as u32,
+                Code::LeS => (row[a] as i32 <= row[b] as i32) as u32,
+                Code::LtU => (row[a] < row[b]) as u32,
+                Code::LeU => (row[a] <= row[b]) as u32,
+                Code::EqF => (f(row[a]) == f(row[b])) as u32,
+                Code::NeF => (f(row[a]) != f(row[b])) as u32,
+                Code::LtF => (f(row[a]) < f(row[b])) as u32,
+                Code::LeF => (f(row[a]) <= f(row[b])) as u32,
+                Code::Select => {
+                    if row[a] != 0 {
+                        row[b]
+                    } else {
+                        row[op.c as usize]
                     }
-                } else {
-                    out.push(c);
                 }
-            }
-            result.printf_output.push(out);
-            None
-        }
-    };
-    if let (Some(r), Some(v)) = (inst.result, value) {
-        item.regs[r.index()] = v;
+                Code::Mov => row[a],
+                Code::Gep => row[a].wrapping_add(row[b].wrapping_mul(op.c)),
+                Code::LoadG => {
+                    result.global_loads += 1;
+                    mem.read_u32(row[a])?
+                }
+                Code::LoadL => local_read(local, row[a])?,
+                Code::StoreG => {
+                    result.global_stores += 1;
+                    mem.write_u32(row[a], row[b])?;
+                    continue;
+                }
+                Code::StoreL => {
+                    local_write(local, row[a], row[b])?;
+                    continue;
+                }
+                Code::Barrier => break Status::AtBarrier,
+                Code::Br => {
+                    pc = a;
+                    continue;
+                }
+                Code::CondBr => {
+                    pc = if row[a] != 0 { b } else { op.c as usize };
+                    continue;
+                }
+                Code::Ret => break Status::Done,
+                Code::Rare => match &self.prog.rare[op.c as usize] {
+                    Rare::Bin(o, ty) => eval_bin(*o, *ty, row[a], row[b]),
+                    Rare::Un(o, ty) => eval_un(*o, *ty, row[a]),
+                    Rare::Atomic(o, ty, space) => {
+                        let addr = row[a];
+                        let old = match space {
+                            AddressSpace::Global => mem.read_u32(addr)?,
+                            AddressSpace::Local => local_read(local, addr)?,
+                        };
+                        let new = eval_atomic(*o, *ty, old, row[b]);
+                        match space {
+                            AddressSpace::Global => mem.write_u32(addr, new)?,
+                            AddressSpace::Local => local_write(local, addr, new)?,
+                        }
+                        old
+                    }
+                    Rare::Printf(fmt, args) => {
+                        result.printf_output.push(format_printf(fmt, args, row));
+                        continue;
+                    }
+                },
+            };
+            row[op.d as usize] = value;
+        };
+        self.pc[item] = pc as u32;
+        self.steps[item] = steps;
+        Ok(status)
     }
-    Ok(StepOutcome::Continue)
 }
 
-fn read_operand(item: &ItemState, o: Operand) -> u32 {
-    match o {
-        Operand::Reg(VReg(n)) => item.regs[n as usize],
-        Operand::Const(c) => c.bits(),
+/// Expand the `{}` placeholders of a device printf from the item's row.
+fn format_printf(fmt: &str, args: &[(u32, crate::Scalar)], row: &[u32]) -> String {
+    let mut out = String::with_capacity(fmt.len() + 8);
+    let mut vals = args.iter();
+    let mut chars = fmt.chars().peekable();
+    while let Some(c) = chars.next() {
+        if c == '{' && chars.peek() == Some(&'}') {
+            chars.next();
+            match vals.next() {
+                Some(&(slot, t)) => {
+                    let bits = row[slot as usize];
+                    match t {
+                        crate::Scalar::F32 => out.push_str(&format!("{}", f32::from_bits(bits))),
+                        crate::Scalar::I32 => out.push_str(&format!("{}", bits as i32)),
+                        _ => out.push_str(&format!("{bits}")),
+                    }
+                }
+                None => out.push_str("{}"),
+            }
+        } else {
+            out.push(c);
+        }
     }
+    out
 }
 
 /// Reject word accesses to non-word-aligned addresses, mirroring the
@@ -727,62 +1102,28 @@ fn check_aligned(addr: u32, space: &'static str) -> Result<(), InterpError> {
     Ok(())
 }
 
-fn load_word(
-    mem: &Memory,
-    local: &[u8],
-    space: AddressSpace,
-    addr: u32,
-) -> Result<u32, InterpError> {
-    match space {
-        AddressSpace::Global => mem.read_u32(addr),
-        AddressSpace::Local => {
-            check_aligned(addr, "local")?;
-            let off = addr.wrapping_sub(LOCAL_BASE) as usize;
-            if off + 4 > local.len() {
-                return Err(InterpError::OutOfBounds {
-                    addr,
-                    space: "local",
-                });
-            }
-            Ok(u32::from_le_bytes(local[off..off + 4].try_into().unwrap()))
-        }
+/// Byte offset of the word at `addr` in the group's local memory.
+fn local_offset(local: &[u8], addr: u32) -> Result<usize, InterpError> {
+    check_aligned(addr, "local")?;
+    let off = addr.wrapping_sub(LOCAL_BASE) as usize;
+    if off + 4 > local.len() {
+        return Err(InterpError::OutOfBounds {
+            addr,
+            space: "local",
+        });
     }
+    Ok(off)
 }
 
-fn store_word(
-    mem: &mut Memory,
-    local: &mut [u8],
-    space: AddressSpace,
-    addr: u32,
-    v: u32,
-) -> Result<(), InterpError> {
-    match space {
-        AddressSpace::Global => mem.write_u32(addr, v),
-        AddressSpace::Local => {
-            check_aligned(addr, "local")?;
-            let off = addr.wrapping_sub(LOCAL_BASE) as usize;
-            if off + 4 > local.len() {
-                return Err(InterpError::OutOfBounds {
-                    addr,
-                    space: "local",
-                });
-            }
-            local[off..off + 4].copy_from_slice(&v.to_le_bytes());
-            Ok(())
-        }
-    }
+fn local_read(local: &[u8], addr: u32) -> Result<u32, InterpError> {
+    let off = local_offset(local, addr)?;
+    Ok(u32::from_le_bytes(local[off..off + 4].try_into().unwrap()))
 }
 
-fn eval_builtin(b: Builtin, item: &ItemState, nd: &NdRange, group: [u32; 3]) -> u32 {
-    let groups = nd.num_groups();
-    match b {
-        Builtin::GlobalId(d) => item.gid[d as usize],
-        Builtin::LocalId(d) => item.lid[d as usize],
-        Builtin::GroupId(d) => group[d as usize],
-        Builtin::GlobalSize(d) => nd.global[d as usize],
-        Builtin::LocalSize(d) => nd.local[d as usize],
-        Builtin::NumGroups(d) => groups[d as usize],
-    }
+fn local_write(local: &mut [u8], addr: u32, v: u32) -> Result<(), InterpError> {
+    let off = local_offset(local, addr)?;
+    local[off..off + 4].copy_from_slice(&v.to_le_bytes());
+    Ok(())
 }
 
 /// RISC-V division semantics shared with the Vortex simulator.
@@ -807,8 +1148,10 @@ pub fn riscv_rem(x: i32, y: i32) -> i32 {
     }
 }
 
-/// Evaluate a binary op on raw 32-bit values; shared with the HLS datapath
-/// interpreter so both flows agree with this semantic by construction.
+/// Evaluate a binary op on raw 32-bit values. With [`eval_un`] and
+/// [`eval_cmp`] this is the one definition of the IR's scalar semantics:
+/// the interpreter's rare-op path and `passes::const_fold` call it, and the
+/// specialised opcodes are tested equal to it.
 pub fn eval_bin(op: BinOp, ty: crate::Scalar, x: u32, y: u32) -> u32 {
     use crate::Scalar::*;
     match ty {
@@ -954,7 +1297,7 @@ pub fn eval_atomic(op: AtomicOp, ty: crate::Scalar, old: u32, v: u32) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::func::Param;
@@ -1278,5 +1621,503 @@ mod tests {
         assert_eq!(riscv_div(i32::MIN, -1), i32::MIN);
         assert_eq!(riscv_rem(i32::MIN, -1), 0);
         assert_eq!(riscv_div(7, 2), 3);
+    }
+
+    pub(crate) const SCALARS: [Scalar; 4] = [Scalar::I32, Scalar::U32, Scalar::F32, Scalar::Bool];
+    pub(crate) const BIN_OPS: [BinOp; 12] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::Min,
+        BinOp::Max,
+    ];
+    pub(crate) const CMP_OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    pub(crate) const UN_OPS: [UnOp; 13] = [
+        UnOp::Neg,
+        UnOp::Not,
+        UnOp::Abs,
+        UnOp::Sqrt,
+        UnOp::Exp,
+        UnOp::Log,
+        UnOp::Sin,
+        UnOp::Cos,
+        UnOp::Floor,
+        UnOp::F2I,
+        UnOp::I2F,
+        UnOp::U2F,
+        UnOp::IntCast,
+    ];
+    const ATOMIC_OPS: [AtomicOp; 8] = [
+        AtomicOp::Add,
+        AtomicOp::Sub,
+        AtomicOp::Min,
+        AtomicOp::Max,
+        AtomicOp::And,
+        AtomicOp::Or,
+        AtomicOp::Xor,
+        AtomicOp::Xchg,
+    ];
+
+    /// `i32::MIN` (also -0.0), -1, 0 (+0.0), shift counts around 32, NaN,
+    /// the infinities and a few ordinary values, plus words from the
+    /// in-tree RNG.
+    pub(crate) fn edge_values() -> Vec<u32> {
+        let mut v = vec![
+            i32::MIN as u32,
+            -1i32 as u32,
+            0,
+            1,
+            2,
+            31,
+            32,
+            33,
+            63,
+            i32::MAX as u32,
+            f32::NAN.to_bits(),
+            f32::INFINITY.to_bits(),
+            f32::NEG_INFINITY.to_bits(),
+            1.0f32.to_bits(),
+            (-1.5f32).to_bits(),
+            3.0e9f32.to_bits(),
+        ];
+        let mut rng = repro_util::rng::Rng::new(15);
+        v.extend((0..8).map(|_| rng.next_u32()));
+        v
+    }
+
+    /// Where the operands of a one-instruction kernel `r = op(x, y)` live.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        RegReg,
+        RegConst,
+        ConstReg,
+        ConstConst,
+        /// `x = op(x, y)`.
+        DstIsA,
+        /// `y = op(x, y)`.
+        DstIsB,
+        /// `op(k, k)`: one constant slot read twice.
+        SameConst,
+    }
+
+    const SHAPES: [Shape; 7] = [
+        Shape::RegReg,
+        Shape::RegConst,
+        Shape::ConstReg,
+        Shape::ConstConst,
+        Shape::DstIsA,
+        Shape::DstIsB,
+        Shape::SameConst,
+    ];
+
+    fn scalar_param(name: &str, ty: Scalar) -> Param {
+        Param {
+            name: name.into(),
+            ty: Type::Scalar(ty),
+        }
+    }
+
+    /// Run `out[0] = make(x, y)` with the operands placed per `shape`;
+    /// returns the stored word and the operand words the op really saw (a
+    /// `Bool` constant holds only 0 or 1, a register any word).
+    fn run_one_op(
+        shape: Shape,
+        ty: Scalar,
+        x: u32,
+        y: u32,
+        make: impl Fn(Operand, Operand) -> Op,
+    ) -> (u32, u32, u32) {
+        let params = vec![gptr("out"), scalar_param("x", ty), scalar_param("y", ty)];
+        let mut b = FunctionBuilder::new("one_op", params);
+        let (rx, ry) = (b.param(1), b.param(2));
+        let konst = |v: u32| Operand::Const(crate::Const::from_bits(ty, v));
+        let (a, c, dst) = match shape {
+            Shape::RegReg => (rx.into(), ry.into(), None),
+            Shape::RegConst => (rx.into(), konst(y), None),
+            Shape::ConstReg => (konst(x), ry.into(), None),
+            Shape::ConstConst => (konst(x), konst(y), None),
+            Shape::DstIsA => (rx.into(), ry.into(), Some(rx)),
+            Shape::DstIsB => (rx.into(), ry.into(), Some(ry)),
+            Shape::SameConst => (konst(x), konst(x), None),
+        };
+        let seen = |o: Operand, raw: u32| o.as_const().map_or(raw, |k| k.bits());
+        let (xs, ys) = (
+            seen(a, x),
+            seen(c, if shape == Shape::SameConst { x } else { y }),
+        );
+        let r = match dst {
+            Some(d) => {
+                b.push_into(d, make(a, c));
+                d
+            }
+            None => b.push(make(a, c), Scalar::U32),
+        };
+        let p = Operand::Reg(b.param(0));
+        b.store(p, r.into(), Scalar::U32, AddressSpace::Global);
+        b.ret();
+        let f = b.finish();
+        let mut mem = Memory::new(64);
+        let out = mem.alloc(4);
+        let args = [KernelArg::Ptr(out), KernelArg::U32(x), KernelArg::U32(y)];
+        run_ndrange(&f, &args, &NdRange::d1(1, 1), &mut mem, &Limits::default()).unwrap();
+        (mem.read_u32(out).unwrap(), xs, ys)
+    }
+
+    /// Bit equality, except that two float NaNs are the same result: which
+    /// payload an operation on two NaNs keeps is the compiler's choice.
+    fn assert_same(got: u32, want: u32, float_result: bool, what: impl Fn() -> String) {
+        let both_nan =
+            float_result && f32::from_bits(got).is_nan() && f32::from_bits(want).is_nan();
+        assert!(
+            got == want || both_nan,
+            "{}: got {got:#x}, want {want:#x}",
+            what()
+        );
+    }
+
+    #[test]
+    fn specialised_opcodes_match_eval() {
+        let vals = edge_values();
+        // Every pair for the register shape; for the rest each value with
+        // three partners, which still meets every edge value on both sides.
+        let all_pairs = || vals.iter().flat_map(|&x| vals.iter().map(move |&y| (x, y)));
+        let some_pairs = || {
+            (0..vals.len()).flat_map(|i| [1, 5, 11].map(|k| (vals[i], vals[(i + k) % vals.len()])))
+        };
+        let pairs = |shape: Shape| -> Vec<(u32, u32)> {
+            if shape == Shape::RegReg {
+                all_pairs().collect()
+            } else {
+                some_pairs().collect()
+            }
+        };
+        for ty in SCALARS {
+            for shape in SHAPES {
+                for (x, y) in pairs(shape) {
+                    for op in BIN_OPS {
+                        let (got, xs, ys) =
+                            run_one_op(shape, ty, x, y, |a, b| Op::Bin { op, ty, a, b });
+                        assert_same(got, eval_bin(op, ty, xs, ys), ty == Scalar::F32, || {
+                            format!("{op:?} {ty:?} {shape:?} {xs:#x} {ys:#x}")
+                        });
+                    }
+                    for op in CMP_OPS {
+                        let (got, xs, ys) =
+                            run_one_op(shape, ty, x, y, |a, b| Op::Cmp { op, ty, a, b });
+                        assert_eq!(
+                            got,
+                            eval_cmp(op, ty, xs, ys) as u32,
+                            "{op:?} {ty:?} {shape:?} {xs:#x} {ys:#x}"
+                        );
+                    }
+                    if !matches!(shape, Shape::RegReg | Shape::ConstConst | Shape::DstIsA) {
+                        continue;
+                    }
+                    for op in UN_OPS {
+                        let (got, xs, _) = run_one_op(shape, ty, x, y, |a, _| Op::Un { op, ty, a });
+                        assert_same(got, eval_un(op, ty, xs), true, || {
+                            format!("{op:?} {ty:?} {shape:?} {xs:#x}")
+                        });
+                    }
+                    let (got, xs, ys) = run_one_op(shape, ty, x, y, |a, b| Op::Select {
+                        ty,
+                        cond: a,
+                        a: b,
+                        b: a,
+                    });
+                    assert_eq!(got, if xs != 0 { ys } else { xs }, "select {shape:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn atomics_match_eval_in_both_address_spaces() {
+        let vals = edge_values();
+        for space in [AddressSpace::Global, AddressSpace::Local] {
+            for ty in [Scalar::I32, Scalar::U32] {
+                for op in ATOMIC_OPS {
+                    for (i, &old) in vals.iter().enumerate() {
+                        let v = vals[(i + 7) % vals.len()];
+                        // cell = old; out[1] = atomic(op, &cell, v); out[0] = cell
+                        let mut b =
+                            FunctionBuilder::new("rmw", vec![gptr("out"), scalar_param("v", ty)]);
+                        let out = Operand::Reg(b.param(0));
+                        let cell = match space {
+                            AddressSpace::Global => out,
+                            AddressSpace::Local => {
+                                let tile = b.local_array("tile", ty, 1);
+                                b.local_addr(tile).into()
+                            }
+                        };
+                        b.store(cell, Operand::imm_u32(old), ty, space);
+                        // The value as a constant when `i` is even, from a
+                        // register when odd.
+                        let value = if i % 2 == 0 {
+                            Operand::imm_u32(v)
+                        } else {
+                            b.param(1).into()
+                        };
+                        let seen = b.atomic(op, cell, value, ty, space);
+                        let after = b.load(cell, ty, space);
+                        b.store(out, after.into(), ty, AddressSpace::Global);
+                        let p1 = b.gep(out, Operand::imm_u32(1), 4, AddressSpace::Global);
+                        b.store(p1.into(), seen.into(), ty, AddressSpace::Global);
+                        b.ret();
+                        let f = b.finish();
+                        let mut mem = Memory::new(64);
+                        let po = mem.alloc(8);
+                        let args = [KernelArg::Ptr(po), KernelArg::U32(v)];
+                        let r = run_ndrange(
+                            &f,
+                            &args,
+                            &NdRange::d1(1, 1),
+                            &mut mem,
+                            &Limits::default(),
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            mem.read_u32_slice(po, 2),
+                            vec![eval_atomic(op, ty, old, v), old],
+                            "{op:?} {ty:?} {space:?} {old:#x} {v:#x}"
+                        );
+                        // Atomics are not counted as loads or stores.
+                        let global = (space == AddressSpace::Global) as u64;
+                        assert_eq!((r.global_loads, r.global_stores), (global, 2 + global));
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out[gy * 4 + gx] = 7` over a 4 x 4 range in 2 x 2 groups; the item
+    /// at (3, 2) then takes a detour. Returns the kernel and its step
+    /// count on the long path (every other item takes three fewer).
+    fn detour_kernel() -> (Function, u64) {
+        let mut b = FunctionBuilder::new("detour", vec![gptr("out")]);
+        let gx = b.workitem(Builtin::GlobalId(0));
+        let gy = b.workitem(Builtin::GlobalId(1));
+        let row = b.bin(BinOp::Mul, Scalar::U32, gy.into(), Operand::imm_u32(4));
+        let lin = b.bin(BinOp::Add, Scalar::U32, row.into(), gx.into());
+        let p = b.gep(
+            Operand::Reg(b.param(0)),
+            lin.into(),
+            4,
+            AddressSpace::Global,
+        );
+        b.store(
+            p.into(),
+            Operand::imm_u32(7),
+            Scalar::U32,
+            AddressSpace::Global,
+        );
+        let c = b.cmp(CmpOp::Eq, Scalar::U32, lin.into(), Operand::imm_u32(11));
+        let (long, done) = (b.new_block(), b.new_block());
+        b.cond_br(c.into(), long, done);
+        b.switch_to(long);
+        b.mov(Scalar::U32, Operand::imm_u32(1));
+        b.mov(Scalar::U32, Operand::imm_u32(2));
+        b.br(done);
+        b.switch_to(done);
+        b.ret();
+        // 7 instructions + cond_br, 2 movs + br, ret.
+        (b.finish(), 12)
+    }
+
+    #[test]
+    fn step_limit_admits_limit_plus_one_steps_and_keeps_earlier_stores() {
+        let (f, long_steps) = detour_kernel();
+        let nd = NdRange::d2(4, 4, 2, 2);
+        let run = |limit: u64| {
+            let mut mem = Memory::new(256);
+            let out = mem.alloc(64);
+            let limits = Limits {
+                max_steps_per_item: limit,
+            };
+            let r = run_ndrange(&f, &[KernelArg::Ptr(out)], &nd, &mut mem, &limits);
+            (r, mem.read_u32_slice(out, 16))
+        };
+        let (r, out) = run(long_steps - 1);
+        assert_eq!(r.unwrap().steps, 15 * (long_steps - 3) + long_steps);
+        assert_eq!(out, vec![7; 16]);
+        let (r, out) = run(long_steps - 2);
+        assert_eq!(
+            r.unwrap_err(),
+            InterpError::StepLimit {
+                item: [3, 2, 0],
+                limit: long_steps - 2
+            }
+        );
+        // Groups run in x-then-y order, items in lx-then-ly order: (3, 2)
+        // is the second item of the last group, so its own store and
+        // every earlier item's landed; (2, 3) and (3, 3) never ran.
+        let mut want = vec![7; 16];
+        want[14] = 0;
+        want[15] = 0;
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn barrier_mid_block_resumes_at_the_next_instruction() {
+        // tile[lid] = lid + 1; barrier; out[gid] = tile[(lid + 1) & 3] —
+        // all in the entry block, so the resume point is mid-block.
+        let mut b = FunctionBuilder::new("rot", vec![gptr("out")]);
+        let tile = b.local_array("tile", Scalar::U32, 4);
+        let base = b.local_addr(tile);
+        let lid = b.workitem(Builtin::LocalId(0));
+        let gid = b.workitem(Builtin::GlobalId(0));
+        let next = b.bin(BinOp::Add, Scalar::U32, lid.into(), Operand::imm_u32(1));
+        let mine = b.gep(base.into(), lid.into(), 4, AddressSpace::Local);
+        b.store(mine.into(), next.into(), Scalar::U32, AddressSpace::Local);
+        b.barrier();
+        let wrapped = b.bin(BinOp::And, Scalar::U32, next.into(), Operand::imm_u32(3));
+        let theirs = b.gep(base.into(), wrapped.into(), 4, AddressSpace::Local);
+        let v = b.load(theirs.into(), Scalar::U32, AddressSpace::Local);
+        let po = b.gep(
+            Operand::Reg(b.param(0)),
+            gid.into(),
+            4,
+            AddressSpace::Global,
+        );
+        b.store(po.into(), v.into(), Scalar::U32, AddressSpace::Global);
+        b.ret();
+        let f = b.finish();
+        let mut mem = Memory::new(256);
+        let out = mem.alloc(32);
+        let r = run_ndrange(
+            &f,
+            &[KernelArg::Ptr(out)],
+            &NdRange::d1(8, 4),
+            &mut mem,
+            &Limits::default(),
+        )
+        .unwrap();
+        assert_eq!(mem.read_u32_slice(out, 8), vec![2, 3, 4, 1, 2, 3, 4, 1]);
+        assert_eq!((r.steps, r.global_loads, r.global_stores), (8 * 13, 0, 8));
+    }
+
+    #[test]
+    fn work_item_builtins_match_the_opencl_formulae_in_three_dimensions() {
+        let kinds = [
+            Builtin::GlobalId,
+            Builtin::LocalId,
+            Builtin::GroupId,
+            Builtin::GlobalSize,
+            Builtin::LocalSize,
+            Builtin::NumGroups,
+        ];
+        for nd in [
+            NdRange::d2(6, 4, 3, 2),
+            NdRange {
+                global: [4, 6, 2],
+                local: [2, 3, 1],
+            },
+            NdRange {
+                global: [2, 2, 4],
+                local: [1, 2, 2],
+            },
+        ] {
+            // out[18 * linear global id + 3 * kind + dim] = builtin(dim)
+            let mut b = FunctionBuilder::new("ids", vec![gptr("out")]);
+            let mut lin: Operand = Operand::imm_u32(0);
+            for d in [2u8, 1, 0] {
+                let size = b.workitem(Builtin::GlobalSize(d));
+                let id = b.workitem(Builtin::GlobalId(d));
+                let scaled = b.bin(BinOp::Mul, Scalar::U32, lin, size.into());
+                lin = b
+                    .bin(BinOp::Add, Scalar::U32, scaled.into(), id.into())
+                    .into();
+            }
+            let first = b.bin(BinOp::Mul, Scalar::U32, lin, Operand::imm_u32(18));
+            for (k, kind) in kinds.iter().enumerate() {
+                for d in 0..3u8 {
+                    let v = b.workitem(kind(d));
+                    let slot = Operand::imm_u32(3 * k as u32 + d as u32);
+                    let idx = b.bin(BinOp::Add, Scalar::U32, first.into(), slot);
+                    let p = b.gep(
+                        Operand::Reg(b.param(0)),
+                        idx.into(),
+                        4,
+                        AddressSpace::Global,
+                    );
+                    b.store(p.into(), v.into(), Scalar::U32, AddressSpace::Global);
+                }
+            }
+            b.ret();
+            let f = b.finish();
+            let items = nd.total_items() as usize;
+            let mut mem = Memory::new(18 * 4 * items as u32 + 64);
+            let out = mem.alloc_u32(&vec![u32::MAX; 18 * items]);
+            run_ndrange(
+                &f,
+                &[KernelArg::Ptr(out)],
+                &nd,
+                &mut mem,
+                &Limits::default(),
+            )
+            .unwrap();
+            let got = mem.read_u32_slice(out, 18 * items);
+            let mut want = Vec::with_capacity(18 * items);
+            for gz in 0..nd.global[2] {
+                for gy in 0..nd.global[1] {
+                    for gx in 0..nd.global[0] {
+                        let g = [gx, gy, gz];
+                        want.extend(g);
+                        want.extend([0, 1, 2].map(|d| g[d] % nd.local[d]));
+                        want.extend([0, 1, 2].map(|d| g[d] / nd.local[d]));
+                        want.extend(nd.global);
+                        want.extend(nd.local);
+                        want.extend([0, 1, 2].map(|d| nd.global[d] / nd.local[d]));
+                    }
+                }
+            }
+            assert_eq!(got, want, "{nd:?}");
+        }
+    }
+
+    #[test]
+    fn decoded_op_fits_in_twenty_bytes() {
+        assert!(std::mem::size_of::<DOp>() <= 20);
+    }
+
+    #[test]
+    fn bulk_reads_fail_like_the_word_by_word_loop() {
+        // 0x1000 unmapped bytes, then 40 mapped ones.
+        let mem = Memory::new(40);
+        let by_word =
+            |addr: u32, len: usize| (0..len as u32).find_map(|i| mem.read_u32(addr + 4 * i).err());
+        for addr in [
+            0, 4, 0xffc, 0x1000, 0x1002, 0x1010, 0x1024, 0x1028, 0x1030, 0x2000,
+        ] {
+            for len in [0, 1, 2, 6, 10, 11, 100] {
+                assert_eq!(
+                    mem.word_range(addr, len).err(),
+                    by_word(addr, len),
+                    "{addr:#x}+{len}"
+                );
+            }
+        }
+        assert_eq!(mem.read_u32_slice(0x1000, 10), vec![0; 10]);
+        assert_eq!(mem.read_i32_slice(0x2000, 0), Vec::<i32>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "OutOfBounds")]
+    fn bulk_read_past_the_end_panics() {
+        Memory::new(40).read_u32_slice(0x1020, 3);
     }
 }

@@ -6,6 +6,8 @@
 
 use crate::func::Function;
 use crate::inst::{BinOp, CmpOp, Op, UnOp};
+use crate::interp;
+use crate::types::Scalar;
 use crate::value::{Const, Operand, VReg};
 use rustc_hash::FxHashMap;
 
@@ -65,6 +67,12 @@ pub fn run(f: &mut Function) -> usize {
 }
 
 /// Evaluate an op whose operands are all constants.
+///
+/// Values come from [`interp::eval_bin`], [`interp::eval_un`] and
+/// [`interp::eval_cmp`], so a folded op is by construction the word the
+/// interpreter would have computed. What is *declined* is decided here:
+/// operands of different constant types, integer division by zero, bitwise
+/// ops on floats and op/type pairs the front end never emits.
 pub fn eval(op: &Op) -> Option<Const> {
     match op {
         Op::Mov {
@@ -99,129 +107,46 @@ pub fn eval(op: &Op) -> Option<Const> {
 }
 
 fn eval_bin(op: BinOp, a: Const, b: Const) -> Option<Const> {
-    Some(match (a, b) {
-        (Const::I32(x), Const::I32(y)) => Const::I32(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_div(y)
-            }
-            BinOp::Rem => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_rem(y)
-            }
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            BinOp::Min => x.min(y),
-            BinOp::Max => x.max(y),
-        }),
-        (Const::U32(x), Const::U32(y)) => Const::U32(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => {
-                if y == 0 {
-                    return None;
-                }
-                x / y
-            }
-            BinOp::Rem => {
-                if y == 0 {
-                    return None;
-                }
-                x % y
-            }
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y),
-            BinOp::Shr => x.wrapping_shr(y),
-            BinOp::Min => x.min(y),
-            BinOp::Max => x.max(y),
-        }),
-        (Const::F32(x), Const::F32(y)) => Const::F32(match op {
-            BinOp::Add => x + y,
-            BinOp::Sub => x - y,
-            BinOp::Mul => x * y,
-            BinOp::Div => x / y,
-            BinOp::Rem => x % y,
-            BinOp::Min => x.min(y),
-            BinOp::Max => x.max(y),
-            // Bitwise ops on floats never reach here (verifier/front end).
-            _ => return None,
-        }),
-        _ => return None,
-    })
+    let ty = a.scalar();
+    let folds = match ty {
+        _ if ty != b.scalar() => false,
+        Scalar::I32 | Scalar::U32 => !(matches!(op, BinOp::Div | BinOp::Rem) && b.is_zero()),
+        // Bitwise ops on floats never reach here (verifier/front end).
+        Scalar::F32 => !matches!(
+            op,
+            BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
+        ),
+        Scalar::Bool => false,
+    };
+    folds.then(|| Const::from_bits(ty, interp::eval_bin(op, ty, a.bits(), b.bits())))
 }
 
 fn eval_un(op: UnOp, a: Const) -> Option<Const> {
-    Some(match (op, a) {
-        (UnOp::Neg, Const::I32(x)) => Const::I32(x.wrapping_neg()),
-        (UnOp::Neg, Const::F32(x)) => Const::F32(-x),
-        (UnOp::Not, Const::I32(x)) => Const::I32(!x),
-        (UnOp::Not, Const::U32(x)) => Const::U32(!x),
-        (UnOp::Not, Const::Bool(x)) => Const::Bool(!x),
-        (UnOp::Abs, Const::I32(x)) => Const::I32(x.wrapping_abs()),
-        (UnOp::Abs, Const::F32(x)) => Const::F32(x.abs()),
-        (UnOp::Sqrt, Const::F32(x)) => Const::F32(x.sqrt()),
-        (UnOp::Exp, Const::F32(x)) => Const::F32(x.exp()),
-        (UnOp::Log, Const::F32(x)) => Const::F32(x.ln()),
-        (UnOp::Sin, Const::F32(x)) => Const::F32(x.sin()),
-        (UnOp::Cos, Const::F32(x)) => Const::F32(x.cos()),
-        (UnOp::Floor, Const::F32(x)) => Const::F32(x.floor()),
-        (UnOp::F2I, Const::F32(x)) => Const::I32(x as i32),
-        (UnOp::I2F, Const::I32(x)) => Const::F32(x as f32),
-        (UnOp::U2F, Const::U32(x)) => Const::F32(x as f32),
-        (UnOp::IntCast, c) => c,
+    use Scalar::*;
+    let ty = a.scalar();
+    let result_ty = match (op, ty) {
+        (UnOp::IntCast, _) => return Some(a),
+        (UnOp::Neg | UnOp::Abs, I32 | F32) | (UnOp::Not, I32 | U32 | Bool) => ty,
+        (UnOp::Sqrt | UnOp::Exp | UnOp::Log | UnOp::Sin | UnOp::Cos | UnOp::Floor, F32) => F32,
+        (UnOp::F2I, F32) => I32,
+        (UnOp::I2F, I32) | (UnOp::U2F, U32) => F32,
         _ => return None,
-    })
+    };
+    Some(Const::from_bits(
+        result_ty,
+        interp::eval_un(op, ty, a.bits()),
+    ))
 }
 
 fn eval_cmp(op: CmpOp, a: Const, b: Const) -> Option<Const> {
-    let r = match (a, b) {
-        (Const::I32(x), Const::I32(y)) => cmp_ord(op, x.cmp(&y)),
-        (Const::U32(x), Const::U32(y)) => cmp_ord(op, x.cmp(&y)),
-        (Const::Bool(x), Const::Bool(y)) => cmp_ord(op, x.cmp(&y)),
-        (Const::F32(x), Const::F32(y)) => match op {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        },
-        _ => return None,
-    };
-    Some(Const::Bool(r))
-}
-
-fn cmp_ord(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }
+    let ty = a.scalar();
+    (ty == b.scalar()).then(|| Const::Bool(interp::eval_cmp(op, ty, a.bits(), b.bits())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::types::Scalar;
-    use crate::value::Operand;
 
     #[test]
     fn folds_chained_constants() {
@@ -293,6 +218,88 @@ mod tests {
             eval_bin(BinOp::Max, Const::F32(1.0), Const::F32(2.0)),
             Some(Const::F32(2.0))
         );
+    }
+
+    #[test]
+    fn folded_values_are_the_interpreters() {
+        use crate::interp::tests::{edge_values, BIN_OPS, CMP_OPS, SCALARS, UN_OPS};
+        let same = |c: Const, bits: u32| {
+            c.bits() == bits
+                || matches!(c, Const::F32(v) if v.is_nan() && f32::from_bits(bits).is_nan())
+        };
+        let vals = edge_values();
+        let mut folded = 0;
+        for ty in SCALARS {
+            for &x in &vals {
+                // A `Bool` constant holds only 0 or 1.
+                let a = Const::from_bits(ty, x);
+                for op in UN_OPS {
+                    let Some(c) = eval(&Op::Un {
+                        op,
+                        ty,
+                        a: a.into(),
+                    }) else {
+                        continue;
+                    };
+                    assert!(same(c, interp::eval_un(op, ty, a.bits())), "{op:?} {a}");
+                    folded += 1;
+                }
+                for &y in &vals {
+                    let b = Const::from_bits(ty, y);
+                    let (oa, ob) = (Operand::Const(a), Operand::Const(b));
+                    for op in BIN_OPS {
+                        let Some(c) = eval(&Op::Bin {
+                            op,
+                            ty,
+                            a: oa,
+                            b: ob,
+                        }) else {
+                            assert!(
+                                ty == Scalar::Bool || ty == Scalar::F32 || b.is_zero(),
+                                "integer {op:?} {a} {b} must fold"
+                            );
+                            continue;
+                        };
+                        assert_eq!(c.scalar(), ty);
+                        assert!(
+                            same(c, interp::eval_bin(op, ty, a.bits(), b.bits())),
+                            "{op:?} {a} {b}"
+                        );
+                        folded += 1;
+                    }
+                    for op in CMP_OPS {
+                        let c = eval(&Op::Cmp {
+                            op,
+                            ty,
+                            a: oa,
+                            b: ob,
+                        })
+                        .expect("compares fold");
+                        assert_eq!(
+                            c,
+                            Const::Bool(interp::eval_cmp(op, ty, a.bits(), b.bits())),
+                            "{op:?} {a} {b}"
+                        );
+                        folded += 1;
+                    }
+                }
+            }
+        }
+        assert!(folded > 20_000, "only {folded} folds exercised");
+    }
+
+    #[test]
+    fn float_to_int_of_nan_saturates_like_the_execution() {
+        // RISC-V fcvt.w.s, which both back ends implement: NaN -> i32::MAX.
+        assert_eq!(
+            eval_un(UnOp::F2I, Const::F32(f32::NAN)),
+            Some(Const::I32(i32::MAX))
+        );
+        assert_eq!(
+            eval_un(UnOp::F2I, Const::F32(3.0e9)),
+            Some(Const::I32(i32::MAX))
+        );
+        assert_eq!(eval_un(UnOp::F2I, Const::F32(-1.5)), Some(Const::I32(-1)));
     }
 
     #[test]

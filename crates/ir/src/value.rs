@@ -42,6 +42,17 @@ impl Const {
         }
     }
 
+    /// The constant of type `ty` whose raw 32-bit pattern is `bits` (any
+    /// non-zero word is `true`).
+    pub fn from_bits(ty: Scalar, bits: u32) -> Self {
+        match ty {
+            Scalar::I32 => Const::I32(bits as i32),
+            Scalar::U32 => Const::U32(bits),
+            Scalar::F32 => Const::F32(f32::from_bits(bits)),
+            Scalar::Bool => Const::Bool(bits != 0),
+        }
+    }
+
     /// Raw 32-bit pattern used when the constant is materialized.
     pub fn bits(self) -> u32 {
         match self {

@@ -112,6 +112,14 @@ fn run_request_inner(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproE
     }
 }
 
+/// Byte size of an inline job's buffer of `words` words. The count comes
+/// straight off the wire, so a size past `u32` saturates — no allocator
+/// has that much, and it answers a typed `OutOfMemory` instead of wrapping
+/// to a small allocation.
+fn buffer_bytes(words: u32) -> u32 {
+    words.saturating_mul(4)
+}
+
 /// Inline source on the Vortex flow: codegen (through the global compile
 /// cache), zero-initialized device buffers, one launch, no verification
 /// beyond the run itself. `opt: None` compiles the source as written.
@@ -132,7 +140,7 @@ fn run_source_vortex(
     let mut sess = VxSession::new(cfg, compiled);
     let bufs: Vec<vortex_rt::Buffer> = buffers
         .iter()
-        .map(|&words| sess.alloc(words * 4))
+        .map(|&words| sess.alloc(buffer_bytes(words)))
         .collect::<Result<_, _>>()
         .map_err(ReproError::from)?;
     let args = args
@@ -172,9 +180,10 @@ fn run_source_interp(
         .kernel(kernel)
         .ok_or_else(|| ReproError::harness(format!("kernel `{kernel}` not found in source")))?;
     let mut mem = Memory::new(32 << 20);
+    // Fresh interpreter memory is zeroed: reserving is initializing.
     let addrs: Vec<u32> = buffers
         .iter()
-        .map(|&words| mem.try_alloc_u32(&vec![0u32; words as usize]))
+        .map(|&words| mem.try_alloc(buffer_bytes(words)))
         .collect::<Result<_, _>>()?;
     let args = args
         .iter()
@@ -259,6 +268,21 @@ mod tests {
         assert_eq!(outcomes.len(), sequential.len());
         for (oc, want) in outcomes.iter().zip(&sequential) {
             assert_eq!(oc.stats().expect("scheduled ok"), *want, "{}", oc.label);
+        }
+    }
+
+    #[test]
+    fn inline_buffer_size_past_u32_is_out_of_memory_not_a_wrap() {
+        // 1073741825 words * 4 wraps to 4 bytes in u32 arithmetic.
+        let wire = r#"{"source": "__kernel void k(__global int* o) { o[0] = 1; }",
+            "kernel": "k", "nd": {"gx": 1, "lx": 1}, "buffers": [1073741825],
+            "args": [{"buf": 0}]}"#;
+        let mut req = JobRequest::parse(&repro_util::json::Json::parse(wire).unwrap()).unwrap();
+        for flow in [Flow::Vortex, Flow::Interp] {
+            req.flow = flow;
+            let err = run_oneshot(&req).unwrap_err();
+            assert_eq!(err.kind(), "OutOfMemory", "{flow:?}: {err}");
+            assert_eq!(err.class(), repro_diag::FailureClass::Memory);
         }
     }
 }

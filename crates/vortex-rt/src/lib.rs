@@ -173,15 +173,22 @@ impl VxSession {
     /// Allocate `bytes` of device memory (16-byte aligned).
     pub fn alloc(&mut self, bytes: u32) -> Result<Buffer, RtError> {
         let addr = self.heap_next;
-        let next = (addr + bytes + 15) & !15;
-        if next > self.heap_limit {
-            return Err(RtError::OutOfMemory {
+        // Checked: `bytes` can come off the wire, and a sum that wraps
+        // would pass the limit test as a tiny allocation.
+        let next = addr
+            .checked_add(bytes)
+            .and_then(|n| n.checked_add(15))
+            .map(|n| n & !15);
+        match next {
+            Some(next) if next <= self.heap_limit => {
+                self.heap_next = next;
+                Ok(Buffer { addr, bytes })
+            }
+            _ => Err(RtError::OutOfMemory {
                 requested: bytes,
                 available: self.heap_limit.saturating_sub(addr),
-            });
+            }),
         }
-        self.heap_next = next;
-        Ok(Buffer { addr, bytes })
     }
 
     /// Allocate and fill from host f32 data.

@@ -76,6 +76,33 @@ fn loop_tier_vortex_matches_reference() {
     }
 }
 
+/// A conversion the folder evaluates at compile time stores the word the
+/// execution computes: `(int)NaN` is `i32::MAX` (RISC-V `fcvt.w.s`) whether
+/// or not the middle end folded it.
+#[test]
+fn folded_float_to_int_of_nan_matches_the_execution() {
+    use ocl_ir::interp::{run_ndrange, KernelArg, Limits, Memory, NdRange};
+    let src = "__kernel void k(__global int* out) { out[0] = (int)(0.0f / 0.0f); }";
+    for level in OptLevel::ALL {
+        let module = fpga_gpu_repro::cache::global()
+            .optimize(src, level)
+            .unwrap();
+        let mut mem = Memory::new(64);
+        let out = mem.alloc(4);
+        let args = [KernelArg::Ptr(out)];
+        let nd = NdRange::d1(1, 1);
+        run_ndrange(
+            module.expect_kernel("k"),
+            &args,
+            &nd,
+            &mut mem,
+            &Limits::default(),
+        )
+        .unwrap();
+        assert_eq!(mem.read_i32_slice(out, 1), vec![i32::MAX], "at {level:?}");
+    }
+}
+
 /// Golden rendering of `repro opt-report backprop` (without the timing
 /// column, which is the only nondeterministic part).
 #[test]
