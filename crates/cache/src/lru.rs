@@ -75,6 +75,11 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         None
     }
 
+    /// Remove one entry, returning its value if it was present.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.map.remove(key).map(|e| e.value)
+    }
+
     pub fn clear(&mut self) {
         self.map.clear();
     }
@@ -129,6 +134,22 @@ mod tests {
         assert_eq!(lru.insert(3, 3).unwrap(), (2, 2));
         assert_eq!(lru.get(&3), Some(&3));
         assert_eq!(lru.len(), 1);
+    }
+
+    #[test]
+    fn remove_drops_only_its_key() {
+        let mut lru: Lru<u32, u32> = Lru::new(4);
+        lru.insert(1, 10);
+        lru.insert(2, 20);
+        assert_eq!(lru.remove(&1), Some(10));
+        assert_eq!(lru.remove(&1), None);
+        assert_eq!(lru.len(), 1);
+        assert_eq!(lru.get(&2), Some(&20));
+        // The freed slot is usable again without evicting the survivor.
+        lru.insert(3, 30);
+        lru.insert(4, 40);
+        assert!(lru.insert(5, 50).is_none());
+        assert_eq!(lru.len(), 4);
     }
 
     #[test]

@@ -101,6 +101,21 @@ pub fn compile(src: &str) -> Result<Module, CompileError> {
 /// registry (`frontend.preprocess` … `frontend.verify`) — a no-op unless a
 /// harness has enabled collection.
 pub fn compile_with_defines(src: &str, defines: &[(&str, &str)]) -> Result<Module, CompileError> {
+    compile_lexed(&lex_source(src, defines)?)
+}
+
+/// A source after the first two front-end stages. The compile cache
+/// fingerprints `tokens` and, on a miss, hands the same value to
+/// [`compile_lexed`], so a cold source is preprocessed and lexed once.
+#[derive(Debug)]
+pub struct Lexed {
+    /// The preprocessed text every token span (and error position) refers to.
+    pub pp: String,
+    pub tokens: Vec<lex::Token>,
+}
+
+/// Preprocess and lex: the `frontend.preprocess` and `frontend.lex` stages.
+pub fn lex_source(src: &str, defines: &[(&str, &str)]) -> Result<Lexed, CompileError> {
     use repro_util::metrics;
     let pp = metrics::time("frontend.preprocess", || {
         preprocess::preprocess(src, defines)
@@ -114,8 +129,17 @@ pub fn compile_with_defines(src: &str, defines: &[(&str, &str)]) -> Result<Modul
             col,
         }
     })?;
-    let unit = metrics::time("frontend.parse", || parse::parse(&tokens)).map_err(|e| {
-        let (line, col) = e.span.line_col(&pp);
+    Ok(Lexed { pp, tokens })
+}
+
+/// Parse, lower and verify: the `frontend.parse`, `frontend.lower` and
+/// `frontend.verify` stages. `compile_lexed(&lex_source(src, d)?)` is
+/// [`compile_with_defines`]`(src, d)`.
+pub fn compile_lexed(lexed: &Lexed) -> Result<Module, CompileError> {
+    use repro_util::metrics;
+    let Lexed { pp, tokens } = lexed;
+    let unit = metrics::time("frontend.parse", || parse::parse(tokens)).map_err(|e| {
+        let (line, col) = e.span.line_col(pp);
         CompileError::Parse {
             message: e.message,
             line,
@@ -123,7 +147,7 @@ pub fn compile_with_defines(src: &str, defines: &[(&str, &str)]) -> Result<Modul
         }
     })?;
     let module = metrics::time("frontend.lower", || lower::lower(&unit)).map_err(|e| {
-        let (line, col) = e.span.line_col(&pp);
+        let (line, col) = e.span.line_col(pp);
         CompileError::Lower {
             message: e.message,
             line,

@@ -1,7 +1,7 @@
 //! End-to-end front-end tests: compile OpenCL-C subset source and execute it
 //! on the reference interpreter, checking against hand-computed results.
 
-use ocl_front::{compile, compile_with_defines, CompileError};
+use ocl_front::{compile, compile_lexed, compile_with_defines, lex_source, CompileError};
 use ocl_ir::interp::{run_ndrange, KernelArg, Limits, Memory, NdRange};
 
 #[test]
@@ -80,6 +80,41 @@ fn compile_error_reports_location() {
             assert_eq!(line, 1);
         }
         other => panic!("unexpected {other}"),
+    }
+}
+
+/// The split entry points are `compile` cut in two: the same error, at the
+/// same line and column, whichever half finds it.
+#[test]
+fn lexed_path_reports_the_same_errors_at_the_same_positions() {
+    let cases = [
+        (
+            "lex",
+            "__kernel void k(__global int* o) {\n  o[0] = 1 ` 2;\n}",
+        ),
+        (
+            "parse",
+            "__kernel void k(__global int* o) {\n\n    o[0] = ;\n}",
+        ),
+        (
+            "lower",
+            "#define N 4\n__kernel void k(__global int* o) {\n  int x = N;\n      o[0] = x + y;\n}",
+        ),
+    ];
+    for (stage, src) in cases {
+        let whole = compile(src).unwrap_err();
+        let split = lex_source(src, &[])
+            .and_then(|l| compile_lexed(&l))
+            .unwrap_err();
+        assert_eq!(split, whole, "{stage}");
+        let (found, line, col) = match whole {
+            CompileError::Lex { line, col, .. } => ("lex", line, col),
+            CompileError::Parse { line, col, .. } => ("parse", line, col),
+            CompileError::Lower { line, col, .. } => ("lower", line, col),
+            other => panic!("{stage}: unexpected {other}"),
+        };
+        assert_eq!(found, stage);
+        assert!(line > 1 && col > 1, "{stage}: {line}:{col}");
     }
 }
 

@@ -146,6 +146,10 @@ impl Analyses {
 pub trait Pass {
     /// Stable name used in reports and goldens.
     fn name(&self) -> &'static str;
+    /// `("ir.pass.<name>", "ir.rewrites.<name>")`: the histogram and counter
+    /// the driver records each invocation under. Static, so a recorded
+    /// sample formats nothing; `pass_names!` writes both methods.
+    fn metric_names(&self) -> (&'static str, &'static str);
     /// Apply the pass; returns the number of rewrites performed (0 means
     /// the function is unchanged).
     fn run(&self, f: &mut Function, an: &mut Analyses) -> usize;
@@ -156,12 +160,22 @@ pub trait Pass {
     }
 }
 
+/// [`Pass::name`] and [`Pass::metric_names`] from the one literal.
+macro_rules! pass_names {
+    ($name:literal) => {
+        fn name(&self) -> &'static str {
+            $name
+        }
+        fn metric_names(&self) -> (&'static str, &'static str) {
+            (concat!("ir.pass.", $name), concat!("ir.rewrites.", $name))
+        }
+    };
+}
+
 /// Constant folding and per-block constant propagation.
 pub struct ConstFold;
 impl Pass for ConstFold {
-    fn name(&self) -> &'static str {
-        "const-fold"
-    }
+    pass_names!("const-fold");
     fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
         const_fold::run(f)
     }
@@ -170,9 +184,7 @@ impl Pass for ConstFold {
 /// Per-block copy propagation.
 pub struct CopyProp;
 impl Pass for CopyProp {
-    fn name(&self) -> &'static str {
-        "copy-prop"
-    }
+    pass_names!("copy-prop");
     fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
         copy_prop::run(f)
     }
@@ -181,9 +193,7 @@ impl Pass for CopyProp {
 /// Common-subexpression and redundant-load elimination (automated O1).
 pub struct Cse;
 impl Pass for Cse {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
+    pass_names!("cse");
     fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
         cse::run(f)
     }
@@ -192,9 +202,7 @@ impl Pass for Cse {
 /// Liveness-driven dead-code elimination.
 pub struct Dce;
 impl Pass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
+    pass_names!("dce");
     fn run(&self, f: &mut Function, an: &mut Analyses) -> usize {
         let (_, lv) = an.cfg_live(f);
         dce::run_with(f, lv)
@@ -204,9 +212,7 @@ impl Pass for Dce {
 /// Loop-invariant code motion (inserts preheaders).
 pub struct Licm;
 impl Pass for Licm {
-    fn name(&self) -> &'static str {
-        "licm"
-    }
+    pass_names!("licm");
     fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
         licm::run(f)
     }
@@ -218,9 +224,7 @@ impl Pass for Licm {
 /// Integer strength reduction and algebraic identities.
 pub struct StrengthReduce;
 impl Pass for StrengthReduce {
-    fn name(&self) -> &'static str {
-        "strength-reduce"
-    }
+    pass_names!("strength-reduce");
     fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
         strength_reduce::run(f)
     }
@@ -229,9 +233,7 @@ impl Pass for StrengthReduce {
 /// Bounded full unrolling of constant-trip loops.
 pub struct Unroll;
 impl Pass for Unroll {
-    fn name(&self) -> &'static str {
-        "unroll"
-    }
+    pass_names!("unroll");
     fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
         unroll::run(f)
     }
@@ -378,13 +380,9 @@ impl PassManager {
             let mut round_rewrites = 0;
             for (si, p) in self.passes.iter().enumerate() {
                 let (n, secs) = repro_util::timing::time(|| p.run(f, &mut an));
-                if repro_util::metrics::enabled() {
-                    repro_util::metrics::observe_secs(&format!("ir.pass.{}", p.name()), secs);
-                    repro_util::metrics::counter_add(
-                        &format!("ir.rewrites.{}", p.name()),
-                        n as u64,
-                    );
-                }
+                let (pass_secs, pass_rewrites) = p.metric_names();
+                repro_util::metrics::observe_secs(pass_secs, secs);
+                repro_util::metrics::counter_add(pass_rewrites, n as u64);
                 if n > 0 {
                     if p.preserves_cfg() {
                         an.invalidate_dataflow();
@@ -628,9 +626,7 @@ mod tests {
     fn broken_pass_is_caught_by_debug_verifier() {
         struct Breaker;
         impl Pass for Breaker {
-            fn name(&self) -> &'static str {
-                "breaker"
-            }
+            pass_names!("breaker");
             fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
                 // Point the terminator at a block that does not exist.
                 f.blocks[0].term = crate::Terminator::Br {

@@ -24,10 +24,24 @@
 //! (the `repro` binary, `perf-report` collection), never libraries.
 //! Percentiles use the nearest-rank method: `pXX` is the smallest sample
 //! such that at least XX% of samples are ≤ it.
+//!
+//! While on, recording a sample takes no allocation (after a name's first
+//! sample on a thread), no formatting and no process-wide lock: counters,
+//! histograms and the window rings live in one shard per recording thread,
+//! each behind a lock only snapshots and resets contend for. [`snapshot`],
+//! [`window_snapshot`], [`reset`] and [`window_reset`] visit every shard; a
+//! thread that exits folds its shard into a shared one, so the shard list
+//! is as long as the live recording threads. Gauges (last write wins, a few
+//! writes per job) stay in one shared map.
+//!
+//! Memory is bounded: a series keeps exact `count`, `total` and `max` and
+//! at most [`SERIES_CAP`] samples. Up to the cap the percentiles are exact;
+//! past it the series keeps every 2nd, then every 4th, … observation, and
+//! p50/p95 are nearest-rank over that evenly spaced subsample.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -50,16 +64,213 @@ pub fn set_span_hook(enter: SpanEnter, exit: SpanExit) {
     let _ = SPAN_HOOK.set((enter, exit));
 }
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Vec<f64>>,
+/// Samples a histogram series (cumulative, or one window bucket) retains.
+pub const SERIES_CAP: usize = 1024;
+
+/// One histogram series: exact aggregates plus a bounded subsample.
+#[derive(Debug, Clone)]
+struct Series {
+    count: u64,
+    total: f64,
+    max: f64,
+    /// Every `stride`-th observation is retained; a power of two.
+    stride: u64,
+    samples: Vec<f64>,
 }
 
-fn registry() -> &'static Mutex<Inner> {
-    static REG: OnceLock<Mutex<Inner>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(Inner::default()))
+impl Series {
+    const fn new() -> Series {
+        Series {
+            count: 0,
+            total: 0.0,
+            // Never reported: a series is summarised only once it has a sample.
+            max: f64::NEG_INFINITY,
+            stride: 1,
+            samples: Vec::new(),
+        }
+    }
+
+    fn observe(&mut self, v: f64) {
+        if self.count.is_multiple_of(self.stride) {
+            if self.samples.len() >= SERIES_CAP {
+                self.halve();
+            }
+            self.samples.push(v);
+        }
+        self.max = self.max.max(v);
+        self.count = self.count.saturating_add(1);
+        self.total += v;
+    }
+
+    /// Keep every other retained sample and retain half as often from now on.
+    fn halve(&mut self) {
+        let mut i = 0usize;
+        self.samples.retain(|_| {
+            i += 1;
+            i % 2 == 1
+        });
+        self.stride = self.stride.saturating_mul(2);
+    }
+
+    /// Fold `other` in. Aggregates add exactly; the subsamples are brought
+    /// to the coarser of the two strides and, if still over the cap, thinned
+    /// again — so two series that are both whole and fit the cap together
+    /// stay whole.
+    fn merge(&mut self, other: &Series) {
+        self.max = self.max.max(other.max);
+        self.count = self.count.saturating_add(other.count);
+        self.total += other.total;
+        while self.stride < other.stride {
+            self.halve();
+        }
+        let step = (self.stride / other.stride) as usize;
+        self.samples.extend(other.samples.iter().step_by(step));
+        while self.samples.len() > SERIES_CAP {
+            self.halve();
+        }
+    }
+
+    /// Empty the series, keeping its buffer.
+    fn clear(&mut self) {
+        let mut samples = std::mem::take(&mut self.samples);
+        samples.clear();
+        *self = Series {
+            samples,
+            ..Series::new()
+        };
+    }
+
+    fn summary(&self) -> Option<HistogramSummary> {
+        if self.samples.is_empty() {
+            return None;
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        Some(HistogramSummary {
+            count: self.count,
+            total: self.total,
+            p50: percentile(&sorted, 0.50),
+            p95: percentile(&sorted, 0.95),
+            max: self.max,
+        })
+    }
+}
+
+/// The cumulative counters and histograms of one shard.
+struct Cumulative {
+    counters: BTreeMap<String, u64>,
+    histograms: BTreeMap<String, Series>,
+}
+
+/// Apply `f` to `map[name]`, starting the entry from `new()` on the name's
+/// first use — the only time recording allocates.
+fn update<V>(map: &mut BTreeMap<String, V>, name: &str, new: fn() -> V, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => {
+            let mut v = new();
+            f(&mut v);
+            map.insert(name.to_string(), v);
+        }
+    }
+}
+
+impl Cumulative {
+    const fn new() -> Cumulative {
+        Cumulative {
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
+    }
+
+    fn merge(&mut self, other: &Cumulative) {
+        for (k, &v) in &other.counters {
+            update(&mut self.counters, k, || 0, |c| *c = c.saturating_add(v));
+        }
+        for (k, v) in &other.histograms {
+            update(&mut self.histograms, k, Series::new, |h| h.merge(v));
+        }
+    }
+}
+
+/// Everything one thread records into.
+struct Shard {
+    cum: Cumulative,
+    windows: WindowSet,
+}
+
+impl Shard {
+    const fn new() -> Shard {
+        Shard {
+            cum: Cumulative::new(),
+            windows: WindowSet::new(),
+        }
+    }
+}
+
+/// The shards of the live recording threads, and the one exited threads
+/// were folded into (which also takes samples recorded while a thread's
+/// own shard is being torn down).
+struct Shards {
+    live: Vec<Arc<Mutex<Shard>>>,
+    retired: Shard,
+}
+
+static SHARDS: Mutex<Shards> = Mutex::new(Shards {
+    live: Vec::new(),
+    retired: Shard::new(),
+});
+
+static GAUGES: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
+
+/// Every update under these locks leaves the data valid, so a panic on
+/// another thread does not make it unreadable.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// This thread's entry in [`Shards::live`].
+struct Local(Arc<Mutex<Shard>>);
+
+impl Local {
+    fn register() -> Local {
+        let shard = Arc::new(Mutex::new(Shard::new()));
+        lock(&SHARDS).live.push(shard.clone());
+        Local(shard)
+    }
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        let mut all = lock(&SHARDS);
+        all.live.retain(|s| !Arc::ptr_eq(s, &self.0));
+        let mine = lock(&self.0);
+        all.retired.cum.merge(&mine.cum);
+        all.retired.windows.merge(&mine.windows);
+    }
+}
+
+thread_local! {
+    static LOCAL: Local = Local::register();
+}
+
+/// Run `f` on the calling thread's shard. Lock order everywhere is
+/// [`SHARDS`] then a shard; this path takes only the shard.
+fn record(f: impl FnOnce(&mut Shard)) {
+    let mut f = Some(f);
+    let _ = LOCAL.try_with(|l| (f.take().expect("called once"))(&mut lock(&l.0)));
+    if let Some(f) = f {
+        f(&mut lock(&SHARDS).retired);
+    }
+}
+
+/// Visit the retired shard and every live one.
+fn for_each_shard(mut f: impl FnMut(&mut Shard)) {
+    let mut all = lock(&SHARDS);
+    f(&mut all.retired);
+    for s in &all.live {
+        f(&mut lock(s));
+    }
 }
 
 /// Turn collection on. Recording entry points start taking the slow path.
@@ -79,8 +290,8 @@ pub fn enabled() -> bool {
 
 /// Clear every instrument (does not change the enabled flag).
 pub fn reset() {
-    let mut r = registry().lock().unwrap();
-    *r = Inner::default();
+    for_each_shard(|s| s.cum = Cumulative::new());
+    lock(&GAUGES).clear();
 }
 
 /// Add `n` to counter `name`, saturating at `u64::MAX`. No-op while
@@ -89,17 +300,18 @@ pub fn counter_add(name: &str, n: u64) {
     if !enabled() {
         return;
     }
-    {
-        let mut r = registry().lock().unwrap();
-        let c = r.counters.entry(name.to_string()).or_insert(0);
-        *c = c.saturating_add(n);
-    }
-    if windowed() {
-        windows()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .counter_add(name, n, current_period());
-    }
+    let period = windowed().then(current_period);
+    record(|s| {
+        update(
+            &mut s.cum.counters,
+            name,
+            || 0,
+            |c| *c = c.saturating_add(n),
+        );
+        if let Some(period) = period {
+            s.windows.counter_add(name, n, period);
+        }
+    });
 }
 
 /// Set gauge `name` to `v` (last write wins). No-op while disabled.
@@ -107,11 +319,7 @@ pub fn gauge_set(name: &str, v: f64) {
     if !enabled() {
         return;
     }
-    registry()
-        .lock()
-        .unwrap()
-        .gauges
-        .insert(name.to_string(), v);
+    update(&mut lock(&GAUGES), name, || 0.0, |g| *g = v);
 }
 
 /// Record one observation (seconds) into histogram `name`. No-op while
@@ -120,19 +328,15 @@ pub fn observe_secs(name: &str, secs: f64) {
     if !enabled() {
         return;
     }
-    registry()
-        .lock()
-        .unwrap()
-        .histograms
-        .entry(name.to_string())
-        .or_default()
-        .push(secs);
-    if windowed() {
-        windows()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(name, secs, current_period());
-    }
+    let period = windowed().then(current_period);
+    record(|s| {
+        update(&mut s.cum.histograms, name, Series::new, |h| {
+            h.observe(secs)
+        });
+        if let Some(period) = period {
+            s.windows.observe(name, secs, period);
+        }
+    });
 }
 
 /// Time `f` and record the span into histogram `name`. While disabled this
@@ -172,20 +376,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-impl HistogramSummary {
-    fn from_samples(samples: &[f64]) -> HistogramSummary {
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        HistogramSummary {
-            count: samples.len() as u64,
-            total: samples.iter().sum(),
-            p50: percentile(&sorted, 0.50),
-            p95: percentile(&sorted, 0.95),
-            max: *sorted.last().unwrap(),
-        }
-    }
-}
-
 /// A point-in-time copy of every instrument, sorted by name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
@@ -221,14 +411,15 @@ impl Snapshot {
 /// whether or not collection is enabled (a disabled registry snapshots as
 /// whatever was recorded before it was disabled).
 pub fn snapshot() -> Snapshot {
-    let r = registry().lock().unwrap();
+    let mut cum = Cumulative::new();
+    for_each_shard(|s| cum.merge(&s.cum));
     Snapshot {
-        counters: r.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-        gauges: r.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-        histograms: r
+        counters: cum.counters.into_iter().collect(),
+        gauges: lock(&GAUGES).iter().map(|(k, &v)| (k.clone(), v)).collect(),
+        histograms: cum
             .histograms
-            .iter()
-            .map(|(k, v)| (k.clone(), HistogramSummary::from_samples(v)))
+            .into_iter()
+            .filter_map(|(k, v)| Some((k, v.summary()?)))
             .collect(),
     }
 }
@@ -331,8 +522,9 @@ pub fn snapshot_from_json(j: &crate::Json) -> Option<Snapshot> {
 //
 // Cost contract: windowed collection piggybacks on the *enabled* slow path
 // of `counter_add`/`observe_secs` — a fully-disabled registry still costs
-// exactly one relaxed atomic load, and an enabled-but-unwindowed registry
-// adds one more relaxed load only after it has already taken the lock.
+// exactly one relaxed atomic load, an enabled-but-unwindowed one adds one
+// more relaxed load, and a windowed sample reads the clock once and goes
+// into the recording thread's own shard under the lock it already holds.
 // ---------------------------------------------------------------------------
 
 /// Seconds covered by one window bucket.
@@ -362,13 +554,7 @@ pub fn window_disable() {
 
 /// Clear every window ring (does not change the windowed flag).
 pub fn window_reset() {
-    let mut w = windows().lock().unwrap_or_else(|e| e.into_inner());
-    *w = WindowSet::new();
-}
-
-fn windows() -> &'static Mutex<WindowSet> {
-    static WIN: OnceLock<Mutex<WindowSet>> = OnceLock::new();
-    WIN.get_or_init(|| Mutex::new(WindowSet::new()))
+    for_each_shard(|s| s.windows = WindowSet::new());
 }
 
 /// The process clock the global window rings are stamped with: period ids
@@ -405,6 +591,12 @@ impl CounterRing {
         slot.1 = slot.1.saturating_add(n);
     }
 
+    fn merge(&mut self, other: &CounterRing) {
+        merge_slots(&mut self.slots, &other.slots, |mine, theirs| {
+            *mine = mine.saturating_add(*theirs)
+        });
+    }
+
     /// Sum over the horizon ending at `now_period` (inclusive).
     fn total(&self, now_period: u64) -> u64 {
         self.slots
@@ -415,17 +607,17 @@ impl CounterRing {
     }
 }
 
-/// One histogram's bucket ring: raw samples per bucket, bounded by the
-/// horizon (stale buckets are reset on reuse, and snapshots ignore them).
+/// One histogram's bucket ring: a bounded [`Series`] per bucket (stale
+/// buckets are reset on reuse, and snapshots ignore them).
 #[derive(Debug, Clone)]
 struct HistoRing {
-    slots: Vec<(u64, Vec<f64>)>,
+    slots: Vec<(u64, Series)>,
 }
 
 impl HistoRing {
     fn new() -> HistoRing {
         HistoRing {
-            slots: vec![(u64::MAX, Vec::new()); WINDOW_BUCKETS],
+            slots: vec![(u64::MAX, Series::new()); WINDOW_BUCKETS],
         }
     }
 
@@ -435,17 +627,38 @@ impl HistoRing {
             slot.0 = period;
             slot.1.clear();
         }
-        slot.1.push(secs);
+        slot.1.observe(secs);
     }
 
-    fn samples(&self, now_period: u64) -> Vec<f64> {
-        let mut out = Vec::new();
-        for (stamp, vals) in &self.slots {
+    fn merge(&mut self, other: &HistoRing) {
+        merge_slots(&mut self.slots, &other.slots, Series::merge);
+    }
+
+    /// The buckets within the horizon ending at `now_period`, as one series.
+    fn within(&self, now_period: u64) -> Series {
+        let mut all = Series::new();
+        for (stamp, series) in &self.slots {
             if in_horizon(*stamp, now_period) {
-                out.extend_from_slice(vals);
+                all.merge(series);
             }
         }
-        out
+        all
+    }
+}
+
+/// Fold ring `theirs` into `mine`, slot by slot. Two stamps that share a
+/// slot are a whole number of ring turns apart, so the older one has left
+/// every horizon the newer one is in and is dropped.
+fn merge_slots<T: Clone>(mine: &mut [(u64, T)], theirs: &[(u64, T)], combine: impl Fn(&mut T, &T)) {
+    for (m, t) in mine.iter_mut().zip(theirs) {
+        if t.0 == u64::MAX {
+            continue;
+        }
+        if m.0 == t.0 {
+            combine(&mut m.1, &t.1);
+        } else if m.0 == u64::MAX || m.0 < t.0 {
+            *m = t.clone();
+        }
     }
 }
 
@@ -466,24 +679,35 @@ pub struct WindowSet {
 }
 
 impl WindowSet {
-    pub fn new() -> WindowSet {
-        WindowSet::default()
+    pub const fn new() -> WindowSet {
+        WindowSet {
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
     }
 
     /// Add `n` to counter `name` in the bucket for `period`.
     pub fn counter_add(&mut self, name: &str, n: u64, period: u64) {
-        self.counters
-            .entry(name.to_string())
-            .or_insert_with(CounterRing::new)
-            .add(n, period);
+        update(&mut self.counters, name, CounterRing::new, |r| {
+            r.add(n, period)
+        });
     }
 
     /// Record one observation into histogram `name`'s bucket for `period`.
     pub fn observe(&mut self, name: &str, secs: f64, period: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(HistoRing::new)
-            .observe(secs, period);
+        update(&mut self.histograms, name, HistoRing::new, |r| {
+            r.observe(secs, period)
+        });
+    }
+
+    /// Fold another thread's rings in, bucket by bucket.
+    fn merge(&mut self, other: &WindowSet) {
+        for (k, v) in &other.counters {
+            update(&mut self.counters, k, CounterRing::new, |r| r.merge(v));
+        }
+        for (k, v) in &other.histograms {
+            update(&mut self.histograms, k, HistoRing::new, |r| r.merge(v));
+        }
     }
 
     /// Summarise the horizon ending at `now_period`. Names whose every
@@ -501,14 +725,7 @@ impl WindowSet {
         let histograms = self
             .histograms
             .iter()
-            .filter_map(|(k, ring)| {
-                let samples = ring.samples(now_period);
-                if samples.is_empty() {
-                    None
-                } else {
-                    Some((k.clone(), HistogramSummary::from_samples(&samples)))
-                }
-            })
+            .filter_map(|(k, ring)| Some((k.clone(), ring.within(now_period).summary()?)))
             .collect();
         WindowSnapshot {
             horizon_secs: (WINDOW_BUCKETS as u64) * WINDOW_BUCKET_SECS,
@@ -585,10 +802,9 @@ impl crate::ToJson for WindowSnapshot {
 /// Summarise the global window rings as of now. Works whether or not
 /// windowed collection is on (an unwindowed registry snapshots as empty).
 pub fn window_snapshot() -> WindowSnapshot {
-    windows()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .snapshot_at(current_period())
+    let mut all = WindowSet::new();
+    for_each_shard(|s| all.merge(&s.windows));
+    all.snapshot_at(current_period())
 }
 
 #[cfg(test)]
@@ -686,6 +902,147 @@ mod tests {
         let back = snapshot_from_json(&parsed).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.histogram("span").unwrap().count, 2);
+    }
+
+    #[test]
+    fn threads_record_into_shards_that_snapshots_merge_and_reset_clears() {
+        let _g = serial();
+        enable();
+        reset();
+        std::thread::scope(|sc| {
+            for _ in 0..8 {
+                sc.spawn(|| {
+                    for i in 0..10_000u64 {
+                        counter_add("mt.c", 1);
+                        observe_secs("mt.h", (i % 4) as f64);
+                    }
+                });
+            }
+        });
+        let s = snapshot();
+        assert_eq!(s.counter("mt.c"), Some(80_000));
+        let h = *s.histogram("mt.h").unwrap();
+        // 0 + 1 + 2 + 3 per four samples; integer-valued, so exact in any
+        // summation order.
+        assert_eq!((h.count, h.total, h.max), (80_000, 120_000.0, 3.0));
+        reset();
+        let empty = snapshot();
+        disable();
+        assert!(empty.is_empty(), "{empty:?}");
+    }
+
+    #[test]
+    fn exited_threads_fold_into_the_shared_shard() {
+        let _g = serial();
+        enable();
+        reset();
+        counter_add("fold.c", 1);
+        // Recording tests are serialised, so no other thread registers a
+        // shard meanwhile; one that exits late only shortens the list.
+        let before = lock(&SHARDS).live.len();
+        for _ in 0..100 {
+            std::thread::spawn(|| counter_add("fold.c", 1))
+                .join()
+                .unwrap();
+        }
+        let after = lock(&SHARDS).live.len();
+        let s = snapshot();
+        disable();
+        assert!(after <= before, "{before} shards grew to {after}");
+        assert_eq!(s.counter("fold.c"), Some(101));
+    }
+
+    #[test]
+    fn window_snapshot_sums_a_counter_across_threads() {
+        let _g = serial();
+        window_reset();
+        window_enable();
+        enable();
+        std::thread::scope(|sc| {
+            for _ in 0..2 {
+                sc.spawn(|| {
+                    counter_add("w2.jobs", 3);
+                    observe_secs("w2.lat", 0.5);
+                });
+            }
+        });
+        let snap = window_snapshot();
+        disable();
+        window_disable();
+        window_reset();
+        assert_eq!(snap.counter("w2.jobs"), 6);
+        assert_eq!(snap.histogram("w2.lat").unwrap().count, 2);
+        assert_eq!(window_snapshot().counter("w2.jobs"), 0, "reset clears");
+    }
+
+    /// Samples the calling thread's shard retains for `name`: in the
+    /// cumulative series, and in its fullest window bucket.
+    fn retained(name: &str) -> (usize, usize) {
+        LOCAL.with(|l| {
+            let s = lock(&l.0);
+            let ring = &s.windows.histograms[name];
+            (
+                s.cum.histograms[name].samples.len(),
+                ring.slots.iter().map(|b| b.1.samples.len()).max().unwrap(),
+            )
+        })
+    }
+
+    #[test]
+    fn a_million_observations_keep_exact_aggregates_and_bounded_samples() {
+        let _g = serial();
+        window_reset();
+        window_enable();
+        enable();
+        reset();
+        const N: u64 = 1_000_000;
+        for i in 0..N {
+            observe_secs("big", i as f64);
+        }
+        let (cum, bucket) = retained("big");
+        let h = *snapshot().histogram("big").unwrap();
+        let w = *window_snapshot().histogram("big").unwrap();
+        disable();
+        window_disable();
+        reset();
+        window_reset();
+        assert!(cum <= SERIES_CAP && bucket <= SERIES_CAP, "{cum} {bucket}");
+        assert!(
+            cum >= SERIES_CAP / 2,
+            "decimation keeps at least half the cap"
+        );
+        let sum = (N * (N - 1) / 2) as f64;
+        assert_eq!((h.count, h.total, h.max), (N, sum, (N - 1) as f64));
+        assert_eq!((w.count, w.max), (N, (N - 1) as f64));
+        // Past the cap the percentiles are those of an evenly spaced
+        // subsample of the ramp.
+        assert!((h.p50 / N as f64 - 0.50).abs() < 0.01, "p50 {}", h.p50);
+        assert!((h.p95 / N as f64 - 0.95).abs() < 0.01, "p95 {}", h.p95);
+    }
+
+    #[test]
+    fn a_series_at_the_cap_is_still_exact() {
+        let mut s = Series::new();
+        let mut rng = crate::Rng::new(0xcab);
+        let mut vals: Vec<u64> = (1..=SERIES_CAP as u64).collect();
+        for i in (1..vals.len()).rev() {
+            vals.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        // Split over two series and merged, as two threads' shards are.
+        let mut other = Series::new();
+        for (i, v) in vals.into_iter().enumerate() {
+            if i % 3 == 0 { &mut other } else { &mut s }.observe(v as f64);
+        }
+        s.merge(&other);
+        assert_eq!((s.stride, s.samples.len()), (1, SERIES_CAP));
+        let h = s.summary().unwrap();
+        assert_eq!(h.count, SERIES_CAP as u64);
+        assert_eq!(h.p50, (SERIES_CAP / 2) as f64);
+        assert_eq!(h.p95, (0.95 * SERIES_CAP as f64).ceil());
+        // One more observation thins it; the aggregates stay exact.
+        s.observe(0.0);
+        assert_eq!((s.stride, s.samples.len()), (2, SERIES_CAP / 2 + 1));
+        assert_eq!((s.count, s.max), (SERIES_CAP as u64 + 1, SERIES_CAP as f64));
     }
 
     #[test]
