@@ -36,9 +36,9 @@
 //!
 //! `--fast` shrinks the Figure 7 problem sizes (useful without `--release`).
 //! `--workers N` sizes the work-stealing executor pool every execution
-//! command submits its jobs to (`run`, `check`, `serve`, `perf-report`) —
-//! cycle counts are bit-identical at any width, and the actual pool size is
-//! recorded in the manifest fingerprint.
+//! command submits its jobs to (`run`, `check`, `serve`, `perf-report`,
+//! `fig7`, `all`) — cycle counts are bit-identical at any width, and the
+//! actual pool size is recorded in the manifest fingerprint.
 //! `--opt none|basic|reuse|loop` selects the middle-end level for the
 //! execution commands (`trace`, `profile`, `analytic`); the default is
 //! the suite-wide [`ocl_suite::DEFAULT_OPT`]. Output is markdown
@@ -118,13 +118,19 @@ fn run_table4() {
     );
 }
 
-fn run_fig7(fast: bool) {
+fn run_fig7(exec: &Executor, fast: bool) -> i32 {
     let scale = if fast { Scale::Test } else { Scale::Paper };
     let warps = [2u32, 4, 8, 16];
     let threads = [2u32, 4, 8, 16];
-    let vecadd = fig7_grid("Vecadd", 4, &warps, &threads, scale);
+    let sweep = |name| fig7_grid(exec, name, 4, &warps, &threads, scale);
+    let (vecadd, transpose) = match sweep("Vecadd").and_then(|v| Ok((v, sweep("Transpose")?))) {
+        Ok(grids) => grids,
+        Err(e) => {
+            eprintln!("fig7: {e}");
+            return 1;
+        }
+    };
     print!("{}", report::render_fig7(&vecadd));
-    let transpose = fig7_grid("Transpose", 4, &warps, &threads, scale);
     print!("{}", report::render_fig7(&transpose));
     let sm = fig7_summary(&vecadd, &transpose);
     println!("### §III-C derived numbers\n");
@@ -132,6 +138,7 @@ fn run_fig7(fast: bool) {
     save_json("fig7_vecadd", &vecadd);
     save_json("fig7_transpose", &transpose);
     save_json("fig7_summary", &sm);
+    0
 }
 
 fn run_analytic(level: OptLevel) {
@@ -787,8 +794,8 @@ fn main() {
         },
     };
     // One work-stealing pool per invocation, shared by every batch the
-    // command submits (`run`, `check`, `serve`, `perf-report`). Idle
-    // workers park, so the table/figure commands pay nothing for it.
+    // command submits (`run`, `check`, `serve`, `perf-report`, `fig7`).
+    // Idle workers park, so the table commands pay nothing for it.
     let exec = Executor::new(ExecConfig::with_workers(workers));
     // Every invocation records its pipeline spans and a RunManifest; the
     // registry is a single relaxed atomic when nothing reads it, so this
@@ -813,10 +820,7 @@ fn main() {
             run_table4();
             0
         }
-        "fig7" => {
-            run_fig7(fast);
-            0
-        }
+        "fig7" => run_fig7(&exec, fast),
         "analytic" => {
             run_analytic(level);
             0
@@ -850,10 +854,12 @@ fn main() {
             println!();
             run_table4();
             println!();
-            run_fig7(fast);
-            println!();
-            run_analytic(level);
-            0
+            let code = run_fig7(&exec, fast);
+            if code == 0 {
+                println!();
+                run_analytic(level);
+            }
+            code
         }
         other => {
             eprintln!("unknown command `{other}`; see the crate docs");

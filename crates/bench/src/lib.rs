@@ -1,2 +1,1 @@
-//! `repro-bench` — experiment harness (`repro` binary) and the
-//! `ablations` bench target (deterministic modeled numbers).
+//! `repro-bench` — the experiment harness (`repro` binary).

@@ -145,6 +145,20 @@ impl ToJson for CheckRow {
     }
 }
 
+/// A suite-benchmark request at `scale` on the simulated machine `hw`, with
+/// the default budgets and opt level.
+pub(crate) fn bench_request(name: &str, flow: Flow, scale: Scale, hw: VortexConfig) -> JobRequest {
+    let mut req = JobRequest::bench(name, flow);
+    req.payload = Payload::Bench {
+        name: name.to_string(),
+        paper_scale: matches!(scale, Scale::Paper),
+    };
+    req.cores = hw.cores;
+    req.warps = hw.warps;
+    req.threads = hw.threads;
+    req
+}
+
 /// The 56 requests of one sweep — each benchmark on both flows, with the
 /// check budgets and the simulated machine `hw`. Job ids encode the batch
 /// position so serve-side logs stay attributable.
@@ -152,17 +166,9 @@ pub fn check_requests(scale: Scale, hw: VortexConfig) -> Vec<JobRequest> {
     all_benchmarks()
         .iter()
         .flat_map(|b| {
-            [Flow::Vortex, Flow::Hls].into_iter().map(|flow| {
-                let mut req = JobRequest::bench(b.name, flow);
-                req.payload = Payload::Bench {
-                    name: b.name.to_string(),
-                    paper_scale: matches!(scale, Scale::Paper),
-                };
-                req.cores = hw.cores;
-                req.warps = hw.warps;
-                req.threads = hw.threads;
-                req
-            })
+            [Flow::Vortex, Flow::Hls]
+                .into_iter()
+                .map(|flow| bench_request(b.name, flow, scale, hw))
         })
         .enumerate()
         .map(|(i, mut req)| {

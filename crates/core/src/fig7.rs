@@ -2,15 +2,15 @@
 //! configurations on the 4-core Vortex simulator, plus the §III-C derived
 //! degradation percentages.
 //!
-//! Grid cells are independent simulations, so they fan out through
-//! [`repro_util::par_map`] (the configuration-sweep parallelism DESIGN.md
-//! calls out): a worker pool bounded by the host's core count, ordered
-//! results, no locks.
+//! Grid cells are independent simulations: one scheduled job per cell,
+//! submitted to the caller's executor like every other sweep.
 
+use crate::check::bench_request;
 use fpga_arch::VortexConfig;
-use ocl_suite::{benchmark, run_vortex, Scale};
-use repro_util::{par_map, Json, ToJson};
-use vortex_sim::SimConfig;
+use ocl_suite::Scale;
+use repro_diag::ReproError;
+use repro_sched::{Executor, Flow};
+use repro_util::{Json, ToJson};
 
 /// One grid cell.
 #[derive(Debug, Clone, Copy)]
@@ -73,40 +73,47 @@ impl Fig7Grid {
     }
 }
 
-/// Run the sweep for `bench_name` over `warps × threads` on `cores` cores.
+/// Run the sweep for `bench_name` over `warps × threads` on `cores` cores,
+/// one job per cell on `exec`. The first cell that fails, in grid order,
+/// fails the sweep with its typed error.
 pub fn fig7_grid(
+    exec: &Executor,
     bench_name: &str,
     cores: u32,
     warp_range: &[u32],
     thread_range: &[u32],
     scale: Scale,
-) -> Fig7Grid {
+) -> Result<Fig7Grid, ReproError> {
     let mut grid: Vec<(u32, u32)> = warp_range
         .iter()
         .flat_map(|&w| thread_range.iter().map(move |&t| (w, t)))
         .collect();
     grid.sort_unstable();
-    let mut cells = par_map(&grid, |&(w, t)| {
-        let b = benchmark(bench_name).expect("benchmark exists");
-        let cfg = SimConfig::new(VortexConfig::new(cores, w, t));
-        let out =
-            run_vortex(&b, scale, &cfg).unwrap_or_else(|e| panic!("{bench_name} {w}w{t}t: {e}"));
-        Fig7Cell {
-            warps: w,
-            threads: t,
-            cycles: out.cycles,
+    let jobs = grid
+        .iter()
+        .map(|&(w, t)| {
+            let hw = VortexConfig::new(cores, w, t);
+            ocl_suite::instantiate(bench_request(bench_name, Flow::Vortex, scale, hw))
+        })
+        .collect();
+    let mut cells = Vec::with_capacity(grid.len());
+    for (&(warps, threads), outcome) in grid.iter().zip(exec.run(jobs)) {
+        cells.push(Fig7Cell {
+            warps,
+            threads,
+            cycles: outcome.result?.cycles,
             normalized: 0.0,
-        }
-    });
+        });
+    }
     let min = cells.iter().map(|c| c.cycles).min().expect("nonempty") as f64;
     for c in &mut cells {
         c.normalized = c.cycles as f64 / min;
     }
-    Fig7Grid {
+    Ok(Fig7Grid {
         benchmark: bench_name.to_string(),
         cores,
         cells,
-    }
+    })
 }
 
 /// The §III-C prose numbers derived from the two grids.
@@ -153,10 +160,15 @@ pub fn fig7_summary(vecadd: &Fig7Grid, transpose: &Fig7Grid) -> Fig7Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repro_sched::ExecConfig;
+
+    fn exec() -> Executor {
+        Executor::new(ExecConfig::with_workers(1))
+    }
 
     #[test]
     fn small_sweep_produces_normalized_grid() {
-        let g = fig7_grid("Vecadd", 1, &[2, 4], &[2, 4], Scale::Test);
+        let g = fig7_grid(&exec(), "Vecadd", 1, &[2, 4], &[2, 4], Scale::Test).unwrap();
         assert_eq!(g.cells.len(), 4);
         let min = g.cells.iter().map(|c| c.cycles).min().unwrap();
         assert!(min > 0);
@@ -167,8 +179,14 @@ mod tests {
 
     #[test]
     fn degradation_is_relative_to_best() {
-        let g = fig7_grid("Transpose", 1, &[2, 4], &[2, 4], Scale::Test);
+        let g = fig7_grid(&exec(), "Transpose", 1, &[2, 4], &[2, 4], Scale::Test).unwrap();
         let best = g.best();
         assert_eq!(g.degradation_pct(best.warps, best.threads).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn failed_cell_is_a_typed_error_not_a_panic() {
+        let err = fig7_grid(&exec(), "NoSuchBench", 1, &[2], &[2], Scale::Test).unwrap_err();
+        assert_eq!(err.kind(), "Harness");
     }
 }

@@ -129,7 +129,7 @@ impl DivergenceInfo {
         self.div_branch[bb.index()]
     }
 
-    /// Number of divergent branches (used by reports and the ablation bench).
+    /// Number of divergent branches (used by reports).
     pub fn divergent_branch_count(&self) -> usize {
         self.div_branch.iter().filter(|&&b| b).count()
     }

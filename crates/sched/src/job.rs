@@ -108,8 +108,9 @@ pub struct JobRequest {
     pub cores: u32,
     pub warps: u32,
     pub threads: u32,
-    /// Worker threads *inside* the cycle simulator (deterministic at any
-    /// value) — orthogonal to the executor's worker pool.
+    /// Accepted and ignored: a simulator instance runs on the thread of
+    /// the job that owns it, whatever this says. It stays in the wire form
+    /// (and so in every trace id) until `benchmark/` stops setting it.
     pub sim_threads: u32,
     /// Watchdog budgets; `None` = [`DEFAULT_MAX_CYCLES`] /
     /// [`DEFAULT_MAX_INSTRUCTIONS`].

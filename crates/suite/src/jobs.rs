@@ -22,7 +22,7 @@ use repro_sched::{
     DEFAULT_MAX_INSTRUCTIONS,
 };
 use vortex_rt::{Arg, VxSession};
-use vortex_sim::SimConfig;
+use vortex_sim::{SimConfig, MAX_CORES, MAX_THREADS, MAX_WARPS};
 
 use crate::runner::DEFAULT_OPT;
 use crate::spec::Scale;
@@ -34,7 +34,6 @@ pub fn sim_config(req: &JobRequest) -> SimConfig {
     let mut cfg = SimConfig::new(VortexConfig::new(req.cores, req.warps, req.threads));
     cfg.max_cycles = req.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES);
     cfg.max_instructions = req.max_instructions.unwrap_or(DEFAULT_MAX_INSTRUCTIONS);
-    cfg.sim_threads = req.sim_threads;
     cfg.reference_mode = req.reference;
     cfg
 }
@@ -53,7 +52,29 @@ pub fn run_request(req: &JobRequest, ctx: &JobCtx) -> Result<JobStats, ReproErro
     repro_obs::span(span_name, || run_request_inner(req, ctx))
 }
 
+/// A request's machine geometry comes straight off the wire; reject, typed
+/// and before anything is sized from it, a shape the simulator does not
+/// model. Only the vortex flow builds a machine — the other two ignore the
+/// three fields.
+fn check_geometry(req: &JobRequest) -> Result<(), ReproError> {
+    for (field, value, max) in [
+        ("cores", req.cores, MAX_CORES),
+        ("warps", req.warps, MAX_WARPS),
+        ("threads", req.threads, MAX_THREADS),
+    ] {
+        if !(1..=max).contains(&value) {
+            return Err(ReproError::harness(format!(
+                "`{field}` is {value}, outside the simulated machine's 1..={max}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn run_request_inner(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproError> {
+    if req.flow == Flow::Vortex {
+        check_geometry(req)?;
+    }
     match &req.payload {
         Payload::Bench { name, paper_scale } => {
             let b = crate::benchmark(name)
@@ -247,6 +268,51 @@ mod tests {
         let req = JobRequest::bench("NoSuchBench", Flow::Vortex);
         let err = run_oneshot(&req).unwrap_err();
         assert_eq!(err.kind(), "Harness");
+    }
+
+    #[test]
+    fn out_of_range_geometry_is_a_typed_harness_error_on_the_vortex_flow_only() {
+        let inline = r#"{"source": "__kernel void k(__global int* o) { o[0] = 1; }",
+            "kernel": "k", "nd": {"gx": 1, "lx": 1}, "buffers": [1], "args": [{"buf": 0}]}"#;
+        let inline = JobRequest::parse(&repro_util::json::Json::parse(inline).unwrap()).unwrap();
+        type Field = fn(&mut JobRequest) -> &mut u32;
+        let fields: [(&str, Field, u32); 3] = [
+            ("cores", |r| &mut r.cores, MAX_CORES),
+            ("warps", |r| &mut r.warps, MAX_WARPS),
+            ("threads", |r| &mut r.threads, MAX_THREADS),
+        ];
+        for base in [JobRequest::bench("Vecadd", Flow::Vortex), inline] {
+            for (name, field, max) in fields {
+                for bad in [0, max + 1] {
+                    let mut req = base.clone();
+                    *field(&mut req) = bad;
+                    let err = run_oneshot(&req).unwrap_err();
+                    assert_eq!(err.kind(), "Harness", "{name} = {bad}: {err}");
+                    assert!(!err.is_transient(), "{name} = {bad} must not be retried");
+                    let msg = err.to_string();
+                    assert!(
+                        msg.contains(name) && msg.contains(&format!("1..={max}")),
+                        "{name} = {bad}: message names neither field nor bound: {msg}"
+                    );
+                    // The other flows build no machine and keep succeeding.
+                    req.flow = Flow::Interp;
+                    run_oneshot(&req).unwrap_or_else(|e| panic!("interp, {name} = {bad}: {e}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sim_threads_is_accepted_and_ignored() {
+        let wire = r#"{"bench": "Vecadd", "cores": 4, "warps": 4, "threads": 8, "sim_threads": 4}"#;
+        let four = JobRequest::parse(&repro_util::json::Json::parse(wire).unwrap()).unwrap();
+        assert_eq!(
+            four.sim_threads, 4,
+            "still parsed: the wire form keys trace ids"
+        );
+        let mut one = four.clone();
+        one.sim_threads = 1;
+        assert_eq!(run_oneshot(&four).unwrap(), run_oneshot(&one).unwrap());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! `repro-util` — dependency-free support code shared across the workspace.
 //!
 //! The build environment is fully offline, so the usual crates.io helpers
-//! (serde, rayon, rand, proptest) are replaced by the three small modules
-//! here:
+//! (serde, rand, proptest) are replaced by the small modules here:
 //!
 //! * [`json`] — a minimal JSON value tree + pretty printer and the
 //!   [`json::ToJson`] trait, covering exactly what the `repro` harness
 //!   serializes;
-//! * [`par`] — [`par::par_map`], a bounded-parallelism ordered map over a
-//!   slice (the sweep-driver fan-out primitive);
+//! * [`par`] — [`par::Parker`], the executor workers' park/unpark token;
 //! * [`rng`] — a deterministic SplitMix64 generator for the randomized
 //!   differential tests;
 //! * [`metrics`] — the process-wide counters/gauges/histograms registry
@@ -21,5 +19,5 @@ pub mod rng;
 pub mod timing;
 
 pub use json::{Json, JsonError, ToJson};
-pub use par::{par_map, par_map_mut, Parker};
+pub use par::Parker;
 pub use rng::Rng;

@@ -57,7 +57,7 @@ pub struct CompiledKernel {
     pub local_bytes: u32,
     /// Per-warp stack bytes (runtime uses this to place stacks).
     pub warp_stack_bytes: u32,
-    /// Static counts for reports and the ablation benches.
+    /// Static counts for reports.
     pub divergent_branches: usize,
     pub spill_slots: usize,
     pub threads: u32,

@@ -4,12 +4,12 @@
 use std::cmp::Ordering;
 
 use crate::cache::Cache;
-use crate::mem::{DeviceMem, SimMemory};
+use crate::mem::SimMemory;
 use crate::memsys::MemView;
 use crate::stats::{CoreStats, StallKind};
 use crate::tcache::TraceCache;
 use crate::trace::{CacheLevel, TraceEvent, TraceSink};
-use crate::{SimConfig, SimError};
+use crate::{SimConfig, SimError, MAX_THREADS, MAX_WARPS};
 use vortex_isa::layout::{PRINTF_BASE, PRINTF_STRIDE};
 use vortex_isa::{
     AluOp, AmoOp, BranchCond, Csr, CvtOp, FpCmpOp, FpOp, FpUnOp, Instr, MulOp, PrintArg, Program,
@@ -42,13 +42,6 @@ pub enum TickResult {
     Issued,
     /// Nothing could issue; the cycle was accounted to a stall counter.
     Stalled,
-    /// The chosen warp would issue an atomic, but the caller asked to stop
-    /// before atomics (`amo_ok = false`). Nothing was executed, accounted,
-    /// or emitted: re-ticking the same cycle with `amo_ok = true` issues
-    /// it. Only the parallel run loop ever sees this — atomics are the one
-    /// cross-core-ordered operation, so it executes them serially at the
-    /// commit point in global cycle order.
-    AmoPending,
 }
 
 /// Iterator over the set bits of a thread mask — the active lanes of a
@@ -230,8 +223,8 @@ impl Core {
     pub fn new(id: u32, cfg: &SimConfig) -> Self {
         let w = cfg.hw.warps;
         let t = cfg.hw.threads;
-        assert!(t <= 64, "thread mask is 64 bits");
-        assert!(w <= 64, "warp mask is 64 bits");
+        assert!(t <= MAX_THREADS, "thread mask is 64 bits");
+        assert!(w <= MAX_WARPS, "warp mask is 64 bits");
         let regs = (w * 32 * t) as usize;
         Core {
             id,
@@ -446,21 +439,15 @@ impl Core {
     /// [`NopSink`](crate::trace::NopSink) the emission sites monomorphize
     /// away.
     ///
-    /// `amo_ok = false` (parallel epochs only) makes the tick stop *before*
-    /// executing an atomic, returning [`TickResult::AmoPending`] with no
-    /// state change at all.
-    ///
     /// [`fast_forward_stalls`]: Core::fast_forward_stalls
-    #[allow(clippy::too_many_arguments)]
-    pub fn tick<M: DeviceMem, S: TraceSink>(
+    pub fn tick<S: TraceSink>(
         &mut self,
         now: u64,
         program: &Program,
-        mem: &mut M,
+        mem: &mut SimMemory,
         view: &mut MemView,
         printf_out: &mut Vec<String>,
         sink: &mut S,
-        amo_ok: bool,
     ) -> Result<TickResult, SimError> {
         // Pick a ready warp, round-robin, from the per-warp issue
         // snapshots — one cached ready-time compare per warp instead of an
@@ -535,9 +522,6 @@ impl Core {
                         pc,
                     });
                 };
-                if !amo_ok && matches!(instr, Instr::Amo { .. }) {
-                    return Ok(TickResult::AmoPending);
-                }
                 // Issue.
                 self.rr_next = if wi + 1 == n { 0 } else { wi + 1 };
                 self.stats.instructions += 1;
@@ -799,8 +783,8 @@ impl Core {
 
     /// Execute the register-to-register instructions — everything whose
     /// whole effect is one lane-row written from at most two lane-rows —
-    /// and return the producing unit's latency. Not generic over the memory
-    /// or the sink, so the per-opcode lane kernels are compiled once.
+    /// and return the producing unit's latency. Not generic over the sink,
+    /// so the per-opcode lane kernels are compiled once.
     ///
     /// Every arm resolves its rows and its opcode *before* the lane loop:
     /// source rows are slices (`x0` reads its all-zero row), `rd == x0`
@@ -919,14 +903,14 @@ impl Core {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn execute<M: DeviceMem, S: TraceSink>(
+    fn execute<S: TraceSink>(
         &mut self,
         now: u64,
         wi: u32,
         instr: Instr,
         dst: u8,
         program: &Program,
-        mem: &mut M,
+        mem: &mut SimMemory,
         view: &mut MemView,
         printf_out: &mut Vec<String>,
         sink: &mut S,

@@ -32,17 +32,24 @@ pub mod trace;
 pub use crate::core::{Core, TickResult};
 pub use cache::{Cache, CacheConfig};
 pub use dram::{DramConfig, DramModel};
-pub use mem::{DeviceMem, SimMemory};
+pub use mem::SimMemory;
 pub use memsys::{MemSystem, MemView};
 pub use profile::LaunchProfile;
 pub use stats::{SimStats, StallKind};
 pub use trace::{canonical_core_events, CacheLevel, NopSink, RecordingSink, TraceEvent, TraceSink};
 
 use fpga_arch::VortexConfig;
-use memsys::{AmoMem, ShardedMem, WriteBuf};
-use repro_util::{metrics, par_map_mut};
-use std::marker::PhantomData;
+use repro_util::metrics;
 use vortex_isa::Program;
+
+/// Largest machine the simulator models. Warp and thread masks are 64 bits
+/// wide ([`Core::new`] asserts both); the core count is capped at the same
+/// figure so that per-core state is never sized from an unchecked number.
+/// Callers that take a geometry from outside the program check it against
+/// these before building a [`SimConfig`].
+pub const MAX_CORES: u32 = 64;
+pub const MAX_WARPS: u32 = 64;
+pub const MAX_THREADS: u32 = 64;
 
 /// Full simulator configuration.
 #[derive(Debug, Clone)]
@@ -86,15 +93,11 @@ pub struct SimConfig {
     /// Reference mode also disables the macro-op trace cache, keeping the
     /// baseline on the from-scratch decode path.
     pub reference_mode: bool,
-    /// Worker threads for the deterministic parallel run loop. `1` (the
-    /// default) keeps the sequential event-driven scheduler; `> 1` runs
-    /// cores concurrently in barrier-synchronized epochs with results
-    /// bit-identical to the sequential loops (see [`memsys`]).
-    pub sim_threads: u32,
-    /// Epoch length in cycles for the shared-memory-system quantization.
-    /// All run loops freeze the shared L2/DRAM timing state at multiples
-    /// of this, so changing it changes multi-core timings (deterministic
-    /// for any fixed value); it never affects single-core machines.
+    /// Epoch length in cycles of the multi-core timing model (see
+    /// [`memsys`]): both run loops freeze the shared L2/DRAM timing state
+    /// at multiples of this, so changing it changes multi-core timings
+    /// (deterministic for any fixed value); it never affects single-core
+    /// machines.
     pub epoch_cycles: u64,
 }
 
@@ -129,12 +132,10 @@ impl SimConfig {
             max_cycles: 2_000_000_000,
             max_instructions: u64::MAX,
             reference_mode: false,
-            sim_threads: 1,
-            // Swept {16, 64, 256, 2048} on the Fig. 7 grid: short epochs
-            // buy back a little timing fidelity (the frozen L2/DRAM view
-            // refreshes more often) but the per-epoch commit overhead
-            // costs more wall-clock than the fidelity is worth. 2048 was
-            // the throughput knee.
+            // The multi-core timing model: shared L2/DRAM state frozen
+            // per core at 2048-cycle boundaries, logs replayed in core
+            // order at the boundary; single-core machines skip it. Every
+            // golden and pinned cycle count is taken at this value.
             epoch_cycles: 2048,
         }
     }
@@ -282,8 +283,6 @@ pub struct Simulator {
     cores: Vec<Core>,
     memsys: MemSystem,
     program: Program,
-    /// Whether the most recent launch used the parallel run loop.
-    used_parallel: bool,
 }
 
 impl Simulator {
@@ -296,7 +295,6 @@ impl Simulator {
             cores,
             program,
             cfg,
-            used_parallel: false,
         }
     }
 
@@ -317,12 +315,6 @@ impl Simulator {
     /// zero-overhead guarantee the baseline loop's tests pin down.
     pub fn trace_cache_built(&self) -> bool {
         self.cores.iter().any(|c| c.trace_cache_built())
-    }
-
-    /// Whether the most recent [`run`](Simulator::run) used the parallel
-    /// epoch loop (as opposed to one of the sequential schedulers).
-    pub fn last_run_parallel(&self) -> bool {
-        self.used_parallel
     }
 
     /// Reset all cores to warp 0 / pc `entry` with one active thread, as the
@@ -369,19 +361,8 @@ impl Simulator {
         // own work and agree with the launch's event trace.
         let (l2_hits0, l2_misses0, dr_acc0, dr_rowhits0) = self.memsys.observed();
         let mut printf_output = Vec::new();
-        // The parallel loop hands instruction-budgeted runs back to the
-        // sequential scheduler: the budget must trip at the identical
-        // instruction, which only a globally ordered loop can check
-        // mid-epoch. Budgets are a watchdog/debug feature, not a perf path.
-        let parallel = !self.cfg.reference_mode
-            && self.cfg.sim_threads > 1
-            && self.cores.len() > 1
-            && self.cfg.max_instructions == u64::MAX;
-        self.used_parallel = parallel;
         let outcome = if self.cfg.reference_mode {
             self.run_dense(&mut printf_output, sink)
-        } else if parallel {
-            self.run_parallel(&mut printf_output, sink)
         } else {
             self.run_events(&mut printf_output, sink)
         };
@@ -463,9 +444,8 @@ impl Simulator {
         let budget = self.cfg.max_instructions;
         let mut cycle: u64 = 0;
         loop {
-            // Freeze/commit the shared memory system at epoch boundaries —
-            // the same quantization the parallel loop uses, applied here so
-            // all schedulers see identical multi-core timing.
+            // Commit the shared memory system's epoch boundaries as the
+            // clock passes them, exactly as the event loop does.
             self.memsys.advance_to(cycle);
             let mut any_alive = false;
             let mut any_issued = false;
@@ -478,10 +458,9 @@ impl Simulator {
                             cycle,
                             &self.program,
                             &mut self.mem,
-                            &mut self.memsys.views_mut()[ci],
+                            self.memsys.view_mut(ci),
                             printf_output,
                             sink,
-                            true,
                         )
                         .map_err(|e| (e, cycle + 1))?;
                     any_issued |= matches!(r, TickResult::Issued);
@@ -577,10 +556,9 @@ impl Simulator {
                         cycle,
                         &self.program,
                         &mut self.mem,
-                        &mut self.memsys.views_mut()[ci],
+                        self.memsys.view_mut(ci),
                         printf_output,
                         sink,
-                        true,
                     )
                     .map_err(|e| (e, cycle + 1))?;
                 if matches!(r, TickResult::Issued) {
@@ -616,349 +594,6 @@ impl Simulator {
                 return Err((SimError::InstrLimit(budget), end));
             }
         }
-    }
-
-    /// The deterministic parallel scheduler: cores advance concurrently in
-    /// barrier-synchronized epochs of [`SimConfig::epoch_cycles`] cycles.
-    ///
-    /// Within an epoch every core runs its own event-driven micro-loop
-    /// against frozen shared state — an immutable snapshot of functional
-    /// memory (plain stores buffer per-core) and its private [`MemView`] of
-    /// the L2/DRAM timing models. Since the sequential loops quantize the
-    /// shared memory system on the identical boundaries
-    /// ([`MemSystem::advance_to`]), a core's evolution inside an epoch
-    /// depends only on its own state: the worker interleaving is
-    /// unobservable and cycles, stats, trace events and printf output are
-    /// bit-identical to `run_events`.
-    ///
-    /// Atomics are the one cross-core coupling inside an epoch; a tick
-    /// stops *before* executing one ([`TickResult::AmoPending`]) and the
-    /// epoch barrier serializes all pending atomics in global (cycle, core)
-    /// order against the master memory, resuming each core in between. At
-    /// the epoch end, buffered stores land in canonical core order, the
-    /// timing logs merge, and the buffered events/printf interleave back
-    /// into the sequential emission order.
-    fn run_parallel<S: TraceSink>(
-        &mut self,
-        printf_output: &mut Vec<String>,
-        sink: &mut S,
-    ) -> Result<u64, (SimError, u64)> {
-        let limit = self.cfg.max_cycles;
-        // Worker threads beyond the host's cores only add context-switch
-        // overhead to a CPU-bound lockstep loop, so clamp the pool. Results
-        // never depend on the worker count (the epoch protocol makes the
-        // interleaving unobservable); with one worker `par_map_mut` runs
-        // inline and this becomes the epoch loop minus the threads.
-        let workers = (self.cfg.sim_threads as usize).min(
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-        );
-        let n = self.cores.len();
-        let mut states: Vec<ParCore> = (0..n).map(|_| ParCore::new()).collect();
-        loop {
-            let mut t0 = u64::MAX;
-            let mut any_alive = false;
-            for (ci, core) in self.cores.iter().enumerate() {
-                if core.any_active() {
-                    any_alive = true;
-                    t0 = t0.min(states[ci].next_tick);
-                }
-            }
-            let end = states.iter().map(|s| s.end).max().unwrap_or(0);
-            if !any_alive {
-                return Ok(end);
-            }
-            if t0 == u64::MAX {
-                return Err((self.deadlock_error(), end));
-            }
-            if t0 > limit {
-                return Err((
-                    SimError::CycleLimit(limit.saturating_add(1)),
-                    limit.saturating_add(1),
-                ));
-            }
-            let t_end = self.memsys.epoch_end_after(t0).min(limit.saturating_add(1));
-            // Parallel phase: every due core advances privately to the
-            // epoch end (or until it halts, parks, faults, or reaches an
-            // atomic).
-            {
-                let program = &self.program;
-                let master: &SimMemory = &self.mem;
-                let mut works: Vec<Work<'_>> = self
-                    .cores
-                    .iter_mut()
-                    .zip(self.memsys.views_mut().iter_mut())
-                    .zip(states.iter_mut())
-                    .filter_map(|((core, view), st)| {
-                        if core.any_active() && st.next_tick < t_end {
-                            Some(Work { core, view, st })
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                par_map_mut(&mut works, workers, |w| {
-                    micro_run::<S>(w.core, w.view, w.st, program, master, t_end, limit)
-                });
-            }
-            // Atomic serialization: execute pending atomics strictly in
-            // global (cycle, core) order against the master memory —
-            // exactly the order the sequential loops execute them in —
-            // resuming each core's private run in between.
-            while states.iter().all(|s| s.error.is_none()) {
-                let Some(ci) = (0..n)
-                    .filter(|&i| states[i].pending_amo.is_some())
-                    .min_by_key(|&i| (states[i].pending_amo.unwrap(), i))
-                else {
-                    break;
-                };
-                let cycle = states[ci].pending_amo.take().unwrap();
-                let st = &mut states[ci];
-                let core = &mut self.cores[ci];
-                let view = &mut self.memsys.views_mut()[ci];
-                let r = {
-                    let mut mem = AmoMem {
-                        master: &mut self.mem,
-                        wbuf: &mut st.wbuf,
-                    };
-                    let mut sk = tagged::<S>(&mut st.events, cycle);
-                    core.tick(
-                        cycle,
-                        &self.program,
-                        &mut mem,
-                        view,
-                        &mut st.scratch,
-                        &mut sk,
-                        true,
-                    )
-                };
-                match r {
-                    Err(e) => {
-                        for line in st.scratch.drain(..) {
-                            st.printf.push((cycle, line));
-                        }
-                        st.end = st.end.max(cycle + 1);
-                        st.error = Some((e, cycle + 1));
-                    }
-                    Ok(TickResult::Issued) => {
-                        for line in st.scratch.drain(..) {
-                            st.printf.push((cycle, line));
-                        }
-                        st.end = st.end.max(cycle + 1);
-                        st.next_tick = cycle + 1;
-                        micro_run::<S>(core, view, st, &self.program, &self.mem, t_end, limit);
-                    }
-                    Ok(other) => {
-                        unreachable!("amo re-tick with amo_ok=true must issue, got {other:?}")
-                    }
-                }
-            }
-            // Epoch barrier. On a fault the buffered stores are dropped —
-            // the sequential loops stop mid-epoch and partial memory state
-            // is best-effort — but events and printf gathered so far flush.
-            let fault = states
-                .iter()
-                .enumerate()
-                .filter_map(|(ci, s)| s.error.clone().map(|(e, at)| (at, ci, e)))
-                .min_by_key(|&(at, ci, _)| (at, ci));
-            if let Some((at, _, error)) = fault {
-                for st in &mut states {
-                    st.wbuf.clear();
-                }
-                merge_epoch(&mut states, printf_output, sink);
-                return Err((error, at));
-            }
-            // Commit: buffered plain stores land in canonical core order
-            // (validated at buffering time; cannot fail), then the timing
-            // logs merge and every view refreshes from the master.
-            for (ci, st) in states.iter_mut().enumerate() {
-                for (addr, v) in st.wbuf.drain() {
-                    let _ = self.mem.store(ci as u32, addr, v);
-                }
-            }
-            self.memsys.advance_to(t_end);
-            merge_epoch(&mut states, printf_output, sink);
-        }
-    }
-}
-
-/// Per-core scratch state for the parallel epoch loop, persistent across
-/// epochs within one launch.
-struct ParCore {
-    /// Buffered plain stores for the current epoch (addr → last value).
-    wbuf: WriteBuf,
-    /// Trace events tagged with the cycle of the tick that emitted them.
-    events: Vec<(u64, TraceEvent)>,
-    /// Printf lines tagged with their emitting tick's cycle.
-    printf: Vec<(u64, String)>,
-    /// Per-tick printf scratch, drained into `printf` after each tick.
-    scratch: Vec<String>,
-    /// Next cycle this core must tick at (`u64::MAX` = parked forever).
-    next_tick: u64,
-    /// One past the last cycle this core ticked at.
-    end: u64,
-    /// Cycle of a tick that stopped at an atomic, awaiting serialization.
-    pending_amo: Option<u64>,
-    /// First simulation error this core hit, with its end-cycle.
-    error: Option<(SimError, u64)>,
-}
-
-impl ParCore {
-    fn new() -> Self {
-        ParCore {
-            wbuf: WriteBuf::new(),
-            events: Vec::new(),
-            printf: Vec::new(),
-            scratch: Vec::new(),
-            next_tick: 0,
-            end: 0,
-            pending_amo: None,
-            error: None,
-        }
-    }
-}
-
-/// One core's slice of an epoch, handed to `par_map_mut`.
-struct Work<'a> {
-    core: &'a mut Core,
-    view: &'a mut MemView,
-    st: &'a mut ParCore,
-}
-
-/// Per-core event buffering for the parallel loop: events are tagged with
-/// the emitting tick's cycle so the epoch-end merge can interleave the
-/// cores' buffers in the sequential loops' (cycle, core) emission order.
-/// When the run's sink is a [`NopSink`] the push compiles out entirely
-/// (`IS_NOP` propagates), keeping the untraced parallel path buffer-free.
-struct TaggedSink<'a, S: TraceSink> {
-    buf: &'a mut Vec<(u64, TraceEvent)>,
-    now: u64,
-    _sink: PhantomData<fn() -> S>,
-}
-
-impl<S: TraceSink> TraceSink for TaggedSink<'_, S> {
-    const IS_NOP: bool = S::IS_NOP;
-
-    #[inline]
-    fn event(&mut self, ev: &TraceEvent) {
-        if !S::IS_NOP {
-            self.buf.push((self.now, *ev));
-        }
-    }
-}
-
-fn tagged<S: TraceSink>(buf: &mut Vec<(u64, TraceEvent)>, now: u64) -> TaggedSink<'_, S> {
-    TaggedSink {
-        buf,
-        now,
-        _sink: PhantomData,
-    }
-}
-
-/// Advance one core through `[st.next_tick, t_end)` against the frozen
-/// epoch state: the shared functional-memory snapshot (reads go through
-/// the core's own write-buffer) and the core's private [`MemView`]. Stops
-/// at the epoch end, at a pending atomic (serialized by the caller in
-/// global cycle order), when the core halts or parks, or on error. This is
-/// exactly one core's slice of `run_events`.
-fn micro_run<S: TraceSink>(
-    core: &mut Core,
-    view: &mut MemView,
-    st: &mut ParCore,
-    program: &Program,
-    master: &SimMemory,
-    t_end: u64,
-    limit: u64,
-) {
-    st.pending_amo = None;
-    while st.next_tick < t_end && core.any_active() {
-        let cycle = st.next_tick;
-        let r = {
-            let mut mem = ShardedMem {
-                master,
-                wbuf: &mut st.wbuf,
-            };
-            let mut sk = tagged::<S>(&mut st.events, cycle);
-            core.tick(
-                cycle,
-                program,
-                &mut mem,
-                view,
-                &mut st.scratch,
-                &mut sk,
-                false,
-            )
-        };
-        match r {
-            Err(e) => {
-                for line in st.scratch.drain(..) {
-                    st.printf.push((cycle, line));
-                }
-                st.end = st.end.max(cycle + 1);
-                st.error = Some((e, cycle + 1));
-                return;
-            }
-            Ok(TickResult::AmoPending) => {
-                st.pending_amo = Some(cycle);
-                return;
-            }
-            Ok(TickResult::Issued) => {
-                for line in st.scratch.drain(..) {
-                    st.printf.push((cycle, line));
-                }
-                st.end = st.end.max(cycle + 1);
-                st.next_tick = cycle + 1;
-            }
-            Ok(TickResult::Stalled) => {
-                st.end = st.end.max(cycle + 1);
-                let target = core.next_event();
-                debug_assert_eq!(
-                    target,
-                    core.next_issue_cycle(cycle, program),
-                    "cached next-event diverged from recomputation"
-                );
-                if target != u64::MAX {
-                    let mut sk = tagged::<S>(&mut st.events, cycle);
-                    core.fast_forward_stalls(
-                        cycle + 1,
-                        target.min(limit.saturating_add(1)),
-                        program,
-                        &mut sk,
-                    );
-                }
-                st.next_tick = target;
-            }
-        }
-    }
-}
-
-/// Interleave the cores' buffered trace events and printf lines into the
-/// sequential loops' global emission order: ascending tick cycle, cores in
-/// index order within a cycle (a stable sort on the cycle tag over
-/// core-ordered buffers yields both).
-fn merge_epoch<S: TraceSink>(
-    states: &mut [ParCore],
-    printf_output: &mut Vec<String>,
-    sink: &mut S,
-) {
-    if !S::IS_NOP {
-        let mut events: Vec<(u64, TraceEvent)> = Vec::new();
-        for st in states.iter_mut() {
-            events.append(&mut st.events);
-        }
-        events.sort_by_key(|&(cycle, _)| cycle);
-        for (_, ev) in &events {
-            sink.event(ev);
-        }
-    }
-    if states.iter().any(|s| !s.printf.is_empty()) {
-        let mut lines: Vec<(u64, String)> = Vec::new();
-        for st in states.iter_mut() {
-            lines.append(&mut st.printf);
-        }
-        lines.sort_by_key(|&(cycle, _)| cycle);
-        printf_output.extend(lines.into_iter().map(|(_, line)| line));
     }
 }
 
@@ -1050,8 +685,7 @@ mod tests {
 
     /// A warp that jumps outside the program faults at its next issue slot,
     /// with the same structured error from every run loop: the dense loop
-    /// (from-scratch fetch), the event loop and the parallel epoch loop
-    /// (trace-cache fetch).
+    /// (from-scratch fetch) and the event loop (trace-cache fetch).
     #[test]
     fn bad_pc_faults_identically_in_every_run_loop() {
         let p = Program {
@@ -1073,16 +707,14 @@ mod tests {
             pc: 42,
         };
         let mut faults = Vec::new();
-        for (reference_mode, sim_threads) in [(true, 1), (false, 1), (false, 2)] {
+        for reference_mode in [true, false] {
             let mut cfg = SimConfig::new(VortexConfig::new(2, 2, 4));
             cfg.reference_mode = reference_mode;
-            cfg.sim_threads = sim_threads;
             let fault = Simulator::new(cfg, p.clone()).run().unwrap_err();
             assert_eq!(fault.error, want);
             faults.push((fault.partial.stats.cycles, fault.partial.stats.instructions));
         }
         assert_eq!(faults[0], faults[1]);
-        assert_eq!(faults[0], faults[2]);
     }
 
     /// WSPAWN fan-out + BAR rendezvous: both schedulers must agree on every
@@ -1392,7 +1024,7 @@ mod tests {
         }
     }
 
-    /// Zero-overhead guard, decode side: the macro-op trace cache is never
+    /// Zero-overhead guard: the macro-op trace cache is never
     /// materialized in `reference_mode` — the dense loop stays on the
     /// from-scratch decode path — while the default loop builds it on the
     /// first run.
@@ -1411,33 +1043,5 @@ mod tests {
         let mut fast = Simulator::new(cfg, store42());
         fast.run().unwrap();
         assert!(fast.trace_cache_built(), "default loop decodes into it");
-    }
-
-    /// Zero-overhead guard, threading side: runs that cannot benefit from
-    /// the epoch machinery — one worker thread, or a single core — take
-    /// the sequential fast path (no epoch loop, no thread spawns), and a
-    /// genuinely parallel configuration actually engages it.
-    #[test]
-    fn one_thread_runs_take_the_sequential_fast_path() {
-        // Default sim_threads = 1 on a multi-core machine: sequential.
-        let cfg = SimConfig::new(VortexConfig::new(2, 2, 4));
-        assert_eq!(cfg.sim_threads, 1);
-        let mut sim = Simulator::new(cfg, store42());
-        sim.run().unwrap();
-        assert!(!sim.last_run_parallel());
-
-        // Many threads but one core: nothing to run in parallel.
-        let mut cfg = SimConfig::new(VortexConfig::new(1, 2, 4));
-        cfg.sim_threads = 4;
-        let mut sim = Simulator::new(cfg, store42());
-        sim.run().unwrap();
-        assert!(!sim.last_run_parallel());
-
-        // Multi-thread × multi-core: the epoch loop engages.
-        let mut cfg = SimConfig::new(VortexConfig::new(2, 2, 4));
-        cfg.sim_threads = 2;
-        let mut sim = Simulator::new(cfg, store42());
-        sim.run().unwrap();
-        assert!(sim.last_run_parallel());
     }
 }

@@ -89,27 +89,6 @@ impl SimMemory {
         }
     }
 
-    /// Validate a word store (alignment + bounds) without performing it.
-    /// The parallel run loop's write-buffer uses this so a buffered store
-    /// raises the identical error at the identical point as a direct one.
-    pub fn check_store(&self, core: u32, addr: u32) -> Result<(), SimError> {
-        Self::check_aligned(addr)?;
-        let limit = if Self::is_local(addr) {
-            let off = (addr - LOCAL_BASE) as u64;
-            return if off + 4 > self.locals[core as usize].len() as u64 {
-                Err(SimError::BadAccess { addr, pc: 0 })
-            } else {
-                Ok(())
-            };
-        } else {
-            self.global.len() as u64
-        };
-        if addr as u64 + 4 > limit {
-            return Err(SimError::BadAccess { addr, pc: 0 });
-        }
-        Ok(())
-    }
-
     /// Bulk copy into global memory (runtime buffer writes).
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) -> Result<(), SimError> {
         self.global_mut(addr, data.len())?.copy_from_slice(data);
@@ -152,28 +131,6 @@ impl SimMemory {
     /// Global capacity in bytes.
     pub fn global_len(&self) -> u32 {
         self.global.len() as u32
-    }
-}
-
-/// Functional memory as the execute stage sees it. [`SimMemory`] is the
-/// direct implementation used by the sequential run loops; the parallel
-/// loop substitutes a per-core read-through write-buffer
-/// ([`crate::memsys::ShardedMem`]) so cores can run an epoch concurrently
-/// against a shared immutable snapshot.
-pub trait DeviceMem {
-    fn load(&self, core: u32, addr: u32) -> Result<u32, SimError>;
-    fn store(&mut self, core: u32, addr: u32, v: u32) -> Result<(), SimError>;
-}
-
-impl DeviceMem for SimMemory {
-    #[inline]
-    fn load(&self, core: u32, addr: u32) -> Result<u32, SimError> {
-        SimMemory::load(self, core, addr)
-    }
-
-    #[inline]
-    fn store(&mut self, core: u32, addr: u32, v: u32) -> Result<(), SimError> {
-        SimMemory::store(self, core, addr, v)
     }
 }
 
@@ -222,33 +179,6 @@ mod tests {
         ));
         // Byte-granular bulk copies stay unconstrained (host-side memcpy).
         assert!(m.write_bytes(3, &[1, 2]).is_ok());
-    }
-
-    #[test]
-    fn check_store_matches_store() {
-        let mut m = SimMemory::new(64, 1, 64);
-        for addr in [
-            0u32,
-            60,
-            62,
-            64,
-            LOCAL_BASE,
-            LOCAL_BASE + 2,
-            LOCAL_BASE + 64,
-        ] {
-            let checked = m.check_store(0, addr);
-            let stored = m.store(0, addr, 1);
-            assert_eq!(
-                checked.is_ok(),
-                stored.is_ok(),
-                "check_store and store disagree at {addr:#x}"
-            );
-            match (checked, stored) {
-                (Err(a), Err(b)) => assert_eq!(a, b, "different error at {addr:#x}"),
-                (Ok(()), Ok(())) => {}
-                _ => unreachable!(),
-            }
-        }
     }
 
     #[test]

@@ -1,33 +1,26 @@
-//! Epoch-quantized shared memory system: the coupling point between cores.
+//! Epoch-quantized shared memory system: the multi-core timing model.
 //!
 //! Cores interact only through the shared L2 / DRAM timing models and
-//! functional memory. To let cores simulate concurrently *and* bit-identically
-//! to the sequential loops, the shared timing state is quantized into fixed
-//! cycle epochs (`SimConfig::epoch_cycles`): within an epoch every core runs
-//! against its own [`MemView`] — a private clone of the L2/DRAM state frozen
-//! at the epoch boundary — and logs each access it makes. At the boundary the
-//! logs are replayed into the master models in canonical core order (the
+//! functional memory. The timing side is quantized into fixed epochs of
+//! `SimConfig::epoch_cycles` (2048) cycles: each core works against its own
+//! [`MemView`] — a copy of the shared L2/DRAM state frozen at the last epoch
+//! boundary — and logs every access it makes. As the clock passes a
+//! boundary the logs are replayed into the master models in core order (the
 //! recomputed outcomes are discarded; the outcomes each core *observed*
-//! stand), and the views are re-cloned from the refreshed master.
+//! stand) and the views are refreshed from the master. Within an epoch a
+//! core's timing therefore depends only on its own state and its frozen
+//! view; another core's traffic becomes visible at the next boundary.
 //!
-//! Crucially, **all run loops share these semantics**: the dense reference
-//! loop and the sequential event loop call [`MemSystem::advance_to`] as the
-//! clock passes each boundary, so they see exactly the epoch-frozen timing
-//! the parallel loop sees. That makes "parallel ≡ sequential" a theorem
-//! rather than a schedule accident: within an epoch a core's evolution
-//! depends only on its own state and its frozen view, so the worker
-//! interleaving cannot be observed.
+//! This is the definition of multi-core timing, not an approximation of
+//! another one: both run loops call [`MemSystem::advance_to`] before the
+//! first tick at or past each boundary, and every golden and pinned cycle
+//! count is taken under it.
 //!
-//! With a single core there is nothing to decouple: the view *is* the
-//! authoritative state, commits are skipped entirely, and the timing is
-//! bit-identical to the pre-epoch simulator (the view starts as a clone of
-//! the master and no other core ever perturbs it).
+//! A single-core machine skips it: the view *is* the authoritative state,
+//! nothing is logged and nothing is ever committed.
 
 use crate::cache::{Cache, CacheConfig};
 use crate::dram::{DramConfig, DramModel};
-use crate::mem::{DeviceMem, SimMemory};
-use crate::SimError;
-use rustc_hash::FxHashMap;
 
 /// One logged shared-memory-system access, replayed into the master models
 /// at the epoch boundary.
@@ -102,7 +95,7 @@ pub struct MemSystem {
     /// A view can differ from the master only where its own accesses
     /// landed, so refreshing the touched sets instead of cloning the whole
     /// cache makes commit cost proportional to the epoch's traffic, not
-    /// the cache size — which is what lets the epochs stay short.
+    /// the cache size.
     touched_sets: Vec<bool>,
     set_list: Vec<u32>,
     /// Commit scratch: DRAM banks touched this epoch, same scheme.
@@ -139,23 +132,8 @@ impl MemSystem {
         }
     }
 
-    pub fn epoch_cycles(&self) -> u64 {
-        self.epoch_cycles
-    }
-
-    /// The first epoch boundary strictly after `cycle`.
-    pub fn epoch_end_after(&self, cycle: u64) -> u64 {
-        let q = self.epoch_cycles;
-        ((cycle / q) + 1).saturating_mul(q)
-    }
-
     pub fn view_mut(&mut self, core: usize) -> &mut MemView {
         &mut self.views[core]
-    }
-
-    /// All views at once, for the parallel loop's per-core fan-out.
-    pub fn views_mut(&mut self) -> &mut [MemView] {
-        &mut self.views
     }
 
     /// Sum of the per-core observed counters `(l2_hits, l2_misses,
@@ -250,142 +228,6 @@ impl MemSystem {
     }
 }
 
-/// Per-core functional-memory facade for the parallel phase of an epoch:
-/// reads go through the core's private write-buffer first, then the shared
-/// snapshot; writes are buffered (after full validation, so errors surface
-/// at the identical instruction as a direct store) and applied to the
-/// master memory in canonical core order at the epoch boundary.
-///
-/// Cross-core *plain* loads/stores to the same address within a launch are
-/// a data race under the SIMT model (barriers are core-local; cross-core
-/// synchronization is only defined through atomics, which the parallel
-/// loop serializes in cycle order against the master memory), so a racy
-/// program may observe different — but still deterministic — values here
-/// than under the sequential loops. Race-free programs observe identical
-/// memory in all modes.
-pub struct ShardedMem<'a> {
-    pub master: &'a SimMemory,
-    pub wbuf: &'a mut WriteBuf,
-}
-
-impl DeviceMem for ShardedMem<'_> {
-    #[inline]
-    fn load(&self, core: u32, addr: u32) -> Result<u32, SimError> {
-        if let Some(v) = self.wbuf.get(addr) {
-            return Ok(v);
-        }
-        self.master.load(core, addr)
-    }
-
-    #[inline]
-    fn store(&mut self, core: u32, addr: u32, v: u32) -> Result<(), SimError> {
-        self.master.check_store(core, addr)?;
-        self.wbuf.insert(addr, v);
-        Ok(())
-    }
-}
-
-/// An epoch's buffered plain stores (addr → last value), with the address
-/// range of everything ever buffered this epoch kept alongside. Kernels
-/// overwhelmingly load from streams they never store to (think vecadd's
-/// `a`/`b` arrays vs its `c`), so the range check turns the per-lane-load
-/// hash probe of the parallel loop into two compares for every address
-/// outside the written span. The range is conservative (never shrinks on
-/// remove) — a false positive only costs the hash probe it replaced.
-#[derive(Debug)]
-pub struct WriteBuf {
-    map: FxHashMap<u32, u32>,
-    /// Lowest / highest buffered address; `lo > hi` ⇔ nothing buffered yet.
-    lo: u32,
-    hi: u32,
-}
-
-impl Default for WriteBuf {
-    fn default() -> Self {
-        WriteBuf::new()
-    }
-}
-
-impl WriteBuf {
-    pub fn new() -> Self {
-        WriteBuf {
-            map: FxHashMap::default(),
-            lo: u32::MAX,
-            hi: 0,
-        }
-    }
-
-    #[inline]
-    pub fn get(&self, addr: u32) -> Option<u32> {
-        if addr < self.lo || addr > self.hi {
-            return None;
-        }
-        self.map.get(&addr).copied()
-    }
-
-    #[inline]
-    pub fn insert(&mut self, addr: u32, v: u32) {
-        self.lo = self.lo.min(addr);
-        self.hi = self.hi.max(addr);
-        self.map.insert(addr, v);
-    }
-
-    #[inline]
-    pub fn remove(&mut self, addr: u32) {
-        self.map.remove(&addr);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.lo = u32::MAX;
-        self.hi = 0;
-    }
-
-    /// Drain every buffered (addr, value) pair, resetting the range.
-    pub fn drain(&mut self) -> std::collections::hash_map::Drain<'_, u32, u32> {
-        self.lo = u32::MAX;
-        self.hi = 0;
-        self.map.drain()
-    }
-}
-
-/// Facade for executing a pending atomic during the serialized amo phase:
-/// the read-modify-write's load sees the core's own buffered stores over
-/// the master (a plain store earlier in the epoch must feed the amo), and
-/// its write goes to the master immediately — so later atomics in global
-/// (cycle, core) order observe it — while the address is *dropped* from
-/// the write-buffer. The master is now authoritative for that address: if
-/// the stale buffered value survived, the epoch-end flush (which replays
-/// write-buffers in core order, not cycle order) would clobber atomics
-/// other cores executed later in the serialized order. The core's own
-/// subsequent reads fall through the buffer to the master, which holds
-/// exactly the value the amo produced.
-pub struct AmoMem<'a> {
-    pub master: &'a mut SimMemory,
-    pub wbuf: &'a mut WriteBuf,
-}
-
-impl DeviceMem for AmoMem<'_> {
-    #[inline]
-    fn load(&self, core: u32, addr: u32) -> Result<u32, SimError> {
-        if let Some(v) = self.wbuf.get(addr) {
-            return Ok(v);
-        }
-        self.master.load(core, addr)
-    }
-
-    #[inline]
-    fn store(&mut self, core: u32, addr: u32, v: u32) -> Result<(), SimError> {
-        self.master.store(core, addr, v)?;
-        self.wbuf.remove(addr);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,82 +284,5 @@ mod tests {
             ms.view_mut(0).l2_access(0x200, 0),
             "core 0 sees core 1's line after the inter-launch commit"
         );
-    }
-
-    /// Interleaved cross-core atomics must land in serialized (cycle, core)
-    /// order: an amo result lives in the master only, so the epoch-end
-    /// write-buffer flush (core order) can never resurrect a stale value
-    /// over an atomic another core executed later in cycle order.
-    #[test]
-    fn amo_results_survive_the_epoch_flush() {
-        let mut master = SimMemory::new(4096, 2, 256);
-        let mut wbuf0 = WriteBuf::new();
-        let mut wbuf1 = WriteBuf::new();
-        // Serialized order: core0 amo@5 (=1), core1 amo@6 (=2), core0 amo@7 (=3).
-        AmoMem {
-            master: &mut master,
-            wbuf: &mut wbuf0,
-        }
-        .store(0, 16, 1)
-        .unwrap();
-        AmoMem {
-            master: &mut master,
-            wbuf: &mut wbuf1,
-        }
-        .store(1, 16, 2)
-        .unwrap();
-        AmoMem {
-            master: &mut master,
-            wbuf: &mut wbuf0,
-        }
-        .store(0, 16, 3)
-        .unwrap();
-        // Epoch-end flush in core order: nothing buffered, nothing clobbered.
-        for wbuf in [&mut wbuf0, &mut wbuf1] {
-            for (addr, v) in wbuf.drain() {
-                master.store(0, addr, v).unwrap();
-            }
-        }
-        assert_eq!(master.load(0, 16).unwrap(), 3, "last amo in cycle order");
-    }
-
-    /// A plain buffered store earlier in the epoch feeds a same-core amo's
-    /// read-modify-write; the amo's result subsumes it in the master.
-    #[test]
-    fn amo_reads_through_own_write_buffer() {
-        let mut master = SimMemory::new(4096, 1, 256);
-        let mut wbuf = WriteBuf::new();
-        wbuf.insert(16, 40); // buffered plain store
-        let mut amo = AmoMem {
-            master: &mut master,
-            wbuf: &mut wbuf,
-        };
-        let seen = amo.load(0, 16).unwrap();
-        amo.store(0, 16, seen + 2).unwrap();
-        assert_eq!(master.load(0, 16).unwrap(), 42);
-        assert!(wbuf.is_empty(), "master is authoritative after the amo");
-    }
-
-    #[test]
-    fn sharded_mem_buffers_writes_and_reads_through() {
-        let master = SimMemory::new(4096, 1, 256);
-        let mut wbuf = WriteBuf::new();
-        let mut sm = ShardedMem {
-            master: &master,
-            wbuf: &mut wbuf,
-        };
-        assert_eq!(sm.load(0, 16).unwrap(), 0);
-        sm.store(0, 16, 7).unwrap();
-        assert_eq!(sm.load(0, 16).unwrap(), 7, "own store visible");
-        assert_eq!(master.load(0, 16).unwrap(), 0, "master untouched");
-        // Errors surface exactly as a direct store would raise them.
-        assert!(matches!(
-            sm.store(0, 17, 1),
-            Err(SimError::Misaligned { addr: 17, .. })
-        ));
-        assert!(matches!(
-            sm.store(0, 8192, 1),
-            Err(SimError::BadAccess { addr: 8192, .. })
-        ));
     }
 }

@@ -125,13 +125,6 @@ impl TraceEvent {
 /// the simulator's behavior is independent of what (if anything) a sink
 /// does with the events.
 pub trait TraceSink {
-    /// True only for [`NopSink`]. The parallel run loop branches on this
-    /// constant to skip per-core event buffering and the epoch-end merge
-    /// entirely; because it is an associated `const`, monomorphization
-    /// removes the buffering branch from untraced builds just like the
-    /// empty `event` body removes the emission sites.
-    const IS_NOP: bool = false;
-
     fn event(&mut self, ev: &TraceEvent);
 }
 
@@ -142,8 +135,6 @@ pub trait TraceSink {
 pub struct NopSink;
 
 impl TraceSink for NopSink {
-    const IS_NOP: bool = true;
-
     #[inline(always)]
     fn event(&mut self, _ev: &TraceEvent) {}
 }

@@ -7,6 +7,7 @@
 use fpga_gpu_repro::arch::{Device, VortexConfig};
 use fpga_gpu_repro::hls;
 use fpga_gpu_repro::ir::interp::{run_ndrange, KernelArg, Limits, Memory, NdRange};
+use fpga_gpu_repro::sched::{ExecConfig, Executor};
 use fpga_gpu_repro::suite::{self, Scale};
 use fpga_gpu_repro::vrt::{Arg, VxSession};
 use fpga_gpu_repro::vsim::SimConfig;
@@ -167,8 +168,9 @@ fn all_experiment_generators_run() {
     assert_eq!(t3.len(), 4);
     let t4 = fpga_gpu_repro::repro::table4();
     assert_eq!(t4.len(), 5);
-    let g = fpga_gpu_repro::repro::fig7_grid("Vecadd", 1, &[2, 4], &[4], Scale::Test);
-    assert_eq!(g.cells.len(), 2);
+    let exec = Executor::new(ExecConfig::with_workers(1));
+    let g = fpga_gpu_repro::repro::fig7_grid(&exec, "Vecadd", 1, &[2, 4], &[4], Scale::Test);
+    assert_eq!(g.unwrap().cells.len(), 2);
 }
 
 /// The `{4,8,16}²` corner of Figure 7 at test scale: simulated cycle counts
@@ -177,6 +179,7 @@ fn all_experiment_generators_run() {
 #[test]
 fn fig7_subgrid_cycles_are_pinned() {
     let steps = [4, 8, 16];
+    let exec = Executor::new(ExecConfig::with_workers(2));
     for (name, want) in [
         ("Vecadd", [701, 521, 482, 950, 761, 882, 1334, 1418, 1708]),
         (
@@ -184,7 +187,8 @@ fn fig7_subgrid_cycles_are_pinned() {
             [1608, 1208, 1062, 1879, 1429, 1271, 2809, 1869, 2494],
         ),
     ] {
-        let g = fpga_gpu_repro::repro::fig7_grid(name, 4, &steps, &steps, Scale::Test);
+        let g =
+            fpga_gpu_repro::repro::fig7_grid(&exec, name, 4, &steps, &steps, Scale::Test).unwrap();
         // Cells come back sorted by (warps, threads).
         let got: Vec<u64> = g.cells.iter().map(|c| c.cycles).collect();
         assert_eq!(got, want, "{name} 4c{{4,8,16}}w{{4,8,16}}t");

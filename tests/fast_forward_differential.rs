@@ -1,16 +1,17 @@
-//! Differential harness for the simulator's run loops: run each benchmark
-//! under the fast-forward loop, the dense reference loop
-//! (`SimConfig::reference_mode`), and the traced+parallel epoch loop
-//! (`SimConfig::sim_threads`) and require *bit-identical* results —
-//! per-launch cycle counts, the full stall breakdown, cache/DRAM counters,
-//! final buffer contents, printf output, and canonical per-core trace
-//! events.
+//! Differential harness for the simulator's two run loops: run each
+//! benchmark under the fast-forward event loop and the dense reference
+//! loop (`SimConfig::reference_mode`), untraced and traced, and require
+//! *bit-identical* results — per-launch cycle counts, the full stall
+//! breakdown, cache/DRAM counters, final buffer contents, printf output,
+//! and canonical per-core trace events.
 //!
 //! The benchmark set is chosen to cover the stall sources the scheduler
 //! reasons about: vecadd/transpose (MSHR/LSU pressure and DRAM row
 //! behavior), dotproduct and backprop (BAR barriers and WSPAWN fan-out,
 //! multi-kernel launches), gaussian (divergent control flow with long
-//! dependence chains), across single- and multi-core shapes.
+//! dependence chains), across one-, two- and four-core shapes (the last is
+//! what `sim-paper` and Fig. 7 run: an epoch commit there merges four
+//! views).
 
 use fpga_gpu_repro::arch::VortexConfig;
 use fpga_gpu_repro::suite::{benchmark, run_vortex_events, run_vortex_trace, Scale};
@@ -21,8 +22,15 @@ use fpga_gpu_repro::vsim::{canonical_core_events, SimConfig};
 // of threads/warp and fit in warps×threads).
 type Shape = (u32, u32, u32);
 
-const SHAPES: &[Shape] = &[(1, 4, 4), (1, 2, 8), (2, 4, 8), (2, 8, 16), (1, 16, 4)];
-const WIDE_SHAPES: &[Shape] = &[(1, 8, 8), (1, 4, 16), (2, 8, 8), (2, 16, 4)];
+const SHAPES: &[Shape] = &[
+    (1, 4, 4),
+    (1, 2, 8),
+    (2, 4, 8),
+    (2, 8, 16),
+    (1, 16, 4),
+    (4, 4, 8),
+];
+const WIDE_SHAPES: &[Shape] = &[(1, 8, 8), (1, 4, 16), (2, 8, 8), (2, 16, 4), (4, 8, 8)];
 
 fn bench_matrix() -> Vec<(&'static str, &'static [Shape])> {
     vec![
@@ -64,16 +72,14 @@ fn fast_forward_is_bit_identical_to_dense_loop() {
     }
 }
 
-/// All three run loops — dense reference, event-driven sequential, and the
-/// traced+parallel epoch loop at 2 and 4 worker threads — must agree
-/// bit-for-bit on every observable: launch stats (cycles, stall breakdown,
-/// cache/DRAM counters), final memory, printf output, and the canonical
-/// per-core trace event stream. The dense loop is the oracle; each
-/// configuration's raw event stream is canonicalized per core (bulk spans
-/// merged) before comparison, which is exactly the equivalence the epoch
-/// design promises.
+/// Traced, the two run loops must agree bit-for-bit on every observable:
+/// launch stats (cycles, stall breakdown, cache/DRAM counters), final
+/// memory, printf output, and the canonical per-core trace event stream.
+/// The dense loop is the oracle; each raw event stream is canonicalized
+/// per core (the event loop's bulk stall spans against the dense loop's
+/// one-cycle ones) before comparison.
 #[test]
-fn all_loops_bit_identical_across_sim_threads() {
+fn traced_run_loops_are_bit_identical() {
     for (name, shapes) in bench_matrix() {
         let b = benchmark(name).expect("benchmark exists");
         for &(c, w, t) in shapes {
@@ -91,18 +97,18 @@ fn all_loops_bit_identical_across_sim_threads() {
                     })
                     .collect()
             };
-            let oracle_canon = canon(&oracle_events);
-            for threads in [1u32, 2, 4] {
-                let mut cfg = SimConfig::new(VortexConfig::new(c, w, t));
-                cfg.sim_threads = threads;
-                let (got, got_events) = run_vortex_events(&b, Scale::Test, &cfg)
-                    .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t {threads}thr: {e}"));
-                let what = format!("{name} {c}c{w}w{t}t at {threads} sim threads");
-                assert_eq!(got.launch_stats, oracle.launch_stats, "{what}: stats");
-                assert_eq!(got.buffers, oracle.buffers, "{what}: final memory");
-                assert_eq!(got.printf_output, oracle.printf_output, "{what}: printf");
-                assert_eq!(canon(&got_events), oracle_canon, "{what}: trace events");
-            }
+            cfg.reference_mode = false;
+            let (got, got_events) = run_vortex_events(&b, Scale::Test, &cfg)
+                .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t events: {e}"));
+            let what = format!("{name} {c}c{w}w{t}t");
+            assert_eq!(got.launch_stats, oracle.launch_stats, "{what}: stats");
+            assert_eq!(got.buffers, oracle.buffers, "{what}: final memory");
+            assert_eq!(got.printf_output, oracle.printf_output, "{what}: printf");
+            assert_eq!(
+                canon(&got_events),
+                canon(&oracle_events),
+                "{what}: trace events"
+            );
         }
     }
 }

@@ -177,3 +177,50 @@ fn adversarial_kernels_over_the_serve_protocol() {
     }
     assert_eq!(lines[3].get("failed").and_then(|v| v.as_u64()), Some(3));
 }
+
+/// A request's machine geometry is outside input: shapes the simulator
+/// does not model come back as typed, non-transient `Harness` rejects —
+/// not as an allocation abort that takes the service down, a caught panic
+/// `--retry` would re-run, or a `WrongResult` from a machine with no cores
+/// — and the valid job behind them in the same session still runs.
+#[test]
+fn out_of_range_geometry_is_rejected_typed_and_the_service_lives() {
+    let input = r#"{"id":1,"bench":"Vecadd","cores":100000}
+{"id":2,"bench":"Vecadd","warps":100}
+{"id":3,"bench":"Vecadd","threads":128}
+{"id":4,"bench":"Vecadd","threads":0}
+{"id":5,"bench":"Vecadd","cores":0}
+{"id":6,"bench":"Vecadd"}
+
+"#;
+    let exec = Executor::new(ExecConfig::with_workers(2));
+    let mut out = Vec::new();
+    let summary = serve_lines(&exec, &ServeOptions::default(), input.as_bytes(), &mut out)
+        .expect("serve loop survives malformed geometry");
+    assert_eq!((summary.jobs, summary.ok, summary.failed), (6, 1, 5));
+    let lines: Vec<Json> = std::str::from_utf8(&out)
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .collect();
+    assert_eq!(lines.len(), 7, "six responses plus the batch summary");
+    for (line, field) in lines
+        .iter()
+        .zip(["cores", "warps", "threads", "threads", "cores"])
+    {
+        let err = line.get("error").expect("reject line carries the error");
+        assert_eq!(
+            err.get("kind").and_then(|v| v.as_str()),
+            Some("Harness"),
+            "line: {}",
+            line.to_compact()
+        );
+        let message = err.get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(
+            message.contains(field) && message.contains("1..=64"),
+            "message names neither `{field}` nor its bound: {message}"
+        );
+    }
+    assert_eq!(lines[5].get("ok").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(lines[6].get("failed").and_then(|v| v.as_u64()), Some(5));
+}
