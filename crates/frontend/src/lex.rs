@@ -271,7 +271,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             });
             continue;
         }
-        // Strings.
+        // Strings. Everything between escapes is copied as text, so
+        // non-ASCII characters arrive whole.
         if c == '"' {
             i += 1;
             let mut s = String::new();
@@ -288,20 +289,22 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         break;
                     }
                     b'\\' if i + 1 < bytes.len() => {
-                        let e = bytes[i + 1];
+                        let e = char_at(src, i + 1);
                         s.push(match e {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            b'\\' => '\\',
-                            b'"' => '"',
-                            b'0' => '\0',
-                            other => other as char,
+                            'n' => '\n',
+                            't' => '\t',
+                            '0' => '\0',
+                            other => other,
                         });
-                        i += 2;
+                        i += 1 + e.len_utf8();
                     }
-                    other => {
-                        s.push(other as char);
-                        i += 1;
+                    _ => {
+                        let end = bytes[i + 1..]
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .map_or(bytes.len(), |n| i + 1 + n);
+                        s.push_str(&src[i..end]);
+                        i = end;
                     }
                 }
             }
@@ -312,76 +315,89 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             continue;
         }
         // Operators / punctuation, longest match first.
-        let rest = &src[i..];
-        let table: &[(&str, Tok)] = &[
-            ("<<=", Tok::ShlAssign),
-            (">>=", Tok::ShrAssign),
-            ("<<", Tok::Shl),
-            (">>", Tok::Shr),
-            ("<=", Tok::Le),
-            (">=", Tok::Ge),
-            ("==", Tok::EqEq),
-            ("!=", Tok::NotEq),
-            ("&&", Tok::AndAnd),
-            ("||", Tok::OrOr),
-            ("++", Tok::PlusPlus),
-            ("--", Tok::MinusMinus),
-            ("+=", Tok::PlusAssign),
-            ("-=", Tok::MinusAssign),
-            ("*=", Tok::StarAssign),
-            ("/=", Tok::SlashAssign),
-            ("%=", Tok::PercentAssign),
-            ("&=", Tok::AmpAssign),
-            ("|=", Tok::PipeAssign),
-            ("^=", Tok::CaretAssign),
-            ("(", Tok::LParen),
-            (")", Tok::RParen),
-            ("{", Tok::LBrace),
-            ("}", Tok::RBrace),
-            ("[", Tok::LBracket),
-            ("]", Tok::RBracket),
-            (",", Tok::Comma),
-            (";", Tok::Semi),
-            ("?", Tok::Question),
-            (":", Tok::Colon),
-            ("=", Tok::Assign),
-            ("+", Tok::Plus),
-            ("-", Tok::Minus),
-            ("*", Tok::Star),
-            ("/", Tok::Slash),
-            ("%", Tok::Percent),
-            ("&", Tok::Amp),
-            ("|", Tok::Pipe),
-            ("^", Tok::Caret),
-            ("~", Tok::Tilde),
-            ("!", Tok::Bang),
-            ("<", Tok::Lt),
-            (">", Tok::Gt),
-        ];
-        let mut matched = false;
-        for (text, tok) in table {
-            if rest.starts_with(text) {
-                i += text.len();
-                toks.push(Token {
-                    tok: tok.clone(),
-                    span: Span::new(start, i),
-                });
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
+        let Some((tok, len)) = punct(&bytes[i..]) else {
+            let c = char_at(src, i);
             return Err(LexError {
                 message: format!("unexpected character `{c}`"),
-                span: Span::new(start, start + 1),
+                span: Span::new(start, start + c.len_utf8()),
             });
-        }
+        };
+        i += len;
+        toks.push(Token {
+            tok,
+            span: Span::new(start, i),
+        });
     }
     toks.push(Token {
         tok: Tok::Eof,
         span: Span::new(src.len(), src.len()),
     });
     Ok(toks)
+}
+
+/// The character starting at byte `i`, which the lexer only ever leaves on
+/// a character boundary.
+fn char_at(src: &str, i: usize) -> char {
+    src[i..]
+        .chars()
+        .next()
+        .expect("lexer position inside the source")
+}
+
+/// The operator or punctuation token `b` starts with, and its byte length.
+fn punct(b: &[u8]) -> Option<(Tok, usize)> {
+    let next = |k: usize| b.get(k).copied().unwrap_or(0);
+    Some(match (b[0], next(1)) {
+        (b'<', b'<') if next(2) == b'=' => (Tok::ShlAssign, 3),
+        (b'>', b'>') if next(2) == b'=' => (Tok::ShrAssign, 3),
+        (b'<', b'<') => (Tok::Shl, 2),
+        (b'>', b'>') => (Tok::Shr, 2),
+        (b'<', b'=') => (Tok::Le, 2),
+        (b'>', b'=') => (Tok::Ge, 2),
+        (b'=', b'=') => (Tok::EqEq, 2),
+        (b'!', b'=') => (Tok::NotEq, 2),
+        (b'&', b'&') => (Tok::AndAnd, 2),
+        (b'|', b'|') => (Tok::OrOr, 2),
+        (b'+', b'+') => (Tok::PlusPlus, 2),
+        (b'-', b'-') => (Tok::MinusMinus, 2),
+        (b'+', b'=') => (Tok::PlusAssign, 2),
+        (b'-', b'=') => (Tok::MinusAssign, 2),
+        (b'*', b'=') => (Tok::StarAssign, 2),
+        (b'/', b'=') => (Tok::SlashAssign, 2),
+        (b'%', b'=') => (Tok::PercentAssign, 2),
+        (b'&', b'=') => (Tok::AmpAssign, 2),
+        (b'|', b'=') => (Tok::PipeAssign, 2),
+        (b'^', b'=') => (Tok::CaretAssign, 2),
+        (c, _) => (
+            match c {
+                b'(' => Tok::LParen,
+                b')' => Tok::RParen,
+                b'{' => Tok::LBrace,
+                b'}' => Tok::RBrace,
+                b'[' => Tok::LBracket,
+                b']' => Tok::RBracket,
+                b',' => Tok::Comma,
+                b';' => Tok::Semi,
+                b'?' => Tok::Question,
+                b':' => Tok::Colon,
+                b'=' => Tok::Assign,
+                b'+' => Tok::Plus,
+                b'-' => Tok::Minus,
+                b'*' => Tok::Star,
+                b'/' => Tok::Slash,
+                b'%' => Tok::Percent,
+                b'&' => Tok::Amp,
+                b'|' => Tok::Pipe,
+                b'^' => Tok::Caret,
+                b'~' => Tok::Tilde,
+                b'!' => Tok::Bang,
+                b'<' => Tok::Lt,
+                b'>' => Tok::Gt,
+                _ => return None,
+            },
+            1,
+        ),
+    })
 }
 
 fn keyword(text: &str) -> Option<Tok> {
@@ -561,6 +577,35 @@ mod tests {
     fn unexpected_char_errors() {
         let e = lex("a @ b").unwrap_err();
         assert!(e.message.contains('@'));
+    }
+
+    #[test]
+    fn string_literals_keep_utf8_characters() {
+        let t = kinds("printf(\"café\\n\")");
+        assert_eq!(t[2], Tok::StrLit("café\n".into()));
+        // An escaped non-ASCII character is itself, whole.
+        assert_eq!(kinds("\"\\µ\"")[0], Tok::StrLit("µ".into()));
+    }
+
+    #[test]
+    fn unexpected_non_ascii_character_is_named_and_spanned_whole() {
+        let src = "o[0] = 1 µ 2;";
+        let e = lex(src).unwrap_err();
+        assert_eq!(e.message, "unexpected character `µ`");
+        assert_eq!(&src[e.span.start..e.span.end], "µ");
+    }
+
+    #[test]
+    fn every_punctuation_token_lexes_from_its_spelling() {
+        let spellings = "<<= >>= << >> <= >= == != && || ++ -- += -= *= /= %= &= |= ^= \
+                         ( ) { } [ ] , ; ? : = + - * / % & | ^ ~ ! < >";
+        assert_eq!(spellings.split_whitespace().count(), 43);
+        for text in spellings.split_whitespace() {
+            let t = kinds(text);
+            assert_eq!((t.len(), token_text(&t[0])), (2, text));
+            // Followed by an identifier, the token still ends where it should.
+            assert_eq!(kinds(&format!("{text}x"))[0], t[0], "{text}x");
+        }
     }
 
     #[test]

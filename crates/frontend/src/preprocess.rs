@@ -132,6 +132,8 @@ fn split_word(s: &str) -> (&str, &str) {
 
 /// Replace identifier occurrences of macro names, skipping string literals
 /// and comments. Recursion depth is bounded to catch self-referential macros.
+/// Everything else is copied through as text, so non-ASCII characters are
+/// never split.
 fn substitute(
     line: &str,
     macros: &FxHashMap<String, String>,
@@ -142,54 +144,47 @@ fn substitute(
     }
     let bytes = line.as_bytes();
     let mut out = String::with_capacity(line.len());
+    // `line[copied..]` has not been written to `out` yet.
+    let mut copied = 0;
     let mut i = 0;
     let mut in_str = false;
     while i < bytes.len() {
-        let c = bytes[i] as char;
+        let c = bytes[i];
         if in_str {
-            out.push(c);
-            if c == '\\' && i + 1 < bytes.len() {
-                out.push(bytes[i + 1] as char);
-                i += 2;
-                continue;
-            }
-            if c == '"' {
-                in_str = false;
+            match c {
+                // Skip the escaped byte too.
+                b'\\' => i += 1,
+                b'"' => in_str = false,
+                _ => {}
             }
             i += 1;
             continue;
         }
-        if c == '"' {
-            in_str = true;
-            out.push(c);
-            i += 1;
-            continue;
-        }
-        // Line comment: emit rest verbatim.
-        if c == '/' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
-            out.push_str(&line[i..]);
+        // Line comment: the rest is copied verbatim.
+        if c == b'/' && bytes.get(i + 1) == Some(&b'/') {
             break;
         }
-        if c.is_ascii_alphabetic() || c == '_' {
+        if c.is_ascii_alphabetic() || c == b'_' {
             let start = i;
             while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            let word = &line[start..i];
-            match macros.get(word) {
-                Some(body) => {
-                    let expanded = substitute(body, macros, depth + 1)?;
-                    out.push('(');
-                    out.push_str(expanded.trim());
-                    out.push(')');
-                }
-                None => out.push_str(word),
+            if let Some(body) = macros.get(&line[start..i]) {
+                let expanded = substitute(body, macros, depth + 1)?;
+                out.push_str(&line[copied..start]);
+                out.push('(');
+                out.push_str(expanded.trim());
+                out.push(')');
+                copied = i;
             }
             continue;
         }
-        out.push(c);
+        if c == b'"' {
+            in_str = true;
+        }
         i += 1;
     }
+    out.push_str(&line[copied..]);
     Ok(out)
 }
 
@@ -252,6 +247,16 @@ mod tests {
         let out = preprocess(src, &[]).unwrap();
         assert!(out.contains("\"d=%d\""), "got: {out}");
         assert!(out.contains(", (1));"), "got: {out}");
+    }
+
+    #[test]
+    fn non_ascii_text_passes_through_whole() {
+        let src = "#define d 1\nprintf(\"café \\µ=%d\", d); /* µ */ x = d; // é d\n";
+        let out = preprocess(src, &[]).unwrap();
+        assert_eq!(
+            out,
+            "\nprintf(\"café \\µ=%d\", (1)); /* µ */ x = (1); // é d\n"
+        );
     }
 
     #[test]

@@ -31,23 +31,22 @@ pub struct DivergenceInfo {
 }
 
 impl DivergenceInfo {
-    /// Run the analysis on `f`.
-    pub fn analyze(f: &Function) -> Self {
-        let cfg = Cfg::new(f);
-        let pdom = PostDominators::new(f, &cfg);
+    /// Run the analysis on `f`, given its CFG and post-dominators.
+    pub fn analyze(f: &Function, cfg: &Cfg, pdom: &PostDominators) -> Self {
         let n_blocks = f.blocks.len();
 
-        // cd_region[a] = blocks control-dependent on block a's branch:
+        // Row `a` of `cd` = blocks control-dependent on block a's branch:
         // everything reachable from a's successors without passing through
         // ipdom(a).
-        let mut cd_region: Vec<Vec<bool>> = vec![Vec::new(); n_blocks];
+        let mut cd = vec![false; n_blocks * n_blocks];
+        let mut work: Vec<BlockId> = Vec::new();
         for (id, b) in f.iter_blocks() {
             if !matches!(b.term, Terminator::CondBr { .. }) || !cfg.is_reachable(id) {
                 continue;
             }
             let stop = pdom.ipdom(id);
-            let mut seen = vec![false; n_blocks];
-            let mut work: Vec<BlockId> = cfg.succs[id.index()].clone();
+            let seen = &mut cd[id.index() * n_blocks..][..n_blocks];
+            work.extend_from_slice(&cfg.succs[id.index()]);
             while let Some(cur) = work.pop() {
                 if Some(cur) == stop || seen[cur.index()] {
                     continue;
@@ -55,22 +54,19 @@ impl DivergenceInfo {
                 seen[cur.index()] = true;
                 work.extend(cfg.succs[cur.index()].iter().copied());
             }
-            cd_region[id.index()] = seen;
         }
 
         let mut div_reg = vec![false; f.num_vregs()];
         let mut div_branch = vec![false; n_blocks];
+        // Blocks currently under divergent control.
+        let mut under = vec![false; n_blocks];
         loop {
             let mut changed = false;
-            // Blocks currently under divergent control.
-            let mut under: Vec<bool> = vec![false; n_blocks];
-            for a in 0..n_blocks {
-                if div_branch[a] {
-                    for (b, &in_region) in cd_region[a].iter().enumerate() {
-                        if in_region {
-                            under[b] = true;
-                        }
-                    }
+            under.fill(false);
+            for a in (0..n_blocks).filter(|&a| div_branch[a]) {
+                let region = &cd[a * n_blocks..][..n_blocks];
+                for (u, &in_region) in under.iter_mut().zip(region) {
+                    *u |= in_region;
                 }
             }
             for &bb in &cfg.rpo {
@@ -154,6 +150,11 @@ mod tests {
     use crate::value::{Operand, VReg};
     use crate::{BinOp, Builtin, CmpOp};
 
+    fn analyze(f: &Function) -> DivergenceInfo {
+        let cfg = Cfg::new(f);
+        DivergenceInfo::analyze(f, &cfg, &PostDominators::new(f, &cfg))
+    }
+
     fn gptr() -> Param {
         Param {
             name: "p".into(),
@@ -181,7 +182,7 @@ mod tests {
         b.switch_to(e);
         b.ret();
         let f = b.finish();
-        let d = DivergenceInfo::analyze(&f);
+        let d = analyze(&f);
         assert!(d.is_divergent_branch(BlockId(0)));
         assert_eq!(d.divergent_branch_count(), 1);
     }
@@ -205,7 +206,7 @@ mod tests {
         b.switch_to(exit);
         b.ret();
         let f = b.finish();
-        let d = DivergenceInfo::analyze(&f);
+        let d = analyze(&f);
         assert!(
             !d.is_divergent_branch(BlockId(1)),
             "uniform loop marked divergent"
@@ -233,7 +234,7 @@ mod tests {
         b.switch_to(exit);
         b.ret();
         let f = b.finish();
-        let d = DivergenceInfo::analyze(&f);
+        let d = analyze(&f);
         assert!(d.is_divergent_branch(BlockId(1)));
     }
 
@@ -260,7 +261,7 @@ mod tests {
         b.switch_to(e2);
         b.ret();
         let f = b.finish();
-        let d = DivergenceInfo::analyze(&f);
+        let d = analyze(&f);
         assert!(d.div_reg[x.index()], "x must be divergent");
         assert!(d.is_divergent_branch(BlockId(2)), "second branch divergent");
     }
@@ -278,7 +279,7 @@ mod tests {
         let v = b.load(addr.into(), Scalar::I32, AddressSpace::Global);
         b.ret();
         let f = b.finish();
-        let d = DivergenceInfo::analyze(&f);
+        let d = analyze(&f);
         assert!(d.div_reg[v.index()]);
     }
 
@@ -295,7 +296,7 @@ mod tests {
         let _ = v;
         b.ret();
         let f = b.finish();
-        let d = DivergenceInfo::analyze(&f);
+        let d = analyze(&f);
         assert!(!d.div_reg[VReg(2).index()], "uniform load marked divergent");
     }
 
@@ -317,7 +318,7 @@ mod tests {
         );
         let d = {
             b.ret();
-            DivergenceInfo::analyze(&b.finish())
+            analyze(&b.finish())
         };
         assert!(d.div_reg[old.index()]);
     }

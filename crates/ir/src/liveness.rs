@@ -1,13 +1,40 @@
 //! Backward liveness analysis over virtual registers.
 //!
 //! Consumed by the Vortex code generator's register allocator and by the DCE
-//! pass. Sets are dense bitsets — kernels have a few hundred registers at
-//! most, so a `Vec<u64>` per block beats hashing (per the perf-book guidance
-//! on compiler-shaped workloads).
+//! and LICM passes. Kernels have a few hundred registers at most, so sets
+//! are dense bitsets, and the per-block results live in two flat
+//! `blocks × words` matrices: one call allocates four vectors whatever the
+//! function's size, and the fixed point updates a row a word at a time.
 
 use crate::cfg::Cfg;
 use crate::func::Function;
+use crate::inst::Terminator;
 use crate::value::{Operand, VReg};
+
+/// Members of a bitset, ascending, by `trailing_zeros`.
+fn members(words: &[u64]) -> impl Iterator<Item = VReg> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(VReg((wi * 64 + b) as u32))
+        })
+    })
+}
+
+fn word_bit(r: VReg) -> (usize, u64) {
+    (r.index() / 64, 1 << (r.index() % 64))
+}
+
+/// A use of `r` is upward-exposed unless the block defined `r` before it.
+fn add_use(gen: &mut [u64], kill: &[u64], r: VReg) {
+    let (w, bit) = word_bit(r);
+    gen[w] |= bit & !kill[w];
+}
 
 /// A dense bitset over virtual registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,20 +51,19 @@ impl RegSet {
     }
 
     pub fn insert(&mut self, r: VReg) -> bool {
-        let (w, b) = (r.index() / 64, r.index() % 64);
+        let (w, bit) = word_bit(r);
         let old = self.words[w];
-        self.words[w] |= 1 << b;
-        old & (1 << b) == 0
+        self.words[w] |= bit;
+        old & bit == 0
     }
 
     pub fn remove(&mut self, r: VReg) {
-        let (w, b) = (r.index() / 64, r.index() % 64);
-        self.words[w] &= !(1 << b);
+        let (w, bit) = word_bit(r);
+        self.words[w] &= !bit;
     }
 
     pub fn contains(&self, r: VReg) -> bool {
-        let (w, b) = (r.index() / 64, r.index() % 64);
-        self.words[w] & (1 << b) != 0
+        self.as_row().contains(r)
     }
 
     /// `self |= other`; returns true if `self` changed.
@@ -51,93 +77,135 @@ impl RegSet {
         changed
     }
 
+    /// Make `self` a copy of `row` (same register count), reusing storage.
+    pub fn copy_from(&mut self, row: RegRow<'_>) {
+        self.words.copy_from_slice(row.0);
+    }
+
     /// Iterate over members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1 << b) != 0)
-                .map(move |b| VReg((wi * 64 + b) as u32))
-        })
+        members(&self.words)
     }
 
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_row().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.as_row().is_empty()
+    }
+
+    /// Borrowed view of the set.
+    pub fn as_row(&self) -> RegRow<'_> {
+        RegRow(&self.words)
     }
 }
 
-/// Per-block liveness results.
+/// One block's row of a [`Liveness`] matrix: a borrowed register set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegRow<'a>(&'a [u64]);
+
+impl<'a> RegRow<'a> {
+    pub fn contains(self, r: VReg) -> bool {
+        let (w, bit) = word_bit(r);
+        self.0[w] & bit != 0
+    }
+
+    /// Iterate over members in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = VReg> + 'a {
+        members(self.0)
+    }
+
+    pub fn len(self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+}
+
+/// Per-block liveness results: row `b` of each matrix is block `b`'s set.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    pub live_in: Vec<RegSet>,
-    pub live_out: Vec<RegSet>,
+    /// `u64` words per row.
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
 }
 
 impl Liveness {
+    /// Registers live on entry to block `b`.
+    pub fn live_in(&self, b: usize) -> RegRow<'_> {
+        RegRow(&self.live_in[b * self.words..][..self.words])
+    }
+
+    /// Registers live on exit from block `b`.
+    pub fn live_out(&self, b: usize) -> RegRow<'_> {
+        RegRow(&self.live_out[b * self.words..][..self.words])
+    }
+
     /// Compute liveness for `f` given its CFG.
     pub fn compute(f: &Function, cfg: &Cfg) -> Self {
-        let n_blocks = f.blocks.len();
-        let n_regs = f.num_vregs();
+        let w = f.num_vregs().div_ceil(64);
+        let cells = f.blocks.len() * w;
         // Per-block gen (upward-exposed uses) and kill (defs).
-        let mut gen = vec![RegSet::new(n_regs); n_blocks];
-        let mut kill = vec![RegSet::new(n_regs); n_blocks];
+        let mut gen = vec![0u64; cells];
+        let mut kill = vec![0u64; cells];
         for (id, b) in f.iter_blocks() {
-            let bi = id.index();
+            let rows = id.index() * w..(id.index() + 1) * w;
+            let (g, k) = (&mut gen[rows.clone()], &mut kill[rows]);
             for inst in &b.insts {
                 inst.op.for_each_operand(|o| {
                     if let Operand::Reg(r) = o {
-                        if !kill[bi].contains(r) {
-                            gen[bi].insert(r);
-                        }
+                        add_use(g, k, r);
                     }
                 });
                 if let Some(r) = inst.result {
-                    kill[bi].insert(r);
+                    let (wi, bit) = word_bit(r);
+                    k[wi] |= bit;
                 }
             }
-            if let crate::inst::Terminator::CondBr {
+            if let Terminator::CondBr {
                 cond: Operand::Reg(r),
                 ..
             } = &b.term
             {
-                if !kill[bi].contains(*r) {
-                    gen[bi].insert(*r);
-                }
+                add_use(g, k, *r);
             }
         }
-        let mut live_in = vec![RegSet::new(n_regs); n_blocks];
-        let mut live_out = vec![RegSet::new(n_regs); n_blocks];
+        let mut live_in = vec![0u64; cells];
+        let mut live_out = vec![0u64; cells];
         // Iterate to fixed point in post-order (reverse RPO) for fast
-        // convergence of the backward problem.
-        let order: Vec<_> = cfg.rpo.iter().rev().copied().collect();
+        // convergence of the backward problem; unreachable blocks stay empty.
         let mut changed = true;
         while changed {
             changed = false;
-            for &bb in &order {
-                let bi = bb.index();
-                let mut out = RegSet::new(n_regs);
-                for &s in &cfg.succs[bi] {
-                    out.union_with(&live_in[s.index()]);
+            for &bb in cfg.rpo.iter().rev() {
+                let row = bb.index() * w;
+                let out = &mut live_out[row..row + w];
+                out.fill(0);
+                for &s in &cfg.succs[bb.index()] {
+                    let succ_in = &live_in[s.index() * w..][..w];
+                    for (o, &i) in out.iter_mut().zip(succ_in) {
+                        *o |= i;
+                    }
                 }
-                if out != live_out[bi] {
-                    live_out[bi] = out;
-                }
-                // in = gen | (out - kill)
-                let mut inp = live_out[bi].clone();
-                for r in kill[bi].iter() {
-                    inp.remove(r);
-                }
-                inp.union_with(&gen[bi]);
-                if inp != live_in[bi] {
-                    live_in[bi] = inp;
-                    changed = true;
+                // in = gen | (out & !kill)
+                for j in 0..w {
+                    let new = gen[row + j] | (out[j] & !kill[row + j]);
+                    if new != live_in[row + j] {
+                        live_in[row + j] = new;
+                        changed = true;
+                    }
                 }
             }
         }
-        Liveness { live_in, live_out }
+        Liveness {
+            words: w,
+            live_in,
+            live_out,
+        }
     }
 }
 
@@ -175,6 +243,17 @@ mod tests {
     }
 
     #[test]
+    fn members_cross_word_boundaries() {
+        let mut s = RegSet::new(192);
+        let want = [0, 1, 62, 63, 64, 65, 127, 128, 191].map(VReg);
+        for r in want {
+            s.insert(r);
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), want);
+        assert_eq!(s.as_row().iter().count(), want.len());
+    }
+
+    #[test]
     fn loop_carried_value_is_live_around_backedge() {
         // i defined in entry, used and redefined in loop body.
         let mut b = FunctionBuilder::new("k", vec![]);
@@ -196,10 +275,10 @@ mod tests {
         let cfg = Cfg::new(&f);
         let lv = Liveness::compute(&f, &cfg);
         // i is live into the loop head and around the backedge.
-        assert!(lv.live_in[1].contains(i));
-        assert!(lv.live_out[2].contains(i));
+        assert!(lv.live_in(1).contains(i));
+        assert!(lv.live_out(2).contains(i));
         // i2 is consumed within the body.
-        assert!(!lv.live_out[2].contains(i2));
+        assert!(!lv.live_out(2).contains(i2));
     }
 
     #[test]
@@ -210,7 +289,7 @@ mod tests {
         let f = b.finish();
         let cfg = Cfg::new(&f);
         let lv = Liveness::compute(&f, &cfg);
-        assert!(!lv.live_in[0].contains(dead));
-        assert!(!lv.live_out[0].contains(dead));
+        assert!(!lv.live_in(0).contains(dead));
+        assert!(!lv.live_out(0).contains(dead));
     }
 }

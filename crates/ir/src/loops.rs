@@ -99,6 +99,12 @@ impl LoopForest {
         LoopForest { loops }
     }
 
+    /// The innermost loop containing `b`, if any. Two natural loops are
+    /// disjoint or nested, so the first, smallest, match is the innermost.
+    pub fn loop_of(&self, b: BlockId) -> Option<&Loop> {
+        self.loops.iter().find(|l| l.contains(b))
+    }
+
     /// Loops whose body contains no other loop's header — the candidates for
     /// full unrolling.
     pub fn innermost(&self) -> impl Iterator<Item = &Loop> {
@@ -167,6 +173,10 @@ mod tests {
         assert_eq!(outer.exits, vec![BlockId(5)]);
         let innermost: Vec<_> = forest.innermost().map(|l| l.header).collect();
         assert_eq!(innermost, vec![BlockId(2)]);
+        let loop_of = |b| forest.loop_of(BlockId(b)).map(|l| l.header);
+        assert_eq!(loop_of(3), Some(BlockId(2)));
+        assert_eq!(loop_of(4), Some(BlockId(1)));
+        assert_eq!(loop_of(5), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::cfg::Cfg;
 use crate::func::Function;
-use crate::liveness::Liveness;
+use crate::liveness::{Liveness, RegSet};
 use crate::value::Operand;
 
 /// Run the pass; returns the number of instructions removed.
@@ -19,8 +19,10 @@ pub fn run(f: &mut Function) -> usize {
 /// manager caches analyses across passes).
 pub fn run_with(f: &mut Function, lv: &Liveness) -> usize {
     let mut removed = 0;
+    let mut live = RegSet::new(f.num_vregs());
+    let mut keep = Vec::new();
     for (bi, b) in f.blocks.iter_mut().enumerate() {
-        let mut live = lv.live_out[bi].clone();
+        live.copy_from(lv.live_out(bi));
         // Terminator uses.
         if let crate::inst::Terminator::CondBr {
             cond: Operand::Reg(r),
@@ -30,7 +32,8 @@ pub fn run_with(f: &mut Function, lv: &Liveness) -> usize {
             live.insert(*r);
         }
         // Backward sweep marking deletions.
-        let mut keep = vec![true; b.insts.len()];
+        keep.clear();
+        keep.resize(b.insts.len(), true);
         for (ii, inst) in b.insts.iter().enumerate().rev() {
             let dead = inst.op.is_pure()
                 && match inst.result {

@@ -14,28 +14,29 @@
 //! convention in the evaluator and never traps), so executing a hoisted
 //! instruction on the zero-trip path is safe speculation.
 
+use super::Analyses;
 use crate::cfg::{Cfg, Dominators};
 use crate::func::{BlockId, Function};
 use crate::inst::{Inst, Terminator};
 use crate::liveness::Liveness;
-use crate::loops::{Loop, LoopForest};
+use crate::loops::Loop;
 use crate::value::Operand;
 
 /// Run the pass; returns the number of instructions hoisted.
-pub fn run(f: &mut Function) -> usize {
+pub fn run(f: &mut Function, an: &mut Analyses) -> usize {
     let mut total = 0;
     // Hoisting rewrites the CFG (preheader insertion), so analyses are
     // recomputed after every loop processed; iterate until no loop yields
     // further candidates. Inner loops come first in the forest order, which
     // lets a value migrate outward one level per iteration.
     loop {
-        let cfg = Cfg::new(f);
-        let dom = Dominators::new(&cfg);
-        let forest = LoopForest::find(f, &cfg, &dom);
-        let lv = Liveness::compute(f, &cfg);
+        if an.loops(f).2.loops.is_empty() {
+            return total;
+        }
+        let (cfg, dom, forest, lv) = an.loops_live(f);
         let mut hoisted = 0;
         for l in &forest.loops {
-            hoisted = hoist_loop(f, &cfg, &dom, &lv, l);
+            hoisted = hoist_loop(f, cfg, dom, lv, l);
             if hoisted > 0 {
                 break;
             }
@@ -43,6 +44,7 @@ pub fn run(f: &mut Function) -> usize {
         if hoisted == 0 {
             return total;
         }
+        an.invalidate_all();
         total += hoisted;
     }
 }
@@ -74,7 +76,7 @@ fn hoist_loop(f: &mut Function, cfg: &Cfg, dom: &Dominators, lv: &Liveness, l: &
     // Select candidates to a fixed point: an instruction whose operands are
     // defined by an earlier-round selection becomes movable itself. Rounds
     // are recorded so the preheader lists definitions before their uses.
-    let live_hdr = &lv.live_in[l.header.index()];
+    let live_hdr = lv.live_in(l.header.index());
     let mut selected: Vec<(BlockId, usize)> = Vec::new();
     let mut selected_set = vec![false; f.num_vregs()];
     let mut is_selected: Vec<Vec<bool>> = l
@@ -181,6 +183,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::func::Param;
+    use crate::loops::LoopForest;
     use crate::types::{AddressSpace, Scalar, Type};
     use crate::value::Operand;
     use crate::{BinOp, Builtin, CmpOp};
@@ -219,7 +222,7 @@ mod tests {
     #[test]
     fn hoists_invariant_multiply() {
         let (mut f, inv) = loop_with_invariant();
-        let hoisted = run(&mut f);
+        let hoisted = run(&mut f, &mut Analyses::default());
         assert!(hoisted >= 1, "invariant multiply must move");
         crate::verify::verify_function(&f).unwrap();
         // The multiply now sits outside the loop: in a block that is not in
@@ -242,7 +245,7 @@ mod tests {
     fn loop_varying_value_stays() {
         // i2 = i + 1 depends on i which is redefined in the loop: not hoisted.
         let (mut f, _) = loop_with_invariant();
-        run(&mut f);
+        run(&mut f, &mut Analyses::default());
         let cfg = Cfg::new(&f);
         let dom = Dominators::new(&cfg);
         let forest = LoopForest::find(&f, &cfg, &dom);
@@ -292,7 +295,7 @@ mod tests {
         b.switch_to(exit);
         b.ret();
         let mut f = b.finish();
-        run(&mut f);
+        run(&mut f, &mut Analyses::default());
         crate::verify::verify_function(&f).unwrap();
         let loads_in_body = f
             .block(BlockId(2))

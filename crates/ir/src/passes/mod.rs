@@ -76,9 +76,11 @@ impl OptLevel {
 }
 
 /// Lazily-computed, cached analyses shared by the passes of one pipeline
-/// run. The manager invalidates entries according to each pass's
+/// run — the only place a pass gets a CFG, dominators, loops or liveness
+/// from. The manager invalidates entries according to each pass's
 /// [`Pass::preserves_cfg`] contract, so a pass that only rewrites operands
-/// does not force a CFG rebuild for the next one.
+/// does not force a CFG rebuild for the next one; a pass that rewrites the
+/// CFG and wants to look again calls [`Analyses::invalidate_all`] itself.
 #[derive(Default)]
 pub struct Analyses {
     cfg: Option<Cfg>,
@@ -88,46 +90,32 @@ pub struct Analyses {
 }
 
 impl Analyses {
-    fn ensure_cfg(&mut self, f: &Function) {
-        if self.cfg.is_none() {
-            self.cfg = Some(Cfg::new(f));
-        }
-    }
-
-    /// The function's CFG.
-    pub fn cfg(&mut self, f: &Function) -> &Cfg {
-        self.ensure_cfg(f);
-        self.cfg.as_ref().unwrap()
-    }
-
-    /// CFG plus dominator tree.
-    pub fn cfg_dom(&mut self, f: &Function) -> (&Cfg, &Dominators) {
-        self.ensure_cfg(f);
-        if self.dom.is_none() {
-            self.dom = Some(Dominators::new(self.cfg.as_ref().unwrap()));
-        }
-        (self.cfg.as_ref().unwrap(), self.dom.as_ref().unwrap())
-    }
-
     /// CFG plus register liveness.
     pub fn cfg_live(&mut self, f: &Function) -> (&Cfg, &Liveness) {
-        self.ensure_cfg(f);
-        if self.live.is_none() {
-            self.live = Some(Liveness::compute(f, self.cfg.as_ref().unwrap()));
-        }
-        (self.cfg.as_ref().unwrap(), self.live.as_ref().unwrap())
+        let cfg = self.cfg.get_or_insert_with(|| Cfg::new(f));
+        let live = self.live.get_or_insert_with(|| Liveness::compute(f, cfg));
+        (cfg, live)
     }
 
-    /// Natural loops (computes CFG and dominators on the way).
-    pub fn loops(&mut self, f: &Function) -> &LoopForest {
-        if self.loops.is_none() {
-            let (cfg, dom) = {
-                self.cfg_dom(f);
-                (self.cfg.as_ref().unwrap(), self.dom.as_ref().unwrap())
-            };
-            self.loops = Some(LoopForest::find(f, cfg, dom));
-        }
-        self.loops.as_ref().unwrap()
+    /// CFG, dominator tree and natural loops.
+    pub fn loops(&mut self, f: &Function) -> (&Cfg, &Dominators, &LoopForest) {
+        let cfg = self.cfg.get_or_insert_with(|| Cfg::new(f));
+        let dom = self.dom.get_or_insert_with(|| Dominators::new(cfg));
+        let loops = self
+            .loops
+            .get_or_insert_with(|| LoopForest::find(f, cfg, dom));
+        (cfg, dom, loops)
+    }
+
+    /// [`Analyses::loops`] plus register liveness.
+    pub fn loops_live(&mut self, f: &Function) -> (&Cfg, &Dominators, &LoopForest, &Liveness) {
+        let cfg = self.cfg.get_or_insert_with(|| Cfg::new(f));
+        let dom = self.dom.get_or_insert_with(|| Dominators::new(cfg));
+        let loops = self
+            .loops
+            .get_or_insert_with(|| LoopForest::find(f, cfg, dom));
+        let live = self.live.get_or_insert_with(|| Liveness::compute(f, cfg));
+        (cfg, dom, loops, live)
     }
 
     /// Drop everything — the CFG changed.
@@ -213,8 +201,8 @@ impl Pass for Dce {
 pub struct Licm;
 impl Pass for Licm {
     pass_names!("licm");
-    fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
-        licm::run(f)
+    fn run(&self, f: &mut Function, an: &mut Analyses) -> usize {
+        licm::run(f, an)
     }
     fn preserves_cfg(&self) -> bool {
         false
@@ -234,8 +222,8 @@ impl Pass for StrengthReduce {
 pub struct Unroll;
 impl Pass for Unroll {
     pass_names!("unroll");
-    fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
-        unroll::run(f)
+    fn run(&self, f: &mut Function, an: &mut Analyses) -> usize {
+        unroll::run(f, an)
     }
     fn preserves_cfg(&self) -> bool {
         false

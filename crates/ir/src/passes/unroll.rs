@@ -16,10 +16,11 @@
 //! Zero-trip loops fold to a jump straight to the exit, after which the
 //! unreachable body is deleted.
 
-use crate::cfg::{Cfg, Dominators};
+use super::Analyses;
+use crate::cfg::Cfg;
 use crate::func::{Block, BlockId, Function};
 use crate::inst::{BinOp, CmpOp, Op, Terminator};
-use crate::loops::{Loop, LoopForest};
+use crate::loops::Loop;
 use crate::passes::const_fold;
 use crate::types::Scalar;
 use crate::value::{Const, Operand, VReg};
@@ -35,16 +36,15 @@ const MAX_FUNC_INSTS: usize = 2048;
 const MAX_FUNC_BLOCKS: usize = 96;
 
 /// Run the pass; returns the number of loops unrolled (or folded away).
-pub fn run(f: &mut Function) -> usize {
+pub fn run(f: &mut Function, an: &mut Analyses) -> usize {
     let mut unrolled = 0;
     loop {
-        let cfg = Cfg::new(f);
-        let dom = Dominators::new(&cfg);
-        let forest = LoopForest::find(f, &cfg, &dom);
-        let Some(p) = forest.innermost().find_map(|l| plan(f, &cfg, l)) else {
+        let (cfg, _, forest) = an.loops(f);
+        let Some(p) = forest.innermost().find_map(|l| plan(f, cfg, l)) else {
             break;
         };
         apply(f, &p);
+        an.invalidate_all();
         unrolled += 1;
     }
     unrolled
@@ -374,7 +374,9 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::cfg::Dominators;
     use crate::func::Param;
+    use crate::loops::LoopForest;
     use crate::types::{AddressSpace, Type};
     use crate::value::Operand;
     use crate::Builtin;
@@ -426,7 +428,7 @@ mod tests {
     fn unrolls_constant_trip_loop() {
         let mut f = counting_loop(Operand::imm_u32(3));
         assert_eq!(count_stores(&f), 1);
-        assert_eq!(run(&mut f), 1);
+        assert_eq!(run(&mut f, &mut Analyses::default()), 1);
         crate::verify::verify_function(&f).unwrap();
         assert!(!has_loops(&f), "back edges must be gone:\n{f}");
         assert_eq!(count_stores(&f), 3, "one store copy per trip:\n{f}");
@@ -436,7 +438,7 @@ mod tests {
     fn zero_trip_loop_folds_to_exit() {
         let mut f = counting_loop(Operand::imm_u32(0));
         let blocks_before = f.blocks.len();
-        assert_eq!(run(&mut f), 1);
+        assert_eq!(run(&mut f, &mut Analyses::default()), 1);
         crate::verify::verify_function(&f).unwrap();
         assert!(!has_loops(&f));
         assert_eq!(count_stores(&f), 0, "body removed:\n{f}");
@@ -462,14 +464,18 @@ mod tests {
         fb.switch_to(exit);
         fb.ret();
         let mut f = fb.finish();
-        assert_eq!(run(&mut f), 0, "unknown trip count must stay rolled");
+        assert_eq!(
+            run(&mut f, &mut Analyses::default()),
+            0,
+            "unknown trip count must stay rolled"
+        );
         assert!(has_loops(&f));
     }
 
     #[test]
     fn long_loop_stays_rolled() {
         let mut f = counting_loop(Operand::imm_u32(MAX_TRIPS + 1));
-        assert_eq!(run(&mut f), 0);
+        assert_eq!(run(&mut f, &mut Analyses::default()), 0);
         assert!(has_loops(&f));
     }
 
@@ -519,7 +525,7 @@ mod tests {
         fb.ret();
         let mut f = fb.finish();
         // Inner unrolls in each outer iteration context; then the outer.
-        assert!(run(&mut f) >= 2);
+        assert!(run(&mut f, &mut Analyses::default()) >= 2);
         crate::verify::verify_function(&f).unwrap();
         assert!(!has_loops(&f), "both levels must flatten:\n{f}");
         assert_eq!(count_stores(&f), 4, "2x2 iterations:\n{f}");

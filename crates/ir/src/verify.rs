@@ -62,7 +62,7 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
             return Err(err(format!("block at index {bi} has id {}", b.id)));
         }
         for (ii, inst) in b.insts.iter().enumerate() {
-            let at = format!("bb{bi}[{ii}]");
+            let at = At(bi, ii);
             // Result arity matches the op kind.
             match (inst.result, inst.op.has_result()) {
                 (None, true) => return Err(err(format!("{at}: op result dropped"))),
@@ -144,6 +144,17 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
         }
     }
     Ok(())
+}
+
+/// An instruction's location, `bb{block}[{index}]`: formatted only when an
+/// error message is built, never on the success path.
+#[derive(Clone, Copy)]
+struct At(usize, usize);
+
+impl std::fmt::Display for At {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "bb{}[{}]", self.0, self.1)
+    }
 }
 
 /// Result type of an op, or `None` when the op's declared register type is

@@ -3,8 +3,10 @@
 use crate::regalloc::{allocate, Allocation, Loc};
 use crate::structure::{plan, DivBranch, DivPlan};
 use crate::{CodegenError, CodegenOpts, CompiledKernel};
-use ocl_ir::cfg::Cfg;
+use ocl_ir::cfg::{Cfg, Dominators, PostDominators};
 use ocl_ir::divergence::DivergenceInfo;
+use ocl_ir::liveness::Liveness;
+use ocl_ir::loops::LoopForest;
 use ocl_ir::{
     AtomicOp, BinOp, BlockId, Builtin, CmpOp, Function, LocalArrayId, Op, Operand, Scalar,
     Terminator, UnOp, VReg,
@@ -66,10 +68,15 @@ struct Emitter<'f> {
 /// Compile a kernel to a program (see crate docs for the two scheduler
 /// shapes).
 pub fn compile(f: &Function, opts: &CodegenOpts) -> Result<CompiledKernel, CodegenError> {
+    // One of each analysis per kernel, shared by every consumer below.
     let cfg = Cfg::new(f);
-    let div = DivergenceInfo::analyze(f);
-    let plan = plan(f, &cfg, &div)?;
-    let alloc = repro_util::metrics::time("vortex_cc.regalloc", || allocate(f));
+    let pdom = PostDominators::new(f, &cfg);
+    let loops = LoopForest::find(f, &cfg, &Dominators::new(&cfg));
+    let div = DivergenceInfo::analyze(f, &cfg, &pdom);
+    let plan = plan(f, &cfg, &pdom, &loops, &div)?;
+    let alloc = repro_util::metrics::time("vortex_cc.regalloc", || {
+        allocate(f, &Liveness::compute(f, &cfg))
+    });
     let group_mode = f.uses_barrier() || !f.local_arrays.is_empty();
     let used = scan_used_ids(f);
     let num_mask_slots = plan.num_mask_slots;

@@ -7,7 +7,6 @@
 //! lane-interleaved stack slots and reloaded into scratch registers at each
 //! use by the emitter.
 
-use ocl_ir::cfg::Cfg;
 use ocl_ir::liveness::Liveness;
 use ocl_ir::{Function, Operand, Scalar, Type, VReg};
 
@@ -49,10 +48,8 @@ pub const INT_POOL: std::ops::RangeInclusive<u8> = 8..=27;
 /// Allocatable float registers: f0..=f29 (f30/f31 are scratch).
 pub const FP_POOL: std::ops::RangeInclusive<u8> = 0..=29;
 
-/// Run linear scan for `f`.
-pub fn allocate(f: &Function) -> Allocation {
-    let cfg = Cfg::new(f);
-    let lv = Liveness::compute(f, &cfg);
+/// Run linear scan for `f` given its liveness.
+pub fn allocate(f: &Function, lv: &Liveness) -> Allocation {
     let n = f.num_vregs();
 
     // Linearize: position of each instruction; block b spans
@@ -80,10 +77,10 @@ pub fn allocate(f: &Function) -> Allocation {
     }
     for (bi, b) in f.blocks.iter().enumerate() {
         let (bs, be) = block_range[bi];
-        for v in lv.live_in[bi].iter() {
+        for v in lv.live_in(bi).iter() {
             touch(v, bs, &mut start, &mut end);
         }
-        for v in lv.live_out[bi].iter() {
+        for v in lv.live_out(bi).iter() {
             touch(v, be - 1, &mut start, &mut end);
         }
         let mut p = bs;
@@ -185,7 +182,12 @@ pub fn allocate(f: &Function) -> Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ocl_ir::cfg::Cfg;
     use ocl_ir::{AddressSpace, BinOp, Builtin, FunctionBuilder, Param};
+
+    fn allocate(f: &Function) -> Allocation {
+        super::allocate(f, &Liveness::compute(f, &Cfg::new(f)))
+    }
 
     fn gptr() -> Param {
         Param {

@@ -5,8 +5,9 @@
 //! save in the loop preheader), and rejects shapes outside the supported
 //! subset with a source-level error.
 
-use ocl_ir::cfg::{Cfg, Dominators, PostDominators};
+use ocl_ir::cfg::{Cfg, PostDominators};
 use ocl_ir::divergence::DivergenceInfo;
+use ocl_ir::loops::LoopForest;
 use ocl_ir::{BlockId, Function, Terminator};
 use rustc_hash::FxHashMap;
 
@@ -40,67 +41,14 @@ pub struct DivPlan {
     pub num_mask_slots: usize,
 }
 
-/// Natural loops of the function.
-#[derive(Debug)]
-pub struct Loops {
-    /// For each block, the header of its innermost loop (if any).
-    pub innermost: Vec<Option<BlockId>>,
-    /// Header -> loop body (bool per block).
-    pub bodies: FxHashMap<BlockId, Vec<bool>>,
-}
-
-/// Find natural loops via back edges (edge u->h where h dominates u).
-pub fn find_loops(f: &Function, cfg: &Cfg, dom: &Dominators) -> Loops {
-    let n = f.blocks.len();
-    let mut bodies: FxHashMap<BlockId, Vec<bool>> = FxHashMap::default();
-    for (u, _) in f.iter_blocks() {
-        if !cfg.is_reachable(u) {
-            continue;
-        }
-        for &h in &cfg.succs[u.index()] {
-            if dom.dominates(h, u) {
-                // Natural loop of back edge u->h.
-                let body = bodies.entry(h).or_insert_with(|| vec![false; n]);
-                body[h.index()] = true;
-                let mut work = vec![u];
-                while let Some(x) = work.pop() {
-                    if body[x.index()] {
-                        continue;
-                    }
-                    body[x.index()] = true;
-                    work.extend(cfg.preds[x.index()].iter().copied());
-                }
-            }
-        }
-    }
-    // Innermost loop per block = smallest containing body.
-    let mut innermost: Vec<Option<BlockId>> = vec![None; n];
-    for (h, body) in &bodies {
-        let size = body.iter().filter(|&&b| b).count();
-        for (bi, &inb) in body.iter().enumerate() {
-            if !inb {
-                continue;
-            }
-            let better = match innermost[bi] {
-                None => true,
-                Some(cur) => {
-                    let cur_size = bodies[&cur].iter().filter(|&&b| b).count();
-                    size < cur_size
-                }
-            };
-            if better {
-                innermost[bi] = Some(*h);
-            }
-        }
-    }
-    Loops { innermost, bodies }
-}
-
-/// Build the lowering plan, or reject the kernel.
-pub fn plan(f: &Function, cfg: &Cfg, div: &DivergenceInfo) -> Result<DivPlan, crate::CodegenError> {
-    let dom = Dominators::new(cfg);
-    let pdom = PostDominators::new(f, cfg);
-    let loops = find_loops(f, cfg, &dom);
+/// Build the lowering plan from the kernel's analyses, or reject the kernel.
+pub fn plan(
+    f: &Function,
+    cfg: &Cfg,
+    pdom: &PostDominators,
+    loops: &LoopForest,
+    div: &DivergenceInfo,
+) -> Result<DivPlan, crate::CodegenError> {
     let mut plan = DivPlan::default();
     let err = |detail: String| crate::CodegenError::Unstructured {
         kernel: f.name.clone(),
@@ -118,10 +66,10 @@ pub fn plan(f: &Function, cfg: &Cfg, div: &DivergenceInfo) -> Result<DivPlan, cr
         };
         // Loop-exit shape: B is in a loop and exactly one successor leaves
         // that loop.
-        if let Some(h) = loops.innermost[b.index()] {
-            let body_set = &loops.bodies[&h];
-            let then_in = body_set[then_bb.index()];
-            let else_in = body_set[else_bb.index()];
+        if let Some(l) = loops.loop_of(b) {
+            let h = l.header;
+            let then_in = l.contains(then_bb);
+            let else_in = l.contains(else_bb);
             if then_in != else_in {
                 let (body, exit) = if then_in {
                     (then_bb, else_bb)
@@ -129,12 +77,9 @@ pub fn plan(f: &Function, cfg: &Cfg, div: &DivergenceInfo) -> Result<DivPlan, cr
                     (else_bb, then_bb)
                 };
                 // Every edge out of the loop must be this one.
-                for (x, xb) in f.iter_blocks() {
-                    if !body_set[x.index()] || !cfg.is_reachable(x) {
-                        continue;
-                    }
-                    for s in xb.term.successors() {
-                        if !body_set[s.index()] && (x != b || s != exit) {
+                for &x in l.body.iter().filter(|&&x| cfg.is_reachable(x)) {
+                    for s in f.block(x).term.successors() {
+                        if !l.contains(s) && (x != b || s != exit) {
                             return Err(err(format!(
                                 "loop with header {h} has a second exit {x}->{s} \
                                  (divergent break?); rewrite with a guard flag"
@@ -146,7 +91,7 @@ pub fn plan(f: &Function, cfg: &Cfg, div: &DivergenceInfo) -> Result<DivPlan, cr
                 let preheaders: Vec<BlockId> = cfg.preds[h.index()]
                     .iter()
                     .copied()
-                    .filter(|p| !body_set[p.index()])
+                    .filter(|&p| !l.contains(p))
                     .collect();
                 let &[preheader] = preheaders.as_slice() else {
                     return Err(err(format!(
@@ -242,13 +187,15 @@ fn region_of(cfg: &Cfg, entry: BlockId, stop: BlockId) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocl_ir::divergence::DivergenceInfo;
+    use ocl_ir::cfg::Dominators;
     use ocl_ir::{AddressSpace, Builtin, CmpOp, FunctionBuilder, Operand, Param, Scalar, Type};
 
     fn analyze(f: &Function) -> Result<DivPlan, crate::CodegenError> {
         let cfg = Cfg::new(f);
-        let div = DivergenceInfo::analyze(f);
-        plan(f, &cfg, &div)
+        let pdom = PostDominators::new(f, &cfg);
+        let loops = LoopForest::find(f, &cfg, &Dominators::new(&cfg));
+        let div = DivergenceInfo::analyze(f, &cfg, &pdom);
+        plan(f, &cfg, &pdom, &loops, &div)
     }
 
     #[test]
@@ -384,12 +331,18 @@ mod tests {
         b.switch_to(exit);
         b.ret();
         let f = b.finish();
-        let cfg = Cfg::new(&f);
-        let dom = Dominators::new(&cfg);
-        let loops = find_loops(&f, &cfg, &dom);
-        assert_eq!(loops.innermost[head.index()], Some(head));
-        assert_eq!(loops.innermost[body.index()], Some(head));
-        assert_eq!(loops.innermost[exit.index()], None);
-        assert_eq!(loops.innermost[0], None);
+        // The gid-bounded trip count diverges: the header's exit is a PRED
+        // loop exit with the mask saved in the entry block.
+        let p = analyze(&f).unwrap();
+        assert_eq!(
+            p.branches[&head],
+            DivBranch::LoopExit {
+                body,
+                exit,
+                preheader: BlockId(0)
+            }
+        );
+        assert_eq!(p.pred_slots[&head], 0);
+        assert_eq!(p.mask_saves[&BlockId(0)], vec![0]);
     }
 }
