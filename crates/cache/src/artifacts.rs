@@ -16,10 +16,8 @@ use ocl_ir::{
     LocalArray, LocalArrayId, Module, Op, Operand, Param, Scalar, Terminator, Type, UnOp, VReg,
 };
 use vortex_cc::CompiledKernel;
-use vortex_isa::{
-    AluOp, AmoOp, BranchCond, Csr, CvtOp, FpCmpOp, FpOp, FpUnOp, Instr, MulOp, PrintArg, PrintfFmt,
-    Program,
-};
+use vortex_isa::encode::{decode, encode};
+use vortex_isa::{PrintArg, PrintfFmt, Program};
 
 macro_rules! wire_unit_enum {
     ($ty:ty { $($tag:literal => $v:ident),* $(,)? }) => {
@@ -474,300 +472,10 @@ impl Wire for Module {
 }
 
 // ---------------------------------------------------------------------------
-// Vortex ISA + compiled kernels (`vortex-isa`, `vortex-cc`)
+// Vortex compiled kernels (`vortex-isa`, `vortex-cc`)
 // ---------------------------------------------------------------------------
 
-wire_unit_enum!(AluOp {
-    0 => Add, 1 => Sub, 2 => Sll, 3 => Slt, 4 => Sltu,
-    5 => Xor, 6 => Srl, 7 => Sra, 8 => Or, 9 => And,
-});
-wire_unit_enum!(MulOp {
-    0 => Mul, 1 => Mulh, 2 => Mulhu, 3 => Div, 4 => Divu, 5 => Rem, 6 => Remu,
-});
-wire_unit_enum!(BranchCond { 0 => Eq, 1 => Ne, 2 => Lt, 3 => Ge, 4 => Ltu, 5 => Geu });
-wire_unit_enum!(FpOp {
-    0 => Add, 1 => Sub, 2 => Mul, 3 => Div, 4 => Min,
-    5 => Max, 6 => Sgnj, 7 => SgnjN, 8 => SgnjX,
-});
-wire_unit_enum!(FpUnOp { 0 => Sqrt, 1 => Exp, 2 => Log, 3 => Sin, 4 => Cos, 5 => Floor });
-wire_unit_enum!(FpCmpOp { 0 => Eq, 1 => Lt, 2 => Le });
-wire_unit_enum!(CvtOp { 0 => F2I, 1 => F2U, 2 => I2F, 3 => U2F, 4 => MvF2X, 5 => MvX2F });
-wire_unit_enum!(AmoOp {
-    0 => Add, 1 => Swap, 2 => And, 3 => Or, 4 => Xor,
-    5 => Min, 6 => Max, 7 => Minu, 8 => Maxu,
-});
-wire_unit_enum!(Csr {
-    0 => ThreadId, 1 => WarpId, 2 => CoreId, 3 => NumThreads,
-    4 => NumWarps, 5 => NumCores, 6 => Tmask,
-});
 wire_unit_enum!(PrintArg { 0 => I32, 1 => U32, 2 => F32 });
-
-impl Wire for Instr {
-    fn put(&self, w: &mut Writer) {
-        match *self {
-            Instr::Lui { rd, imm } => {
-                w.u8(0);
-                w.u8(rd);
-                w.i32(imm);
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                w.u8(1);
-                op.put(w);
-                w.u8(rd);
-                w.u8(rs1);
-                w.i32(imm);
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                w.u8(2);
-                op.put(w);
-                w.u8(rd);
-                w.u8(rs1);
-                w.u8(rs2);
-            }
-            Instr::MulDiv { op, rd, rs1, rs2 } => {
-                w.u8(3);
-                op.put(w);
-                w.u8(rd);
-                w.u8(rs1);
-                w.u8(rs2);
-            }
-            Instr::Lw { rd, rs1, imm } => {
-                w.u8(4);
-                w.u8(rd);
-                w.u8(rs1);
-                w.i32(imm);
-            }
-            Instr::Sw { rs1, rs2, imm } => {
-                w.u8(5);
-                w.u8(rs1);
-                w.u8(rs2);
-                w.i32(imm);
-            }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                w.u8(6);
-                cond.put(w);
-                w.u8(rs1);
-                w.u8(rs2);
-                w.i32(offset);
-            }
-            Instr::Jal { rd, offset } => {
-                w.u8(7);
-                w.u8(rd);
-                w.i32(offset);
-            }
-            Instr::Jalr { rd, rs1, imm } => {
-                w.u8(8);
-                w.u8(rd);
-                w.u8(rs1);
-                w.i32(imm);
-            }
-            Instr::Flw { rd, rs1, imm } => {
-                w.u8(9);
-                w.u8(rd);
-                w.u8(rs1);
-                w.i32(imm);
-            }
-            Instr::Fsw { rs1, rs2, imm } => {
-                w.u8(10);
-                w.u8(rs1);
-                w.u8(rs2);
-                w.i32(imm);
-            }
-            Instr::FpOp { op, rd, rs1, rs2 } => {
-                w.u8(11);
-                op.put(w);
-                w.u8(rd);
-                w.u8(rs1);
-                w.u8(rs2);
-            }
-            Instr::FpUn { op, rd, rs1 } => {
-                w.u8(12);
-                op.put(w);
-                w.u8(rd);
-                w.u8(rs1);
-            }
-            Instr::FpCmp { op, rd, rs1, rs2 } => {
-                w.u8(13);
-                op.put(w);
-                w.u8(rd);
-                w.u8(rs1);
-                w.u8(rs2);
-            }
-            Instr::FpCvt { op, rd, rs1 } => {
-                w.u8(14);
-                op.put(w);
-                w.u8(rd);
-                w.u8(rs1);
-            }
-            Instr::Amo { op, rd, rs1, rs2 } => {
-                w.u8(15);
-                op.put(w);
-                w.u8(rd);
-                w.u8(rs1);
-                w.u8(rs2);
-            }
-            Instr::CsrRead { rd, csr } => {
-                w.u8(16);
-                w.u8(rd);
-                csr.put(w);
-            }
-            Instr::Tmc { rs1 } => {
-                w.u8(17);
-                w.u8(rs1);
-            }
-            Instr::Wspawn { rs1, rs2 } => {
-                w.u8(18);
-                w.u8(rs1);
-                w.u8(rs2);
-            }
-            Instr::Split { rs1, else_off } => {
-                w.u8(19);
-                w.u8(rs1);
-                w.i32(else_off);
-            }
-            Instr::Join { off } => {
-                w.u8(20);
-                w.i32(off);
-            }
-            Instr::Pred { rs1, rs2, exit_off } => {
-                w.u8(21);
-                w.u8(rs1);
-                w.u8(rs2);
-                w.i32(exit_off);
-            }
-            Instr::Bar { rs1, rs2 } => {
-                w.u8(22);
-                w.u8(rs1);
-                w.u8(rs2);
-            }
-            Instr::Print { fmt } => {
-                w.u8(23);
-                w.u16(fmt);
-            }
-            Instr::Halt => w.u8(24),
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => Instr::Lui {
-                rd: r.u8()?,
-                imm: r.i32()?,
-            },
-            1 => Instr::OpImm {
-                op: AluOp::get(r)?,
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                imm: r.i32()?,
-            },
-            2 => Instr::Op {
-                op: AluOp::get(r)?,
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-            },
-            3 => Instr::MulDiv {
-                op: MulOp::get(r)?,
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-            },
-            4 => Instr::Lw {
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                imm: r.i32()?,
-            },
-            5 => Instr::Sw {
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-                imm: r.i32()?,
-            },
-            6 => Instr::Branch {
-                cond: BranchCond::get(r)?,
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-                offset: r.i32()?,
-            },
-            7 => Instr::Jal {
-                rd: r.u8()?,
-                offset: r.i32()?,
-            },
-            8 => Instr::Jalr {
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                imm: r.i32()?,
-            },
-            9 => Instr::Flw {
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                imm: r.i32()?,
-            },
-            10 => Instr::Fsw {
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-                imm: r.i32()?,
-            },
-            11 => Instr::FpOp {
-                op: FpOp::get(r)?,
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-            },
-            12 => Instr::FpUn {
-                op: FpUnOp::get(r)?,
-                rd: r.u8()?,
-                rs1: r.u8()?,
-            },
-            13 => Instr::FpCmp {
-                op: FpCmpOp::get(r)?,
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-            },
-            14 => Instr::FpCvt {
-                op: CvtOp::get(r)?,
-                rd: r.u8()?,
-                rs1: r.u8()?,
-            },
-            15 => Instr::Amo {
-                op: AmoOp::get(r)?,
-                rd: r.u8()?,
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-            },
-            16 => Instr::CsrRead {
-                rd: r.u8()?,
-                csr: Csr::get(r)?,
-            },
-            17 => Instr::Tmc { rs1: r.u8()? },
-            18 => Instr::Wspawn {
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-            },
-            19 => Instr::Split {
-                rs1: r.u8()?,
-                else_off: r.i32()?,
-            },
-            20 => Instr::Join { off: r.i32()? },
-            21 => Instr::Pred {
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-                exit_off: r.i32()?,
-            },
-            22 => Instr::Bar {
-                rs1: r.u8()?,
-                rs2: r.u8()?,
-            },
-            23 => Instr::Print { fmt: r.u16()? },
-            24 => Instr::Halt,
-            t => return Err(r.error(format!("invalid Instr tag {t}"))),
-        })
-    }
-}
 
 impl Wire for PrintfFmt {
     fn put(&self, w: &mut Writer) {
@@ -782,15 +490,35 @@ impl Wire for PrintfFmt {
     }
 }
 
+/// Instructions are stored as their 32-bit encoding, the kernel binary.
 impl Wire for Program {
     fn put(&self, w: &mut Writer) {
-        self.instrs.put(w);
+        w.u32(u32::try_from(self.instrs.len()).expect("wire: program longer than u32"));
+        for i in &self.instrs {
+            w.u32(encode(i).expect("code generation emits only encodable instructions"));
+        }
         self.printf_table.put(w);
         w.u32(self.entry);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.u32()? as usize;
+        if len > r.remaining() / 4 {
+            return Err(r.error(format!(
+                "corrupt program length {len} exceeds {} remaining bytes",
+                r.remaining()
+            )));
+        }
+        let mut instrs = Vec::with_capacity(len);
+        for _ in 0..len {
+            let at = r.offset();
+            let word = r.u32()?;
+            instrs.push(decode(word).map_err(|e| WireError {
+                message: e.to_string(),
+                offset: at,
+            })?);
+        }
         Ok(Program {
-            instrs: Vec::get(r)?,
+            instrs,
             printf_table: Vec::get(r)?,
             entry: r.u32()?,
         })

@@ -382,10 +382,13 @@ mod tests {
         assert_eq!(e.offset, 0);
         assert!(e.message.contains("magic"), "{e}");
 
-        // Version mismatch is stale, not corrupt.
-        let mut old = sealed.clone();
-        old[4..8].copy_from_slice(&(CACHE_SCHEMA_VERSION + 1).to_le_bytes());
-        assert!(unseal(key(), &old).unwrap_err().is_none());
+        // Version mismatch is stale, not corrupt: a newer schema, and
+        // schema 1, whose programs were a per-variant instruction codec.
+        for version in [1, CACHE_SCHEMA_VERSION + 1] {
+            let mut old = sealed.clone();
+            old[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(unseal(key(), &old).unwrap_err().is_none());
+        }
 
         // Wrong stage tag, byte 8.
         let mut wrong = sealed.clone();

@@ -56,7 +56,7 @@ use wire::{Fnv, Wire};
 /// encoding or the key derivation changes: the version is part of both the
 /// key mix and the disk envelope, so stale entries from older builds can
 /// never be decoded as current-format artifacts.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// The cacheable pipeline stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1,15 +1,17 @@
 //! Label-resolving assembler used by the code generator.
 //!
 //! Control-flow targets are emitted as [`Label`]s and resolved to relative
-//! instruction offsets when [`Asm::finish`] is called.
+//! instruction offsets when [`Asm::finish`] is called, which also checks
+//! that every instruction has an encoding.
 
+use crate::encode::encode;
 use crate::{BranchCond, Instr, Reg};
 
 /// A forward-referencable code label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(pub u32);
 
-/// Assembler failure (unbound label).
+/// Assembler failure (unbound label, or an instruction with no encoding).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsmError {
     pub message: String,
@@ -122,7 +124,9 @@ impl Asm {
         });
     }
 
-    /// Resolve all labels and return the instruction stream.
+    /// Resolve all labels and return the instruction stream. Fails if a
+    /// label is unbound or an instruction does not encode (an offset past
+    /// its field, for one).
     pub fn finish(self) -> Result<Vec<Instr>, AsmError> {
         let resolve = |l: Label, at: u32| -> Result<i32, AsmError> {
             let pos = self.labels[l.0 as usize].ok_or_else(|| AsmError {
@@ -135,7 +139,7 @@ impl Asm {
             .enumerate()
             .map(|(at, p)| {
                 let at = at as u32;
-                Ok(match p {
+                let i = match p {
                     Pending::Done(i) => *i,
                     Pending::Branch {
                         cond,
@@ -168,7 +172,11 @@ impl Asm {
                         rs2: *rs2,
                         exit_off: resolve(*exit_target, at)?,
                     },
-                })
+                };
+                encode(&i).map_err(|e| AsmError {
+                    message: e.to_string(),
+                })?;
+                Ok(i)
             })
             .collect()
     }
@@ -214,6 +222,20 @@ mod tests {
         let ghost = a.label();
         a.jump(ghost);
         assert!(a.finish().is_err());
+    }
+
+    #[test]
+    fn offset_past_its_field_is_error() {
+        let mut a = Asm::new();
+        let far = a.label();
+        a.split(9, far);
+        for _ in 0..2048 {
+            a.emit(Instr::Halt);
+        }
+        a.bind(far);
+        a.emit(Instr::Halt);
+        let e = a.finish().unwrap_err();
+        assert!(e.message.contains("does not fit"), "{e}");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! warps), **SPLIT**/**JOIN** (divergent branch / reconvergence point) and
 //! **PRED** (divergent loop exit), plus **BAR** (work-group barrier) and the
 //! RV32A atomics the discussion section calls out as a soft-GPU software
-//! stack challenge.
+//! stack challenge. [`encode::OPS`] lists every encodable operation once;
+//! the encoder, decoder and disassembler are derived from it.
 //!
 //! Deviations from the real Vortex encoding, chosen for clarity and
 //! documented here:

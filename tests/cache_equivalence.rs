@@ -43,7 +43,9 @@ fn fresh_optimize(src: &str, level: OptLevel) -> fpga_gpu_repro::ir::Module {
 /// The tentpole matrix: every benchmark x every optimization level x both
 /// flows. For each cell, the cold cached artifact, the warm (memory-hit)
 /// artifact and a fresh uncached compile must all encode to the same
-/// canonical bytes — i.e. the cache can never change what a consumer sees.
+/// canonical bytes — i.e. the cache can never change what a consumer sees —
+/// and a warm Vortex program must equal the fresh one instruction for
+/// instruction.
 #[test]
 fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
     let cache = mem_cache();
@@ -82,7 +84,18 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
                 .collect();
             let fresh = wire::encode(&fresh_kernels);
             let cold = wire::encode(&cache.codegen_vortex(b.source, Some(level), 4).unwrap());
-            let warm = wire::encode(&cache.codegen_vortex(b.source, Some(level), 4).unwrap());
+            let warm_kernels = cache.codegen_vortex(b.source, Some(level), 4).unwrap();
+            // Equal bytes would not catch a lossy codec that re-encodes to
+            // the bytes it read, so the decoded programs are compared too.
+            assert_eq!(warm_kernels.len(), fresh_kernels.len());
+            for (w, f) in warm_kernels.iter().zip(&fresh_kernels) {
+                assert_eq!(
+                    w.program, f.program,
+                    "{} at {level:?}: warm program != fresh",
+                    b.name
+                );
+            }
+            let warm = wire::encode(&warm_kernels);
             assert_eq!(
                 cold, fresh,
                 "{} at {level:?}: cold codegen != fresh",

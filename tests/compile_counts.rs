@@ -13,7 +13,7 @@ use fpga_gpu_repro::front::compile;
 use fpga_gpu_repro::ir::passes::{optimize_module, OptLevel};
 use fpga_gpu_repro::suite::all_benchmarks;
 use fpga_gpu_repro::vcc::{compile_kernel, CodegenOpts};
-use fpga_gpu_repro::visa::encode::encode_program;
+use fpga_gpu_repro::visa::encode::encode;
 use std::fmt::Write;
 
 fn render() -> String {
@@ -46,8 +46,8 @@ fn render() -> String {
                 let codegen = match compile_kernel(k, &opts) {
                     Ok(ck) => {
                         let mut h = Fnv::new();
-                        for w in encode_program(&ck.program.instrs) {
-                            h.write(&w.to_le_bytes());
+                        for i in &ck.program.instrs {
+                            h.write(&encode(i).expect("codegen output encodes").to_le_bytes());
                         }
                         format!(
                             "{} | {} | {} | {:016x}",

@@ -178,6 +178,50 @@ fn adversarial_kernels_over_the_serve_protocol() {
     assert_eq!(lines[3].get("failed").and_then(|v| v.as_u64()), Some(3));
 }
 
+/// An inline kernel whose binary the ISA cannot express — a divergent
+/// branch whose else-offset passes the 12-bit field — comes back as a
+/// typed `Codegen` failure that the retry loop leaves alone, and the job
+/// beside it in the same batch still runs.
+#[test]
+fn unencodable_kernel_is_a_typed_codegen_failure() {
+    let body = "x = x * 3 + o[x & 7];\n".repeat(700);
+    let source = format!(
+        "__kernel void bad(__global int* o) {{
+            int i = get_global_id(0);
+            int x = o[i];
+            if (x > 0) {{ {body} }}
+            o[i] = x;
+        }}"
+    );
+    let mut input = adversarial(1, &source, 4).to_json().to_compact();
+    input.push('\n');
+    input.push_str(r#"{"id":2,"bench":"Vecadd"}"#);
+    input.push_str("\n\n");
+    let opts = ServeOptions {
+        retry_max: 2,
+        ..ServeOptions::default()
+    };
+    let exec = Executor::new(ExecConfig::with_workers(2));
+    let mut out = Vec::new();
+    let summary =
+        serve_lines(&exec, &opts, input.as_bytes(), &mut out).expect("serve loop survives");
+    assert_eq!((summary.jobs, summary.ok, summary.failed), (2, 1, 1));
+    assert_eq!(summary.retried, 0, "a codegen failure is not transient");
+    let lines: Vec<Json> = std::str::from_utf8(&out)
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .collect();
+    let err = lines[0]
+        .get("error")
+        .expect("failure line carries the error");
+    assert_eq!(err.get("kind").and_then(|v| v.as_str()), Some("Codegen"));
+    assert_eq!(err.get("class").and_then(|v| v.as_str()), Some("Compile"));
+    let message = err.get("message").and_then(|v| v.as_str()).unwrap();
+    assert!(message.contains("cannot encode"), "{message}");
+    assert_eq!(lines[1].get("ok").and_then(|v| v.as_bool()), Some(true));
+}
+
 /// A request's machine geometry is outside input: shapes the simulator
 /// does not model come back as typed, non-transient `Harness` rejects —
 /// not as an allocation abort that takes the service down, a caught panic
