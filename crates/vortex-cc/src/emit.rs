@@ -197,49 +197,39 @@ impl<'f> Emitter<'f> {
         }
     }
 
-    /// Byte offset of stack slot `k` (lane-interleaved by `threads`).
-    fn slot_off(&self, k: usize) -> Result<i32, CodegenError> {
-        let off = (k as u32 * 4 * self.opts.threads) as i32;
-        if off >= 2048 {
-            return Err(CodegenError::Limit(format!(
-                "stack slot offset {off} exceeds the 12-bit immediate \
-                 (too many spills for {} threads/warp)",
-                self.opts.threads
-            )));
-        }
-        Ok(off)
+    /// Byte offset of stack slot `k` (lane-interleaved by `threads`). An
+    /// offset past the 12-bit immediate (too many spills for the warp
+    /// width) fails in [`Asm::finish`], which checks every field width.
+    fn slot_off(&self, k: usize) -> i32 {
+        (k as u32 * 4 * self.opts.threads) as i32
     }
 
-    fn load_slot(&mut self, rd: Reg, k: usize) -> Result<(), CodegenError> {
-        let imm = self.slot_off(k)?;
+    fn load_slot(&mut self, rd: Reg, k: usize) {
+        let imm = self.slot_off(k);
         self.a.emit(Instr::Lw { rd, rs1: SP, imm });
-        Ok(())
     }
 
-    fn store_slot(&mut self, rs: Reg, k: usize) -> Result<(), CodegenError> {
-        let imm = self.slot_off(k)?;
+    fn store_slot(&mut self, rs: Reg, k: usize) {
+        let imm = self.slot_off(k);
         self.a.emit(Instr::Sw {
             rs1: SP,
             rs2: rs,
             imm,
         });
-        Ok(())
     }
 
-    fn fload_slot(&mut self, rd: Reg, k: usize) -> Result<(), CodegenError> {
-        let imm = self.slot_off(k)?;
+    fn fload_slot(&mut self, rd: Reg, k: usize) {
+        let imm = self.slot_off(k);
         self.a.emit(Instr::Flw { rd, rs1: SP, imm });
-        Ok(())
     }
 
-    fn fstore_slot(&mut self, rs: Reg, k: usize) -> Result<(), CodegenError> {
-        let imm = self.slot_off(k)?;
+    fn fstore_slot(&mut self, rs: Reg, k: usize) {
+        let imm = self.slot_off(k);
         self.a.emit(Instr::Fsw {
             rs1: SP,
             rs2: rs,
             imm,
         });
-        Ok(())
     }
 
     fn spill_slot_index(&self, s: usize) -> usize {
@@ -258,7 +248,7 @@ impl<'f> Emitter<'f> {
                 Loc::Int(r) => Ok(r),
                 Loc::SpillInt(s) => {
                     let k = self.spill_slot_index(s);
-                    self.load_slot(scratch, k)?;
+                    self.load_slot(scratch, k);
                     Ok(scratch)
                 }
                 Loc::Fp(_) | Loc::SpillFp(_) => unreachable!("int operand in fp location"),
@@ -282,7 +272,7 @@ impl<'f> Emitter<'f> {
                 Loc::Fp(r) => Ok(r),
                 Loc::SpillFp(s) => {
                     let k = self.spill_slot_index(s);
-                    self.fload_slot(fscratch, k)?;
+                    self.fload_slot(fscratch, k);
                     Ok(fscratch)
                 }
                 Loc::Int(_) | Loc::SpillInt(_) => unreachable!("fp operand in int location"),
@@ -318,14 +308,14 @@ impl<'f> Emitter<'f> {
 
     fn finish_int_dest(&mut self, spill: Option<usize>, r: Reg) -> Result<(), CodegenError> {
         if let Some(k) = spill {
-            self.store_slot(r, k)?;
+            self.store_slot(r, k);
         }
         Ok(())
     }
 
     fn finish_fp_dest(&mut self, spill: Option<usize>, r: Reg) -> Result<(), CodegenError> {
         if let Some(k) = spill {
-            self.fstore_slot(r, k)?;
+            self.fstore_slot(r, k);
         }
         Ok(())
     }
@@ -697,7 +687,7 @@ impl<'f> Emitter<'f> {
                         rs2: T1,
                     });
                 }
-                self.store_slot(S0, SLOT_GID + d)?;
+                self.store_slot(S0, SLOT_GID + d);
                 // lid/group for this dim.
                 if u.lid[d] || u.grp[d] {
                     self.a.emit(Instr::Lw {
@@ -712,7 +702,7 @@ impl<'f> Emitter<'f> {
                             rs1: S0,
                             rs2: S1,
                         });
-                        self.store_slot(T2, SLOT_LID + d)?;
+                        self.store_slot(T2, SLOT_LID + d);
                     }
                     if u.grp[d] {
                         self.a.emit(Instr::MulDiv {
@@ -721,7 +711,7 @@ impl<'f> Emitter<'f> {
                             rs1: S0,
                             rs2: S1,
                         });
-                        self.store_slot(T2, SLOT_GRP + d)?;
+                        self.store_slot(T2, SLOT_GRP + d);
                     }
                 }
             }
@@ -841,7 +831,7 @@ impl<'f> Emitter<'f> {
                     rs2: T1,
                 });
             }
-            self.store_slot(S0, SLOT_GRP + d)?;
+            self.store_slot(S0, SLOT_GRP + d);
         }
         // Linear local id L = wid*NT + tid.
         self.a.emit(Instr::CsrRead {
@@ -892,9 +882,9 @@ impl<'f> Emitter<'f> {
                     rs2: T1,
                 });
             }
-            self.store_slot(S0, SLOT_LID + d)?;
+            self.store_slot(S0, SLOT_LID + d);
             // gid_d = grp_d * local_d + lid_d.
-            self.load_slot(S1, SLOT_GRP + d)?;
+            self.load_slot(S1, SLOT_GRP + d);
             self.a.emit(Instr::MulDiv {
                 op: MulOp::Mul,
                 rd: S1,
@@ -907,7 +897,7 @@ impl<'f> Emitter<'f> {
                 rs1: S1,
                 rs2: S0,
             });
-            self.store_slot(S1, SLOT_GID + d)?;
+            self.store_slot(S1, SLOT_GID + d);
         }
         Ok(())
     }
@@ -930,7 +920,7 @@ impl<'f> Emitter<'f> {
                         csr: Csr::Tmask,
                     });
                     let k = self.mask_slot_index(m);
-                    self.store_slot(S0, k)?;
+                    self.store_slot(S0, k);
                 }
             }
             let term = self.f.blocks[bi].term.clone();
@@ -998,7 +988,7 @@ impl<'f> Emitter<'f> {
                     Some(DivBranch::LoopExit { body, exit, .. }) => {
                         let slot = self.plan.pred_slots[&id];
                         let k = self.mask_slot_index(slot);
-                        self.load_slot(T2, k)?;
+                        self.load_slot(T2, k);
                         // Predicate must be "stay in loop".
                         let stay = if *then_bb == body {
                             c
@@ -1795,9 +1785,9 @@ impl<'f> Emitter<'f> {
     fn emit_workitem(&mut self, dest: VReg, w: Builtin) -> Result<(), CodegenError> {
         let (rd, spill) = self.int_dest(dest);
         match w {
-            Builtin::GlobalId(d) => self.load_slot(rd, SLOT_GID + d as usize)?,
-            Builtin::LocalId(d) => self.load_slot(rd, SLOT_LID + d as usize)?,
-            Builtin::GroupId(d) => self.load_slot(rd, SLOT_GRP + d as usize)?,
+            Builtin::GlobalId(d) => self.load_slot(rd, SLOT_GID + d as usize),
+            Builtin::LocalId(d) => self.load_slot(rd, SLOT_LID + d as usize),
+            Builtin::GroupId(d) => self.load_slot(rd, SLOT_GRP + d as usize),
             Builtin::GlobalSize(d) => self.a.emit(Instr::Lw {
                 rd,
                 rs1: X_ARG,
