@@ -80,7 +80,17 @@ struct Lowerer {
     scopes: Vec<FxHashMap<String, Symbol>>,
     /// (continue target, break target) per enclosing loop.
     loops: Vec<(ocl_ir::BlockId, ocl_ir::BlockId)>,
+    /// Bytes of the `__local` arrays declared so far.
+    local_bytes: u64,
 }
+
+/// Most elements one `__local` array may have.
+const MAX_LOCAL_ELEMS: u64 = 1 << 24;
+/// Most bytes a kernel's `__local` arrays may take together: one array at
+/// the element cap. Keeps every later `u32` sum of local sizes and offsets
+/// (`Function::local_bytes`, the interpreter's and `vortex-cc`'s layouts)
+/// from wrapping.
+const MAX_LOCAL_BYTES: u64 = MAX_LOCAL_ELEMS * 4;
 
 fn err(message: impl Into<String>, span: Span) -> LowerError {
     LowerError {
@@ -106,6 +116,7 @@ fn lower_kernel(k: &KernelDef) -> Result<Function, LowerError> {
         b: FunctionBuilder::new(k.name.clone(), params),
         scopes: vec![FxHashMap::default()],
         loops: Vec::new(),
+        local_bytes: 0,
     };
     for (i, p) in k.params.iter().enumerate() {
         let reg = lw.b.param(i);
@@ -194,9 +205,19 @@ impl Lowerer {
             } => {
                 let sc = scalar_of(*ty);
                 let len: u64 = dims.iter().map(|&d| d as u64).product();
-                if len == 0 || len > (1 << 24) {
+                if len == 0 || len > MAX_LOCAL_ELEMS {
                     return Err(err(
                         format!("__local array `{name}` has unreasonable size {len}"),
+                        *span,
+                    ));
+                }
+                self.local_bytes += len * sc.bytes() as u64;
+                if self.local_bytes > MAX_LOCAL_BYTES {
+                    return Err(err(
+                        format!(
+                            "__local arrays up to `{name}` take {} bytes, over the {MAX_LOCAL_BYTES}-byte limit",
+                            self.local_bytes
+                        ),
                         *span,
                     ));
                 }

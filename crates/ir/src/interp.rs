@@ -7,14 +7,15 @@
 //!
 //! A launch runs in three stages:
 //!
-//! 1. **Decode**, once per launch (`decode`). The blocks are flattened
-//!    into one vector of 20-byte `Copy` ops: block ids become absolute
-//!    pcs, terminators become ordinary ops, and every operand — register,
-//!    constant, kernel argument, `__local` base address or work-item
-//!    builtin — becomes a slot of one register row laid out `[vregs |
-//!    scratch | constants and builtins]`. Operand fetch in the run loop is
-//!    `row[slot]`; `Operand`, `Const` and `Function` are not looked at
-//!    again.
+//! 1. **Decode and fuse**, once per launch (`decode`). The blocks are
+//!    flattened into one vector of 20-byte `Copy` ops: block ids become
+//!    absolute pcs, terminators become ordinary ops, and every operand —
+//!    register, constant, kernel argument, `__local` base address or
+//!    work-item builtin — becomes a slot of one register row laid out
+//!    `[vregs | scratch | constants and builtins]`. Operand fetch in the
+//!    run loop is `row[slot]`; `Operand`, `Const` and `Function` are not
+//!    looked at again. Then the hot adjacent pairs of each block are fused
+//!    into superinstructions (`fuse`, below).
 //! 2. **Register rows.** `group_size` rows are allocated once per launch.
 //!    At the start of each group every row is reset by copying a template
 //!    row (arguments, zeros, constants) and patching in the item's global
@@ -37,15 +38,42 @@
 //! table and calls [`eval_bin`], [`eval_un`] or [`eval_atomic`]. Those
 //! public functions (with [`eval_cmp`]) are the definition of the scalar
 //! semantics; the specialised arms are tested equal to them for every
-//! operator, type and operand shape.
+//! operator, type and operand shape, and the fused arms equal to them
+//! applied one op at a time.
+//!
+//! **Superinstructions.** Dispatch — fetching the op, the `match` and the
+//! limit test — costs more than most arms' arithmetic, and so does
+//! passing a result to the next op through the register row, so the seven
+//! adjacent pairs with about 2 % or more of the suite's dynamic steps (28
+//! benchmarks at paper scale and `DEFAULT_OPT`, 63 726 752 steps) get an
+//! opcode each ([`FUSED`]): `Mov→Br` 9.6 %, `Gep→LoadG` 7.8 %,
+//! `LtS→CondBr` 6.2 %, `AddI→Mov` 5.5 %, `AddI→Gep` 3.8 %, `LtF→CondBr`
+//! 3.4 % and `MulI→AddI` 3.0 %. Decoding rewrites the first op of each
+//! such pair inside one block, left to right, to the fused opcode when
+//! the partner reads the first op's result ([`linked`]); the partner stays
+//! in the next slot, and the fused arm does the first op, writes its
+//! result, then reads the partner's fields from that slot and does it with
+//! that result still in a register. A first op is never a terminator or a
+//! barrier, so no partner is a branch target or a resume point.
+//! Overlapping pairs (`AddI→Mov→Br`) fuse once, so about 61 % of steps run
+//! in a fused op: 0.69 dispatches per step. The table is re-measured
+//! whenever the passes change the op mix. Every conditional branch, fused
+//! or not, picks its target with a host branch (`branch`), which the host
+//! predicts, rather than a select, which makes each later op's fetch wait
+//! for the condition.
 //!
 //! **Step accounting.** Every instruction and every terminator is one
-//! step, barriers and the final `ret` included. The per-item limit is
-//! tested *before* each step as `steps > limit`, so an item may take
-//! `limit + 1` steps; [`InterpError::StepLimit`] is raised before the
-//! step that would be number `limit + 2`, with every earlier store
-//! already applied. [`ExecResult::steps`] and the global load/store
-//! counts feed the HLS cycle estimate, so they are part of the contract
+//! step, barriers and the final `ret` included, and a fused op is its two
+//! steps. The per-item limit is tested *before* each step as `steps >
+//! limit`, so an item may take `limit + 1` steps; [`InterpError::StepLimit`]
+//! is raised before the step that would be number `limit + 2`, with every
+//! earlier store already applied. The run loop tests `steps >= limit`
+//! once per dispatch: while two or more steps remain a fused op runs
+//! whole, and with exactly one left it runs as its first op alone, so the
+//! partner's own test raises the limit with the first half done and the
+//! second not — the same state as the unfused sequence.
+//! [`ExecResult::steps`] and the global load/store counts feed the HLS
+//! cycle estimate, so they are part of the contract
 //! (`tests/interp_counts.rs` pins them for the whole suite).
 //!
 //! Integer division semantics follow RISC-V (div-by-zero yields all-ones,
@@ -479,7 +507,7 @@ pub struct ExecResult {
 /// with the operands swapped. Everything rare stays generic and calls the
 /// public `eval_*` functions, which are the definition of the semantics the
 /// specialised arms must equal (`tests::specialised_opcodes_match_eval`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Code {
     /// Wrapping integer arithmetic, any integer type.
     AddI,
@@ -527,6 +555,72 @@ enum Code {
     Ret,
     /// Entry `c` of [`Program::rare`].
     Rare,
+    // Superinstructions, one per row of [`FUSED`]: the first op with its
+    // own fields, then the partner op read from the next slot, which takes
+    // the first op's result from a register (see [`linked`]).
+    MovBr,
+    GepLoadG,
+    LtSCondBr,
+    AddIMov,
+    AddIGep,
+    LtFCondBr,
+    MulIAddI,
+}
+
+/// The fused pairs `(first, partner, fused)`, each with its share of the
+/// suite's dynamic steps (module doc, **Superinstructions**). `Mov→Rare`
+/// (2.3 %) is left out: its partner runs through the side table, whose
+/// arms a fused opcode would have to repeat.
+const FUSED: [(Code, Code, Code); 7] = [
+    (Code::Mov, Code::Br, Code::MovBr),         // 9.6 %
+    (Code::Gep, Code::LoadG, Code::GepLoadG),   // 7.8 %
+    (Code::LtS, Code::CondBr, Code::LtSCondBr), // 6.2 %
+    (Code::AddI, Code::Mov, Code::AddIMov),     // 5.5 %
+    (Code::AddI, Code::Gep, Code::AddIGep),     // 3.8 %
+    (Code::LtF, Code::CondBr, Code::LtFCondBr), // 3.4 %
+    (Code::MulI, Code::AddI, Code::MulIAddI),   // 3.0 %
+];
+
+impl Code {
+    /// The first op of a fused opcode; any other opcode itself.
+    fn unfused(self) -> Code {
+        FUSED.iter().find(|p| p.2 == self).map_or(self, |p| p.0)
+    }
+}
+
+/// Whether `partner` reads `first`'s result in the operand its fused arm
+/// takes from a register rather than the row: a gep's index `b`, every
+/// other partner's `a` (`Br` reads nothing). On the suite, table pairs are
+/// linked in all but 0.02 % of their executions.
+fn linked(first: &DOp, partner: &DOp) -> bool {
+    match partner.code {
+        Code::Br => true,
+        Code::Gep => partner.b == first.d,
+        _ => partner.a == first.d,
+    }
+}
+
+/// Fuse the linked adjacent pairs of one block's ops that [`FUSED`]
+/// lists, left to right, which on any run of fusable pairs fuses as many
+/// as any choice could. The partner keeps its slot, opcode and fields. No
+/// first op is a terminator or a barrier, so no partner is a branch target
+/// or a barrier's resume point.
+fn fuse(block: &mut [DOp]) {
+    let mut i = 0;
+    while i + 1 < block.len() {
+        let (first, partner) = (&block[i], &block[i + 1]);
+        let pair = (first.code, partner.code);
+        match FUSED
+            .iter()
+            .find(|p| (p.0, p.1) == pair && linked(first, partner))
+        {
+            Some(&(_, _, fused)) => {
+                block[i].code = fused;
+                i += 2;
+            }
+            None => i += 1,
+        }
+    }
 }
 
 /// The operations too rare to earn an opcode each; they run through the
@@ -691,7 +785,8 @@ fn cmp_code(op: CmpOp, ty: crate::Scalar) -> (Code, bool) {
 
 /// Flatten `f` into a [`Program`]: block ids become absolute pcs and every
 /// operand becomes a slot of the register row, so the run loop fetches
-/// operands as `row[slot]` without looking at `Operand` or `Const`.
+/// operands as `row[slot]` without looking at `Operand` or `Const`. Each
+/// block's ops are then fused ([`fuse`]).
 fn decode<'f>(f: &'f Function, args: &[KernelArg], local_offsets: &[u32]) -> Program<'f> {
     let mut template = vec![0u32; f.num_vregs() + 1];
     for (slot, a) in template.iter_mut().zip(args) {
@@ -714,6 +809,7 @@ fn decode<'f>(f: &'f Function, args: &[KernelArg], local_offsets: &[u32]) -> Pro
         const_slots: FxHashMap::default(),
     };
     for block in &f.blocks {
+        let start = p.prog.ops.len();
         for inst in &block.insts {
             let (code, a, b, c) = match &inst.op {
                 Op::Bin { op, ty, a, b } => match bin_code(*op, *ty) {
@@ -792,6 +888,7 @@ fn decode<'f>(f: &'f Function, args: &[KernelArg], local_offsets: &[u32]) -> Pro
         };
         let d = p.scratch;
         p.prog.ops.push(DOp { code, d, a, b, c });
+        fuse(&mut p.prog.ops[start..]);
     }
     p.prog
 }
@@ -949,8 +1046,10 @@ impl Launch<'_> {
     }
 
     /// Run one item from its saved pc until it parks at a barrier or
-    /// returns. Every instruction and every terminator is one step; the
-    /// limit is tested before each step, so an item may take `limit + 1`.
+    /// returns. Every instruction and every terminator is one step, a
+    /// fused op two; the limit is tested before each step, so an item may
+    /// take `limit + 1`. With one step left a fused op runs as its first
+    /// op alone, and the partner's own test raises the limit.
     /// Kept out of line: inlined into the group loop, the step loop's
     /// pc, step count and row pointer live on the stack.
     #[inline(never)]
@@ -969,14 +1068,17 @@ impl Launch<'_> {
         let mut steps = self.steps[item];
         let f = f32::from_bits;
         let status = loop {
-            if steps > self.limit {
-                return Err(InterpError::StepLimit {
-                    item: self.global_id(group, item),
-                    limit: self.limit,
-                });
+            let mut op = ops[pc];
+            if steps >= self.limit {
+                if steps > self.limit {
+                    return Err(InterpError::StepLimit {
+                        item: self.global_id(group, item),
+                        limit: self.limit,
+                    });
+                }
+                op.code = op.code.unfused();
             }
             steps += 1;
-            let op = ops[pc];
             pc += 1;
             let (a, b) = (op.a as usize, op.b as usize);
             let value = match op.code {
@@ -1032,7 +1134,7 @@ impl Launch<'_> {
                     continue;
                 }
                 Code::CondBr => {
-                    pc = if row[a] != 0 { b } else { op.c as usize };
+                    pc = branch(row[a], op.b, op.c);
                     continue;
                 }
                 Code::Ret => break Status::Done,
@@ -1057,12 +1159,88 @@ impl Launch<'_> {
                         continue;
                     }
                 },
+                // A fused arm writes its first op's result `v`, then runs
+                // the partner from the next slot as its own second step,
+                // taking `v` from a register where `linked` proved it reads
+                // it and its other operands from the row, after the write.
+                // A partner that yields a value leaves it to the write below
+                // through `op`.
+                Code::MovBr => {
+                    row[op.d as usize] = row[a];
+                    steps += 1;
+                    pc = ops[pc].a as usize;
+                    continue;
+                }
+                Code::LtSCondBr => {
+                    let v = ((row[a] as i32) < row[b] as i32) as u32;
+                    row[op.d as usize] = v;
+                    steps += 1;
+                    let br = ops[pc];
+                    pc = branch(v, br.b, br.c);
+                    continue;
+                }
+                Code::LtFCondBr => {
+                    let v = (f(row[a]) < f(row[b])) as u32;
+                    row[op.d as usize] = v;
+                    steps += 1;
+                    let br = ops[pc];
+                    pc = branch(v, br.b, br.c);
+                    continue;
+                }
+                Code::GepLoadG => {
+                    let v = row[a].wrapping_add(row[b].wrapping_mul(op.c));
+                    row[op.d as usize] = v;
+                    steps += 1;
+                    op = ops[pc];
+                    pc += 1;
+                    result.global_loads += 1;
+                    mem.read_u32(v)?
+                }
+                Code::AddIMov => {
+                    let v = row[a].wrapping_add(row[b]);
+                    row[op.d as usize] = v;
+                    steps += 1;
+                    op = ops[pc];
+                    pc += 1;
+                    v
+                }
+                Code::AddIGep => {
+                    let v = row[a].wrapping_add(row[b]);
+                    row[op.d as usize] = v;
+                    steps += 1;
+                    op = ops[pc];
+                    pc += 1;
+                    row[op.a as usize].wrapping_add(v.wrapping_mul(op.c))
+                }
+                Code::MulIAddI => {
+                    let v = row[a].wrapping_mul(row[b]);
+                    row[op.d as usize] = v;
+                    steps += 1;
+                    op = ops[pc];
+                    pc += 1;
+                    v.wrapping_add(row[op.b as usize])
+                }
             };
             row[op.d as usize] = value;
         };
         self.pc[item] = pc as u32;
         self.steps[item] = steps;
         Ok(status)
+    }
+}
+
+/// The pc a conditional branch on `cond` goes to, as a host branch rather
+/// than a select: the host predicts it and fetches the next op without
+/// waiting for `cond`, where a select makes every later op wait for it.
+/// Both directions are common; `cold_path` is only what keeps the two
+/// targets from being folded into a select.
+#[inline(always)]
+fn branch(cond: u32, then_pc: u32, else_pc: u32) -> usize {
+    if cond != 0 {
+        then_pc as usize
+    } else {
+        std::hint::cold_path();
+        else_pc as usize
     }
 }
 
@@ -1731,6 +1909,29 @@ pub(crate) mod tests {
         }
     }
 
+    fn konst(ty: Scalar, bits: u32) -> Operand {
+        Operand::Const(crate::Const::from_bits(ty, bits))
+    }
+
+    /// The operands and the destination (a fresh register if `None`) of
+    /// `op(x, y)` placed per `shape`, with `x` and `y` held in `rx`, `ry`.
+    fn place(
+        shape: Shape,
+        ty: Scalar,
+        (rx, ry): (VReg, VReg),
+        (x, y): (u32, u32),
+    ) -> (Operand, Operand, Option<VReg>) {
+        match shape {
+            Shape::RegReg => (rx.into(), ry.into(), None),
+            Shape::RegConst => (rx.into(), konst(ty, y), None),
+            Shape::ConstReg => (konst(ty, x), ry.into(), None),
+            Shape::ConstConst => (konst(ty, x), konst(ty, y), None),
+            Shape::DstIsA => (rx.into(), ry.into(), Some(rx)),
+            Shape::DstIsB => (rx.into(), ry.into(), Some(ry)),
+            Shape::SameConst => (konst(ty, x), konst(ty, x), None),
+        }
+    }
+
     /// Run `out[0] = make(x, y)` with the operands placed per `shape`;
     /// returns the stored word and the operand words the op really saw (a
     /// `Bool` constant holds only 0 or 1, a register any word).
@@ -1743,17 +1944,7 @@ pub(crate) mod tests {
     ) -> (u32, u32, u32) {
         let params = vec![gptr("out"), scalar_param("x", ty), scalar_param("y", ty)];
         let mut b = FunctionBuilder::new("one_op", params);
-        let (rx, ry) = (b.param(1), b.param(2));
-        let konst = |v: u32| Operand::Const(crate::Const::from_bits(ty, v));
-        let (a, c, dst) = match shape {
-            Shape::RegReg => (rx.into(), ry.into(), None),
-            Shape::RegConst => (rx.into(), konst(y), None),
-            Shape::ConstReg => (konst(x), ry.into(), None),
-            Shape::ConstConst => (konst(x), konst(y), None),
-            Shape::DstIsA => (rx.into(), ry.into(), Some(rx)),
-            Shape::DstIsB => (rx.into(), ry.into(), Some(ry)),
-            Shape::SameConst => (konst(x), konst(x), None),
-        };
+        let (a, c, dst) = place(shape, ty, (b.param(1), b.param(2)), (x, y));
         let seen = |o: Operand, raw: u32| o.as_const().map_or(raw, |k| k.bits());
         let (xs, ys) = (
             seen(a, x),
@@ -1840,6 +2031,240 @@ pub(crate) mod tests {
                         b: a,
                     });
                     assert_eq!(got, if xs != 0 { ys } else { xs }, "select {shape:?}");
+                }
+            }
+        }
+    }
+
+    fn operand_value(o: Operand, regs: &[u32]) -> u32 {
+        match o {
+            Operand::Reg(r) => regs[r.0 as usize],
+            Operand::Const(k) => k.bits(),
+        }
+    }
+
+    /// What `op` writes, given the register file before it: `eval_*` for
+    /// the operators; `Mov`, `Gep` and `Load` have no evaluator and are a
+    /// copy, `base + index * size` and a word of `mem`.
+    fn reference(op: &Op, regs: &[u32], mem: &Memory) -> u32 {
+        let v = |o: &Operand| operand_value(*o, regs);
+        match op {
+            Op::Bin { op, ty, a, b } => eval_bin(*op, *ty, v(a), v(b)),
+            Op::Cmp { op, ty, a, b } => eval_cmp(*op, *ty, v(a), v(b)) as u32,
+            Op::Mov { a, .. } => v(a),
+            Op::Gep {
+                base,
+                index,
+                elem_bytes,
+                ..
+            } => v(base).wrapping_add(v(index).wrapping_mul(*elem_bytes)),
+            Op::Load { ptr, .. } => mem.read_u32(v(ptr)).unwrap(),
+            other => unreachable!("{other:?} is in no fused pair"),
+        }
+    }
+
+    /// The words a pair kernel loads from: the first allocation, at
+    /// [`GLOBAL_BASE`].
+    const PAIR_DATA: [u32; 4] = [0x8000_0000, 0xffff_ffff, 0x7fc0_0000, 31];
+
+    /// Run a one-item kernel `(out, x: ty, y: ty)` whose entry block opens
+    /// with the pair that `pair` builds from the registers of `x` and `y`
+    /// (a branching partner goes to the two blocks it is given), check that
+    /// decoding fused it into `fused` exactly when `pair` says the partner
+    /// reads the first op's result where the fused arm takes it, and hold
+    /// what it computes to the pair run one op at a time through
+    /// [`reference`]: every register defined by the end of the pair, and
+    /// which way a branch went.
+    fn check_pair(
+        fused: Code,
+        ty: Scalar,
+        (x, y): (u32, u32),
+        pair: impl FnOnce(&mut FunctionBuilder, (VReg, VReg), [crate::BlockId; 2]) -> bool,
+    ) {
+        let params = vec![gptr("out"), scalar_param("x", ty), scalar_param("y", ty)];
+        let mut b = FunctionBuilder::new("pair", params);
+        let targets = [b.new_block(), b.new_block()];
+        let regs = (b.param(1), b.param(2));
+        let fuses = pair(&mut b, regs, targets);
+        // Registers are numbered in order, so the next fresh one counts
+        // those the parameters and the pair defined.
+        let defined = b.fresh(Scalar::U32).0;
+        // out[i] = register i, then out[defined] = the way taken: 0 when
+        // the partner does not branch, else 1 + the target's index.
+        let dump = |b: &mut FunctionBuilder, way: u32| {
+            let out = Operand::Reg(b.param(0));
+            for i in 0..=defined {
+                let v = if i < defined {
+                    VReg(i).into()
+                } else {
+                    Operand::imm_u32(way)
+                };
+                let p = b.gep(out, Operand::imm_u32(i), 4, AddressSpace::Global);
+                b.store(p.into(), v, Scalar::U32, AddressSpace::Global);
+            }
+            b.ret();
+        };
+        let branches = b.is_terminated();
+        if !branches {
+            dump(&mut b, 0);
+        }
+        for (way, bb) in (1..).zip(targets) {
+            b.switch_to(bb);
+            if branches {
+                dump(&mut b, way);
+            } else {
+                b.ret();
+            }
+        }
+        let f = b.finish();
+        let mut mem = Memory::new(256);
+        let data = mem.alloc_u32(&PAIR_DATA);
+        assert_eq!(data, GLOBAL_BASE);
+        let out = mem.alloc(4 * (defined + 1));
+        let args = [KernelArg::Ptr(out), KernelArg::U32(x), KernelArg::U32(y)];
+        let code = decode(&f, &args, &[]).ops[0].code;
+        assert_eq!(code, if fuses { fused } else { fused.unfused() }, "{f}");
+        run_ndrange(&f, &args, &NdRange::d1(1, 1), &mut mem, &Limits::default()).unwrap();
+
+        let mut regs = vec![0; defined as usize];
+        for (r, a) in regs.iter_mut().zip(&args) {
+            *r = a.bits();
+        }
+        let entry = &f.blocks[0];
+        let steps = if branches { 1 } else { 2 };
+        for inst in &entry.insts[..steps] {
+            let v = reference(&inst.op, &regs, &mem);
+            regs[inst.result.unwrap().0 as usize] = v;
+        }
+        let way = match &entry.term {
+            _ if !branches => 0,
+            Terminator::CondBr { cond, .. } if operand_value(*cond, &regs) == 0 => 2,
+            _ => 1,
+        };
+        let mut want = regs;
+        want.push(way);
+        let got = mem.read_u32_slice(out, want.len());
+        assert_eq!(got, want, "{fused:?} {ty:?} {x:#x} {y:#x}\n{f}");
+    }
+
+    /// Append `op`, writing `dst` or a fresh register, and return that.
+    fn push_to(b: &mut FunctionBuilder, dst: Option<VReg>, op: Op) -> VReg {
+        match dst {
+            Some(d) => {
+                b.push_into(d, op);
+                d
+            }
+            None => b.push(op, Scalar::U32),
+        }
+    }
+
+    #[test]
+    fn fused_opcodes_match_eval() {
+        let vals = edge_values();
+        let pairs: Vec<(u32, u32)> = (0..vals.len())
+            .flat_map(|i| [1, 5, 11].map(|k| (vals[i], vals[(i + k) % vals.len()])))
+            .collect();
+        // A partner's operands, the one its fused arm takes from a
+        // register first, and its destination, given the first op's result
+        // `r`: it reads `r` there or in its other operand, ignores it for
+        // `y` and a constant, or overwrites `x`, an operand of the first op.
+        let links = |r: VReg, (rx, ry): (VReg, VReg), k: Operand| {
+            [
+                (Operand::from(r), Operand::from(ry), None),
+                (ry.into(), r.into(), None),
+                (ry.into(), k, None),
+                (r.into(), k, Some(rx)),
+            ]
+        };
+        for (x, y) in pairs.iter().copied() {
+            for shape in SHAPES {
+                for ty in [Scalar::I32, Scalar::U32, Scalar::Bool] {
+                    let arith = [
+                        (BinOp::Add, Code::AddIMov),
+                        (BinOp::Add, Code::AddIGep),
+                        (BinOp::Mul, Code::MulIAddI),
+                    ];
+                    for (op, fused) in arith {
+                        for link in 0..4 {
+                            check_pair(fused, ty, (x, y), |b, regs, _| {
+                                let (a, c, dst) = place(shape, ty, regs, (x, y));
+                                let r = push_to(b, dst, Op::Bin { op, ty, a, b: c });
+                                let (p, q, dst) = links(r, regs, konst(ty, x ^ y))[link];
+                                let partner = match fused {
+                                    Code::AddIMov => Op::Mov { ty, a: p },
+                                    Code::AddIGep => Op::Gep {
+                                        base: q,
+                                        index: p,
+                                        elem_bytes: 4,
+                                        space: AddressSpace::Global,
+                                    },
+                                    _ => Op::Bin {
+                                        op: BinOp::Add,
+                                        ty,
+                                        a: p,
+                                        b: q,
+                                    },
+                                };
+                                push_to(b, dst, partner);
+                                p == r.into()
+                            });
+                        }
+                    }
+                }
+                for (ty, fused) in [
+                    (Scalar::I32, Code::LtSCondBr),
+                    (Scalar::F32, Code::LtFCondBr),
+                ] {
+                    for op in [CmpOp::Lt, CmpOp::Gt] {
+                        // Branch on `r`, on `y`, or on a constant.
+                        for link in 0..3 {
+                            check_pair(fused, ty, (x, y), |b, regs, [then_bb, else_bb]| {
+                                let (a, c, dst) = place(shape, ty, regs, (x, y));
+                                let r = push_to(b, dst, Op::Cmp { op, ty, a, b: c });
+                                let cond = [r.into(), regs.1.into(), Operand::imm_u32(x & 1)];
+                                b.cond_br(cond[link], then_bb, else_bb);
+                                cond[link] == r.into()
+                            });
+                        }
+                    }
+                }
+                for ty in SCALARS {
+                    check_pair(Code::MovBr, ty, (x, y), |b, regs, [then_bb, _]| {
+                        let (a, _, dst) = place(shape, ty, regs, (x, y));
+                        push_to(b, dst, Op::Mov { ty, a });
+                        b.br(then_bb);
+                        true
+                    });
+                }
+            }
+        }
+        // Gep→LoadG on valid addresses only: `x` is the data words' base
+        // and `y` an index into them; `op(k, k)` would read out of range.
+        for shape in SHAPES.into_iter().filter(|&s| s != Shape::SameConst) {
+            for y in 0..PAIR_DATA.len() as u32 {
+                for link in 0..3 {
+                    let (x, ty) = (GLOBAL_BASE, Scalar::U32);
+                    check_pair(Code::GepLoadG, ty, (x, y), |b, regs, _| {
+                        let (base, index, dst) = place(shape, ty, regs, (x, y));
+                        let gep = Op::Gep {
+                            base,
+                            index,
+                            elem_bytes: 4,
+                            space: AddressSpace::Global,
+                        };
+                        let r = push_to(b, dst, gep);
+                        // Load through `r`, through `x` (still an address
+                        // when the gep overwrote it), or through `r` into `x`.
+                        let (ptr, dst) = [(r, None), (regs.0, None), (r, Some(regs.0))][link];
+                        let load = Op::Load {
+                            ptr: ptr.into(),
+                            ty,
+                            space: AddressSpace::Global,
+                            hint: Default::default(),
+                        };
+                        push_to(b, dst, load);
+                        ptr == r
+                    });
                 }
             }
         }
@@ -1969,6 +2394,142 @@ pub(crate) mod tests {
         want[14] = 0;
         want[15] = 0;
         assert_eq!(out, want);
+    }
+
+    /// A straight-line kernel holding every fused pair between global
+    /// stores; store `k` writes `out[k]`, and the blocks run in order.
+    fn every_pair_kernel() -> Function {
+        let params = vec![
+            gptr("out"),
+            gptr("data"),
+            scalar_param("x", Scalar::I32),
+            scalar_param("fx", Scalar::F32),
+            scalar_param("fy", Scalar::F32),
+        ];
+        let mut b = FunctionBuilder::new("every_pair", params);
+        let (out, data) = (Operand::Reg(b.param(0)), Operand::Reg(b.param(1)));
+        let (x, fx, fy) = (b.param(2), b.param(3), b.param(4));
+        let blocks = [b.new_block(), b.new_block(), b.new_block()];
+        let store = |b: &mut FunctionBuilder, k: u32, v: VReg| {
+            let p = b.gep(out, Operand::imm_u32(k), 4, AddressSpace::Global);
+            b.store(p.into(), v.into(), Scalar::U32, AddressSpace::Global);
+        };
+        let a = b.mov(Scalar::I32, x.into()); // Mov→Br
+        b.br(blocks[0]);
+        b.switch_to(blocks[0]);
+        store(&mut b, 0, a);
+        let q = b.gep(data, Operand::imm_u32(1), 4, AddressSpace::Global); // Gep→LoadG
+        let v = b.load(q.into(), Scalar::I32, AddressSpace::Global);
+        store(&mut b, 1, v);
+        let t = b.bin(BinOp::Add, Scalar::I32, v.into(), a.into()); // AddI→Mov
+        let m = b.mov(Scalar::I32, t.into());
+        store(&mut b, 2, m);
+        let u = b.bin(BinOp::Add, Scalar::I32, m.into(), Operand::imm_i32(1)); // AddI→Gep
+        let p = b.gep(out, u.into(), 4, AddressSpace::Global);
+        // Store 3, at out[u] with u = 3.
+        b.store(p.into(), u.into(), Scalar::U32, AddressSpace::Global);
+        let w = b.bin(BinOp::Mul, Scalar::I32, u.into(), Operand::imm_i32(5)); // MulI→AddI
+        let z = b.bin(BinOp::Add, Scalar::I32, w.into(), Operand::imm_i32(1));
+        store(&mut b, 4, z);
+        let c = b.cmp(CmpOp::Lt, Scalar::I32, z.into(), Operand::imm_i32(1000)); // LtS→CondBr
+        b.cond_br(c.into(), blocks[1], blocks[1]);
+        b.switch_to(blocks[1]);
+        store(&mut b, 5, c);
+        let cf = b.cmp(CmpOp::Lt, Scalar::F32, fx.into(), fy.into()); // LtF→CondBr
+        b.cond_br(cf.into(), blocks[2], blocks[2]);
+        b.switch_to(blocks[2]);
+        store(&mut b, 6, cf);
+        b.ret();
+        b.finish()
+    }
+
+    /// Run `f` as the one item of group (3, 0, 0) under `limit`, as
+    /// `run_ndrange` runs an item, and return the outcome with the item's
+    /// register row, which a `StepLimit` leaves as the last step wrote it.
+    fn run_one_item(
+        f: &Function,
+        args: &[KernelArg],
+        mem: &mut Memory,
+        limit: u64,
+    ) -> (Result<u64, InterpError>, Vec<u32>) {
+        let prog = decode(f, args, &[]);
+        let nd = NdRange::d1(4, 1);
+        let mut launch = Launch {
+            prog: &prog,
+            nd: &nd,
+            limit,
+            regs: vec![0; prog.template.len()],
+            pc: vec![0],
+            steps: vec![0],
+            status: vec![Status::Ready],
+            local_mem: Vec::new(),
+        };
+        let mut result = ExecResult::default();
+        let r = launch.run_group([3, 0, 0], mem, &mut result);
+        (r.map(|()| result.steps), launch.regs)
+    }
+
+    #[test]
+    fn step_limit_splits_every_fused_pair_exactly() {
+        let f = every_pair_kernel();
+        // The step at which each store lands and each register is written.
+        let (mut step, mut store_steps, mut def_step) = (0, vec![], vec![0; f.num_vregs()]);
+        for block in &f.blocks {
+            for inst in &block.insts {
+                step += 1;
+                match inst.result {
+                    Some(r) => def_step[r.0 as usize] = step,
+                    None => store_steps.push(step),
+                }
+            }
+            step += 1;
+        }
+        let total = step;
+        let codes: Vec<Code> = decode(&f, &[KernelArg::U32(0); 5], &[])
+            .ops
+            .iter()
+            .map(|op| op.code)
+            .collect();
+        for (_, _, fused) in FUSED {
+            assert!(codes.contains(&fused), "{fused:?} missing from {codes:?}");
+        }
+        let run = |limit: u64| {
+            let mut mem = Memory::new(256);
+            let out = mem.alloc_u32(&[u32::MAX; 7]);
+            let data = mem.alloc_i32(&[0, 1]);
+            let args = [
+                KernelArg::Ptr(out),
+                KernelArg::Ptr(data),
+                KernelArg::I32(1),
+                KernelArg::F32(1.0),
+                KernelArg::F32(2.0),
+            ];
+            let (r, regs) = run_one_item(&f, &args, &mut mem, limit);
+            (r, mem.read_u32_slice(out, 7), regs)
+        };
+        let (full, full_out, full_regs) = run(total);
+        assert_eq!(full, Ok(total));
+        // a = 1, v = 1, m = 2, u = 3, z = 16, c = 1, cf = 1.
+        assert_eq!(full_out, vec![1, 1, 2, 3, 16, 1, 1]);
+        let params = 5;
+        for limit in 0..=total {
+            let (r, out, regs) = run(limit);
+            let admitted = limit + 1;
+            if admitted < total {
+                let item = [3, 0, 0];
+                assert_eq!(r, Err(InterpError::StepLimit { item, limit }));
+            } else {
+                assert_eq!(r, Ok(total), "limit {limit}");
+            }
+            for (k, &s) in store_steps.iter().enumerate() {
+                let want = if s <= admitted { full_out[k] } else { u32::MAX };
+                assert_eq!(out[k], want, "limit {limit}: store {k} at step {s}");
+            }
+            for (r, &s) in def_step.iter().enumerate().skip(params) {
+                let want = if s <= admitted { full_regs[r] } else { 0 };
+                assert_eq!(regs[r], want, "limit {limit}: %{r} written at step {s}");
+            }
+        }
     }
 
     #[test]

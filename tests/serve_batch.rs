@@ -222,6 +222,66 @@ fn unencodable_kernel_is_a_typed_codegen_failure() {
     assert_eq!(lines[1].get("ok").and_then(|v| v.as_bool()), Some(true));
 }
 
+/// A kernel whose `__local` arrays take more than 64 MiB together — here
+/// `arrays` arrays of 2²⁴ floats, each at the per-array cap — is a typed,
+/// non-transient front-end failure on every flow, before any layout sums
+/// the sizes in 32 bits, and the job beside it in the same batch runs.
+#[test]
+fn oversized_local_footprint_is_a_typed_compile_failure() {
+    let source = |arrays: usize| {
+        let decls: String = (0..arrays)
+            .map(|i| format!("__local float t{i}[16777216];\n"))
+            .collect();
+        let fills: String = (0..arrays).map(|i| format!("t{i}[l] = 1.0f;\n")).collect();
+        format!(
+            "__kernel void bad(__global float* o) {{
+                {decls}
+                int l = get_local_id(0);
+                {fills}
+                barrier(CLK_LOCAL_MEM_FENCE);
+                o[get_global_id(0)] = t0[l];
+            }}"
+        )
+    };
+    let mut input = String::new();
+    let mut id = 0;
+    for arrays in [64, 16] {
+        for flow in [Flow::Interp, Flow::Vortex] {
+            id += 1;
+            let mut req = adversarial(id, &source(arrays), 4);
+            req.flow = flow;
+            input.push_str(&req.to_json().to_compact());
+            input.push('\n');
+        }
+    }
+    input.push_str(r#"{"id":5,"bench":"Vecadd","flow":"interp"}"#);
+    input.push_str("\n\n");
+    let opts = ServeOptions {
+        retry_max: 2,
+        ..ServeOptions::default()
+    };
+    let exec = Executor::new(ExecConfig::with_workers(2));
+    let mut out = Vec::new();
+    let summary =
+        serve_lines(&exec, &opts, input.as_bytes(), &mut out).expect("serve loop survives");
+    assert_eq!((summary.jobs, summary.ok, summary.failed), (5, 1, 4));
+    assert_eq!(summary.retried, 0, "a front-end failure is not transient");
+    let lines: Vec<Json> = std::str::from_utf8(&out)
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .collect();
+    for line in &lines[..4] {
+        let err = line.get("error").expect("failure line carries the error");
+        let field = |k: &str| err.get(k).and_then(|v| v.as_str());
+        assert_eq!(field("kind"), Some("Frontend"), "{}", line.to_compact());
+        assert_eq!(field("class"), Some("Compile"), "{}", line.to_compact());
+        let message = field("message").unwrap();
+        assert!(message.contains("67108864-byte limit"), "{message}");
+    }
+    assert_eq!(lines[4].get("ok").and_then(|v| v.as_bool()), Some(true));
+}
+
 /// A request's machine geometry is outside input: shapes the simulator
 /// does not model come back as typed, non-transient `Harness` rejects —
 /// not as an allocation abort that takes the service down, a caught panic
