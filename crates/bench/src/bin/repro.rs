@@ -17,10 +17,7 @@
 //!                           one benchmark as a scheduled job
 //! repro serve [--once] [--listen <addr>] [--deadline-ms <n>]
 //!                           long-running NDJSON batch service (stdin/socket)
-//! repro top [--addr <a>] [--interval-ms <n>] [--frames <n>] [--clear]
-//!                           live dashboard over a serving --listen process
-//! repro perf-report [--baseline <manifest>] [--threshold <frac>]
-//!                           perf dashboard (markdown + HTML + manifest)
+//! repro perf-report         suite sweep + pipeline-stage tables (markdown + JSON)
 //! repro cache stats|clear   inspect or wipe the compile cache (runs/cache)
 //! repro chaos [--scenarios smoke|all|cache|sched|sim|serve|<name>] [--seed <n>]
 //!                           seeded fault-injection sweep (exit 1 on violation)
@@ -28,17 +25,15 @@
 //! ```
 //!
 //! `check` exits nonzero if any benchmark is classified `Hang` or `Panic`
-//! — the CI smoke-test contract. `perf-report --baseline` exits nonzero
-//! when any tracked metric regresses beyond the threshold (default 20%);
-//! the baseline is a previous `runs/perf-report.json` manifest. Host
-//! wall-clock performance is measured by the benchmark in `benchmark/`
-//! (see `benchmark/README.md`), not by this binary.
+//! — the CI smoke-test contract. Host wall-clock performance is judged by
+//! the benchmark in `benchmark/` (see `benchmark/README.md`), not by this
+//! binary; simulated cycles are pinned by the test goldens.
 //!
 //! `--fast` shrinks the Figure 7 problem sizes (useful without `--release`).
 //! `--workers N` sizes the work-stealing executor pool every execution
 //! command submits its jobs to (`run`, `check`, `serve`, `perf-report`,
 //! `fig7`, `all`) — cycle counts are bit-identical at any width, and the
-//! actual pool size is recorded in the manifest fingerprint.
+//! actual pool size is recorded in the manifest's `meta.workers`.
 //! `--opt none|basic|reuse|loop` selects the middle-end level for the
 //! execution commands (`trace`, `profile`, `analytic`); the default is
 //! the suite-wide [`ocl_suite::DEFAULT_OPT`]. Output is markdown
@@ -289,50 +284,6 @@ fn run_trace_serve(args: &[String]) -> i32 {
     }
 }
 
-/// `repro top [--addr <host:port>] [--interval-ms <n>] [--frames <n>]
-/// [--clear]` — poll a serving `repro serve --listen` process's
-/// `{"cmd":"stats"}` endpoint and render a live windowed dashboard.
-fn run_top_cmd(args: &[String]) -> i32 {
-    let mut opts = repro_core::TopOptions::default();
-    if let Some(i) = args.iter().position(|a| a == "--addr") {
-        match args.get(i + 1) {
-            Some(a) => opts.addr = a.clone(),
-            None => {
-                eprintln!("--addr expects host:port");
-                return 2;
-            }
-        }
-    }
-    for (flag, slot) in [("--interval-ms", 0usize), ("--frames", 1)] {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => {
-                    if slot == 0 {
-                        opts.interval_ms = n;
-                    } else {
-                        opts.frames = Some(n);
-                    }
-                }
-                _ => {
-                    eprintln!("{flag} expects a positive integer");
-                    return 2;
-                }
-            }
-        }
-    }
-    opts.clear = args.iter().any(|a| a == "--clear");
-    match repro_core::run_top(&opts, &mut std::io::stdout()) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!(
-                "repro top: {e} (is `repro serve --listen {}` up?)",
-                opts.addr
-            );
-            1
-        }
-    }
-}
-
 fn run_profile(name: &str, level: OptLevel) {
     use vortex_sim::LaunchProfile;
     let (b, trace, launches) = traced_run(name, level);
@@ -376,29 +327,7 @@ fn run_check(exec: &Executor, manifest: &mut RunManifest) -> i32 {
     let rows = repro_core::check_suite_on(exec, Scale::Test, VortexConfig::new(2, 4, 16));
     print!("{}", repro_core::render_check(&rows));
     save_json("check", &repro_core::check_json(&rows));
-    for r in &rows {
-        manifest.push_bench(
-            &r.name,
-            "vortex",
-            r.vortex.wall_secs,
-            r.vortex.cycles(),
-            r.vortex.is_ok(),
-        );
-        manifest.push_bench(
-            &r.name,
-            "hls",
-            r.hls.wall_secs,
-            r.hls.cycles(),
-            r.hls.is_ok(),
-        );
-    }
-    for (class, n) in repro_core::check::check_class_counts(&rows) {
-        if n > 0 {
-            manifest
-                .failure_classes
-                .push((class.name().to_string(), n as u64));
-        }
-    }
+    repro_core::fill_manifest(manifest, &rows);
     let ok = rows
         .iter()
         .filter(|r| r.vortex.is_ok() && r.hls.is_ok())
@@ -414,80 +343,14 @@ fn run_check(exec: &Executor, manifest: &mut RunManifest) -> i32 {
     0
 }
 
-/// `repro perf-report [--baseline <manifest>] [--threshold <frac>]`.
-///
-/// Collects the dashboard (suite sweep + stage spans), prints the markdown
-/// report, writes `target/repro/perf_report.{json,html}`, and — when a
-/// baseline is given — exits 3 if any tracked metric regressed beyond the
-/// threshold.
-fn run_perf_report(args: &[String], workers: usize, manifest: &mut RunManifest) -> i32 {
-    use repro_core::{collect_perf, compare_to_baseline, PerfOptions};
-    use repro_util::Json;
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let threshold = match flag_value("--threshold") {
-        None => repro_core::DEFAULT_THRESHOLD,
-        Some(s) => match s.parse::<f64>() {
-            Ok(t) if t >= 0.0 => t,
-            _ => {
-                eprintln!("--threshold expects a non-negative fraction (e.g. 0.2)");
-                std::process::exit(2);
-            }
-        },
-    };
-    let opts = PerfOptions {
-        hw: VortexConfig::new(2, 4, 16),
-        bench_filter: None,
-        workers,
-    };
-    let perf = collect_perf(&opts);
-    repro_core::fill_manifest(manifest, &perf);
-    let cmp = match flag_value("--baseline") {
-        None => None,
-        Some(path) => {
-            let doc = fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline `{path}`: {e}"))
-                .and_then(|text| {
-                    Json::parse(&text).map_err(|e| format!("cannot parse baseline `{path}`: {e}"))
-                })
-                .and_then(|doc| compare_to_baseline(&perf, &doc, threshold));
-            match doc {
-                Ok(cmp) => Some(cmp),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    };
-    print!(
-        "{}",
-        repro_core::render_perf_markdown(&perf, cmp.as_ref(), true)
-    );
+/// `repro perf-report` — collects the suite sweep and the stage spans on
+/// `exec`'s pool, prints the markdown report and writes
+/// `target/repro/perf_report.json`.
+fn run_perf_report(exec: &Executor, manifest: &mut RunManifest) {
+    let perf = repro_core::collect_perf(exec, VortexConfig::new(2, 4, 16));
+    repro_core::fill_manifest(manifest, &perf.rows);
+    print!("{}", repro_core::render_perf_markdown(&perf, true));
     save_json("perf_report", &perf);
-    let html_path = std::path::Path::new("target/repro/perf_report.html");
-    if fs::create_dir_all("target/repro").is_ok() {
-        let _ = fs::write(html_path, repro_core::render_perf_html(&perf, cmp.as_ref()));
-        println!("\ndashboard: {}", html_path.display());
-    }
-    if let Some(cmp) = &cmp {
-        if !cmp.regressions.is_empty() {
-            eprintln!(
-                "FAIL: {} tracked metric(s) regressed beyond {:.0}%",
-                cmp.regressions.len(),
-                cmp.threshold * 100.0
-            );
-            return 3;
-        }
-        println!(
-            "\nno tracked metric regressed beyond {:.0}%",
-            cmp.threshold * 100.0
-        );
-    }
-    0
 }
 
 fn run_opt_report(name: &str, timing: bool) {
@@ -828,11 +691,13 @@ fn main() {
         "check" => run_check(&exec, &mut manifest),
         "run" => run_run(&args, &exec, level, &mut manifest),
         "serve" => run_serve(&args, &exec, &mut manifest),
-        "top" => run_top_cmd(&args),
         "cache" => run_cache(args.get(1).map(String::as_str)),
         "chaos" => run_chaos_cmd(&args),
         "trace" if args.iter().any(|a| a == "--serve") => run_trace_serve(&args),
-        "perf-report" => run_perf_report(&args, workers, &mut manifest),
+        "perf-report" => {
+            run_perf_report(&exec, &mut manifest);
+            0
+        }
         "trace" | "profile" | "opt-report" => {
             let Some(bench) = args.get(1).filter(|a| !a.starts_with("--")) else {
                 eprintln!("usage: repro {cmd} <bench>");

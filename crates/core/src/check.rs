@@ -10,10 +10,11 @@
 //! synthesis rejection from a hang or a panic in our own stack.
 //!
 //! Each row also records per-flow wall-clock and — for the Vortex flow —
-//! how much of the watchdog budget the run consumed, so `check.json` is a
-//! perf trajectory as well as a health report (`repro perf-report` compares
-//! consecutive manifests built from it).
+//! how much of the watchdog budget the run consumed; [`fill_manifest`]
+//! copies the rows into the invocation's RunManifest for `repro check` and
+//! `repro perf-report`.
 
+use crate::manifest::RunManifest;
 use fpga_arch::VortexConfig;
 use ocl_suite::{all_benchmarks, FailureClass, ReproError, Scale};
 use repro_sched::{ExecConfig, Executor, Flow, JobRequest, Payload};
@@ -240,6 +241,21 @@ pub fn check_class_counts(rows: &[CheckRow]) -> Vec<(FailureClass, usize)> {
             (c, n)
         })
         .collect()
+}
+
+/// Record a sweep in a [`RunManifest`]: one benchmark entry per row per
+/// flow, and every failure class that occurred.
+pub fn fill_manifest(m: &mut RunManifest, rows: &[CheckRow]) {
+    for row in rows {
+        for (flow, r) in [("vortex", &row.vortex), ("hls", &row.hls)] {
+            m.push_bench(&row.name, flow, r.wall_secs, r.cycles(), r.is_ok());
+        }
+    }
+    for (class, n) in check_class_counts(rows) {
+        if n > 0 {
+            m.failure_classes.push((class.name().to_string(), n as u64));
+        }
+    }
 }
 
 fn cell(r: &FlowCheck) -> String {

@@ -47,6 +47,7 @@ fn end_cycle(ev: &TraceEvent) -> u64 {
     }
 }
 
+/// One trace event, keyed by the track and time it sorts on.
 struct Row {
     pid: u64,
     tid: u64,
@@ -54,54 +55,36 @@ struct Row {
     json: Json,
 }
 
-fn complete(
+/// The one event-row builder: a complete ("X") event when `dur` is given,
+/// a thread-scoped instant ("i") otherwise.
+fn row(
     pid: u64,
     tid: u64,
     ts: u64,
-    dur: u64,
+    dur: Option<u64>,
     name: String,
-    launch: usize,
-    mut args: Vec<(&str, Json)>,
+    args: Vec<(&str, Json)>,
 ) -> Row {
-    args.push(("launch", Json::UInt(launch as u64)));
-    Row {
-        pid,
-        tid,
-        ts,
-        json: Json::obj(vec![
-            ("name", Json::Str(name)),
-            ("ph", Json::Str("X".into())),
-            ("pid", Json::UInt(pid)),
-            ("tid", Json::UInt(tid)),
-            ("ts", Json::UInt(ts)),
-            ("dur", Json::UInt(dur)),
-            ("args", Json::obj(args)),
-        ]),
+    let mut fields = vec![("name", Json::Str(name))];
+    match dur {
+        Some(_) => fields.push(("ph", Json::Str("X".into()))),
+        None => {
+            fields.push(("ph", Json::Str("i".into())));
+            fields.push(("s", Json::Str("t".into())));
+        }
     }
-}
-
-fn instant(
-    pid: u64,
-    tid: u64,
-    ts: u64,
-    name: String,
-    launch: usize,
-    mut args: Vec<(&str, Json)>,
-) -> Row {
-    args.push(("launch", Json::UInt(launch as u64)));
+    fields.push(("pid", Json::UInt(pid)));
+    fields.push(("tid", Json::UInt(tid)));
+    fields.push(("ts", Json::UInt(ts)));
+    if let Some(dur) = dur {
+        fields.push(("dur", Json::UInt(dur)));
+    }
+    fields.push(("args", Json::obj(args)));
     Row {
         pid,
         tid,
         ts,
-        json: Json::obj(vec![
-            ("name", Json::Str(name)),
-            ("ph", Json::Str("i".into())),
-            ("s", Json::Str("t".into())),
-            ("pid", Json::UInt(pid)),
-            ("tid", Json::UInt(tid)),
-            ("ts", Json::UInt(ts)),
-            ("args", Json::obj(args)),
-        ]),
+        json: Json::obj(fields),
     }
 }
 
@@ -118,6 +101,34 @@ fn metadata(pid: u64, tid: Option<u64>, name: &str, label: String) -> Json {
     Json::obj(fields)
 }
 
+/// The one document assembler: sorts `rows` by `(pid, tid, ts)` and puts a
+/// `process_name` record before each process's `thread_name` records, one
+/// per track, ahead of the events.
+fn document(
+    mut rows: Vec<Row>,
+    process: impl Fn(u64) -> String,
+    thread: impl Fn(u64) -> String,
+    time_unit: &str,
+) -> Json {
+    rows.sort_by_key(|r| (r.pid, r.tid, r.ts));
+    let tracks: std::collections::BTreeSet<(u64, u64)> =
+        rows.iter().map(|r| (r.pid, r.tid)).collect();
+    let mut out: Vec<Json> = Vec::with_capacity(rows.len() + 2 * tracks.len());
+    let mut named_pid = None;
+    for (pid, tid) in tracks {
+        if named_pid != Some(pid) {
+            named_pid = Some(pid);
+            out.push(metadata(pid, None, "process_name", process(pid)));
+        }
+        out.push(metadata(pid, Some(tid), "thread_name", thread(tid)));
+    }
+    out.extend(rows.into_iter().map(|r| r.json));
+    Json::obj(vec![
+        ("traceEvents", Json::Array(out)),
+        ("displayTimeUnit", Json::Str(time_unit.into())),
+    ])
+}
+
 /// Export one run — `launches[i]` is the recorded event stream of launch
 /// `i` — as a chrome://tracing document.
 pub fn chrome_trace(launches: &[Vec<TraceEvent>]) -> Json {
@@ -131,82 +142,41 @@ pub fn chrome_trace(launches: &[Vec<TraceEvent>]) -> Json {
         }
         offset += span_end + LAUNCH_GAP;
     }
-    rows.sort_by_key(|r| (r.pid, r.tid, r.ts));
-
-    let mut seen: Vec<(u64, u64)> = rows
-        .iter()
-        .map(|r| (r.pid, r.tid))
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    seen.dedup();
-    let mut out: Vec<Json> = Vec::with_capacity(rows.len() + seen.len());
-    let mut named_pid = u64::MAX;
-    for &(pid, tid) in &seen {
-        if pid != named_pid {
-            named_pid = pid;
-            out.push(metadata(pid, None, "process_name", format!("core {pid}")));
-        }
-        let label = match tid {
-            STALL_TID => "stalls".into(),
-            BARRIER_TID => "barriers".into(),
-            MEM_TID => "cache".into(),
-            MSHR_TID => "mshr".into(),
-            DRAM_TID => "dram".into(),
-            w => format!("warp {w}"),
-        };
-        out.push(metadata(pid, Some(tid), "thread_name", label));
-    }
-    out.extend(rows.into_iter().map(|r| r.json));
-    Json::obj(vec![
-        ("traceEvents", Json::Array(out)),
-        ("displayTimeUnit", Json::Str("ns".into())),
-    ])
+    let thread = |tid| match tid {
+        STALL_TID => "stalls".into(),
+        BARRIER_TID => "barriers".into(),
+        MEM_TID => "cache".into(),
+        MSHR_TID => "mshr".into(),
+        DRAM_TID => "dram".into(),
+        w => format!("warp {w}"),
+    };
+    document(rows, |pid| format!("core {pid}"), thread, "ns")
 }
 
+/// The simulated-cycle adapter: an event's core is its process and its
+/// start cycle (shifted by the launch `offset`) its timestamp; spans last to
+/// [`end_cycle`], and the launch index is appended to its args.
 fn event_row(ev: &TraceEvent, launch: usize, offset: u64) -> Row {
-    match *ev {
-        TraceEvent::Issue {
-            core,
-            warp,
-            cycle,
-            pc,
-        } => complete(
-            core as u64,
+    let start = ev.start();
+    let span = Some(end_cycle(ev).saturating_sub(start));
+    let (tid, dur, name, mut args): (u64, Option<u64>, String, Vec<(&str, Json)>) = match *ev {
+        TraceEvent::Issue { warp, pc, .. } => (
             warp as u64,
-            offset + cycle,
-            1,
+            span,
             format!("pc {pc}"),
-            launch,
             vec![("pc", Json::UInt(pc as u64))],
         ),
-        TraceEvent::Stall {
-            core,
-            kind,
-            from,
-            to,
-        } => complete(
-            core as u64,
-            STALL_TID,
-            offset + from,
-            to - from,
-            kind.label().to_string(),
-            launch,
-            vec![],
-        ),
+        TraceEvent::Stall { kind, .. } => (STALL_TID, span, kind.label().to_string(), vec![]),
         TraceEvent::BarrierArrive {
-            core,
             warp,
-            cycle,
             id,
             count,
             waiting,
-        } => instant(
-            core as u64,
+            ..
+        } => (
             BARRIER_TID,
-            offset + cycle,
+            None,
             format!("bar {id} arrive"),
-            launch,
             vec![
                 ("warp", Json::UInt(warp as u64)),
                 ("count", Json::UInt(count as u64)),
@@ -214,90 +184,65 @@ fn event_row(ev: &TraceEvent, launch: usize, offset: u64) -> Row {
             ],
         ),
         TraceEvent::BarrierRelease {
-            core,
-            cycle,
             id,
             count,
             released,
-        } => instant(
-            core as u64,
+            ..
+        } => (
             BARRIER_TID,
-            offset + cycle,
+            None,
             format!("bar {id} release"),
-            launch,
             vec![
                 ("count", Json::UInt(count as u64)),
                 ("released", Json::UInt(released as u64)),
             ],
         ),
         TraceEvent::Wspawn {
-            core,
-            warp,
-            cycle,
-            count,
-            entry,
-        } => instant(
-            core as u64,
+            warp, count, entry, ..
+        } => (
             warp as u64,
-            offset + cycle,
+            None,
             format!("wspawn {count}"),
-            launch,
             vec![
                 ("count", Json::UInt(count as u64)),
                 ("entry", Json::UInt(entry as u64)),
             ],
         ),
         TraceEvent::CacheAccess {
-            core,
             level,
-            cycle,
             line_addr,
             hit,
+            ..
         } => {
             let lvl = match level {
                 CacheLevel::Dcache => "dcache",
                 CacheLevel::L2 => "l2",
             };
             let what = if hit { "hit" } else { "miss" };
-            instant(
-                core as u64,
+            (
                 MEM_TID,
-                offset + cycle,
+                None,
                 format!("{lvl} {what}"),
-                launch,
                 vec![("line", Json::UInt(line_addr as u64))],
             )
         }
-        TraceEvent::MshrAcquire { core, cycle, fill } => complete(
-            core as u64,
-            MSHR_TID,
-            offset + cycle,
-            fill.saturating_sub(cycle),
-            "mshr".into(),
-            launch,
-            vec![],
-        ),
+        TraceEvent::MshrAcquire { .. } => (MSHR_TID, span, "mshr".into(), vec![]),
         TraceEvent::Dram {
-            core,
-            cycle,
-            line_addr,
-            row_hit,
-            done,
-        } => complete(
-            core as u64,
+            line_addr, row_hit, ..
+        } => (
             DRAM_TID,
-            offset + cycle,
-            done.saturating_sub(cycle),
+            span,
             if row_hit {
                 "dram row-hit"
             } else {
                 "dram row-miss"
             }
             .to_string(),
-            launch,
             vec![("line", Json::UInt(line_addr as u64))],
         ),
-    }
+    };
+    args.push(("launch", Json::UInt(launch as u64)));
+    row(ev.core() as u64, tid, offset + start, dur, name, args)
 }
 
 /// The single trace *process* every serve-log span lands in; workers map
@@ -342,35 +287,15 @@ pub fn chrome_trace_serve(log: &str) -> Result<Json, String> {
              (was the service run with observability armed?)"
             .to_string());
     }
-    rows.sort_by_key(|r| (r.pid, r.tid, r.ts));
-    let tids: Vec<u64> = rows
-        .iter()
-        .map(|r| r.tid)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let mut out: Vec<Json> = Vec::with_capacity(rows.len() + tids.len() + 1);
-    out.push(metadata(
-        SERVE_PID,
-        None,
-        "process_name",
-        "repro serve".into(),
-    ));
-    for &tid in &tids {
-        out.push(metadata(
-            SERVE_PID,
-            Some(tid),
-            "thread_name",
-            format!("worker {tid}"),
-        ));
-    }
-    out.extend(rows.into_iter().map(|r| r.json));
-    Ok(Json::obj(vec![
-        ("traceEvents", Json::Array(out)),
-        ("displayTimeUnit", Json::Str("ms".into())),
-    ]))
+    Ok(document(
+        rows,
+        |_| "repro serve".into(),
+        |tid| format!("worker {tid}"),
+        "ms",
+    ))
 }
 
+/// The host-time adapter: one complete event per span-tree node.
 fn serve_span_rows(
     rows: &mut Vec<Row>,
     node: &repro_obs::SpanNode,
@@ -378,26 +303,17 @@ fn serve_span_rows(
     trace_id: &str,
     label: &str,
 ) {
-    rows.push(Row {
-        pid: SERVE_PID,
-        tid: worker,
-        ts: node.start_us,
-        json: Json::obj(vec![
-            ("name", Json::Str(node.name.clone())),
-            ("ph", Json::Str("X".into())),
-            ("pid", Json::UInt(SERVE_PID)),
-            ("tid", Json::UInt(worker)),
-            ("ts", Json::UInt(node.start_us)),
-            ("dur", Json::UInt(node.dur_us)),
-            (
-                "args",
-                Json::obj(vec![
-                    ("trace_id", Json::Str(trace_id.to_string())),
-                    ("label", Json::Str(label.to_string())),
-                ]),
-            ),
-        ]),
-    });
+    rows.push(row(
+        SERVE_PID,
+        worker,
+        node.start_us,
+        Some(node.dur_us),
+        node.name.clone(),
+        vec![
+            ("trace_id", Json::Str(trace_id.to_string())),
+            ("label", Json::Str(label.to_string())),
+        ],
+    ));
     for c in &node.children {
         serve_span_rows(rows, c, worker, trace_id, label);
     }

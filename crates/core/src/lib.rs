@@ -19,8 +19,8 @@
 //!   event stream (the `repro trace` artifact);
 //! * [`manifest`] — per-invocation RunManifest records (host/commit/config
 //!   metadata + per-benchmark wall times + metrics snapshot);
-//! * [`perf_report`] — the `repro perf-report` perf-regression dashboard
-//!   (markdown + HTML + baseline comparison);
+//! * [`perf_report`] — the `repro perf-report` suite and pipeline-stage
+//!   tables (markdown + JSON);
 //! * [`serve`] — the `repro serve` long-running batch service (NDJSON jobs
 //!   over stdin or a socket into the shared work-stealing executor).
 
@@ -32,28 +32,21 @@ pub mod coverage;
 pub mod fig7;
 pub mod manifest;
 pub mod opt_report;
-pub mod perf_html;
 pub mod perf_report;
 pub mod report;
 pub mod serve;
 pub mod tables;
-pub mod top;
 
 pub use chaos::{chaos_json, render_chaos, run_chaos, ScenarioReport, CHAOS_SEED};
 pub use check::{
-    check_has_hard_failure, check_json, check_requests, check_suite, check_suite_on, render_check,
-    CheckRow, FlowCheck, FlowStats, CHECK_MAX_CYCLES, CHECK_MAX_INSTRUCTIONS,
+    check_has_hard_failure, check_json, check_requests, check_suite, check_suite_on, fill_manifest,
+    render_check, CheckRow, FlowCheck, FlowStats, CHECK_MAX_CYCLES, CHECK_MAX_INSTRUCTIONS,
 };
 pub use chrome_trace::{chrome_trace, chrome_trace_serve};
 pub use coverage::{coverage_table, CoverageRow};
 pub use fig7::{fig7_grid, fig7_summary, Fig7Cell, Fig7Grid};
 pub use manifest::{host_meta, HostMeta, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use opt_report::{opt_report, render_opt_report, OptReport};
-pub use perf_html::render_perf_html;
-pub use perf_report::{
-    collect_perf, compare_to_baseline, fill_manifest, render_perf_markdown, Comparison,
-    MetricDelta, PerfOptions, PerfReport, DEFAULT_THRESHOLD,
-};
+pub use perf_report::{collect_perf, render_perf_markdown, PerfReport};
 pub use serve::{serve_lines, serve_socket, ServeOptions, ServeSummary};
 pub use tables::{table2, table3, table4, AreaRow};
-pub use top::{render_top, run_top, TopOptions};

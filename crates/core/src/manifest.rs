@@ -4,8 +4,9 @@
 //! when it exits: the command and its arguments, host/commit/config metadata
 //! (so runs are comparable across machines and PRs), per-benchmark wall
 //! times, failure-class counts, and a snapshot of the pipeline-wide metrics
-//! registry. `repro perf-report --baseline <manifest>` consumes the same
-//! schema to decide whether a tracked metric regressed.
+//! registry. Nothing in the repository reads a manifest back; it is the
+//! record a person or a script inspects after a run (CI's smoke steps read
+//! `meta.workers` and the `metrics` block).
 //!
 //! Schema (`schema_version` 1):
 //!
@@ -33,8 +34,7 @@ use std::process::Command;
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
 
 /// Where the host was and what it was configured as when a run happened —
-/// the context that makes two manifests comparable (or explains why they
-/// are not).
+/// the parameters every number in the manifest is reported with.
 #[derive(Debug, Clone)]
 pub struct HostMeta {
     /// `git rev-parse --short=12 HEAD`, with a `+dirty` suffix when the
@@ -43,9 +43,8 @@ pub struct HostMeta {
     /// Middle-end level the run executed at (CLI spelling).
     pub opt_level: String,
     /// Scheduler worker-pool size the run used (`--workers`) — the actual
-    /// executor width, never a hardcoded placeholder. Part of the
-    /// wall-clock comparability fingerprint: a 4-worker batch's wall times
-    /// are not comparable to a sequential run's.
+    /// executor width, never a hardcoded placeholder. Read it beside any
+    /// wall time: a 4-worker batch's wall times are not a sequential run's.
     pub workers: u64,
     pub os: &'static str,
     pub arch: &'static str,
@@ -83,7 +82,7 @@ fn git_rev() -> String {
 }
 
 /// The build profile this binary was compiled under.
-pub const PROFILE: &str = if cfg!(debug_assertions) {
+const PROFILE: &str = if cfg!(debug_assertions) {
     "debug"
 } else {
     "release"
@@ -224,30 +223,6 @@ impl RunManifest {
     }
 }
 
-/// Read the fields of a manifest JSON that baseline comparison needs:
-/// `(benchmarks, metrics snapshot, meta)`. Returns `None` when the document
-/// is not a RunManifest.
-pub fn manifest_benchmarks(doc: &Json) -> Option<Vec<BenchWall>> {
-    doc.get("schema_version")?;
-    let rows = doc.get("benchmarks")?.as_array()?;
-    let mut out = Vec::with_capacity(rows.len());
-    for r in rows {
-        out.push(BenchWall {
-            name: r.get("name")?.as_str()?.to_string(),
-            flow: match r.get("flow")?.as_str()? {
-                "vortex" => "vortex",
-                "hls" => "hls",
-                "interp" => "interp",
-                _ => "other",
-            },
-            wall_secs: r.get("wall_secs")?.as_f64()?,
-            cycles: r.get("cycles").and_then(|c| c.as_u64()),
-            ok: r.get("ok")?.as_bool()?,
-        });
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,15 +247,9 @@ mod tests {
         let meta = doc.get("meta").unwrap();
         assert_eq!(meta.get("opt_level").unwrap().as_str(), Some("reuse"));
         assert_eq!(meta.get("workers").unwrap().as_u64(), Some(4));
-        let rows = manifest_benchmarks(&doc).unwrap();
+        let rows = doc.get("benchmarks").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].cycles, Some(4242));
-        assert!(!rows[1].ok);
-    }
-
-    #[test]
-    fn non_manifest_documents_are_rejected() {
-        let doc = Json::parse(r#"{"grid": [], "speedup": 2.0}"#).unwrap();
-        assert!(manifest_benchmarks(&doc).is_none());
+        assert_eq!(rows[0].get("cycles").unwrap().as_u64(), Some(4242));
+        assert_eq!(rows[1].get("ok").unwrap().as_bool(), Some(false));
     }
 }

@@ -1,4 +1,4 @@
-//! Integration tests for the `repro perf-report` pipeline dashboard.
+//! Integration tests for the `repro perf-report` suite and stage tables.
 //!
 //! Lives in its own integration binary (= its own process) on purpose: the
 //! metrics registry is global, and the collection pass enables it, so these
@@ -13,7 +13,8 @@
 
 use fpga_gpu_repro::arch::VortexConfig;
 use fpga_gpu_repro::obs;
-use fpga_gpu_repro::repro::{collect_perf, render_perf_html, render_perf_markdown, PerfOptions};
+use fpga_gpu_repro::repro::{collect_perf, render_perf_markdown};
+use fpga_gpu_repro::sched::{ExecConfig, Executor};
 use fpga_gpu_repro::suite::{benchmark, run_vortex, Scale};
 use fpga_gpu_repro::vsim::SimConfig;
 use repro_util::metrics;
@@ -33,11 +34,12 @@ fn perf_report_markdown_matches_golden() {
     // order changes under `--test-threads` > 1 or a name filter).
     let b = benchmark("Vecadd").unwrap();
     run_vortex(&b, Scale::Test, &SimConfig::new(VortexConfig::new(4, 8, 8))).unwrap();
-    let report = collect_perf(&PerfOptions::default());
+    let exec = Executor::new(ExecConfig::with_workers(1));
+    let report = collect_perf(&exec, VortexConfig::new(2, 4, 16));
     metrics::reset();
     assert_eq!(report.rows.len(), 28, "suite sweep covers every benchmark");
     assert!(!report.stages.is_empty());
-    let rendered = render_perf_markdown(&report, None, false);
+    let rendered = render_perf_markdown(&report, false);
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/perf_report.md");
     if std::env::var_os("REGOLD").is_some() {
         std::fs::write(golden_path, &rendered).unwrap();
@@ -49,11 +51,6 @@ fn perf_report_markdown_matches_golden() {
         rendered, golden,
         "perf-report output changed; if intentional, regenerate with REGOLD=1"
     );
-    // The HTML dashboard renders the same report without panicking and
-    // stays self-contained (no external asset, no script).
-    let html = render_perf_html(&report, None);
-    assert!(html.contains("Pipeline stage time"));
-    assert!(!html.contains("<script") && !html.contains("http://") && !html.contains("https://"));
 }
 
 #[test]
