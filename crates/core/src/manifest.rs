@@ -2,7 +2,7 @@
 //!
 //! Every `repro` subcommand writes a **RunManifest** to `runs/<command>.json`
 //! when it exits: the command and its arguments, host/commit/config metadata
-//! (so runs are comparable across machines and PRs), per-benchmark wall
+//! (so every number is reported with its host and commit), per-benchmark wall
 //! times, failure-class counts, and a snapshot of the pipeline-wide metrics
 //! registry. Nothing in the repository reads a manifest back; it is the
 //! record a person or a script inspects after a run (CI's smoke steps read
@@ -151,7 +151,8 @@ pub struct RunManifest {
     pub args: Vec<String>,
     pub meta: HostMeta,
     pub benchmarks: Vec<BenchWall>,
-    /// Failure-class counts (`repro check` populates this).
+    /// Failure-class counts (`check`, `perf-report` and `serve` populate
+    /// this).
     pub failure_classes: Vec<(String, u64)>,
     pub metrics: metrics::Snapshot,
     pub total_wall_secs: f64,
