@@ -10,7 +10,9 @@
 //!   the kernel becomes a load-store unit. Default (burst-coalesced) loads
 //!   instantiate **32 load units** per site, exactly the behaviour the paper
 //!   measured (§III-A: "each array access in the kernel code was synthesized
-//!   into 32 load units"); `__pipelined_load` sites instantiate one.
+//!   into 32 load units"); `__pipelined_load` sites instantiate one. Each
+//!   site's access pattern is a query over the work-item analysis the Vortex
+//!   flow also uses (`ocl_ir::workitem`).
 //! * **Area estimation** ([`area`]): a cost table over the profile,
 //!   calibrated against the paper's Tables II and III. Access-pattern
 //!   classification (thread-affine vs computed index) decides the

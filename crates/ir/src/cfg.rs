@@ -1,7 +1,7 @@
 //! Control-flow-graph utilities: successor/predecessor maps, reverse
 //! post-order, dominators and post-dominators.
 //!
-//! Post-dominators feed the control-dependence computation the divergence
+//! Post-dominators feed the control-dependence computation the work-item
 //! analysis needs to decide which branches require the Vortex SPLIT/JOIN/PRED
 //! lowering (paper §II-D).
 

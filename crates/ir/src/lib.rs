@@ -10,9 +10,10 @@
 //! * The IR is a register-machine IR with *mutable* virtual registers rather
 //!   than SSA — assignments may re-define a register. This keeps front-end
 //!   lowering and back-end code generation simple while still supporting the
-//!   analyses the paper's results depend on (divergence analysis for the
-//!   Vortex SPLIT/JOIN/PRED lowering, access-site classification for the HLS
-//!   LSU/area model, and the O1 "variable reuse" load-dedup pass).
+//!   analyses the paper's results depend on (one work-item dependence
+//!   analysis, [`workitem`], that both decides the Vortex SPLIT/JOIN/PRED
+//!   lowering and classifies access sites for the HLS LSU/area model, and the
+//!   O1 "variable reuse" load-dedup pass).
 //! * Memory is explicit: address arithmetic uses [`inst::Op::Gep`] so that
 //!   the HLS flow can classify each access site's pattern (thread-affine vs
 //!   computed) the way the Intel SDK's load-store-unit inference does.
@@ -22,7 +23,6 @@
 pub mod builder;
 pub mod cfg;
 pub mod display;
-pub mod divergence;
 pub mod func;
 pub mod inst;
 pub mod interp;
@@ -32,6 +32,7 @@ pub mod passes;
 pub mod types;
 pub mod value;
 pub mod verify;
+pub mod workitem;
 
 pub use builder::FunctionBuilder;
 pub use func::{Block, BlockId, Function, Kernel, LocalArray, LocalArrayId, Module, Param};

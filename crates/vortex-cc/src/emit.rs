@@ -4,9 +4,9 @@ use crate::regalloc::{allocate, Allocation, Loc};
 use crate::structure::{plan, DivBranch, DivPlan};
 use crate::{CodegenError, CodegenOpts, CompiledKernel};
 use ocl_ir::cfg::{Cfg, Dominators, PostDominators};
-use ocl_ir::divergence::DivergenceInfo;
 use ocl_ir::liveness::Liveness;
 use ocl_ir::loops::LoopForest;
+use ocl_ir::workitem::WorkItemInfo;
 use ocl_ir::{
     AtomicOp, BinOp, BlockId, Builtin, CmpOp, Function, LocalArrayId, Op, Operand, Scalar,
     Terminator, UnOp, VReg,
@@ -72,7 +72,7 @@ pub fn compile(f: &Function, opts: &CodegenOpts) -> Result<CompiledKernel, Codeg
     let cfg = Cfg::new(f);
     let pdom = PostDominators::new(f, &cfg);
     let loops = LoopForest::find(f, &cfg, &Dominators::new(&cfg));
-    let div = DivergenceInfo::analyze(f, &cfg, &pdom);
+    let div = WorkItemInfo::analyze(f, &cfg, &pdom);
     let plan = plan(f, &cfg, &pdom, &loops, &div)?;
     let alloc = repro_util::metrics::time("vortex_cc.regalloc", || {
         allocate(f, &Liveness::compute(f, &cfg))

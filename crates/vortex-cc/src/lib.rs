@@ -1,8 +1,8 @@
 //! `vortex-cc` — the soft-GPU kernel compiler back end.
 //!
 //! Plays the role of the extended PoCL + LLVM pipeline in the paper's
-//! Figure 5: it consumes the shared kernel IR, performs divergence analysis,
-//! lowers divergent control flow onto the Vortex SIMT instructions
+//! Figure 5: it consumes the shared kernel IR, asks the work-item analysis
+//! (`ocl_ir::workitem`) which branches diverge, lowers divergent control flow onto the Vortex SIMT instructions
 //! (SPLIT/JOIN for divergent ifs, PRED for divergent loops — §II-D), applies
 //! linear-scan register allocation, and emits a complete kernel binary with
 //! the PoCL-style work-scheduling prologue that maps NDRange work items onto

@@ -6,8 +6,8 @@
 //! subset with a source-level error.
 
 use ocl_ir::cfg::{Cfg, PostDominators};
-use ocl_ir::divergence::DivergenceInfo;
 use ocl_ir::loops::LoopForest;
+use ocl_ir::workitem::WorkItemInfo;
 use ocl_ir::{BlockId, Function, Terminator};
 use rustc_hash::FxHashMap;
 
@@ -47,7 +47,7 @@ pub fn plan(
     cfg: &Cfg,
     pdom: &PostDominators,
     loops: &LoopForest,
-    div: &DivergenceInfo,
+    div: &WorkItemInfo,
 ) -> Result<DivPlan, crate::CodegenError> {
     let mut plan = DivPlan::default();
     let err = |detail: String| crate::CodegenError::Unstructured {
@@ -194,7 +194,7 @@ mod tests {
         let cfg = Cfg::new(f);
         let pdom = PostDominators::new(f, &cfg);
         let loops = LoopForest::find(f, &cfg, &Dominators::new(&cfg));
-        let div = DivergenceInfo::analyze(f, &cfg, &pdom);
+        let div = WorkItemInfo::analyze(f, &cfg, &pdom);
         plan(f, &cfg, &pdom, &loops, &div)
     }
 
