@@ -13,6 +13,7 @@ use fpga_gpu_repro::ir::passes::OptLevel;
 use fpga_gpu_repro::suite::runner::{run_vortex_trace_at, DEFAULT_OPT};
 use fpga_gpu_repro::suite::{all_benchmarks, Scale};
 use fpga_gpu_repro::vsim::SimConfig;
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,19 +41,43 @@ fn fresh_optimize(src: &str, level: OptLevel) -> fpga_gpu_repro::ir::Module {
     m
 }
 
+/// One golden row: the artifact's encoded length and the FNV-1a of its bytes.
+fn golden_row(rows: &mut String, bench: &str, artifact: &str, bytes: &[u8]) {
+    writeln!(
+        rows,
+        "| {bench} | {artifact} | {} | {:016x} |",
+        bytes.len(),
+        wire::fnv1a(bytes)
+    )
+    .unwrap();
+}
+
 /// The tentpole matrix: every benchmark x every optimization level x both
 /// flows. For each cell, the cold cached artifact, the warm (memory-hit)
 /// artifact and a fresh uncached compile must all encode to the same
 /// canonical bytes — i.e. the cache can never change what a consumer sees —
 /// and a warm Vortex program must equal the fresh one instruction for
-/// instruction.
+/// instruction. Every fresh artifact's length and FNV-1a are pinned in
+/// `tests/golden/cache_artifacts.md`, so a codec change that moves a byte
+/// fails here; regenerate after an intentional format change (with a
+/// `CACHE_SCHEMA_VERSION` bump) with
+/// `REGOLD=1 cargo test --test cache_equivalence`.
 #[test]
 fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
     let cache = mem_cache();
     let devices = [Device::mx2100(), Device::sx2800()];
+    let mut rows = String::from(
+        "# cache artifacts\n\n\
+         Encoded length and FNV-1a of every artifact the compile cache stores \
+         for the suite: the lowered module, the optimized module and the T = 4 \
+         Vortex kernels at each opt level, and the HLS outcome on both devices.\n\n\
+         | benchmark | artifact | bytes | fnv1a |\n\
+         |---|---|---|---|\n",
+    );
     for b in all_benchmarks() {
         // Lowering (source as written).
         let fresh_lower = ocl_front::compile(b.source).expect(b.name);
+        golden_row(&mut rows, b.name, "lower", &wire::encode(&fresh_lower));
         let cold = cache.lower(b.source).unwrap();
         let warm = cache.lower(b.source).unwrap();
         assert_eq!(
@@ -70,6 +95,12 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
         for level in OptLevel::ALL {
             // Middle end.
             let fresh = wire::encode(&fresh_optimize(b.source, level));
+            golden_row(
+                &mut rows,
+                b.name,
+                &format!("opt@{}", level.flag_name()),
+                &fresh,
+            );
             let cold = wire::encode(&cache.optimize(b.source, level).unwrap());
             let warm = wire::encode(&cache.optimize(b.source, level).unwrap());
             assert_eq!(cold, fresh, "{} at {level:?}: cold opt != fresh", b.name);
@@ -83,6 +114,12 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
                 .map(|k| fpga_gpu_repro::vcc::compile_kernel(k, &opts).expect(b.name))
                 .collect();
             let fresh = wire::encode(&fresh_kernels);
+            golden_row(
+                &mut rows,
+                b.name,
+                &format!("vortex@{}", level.flag_name()),
+                &fresh,
+            );
             let cold = wire::encode(&cache.codegen_vortex(b.source, Some(level), 4).unwrap());
             let warm_kernels = cache.codegen_vortex(b.source, Some(level), 4).unwrap();
             // Equal bytes would not catch a lossy codec that re-encodes to
@@ -111,6 +148,7 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
         // both paper devices.
         for device in &devices {
             let fresh = wire::encode(&synthesize(&fresh_lower, device, &SynthOptions::default()));
+            golden_row(&mut rows, b.name, &format!("hls@{}", device.name), &fresh);
             let cold = wire::encode(&cache.synthesize_hls(b.source, device).unwrap());
             let warm = wire::encode(&cache.synthesize_hls(b.source, device).unwrap());
             assert_eq!(
@@ -127,6 +165,21 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
     }
     let s = cache.stats();
     assert!(s.hits_mem > 0 && s.corrupt == 0 && s.disk_write_errors == 0);
+
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/cache_artifacts.md"
+    );
+    if std::env::var_os("REGOLD").is_some() {
+        std::fs::write(golden_path, &rows).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(golden_path)
+        .expect("golden file missing — run with REGOLD=1 to create it");
+    assert_eq!(
+        rows, golden,
+        "cache artifact bytes changed; if intentional, bump CACHE_SCHEMA_VERSION and regenerate with REGOLD=1"
+    );
 }
 
 /// Warm disk hits are byte-identical too: a second cache instance sharing
