@@ -31,9 +31,10 @@
 //!
 //! `--fast` shrinks the Figure 7 problem sizes (useful without `--release`).
 //! `--workers N` sizes the work-stealing executor pool every execution
-//! command submits its jobs to (`run`, `check`, `serve`, `perf-report`,
-//! `fig7`, `all`) — cycle counts are bit-identical at any width, and the
-//! actual pool size is recorded in the manifest's `meta.workers`.
+//! command submits its jobs to (`table1`, `run`, `check`, `serve`,
+//! `perf-report`, `fig7`, `all`) — cycle counts are bit-identical at any
+//! width, and the actual pool size is recorded in the manifest's
+//! `meta.workers`.
 //! `--opt none|basic|reuse|loop` selects the middle-end level for the
 //! execution commands (`trace`, `profile`, `analytic`); the default is
 //! the suite-wide [`ocl_suite::DEFAULT_OPT`]. Output is markdown
@@ -60,9 +61,10 @@ fn save_json(name: &str, value: &impl repro_util::ToJson) {
     }
 }
 
-fn run_table1(timing: bool) {
+fn run_table1(exec: &Executor, timing: bool) {
     println!("## Table I — Benchmark coverage (left: Vortex, right: Intel HLS)\n");
-    let rows = coverage_table(Scale::Test, VortexConfig::new(2, 4, 16));
+    let checks = repro_core::check_suite_on(exec, Scale::Test, VortexConfig::new(2, 4, 16));
+    let rows = coverage_table(&checks);
     print!("{}", report::render_table1(&rows));
     let v_ok = rows.iter().filter(|r| r.vortex_ok()).count();
     let h_ok = rows.iter().filter(|r| r.hls_ok()).count();
@@ -657,7 +659,8 @@ fn main() {
         },
     };
     // One work-stealing pool per invocation, shared by every batch the
-    // command submits (`run`, `check`, `serve`, `perf-report`, `fig7`).
+    // command submits (`table1`, `run`, `check`, `serve`, `perf-report`,
+    // `fig7`).
     // Idle workers park, so the table commands pay nothing for it.
     let exec = Executor::new(ExecConfig::with_workers(workers));
     // Every invocation records its pipeline spans and a RunManifest; the
@@ -668,7 +671,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let code = match cmd {
         "table1" => {
-            run_table1(timing);
+            run_table1(&exec, timing);
             0
         }
         "table2" => {
@@ -711,7 +714,7 @@ fn main() {
             0
         }
         "all" => {
-            run_table1(true);
+            run_table1(&exec, true);
             println!();
             run_table2();
             println!();

@@ -22,10 +22,10 @@
 //! payload, checksum mismatch — is classified and deleted by the caller,
 //! never served.
 
-use crate::wire::{fnv1a, Reader, WireError};
+use crate::wire::{Reader, WireError};
 use crate::{Key, Stage, CACHE_SCHEMA_VERSION};
 use repro_fault::{fire, FaultPoint};
-use repro_util::{Json, ToJson};
+use repro_util::{fnv1a, Json, ToJson};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -45,12 +45,12 @@ use ocl_front::{CompileError, Lexed};
 use ocl_ir::passes::OptLevel;
 use ocl_ir::Module;
 use repro_diag::ReproError;
-use repro_util::metrics;
+use repro_util::{fnv1a, metrics, Fnv};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use vortex_cc::CompiledKernel;
-use wire::{Fnv, Wire};
+use wire::Wire;
 
 /// Version of the on-disk artifact schema. Bump this whenever any [`Wire`]
 /// encoding or the key derivation changes: the version is part of both the
@@ -305,7 +305,7 @@ impl Cache {
     /// fingerprint so a `Lower` miss later in the same call need not lex
     /// them again.
     fn keyed<'a>(&self, src: &'a str) -> Result<Keyed<'a>, CompileError> {
-        let raw = wire::fnv1a(src.as_bytes());
+        let raw = fnv1a(src.as_bytes());
         let memo = self.fingerprints.lock().unwrap().get(&raw).copied();
         let (fp, lexed) = match memo {
             Some(fp) => (fp, None),

@@ -10,6 +10,11 @@
 //! * **Total decoding.** Every decode path returns a [`WireError`] carrying
 //!   the byte offset of the failure instead of panicking, so a corrupt
 //!   on-disk entry is detected, reported and evicted rather than served.
+//!
+//! This module holds the primitives ([`Writer`], [`Reader`], the [`Wire`]
+//! impls for `u8`, `u32`, `u64`, `f64`, `bool`, `usize` and `String`) and
+//! the containers (`Vec`, `Option`, pairs, `Result`). Artifact layouts are
+//! declared once each in [`crate::artifacts`], on top of these.
 
 use std::fmt;
 
@@ -44,10 +49,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -56,16 +57,8 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn f32(&mut self, v: f32) {
-        // Bit pattern, not value: NaNs and -0.0 round-trip exactly.
-        self.u32(v.to_bits());
-    }
-
     pub fn f64(&mut self, v: f64) {
+        // Bit pattern, not value: NaNs and -0.0 round-trip exactly.
         self.u64(v.to_bits());
     }
 
@@ -127,24 +120,12 @@ impl<'a> Reader<'a> {
         Ok(self.take(1, "u8")?[0])
     }
 
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2, "u16")?.try_into().unwrap()))
-    }
-
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().unwrap()))
     }
 
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
-    }
-
-    pub fn i32(&mut self) -> Result<i32, WireError> {
-        Ok(i32::from_le_bytes(self.take(4, "i32")?.try_into().unwrap()))
-    }
-
-    pub fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.u32()?))
     }
 
     pub fn f64(&mut self) -> Result<f64, WireError> {
@@ -231,11 +212,8 @@ macro_rules! wire_primitive {
 }
 
 wire_primitive!(u8, u8, u8);
-wire_primitive!(u16, u16, u16);
 wire_primitive!(u32, u32, u32);
 wire_primitive!(u64, u64, u64);
-wire_primitive!(i32, i32, i32);
-wire_primitive!(f32, f32, f32);
 wire_primitive!(f64, f64, f64);
 wire_primitive!(bool, bool, bool);
 
@@ -334,53 +312,6 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
     }
 }
 
-/// Streaming FNV-1a 64-bit hash. Unlike `std::hash::DefaultHasher`, the
-/// output is specified and stable across processes and toolchain versions —
-/// a requirement for on-disk cache keys.
-#[derive(Clone, Copy)]
-pub struct Fnv(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-}
-
-impl Fnv {
-    pub fn new() -> Fnv {
-        Fnv::default()
-    }
-
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One-shot FNV-1a 64 over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,21 +320,17 @@ mod tests {
     fn primitives_round_trip() {
         let mut w = Writer::new();
         w.u8(0xab);
-        w.u16(0x1234);
         w.u32(0xdead_beef);
         w.u64(u64::MAX);
-        w.i32(-7);
-        w.f32(-0.0);
+        w.f64(-0.0);
         w.f64(f64::NAN);
         w.bool(true);
         w.str("héllo");
         let mut r = Reader::new(&w.buf);
         assert_eq!(r.u8().unwrap(), 0xab);
-        assert_eq!(r.u16().unwrap(), 0x1234);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.i32().unwrap(), -7);
-        assert_eq!(r.f32().unwrap().to_bits(), (-0.0f32).to_bits());
+        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.f64().unwrap().is_nan());
         assert!(r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "héllo");
@@ -436,24 +363,16 @@ mod tests {
 
     #[test]
     fn containers_round_trip() {
-        let v: Vec<(String, Option<i32>)> = vec![
-            ("a".into(), Some(-1)),
+        let v: Vec<(String, Option<u32>)> = vec![
+            ("a".into(), Some(u32::MAX)),
             ("b".into(), None),
-            (String::new(), Some(i32::MIN)),
+            (String::new(), Some(0)),
         ];
         assert_eq!(
-            decode::<Vec<(String, Option<i32>)>>(&encode(&v)).unwrap(),
+            decode::<Vec<(String, Option<u32>)>>(&encode(&v)).unwrap(),
             v
         );
         let r: Result<u32, String> = Err("boom".into());
         assert_eq!(decode::<Result<u32, String>>(&encode(&r)).unwrap(), r);
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -1,9 +1,9 @@
 //! Table I — benchmark coverage of both flows.
 
-use fpga_arch::{Device, VortexConfig};
-use ocl_suite::{all_benchmarks, run_vortex, Scale};
+use crate::check::CheckRow;
+use fpga_arch::Device;
+use ocl_suite::ReproError;
 use repro_util::{Json, ToJson};
-use vortex_sim::SimConfig;
 
 /// One row of Table I.
 #[derive(Debug, Clone)]
@@ -47,48 +47,31 @@ impl CoverageRow {
     }
 }
 
-/// Run the full coverage evaluation.
+/// Table I's view of a [`crate::check_suite_on`] sweep.
 ///
-/// * Vortex is *executed* at the given scale on the `hw` configuration
-///   (synthesizable per Table IV) — coverage means the binary actually runs
-///   and verifies.
+/// * Vortex is *executed* on the sweep's configuration (synthesizable per
+///   Table IV): coverage means the binary actually runs and verifies.
 /// * HLS is *synthesized* for the MX2100 like the paper; passing benchmarks
-///   also execute the pipelined model and verify.
-pub fn coverage_table(scale: Scale, hw: VortexConfig) -> Vec<CoverageRow> {
+///   also execute the pipelined model and verify. The BRAMs and hours of a
+///   passing benchmark are the synthesis report its job left in the compile
+///   cache; a rejected one carries its reason and hours in its error.
+pub fn coverage_table(checks: &[CheckRow]) -> Vec<CoverageRow> {
     let device = Device::mx2100();
-    let cfg = SimConfig::new(hw);
-    all_benchmarks()
+    checks
         .iter()
-        .map(|b| {
-            // Each flow runs panic-isolated: one benchmark tripping an
-            // internal invariant degrades to a failure cell instead of
-            // costing the table its remaining rows.
-            let vortex = ocl_suite::run_isolated(|| run_vortex(b, scale, &cfg))
-                .map(|o| o.cycles)
-                .map_err(|e| e.to_string());
-            let hls_outcome = ocl_suite::run_isolated(|| ocl_suite::run_hls(b, scale, &device));
-            let (hls, hls_hours) = match hls_outcome {
-                Ok(Ok(_)) => {
-                    // Re-synthesize for the area figure (cheap; cached
-                    // profiles are not worth the plumbing). Both steps
-                    // already succeeded inside run_hls, so failures here
-                    // are harness bugs — reported, not panicked.
-                    match ocl_front::compile(b.source)
-                        .map_err(|e| format!("harness: {e}"))
-                        .and_then(|m| {
-                            hls_flow::synthesize(&m, &device, &Default::default())
-                                .map_err(|f| format!("harness: {f}"))
-                        }) {
-                        Ok(r) => (Ok(r.area.brams), r.hours),
-                        Err(e) => (Err(e), 0.0),
-                    }
-                }
-                Ok(Err(f)) => (Err(f.reason()), f.hours()),
+        .map(|c| {
+            let vortex = c.vortex.outcome.as_ref().map(|s| s.cycles);
+            let (hls, hls_hours) = match &c.hls.outcome {
+                Ok(_) => match synth_report(&c.name, &device) {
+                    Ok(r) => (Ok(r.area.brams), r.hours),
+                    Err(e) => (Err(format!("harness: {e}")), 0.0),
+                },
+                Err(ReproError::Synthesis { reason, hours }) => (Err(reason.clone()), *hours),
                 Err(e) => (Err(format!("harness: {e}")), 0.0),
             };
             CoverageRow {
-                name: b.name.to_string(),
-                vortex,
+                name: c.name.clone(),
+                vortex: vortex.map_err(ToString::to_string),
                 hls,
                 hls_hours,
             }
@@ -96,13 +79,71 @@ pub fn coverage_table(scale: Scale, hw: VortexConfig) -> Vec<CoverageRow> {
         .collect()
 }
 
+/// The synthesis report of a benchmark whose HLS job passed.
+fn synth_report(name: &str, device: &Device) -> Result<hls_flow::SynthReport, String> {
+    let b = ocl_suite::benchmark(name).ok_or("unknown benchmark")?;
+    match repro_cache::global().synthesize_hls(b.source, device) {
+        Ok(Ok(r)) => Ok(r),
+        Ok(Err(f)) => Err(f.to_string()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check_class_counts, check_has_hard_failure, check_json, render_check};
+    use crate::{check_suite, CHECK_MAX_CYCLES};
+    use fpga_arch::VortexConfig;
+    use ocl_suite::{FailureClass, Scale};
 
+    /// One whole-suite sweep: the fail-soft check report, and Table I built
+    /// from it.
     #[test]
     fn coverage_reproduces_table1() {
-        let rows = coverage_table(Scale::Test, VortexConfig::new(2, 4, 16));
+        let checks = check_suite(Scale::Test, VortexConfig::new(2, 4, 16));
+        assert_eq!(checks.len(), 28);
+        // The healthy suite: Vortex runs everything, HLS rejects the
+        // paper's six — all classified Synthesis, none Hang or Panic.
+        for r in &checks {
+            assert!(r.vortex.is_ok(), "{}: {:?}", r.name, r.vortex.outcome);
+            assert!(r.vortex.wall_secs >= 0.0 && r.hls.wall_secs >= 0.0);
+        }
+        let counts = check_class_counts(&checks);
+        let get = |class: FailureClass| {
+            counts
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map(|(_, n)| *n)
+                .unwrap()
+        };
+        assert_eq!(get(FailureClass::Synthesis), 6);
+        assert_eq!(get(FailureClass::Hang), 0);
+        assert_eq!(get(FailureClass::Panic), 0);
+        assert!(!check_has_hard_failure(&checks));
+        // The report renders a row per benchmark plus header and summary.
+        let md = render_check(&checks);
+        assert_eq!(md.matches("| O (").count(), 28 + 22);
+        let j = check_json(&checks);
+        assert_eq!(j.get("hard_failure").and_then(|v| v.as_bool()), Some(false));
+        // Every successful Vortex row reports its budget consumption, and
+        // a healthy run never gets near the watchdog ceiling.
+        let rows_j = j.get("rows").and_then(|v| v.as_array()).unwrap();
+        for row in rows_j {
+            let v = row.get("vortex").unwrap();
+            assert!(v.get("wall_secs").and_then(|x| x.as_f64()).is_some());
+            if v.get("ok").and_then(|x| x.as_bool()) == Some(true) {
+                let budget = v.get("budget").unwrap();
+                let frac = budget.get("cycles_frac").and_then(|x| x.as_f64()).unwrap();
+                assert!((0.0..0.5).contains(&frac), "cycles_frac {frac}");
+                assert_eq!(
+                    budget.get("max_cycles").and_then(|x| x.as_u64()),
+                    Some(CHECK_MAX_CYCLES)
+                );
+            }
+        }
+
+        let rows = coverage_table(&checks);
         assert_eq!(rows.len(), 28);
         // Vortex column: all O.
         for r in &rows {

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use repro_util::{Json, ToJson};
+use repro_util::{fnv1a, Json, ToJson};
 
 mod events;
 mod span;
@@ -81,17 +81,6 @@ pub fn now_us() -> u64 {
 /// Seconds since [`epoch`] — the service uptime `{"cmd":"health"}` reports.
 pub fn uptime_secs() -> f64 {
     epoch().elapsed().as_secs_f64()
-}
-
-/// FNV-1a 64 over a byte slice (the same function the compile cache keys
-/// with, re-derived here so the crate stays dependency-free).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// SplitMix64 finalizer — spreads the batch index so two identical

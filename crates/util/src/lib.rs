@@ -3,6 +3,8 @@
 //! The build environment is fully offline, so the usual crates.io helpers
 //! (serde, rand, proptest) are replaced by the small modules here:
 //!
+//! * [`fnv`] — FNV-1a 64, the one stable hash behind cache keys, trace
+//!   ids and fault seeds;
 //! * [`json`] — a minimal JSON value tree + pretty printer and the
 //!   [`json::ToJson`] trait, covering exactly what the `repro` harness
 //!   serializes;
@@ -12,12 +14,14 @@
 //! * [`metrics`] — the process-wide counters/gauges/histograms registry
 //!   behind `repro perf-report` (off by default, observably free while off).
 
+pub mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod par;
 pub mod rng;
 pub mod timing;
 
+pub use fnv::{fnv1a, Fnv};
 pub use json::{Json, JsonError, ToJson};
 pub use par::Parker;
 pub use rng::Rng;

@@ -9,10 +9,10 @@
 
 use fpga_arch::VortexConfig;
 use ocl_suite::Scale;
-use repro_core::{coverage_table, report};
+use repro_core::{check_suite, coverage_table, report};
 
 fn main() {
-    let rows = coverage_table(Scale::Test, VortexConfig::new(2, 4, 16));
+    let rows = coverage_table(&check_suite(Scale::Test, VortexConfig::new(2, 4, 16)));
     print!("{}", report::render_table1(&rows));
     let v = rows.iter().filter(|r| r.vortex_ok()).count();
     let h = rows.iter().filter(|r| r.hls_ok()).count();

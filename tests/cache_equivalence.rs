@@ -7,12 +7,16 @@
 //! a wrong answer.
 
 use fpga_gpu_repro::arch::{Device, VortexConfig};
-use fpga_gpu_repro::cache::{wire, Cache, CacheConfig, Stage};
-use fpga_gpu_repro::hls::{synthesize, SynthOptions};
+use fpga_gpu_repro::cache::wire::{self, Wire};
+use fpga_gpu_repro::cache::{Cache, CacheConfig, Stage};
+use fpga_gpu_repro::hls::{synthesize, SynthFailure, SynthOptions, SynthReport};
 use fpga_gpu_repro::ir::passes::OptLevel;
+use fpga_gpu_repro::ir::{Const, Inst, Module, Op, Operand, Scalar, Terminator, Type, VReg};
 use fpga_gpu_repro::suite::runner::{run_vortex_trace_at, DEFAULT_OPT};
 use fpga_gpu_repro::suite::{all_benchmarks, Scale};
+use fpga_gpu_repro::util::{fnv1a, Fnv, Rng};
 use fpga_gpu_repro::vsim::SimConfig;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,15 +45,116 @@ fn fresh_optimize(src: &str, level: OptLevel) -> fpga_gpu_repro::ir::Module {
     m
 }
 
-/// One golden row: the artifact's encoded length and the FNV-1a of its bytes.
-fn golden_row(rows: &mut String, bench: &str, artifact: &str, bytes: &[u8]) {
-    writeln!(
-        rows,
-        "| {bench} | {artifact} | {} | {:016x} |",
-        bytes.len(),
-        wire::fnv1a(bytes)
-    )
-    .unwrap();
+/// The codec contract on one artifact's canonical bytes: decoding and
+/// re-encoding gives the same bytes, and seeded truncations and byte flips
+/// come back as a `WireError` at an offset inside the input, never a panic
+/// (a flip may also decode to another valid value).
+fn check_codec<T: Wire>(bytes: &[u8], rng: &mut Rng, what: &str) {
+    let back: T = wire::decode(bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(wire::encode(&back), bytes, "{what}: not canonical");
+    for _ in 0..4 {
+        let cut = rng.below(bytes.len() as u64) as usize;
+        match wire::decode::<T>(&bytes[..cut]) {
+            Ok(_) => panic!("{what}: truncated to {cut} bytes but decoded"),
+            Err(e) => assert!(e.offset <= cut, "{what}: cut {cut}, error at {e}"),
+        }
+        let mut flipped = bytes.to_vec();
+        let at = rng.below(bytes.len() as u64) as usize;
+        flipped[at] ^= 1 + rng.below(255) as u8;
+        if let Err(e) = wire::decode::<T>(&flipped) {
+            assert!(
+                e.offset <= bytes.len(),
+                "{what}: flip at {at}, error at {e}"
+            );
+        }
+    }
+}
+
+/// Every fresh artifact of the matrix passes through here once: its golden
+/// row, [`check_codec`], and a census of the wire tags its values use.
+struct Ledger {
+    rows: String,
+    tags: BTreeMap<&'static str, BTreeSet<u8>>,
+    rng: Rng,
+}
+
+impl Ledger {
+    /// Record one artifact (the golden row is its encoded length and the
+    /// FNV-1a of its bytes) and return its canonical bytes.
+    fn artifact<T: Wire>(&mut self, bench: &str, artifact: &str, v: &T) -> Vec<u8> {
+        let bytes = wire::encode(v);
+        let (len, hash) = (bytes.len(), fnv1a(&bytes));
+        writeln!(self.rows, "| {bench} | {artifact} | {len} | {hash:016x} |").unwrap();
+        check_codec::<T>(&bytes, &mut self.rng, &format!("{bench} {artifact}"));
+        bytes
+    }
+
+    /// An enum's wire tag is the first byte of its encoding.
+    fn tag<T: Wire>(&mut self, name: &'static str, v: &T) {
+        let tag = wire::encode(v)[0];
+        self.tags.entry(name).or_default().insert(tag);
+    }
+
+    fn module(&mut self, m: &Module) {
+        for f in &m.kernels {
+            for ty in f.params.iter().map(|p| &p.ty).chain(&f.vreg_types) {
+                self.tag("Type", ty);
+            }
+            for b in &f.blocks {
+                for i in &b.insts {
+                    self.tag("Op", &i.op);
+                    if let Op::WorkItem(w) = &i.op {
+                        self.tag("Builtin", w);
+                    }
+                    i.op.for_each_operand(|o| self.operand(o));
+                }
+                self.tag("Terminator", &b.term);
+                if let Terminator::CondBr { cond, .. } = b.term {
+                    self.operand(cond);
+                }
+            }
+        }
+    }
+
+    fn operand(&mut self, o: Operand) {
+        self.tag("Operand", &o);
+        if let Operand::Const(c) = o {
+            self.tag("Const", &c);
+        }
+    }
+
+    fn synth(&mut self, outcome: &Result<SynthReport, SynthFailure>) {
+        if let Err(f) = outcome {
+            self.tag("SynthFailure", f);
+        }
+    }
+}
+
+/// The builtins and constant kind no suite benchmark uses.
+const EXTRA_VARIANTS: &str = r#"
+__kernel void extra(__global uint* d) {
+    d[get_group_id(0)] = get_local_size(0) * get_num_groups(0) + 7u;
+}
+"#;
+
+/// [`EXTRA_VARIANTS`], plus a select: the front end lowers `?:` with
+/// control flow, so no source produces one.
+fn extra_variants() -> Module {
+    let mut m = ocl_front::compile(EXTRA_VARIANTS).expect("extra variants");
+    let f = &mut m.kernels[0];
+    let r = VReg(f.vreg_types.len() as u32);
+    f.vreg_types.push(Type::Scalar(Scalar::U32));
+    let select = Op::Select {
+        ty: Scalar::U32,
+        cond: Operand::Const(Const::Bool(true)),
+        a: Operand::Const(Const::U32(1)),
+        b: Operand::Const(Const::U32(2)),
+    };
+    f.blocks[0].insts.push(Inst {
+        result: Some(r),
+        op: select,
+    });
+    m
 }
 
 /// The tentpole matrix: every benchmark x every optimization level x both
@@ -62,22 +167,31 @@ fn golden_row(rows: &mut String, bench: &str, artifact: &str, bytes: &[u8]) {
 /// fails here; regenerate after an intentional format change (with a
 /// `CACHE_SCHEMA_VERSION` bump) with
 /// `REGOLD=1 cargo test --test cache_equivalence`.
+///
+/// Each fresh artifact also passes [`check_codec`], and together with
+/// [`extra_variants`] they use every tag of `Op`, `Terminator`, `Builtin`,
+/// `Type`, `Operand`, `Const` and `SynthFailure`.
 #[test]
 fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
     let cache = mem_cache();
     let devices = [Device::mx2100(), Device::sx2800()];
-    let mut rows = String::from(
-        "# cache artifacts\n\n\
-         Encoded length and FNV-1a of every artifact the compile cache stores \
-         for the suite: the lowered module, the optimized module and the T = 4 \
-         Vortex kernels at each opt level, and the HLS outcome on both devices.\n\n\
-         | benchmark | artifact | bytes | fnv1a |\n\
-         |---|---|---|---|\n",
-    );
+    let mut ledger = Ledger {
+        rows: String::from(
+            "# cache artifacts\n\n\
+             Encoded length and FNV-1a of every artifact the compile cache stores \
+             for the suite: the lowered module, the optimized module and the T = 4 \
+             Vortex kernels at each opt level, and the HLS outcome on both devices.\n\n\
+             | benchmark | artifact | bytes | fnv1a |\n\
+             |---|---|---|---|\n",
+        ),
+        tags: BTreeMap::new(),
+        rng: Rng::new(0xc0de_c0de),
+    };
     for b in all_benchmarks() {
         // Lowering (source as written).
         let fresh_lower = ocl_front::compile(b.source).expect(b.name);
-        golden_row(&mut rows, b.name, "lower", &wire::encode(&fresh_lower));
+        ledger.artifact(b.name, "lower", &fresh_lower);
+        ledger.module(&fresh_lower);
         let cold = cache.lower(b.source).unwrap();
         let warm = cache.lower(b.source).unwrap();
         assert_eq!(
@@ -94,13 +208,9 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
         );
         for level in OptLevel::ALL {
             // Middle end.
-            let fresh = wire::encode(&fresh_optimize(b.source, level));
-            golden_row(
-                &mut rows,
-                b.name,
-                &format!("opt@{}", level.flag_name()),
-                &fresh,
-            );
+            let fresh_opt = fresh_optimize(b.source, level);
+            let fresh = ledger.artifact(b.name, &format!("opt@{}", level.flag_name()), &fresh_opt);
+            ledger.module(&fresh_opt);
             let cold = wire::encode(&cache.optimize(b.source, level).unwrap());
             let warm = wire::encode(&cache.optimize(b.source, level).unwrap());
             assert_eq!(cold, fresh, "{} at {level:?}: cold opt != fresh", b.name);
@@ -108,18 +218,13 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
 
             // Vortex back end.
             let opts = fpga_gpu_repro::vcc::CodegenOpts { threads: 4 };
-            let fresh_kernels: Vec<_> = fresh_optimize(b.source, level)
+            let fresh_kernels: Vec<_> = fresh_opt
                 .kernels
                 .iter()
                 .map(|k| fpga_gpu_repro::vcc::compile_kernel(k, &opts).expect(b.name))
                 .collect();
-            let fresh = wire::encode(&fresh_kernels);
-            golden_row(
-                &mut rows,
-                b.name,
-                &format!("vortex@{}", level.flag_name()),
-                &fresh,
-            );
+            let label = format!("vortex@{}", level.flag_name());
+            let fresh = ledger.artifact(b.name, &label, &fresh_kernels);
             let cold = wire::encode(&cache.codegen_vortex(b.source, Some(level), 4).unwrap());
             let warm_kernels = cache.codegen_vortex(b.source, Some(level), 4).unwrap();
             // Equal bytes would not catch a lossy codec that re-encodes to
@@ -147,8 +252,9 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
         // HLS synthesis outcome (reports and typed x failures alike), on
         // both paper devices.
         for device in &devices {
-            let fresh = wire::encode(&synthesize(&fresh_lower, device, &SynthOptions::default()));
-            golden_row(&mut rows, b.name, &format!("hls@{}", device.name), &fresh);
+            let outcome = synthesize(&fresh_lower, device, &SynthOptions::default());
+            let fresh = ledger.artifact(b.name, &format!("hls@{}", device.name), &outcome);
+            ledger.synth(&outcome);
             let cold = wire::encode(&cache.synthesize_hls(b.source, device).unwrap());
             let warm = wire::encode(&cache.synthesize_hls(b.source, device).unwrap());
             assert_eq!(
@@ -165,6 +271,23 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
     }
     let s = cache.stats();
     assert!(s.hits_mem > 0 && s.corrupt == 0 && s.disk_write_errors == 0);
+
+    let rows = std::mem::take(&mut ledger.rows);
+    let extra = extra_variants();
+    check_codec::<Module>(&wire::encode(&extra), &mut ledger.rng, "extra variants");
+    ledger.module(&extra);
+    for (name, n) in [
+        ("Op", 13),
+        ("Terminator", 3),
+        ("Builtin", 6),
+        ("Type", 2),
+        ("Operand", 2),
+        ("Const", 4),
+        ("SynthFailure", 2),
+    ] {
+        let seen = ledger.tags.get(name).cloned().unwrap_or_default();
+        assert_eq!(seen, (0..n).collect(), "{name} tags the matrix encodes");
+    }
 
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -400,7 +523,7 @@ fn child_warm_probe() {
         ..CacheConfig::default()
     });
     let b = &all_benchmarks()[1];
-    let mut h = wire::Fnv::new();
+    let mut h = Fnv::new();
     h.write(&wire::encode(
         &cache.optimize(b.source, DEFAULT_OPT).unwrap(),
     ));

@@ -8,10 +8,11 @@
 //! Regenerate after an intentional change with
 //! `REGOLD=1 cargo test --test compile_counts`.
 
-use fpga_gpu_repro::cache::{token_fingerprint, wire::Fnv};
+use fpga_gpu_repro::cache::token_fingerprint;
 use fpga_gpu_repro::front::compile;
 use fpga_gpu_repro::ir::passes::{optimize_module, OptLevel};
 use fpga_gpu_repro::suite::all_benchmarks;
+use fpga_gpu_repro::util::Fnv;
 use fpga_gpu_repro::vcc::{compile_kernel, CodegenOpts};
 use fpga_gpu_repro::visa::encode::encode;
 use std::fmt::Write;

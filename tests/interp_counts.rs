@@ -9,10 +9,10 @@
 //! Regenerate after an intentional change with
 //! `REGOLD=1 cargo test --test interp_counts`.
 
-use fpga_gpu_repro::cache::wire::Fnv;
 use fpga_gpu_repro::ir::interp::{run_ndrange, KernelArg, Limits, Memory};
 use fpga_gpu_repro::ir::passes::OptLevel;
 use fpga_gpu_repro::suite::{all_benchmarks, compile_bench, Benchmark, LArg, Scale, DEFAULT_OPT};
+use fpga_gpu_repro::util::Fnv;
 use std::fmt::Write;
 
 /// One table row: the counters summed over the benchmark's launches and
