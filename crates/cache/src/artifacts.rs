@@ -306,3 +306,101 @@ impl Wire for SynthFailure {
         })
     }
 }
+
+/// Hand-built cases, one per artifact kind. `tests/cache_equivalence.rs`
+/// checks the same properties on every artifact the suite produces.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{decode, encode};
+
+    #[test]
+    fn module_round_trips_bytes() {
+        let module = ocl_front::compile(
+            r#"
+            __kernel void axpy(__global float* y, __global const float* x, float a, int n) {
+                int i = get_global_id(0);
+                if (i < n) { y[i] = a * x[i] + y[i]; }
+            }
+            "#,
+        )
+        .unwrap();
+        let bytes = encode(&module);
+        let back: Module = decode(&bytes).unwrap();
+        assert_eq!(back, module);
+        // Canonical: re-encoding the decoded value reproduces the bytes.
+        assert_eq!(encode(&back), bytes);
+    }
+
+    #[test]
+    fn compiled_kernel_round_trips_bytes() {
+        let module = ocl_front::compile(
+            r#"
+            __kernel void scale(__global int* d, int n) {
+                int i = get_global_id(0);
+                for (int k = 0; k < n; k++) { d[i] = d[i] * 2; }
+            }
+            "#,
+        )
+        .unwrap();
+        let compiled = vortex_cc::compile_kernel(
+            module.kernel("scale").unwrap(),
+            &vortex_cc::CodegenOpts { threads: 16 },
+        )
+        .unwrap();
+        let bytes = encode(&compiled);
+        let back: CompiledKernel = decode(&bytes).unwrap();
+        assert_eq!(encode(&back), bytes);
+        assert_eq!(back.program, compiled.program);
+        assert_eq!(back.name, compiled.name);
+        assert_eq!(back.threads, compiled.threads);
+    }
+
+    #[test]
+    fn synth_outcomes_round_trip() {
+        let device = fpga_arch::Device::mx2100();
+        let module =
+            ocl_front::compile("__kernel void id(__global int* d) { d[get_global_id(0)] = 1; }")
+                .unwrap();
+        let ok = hls_flow::synthesize(&module, &device, &hls_flow::SynthOptions::default());
+        let bytes = encode(&ok);
+        let back: Result<SynthReport, SynthFailure> = decode(&bytes).unwrap();
+        assert_eq!(encode(&back), bytes);
+
+        let failure: Result<SynthReport, SynthFailure> = Err(SynthFailure::NotEnoughResources {
+            resource: "BRAM",
+            required: ResourceVector {
+                aluts: 1,
+                ffs: 2,
+                brams: 9999,
+                dsps: 4,
+            },
+            capacity: ResourceVector {
+                aluts: 10,
+                ffs: 20,
+                brams: 30,
+                dsps: 40,
+            },
+            hours: 10.4,
+        });
+        let bytes = encode(&failure);
+        let back: Result<SynthReport, SynthFailure> = decode(&bytes).unwrap();
+        assert_eq!(encode(&back), bytes);
+        match back.unwrap_err() {
+            SynthFailure::NotEnoughResources { resource, .. } => assert_eq!(resource, "BRAM"),
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_artifact_reports_offset() {
+        let module =
+            ocl_front::compile("__kernel void id(__global int* d) { d[get_global_id(0)] = 1; }")
+                .unwrap();
+        let mut bytes = encode(&module);
+        let cut = bytes.len() / 2;
+        bytes.truncate(cut);
+        let err = decode::<Module>(&bytes).unwrap_err();
+        assert!(err.offset <= cut, "offset {} past end {}", err.offset, cut);
+    }
+}

@@ -325,3 +325,62 @@ pub fn check_json(rows: &[CheckRow]) -> Json {
         ("hard_failure", Json::Bool(check_has_hard_failure(rows))),
     ])
 }
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::sync::OnceLock;
+
+    /// The one whole-suite sweep of this test binary, shared by the check
+    /// report's test and Table I's ([`crate::coverage`]), which is built
+    /// from it.
+    pub(crate) fn suite_sweep() -> &'static [CheckRow] {
+        static ROWS: OnceLock<Vec<CheckRow>> = OnceLock::new();
+        ROWS.get_or_init(|| check_suite(Scale::Test, VortexConfig::new(2, 4, 16)))
+    }
+
+    #[test]
+    fn check_covers_all_benchmarks_fail_soft() {
+        let rows = suite_sweep();
+        assert_eq!(rows.len(), 28);
+        // The healthy suite: Vortex runs everything, HLS rejects the
+        // paper's six — all classified Synthesis, none Hang or Panic.
+        for r in rows {
+            assert!(r.vortex.is_ok(), "{}: {:?}", r.name, r.vortex.outcome);
+            assert!(r.vortex.wall_secs >= 0.0 && r.hls.wall_secs >= 0.0);
+        }
+        let counts = check_class_counts(rows);
+        let get = |class: FailureClass| {
+            counts
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map(|(_, n)| *n)
+                .unwrap()
+        };
+        assert_eq!(get(FailureClass::Synthesis), 6);
+        assert_eq!(get(FailureClass::Hang), 0);
+        assert_eq!(get(FailureClass::Panic), 0);
+        assert!(!check_has_hard_failure(rows));
+        // The report renders a row per benchmark plus header and summary.
+        let md = render_check(rows);
+        assert_eq!(md.matches("| O (").count(), 28 + 22);
+        let j = check_json(rows);
+        assert_eq!(j.get("hard_failure").and_then(|v| v.as_bool()), Some(false));
+        // Every successful Vortex row reports its budget consumption, and
+        // a healthy run never gets near the watchdog ceiling.
+        let rows_j = j.get("rows").and_then(|v| v.as_array()).unwrap();
+        for row in rows_j {
+            let v = row.get("vortex").unwrap();
+            assert!(v.get("wall_secs").and_then(|x| x.as_f64()).is_some());
+            if v.get("ok").and_then(|x| x.as_bool()) == Some(true) {
+                let budget = v.get("budget").unwrap();
+                let frac = budget.get("cycles_frac").and_then(|x| x.as_f64()).unwrap();
+                assert!((0.0..0.5).contains(&frac), "cycles_frac {frac}");
+                assert_eq!(
+                    budget.get("max_cycles").and_then(|x| x.as_u64()),
+                    Some(CHECK_MAX_CYCLES)
+                );
+            }
+        }
+    }
+}

@@ -92,58 +92,13 @@ fn synth_report(name: &str, device: &Device) -> Result<hls_flow::SynthReport, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{check_class_counts, check_has_hard_failure, check_json, render_check};
-    use crate::{check_suite, CHECK_MAX_CYCLES};
-    use fpga_arch::VortexConfig;
-    use ocl_suite::{FailureClass, Scale};
+    use crate::check::tests::suite_sweep;
 
-    /// One whole-suite sweep: the fail-soft check report, and Table I built
-    /// from it.
+    /// Table I built from the test binary's one whole-suite sweep, which
+    /// `check_covers_all_benchmarks_fail_soft` also checks.
     #[test]
     fn coverage_reproduces_table1() {
-        let checks = check_suite(Scale::Test, VortexConfig::new(2, 4, 16));
-        assert_eq!(checks.len(), 28);
-        // The healthy suite: Vortex runs everything, HLS rejects the
-        // paper's six — all classified Synthesis, none Hang or Panic.
-        for r in &checks {
-            assert!(r.vortex.is_ok(), "{}: {:?}", r.name, r.vortex.outcome);
-            assert!(r.vortex.wall_secs >= 0.0 && r.hls.wall_secs >= 0.0);
-        }
-        let counts = check_class_counts(&checks);
-        let get = |class: FailureClass| {
-            counts
-                .iter()
-                .find(|(c, _)| *c == class)
-                .map(|(_, n)| *n)
-                .unwrap()
-        };
-        assert_eq!(get(FailureClass::Synthesis), 6);
-        assert_eq!(get(FailureClass::Hang), 0);
-        assert_eq!(get(FailureClass::Panic), 0);
-        assert!(!check_has_hard_failure(&checks));
-        // The report renders a row per benchmark plus header and summary.
-        let md = render_check(&checks);
-        assert_eq!(md.matches("| O (").count(), 28 + 22);
-        let j = check_json(&checks);
-        assert_eq!(j.get("hard_failure").and_then(|v| v.as_bool()), Some(false));
-        // Every successful Vortex row reports its budget consumption, and
-        // a healthy run never gets near the watchdog ceiling.
-        let rows_j = j.get("rows").and_then(|v| v.as_array()).unwrap();
-        for row in rows_j {
-            let v = row.get("vortex").unwrap();
-            assert!(v.get("wall_secs").and_then(|x| x.as_f64()).is_some());
-            if v.get("ok").and_then(|x| x.as_bool()) == Some(true) {
-                let budget = v.get("budget").unwrap();
-                let frac = budget.get("cycles_frac").and_then(|x| x.as_f64()).unwrap();
-                assert!((0.0..0.5).contains(&frac), "cycles_frac {frac}");
-                assert_eq!(
-                    budget.get("max_cycles").and_then(|x| x.as_u64()),
-                    Some(CHECK_MAX_CYCLES)
-                );
-            }
-        }
-
-        let rows = coverage_table(&checks);
+        let rows = coverage_table(suite_sweep());
         assert_eq!(rows.len(), 28);
         // Vortex column: all O.
         for r in &rows {
