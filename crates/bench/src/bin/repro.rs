@@ -206,23 +206,27 @@ fn trace_config() -> vortex_sim::SimConfig {
     vortex_sim::SimConfig::new(VortexConfig::new(1, 8, 8))
 }
 
-/// Run `name` traced and return the benchmark, observable state, and the
+/// Run `name` traced and return the benchmark, its outcome, and the
 /// per-launch event streams.
 fn traced_run(
     name: &str,
     level: OptLevel,
 ) -> (
     ocl_suite::Benchmark,
-    ocl_suite::VortexTrace,
+    ocl_suite::RunOutcome,
     Vec<Vec<vortex_sim::TraceEvent>>,
 ) {
     let Some(b) = ocl_suite::benchmark(name) else {
         eprintln!("unknown benchmark `{name}`");
         std::process::exit(2);
     };
-    let cfg = trace_config();
-    match ocl_suite::run_vortex_events_at(&b, Scale::Test, &cfg, level) {
-        Ok((trace, launches)) => (b, trace, launches),
+    let vortex = ocl_suite::Backend::Vortex {
+        cfg: trace_config(),
+    };
+    let mut launches = Vec::new();
+    let w = (b.workload)(Scale::Test);
+    match ocl_suite::run(&vortex, b.source, &w, Some(level), Some(&mut launches)) {
+        Ok(trace) => (b, trace, launches),
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(1);
@@ -241,7 +245,7 @@ fn run_trace(name: &str, level: OptLevel) {
         b.name,
         launches.len(),
         events,
-        trace.launch_stats.iter().map(|s| s.cycles).sum::<u64>()
+        trace.cycles
     );
     println!("wrote target/repro/{file}.json — load it in chrome://tracing or Perfetto");
 }

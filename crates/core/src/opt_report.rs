@@ -8,8 +8,9 @@
 //! so the rendered table is goldenable (`render_opt_report` with
 //! `timing: false`).
 
+use ocl_ir::interp::Limits;
 use ocl_ir::passes::{optimize_module, OptLevel};
-use ocl_suite::{benchmark, run_on_interp, Scale};
+use ocl_suite::{benchmark, run, Backend, Scale};
 use repro_util::{Json, ToJson};
 
 /// Canonical column order for per-pass rewrite counts — pipeline order of
@@ -58,6 +59,10 @@ pub fn opt_report(name: &str) -> Result<OptReport, String> {
     let b = benchmark(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let mut kernels = Vec::new();
     let mut rows = Vec::new();
+    let interp = Backend::Interp {
+        limits: Limits::default(),
+    };
+    let w = (b.workload)(Scale::Test);
     for level in OptLevel::ALL {
         let mut m = ocl_front::compile(b.source).map_err(|e| format!("{}: {e}", b.name))?;
         let report = optimize_module(&mut m, level);
@@ -72,7 +77,7 @@ pub fn opt_report(name: &str) -> Result<OptReport, String> {
                 .first()
                 .is_some_and(|k| k.passes.iter().any(|p| p.name == pass))
         };
-        let steps = run_on_interp(&b, Scale::Test, level)
+        let steps = run(&interp, b.source, &w, Some(level), None)
             .map_err(|e| e.to_string())?
             .instructions;
         rows.push(OptReportRow {

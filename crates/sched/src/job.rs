@@ -65,8 +65,8 @@ pub struct NdSpec {
     pub ly: u32,
 }
 
-/// One kernel argument of an inline-source job: a buffer by index into the
-/// request's `buffers` list, or an immediate scalar.
+/// One kernel argument: a buffer by index into the job's buffer list, or an
+/// immediate scalar. Suite workloads use the same enum (`ocl_suite::LArg`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArgSpec {
     Buf(usize),

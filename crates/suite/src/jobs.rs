@@ -1,13 +1,17 @@
-//! Binds the scheduler's pure-data [`JobRequest`] to the suite's actual
-//! execution paths — the one place a request becomes runnable code.
+//! Binds the scheduler's pure-data [`JobRequest`] to the suite's one launch
+//! path: the request's flow becomes a [`Backend`], its payload a workload,
+//! and [`run`] executes the pair. `repro-sched` sits *below* this crate, so
+//! a [`Job`] carries that as a closure, bound by [`instantiate`].
 //!
-//! `repro-sched` sits *below* this crate (it knows nothing about
-//! benchmarks, flows, or simulators), so a [`Job`] carries its execution
-//! as a closure; [`instantiate`] is where that closure is bound. Every
-//! entry point that used to own a private run loop — `repro run`, `check`,
-//! `perf-report`, and the long-running `repro serve` — builds
-//! requests, instantiates them here, and submits the batch to one
-//! [`repro_sched::Executor`].
+//! A benchmark request runs the benchmark's workload at `opt` (unset =
+//! [`DEFAULT_OPT`]). An inline-source request becomes a one-launch workload
+//! of [`HostData::Zeroed`] buffers whose check always passes, compiled at
+//! `opt` (unset = as written); the hls flow rejects it, because synthesis
+//! gating needs a named suite benchmark. Budgets: the vortex flow runs under
+//! [`sim_config`]'s cycle and instruction watchdogs, the interp flow takes
+//! `max_instructions` as its per-work-item step limit, and the hls flow keeps
+//! `hls_flow::execute_ndrange`'s fixed limit. Unset budgets fall back to
+//! [`DEFAULT_MAX_CYCLES`] / [`DEFAULT_MAX_INSTRUCTIONS`].
 //!
 //! Determinism contract: [`run_request`] is a pure function of the request
 //! (the simulator is deterministic, compile results are content-addressed),
@@ -15,17 +19,15 @@
 //! to running [`run_oneshot`] over the same requests in a plain loop.
 
 use fpga_arch::{Device, VortexConfig};
-use ocl_ir::interp::{self, KernelArg, Limits, Memory, NdRange};
+use ocl_ir::interp::{Limits, NdRange};
 use repro_diag::{run_isolated, ReproError};
 use repro_sched::{
-    ArgSpec, Flow, Job, JobCtx, JobRequest, JobStats, Payload, DEFAULT_MAX_CYCLES,
-    DEFAULT_MAX_INSTRUCTIONS,
+    Flow, Job, JobCtx, JobRequest, JobStats, Payload, DEFAULT_MAX_CYCLES, DEFAULT_MAX_INSTRUCTIONS,
 };
-use vortex_rt::{Arg, VxSession};
 use vortex_sim::{SimConfig, MAX_CORES, MAX_THREADS, MAX_WARPS};
 
-use crate::runner::DEFAULT_OPT;
-use crate::spec::Scale;
+use crate::runner::{run, Backend, DEFAULT_OPT};
+use crate::spec::{HostData, LaunchOf, Scale, WorkloadOf};
 
 /// The simulated machine a request describes, with the watchdog budgets
 /// every scheduled job runs under (unset budgets fall back to the `repro
@@ -43,13 +45,8 @@ pub fn sim_config(req: &JobRequest) -> SimConfig {
 /// ([`run_oneshot`]) calls it directly. Under an armed `repro-obs` the
 /// whole execution records as one `flow.*` span, with the cache-lookup and
 /// compile-stage spans nesting beneath it.
-pub fn run_request(req: &JobRequest, ctx: &JobCtx) -> Result<JobStats, ReproError> {
-    let span_name = match req.flow {
-        Flow::Interp => "flow.interp",
-        Flow::Vortex => "flow.vortex",
-        Flow::Hls => "flow.hls",
-    };
-    repro_obs::span(span_name, || run_request_inner(req, ctx))
+pub fn run_request(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproError> {
+    repro_obs::span(&format!("flow.{}", req.flow.name()), || bind_and_run(req))
 }
 
 /// A request's machine geometry comes straight off the wire; reject, typed
@@ -71,11 +68,24 @@ fn check_geometry(req: &JobRequest) -> Result<(), ReproError> {
     Ok(())
 }
 
-fn run_request_inner(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproError> {
-    if req.flow == Flow::Vortex {
-        check_geometry(req)?;
-    }
-    match &req.payload {
+fn bind_and_run(req: &JobRequest) -> Result<JobStats, ReproError> {
+    let backend = match req.flow {
+        Flow::Interp => Backend::Interp {
+            limits: Limits {
+                max_steps_per_item: req.max_instructions.unwrap_or(DEFAULT_MAX_INSTRUCTIONS),
+            },
+        },
+        Flow::Vortex => {
+            check_geometry(req)?;
+            Backend::Vortex {
+                cfg: sim_config(req),
+            }
+        }
+        Flow::Hls => Backend::Hls {
+            device: Device::mx2100(),
+        },
+    };
+    let o = match &req.payload {
         Payload::Bench { name, paper_scale } => {
             let b = crate::benchmark(name)
                 .ok_or_else(|| ReproError::harness(format!("unknown benchmark `{name}`")))?;
@@ -85,30 +95,13 @@ fn run_request_inner(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproE
                 Scale::Test
             };
             let level = req.opt.unwrap_or(DEFAULT_OPT);
-            match req.flow {
-                Flow::Interp => {
-                    let o = crate::run_on_interp(&b, scale, level)?;
-                    Ok(JobStats {
-                        cycles: o.cycles,
-                        instructions: o.instructions,
-                    })
-                }
-                Flow::Vortex => {
-                    let cfg = sim_config(req);
-                    let o = crate::run_vortex_at(&b, scale, &cfg, level)?;
-                    Ok(JobStats {
-                        cycles: o.cycles,
-                        instructions: o.instructions,
-                    })
-                }
-                Flow::Hls => match crate::run_hls_at(&b, scale, &Device::mx2100(), level)? {
-                    Ok(o) => Ok(JobStats {
-                        cycles: o.cycles,
-                        instructions: o.instructions,
-                    }),
-                    Err(f) => Err(f.into()),
-                },
-            }
+            run(&backend, b.source, &(b.workload)(scale), Some(level), None)?
+        }
+        Payload::Source { .. } if req.flow == Flow::Hls => {
+            return Err(ReproError::harness(
+                "inline-source jobs are not supported on the hls flow \
+                 (synthesis gating needs a named suite benchmark)",
+            ))
         }
         Payload::Source {
             source,
@@ -117,115 +110,24 @@ fn run_request_inner(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproE
             buffers,
             args,
         } => {
-            let nd = NdRange {
-                global: [nd.gx, nd.gy, 1],
-                local: [nd.lx, nd.ly, 1],
+            let w = WorkloadOf {
+                buffers: buffers.iter().map(|&n| HostData::Zeroed(n)).collect(),
+                launches: vec![LaunchOf {
+                    kernel,
+                    nd: NdRange {
+                        global: [nd.gx, nd.gy, 1],
+                        local: [nd.lx, nd.ly, 1],
+                    },
+                    args: args.clone(),
+                }],
+                check: Box::new(|_| Ok(())),
             };
-            match req.flow {
-                Flow::Vortex => run_source_vortex(req, source, kernel, &nd, buffers, args),
-                Flow::Interp => run_source_interp(req, source, kernel, &nd, buffers, args),
-                Flow::Hls => Err(ReproError::harness(
-                    "inline-source jobs are not supported on the hls flow \
-                     (synthesis gating needs a named suite benchmark)",
-                )),
-            }
+            run(&backend, source, &w, req.opt, None)?
         }
-    }
-}
-
-/// Byte size of an inline job's buffer of `words` words. The count comes
-/// straight off the wire, so a size past `u32` saturates — no allocator
-/// has that much, and it answers a typed `OutOfMemory` instead of wrapping
-/// to a small allocation.
-fn buffer_bytes(words: u32) -> u32 {
-    words.saturating_mul(4)
-}
-
-/// Inline source on the Vortex flow: codegen (through the global compile
-/// cache), zero-initialized device buffers, one launch, no verification
-/// beyond the run itself. `opt: None` compiles the source as written.
-fn run_source_vortex(
-    req: &JobRequest,
-    source: &str,
-    kernel: &str,
-    nd: &NdRange,
-    buffers: &[u32],
-    args: &[ArgSpec],
-) -> Result<JobStats, ReproError> {
-    let cfg = sim_config(req);
-    let kernels = repro_cache::global().codegen_vortex(source, req.opt, cfg.hw.threads)?;
-    let compiled = kernels
-        .into_iter()
-        .find(|k| k.name == kernel)
-        .ok_or_else(|| ReproError::harness(format!("kernel `{kernel}` not found in source")))?;
-    let mut sess = VxSession::new(cfg, compiled);
-    let bufs: Vec<vortex_rt::Buffer> = buffers
-        .iter()
-        .map(|&words| sess.alloc(buffer_bytes(words)))
-        .collect::<Result<_, _>>()
-        .map_err(ReproError::from)?;
-    let args = args
-        .iter()
-        .map(|a| {
-            Ok(match a {
-                ArgSpec::Buf(i) => Arg::Buf(*bufs.get(*i).ok_or_else(|| {
-                    ReproError::harness(format!("arg references buffer {i} of {}", bufs.len()))
-                })?),
-                ArgSpec::I32(v) => Arg::I32(*v),
-                ArgSpec::U32(v) => Arg::U32(*v),
-                ArgSpec::F32(v) => Arg::F32(*v),
-            })
-        })
-        .collect::<Result<Vec<_>, ReproError>>()?;
-    let r = sess.launch(&args, nd)?;
-    Ok(JobStats {
-        cycles: r.stats.cycles,
-        instructions: r.stats.instructions,
-    })
-}
-
-/// Inline source on the reference interpreter. The per-item step limit is
-/// derived from the request's instruction budget so a runaway kernel dies
-/// typed here too. `opt: None` interprets the source as written.
-fn run_source_interp(
-    req: &JobRequest,
-    source: &str,
-    kernel: &str,
-    nd: &NdRange,
-    buffers: &[u32],
-    args: &[ArgSpec],
-) -> Result<JobStats, ReproError> {
-    let level = req.opt.unwrap_or(ocl_ir::passes::OptLevel::None);
-    let module = repro_cache::global().optimize(source, level)?;
-    let f = module
-        .kernel(kernel)
-        .ok_or_else(|| ReproError::harness(format!("kernel `{kernel}` not found in source")))?;
-    let mut mem = Memory::new(32 << 20);
-    // Fresh interpreter memory is zeroed: reserving is initializing.
-    let addrs: Vec<u32> = buffers
-        .iter()
-        .map(|&words| mem.try_alloc(buffer_bytes(words)))
-        .collect::<Result<_, _>>()?;
-    let args = args
-        .iter()
-        .map(|a| {
-            Ok(match a {
-                ArgSpec::Buf(i) => KernelArg::Ptr(*addrs.get(*i).ok_or_else(|| {
-                    ReproError::harness(format!("arg references buffer {i} of {}", addrs.len()))
-                })?),
-                ArgSpec::I32(v) => KernelArg::I32(*v),
-                ArgSpec::U32(v) => KernelArg::U32(*v),
-                ArgSpec::F32(v) => KernelArg::F32(*v),
-            })
-        })
-        .collect::<Result<Vec<_>, ReproError>>()?;
-    let limits = Limits {
-        max_steps_per_item: req.max_instructions.unwrap_or(DEFAULT_MAX_INSTRUCTIONS),
     };
-    let r = interp::run_ndrange(f, &args, nd, &mut mem, &limits)?;
     Ok(JobStats {
-        cycles: 0,
-        instructions: r.steps,
+        cycles: o.cycles,
+        instructions: o.instructions,
     })
 }
 
@@ -250,17 +152,28 @@ mod tests {
     fn bench_job_matches_direct_runner_call() {
         let req = JobRequest::bench("Vecadd", Flow::Vortex);
         let stats = run_oneshot(&req).expect("vecadd runs");
-        let cfg = sim_config(&req);
-        let direct = crate::run_vortex_at(
-            &crate::benchmark("Vecadd").unwrap(),
-            Scale::Test,
-            &cfg,
-            DEFAULT_OPT,
-        )
-        .expect("direct run");
+        let b = crate::benchmark("Vecadd").unwrap();
+        let vortex = Backend::Vortex {
+            cfg: sim_config(&req),
+        };
+        let w = (b.workload)(Scale::Test);
+        let direct = run(&vortex, b.source, &w, Some(DEFAULT_OPT), None).expect("direct run");
         assert_eq!(stats.cycles, direct.cycles);
         assert_eq!(stats.instructions, direct.instructions);
         assert!(stats.cycles > 0);
+    }
+
+    #[test]
+    fn bench_jobs_on_the_interp_flow_honour_max_instructions() {
+        // At paper scale each Sgemm work-item takes ~1 100 steps.
+        let mut req = JobRequest::bench("Sgemm", Flow::Interp);
+        req.payload = Payload::Bench {
+            name: "Sgemm".to_string(),
+            paper_scale: true,
+        };
+        req.max_instructions = Some(1_000);
+        let err = run_oneshot(&req).unwrap_err();
+        assert_eq!(err.kind(), "InstructionBudget", "{err}");
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! (hybridsort's failure), barriers and `__local` arrays (scheduling
 //! constraints), and control-flow divergence (Vortex SPLIT/JOIN/PRED).
 //!
-//! Every benchmark carries a host-side reference implementation; the
-//! [`runner`] module executes the same source through the reference
-//! interpreter, the Vortex flow, and the HLS flow, and verifies outputs.
+//! Every benchmark carries a host-side reference implementation and builds
+//! a [`Workload`]: buffers, a launch sequence and a check. [`run`] executes
+//! one on a [`Backend`] (the reference interpreter, the Vortex flow or the
+//! HLS flow) and verifies it; [`jobs`] turns a scheduler request, a
+//! benchmark by name or inline kernel source, into the same call.
 //!
 //! The backprop benchmark ships the paper's three kernel variants
 //! (Figure 6): original, O1 variable reuse, and O2 `__pipelined_load` — the
@@ -21,12 +23,10 @@ pub mod runner;
 pub mod spec;
 
 pub use jobs::{instantiate, run_oneshot, run_request};
-pub use repro_diag::{FailureClass, ReproError};
-pub use runner::{
-    compile_bench, run_hls, run_hls_at, run_isolated, run_on_interp, run_reference, run_vortex,
-    run_vortex_at, run_vortex_events, run_vortex_events_at, run_vortex_trace, run_vortex_trace_at,
-    RunOutcome, VortexTrace, DEFAULT_OPT,
-};
+/// The crash-isolation primitive behind `repro check` and the scheduler's
+/// workers; it lives in `repro-diag` next to the failure taxonomy.
+pub use repro_diag::{run_isolated, FailureClass, ReproError};
+pub use runner::{compile_bench, run, Backend, RunOutcome, DEFAULT_OPT};
 pub use spec::{Benchmark, HostData, LArg, Launch, Scale, Workload};
 
 /// All 28 benchmarks, in the paper's Table I order.

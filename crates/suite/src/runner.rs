@@ -1,330 +1,262 @@
-//! Executes a benchmark workload through each of the three back ends and
-//! verifies results — the suite's equivalent of the paper's "identical
-//! source code on both platforms" methodology.
+//! Executes a workload on one of the three back ends and verifies the
+//! results — the suite's form of the paper's "identical source code on both
+//! platforms" methodology. [`run`] is the one launch path: a suite
+//! benchmark and an inline-source job are both a [`WorkloadOf`], and a
+//! [`Backend`] picks the interpreter, the Vortex flow or the HLS flow.
 
-use crate::spec::{Benchmark, HostData, LArg, Launch, Scale, Workload};
+use crate::spec::{Benchmark, HostData, LArg, LaunchOf, WorkloadOf};
 use fpga_arch::Device;
-use hls_flow::SynthFailure;
 use ocl_ir::interp::{self, KernelArg, Limits, Memory};
 use ocl_ir::passes::OptLevel;
+use ocl_ir::Module;
 use repro_diag::ReproError;
 use repro_util::metrics;
-use vortex_rt::{Arg, VxSession};
-use vortex_sim::{RecordingSink, SimConfig, TraceEvent};
+use vortex_rt::{Arg, Buffer, VxSession};
+use vortex_sim::{RecordingSink, SimConfig, SimStats, TraceEvent};
 
 /// The optimization level every execution path shares unless a caller picks
 /// another one — the automated form of the paper's §III-B "O1" rewrite.
 ///
 /// Synthesis-area artifacts (Tables I–III) deliberately keep compiling the
 /// source *as written*, because the paper's area story is about source-level
-/// rewrites fed verbatim to the Intel SDK; see [`run_hls_at`].
+/// rewrites fed verbatim to the Intel SDK; see [`Backend::Hls`].
 pub const DEFAULT_OPT: OptLevel = OptLevel::VariableReuse;
 
-/// Compile a benchmark's source and run the shared middle end at `level`.
-///
-/// Every execution consumer — the reference interpreter, the Vortex flow and
-/// the HLS pipelined-execution model — goes through this single entry point,
-/// so all back ends consume the *same* optimized module instead of silently
-/// comparing different programs. The compile is served by the process-global
-/// content-addressed cache ([`repro_cache::global`]), which replaced the
-/// ad-hoc per-process memoization this module used to carry: keys survive
-/// process restarts, and repeat traffic shows up as `cache.{hit,miss}`.
+/// Compile a benchmark's source and run the shared middle end at `level`,
+/// through the process-global compile cache ([`repro_cache::global`]): the
+/// module [`run`] executes on the interpreter and the HLS flow.
 pub fn compile_bench(b: &Benchmark, level: OptLevel) -> Result<ocl_ir::Module, ReproError> {
     repro_cache::global().optimize(b.source, level)
 }
 
-/// Outcome of running one benchmark on one back end.
+/// Which back end executes a workload, with the budget that binds it.
 #[derive(Debug, Clone)]
+pub enum Backend {
+    /// The reference IR interpreter; `limits` bounds each work-item's steps.
+    Interp { limits: Limits },
+    /// The Vortex flow: codegen, then cycle-level simulation on `cfg`,
+    /// whose `max_cycles` / `max_instructions` are the watchdog budgets.
+    Vortex { cfg: SimConfig },
+    /// The HLS flow: the synthesis gate for `device`, then the pipelined
+    /// execution model under `hls_flow::execute_ndrange`'s fixed step limit.
+    Hls { device: Device },
+}
+
+/// Everything observable about one run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOutcome {
-    /// Estimated / simulated kernel cycles summed over all launches.
+    /// Simulated (Vortex) or modeled (HLS) cycles summed over all launches;
+    /// 0 on the interpreter, which has no cycle model.
     pub cycles: u64,
-    /// Total dynamic instructions (interpreter steps or simulator retires).
+    /// Dynamic instructions: simulator retires or interpreter steps.
     pub instructions: u64,
-    /// Device printf output.
-    pub printf_output: Vec<String>,
-}
-
-/// Run on the reference interpreter at [`DEFAULT_OPT`] and verify.
-pub fn run_reference(b: &Benchmark, scale: Scale) -> Result<RunOutcome, ReproError> {
-    run_on_interp(b, scale, DEFAULT_OPT)
-}
-
-/// Run on the reference interpreter at an explicit optimization level and
-/// verify — the reference side of the per-level differential tests.
-pub fn run_on_interp(
-    b: &Benchmark,
-    scale: Scale,
-    level: OptLevel,
-) -> Result<RunOutcome, ReproError> {
-    metrics::counter_add("suite.runs.interp", 1);
-    let module = compile_bench(b, level)?;
-    let w = (b.workload)(scale);
-    let mut mem = Memory::new(32 << 20);
-    let addrs: Vec<u32> = w
-        .buffers
-        .iter()
-        .map(|h| mem.try_alloc_u32(&h.to_words()))
-        .collect::<Result<_, _>>()?;
-    let mut steps = 0;
-    let mut printf_output = Vec::new();
-    for l in &w.launches {
-        let kernel = module
-            .kernel(l.kernel)
-            .ok_or_else(|| ReproError::harness(format!("kernel `{}` missing", l.kernel)))?;
-        let args: Vec<KernelArg> = l
-            .args
-            .iter()
-            .map(|a| match a {
-                LArg::Buf(i) => KernelArg::Ptr(addrs[*i]),
-                LArg::I32(v) => KernelArg::I32(*v),
-                LArg::U32(v) => KernelArg::U32(*v),
-                LArg::F32(v) => KernelArg::F32(*v),
-            })
-            .collect();
-        let r = metrics::time("suite.interp.launch", || {
-            interp::run_ndrange(kernel, &args, &l.nd, &mut mem, &Limits::default())
-        })?;
-        steps += r.steps;
-        printf_output.extend(r.printf_output);
-    }
-    let finals = read_back(&w, &addrs, |addr, len| mem.read_u32_slice(addr, len));
-    (w.check)(&finals).map_err(|m| ReproError::WrongResult { message: m })?;
-    Ok(RunOutcome {
-        cycles: 0,
-        instructions: steps,
-        printf_output,
-    })
-}
-
-/// Run on the Vortex flow (compile → simulate) at [`DEFAULT_OPT`] and verify.
-pub fn run_vortex(b: &Benchmark, scale: Scale, cfg: &SimConfig) -> Result<RunOutcome, ReproError> {
-    run_vortex_at(b, scale, cfg, DEFAULT_OPT)
-}
-
-/// Run on the Vortex flow at an explicit optimization level and verify.
-pub fn run_vortex_at(
-    b: &Benchmark,
-    scale: Scale,
-    cfg: &SimConfig,
-    level: OptLevel,
-) -> Result<RunOutcome, ReproError> {
-    let trace = run_vortex_with(b, scale, cfg, level, |sess, l, args| {
-        Ok(sess.launch_named(l.kernel, args, &l.nd)?)
-    })?;
-    Ok(RunOutcome {
-        cycles: trace.launch_stats.iter().map(|s| s.cycles).sum(),
-        instructions: trace.launch_stats.iter().map(|s| s.instructions).sum(),
-        printf_output: trace.printf_output,
-    })
-}
-
-/// Everything observable about a Vortex run, for differential testing of
-/// the simulator's schedulers: full per-launch statistics (including the
-/// stall breakdown) and the final word-level contents of every buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VortexTrace {
-    /// Full simulator statistics, one entry per launch.
-    pub launch_stats: Vec<vortex_sim::SimStats>,
-    /// Final contents of each workload buffer, in declaration order.
+    /// Dynamic global loads and stores (interpreter and HLS only).
+    pub global_loads: u64,
+    pub global_stores: u64,
+    /// Full simulator statistics, one entry per launch (Vortex only).
+    pub launch_stats: Vec<SimStats>,
+    /// Final contents of each workload buffer, in declaration order; empty
+    /// for a [`HostData::Zeroed`] buffer, which is never read back.
     pub buffers: Vec<Vec<u32>>,
     /// Device printf output across all launches.
     pub printf_output: Vec<String>,
 }
 
-/// Run on the Vortex flow like [`run_vortex`], but capture the full
-/// observable state instead of the summary counters. The workload's result
-/// check still runs, so a trace is also a correctness witness.
-pub fn run_vortex_trace(
-    b: &Benchmark,
-    scale: Scale,
-    cfg: &SimConfig,
-) -> Result<VortexTrace, ReproError> {
-    run_vortex_trace_at(b, scale, cfg, DEFAULT_OPT)
-}
-
-/// [`run_vortex_trace`] at an explicit optimization level.
-pub fn run_vortex_trace_at(
-    b: &Benchmark,
-    scale: Scale,
-    cfg: &SimConfig,
-    level: OptLevel,
-) -> Result<VortexTrace, ReproError> {
-    run_vortex_with(b, scale, cfg, level, |sess, l, args| {
-        Ok(sess.launch_named(l.kernel, args, &l.nd)?)
-    })
-}
-
-/// Run on the Vortex flow with event tracing enabled: like
-/// [`run_vortex_trace`], plus the recorded [`TraceEvent`] stream of every
-/// launch (one `Vec` per launch, in launch order).
-pub fn run_vortex_events(
-    b: &Benchmark,
-    scale: Scale,
-    cfg: &SimConfig,
-) -> Result<(VortexTrace, Vec<Vec<TraceEvent>>), ReproError> {
-    run_vortex_events_at(b, scale, cfg, DEFAULT_OPT)
-}
-
-/// [`run_vortex_events`] at an explicit optimization level.
-pub fn run_vortex_events_at(
-    b: &Benchmark,
-    scale: Scale,
-    cfg: &SimConfig,
-    level: OptLevel,
-) -> Result<(VortexTrace, Vec<Vec<TraceEvent>>), ReproError> {
-    let mut launches = Vec::new();
-    let trace = run_vortex_with(b, scale, cfg, level, |sess, l, args| {
-        let mut sink = RecordingSink::default();
-        let r = sess.launch_named_with_sink(l.kernel, args, &l.nd, &mut sink)?;
-        launches.push(sink.events);
-        Ok(r)
-    })?;
-    Ok((trace, launches))
-}
-
-/// The compile → codegen → session → alloc → launch-loop → readback
-/// plumbing every Vortex entry point shares. `launch` performs one launch
-/// (so callers choose traced vs untraced) and returns its [`SimResult`]
-/// (vortex_sim::SimResult).
-fn run_vortex_with(
-    b: &Benchmark,
-    scale: Scale,
-    cfg: &SimConfig,
-    level: OptLevel,
-    mut launch: impl FnMut(&mut VxSession, &Launch, &[Arg]) -> Result<vortex_sim::SimResult, ReproError>,
-) -> Result<VortexTrace, ReproError> {
-    metrics::counter_add("suite.runs.vortex", 1);
-    let kernels = repro_cache::global().codegen_vortex(b.source, Some(level), cfg.hw.threads)?;
-    let w = (b.workload)(scale);
-    let mut sess = VxSession::with_kernels(cfg.clone(), kernels);
-    let bufs: Vec<vortex_rt::Buffer> = w
-        .buffers
-        .iter()
-        .map(|h| sess.alloc_u32(&h.to_words()))
-        .collect::<Result<_, _>>()
-        .map_err(ReproError::from)?;
-    let mut launch_stats = Vec::with_capacity(w.launches.len());
-    let mut printf_output = Vec::new();
-    for l in &w.launches {
-        let args: Vec<Arg> = l
-            .args
-            .iter()
-            .map(|a| match a {
-                LArg::Buf(i) => Arg::Buf(bufs[*i]),
-                LArg::I32(v) => Arg::I32(*v),
-                LArg::U32(v) => Arg::U32(*v),
-                LArg::F32(v) => Arg::F32(*v),
-            })
-            .collect();
-        let r = metrics::time("suite.vortex.launch", || launch(&mut sess, l, &args))?;
-        launch_stats.push(r.stats);
-        printf_output.extend(r.printf_output);
-    }
-    let buffers: Vec<Vec<u32>> = w
-        .buffers
-        .iter()
-        .zip(&bufs)
-        .map(|(h, &buf)| sess.read_u32(buf, h.words()))
-        .collect::<Result<_, _>>()
-        .map_err(ReproError::from)?;
-    let finals: Vec<HostData> = w
-        .buffers
-        .iter()
-        .zip(&buffers)
-        .map(|(h, words)| h.from_words(words.clone()))
-        .collect();
-    (w.check)(&finals).map_err(|m| ReproError::WrongResult { message: m })?;
-    Ok(VortexTrace {
-        launch_stats,
-        buffers,
-        printf_output,
-    })
-}
-
-/// Run on the HLS flow at [`DEFAULT_OPT`]: synthesize for `device`, then
-/// execute the pipelined model and verify. Synthesis failures (the Table I ✗
-/// cases) are returned as `Ok(Err(failure))` so coverage harnesses can
-/// report them.
-#[allow(clippy::type_complexity)]
-pub fn run_hls(
-    b: &Benchmark,
-    scale: Scale,
-    device: &Device,
-) -> Result<Result<RunOutcome, SynthFailure>, ReproError> {
-    run_hls_at(b, scale, device, DEFAULT_OPT)
-}
-
-/// [`run_hls`] at an explicit optimization level.
+/// Run workload `w` of kernel source `source` on `backend` and verify it:
+/// compile through the global cache, allocate and fill the buffers, bind
+/// and launch each launch in order, read back, run the workload's check.
 ///
-/// Synthesis (the area/coverage gate) always consumes the source *as
-/// written*, mirroring how the paper feeds the verbatim kernels of Tables
-/// I–III to the Intel SDK; `level` applies to the pipelined *execution*
-/// model, so the HLS run computes with exactly the module the interpreter
-/// and the Vortex flow execute.
-#[allow(clippy::type_complexity)]
-pub fn run_hls_at(
-    b: &Benchmark,
-    scale: Scale,
-    device: &Device,
-    level: OptLevel,
-) -> Result<Result<RunOutcome, SynthFailure>, ReproError> {
-    metrics::counter_add("suite.runs.hls", 1);
-    if let Err(f) = repro_cache::global().synthesize_hls(b.source, device)? {
-        return Ok(Err(f));
-    }
-    let module = compile_bench(b, level)?;
-    let w = (b.workload)(scale);
-    let mut mem = Memory::new(32 << 20);
-    let addrs: Vec<u32> = w
+/// `level: None` compiles the source as written (Vortex codegen straight
+/// off the lowered module; the interpreter and HLS at [`OptLevel::None`]).
+/// The HLS synthesis gate always reads the source as written, and a ✗ is
+/// [`ReproError::Synthesis`]. With `events`, each Vortex launch appends its
+/// recorded [`TraceEvent`] stream.
+pub fn run(
+    backend: &Backend,
+    source: &str,
+    w: &WorkloadOf<'_>,
+    level: Option<OptLevel>,
+    mut events: Option<&mut Vec<Vec<TraceEvent>>>,
+) -> Result<RunOutcome, ReproError> {
+    let mut target = Target::open(backend, source, w, level)?;
+    let bufs: Vec<Buffer> = w
         .buffers
         .iter()
-        .map(|h| mem.try_alloc_u32(&h.to_words()))
+        .map(|h| target.alloc(h))
         .collect::<Result<_, _>>()?;
-    let mut cycles = 0;
-    let mut instructions = 0;
-    let mut printf_output = Vec::new();
+    let mut out = RunOutcome::default();
     for l in &w.launches {
-        let kernel = module
-            .kernel(l.kernel)
-            .ok_or_else(|| ReproError::harness(format!("kernel `{}` missing", l.kernel)))?;
-        let args: Vec<KernelArg> = l
-            .args
-            .iter()
-            .map(|a| match a {
-                LArg::Buf(i) => KernelArg::Ptr(addrs[*i]),
-                LArg::I32(v) => KernelArg::I32(*v),
-                LArg::U32(v) => KernelArg::U32(*v),
-                LArg::F32(v) => KernelArg::F32(*v),
-            })
-            .collect();
-        let r = hls_flow::execute_ndrange(kernel, &args, &l.nd, &mut mem, device)?;
-        cycles += r.cycles;
-        instructions += r.exec.steps;
-        printf_output.extend(r.exec.printf_output);
+        let args = bind(&l.args, &bufs)?;
+        target.launch(l, &args, &mut out, events.as_deref_mut())?;
     }
-    let finals = read_back(&w, &addrs, |addr, len| mem.read_u32_slice(addr, len));
+    let mut finals = Vec::with_capacity(bufs.len());
+    for (h, &b) in w.buffers.iter().zip(&bufs) {
+        let words = match h {
+            HostData::Zeroed(_) => Vec::new(),
+            _ => target.read(b, h.words())?,
+        };
+        finals.push(h.from_words(words.clone()));
+        out.buffers.push(words);
+    }
     (w.check)(&finals).map_err(|m| ReproError::WrongResult { message: m })?;
-    Ok(Ok(RunOutcome {
-        cycles,
-        instructions,
-        printf_output,
-    }))
+    Ok(out)
 }
 
-/// The crash-isolation primitive behind `repro check` and the scheduler's
-/// workers, re-exported from `repro-diag` where it lives next to the
-/// failure taxonomy it reports into.
-pub use repro_diag::run_isolated;
+/// The device memory and compiled code one run executes with: a simulator
+/// session, or the interpreter's memory and the optimized module.
+enum Target {
+    Sim(Box<VxSession>),
+    Host {
+        module: Module,
+        mem: Memory,
+        exec: HostExec,
+    },
+}
 
-fn read_back<H: Copy>(
-    w: &Workload,
-    handles: &[H],
-    read: impl Fn(H, usize) -> Vec<u32>,
-) -> Vec<HostData> {
-    w.buffers
-        .iter()
-        .zip(handles)
-        .map(|(h, &handle)| h.from_words(read(handle, h.words())))
+enum HostExec {
+    Interp(Limits),
+    Hls(Device),
+}
+
+impl Target {
+    /// Compile for `backend` and check that every launched kernel exists.
+    /// A Vortex session holds exactly the kernels the workload launches,
+    /// since its heap limit is sized from their largest stack.
+    fn open(
+        backend: &Backend,
+        source: &str,
+        w: &WorkloadOf<'_>,
+        level: Option<OptLevel>,
+    ) -> Result<Target, ReproError> {
+        let cache = repro_cache::global();
+        let launched = |has: &dyn Fn(&str) -> bool| match w.launches.iter().find(|l| !has(l.kernel))
+        {
+            Some(l) => Err(ReproError::harness(format!(
+                "kernel `{}` not found in source",
+                l.kernel
+            ))),
+            None => Ok(()),
+        };
+        let host = |exec| {
+            let module = cache.optimize(source, level.unwrap_or(OptLevel::None))?;
+            launched(&|name| module.kernel(name).is_some())?;
+            Ok(Target::Host {
+                module,
+                mem: Memory::new(32 << 20),
+                exec,
+            })
+        };
+        match backend {
+            Backend::Interp { limits } => {
+                metrics::counter_add("suite.runs.interp", 1);
+                host(HostExec::Interp(*limits))
+            }
+            Backend::Vortex { cfg } => {
+                metrics::counter_add("suite.runs.vortex", 1);
+                let mut kernels = cache.codegen_vortex(source, level, cfg.hw.threads)?;
+                kernels.retain(|k| w.launches.iter().any(|l| l.kernel == k.name));
+                launched(&|name| kernels.iter().any(|k| k.name == name))?;
+                Ok(Target::Sim(Box::new(VxSession::with_kernels(
+                    cfg.clone(),
+                    kernels,
+                ))))
+            }
+            Backend::Hls { device } => {
+                metrics::counter_add("suite.runs.hls", 1);
+                cache.synthesize_hls(source, device)??;
+                host(HostExec::Hls(device.clone()))
+            }
+        }
+    }
+
+    /// Reserve `h` in device memory and fill it. A `Zeroed` buffer is only
+    /// reserved: fresh device memory is zeroed.
+    fn alloc(&mut self, h: &HostData) -> Result<Buffer, ReproError> {
+        let bytes = h.bytes();
+        let addr = match (self, h) {
+            (Target::Sim(sess), HostData::Zeroed(_)) => return Ok(sess.alloc(bytes)?),
+            (Target::Sim(sess), _) => return Ok(sess.alloc_u32(&h.to_words())?),
+            (Target::Host { mem, .. }, HostData::Zeroed(_)) => mem.try_alloc(bytes)?,
+            (Target::Host { mem, .. }, _) => mem.try_alloc_u32(&h.to_words())?,
+        };
+        Ok(Buffer { addr, bytes })
+    }
+
+    fn launch(
+        &mut self,
+        l: &LaunchOf<'_>,
+        args: &[Arg],
+        out: &mut RunOutcome,
+        events: Option<&mut Vec<Vec<TraceEvent>>>,
+    ) -> Result<(), ReproError> {
+        let (module, mem, exec) = match self {
+            Target::Sim(sess) => {
+                let r = metrics::time("suite.vortex.launch", || match events {
+                    Some(events) => {
+                        let mut sink = RecordingSink::default();
+                        let r = sess.launch_named_with_sink(l.kernel, args, &l.nd, &mut sink)?;
+                        events.push(sink.events);
+                        Ok::<_, ReproError>(r)
+                    }
+                    None => Ok(sess.launch_named(l.kernel, args, &l.nd)?),
+                })?;
+                out.cycles += r.stats.cycles;
+                out.instructions += r.stats.instructions;
+                out.launch_stats.push(r.stats);
+                out.printf_output.extend(r.printf_output);
+                return Ok(());
+            }
+            Target::Host { module, mem, exec } => (module, mem, exec),
+        };
+        let kernel = module.expect_kernel(l.kernel);
+        let args: Vec<KernelArg> = args
+            .iter()
+            .map(|a| match *a {
+                Arg::Buf(b) => KernelArg::Ptr(b.addr),
+                Arg::I32(v) => KernelArg::I32(v),
+                Arg::U32(v) => KernelArg::U32(v),
+                Arg::F32(v) => KernelArg::F32(v),
+            })
+            .collect();
+        let r = match exec {
+            HostExec::Interp(limits) => metrics::time("suite.interp.launch", || {
+                interp::run_ndrange(kernel, &args, &l.nd, mem, limits)
+            })?,
+            HostExec::Hls(device) => {
+                let r = hls_flow::execute_ndrange(kernel, &args, &l.nd, mem, device)?;
+                out.cycles += r.cycles;
+                r.exec
+            }
+        };
+        out.instructions += r.steps;
+        out.global_loads += r.global_loads;
+        out.global_stores += r.global_stores;
+        out.printf_output.extend(r.printf_output);
+        Ok(())
+    }
+
+    fn read(&self, b: Buffer, words: usize) -> Result<Vec<u32>, ReproError> {
+        Ok(match self {
+            Target::Sim(sess) => sess.read_u32(b, words)?,
+            Target::Host { mem, .. } => mem.read_u32_slice(b.addr, words),
+        })
+    }
+}
+
+/// Bind a launch's arguments: buffer indices to the allocated buffers,
+/// scalars as given.
+fn bind(args: &[LArg], bufs: &[Buffer]) -> Result<Vec<Arg>, ReproError> {
+    args.iter()
+        .map(|a| {
+            Ok(match *a {
+                LArg::Buf(i) => Arg::Buf(*bufs.get(i).ok_or_else(|| {
+                    ReproError::harness(format!("arg references buffer {i} of {}", bufs.len()))
+                })?),
+                LArg::I32(v) => Arg::I32(v),
+                LArg::U32(v) => Arg::U32(v),
+                LArg::F32(v) => Arg::F32(v),
+            })
+        })
         .collect()
 }
 
@@ -348,13 +280,9 @@ pub fn expect_close(got: &[f32], want: &[f32], tol: f32, what: &str) -> Result<(
 
 /// Assert two int slices match exactly.
 pub fn expect_eq_i32(got: &[i32], want: &[i32], what: &str) -> Result<(), String> {
-    if got != want {
-        for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            if g != w {
-                return Err(format!("{what}[{i}]: got {g}, want {w}"));
-            }
-        }
-        return Err(format!("{what}: length mismatch"));
+    match got.iter().zip(want).position(|(g, w)| g != w) {
+        Some(i) => Err(format!("{what}[{i}]: got {}, want {}", got[i], want[i])),
+        None if got.len() != want.len() => Err(format!("{what}: length mismatch")),
+        None => Ok(()),
     }
-    Ok(())
 }

@@ -26,6 +26,10 @@ pub enum HostData {
     F32(Vec<f32>),
     I32(Vec<i32>),
     U32(Vec<u32>),
+    /// `n` zero words, reserved on the device but never materialised on
+    /// the host nor read back: an inline job's buffer. `n` comes off the
+    /// wire, so its byte count saturates.
+    Zeroed(u32),
 }
 
 impl HostData {
@@ -35,24 +39,37 @@ impl HostData {
             HostData::F32(v) => v.len(),
             HostData::I32(v) => v.len(),
             HostData::U32(v) => v.len(),
+            HostData::Zeroed(n) => *n as usize,
         }
     }
 
-    /// Raw little-endian words.
+    /// Length in bytes, saturating: no allocator has `u32::MAX` bytes, so an
+    /// oversized buffer fails typed (`OutOfMemory`) instead of wrapping.
+    pub(crate) fn bytes(&self) -> u32 {
+        u32::try_from(self.words())
+            .unwrap_or(u32::MAX)
+            .saturating_mul(4)
+    }
+
+    /// Raw little-endian words. Panics on a `Zeroed` buffer, which has
+    /// none on the host: its word count comes off the wire unbounded.
     pub fn to_words(&self) -> Vec<u32> {
         match self {
             HostData::F32(v) => v.iter().map(|x| x.to_bits()).collect(),
             HostData::I32(v) => v.iter().map(|x| *x as u32).collect(),
             HostData::U32(v) => v.clone(),
+            HostData::Zeroed(_) => panic!("a zeroed buffer has no host words"),
         }
     }
 
-    /// Interpret raw words back with this buffer's type.
+    /// Interpret raw words back with this buffer's type. A `Zeroed` buffer
+    /// has no host view and stays itself.
     pub fn from_words(&self, words: Vec<u32>) -> HostData {
         match self {
             HostData::F32(_) => HostData::F32(words.into_iter().map(f32::from_bits).collect()),
             HostData::I32(_) => HostData::I32(words.into_iter().map(|w| w as i32).collect()),
             HostData::U32(_) => HostData::U32(words),
+            HostData::Zeroed(n) => HostData::Zeroed(*n),
         }
     }
 
@@ -82,31 +99,34 @@ impl HostData {
 }
 
 /// A launch argument: a workload buffer by index or an immediate scalar.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LArg {
-    Buf(usize),
-    I32(i32),
-    U32(u32),
-    F32(f32),
-}
+/// The same enum an inline job carries on the wire.
+pub use repro_sched::ArgSpec as LArg;
 
-/// One kernel launch within a benchmark run.
+/// One kernel launch within a workload. `'k` is the lifetime of the kernel
+/// name: `'static` for a suite benchmark ([`Launch`]), the request's for an
+/// inline job.
 #[derive(Debug, Clone)]
-pub struct Launch {
-    pub kernel: &'static str,
+pub struct LaunchOf<'k> {
+    pub kernel: &'k str,
     pub nd: NdRange,
     pub args: Vec<LArg>,
 }
+
+/// A suite benchmark's launch.
+pub type Launch = LaunchOf<'static>;
 
 /// Verification callback over the final buffer states.
 pub type Check = Box<dyn Fn(&[HostData]) -> Result<(), String>>;
 
 /// A concrete workload: buffers, launch sequence, verifier.
-pub struct Workload {
+pub struct WorkloadOf<'k> {
     pub buffers: Vec<HostData>,
-    pub launches: Vec<Launch>,
+    pub launches: Vec<LaunchOf<'k>>,
     pub check: Check,
 }
+
+/// A suite benchmark's workload.
+pub type Workload = WorkloadOf<'static>;
 
 /// A benchmark of the suite.
 pub struct Benchmark {

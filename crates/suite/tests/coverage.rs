@@ -4,13 +4,39 @@
 //! with the paper's failure reasons.
 
 use fpga_arch::{Device, VortexConfig};
-use ocl_suite::{all_benchmarks, benchmark, run_hls, run_reference, run_vortex, Scale};
+use ocl_ir::interp::Limits;
+use ocl_suite::{
+    all_benchmarks, benchmark, run, Backend, Benchmark, ReproError, RunOutcome, Scale, DEFAULT_OPT,
+};
 use vortex_sim::SimConfig;
+
+/// `b` at test scale on `backend`, at the suite default level.
+fn run_test(b: &Benchmark, backend: &Backend) -> Result<RunOutcome, ReproError> {
+    run(
+        backend,
+        b.source,
+        &(b.workload)(Scale::Test),
+        Some(DEFAULT_OPT),
+        None,
+    )
+}
+
+fn interp() -> Backend {
+    Backend::Interp {
+        limits: Limits::default(),
+    }
+}
+
+fn vortex(hw: VortexConfig) -> Backend {
+    Backend::Vortex {
+        cfg: SimConfig::new(hw),
+    }
+}
 
 #[test]
 fn reference_interpreter_passes_all_28() {
     for b in all_benchmarks() {
-        run_reference(&b, Scale::Test).unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        run_test(&b, &interp()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
     }
 }
 
@@ -18,16 +44,18 @@ fn reference_interpreter_passes_all_28() {
 /// one of the synthesizable Table IV configurations).
 #[test]
 fn vortex_passes_all_28() {
-    let cfg = SimConfig::new(VortexConfig::new(2, 4, 16));
+    let vx = vortex(VortexConfig::new(2, 4, 16));
     for b in all_benchmarks() {
-        run_vortex(&b, Scale::Test, &cfg).unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        run_test(&b, &vx).unwrap_or_else(|e| panic!("{}: {e}", b.name));
     }
 }
 
 /// Table I, Intel SDK column: six failures with the paper's reasons.
 #[test]
 fn hls_coverage_matches_table1() {
-    let device = Device::mx2100();
+    let hls = Backend::Hls {
+        device: Device::mx2100(),
+    };
     let expected_failures: &[(&str, &str)] = &[
         ("Lbm", "Not enough BRAM"),
         ("Backprop", "Not enough BRAM"),
@@ -37,18 +65,15 @@ fn hls_coverage_matches_table1() {
         ("LUD", "Not enough BRAM"),
     ];
     for b in all_benchmarks() {
-        let outcome = run_hls(&b, Scale::Test, &device)
-            .unwrap_or_else(|e| panic!("{} harness error: {e}", b.name));
+        let outcome = match run_test(&b, &hls) {
+            Err(ReproError::Synthesis { reason, .. }) => Err(reason),
+            other => Ok(other.unwrap_or_else(|e| panic!("{} harness error: {e}", b.name))),
+        };
         let expected = expected_failures.iter().find(|(n, _)| *n == b.name);
         match (outcome, expected) {
             (Ok(_), None) => {}
             (Err(f), Some((_, reason))) => {
-                assert_eq!(
-                    &f.reason(),
-                    reason,
-                    "{}: wrong failure reason ({f})",
-                    b.name
-                );
+                assert_eq!(&f, reason, "{}: wrong failure reason ({f})", b.name);
             }
             (Ok(_), Some((_, reason))) => {
                 panic!(
@@ -64,15 +89,14 @@ fn hls_coverage_matches_table1() {
 #[test]
 fn oclprintf_emits_device_output_on_both_flows() {
     let b = benchmark("OCLPrintf").unwrap();
-    let r = run_reference(&b, Scale::Test).unwrap();
+    let r = run_test(&b, &interp()).unwrap();
     assert_eq!(r.printf_output.len(), 1);
     assert!(
         r.printf_output[0].contains("first=1"),
         "{:?}",
         r.printf_output
     );
-    let cfg = SimConfig::new(VortexConfig::new(1, 2, 8));
-    let v = run_vortex(&b, Scale::Test, &cfg).unwrap();
+    let v = run_test(&b, &vortex(VortexConfig::new(1, 2, 8))).unwrap();
     assert_eq!(v.printf_output, r.printf_output);
 }
 
@@ -85,10 +109,10 @@ fn vortex_runs_on_multiple_configs() {
         VortexConfig::new(2, 8, 8),
         VortexConfig::new(4, 4, 4),
     ] {
-        let cfg = SimConfig::new(hw);
+        let vx = vortex(hw);
         for name in ["Vecadd", "Transpose", "BFS"] {
             let b = benchmark(name).unwrap();
-            run_vortex(&b, Scale::Test, &cfg).unwrap_or_else(|e| panic!("{name} on {hw}: {e}"));
+            run_test(&b, &vx).unwrap_or_else(|e| panic!("{name} on {hw}: {e}"));
         }
     }
 }

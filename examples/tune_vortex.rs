@@ -8,7 +8,7 @@
 //! ```
 
 use fpga_arch::{vortex_area, VortexConfig};
-use ocl_suite::{benchmark, run_vortex, Scale};
+use ocl_suite::{benchmark, run, Backend, Scale, DEFAULT_OPT};
 use vortex_sim::SimConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,11 +19,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("|---|---|---|---|---|");
     let device = fpga_arch::Device::sx2800();
     let mut best: Option<(VortexConfig, u64)> = None;
+    let work = (b.workload)(Scale::Test);
     for w in [2u32, 4, 8, 16] {
         for t in [2u32, 4, 8, 16] {
             let hw = VortexConfig::new(4, w, t);
-            let cfg = SimConfig::new(hw);
-            let out = run_vortex(&b, Scale::Test, &cfg).map_err(|e| format!("{hw}: {e}"))?;
+            let vortex = Backend::Vortex {
+                cfg: SimConfig::new(hw),
+            };
+            let out = run(&vortex, b.source, &work, Some(DEFAULT_OPT), None)
+                .map_err(|e| format!("{hw}: {e}"))?;
             let area = vortex_area(&hw);
             let fits = area.fits_in(&device.capacity);
             println!(

@@ -15,10 +15,13 @@
 use fpga_gpu_repro::arch::{Device, VortexConfig};
 use fpga_gpu_repro::ir::interp::{KernelArg, Memory, NdRange};
 use fpga_gpu_repro::ir::passes::OptLevel;
-use fpga_gpu_repro::suite::{benchmark, run_vortex_at, Scale};
+use fpga_gpu_repro::suite::{benchmark, run, Backend, Scale};
 use fpga_gpu_repro::vrt::{compile_for_at, Arg, VxSession};
 use fpga_gpu_repro::vsim::{CacheConfig, SimConfig};
 use std::fmt::Write;
+
+#[path = "support/golden.rs"]
+mod golden;
 
 const LEVELS: [OptLevel; 2] = [OptLevel::VariableReuse, OptLevel::Loop];
 
@@ -89,7 +92,10 @@ fn transpose_cycles(dcache_kib: u32, level: OptLevel) -> u64 {
         line_bytes: 64,
     };
     let b = benchmark("Transpose").unwrap();
-    run_vortex_at(&b, Scale::Test, &cfg, level).unwrap().cycles
+    let w = (b.workload)(Scale::Test);
+    run(&Backend::Vortex { cfg }, b.source, &w, Some(level), None)
+        .unwrap()
+        .cycles
 }
 
 fn render() -> String {
@@ -135,15 +141,5 @@ fn render() -> String {
 #[test]
 fn ablations_match_golden() {
     let rendered = render();
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/ablations.md");
-    if std::env::var_os("REGOLD").is_some() {
-        std::fs::write(golden_path, &rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with REGOLD=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "ablation cycle counts changed; if intentional, regenerate with REGOLD=1"
-    );
+    golden::check("ablations.md", &rendered, "ablation cycle counts");
 }

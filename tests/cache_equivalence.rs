@@ -12,7 +12,7 @@ use fpga_gpu_repro::cache::{Cache, CacheConfig, Stage};
 use fpga_gpu_repro::hls::{synthesize, SynthFailure, SynthOptions, SynthReport};
 use fpga_gpu_repro::ir::passes::OptLevel;
 use fpga_gpu_repro::ir::{Const, Inst, Module, Op, Operand, Scalar, Terminator, Type, VReg};
-use fpga_gpu_repro::suite::runner::{run_vortex_trace_at, DEFAULT_OPT};
+use fpga_gpu_repro::suite::runner::{run, Backend, DEFAULT_OPT};
 use fpga_gpu_repro::suite::{all_benchmarks, Scale};
 use fpga_gpu_repro::util::{fnv1a, Fnv, Rng};
 use fpga_gpu_repro::vsim::SimConfig;
@@ -20,6 +20,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+#[path = "support/golden.rs"]
+mod golden;
 
 fn mem_cache() -> Cache {
     Cache::new(CacheConfig::default())
@@ -289,19 +292,10 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
         assert_eq!(seen, (0..n).collect(), "{name} tags the matrix encodes");
     }
 
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/cache_artifacts.md"
-    );
-    if std::env::var_os("REGOLD").is_some() {
-        std::fs::write(golden_path, &rows).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with REGOLD=1 to create it");
-    assert_eq!(
-        rows, golden,
-        "cache artifact bytes changed; if intentional, bump CACHE_SCHEMA_VERSION and regenerate with REGOLD=1"
+    golden::check(
+        "cache_artifacts.md",
+        &rows,
+        "cache artifact bytes (bump CACHE_SCHEMA_VERSION for an intentional format change)",
     );
 }
 
@@ -359,11 +353,14 @@ fn disk_hits_byte_identical_to_cold_compiles() {
 #[test]
 fn end_to_end_sim_results_identical_cold_vs_warm() {
     // 8x8 per core: large enough for Backprop's 64-wide work groups.
-    let cfg = SimConfig::new(VortexConfig::new(4, 8, 8));
+    let vortex = Backend::Vortex {
+        cfg: SimConfig::new(VortexConfig::new(4, 8, 8)),
+    };
     for b in all_benchmarks() {
-        let cold = run_vortex_trace_at(&b, Scale::Test, &cfg, DEFAULT_OPT)
+        let w = (b.workload)(Scale::Test);
+        let cold = run(&vortex, b.source, &w, Some(DEFAULT_OPT), None)
             .unwrap_or_else(|e| panic!("{}: cold run: {e}", b.name));
-        let warm = run_vortex_trace_at(&b, Scale::Test, &cfg, DEFAULT_OPT)
+        let warm = run(&vortex, b.source, &w, Some(DEFAULT_OPT), None)
             .unwrap_or_else(|e| panic!("{}: warm run: {e}", b.name));
         assert_eq!(
             cold, warm,

@@ -17,6 +17,9 @@ use fpga_gpu_repro::vcc::{compile_kernel, CodegenOpts};
 use fpga_gpu_repro::visa::encode::encode;
 use std::fmt::Write;
 
+#[path = "support/golden.rs"]
+mod golden;
+
 fn render() -> String {
     let mut out = String::from(
         "# compile counts\n\n\
@@ -80,18 +83,5 @@ fn render() -> String {
 #[test]
 fn compile_counts_match_golden() {
     let rendered = render();
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/compile_counts.md"
-    );
-    if std::env::var_os("REGOLD").is_some() {
-        std::fs::write(golden_path, &rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with REGOLD=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "compile-path counts changed; if intentional, regenerate with REGOLD=1"
-    );
+    golden::check("compile_counts.md", &rendered, "compile-path counts");
 }

@@ -146,17 +146,23 @@ fn compiled_kernel_encodes_and_decodes() {
 /// full Vortex flow, plus Table I spot checks on the HLS side.
 #[test]
 fn representative_suite_benchmarks_roundtrip() {
+    let on = |backend: suite::Backend, b: &suite::Benchmark| {
+        let w = (b.workload)(Scale::Test);
+        suite::run(&backend, b.source, &w, Some(suite::DEFAULT_OPT), None)
+    };
     let cfg = SimConfig::new(VortexConfig::new(2, 4, 16));
     for name in ["Dotproduct", "Hybridsort", "Backprop"] {
         let b = suite::benchmark(name).unwrap();
-        suite::run_vortex(&b, Scale::Test, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        on(suite::Backend::Vortex { cfg: cfg.clone() }, &b)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
     // HLS: hybridsort fails on atomics (MX2100), runs fine on the DDR4
     // board the paper puts Vortex on.
     let b = suite::benchmark("Hybridsort").unwrap();
-    let on_hbm = suite::run_hls(&b, Scale::Test, &Device::mx2100()).unwrap();
-    assert!(on_hbm.is_err());
-    let on_ddr = suite::run_hls(&b, Scale::Test, &Device::sx2800()).unwrap();
+    let hls = |device| suite::Backend::Hls { device };
+    let on_hbm = on(hls(Device::mx2100()), &b);
+    assert!(matches!(on_hbm, Err(suite::ReproError::Synthesis { .. })));
+    let on_ddr = on(hls(Device::sx2800()), &b);
     assert!(on_ddr.is_ok());
 }
 

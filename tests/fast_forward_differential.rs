@@ -14,8 +14,27 @@
 //! views).
 
 use fpga_gpu_repro::arch::VortexConfig;
-use fpga_gpu_repro::suite::{benchmark, run_vortex_events, run_vortex_trace, Scale};
-use fpga_gpu_repro::vsim::{canonical_core_events, SimConfig};
+use fpga_gpu_repro::suite::{
+    benchmark, run, Backend, Benchmark, ReproError, RunOutcome, Scale, DEFAULT_OPT,
+};
+use fpga_gpu_repro::vsim::{canonical_core_events, SimConfig, TraceEvent};
+
+/// `b` at test scale on the Vortex flow, recording each launch's trace
+/// events into `events` when given.
+fn on_vortex(
+    b: &Benchmark,
+    cfg: &SimConfig,
+    events: Option<&mut Vec<Vec<TraceEvent>>>,
+) -> Result<RunOutcome, ReproError> {
+    let vortex = Backend::Vortex { cfg: cfg.clone() };
+    run(
+        &vortex,
+        b.source,
+        &(b.workload)(Scale::Test),
+        Some(DEFAULT_OPT),
+        events,
+    )
+}
 
 // Shapes must satisfy each benchmark's group-size constraint (dotproduct
 // runs 16-wide work groups, backprop 64-wide: the group must be a multiple
@@ -49,11 +68,11 @@ fn fast_forward_is_bit_identical_to_dense_loop() {
         for &(c, w, t) in shapes {
             let mut fast_cfg = SimConfig::new(VortexConfig::new(c, w, t));
             assert!(!fast_cfg.reference_mode, "fast-forward must be the default");
-            let fast = run_vortex_trace(&b, Scale::Test, &fast_cfg)
+            let fast = on_vortex(&b, &fast_cfg, None)
                 .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t fast: {e}"));
 
             fast_cfg.reference_mode = true;
-            let dense = run_vortex_trace(&b, Scale::Test, &fast_cfg)
+            let dense = on_vortex(&b, &fast_cfg, None)
                 .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t dense: {e}"));
 
             assert_eq!(
@@ -85,9 +104,10 @@ fn traced_run_loops_are_bit_identical() {
         for &(c, w, t) in shapes {
             let mut cfg = SimConfig::new(VortexConfig::new(c, w, t));
             cfg.reference_mode = true;
-            let (oracle, oracle_events) = run_vortex_events(&b, Scale::Test, &cfg)
+            let mut oracle_events = Vec::new();
+            let oracle = on_vortex(&b, &cfg, Some(&mut oracle_events))
                 .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t dense: {e}"));
-            let canon = |launches: &Vec<Vec<fpga_gpu_repro::vsim::TraceEvent>>| -> Vec<_> {
+            let canon = |launches: &Vec<Vec<TraceEvent>>| -> Vec<_> {
                 launches
                     .iter()
                     .map(|evs| {
@@ -98,7 +118,8 @@ fn traced_run_loops_are_bit_identical() {
                     .collect()
             };
             cfg.reference_mode = false;
-            let (got, got_events) = run_vortex_events(&b, Scale::Test, &cfg)
+            let mut got_events = Vec::new();
+            let got = on_vortex(&b, &cfg, Some(&mut got_events))
                 .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t events: {e}"));
             let what = format!("{name} {c}c{w}w{t}t");
             assert_eq!(got.launch_stats, oracle.launch_stats, "{what}: stats");
@@ -121,8 +142,7 @@ fn stall_breakdown_accounts_for_every_cycle_single_core() {
     for &name in &["Vecadd", "Dotproduct", "Gaussian"] {
         let b = benchmark(name).expect("benchmark exists");
         let cfg = SimConfig::new(VortexConfig::new(1, 4, 8));
-        let trace =
-            run_vortex_trace(&b, Scale::Test, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let trace = on_vortex(&b, &cfg, None).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (li, s) in trace.launch_stats.iter().enumerate() {
             let accounted =
                 s.instructions + s.stall_scoreboard + s.stall_lsu + s.stall_barrier + s.stall_idle;

@@ -26,9 +26,23 @@ use fpga_gpu_repro::arch::VortexConfig;
 use fpga_gpu_repro::fault::{self, FaultPlan, FaultPoint};
 use fpga_gpu_repro::repro::{serve_lines, ServeOptions};
 use fpga_gpu_repro::sched::{ExecConfig, Executor};
-use fpga_gpu_repro::suite::{benchmark, run_vortex, Scale};
+use fpga_gpu_repro::suite::{
+    benchmark, run, Backend, Benchmark, ReproError, RunOutcome, Scale, DEFAULT_OPT,
+};
 use fpga_gpu_repro::util::Json;
 use fpga_gpu_repro::vsim::SimConfig;
+
+/// `b` at test scale on the Vortex flow at the suite default level.
+fn on_vortex(b: &Benchmark, cfg: &SimConfig) -> Result<RunOutcome, ReproError> {
+    let vortex = Backend::Vortex { cfg: cfg.clone() };
+    run(
+        &vortex,
+        b.source,
+        &(b.workload)(Scale::Test),
+        Some(DEFAULT_OPT),
+        None,
+    )
+}
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -47,7 +61,7 @@ fn disarmed_and_zero_probability_runs_are_bit_identical() {
     let _g = serial();
     fault::clear();
     let b = benchmark("Vecadd").unwrap();
-    let base = run_vortex(&b, Scale::Test, &cfg(false)).expect("healthy run");
+    let base = on_vortex(&b, &cfg(false)).expect("healthy run");
     // Armed engine, every point at probability zero: the probes evaluate
     // on the hot paths but must perturb nothing observable.
     let mut plan = FaultPlan::new(7);
@@ -55,11 +69,11 @@ fn disarmed_and_zero_probability_runs_are_bit_identical() {
         plan = plan.with(p, 0.0, None, 0);
     }
     fault::install(&plan);
-    let armed = run_vortex(&b, Scale::Test, &cfg(false)).expect("armed-but-silent run");
+    let armed = on_vortex(&b, &cfg(false)).expect("armed-but-silent run");
     let evaluated: u64 = fault::report().iter().map(|(_, e, _)| e).sum();
     let fired: u64 = fault::report().iter().map(|(_, _, f)| f).sum();
     fault::clear();
-    let again = run_vortex(&b, Scale::Test, &cfg(false)).expect("disarmed again");
+    let again = on_vortex(&b, &cfg(false)).expect("disarmed again");
     assert_eq!(
         (base.cycles, base.instructions),
         (armed.cycles, armed.instructions),
@@ -85,7 +99,7 @@ fn bitflip_classification_is_identical_in_dense_and_event_loops() {
     let mut verdicts = Vec::new();
     for reference_mode in [false, true] {
         fault::install(&plan);
-        let r = run_vortex(&b, Scale::Test, &cfg(reference_mode));
+        let r = on_vortex(&b, &cfg(reference_mode));
         fault::clear();
         verdicts.push(match r {
             Ok(_) => "ok".to_string(),

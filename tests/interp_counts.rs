@@ -9,52 +9,34 @@
 //! Regenerate after an intentional change with
 //! `REGOLD=1 cargo test --test interp_counts`.
 
-use fpga_gpu_repro::ir::interp::{run_ndrange, KernelArg, Limits, Memory};
+use fpga_gpu_repro::ir::interp::Limits;
 use fpga_gpu_repro::ir::passes::OptLevel;
-use fpga_gpu_repro::suite::{all_benchmarks, compile_bench, Benchmark, LArg, Scale, DEFAULT_OPT};
+use fpga_gpu_repro::suite::{all_benchmarks, run, Backend, Benchmark, Scale, DEFAULT_OPT};
 use fpga_gpu_repro::util::Fnv;
 use std::fmt::Write;
+
+#[path = "support/golden.rs"]
+mod golden;
 
 /// One table row: the counters summed over the benchmark's launches and
 /// the hash of its final buffers, in declaration order.
 fn row(b: &Benchmark, scale: Scale, level: OptLevel) -> String {
-    let module = compile_bench(b, level).unwrap();
-    let w = (b.workload)(scale);
-    let mut mem = Memory::new(32 << 20);
-    let addrs: Vec<u32> = w
-        .buffers
-        .iter()
-        .map(|h| mem.try_alloc_u32(&h.to_words()).unwrap())
-        .collect();
-    let (mut steps, mut loads, mut stores) = (0u64, 0u64, 0u64);
-    for l in &w.launches {
-        let args: Vec<KernelArg> = l
-            .args
-            .iter()
-            .map(|a| match a {
-                LArg::Buf(i) => KernelArg::Ptr(addrs[*i]),
-                LArg::I32(v) => KernelArg::I32(*v),
-                LArg::U32(v) => KernelArg::U32(*v),
-                LArg::F32(v) => KernelArg::F32(*v),
-            })
-            .collect();
-        let kernel = module.expect_kernel(l.kernel);
-        let r = run_ndrange(kernel, &args, &l.nd, &mut mem, &Limits::default())
-            .unwrap_or_else(|e| panic!("{} at {}: {e}", b.name, level.flag_name()));
-        steps += r.steps;
-        loads += r.global_loads;
-        stores += r.global_stores;
-    }
+    let interp = Backend::Interp {
+        limits: Limits::default(),
+    };
+    let r = run(&interp, b.source, &(b.workload)(scale), Some(level), None)
+        .unwrap_or_else(|e| panic!("{} at {}: {e}", b.name, level.flag_name()));
     let mut h = Fnv::new();
-    for (buf, &addr) in w.buffers.iter().zip(&addrs) {
-        for word in mem.read_u32_slice(addr, buf.words()) {
-            h.write(&word.to_le_bytes());
-        }
+    for word in r.buffers.iter().flatten() {
+        h.write(&word.to_le_bytes());
     }
     format!(
-        "| {} | {} | {steps} | {loads} | {stores} | {:016x} |\n",
+        "| {} | {} | {} | {} | {} | {:016x} |\n",
         b.name,
         level.flag_name(),
+        r.instructions,
+        r.global_loads,
+        r.global_stores,
         h.finish()
     )
 }
@@ -80,15 +62,5 @@ fn render() -> String {
 #[test]
 fn interp_counts_match_golden() {
     let rendered = render();
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/interp_counts.md");
-    if std::env::var_os("REGOLD").is_some() {
-        std::fs::write(golden_path, &rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with REGOLD=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "interpreter counts changed; if intentional, regenerate with REGOLD=1"
-    );
+    golden::check("interp_counts.md", &rendered, "interpreter counts");
 }

@@ -3,21 +3,37 @@
 //! after an intentional middle-end change with
 //! `REGOLD=1 cargo test --test opt_levels`.
 
+use ocl_ir::interp::Limits;
 use ocl_ir::passes::OptLevel;
-use ocl_suite::{benchmark, run_on_interp, Scale};
+use ocl_suite::{benchmark, run, Backend, Benchmark, ReproError, RunOutcome, Scale};
+
+/// `b` at test scale on the reference interpreter at `level`.
+fn on_interp(b: &Benchmark, level: OptLevel) -> Result<RunOutcome, ReproError> {
+    let interp = Backend::Interp {
+        limits: Limits::default(),
+    };
+    run(
+        &interp,
+        b.source,
+        &(b.workload)(Scale::Test),
+        Some(level),
+        None,
+    )
+}
+
+#[path = "support/golden.rs"]
+mod golden;
 
 /// Every suite benchmark computes correct results on the reference
 /// interpreter at every optimization level (the workload's result check
-/// runs inside `run_on_interp`), and higher levels never execute more
+/// runs inside `run`), and higher levels never execute more
 /// dynamic instructions than `None`.
 #[test]
 fn every_benchmark_correct_at_every_level() {
     for b in ocl_suite::all_benchmarks() {
-        let base = run_on_interp(&b, Scale::Test, OptLevel::None)
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let base = on_interp(&b, OptLevel::None).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         for level in [OptLevel::Basic, OptLevel::VariableReuse, OptLevel::Loop] {
-            let r = run_on_interp(&b, Scale::Test, level)
-                .unwrap_or_else(|e| panic!("{} at {level:?}: {e}", b.name));
+            let r = on_interp(&b, level).unwrap_or_else(|e| panic!("{} at {level:?}: {e}", b.name));
             assert!(
                 r.instructions <= base.instructions,
                 "{} at {level:?}: {} dynamic insts vs {} unoptimized",
@@ -41,10 +57,9 @@ fn loop_tier_strictly_reduces_dynamic_count() {
     let mut reduced = Vec::new();
     for name in candidates {
         let b = benchmark(name).unwrap();
-        let reuse = run_on_interp(&b, Scale::Test, OptLevel::VariableReuse)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let l = run_on_interp(&b, Scale::Test, OptLevel::Loop)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let reuse =
+            on_interp(&b, OptLevel::VariableReuse).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let l = on_interp(&b, OptLevel::Loop).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             l.instructions <= reuse.instructions,
             "{name}: loop tier regressed {} -> {}",
@@ -67,11 +82,14 @@ fn loop_tier_strictly_reduces_dynamic_count() {
 fn loop_tier_vortex_matches_reference() {
     use fpga_gpu_repro::arch::VortexConfig;
     use vortex_sim::SimConfig;
-    let cfg = SimConfig::new(VortexConfig::new(1, 8, 8));
+    let vortex = Backend::Vortex {
+        cfg: SimConfig::new(VortexConfig::new(1, 8, 8)),
+    };
     for name in ["Matmul", "Sgemm", "Kmeans"] {
         let b = benchmark(name).unwrap();
-        // run_vortex_at verifies the workload's expected results itself.
-        ocl_suite::run_vortex_at(&b, Scale::Test, &cfg, OptLevel::Loop)
+        // run verifies the workload's expected results itself.
+        let w = (b.workload)(Scale::Test);
+        run(&vortex, b.source, &w, Some(OptLevel::Loop), None)
             .unwrap_or_else(|e| panic!("{name} on vortex at Loop: {e}"));
     }
 }
@@ -109,18 +127,5 @@ fn folded_float_to_int_of_nan_matches_the_execution() {
 fn backprop_opt_report_matches_golden() {
     let r = repro_core::opt_report("Backprop").unwrap();
     let rendered = repro_core::render_opt_report(&r, false);
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/backprop_opt_report.md"
-    );
-    if std::env::var_os("REGOLD").is_some() {
-        std::fs::write(golden_path, &rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with REGOLD=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "opt-report output changed; if intentional, regenerate with REGOLD=1"
-    );
+    golden::check("backprop_opt_report.md", &rendered, "opt-report output");
 }

@@ -15,10 +15,27 @@ use fpga_gpu_repro::arch::VortexConfig;
 use fpga_gpu_repro::obs;
 use fpga_gpu_repro::repro::{collect_perf, render_perf_markdown};
 use fpga_gpu_repro::sched::{ExecConfig, Executor};
-use fpga_gpu_repro::suite::{benchmark, run_vortex, Scale};
+use fpga_gpu_repro::suite::{
+    benchmark, run, Backend, Benchmark, ReproError, RunOutcome, Scale, DEFAULT_OPT,
+};
 use fpga_gpu_repro::vsim::SimConfig;
 use repro_util::metrics;
 use std::sync::{Mutex, MutexGuard};
+
+#[path = "support/golden.rs"]
+mod golden;
+
+/// `b` at test scale on the Vortex flow at the suite default level.
+fn on_vortex(b: &Benchmark, cfg: &SimConfig) -> Result<RunOutcome, ReproError> {
+    let vortex = Backend::Vortex { cfg: cfg.clone() };
+    run(
+        &vortex,
+        b.source,
+        &(b.workload)(Scale::Test),
+        Some(DEFAULT_OPT),
+        None,
+    )
+}
 
 fn lock() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
@@ -33,24 +50,14 @@ fn perf_report_markdown_matches_golden() {
     // below don't depend on whether that test happened to run first (test
     // order changes under `--test-threads` > 1 or a name filter).
     let b = benchmark("Vecadd").unwrap();
-    run_vortex(&b, Scale::Test, &SimConfig::new(VortexConfig::new(4, 8, 8))).unwrap();
+    on_vortex(&b, &SimConfig::new(VortexConfig::new(4, 8, 8))).unwrap();
     let exec = Executor::new(ExecConfig::with_workers(1));
     let report = collect_perf(&exec, VortexConfig::new(2, 4, 16));
     metrics::reset();
     assert_eq!(report.rows.len(), 28, "suite sweep covers every benchmark");
     assert!(!report.stages.is_empty());
     let rendered = render_perf_markdown(&report, false);
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/perf_report.md");
-    if std::env::var_os("REGOLD").is_some() {
-        std::fs::write(golden_path, &rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with REGOLD=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "perf-report output changed; if intentional, regenerate with REGOLD=1"
-    );
+    golden::check("perf_report.md", &rendered, "perf-report output");
 }
 
 #[test]
@@ -61,7 +68,7 @@ fn metrics_disabled_are_observably_free() {
     let b = benchmark("Vecadd").unwrap();
     let cfg = SimConfig::new(VortexConfig::new(4, 8, 8));
     // One Figure 7 cell with the registry off: nothing is recorded…
-    let off = run_vortex(&b, Scale::Test, &cfg).unwrap();
+    let off = on_vortex(&b, &cfg).unwrap();
     assert!(
         metrics::snapshot().is_empty(),
         "disabled registry must record nothing"
@@ -71,7 +78,7 @@ fn metrics_disabled_are_observably_free() {
     assert!(w.counters.is_empty() && w.histograms.is_empty());
     // …and the simulation itself is bit-identical to an instrumented run.
     metrics::enable();
-    let on = run_vortex(&b, Scale::Test, &cfg).unwrap();
+    let on = on_vortex(&b, &cfg).unwrap();
     let snap = metrics::snapshot();
     metrics::disable();
     metrics::reset();
@@ -93,7 +100,7 @@ fn windowed_and_armed_observability_stay_bit_identical() {
     obs::disarm();
     let b = benchmark("Vecadd").unwrap();
     let cfg = SimConfig::new(VortexConfig::new(4, 8, 8));
-    let off = run_vortex(&b, Scale::Test, &cfg).unwrap();
+    let off = on_vortex(&b, &cfg).unwrap();
     obs::event("smoke", "never recorded while disarmed");
     assert_eq!(obs::drain_events().0.len(), 0);
     let w = metrics::window_snapshot();
@@ -103,7 +110,7 @@ fn windowed_and_armed_observability_stay_bit_identical() {
     metrics::enable();
     metrics::window_enable();
     obs::arm();
-    let on = run_vortex(&b, Scale::Test, &cfg).unwrap();
+    let on = on_vortex(&b, &cfg).unwrap();
     let w = metrics::window_snapshot();
     // …while the windowed registry now sees the run.
     obs::disarm();

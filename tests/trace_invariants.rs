@@ -11,19 +11,31 @@
 use fpga_gpu_repro::arch::VortexConfig;
 use fpga_gpu_repro::repro::chrome_trace::{chrome_trace, STALL_TID};
 use fpga_gpu_repro::repro::report::{render_profile, ProfileSection};
-use fpga_gpu_repro::suite::{benchmark, run_vortex_events, Benchmark, Scale, VortexTrace};
+use fpga_gpu_repro::suite::{benchmark, run, Backend, Benchmark, RunOutcome, Scale, DEFAULT_OPT};
 use fpga_gpu_repro::vsim::{LaunchProfile, SimConfig, TraceEvent};
 use repro_util::Json;
+
+#[path = "support/golden.rs"]
+mod golden;
 
 /// The machine shape `repro trace` / `repro profile` use.
 fn trace_config() -> SimConfig {
     SimConfig::new(VortexConfig::new(1, 8, 8))
 }
 
-fn traced(name: &str) -> (Benchmark, VortexTrace, Vec<Vec<TraceEvent>>) {
+/// `b` at test scale on `cfg`, with each launch's trace events.
+fn traced_on(b: &Benchmark, cfg: &SimConfig) -> (RunOutcome, Vec<Vec<TraceEvent>>) {
+    let vortex = Backend::Vortex { cfg: cfg.clone() };
+    let mut events = Vec::new();
+    let w = (b.workload)(Scale::Test);
+    let trace = run(&vortex, b.source, &w, Some(DEFAULT_OPT), Some(&mut events))
+        .unwrap_or_else(|e| panic!("{e}"));
+    (trace, events)
+}
+
+fn traced(name: &str) -> (Benchmark, RunOutcome, Vec<Vec<TraceEvent>>) {
     let b = benchmark(name).expect("benchmark exists");
-    let (trace, events) =
-        run_vortex_events(&b, Scale::Test, &trace_config()).unwrap_or_else(|e| panic!("{e}"));
+    let (trace, events) = traced_on(&b, &trace_config());
     (b, trace, events)
 }
 
@@ -116,8 +128,7 @@ fn profile_tiles_with_stats_in_both_modes() {
         for dense in [false, true] {
             let mut cfg = trace_config();
             cfg.reference_mode = dense;
-            let (trace, events) =
-                run_vortex_events(&b, Scale::Test, &cfg).unwrap_or_else(|e| panic!("{e}"));
+            let (trace, events) = traced_on(&b, &cfg);
             for (li, (evs, stats)) in events.iter().zip(&trace.launch_stats).enumerate() {
                 let p = LaunchProfile::from_events(evs);
                 p.verify_tiling(stats).unwrap_or_else(|e| {
@@ -138,8 +149,8 @@ fn vecadd_profile_matches_golden_file() {
     let (b, trace, events) = traced("Vecadd");
     let cfg = trace_config();
     // Disassembly must come from the same optimized module the run executed.
-    let module = fpga_gpu_repro::suite::compile_bench(&b, fpga_gpu_repro::suite::DEFAULT_OPT)
-        .unwrap_or_else(|e| panic!("{e}"));
+    let module =
+        fpga_gpu_repro::suite::compile_bench(&b, DEFAULT_OPT).unwrap_or_else(|e| panic!("{e}"));
     let opts = vortex_cc::CodegenOpts {
         threads: cfg.hw.threads,
     };
@@ -164,18 +175,5 @@ fn vecadd_profile_matches_golden_file() {
         })
         .collect();
     let rendered = render_profile(b.name, &sections, 8);
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/vecadd_profile.md"
-    );
-    if std::env::var_os("REGOLD").is_some() {
-        std::fs::write(golden_path, &rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with REGOLD=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "profile output changed; if intentional, regenerate with REGOLD=1"
-    );
+    golden::check("vecadd_profile.md", &rendered, "profile output");
 }

@@ -11,8 +11,27 @@
 //! ([`canonical_core_events`]) the two event streams must be identical.
 
 use fpga_gpu_repro::arch::VortexConfig;
-use fpga_gpu_repro::suite::{benchmark, run_vortex_events, run_vortex_trace, Scale};
-use fpga_gpu_repro::vsim::{canonical_core_events, SimConfig};
+use fpga_gpu_repro::suite::{
+    benchmark, run, Backend, Benchmark, ReproError, RunOutcome, Scale, DEFAULT_OPT,
+};
+use fpga_gpu_repro::vsim::{canonical_core_events, SimConfig, TraceEvent};
+
+/// `b` at test scale on the Vortex flow, recording each launch's trace
+/// events into `events` when given.
+fn on_vortex(
+    b: &Benchmark,
+    cfg: &SimConfig,
+    events: Option<&mut Vec<Vec<TraceEvent>>>,
+) -> Result<RunOutcome, ReproError> {
+    let vortex = Backend::Vortex { cfg: cfg.clone() };
+    run(
+        &vortex,
+        b.source,
+        &(b.workload)(Scale::Test),
+        Some(DEFAULT_OPT),
+        events,
+    )
+}
 
 // Shapes must satisfy each benchmark's group-size constraint (dotproduct
 // runs 16-wide work groups, backprop 64-wide).
@@ -40,9 +59,10 @@ fn tracing_does_not_perturb_either_scheduler() {
                 let mut cfg = SimConfig::new(VortexConfig::new(c, w, t));
                 cfg.reference_mode = dense;
                 let mode = if dense { "dense" } else { "fast" };
-                let untraced = run_vortex_trace(&b, Scale::Test, &cfg)
+                let untraced = on_vortex(&b, &cfg, None)
                     .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t {mode} untraced: {e}"));
-                let (traced, events) = run_vortex_events(&b, Scale::Test, &cfg)
+                let mut events = Vec::new();
+                let traced = on_vortex(&b, &cfg, Some(&mut events))
                     .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t {mode} traced: {e}"));
                 assert_eq!(
                     untraced, traced,
@@ -68,10 +88,12 @@ fn canonical_traces_agree_between_schedulers() {
         let b = benchmark(name).expect("benchmark exists");
         for &(c, w, t) in shapes {
             let mut cfg = SimConfig::new(VortexConfig::new(c, w, t));
-            let (_, fast) = run_vortex_events(&b, Scale::Test, &cfg)
+            let mut fast = Vec::new();
+            on_vortex(&b, &cfg, Some(&mut fast))
                 .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t fast: {e}"));
             cfg.reference_mode = true;
-            let (_, dense) = run_vortex_events(&b, Scale::Test, &cfg)
+            let mut dense = Vec::new();
+            on_vortex(&b, &cfg, Some(&mut dense))
                 .unwrap_or_else(|e| panic!("{name} {c}c{w}w{t}t dense: {e}"));
             assert_eq!(fast.len(), dense.len());
             for (li, (fl, dl)) in fast.iter().zip(&dense).enumerate() {

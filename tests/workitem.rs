@@ -37,6 +37,9 @@ use fpga_gpu_repro::ir::{
 use fpga_gpu_repro::suite::all_benchmarks;
 use std::fmt::Write;
 
+#[path = "support/golden.rs"]
+mod golden;
+
 /// The HLS flow's stride lattice as it stood before the unified analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Aff {
@@ -370,15 +373,5 @@ fn render() -> String {
 #[test]
 fn workitem_analyses_match_golden() {
     let rendered = render();
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/workitem.md");
-    if std::env::var_os("REGOLD").is_some() {
-        std::fs::write(golden_path, &rendered).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with REGOLD=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "work-item analysis answers changed; if intentional, regenerate with REGOLD=1"
-    );
+    golden::check("workitem.md", &rendered, "work-item analysis answers");
 }
