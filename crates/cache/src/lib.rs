@@ -371,13 +371,20 @@ impl Cache {
     /// matching `vortex_rt::compile_for`; `Some(level)` runs the shared
     /// middle end first. `threads` is the warp width of the target
     /// configuration (it fixes the stack interleaving stride, so it is part
-    /// of the content address).
+    /// of the content address); a width past [`vortex_cc::MAX_THREADS`] is
+    /// a typed harness error.
     pub fn codegen_vortex(
         &self,
         src: &str,
         level: Option<OptLevel>,
         threads: u32,
     ) -> Result<Vec<CompiledKernel>, ReproError> {
+        if !(1..=vortex_cc::MAX_THREADS).contains(&threads) {
+            return Err(ReproError::harness(format!(
+                "`threads` is {threads}, outside the code generator's 1..={}",
+                vortex_cc::MAX_THREADS
+            )));
+        }
         let k = self.keyed(src)?;
         let level_part = level.map(|l| l as u64).unwrap_or(u64::MAX);
         let key = Self::key(Stage::Vortex, &[k.fp, level_part, threads as u64]);

@@ -24,7 +24,8 @@ use repro_diag::{run_isolated, ReproError};
 use repro_sched::{
     Flow, Job, JobCtx, JobRequest, JobStats, Payload, DEFAULT_MAX_CYCLES, DEFAULT_MAX_INSTRUCTIONS,
 };
-use vortex_sim::{SimConfig, MAX_CORES, MAX_THREADS, MAX_WARPS};
+use vortex_cc::MAX_THREADS;
+use vortex_sim::{SimConfig, MAX_CORES, MAX_WARPS};
 
 use crate::runner::{run, Backend, DEFAULT_OPT};
 use crate::spec::{HostData, LaunchOf, Scale, WorkloadOf};
@@ -51,8 +52,9 @@ pub fn run_request(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproErr
 
 /// A request's machine geometry comes straight off the wire; reject, typed
 /// and before anything is sized from it, a shape the simulator does not
-/// model. Only the vortex flow builds a machine — the other two ignore the
-/// three fields.
+/// model or the code generator cannot target (warps wider than
+/// [`vortex_cc::MAX_THREADS`]). Only the vortex flow builds a machine — the
+/// other two ignore the three fields.
 fn check_geometry(req: &JobRequest) -> Result<(), ReproError> {
     for (field, value, max) in [
         ("cores", req.cores, MAX_CORES),
@@ -61,7 +63,7 @@ fn check_geometry(req: &JobRequest) -> Result<(), ReproError> {
     ] {
         if !(1..=max).contains(&value) {
             return Err(ReproError::harness(format!(
-                "`{field}` is {value}, outside the simulated machine's 1..={max}"
+                "`{field}` is {value}, outside the supported 1..={max}"
             )));
         }
     }
@@ -212,6 +214,32 @@ mod tests {
                     run_oneshot(&req).unwrap_or_else(|e| panic!("interp, {name} = {bad}: {e}"));
                 }
             }
+        }
+    }
+
+    /// The prologue's `(1 << NT) - 1` lane mask wraps at 32 lanes: a
+    /// 32-thread inline job must be refused, not run as a kernel that
+    /// halts before doing anything.
+    #[test]
+    fn inline_vortex_job_wider_than_the_codegen_is_a_typed_error() {
+        let wire = r#"{"source": "__kernel void k(__global int* o) { o[get_global_id(0)] = 1; }",
+            "kernel": "k", "nd": {"gx": 64, "lx": 32}, "buffers": [64], "args": [{"buf": 0}],
+            "cores": 1, "warps": 1, "threads": 32}"#;
+        let req = JobRequest::parse(&repro_util::json::Json::parse(wire).unwrap()).unwrap();
+        let err = run_oneshot(&req).unwrap_err();
+        assert_eq!(err.kind(), "Harness", "{err}");
+        assert!(!err.is_transient());
+        assert!(err.to_string().contains("1..=31"), "{err}");
+    }
+
+    /// Every warp width the code generator accepts runs Vecadd to a
+    /// verified result.
+    #[test]
+    fn vecadd_verifies_at_every_supported_warp_width() {
+        for threads in 1..=MAX_THREADS {
+            let mut req = JobRequest::bench("Vecadd", Flow::Vortex);
+            (req.cores, req.warps, req.threads) = (1, 1, threads);
+            run_oneshot(&req).unwrap_or_else(|e| panic!("1c1w{threads}t: {e}"));
         }
     }
 

@@ -30,6 +30,13 @@ pub mod structure;
 use ocl_ir::Function;
 use vortex_isa::Program;
 
+/// Widest warp the emitted code supports. The prologue enables every lane
+/// with `tmc((1 << NT) - 1)`, and RV32 `sll` takes its shift amount mod
+/// 32, so at 32 lanes the mask would be 0 (the warp halts at once) and past
+/// that it would wrap. The simulator models up to
+/// `vortex_sim::MAX_THREADS`-wide warps; generated kernels stop here.
+pub const MAX_THREADS: u32 = 31;
+
 /// Code generation options; the kernel is compiled for a specific hardware
 /// shape, the way PoCL specializes kernels per device configuration.
 #[derive(Debug, Clone, Copy)]

@@ -1,12 +1,13 @@
 //! The instruction set, written down once.
 //!
-//! [`OPS`] has one row per encodable operation: its mnemonic, its [`Form`]
-//! (where the immediate sits and how assembly writes the operands), the bits
-//! the operation fixes and their mask, the register class of the `rd`, `rs1`
-//! and `rs2` fields, and whether it goes through the LSU or can redirect the
-//! warp. Everything else is derived from the table: [`encode`], [`decode`]
-//! (its exact inverse), the disassembler (`Display` for [`Instr`]), and the
-//! simulator's scoreboard indices, LSU flag and run-ending flag.
+//! [`OPS`] has one row per encodable operation: its [`Opcode`], its
+//! mnemonic, its [`Form`] (where the immediate sits and how assembly writes
+//! the operands), the bits the operation fixes and their mask, the register
+//! class of the `rd`, `rs1` and `rs2` fields, and whether it goes through
+//! the LSU. Everything else is derived from the table: [`encode`],
+//! [`decode`] (its exact inverse), the disassembler (`Display` for
+//! [`Instr`]), and the simulator's decoded ops (scoreboard indices and LSU
+//! flag).
 //!
 //! Words use RISC-V-style formats, and the Vortex SIMT extension uses the
 //! custom opcode 0x6B like the real hardware. The words are the kernel
@@ -106,9 +107,28 @@ impl Form {
     }
 }
 
+/// One variant per row of [`OPS`], in row order: an operation without its
+/// operands, for code that dispatches on the operation once.
+#[rustfmt::skip]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Opcode {
+    Lui, Addi, Slli, Slti, Sltiu, Xori, Srli, Srai, Ori, Andi,
+    Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And,
+    Mul, Mulh, Mulhu, Div, Divu, Rem, Remu,
+    Lw, Sw, Beq, Bne, Blt, Bge, Bltu, Bgeu, Jal, Jalr, Flw, Fsw,
+    Fadd, Fsub, Fmul, Fdiv, Fmin, Fmax, Fsgnj, Fsgnjn, Fsgnjx,
+    Fsqrt, Fexp, Flog, Fsin, Fcos, Ffloor, Feq, Flt, Fle,
+    FcvtWS, FcvtWuS, FcvtSW, FcvtSWu, FmvXW, FmvWX,
+    AmoAdd, AmoSwap, AmoXor, AmoOr, AmoAnd, AmoMin, AmoMax, AmoMinu, AmoMaxu,
+    CsrThreadId, CsrWarpId, CsrCoreId, CsrNumThreads, CsrNumWarps, CsrNumCores, CsrTmask,
+    Tmc, Wspawn, Split, Join, Pred, Bar, Print, Halt,
+}
+
 /// One encodable operation: a row of [`OPS`].
 #[derive(Debug, Clone, Copy)]
 pub struct OpSpec {
+    /// The row's [`Opcode`]; `OPS[code as usize]` is this row.
+    pub code: Opcode,
     /// Assembly mnemonic.
     pub name: &'static str,
     pub form: Form,
@@ -124,9 +144,6 @@ pub struct OpSpec {
     pub rs2: RegClass,
     /// Goes through the LSU (needs an MSHR, can stall on memory).
     pub mem: bool,
-    /// Can redirect the PC, change the thread mask, park the warp or
-    /// print, so it ends a straight-line run.
-    pub ctrl: bool,
     /// The operation with every operand zero.
     proto: Instr,
 }
@@ -145,9 +162,6 @@ const fn fields(rd: Reg, rs1: Reg, rs2: Reg, imm: i32) -> Fields {
     Fields { rd, rs1, rs2, imm }
 }
 
-const MEM: u8 = 1;
-const CTRL: u8 = 2;
-
 const fn reg_field(class: RegClass, at: u32) -> u32 {
     match class {
         RegClass::None => 0,
@@ -156,16 +170,18 @@ const fn reg_field(class: RegClass, at: u32) -> u32 {
 }
 
 const fn row(
+    code: Opcode,
     name: &'static str,
     form: Form,
     bits: u32,
     [rd, rs1, rs2]: [RegClass; 3],
-    flags: u8,
+    mem: bool,
     proto: Instr,
 ) -> OpSpec {
     let operands = reg_field(rd, 7) | reg_field(rs1, 15) | reg_field(rs2, 20) | form.place(!0);
     assert!(bits & operands == 0, "fixed bits inside an operand field");
     OpSpec {
+        code,
         name,
         form,
         mask: !operands,
@@ -173,8 +189,7 @@ const fn row(
         rd,
         rs1,
         rs2,
-        mem: flags & MEM != 0,
-        ctrl: flags & CTRL != 0,
+        mem,
         proto,
     }
 }
@@ -189,97 +204,98 @@ const fn enc(opcode: u32, funct3: u32, funct7: u32) -> u32 {
 pub const OPS: &[OpSpec] = {
     use Form::{Amo, Load, Print, Shamt, Store, B, I, J, R, U};
     use RegClass::{F, X};
+    use Opcode as O;
     const N: RegClass = RegClass::None;
     &[
-        row("lui",       U,         enc(0x37, 0, 0),               [X, N, N], 0,    Instr::Lui { rd: 0, imm: 0 }),
-        row("addi",      I,         enc(0x13, 0, 0),               [X, X, N], 0,    Instr::OpImm { op: AluOp::Add, rd: 0, rs1: 0, imm: 0 }),
-        row("slli",      Shamt,     enc(0x13, 1, 0),               [X, X, N], 0,    Instr::OpImm { op: AluOp::Sll, rd: 0, rs1: 0, imm: 0 }),
-        row("slti",      I,         enc(0x13, 2, 0),               [X, X, N], 0,    Instr::OpImm { op: AluOp::Slt, rd: 0, rs1: 0, imm: 0 }),
-        row("sltiu",     I,         enc(0x13, 3, 0),               [X, X, N], 0,    Instr::OpImm { op: AluOp::Sltu, rd: 0, rs1: 0, imm: 0 }),
-        row("xori",      I,         enc(0x13, 4, 0),               [X, X, N], 0,    Instr::OpImm { op: AluOp::Xor, rd: 0, rs1: 0, imm: 0 }),
-        row("srli",      Shamt,     enc(0x13, 5, 0),               [X, X, N], 0,    Instr::OpImm { op: AluOp::Srl, rd: 0, rs1: 0, imm: 0 }),
-        row("srai",      Shamt,     enc(0x13, 5, 0x20),            [X, X, N], 0,    Instr::OpImm { op: AluOp::Sra, rd: 0, rs1: 0, imm: 0 }),
-        row("ori",       I,         enc(0x13, 6, 0),               [X, X, N], 0,    Instr::OpImm { op: AluOp::Or, rd: 0, rs1: 0, imm: 0 }),
-        row("andi",      I,         enc(0x13, 7, 0),               [X, X, N], 0,    Instr::OpImm { op: AluOp::And, rd: 0, rs1: 0, imm: 0 }),
-        row("add",       R,         enc(0x33, 0, 0),               [X, X, X], 0,    Instr::Op { op: AluOp::Add, rd: 0, rs1: 0, rs2: 0 }),
-        row("sub",       R,         enc(0x33, 0, 0x20),            [X, X, X], 0,    Instr::Op { op: AluOp::Sub, rd: 0, rs1: 0, rs2: 0 }),
-        row("sll",       R,         enc(0x33, 1, 0),               [X, X, X], 0,    Instr::Op { op: AluOp::Sll, rd: 0, rs1: 0, rs2: 0 }),
-        row("slt",       R,         enc(0x33, 2, 0),               [X, X, X], 0,    Instr::Op { op: AluOp::Slt, rd: 0, rs1: 0, rs2: 0 }),
-        row("sltu",      R,         enc(0x33, 3, 0),               [X, X, X], 0,    Instr::Op { op: AluOp::Sltu, rd: 0, rs1: 0, rs2: 0 }),
-        row("xor",       R,         enc(0x33, 4, 0),               [X, X, X], 0,    Instr::Op { op: AluOp::Xor, rd: 0, rs1: 0, rs2: 0 }),
-        row("srl",       R,         enc(0x33, 5, 0),               [X, X, X], 0,    Instr::Op { op: AluOp::Srl, rd: 0, rs1: 0, rs2: 0 }),
-        row("sra",       R,         enc(0x33, 5, 0x20),            [X, X, X], 0,    Instr::Op { op: AluOp::Sra, rd: 0, rs1: 0, rs2: 0 }),
-        row("or",        R,         enc(0x33, 6, 0),               [X, X, X], 0,    Instr::Op { op: AluOp::Or, rd: 0, rs1: 0, rs2: 0 }),
-        row("and",       R,         enc(0x33, 7, 0),               [X, X, X], 0,    Instr::Op { op: AluOp::And, rd: 0, rs1: 0, rs2: 0 }),
-        row("mul",       R,         enc(0x33, 0, 1),               [X, X, X], 0,    Instr::MulDiv { op: MulOp::Mul, rd: 0, rs1: 0, rs2: 0 }),
-        row("mulh",      R,         enc(0x33, 1, 1),               [X, X, X], 0,    Instr::MulDiv { op: MulOp::Mulh, rd: 0, rs1: 0, rs2: 0 }),
-        row("mulhu",     R,         enc(0x33, 3, 1),               [X, X, X], 0,    Instr::MulDiv { op: MulOp::Mulhu, rd: 0, rs1: 0, rs2: 0 }),
-        row("div",       R,         enc(0x33, 4, 1),               [X, X, X], 0,    Instr::MulDiv { op: MulOp::Div, rd: 0, rs1: 0, rs2: 0 }),
-        row("divu",      R,         enc(0x33, 5, 1),               [X, X, X], 0,    Instr::MulDiv { op: MulOp::Divu, rd: 0, rs1: 0, rs2: 0 }),
-        row("rem",       R,         enc(0x33, 6, 1),               [X, X, X], 0,    Instr::MulDiv { op: MulOp::Rem, rd: 0, rs1: 0, rs2: 0 }),
-        row("remu",      R,         enc(0x33, 7, 1),               [X, X, X], 0,    Instr::MulDiv { op: MulOp::Remu, rd: 0, rs1: 0, rs2: 0 }),
-        row("lw",        Load,      enc(0x03, 2, 0),               [X, X, N], MEM,  Instr::Lw { rd: 0, rs1: 0, imm: 0 }),
-        row("sw",        Store,     enc(0x23, 2, 0),               [N, X, X], MEM,  Instr::Sw { rs1: 0, rs2: 0, imm: 0 }),
-        row("beq",       B,         enc(0x63, 0, 0),               [N, X, X], CTRL, Instr::Branch { cond: BranchCond::Eq, rs1: 0, rs2: 0, offset: 0 }),
-        row("bne",       B,         enc(0x63, 1, 0),               [N, X, X], CTRL, Instr::Branch { cond: BranchCond::Ne, rs1: 0, rs2: 0, offset: 0 }),
-        row("blt",       B,         enc(0x63, 4, 0),               [N, X, X], CTRL, Instr::Branch { cond: BranchCond::Lt, rs1: 0, rs2: 0, offset: 0 }),
-        row("bge",       B,         enc(0x63, 5, 0),               [N, X, X], CTRL, Instr::Branch { cond: BranchCond::Ge, rs1: 0, rs2: 0, offset: 0 }),
-        row("bltu",      B,         enc(0x63, 6, 0),               [N, X, X], CTRL, Instr::Branch { cond: BranchCond::Ltu, rs1: 0, rs2: 0, offset: 0 }),
-        row("bgeu",      B,         enc(0x63, 7, 0),               [N, X, X], CTRL, Instr::Branch { cond: BranchCond::Geu, rs1: 0, rs2: 0, offset: 0 }),
-        row("jal",       J,         enc(0x6F, 0, 0),               [X, N, N], CTRL, Instr::Jal { rd: 0, offset: 0 }),
-        row("jalr",      Load,      enc(0x67, 0, 0),               [X, X, N], CTRL, Instr::Jalr { rd: 0, rs1: 0, imm: 0 }),
-        row("flw",       Load,      enc(0x07, 2, 0),               [F, X, N], MEM,  Instr::Flw { rd: 0, rs1: 0, imm: 0 }),
-        row("fsw",       Store,     enc(0x27, 2, 0),               [N, X, F], MEM,  Instr::Fsw { rs1: 0, rs2: 0, imm: 0 }),
-        row("fadd.s",    R,         enc(0x53, 0, 0x00),            [F, F, F], 0,    Instr::FpOp { op: FpOp::Add, rd: 0, rs1: 0, rs2: 0 }),
-        row("fsub.s",    R,         enc(0x53, 0, 0x04),            [F, F, F], 0,    Instr::FpOp { op: FpOp::Sub, rd: 0, rs1: 0, rs2: 0 }),
-        row("fmul.s",    R,         enc(0x53, 0, 0x08),            [F, F, F], 0,    Instr::FpOp { op: FpOp::Mul, rd: 0, rs1: 0, rs2: 0 }),
-        row("fdiv.s",    R,         enc(0x53, 0, 0x0C),            [F, F, F], 0,    Instr::FpOp { op: FpOp::Div, rd: 0, rs1: 0, rs2: 0 }),
-        row("fmin.s",    R,         enc(0x53, 0, 0x14),            [F, F, F], 0,    Instr::FpOp { op: FpOp::Min, rd: 0, rs1: 0, rs2: 0 }),
-        row("fmax.s",    R,         enc(0x53, 1, 0x14),            [F, F, F], 0,    Instr::FpOp { op: FpOp::Max, rd: 0, rs1: 0, rs2: 0 }),
-        row("fsgnj.s",   R,         enc(0x53, 0, 0x10),            [F, F, F], 0,    Instr::FpOp { op: FpOp::Sgnj, rd: 0, rs1: 0, rs2: 0 }),
-        row("fsgnjn.s",  R,         enc(0x53, 1, 0x10),            [F, F, F], 0,    Instr::FpOp { op: FpOp::SgnjN, rd: 0, rs1: 0, rs2: 0 }),
-        row("fsgnjx.s",  R,         enc(0x53, 2, 0x10),            [F, F, F], 0,    Instr::FpOp { op: FpOp::SgnjX, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Lui,           "lui",       U,         enc(0x37, 0, 0),               [X, N, N], false, Instr::Lui { rd: 0, imm: 0 }),
+        row(O::Addi,          "addi",      I,         enc(0x13, 0, 0),               [X, X, N], false, Instr::OpImm { op: AluOp::Add, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Slli,          "slli",      Shamt,     enc(0x13, 1, 0),               [X, X, N], false, Instr::OpImm { op: AluOp::Sll, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Slti,          "slti",      I,         enc(0x13, 2, 0),               [X, X, N], false, Instr::OpImm { op: AluOp::Slt, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Sltiu,         "sltiu",     I,         enc(0x13, 3, 0),               [X, X, N], false, Instr::OpImm { op: AluOp::Sltu, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Xori,          "xori",      I,         enc(0x13, 4, 0),               [X, X, N], false, Instr::OpImm { op: AluOp::Xor, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Srli,          "srli",      Shamt,     enc(0x13, 5, 0),               [X, X, N], false, Instr::OpImm { op: AluOp::Srl, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Srai,          "srai",      Shamt,     enc(0x13, 5, 0x20),            [X, X, N], false, Instr::OpImm { op: AluOp::Sra, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Ori,           "ori",       I,         enc(0x13, 6, 0),               [X, X, N], false, Instr::OpImm { op: AluOp::Or, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Andi,          "andi",      I,         enc(0x13, 7, 0),               [X, X, N], false, Instr::OpImm { op: AluOp::And, rd: 0, rs1: 0, imm: 0 }),
+        row(O::Add,           "add",       R,         enc(0x33, 0, 0),               [X, X, X], false, Instr::Op { op: AluOp::Add, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Sub,           "sub",       R,         enc(0x33, 0, 0x20),            [X, X, X], false, Instr::Op { op: AluOp::Sub, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Sll,           "sll",       R,         enc(0x33, 1, 0),               [X, X, X], false, Instr::Op { op: AluOp::Sll, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Slt,           "slt",       R,         enc(0x33, 2, 0),               [X, X, X], false, Instr::Op { op: AluOp::Slt, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Sltu,          "sltu",      R,         enc(0x33, 3, 0),               [X, X, X], false, Instr::Op { op: AluOp::Sltu, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Xor,           "xor",       R,         enc(0x33, 4, 0),               [X, X, X], false, Instr::Op { op: AluOp::Xor, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Srl,           "srl",       R,         enc(0x33, 5, 0),               [X, X, X], false, Instr::Op { op: AluOp::Srl, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Sra,           "sra",       R,         enc(0x33, 5, 0x20),            [X, X, X], false, Instr::Op { op: AluOp::Sra, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Or,            "or",        R,         enc(0x33, 6, 0),               [X, X, X], false, Instr::Op { op: AluOp::Or, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::And,           "and",       R,         enc(0x33, 7, 0),               [X, X, X], false, Instr::Op { op: AluOp::And, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Mul,           "mul",       R,         enc(0x33, 0, 1),               [X, X, X], false, Instr::MulDiv { op: MulOp::Mul, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Mulh,          "mulh",      R,         enc(0x33, 1, 1),               [X, X, X], false, Instr::MulDiv { op: MulOp::Mulh, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Mulhu,         "mulhu",     R,         enc(0x33, 3, 1),               [X, X, X], false, Instr::MulDiv { op: MulOp::Mulhu, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Div,           "div",       R,         enc(0x33, 4, 1),               [X, X, X], false, Instr::MulDiv { op: MulOp::Div, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Divu,          "divu",      R,         enc(0x33, 5, 1),               [X, X, X], false, Instr::MulDiv { op: MulOp::Divu, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Rem,           "rem",       R,         enc(0x33, 6, 1),               [X, X, X], false, Instr::MulDiv { op: MulOp::Rem, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Remu,          "remu",      R,         enc(0x33, 7, 1),               [X, X, X], false, Instr::MulDiv { op: MulOp::Remu, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Lw,            "lw",        Load,      enc(0x03, 2, 0),               [X, X, N], true,  Instr::Lw { rd: 0, rs1: 0, imm: 0 }),
+        row(O::Sw,            "sw",        Store,     enc(0x23, 2, 0),               [N, X, X], true,  Instr::Sw { rs1: 0, rs2: 0, imm: 0 }),
+        row(O::Beq,           "beq",       B,         enc(0x63, 0, 0),               [N, X, X], false, Instr::Branch { cond: BranchCond::Eq, rs1: 0, rs2: 0, offset: 0 }),
+        row(O::Bne,           "bne",       B,         enc(0x63, 1, 0),               [N, X, X], false, Instr::Branch { cond: BranchCond::Ne, rs1: 0, rs2: 0, offset: 0 }),
+        row(O::Blt,           "blt",       B,         enc(0x63, 4, 0),               [N, X, X], false, Instr::Branch { cond: BranchCond::Lt, rs1: 0, rs2: 0, offset: 0 }),
+        row(O::Bge,           "bge",       B,         enc(0x63, 5, 0),               [N, X, X], false, Instr::Branch { cond: BranchCond::Ge, rs1: 0, rs2: 0, offset: 0 }),
+        row(O::Bltu,          "bltu",      B,         enc(0x63, 6, 0),               [N, X, X], false, Instr::Branch { cond: BranchCond::Ltu, rs1: 0, rs2: 0, offset: 0 }),
+        row(O::Bgeu,          "bgeu",      B,         enc(0x63, 7, 0),               [N, X, X], false, Instr::Branch { cond: BranchCond::Geu, rs1: 0, rs2: 0, offset: 0 }),
+        row(O::Jal,           "jal",       J,         enc(0x6F, 0, 0),               [X, N, N], false, Instr::Jal { rd: 0, offset: 0 }),
+        row(O::Jalr,          "jalr",      Load,      enc(0x67, 0, 0),               [X, X, N], false, Instr::Jalr { rd: 0, rs1: 0, imm: 0 }),
+        row(O::Flw,           "flw",       Load,      enc(0x07, 2, 0),               [F, X, N], true,  Instr::Flw { rd: 0, rs1: 0, imm: 0 }),
+        row(O::Fsw,           "fsw",       Store,     enc(0x27, 2, 0),               [N, X, F], true,  Instr::Fsw { rs1: 0, rs2: 0, imm: 0 }),
+        row(O::Fadd,          "fadd.s",    R,         enc(0x53, 0, 0x00),            [F, F, F], false, Instr::FpOp { op: FpOp::Add, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fsub,          "fsub.s",    R,         enc(0x53, 0, 0x04),            [F, F, F], false, Instr::FpOp { op: FpOp::Sub, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fmul,          "fmul.s",    R,         enc(0x53, 0, 0x08),            [F, F, F], false, Instr::FpOp { op: FpOp::Mul, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fdiv,          "fdiv.s",    R,         enc(0x53, 0, 0x0C),            [F, F, F], false, Instr::FpOp { op: FpOp::Div, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fmin,          "fmin.s",    R,         enc(0x53, 0, 0x14),            [F, F, F], false, Instr::FpOp { op: FpOp::Min, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fmax,          "fmax.s",    R,         enc(0x53, 1, 0x14),            [F, F, F], false, Instr::FpOp { op: FpOp::Max, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fsgnj,         "fsgnj.s",   R,         enc(0x53, 0, 0x10),            [F, F, F], false, Instr::FpOp { op: FpOp::Sgnj, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fsgnjn,        "fsgnjn.s",  R,         enc(0x53, 1, 0x10),            [F, F, F], false, Instr::FpOp { op: FpOp::SgnjN, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fsgnjx,        "fsgnjx.s",  R,         enc(0x53, 2, 0x10),            [F, F, F], false, Instr::FpOp { op: FpOp::SgnjX, rd: 0, rs1: 0, rs2: 0 }),
         // fsqrt is standard; the SFU ops use a reserved funct7 with rs2 as
         // a selector.
-        row("fsqrt.s",   R,         enc(0x53, 0, 0x2C),            [F, F, N], 0,    Instr::FpUn { op: FpUnOp::Sqrt, rd: 0, rs1: 0 }),
-        row("vx.fexp",   R,         enc(0x53, 0, 0x7B),            [F, F, N], 0,    Instr::FpUn { op: FpUnOp::Exp, rd: 0, rs1: 0 }),
-        row("vx.flog",   R,         enc(0x53, 0, 0x7B) | 1 << 20,  [F, F, N], 0,    Instr::FpUn { op: FpUnOp::Log, rd: 0, rs1: 0 }),
-        row("vx.fsin",   R,         enc(0x53, 0, 0x7B) | 2 << 20,  [F, F, N], 0,    Instr::FpUn { op: FpUnOp::Sin, rd: 0, rs1: 0 }),
-        row("vx.fcos",   R,         enc(0x53, 0, 0x7B) | 3 << 20,  [F, F, N], 0,    Instr::FpUn { op: FpUnOp::Cos, rd: 0, rs1: 0 }),
-        row("vx.ffloor", R,         enc(0x53, 0, 0x7B) | 4 << 20,  [F, F, N], 0,    Instr::FpUn { op: FpUnOp::Floor, rd: 0, rs1: 0 }),
-        row("feq.s",     R,         enc(0x53, 2, 0x50),            [X, F, F], 0,    Instr::FpCmp { op: FpCmpOp::Eq, rd: 0, rs1: 0, rs2: 0 }),
-        row("flt.s",     R,         enc(0x53, 1, 0x50),            [X, F, F], 0,    Instr::FpCmp { op: FpCmpOp::Lt, rd: 0, rs1: 0, rs2: 0 }),
-        row("fle.s",     R,         enc(0x53, 0, 0x50),            [X, F, F], 0,    Instr::FpCmp { op: FpCmpOp::Le, rd: 0, rs1: 0, rs2: 0 }),
-        row("fcvt.w.s",  R,         enc(0x53, 0, 0x60),            [X, F, N], 0,    Instr::FpCvt { op: CvtOp::F2I, rd: 0, rs1: 0 }),
-        row("fcvt.wu.s", R,         enc(0x53, 0, 0x60) | 1 << 20,  [X, F, N], 0,    Instr::FpCvt { op: CvtOp::F2U, rd: 0, rs1: 0 }),
-        row("fcvt.s.w",  R,         enc(0x53, 0, 0x68),            [F, X, N], 0,    Instr::FpCvt { op: CvtOp::I2F, rd: 0, rs1: 0 }),
-        row("fcvt.s.wu", R,         enc(0x53, 0, 0x68) | 1 << 20,  [F, X, N], 0,    Instr::FpCvt { op: CvtOp::U2F, rd: 0, rs1: 0 }),
-        row("fmv.x.w",   R,         enc(0x53, 0, 0x70),            [X, F, N], 0,    Instr::FpCvt { op: CvtOp::MvF2X, rd: 0, rs1: 0 }),
-        row("fmv.w.x",   R,         enc(0x53, 0, 0x78),            [F, X, N], 0,    Instr::FpCvt { op: CvtOp::MvX2F, rd: 0, rs1: 0 }),
-        row("amoadd.w",  Amo,       enc(0x2F, 2, 0x00),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::Add, rd: 0, rs1: 0, rs2: 0 }),
-        row("amoswap.w", Amo,       enc(0x2F, 2, 0x04),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::Swap, rd: 0, rs1: 0, rs2: 0 }),
-        row("amoxor.w",  Amo,       enc(0x2F, 2, 0x10),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::Xor, rd: 0, rs1: 0, rs2: 0 }),
-        row("amoor.w",   Amo,       enc(0x2F, 2, 0x20),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::Or, rd: 0, rs1: 0, rs2: 0 }),
-        row("amoand.w",  Amo,       enc(0x2F, 2, 0x30),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::And, rd: 0, rs1: 0, rs2: 0 }),
-        row("amomin.w",  Amo,       enc(0x2F, 2, 0x40),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::Min, rd: 0, rs1: 0, rs2: 0 }),
-        row("amomax.w",  Amo,       enc(0x2F, 2, 0x50),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::Max, rd: 0, rs1: 0, rs2: 0 }),
-        row("amominu.w", Amo,       enc(0x2F, 2, 0x60),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::Minu, rd: 0, rs1: 0, rs2: 0 }),
-        row("amomaxu.w", Amo,       enc(0x2F, 2, 0x70),            [X, X, X], MEM,  Instr::Amo { op: AmoOp::Maxu, rd: 0, rs1: 0, rs2: 0 }),
-        row("csrr",      Form::Csr, enc(0x73, 2, 0) | 0xCC0 << 20, [X, N, N], 0,    Instr::CsrRead { rd: 0, csr: Csr::ThreadId }),
-        row("csrr",      Form::Csr, enc(0x73, 2, 0) | 0xCC1 << 20, [X, N, N], 0,    Instr::CsrRead { rd: 0, csr: Csr::WarpId }),
-        row("csrr",      Form::Csr, enc(0x73, 2, 0) | 0xCC2 << 20, [X, N, N], 0,    Instr::CsrRead { rd: 0, csr: Csr::CoreId }),
-        row("csrr",      Form::Csr, enc(0x73, 2, 0) | 0xFC0 << 20, [X, N, N], 0,    Instr::CsrRead { rd: 0, csr: Csr::NumThreads }),
-        row("csrr",      Form::Csr, enc(0x73, 2, 0) | 0xFC1 << 20, [X, N, N], 0,    Instr::CsrRead { rd: 0, csr: Csr::NumWarps }),
-        row("csrr",      Form::Csr, enc(0x73, 2, 0) | 0xFC2 << 20, [X, N, N], 0,    Instr::CsrRead { rd: 0, csr: Csr::NumCores }),
-        row("csrr",      Form::Csr, enc(0x73, 2, 0) | 0xCC3 << 20, [X, N, N], 0,    Instr::CsrRead { rd: 0, csr: Csr::Tmask }),
-        row("vx.tmc",    R,         enc(0x6B, 0, 0),               [N, X, N], CTRL, Instr::Tmc { rs1: 0 }),
-        row("vx.wspawn", R,         enc(0x6B, 1, 0),               [N, X, X], CTRL, Instr::Wspawn { rs1: 0, rs2: 0 }),
-        row("vx.split",  B,         enc(0x6B, 2, 0),               [N, X, N], CTRL, Instr::Split { rs1: 0, else_off: 0 }),
-        row("vx.join",   B,         enc(0x6B, 3, 0),               [N, N, N], CTRL, Instr::Join { off: 0 }),
-        row("vx.pred",   B,         enc(0x6B, 4, 0),               [N, X, X], CTRL, Instr::Pred { rs1: 0, rs2: 0, exit_off: 0 }),
-        row("vx.bar",    R,         enc(0x6B, 5, 0),               [N, X, X], CTRL, Instr::Bar { rs1: 0, rs2: 0 }),
-        row("vx.print",  Print,     enc(0x6B, 6, 0),               [N, N, N], CTRL, Instr::Print { fmt: 0 }),
-        row("vx.halt",   R,         enc(0x6B, 7, 0),               [N, N, N], CTRL, Instr::Halt),
+        row(O::Fsqrt,         "fsqrt.s",   R,         enc(0x53, 0, 0x2C),            [F, F, N], false, Instr::FpUn { op: FpUnOp::Sqrt, rd: 0, rs1: 0 }),
+        row(O::Fexp,          "vx.fexp",   R,         enc(0x53, 0, 0x7B),            [F, F, N], false, Instr::FpUn { op: FpUnOp::Exp, rd: 0, rs1: 0 }),
+        row(O::Flog,          "vx.flog",   R,         enc(0x53, 0, 0x7B) | 1 << 20,  [F, F, N], false, Instr::FpUn { op: FpUnOp::Log, rd: 0, rs1: 0 }),
+        row(O::Fsin,          "vx.fsin",   R,         enc(0x53, 0, 0x7B) | 2 << 20,  [F, F, N], false, Instr::FpUn { op: FpUnOp::Sin, rd: 0, rs1: 0 }),
+        row(O::Fcos,          "vx.fcos",   R,         enc(0x53, 0, 0x7B) | 3 << 20,  [F, F, N], false, Instr::FpUn { op: FpUnOp::Cos, rd: 0, rs1: 0 }),
+        row(O::Ffloor,        "vx.ffloor", R,         enc(0x53, 0, 0x7B) | 4 << 20,  [F, F, N], false, Instr::FpUn { op: FpUnOp::Floor, rd: 0, rs1: 0 }),
+        row(O::Feq,           "feq.s",     R,         enc(0x53, 2, 0x50),            [X, F, F], false, Instr::FpCmp { op: FpCmpOp::Eq, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Flt,           "flt.s",     R,         enc(0x53, 1, 0x50),            [X, F, F], false, Instr::FpCmp { op: FpCmpOp::Lt, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::Fle,           "fle.s",     R,         enc(0x53, 0, 0x50),            [X, F, F], false, Instr::FpCmp { op: FpCmpOp::Le, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::FcvtWS,        "fcvt.w.s",  R,         enc(0x53, 0, 0x60),            [X, F, N], false, Instr::FpCvt { op: CvtOp::F2I, rd: 0, rs1: 0 }),
+        row(O::FcvtWuS,       "fcvt.wu.s", R,         enc(0x53, 0, 0x60) | 1 << 20,  [X, F, N], false, Instr::FpCvt { op: CvtOp::F2U, rd: 0, rs1: 0 }),
+        row(O::FcvtSW,        "fcvt.s.w",  R,         enc(0x53, 0, 0x68),            [F, X, N], false, Instr::FpCvt { op: CvtOp::I2F, rd: 0, rs1: 0 }),
+        row(O::FcvtSWu,       "fcvt.s.wu", R,         enc(0x53, 0, 0x68) | 1 << 20,  [F, X, N], false, Instr::FpCvt { op: CvtOp::U2F, rd: 0, rs1: 0 }),
+        row(O::FmvXW,         "fmv.x.w",   R,         enc(0x53, 0, 0x70),            [X, F, N], false, Instr::FpCvt { op: CvtOp::MvF2X, rd: 0, rs1: 0 }),
+        row(O::FmvWX,         "fmv.w.x",   R,         enc(0x53, 0, 0x78),            [F, X, N], false, Instr::FpCvt { op: CvtOp::MvX2F, rd: 0, rs1: 0 }),
+        row(O::AmoAdd,        "amoadd.w",  Amo,       enc(0x2F, 2, 0x00),            [X, X, X], true,  Instr::Amo { op: AmoOp::Add, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::AmoSwap,       "amoswap.w", Amo,       enc(0x2F, 2, 0x04),            [X, X, X], true,  Instr::Amo { op: AmoOp::Swap, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::AmoXor,        "amoxor.w",  Amo,       enc(0x2F, 2, 0x10),            [X, X, X], true,  Instr::Amo { op: AmoOp::Xor, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::AmoOr,         "amoor.w",   Amo,       enc(0x2F, 2, 0x20),            [X, X, X], true,  Instr::Amo { op: AmoOp::Or, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::AmoAnd,        "amoand.w",  Amo,       enc(0x2F, 2, 0x30),            [X, X, X], true,  Instr::Amo { op: AmoOp::And, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::AmoMin,        "amomin.w",  Amo,       enc(0x2F, 2, 0x40),            [X, X, X], true,  Instr::Amo { op: AmoOp::Min, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::AmoMax,        "amomax.w",  Amo,       enc(0x2F, 2, 0x50),            [X, X, X], true,  Instr::Amo { op: AmoOp::Max, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::AmoMinu,       "amominu.w", Amo,       enc(0x2F, 2, 0x60),            [X, X, X], true,  Instr::Amo { op: AmoOp::Minu, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::AmoMaxu,       "amomaxu.w", Amo,       enc(0x2F, 2, 0x70),            [X, X, X], true,  Instr::Amo { op: AmoOp::Maxu, rd: 0, rs1: 0, rs2: 0 }),
+        row(O::CsrThreadId,   "csrr",      Form::Csr, enc(0x73, 2, 0) | 0xCC0 << 20, [X, N, N], false, Instr::CsrRead { rd: 0, csr: Csr::ThreadId }),
+        row(O::CsrWarpId,     "csrr",      Form::Csr, enc(0x73, 2, 0) | 0xCC1 << 20, [X, N, N], false, Instr::CsrRead { rd: 0, csr: Csr::WarpId }),
+        row(O::CsrCoreId,     "csrr",      Form::Csr, enc(0x73, 2, 0) | 0xCC2 << 20, [X, N, N], false, Instr::CsrRead { rd: 0, csr: Csr::CoreId }),
+        row(O::CsrNumThreads, "csrr",      Form::Csr, enc(0x73, 2, 0) | 0xFC0 << 20, [X, N, N], false, Instr::CsrRead { rd: 0, csr: Csr::NumThreads }),
+        row(O::CsrNumWarps,   "csrr",      Form::Csr, enc(0x73, 2, 0) | 0xFC1 << 20, [X, N, N], false, Instr::CsrRead { rd: 0, csr: Csr::NumWarps }),
+        row(O::CsrNumCores,   "csrr",      Form::Csr, enc(0x73, 2, 0) | 0xFC2 << 20, [X, N, N], false, Instr::CsrRead { rd: 0, csr: Csr::NumCores }),
+        row(O::CsrTmask,      "csrr",      Form::Csr, enc(0x73, 2, 0) | 0xCC3 << 20, [X, N, N], false, Instr::CsrRead { rd: 0, csr: Csr::Tmask }),
+        row(O::Tmc,           "vx.tmc",    R,         enc(0x6B, 0, 0),               [N, X, N], false, Instr::Tmc { rs1: 0 }),
+        row(O::Wspawn,        "vx.wspawn", R,         enc(0x6B, 1, 0),               [N, X, X], false, Instr::Wspawn { rs1: 0, rs2: 0 }),
+        row(O::Split,         "vx.split",  B,         enc(0x6B, 2, 0),               [N, X, N], false, Instr::Split { rs1: 0, else_off: 0 }),
+        row(O::Join,          "vx.join",   B,         enc(0x6B, 3, 0),               [N, N, N], false, Instr::Join { off: 0 }),
+        row(O::Pred,          "vx.pred",   B,         enc(0x6B, 4, 0),               [N, X, X], false, Instr::Pred { rs1: 0, rs2: 0, exit_off: 0 }),
+        row(O::Bar,           "vx.bar",    R,         enc(0x6B, 5, 0),               [N, X, X], false, Instr::Bar { rs1: 0, rs2: 0 }),
+        row(O::Print,         "vx.print",  Print,     enc(0x6B, 6, 0),               [N, N, N], false, Instr::Print { fmt: 0 }),
+        row(O::Halt,          "vx.halt",   R,         enc(0x6B, 7, 0),               [N, N, N], false, Instr::Halt),
     ]
 };
 
@@ -292,8 +308,13 @@ const NO_ROW: u8 = u8::MAX;
 /// The row of each [`Instr::key`], or `NO_ROW`.
 static INDEX: [u8; VARIANTS * SUBS] = {
     let mut t = [NO_ROW; VARIANTS * SUBS];
+    assert!(
+        OPS.len() == Opcode::Halt as usize + 1,
+        "an opcode without a row"
+    );
     let mut r = 0;
     while r < OPS.len() {
+        assert!(OPS[r].code as usize == r, "opcodes out of row order");
         let key = OPS[r].proto.key().0;
         assert!(t[key] == NO_ROW, "two rows for one operation");
         t[key] = r as u8;
@@ -369,7 +390,7 @@ impl Instr {
 
     /// [`parts`](Self::parts) for the simulator and the disassembler, which
     /// also handle `subi`: it has no row of its own, but it has `addi`'s
-    /// operand classes, syntax and flags, so it gets `addi`'s row.
+    /// operand classes, syntax and LSU flag, so it gets `addi`'s row.
     pub fn shape(&self) -> (&'static OpSpec, Fields) {
         match *self {
             Instr::OpImm {

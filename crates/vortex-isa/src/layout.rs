@@ -12,6 +12,9 @@ pub const PRINTF_BASE: u32 = 0x0008_0000;
 pub const PRINTF_STRIDE: u32 = 64;
 /// Base of the buffer heap the runtime allocates from.
 pub const HEAP_BASE: u32 = 0x0010_0000;
+/// Harts the printf region holds (8 192): a machine with more cannot run a
+/// kernel that prints, or the last harts' buffers would land in the heap.
+pub const PRINTF_HARTS: u32 = (HEAP_BASE - PRINTF_BASE) / PRINTF_STRIDE;
 /// Per-core local (work-group) memory window base.
 pub const LOCAL_BASE: u32 = 0x8000_0000;
 
@@ -44,7 +47,8 @@ mod tests {
     #[allow(clippy::assertions_on_constants)]
     fn regions_do_not_overlap() {
         assert!(ARG_BASE + arg::KERNEL_ARGS + 4 * 64 < PRINTF_BASE);
-        assert!(PRINTF_BASE + PRINTF_STRIDE * 4096 <= HEAP_BASE);
+        assert_eq!(PRINTF_HARTS, 8192);
+        assert!(PRINTF_BASE + PRINTF_STRIDE * PRINTF_HARTS <= HEAP_BASE);
         assert!(HEAP_BASE < LOCAL_BASE);
     }
 }

@@ -10,11 +10,13 @@
 //! memory the flattened work-group size must be a multiple of the warp width
 //! and fit within one core's warps × threads.
 
+use std::sync::Arc;
+
 use ocl_ir::interp::NdRange;
 use repro_fault::{fire_param, FaultPoint};
 use vortex_cc::CompiledKernel;
 use vortex_isa::layout::{self, arg};
-use vortex_sim::{SimConfig, SimError, SimFault, SimResult, Simulator, TraceSink};
+use vortex_sim::{Image, SimConfig, SimError, SimFault, SimResult, Simulator, TraceSink};
 
 /// A device buffer handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,11 +125,14 @@ impl From<RtError> for repro_diag::ReproError {
 /// buffers, launch any of them by name, read back. Device memory persists
 /// across launches, so multi-kernel applications (gaussian's Fan1/Fan2,
 /// sort phases, …) chain launches the way an OpenCL command queue does.
+/// Each kernel is loaded as one [`Image`], whose op table is decoded once
+/// and reused by every launch of that kernel.
 pub struct VxSession {
     sim: Simulator,
     heap_next: u32,
     heap_limit: u32,
     kernels: Vec<CompiledKernel>,
+    images: Vec<Arc<Image>>,
     current: usize,
 }
 
@@ -160,12 +165,16 @@ impl VxSession {
             .max()
             .expect("nonempty");
         let stack_bytes = total_warps * max_stack;
-        let sim = Simulator::new(cfg, kernels[0].program.clone());
+        let images: Vec<_> = kernels
+            .iter()
+            .map(|k| Arc::new(Image::new(k.program.clone())))
+            .collect();
         VxSession {
-            sim,
+            sim: Simulator::with_image(cfg, Arc::clone(&images[0])),
             heap_next: layout::HEAP_BASE,
             heap_limit: mem_top - stack_bytes,
             kernels,
+            images,
             current: 0,
         }
     }
@@ -298,7 +307,7 @@ impl VxSession {
             .ok_or_else(|| RtError::BadLaunch(format!("kernel `{name}` not in session")))?;
         if idx != self.current {
             self.current = idx;
-            self.sim.set_program(self.kernels[idx].program.clone());
+            self.sim.set_image(Arc::clone(&self.images[idx]));
         }
         let kernel = &self.kernels[self.current];
         nd.validate()
@@ -312,6 +321,14 @@ impl VxSession {
             )));
         }
         let cfg = self.sim.cfg.clone();
+        let harts = cfg.hw.cores * cfg.hw.warps * cfg.hw.threads;
+        if !kernel.program.printf_table.is_empty() && harts > layout::PRINTF_HARTS {
+            return Err(RtError::BadLaunch(format!(
+                "kernel `{}` calls printf, whose buffers hold {} harts; the machine has {harts}",
+                kernel.name,
+                layout::PRINTF_HARTS
+            )));
+        }
         let gsize = nd.group_size();
         if kernel.group_mode {
             let wt = cfg.hw.warps * cfg.hw.threads;

@@ -1,5 +1,14 @@
 //! One SIMT core: warps, register files, scoreboard, LSU and the Vortex
 //! SIMT control-flow semantics (Figure 4 of the paper).
+//!
+//! Issuing a warp instruction costs one read of a pre-decoded [`Op`] (from
+//! the kernel's decode-once table, or decoded on the spot in
+//! `reference_mode`), one switch on its opcode in `Core::execute`, and one
+//! write of the warp's issue snapshot. The snapshot — the first cycle the
+//! scoreboard operands of the op at the warp's PC are ready, and whether it
+//! goes through the LSU — is written wherever that PC or those ready-times
+//! change (the end of the warp's own issue, WSPAWN, launch start), so the
+//! per-cycle scan always reads a current one.
 
 use std::cmp::Ordering;
 
@@ -7,14 +16,12 @@ use crate::cache::Cache;
 use crate::mem::SimMemory;
 use crate::memsys::MemView;
 use crate::stats::{CoreStats, StallKind};
-use crate::tcache::TraceCache;
+use crate::tcache::{Op, Text};
 use crate::trace::{CacheLevel, TraceEvent, TraceSink};
 use crate::{SimConfig, SimError, MAX_THREADS, MAX_WARPS};
-use vortex_isa::encode::{Fields, OpSpec, RegClass};
+use vortex_isa::encode::Opcode as O;
 use vortex_isa::layout::{PRINTF_BASE, PRINTF_STRIDE};
-use vortex_isa::{
-    AluOp, AmoOp, BranchCond, Csr, CvtOp, FpCmpOp, FpOp, FpUnOp, Instr, MulOp, PrintArg, Program,
-};
+use vortex_isa::{AluOp, AmoOp, CvtOp, FpCmpOp, FpOp, FpUnOp, MulOp, PrintArg, Program};
 
 /// IPDOM stack entries for SPLIT/JOIN (§II-D).
 #[derive(Debug, Clone, Copy)]
@@ -65,48 +72,14 @@ impl Iterator for Lanes {
     }
 }
 
-/// Scoreboard indices of an instruction: two sources, then the
-/// destination, each an index into the warp's 64-entry ready-time row
-/// (integer `r` at `r`, float `r` at `32 + r`), from the register classes
-/// of its table row. Unused positions hold index 0 — `x0`, whose ready time
-/// is always 0 because [`Core::mark_dest`] never writes it — so the
-/// scoreboard check is three loads and two `max`es for every instruction.
-/// The destination is checked too (WAW). The trace cache pre-resolves this
-/// per PC; only the reference path and cache fills call it directly.
-pub(crate) fn regs_of(i: &Instr) -> [u8; 3] {
-    let (op, x) = i.shape();
-    scoreboard(op, x)
-}
-
-/// [`regs_of`] from an already looked-up row and fields.
-pub(crate) fn scoreboard(op: &OpSpec, x: Fields) -> [u8; 3] {
-    let sb = |class, r| match class {
-        RegClass::None => 0,
-        RegClass::X => r,
-        RegClass::F => 32 + r,
-    };
-    [sb(op.rs1, x.rs1), sb(op.rs2, x.rs2), sb(op.rd, x.rd)]
-}
-
-/// True for the instructions that go through the LSU (and so need an MSHR
-/// and can stall the warp on memory).
-pub(crate) fn is_mem(i: &Instr) -> bool {
-    i.shape().0.mem
-}
-
-/// `match $op` with one arm per listed variant, each binding `$k` to its
-/// variant as a constant: `$body`'s lane kernel is compiled once per opcode
-/// with the scalar semantics (`alu`, `muldiv`, `fp_op`, ...) folded in, so
-/// the opcode dispatch happens once, outside the lane loop.
-macro_rules! per_op {
-    ($op:expr, $k:ident: $ty:ident { $($v:ident)* } => $body:expr) => {
-        match $op {
-            $($ty::$v => {
-                const $k: $ty = $ty::$v;
-                $body
-            })*
-        }
-    };
+/// A warp's issue snapshot: the first cycle the scoreboard operands of the
+/// op at its PC are ready, and whether that op goes through the LSU. A PC
+/// outside the program reads as ready now and not a memory op, so the scan
+/// funnels the warp into the issue path, whose fetch raises the fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Snap {
+    ready_at: u64,
+    mem: bool,
 }
 
 /// A single core.
@@ -126,8 +99,8 @@ pub struct Core {
     /// [`split_rows`]).
     row_tmp: [u32; 64],
     /// Scoreboard: cycle each register becomes ready, 64 entries per warp
-    /// — integer `r` at `r`, float `r` at `32 + r` (the indices
-    /// [`regs_of`] produces). Entry 0 (`x0`) is never written and stays 0.
+    /// — integer `r` at `r`, float `r` at `32 + r` (the indices in
+    /// [`Op::sb`]). Entry 0 (`x0`) is never written and stays 0.
     ready: Vec<u64>,
     /// MSHR slots: cycle each becomes free.
     mshr_free: Vec<u64>,
@@ -144,27 +117,15 @@ pub struct Core {
     /// [`any_active`](Core::any_active) — which every run loop polls — is
     /// O(1) instead of an O(warps) scan.
     active_n: u32,
-    /// Pre-decoded macro-op cache, lazily built on first fetch. `None` in
-    /// `reference_mode` (never constructed — the dense loop stays on the
-    /// from-scratch decode path) and after a program swap.
-    tcache: Option<TraceCache>,
-    tcache_enabled: bool,
-    /// Per-warp issue snapshot: the first cycle the scoreboard operands
-    /// of the instruction at the warp's PC are ready. It is a function of
-    /// the warp's PC and its own register ready-times, and those change
-    /// *only* when the warp itself issues (or is respawned/reset) — other
-    /// warps' issues touch shared LSU/MSHR state, which is deliberately
-    /// kept out of the snapshot. So the per-cycle scan reuses it across
-    /// ticks (8 bytes per blocked warp) instead of re-walking the operands
-    /// every cycle. `u64::MAX` marks a stale snapshot, lazily re-resolved
-    /// by [`refresh_slot`](Core::refresh_slot); a PC outside the program
-    /// resolves to 0 so the scan funnels the warp into the issue path,
-    /// whose fetch faults. Invalidated at the warp's own issue, WSPAWN,
-    /// launch reset and program swap.
-    scan_tsb: Vec<u64>,
-    /// The snapshot's other half: whether that instruction goes through
-    /// the LSU (same lifecycle; meaningless while `scan_tsb` is stale).
-    scan_mem: Vec<bool>,
+    /// Per-warp issue snapshot. Its ready cycle and LSU flag are a
+    /// function of the warp's PC and its own register ready-times, and
+    /// those change *only* when the warp itself issues, is respawned or is
+    /// reset — other warps' issues touch shared LSU/MSHR state, which is
+    /// deliberately kept out of the snapshot. So the snapshot is written
+    /// exactly there (the end of the warp's issue, WSPAWN, launch start)
+    /// and is current whenever the scan reads it: one ready cycle and one
+    /// flag per blocked warp.
+    snap: Vec<Snap>,
     /// Bit per warp: active and not parked at a barrier — the candidates
     /// the per-cycle issue scan must consider. Maintained at the
     /// activation/halt/park/release sites so the scan reads *no* per-warp
@@ -228,10 +189,13 @@ impl Core {
             rr_next: 0,
             full_mask: if t == 64 { u64::MAX } else { (1u64 << t) - 1 },
             active_n: 0,
-            tcache: None,
-            tcache_enabled: !cfg.reference_mode,
-            scan_tsb: vec![u64::MAX; w as usize],
-            scan_mem: vec![false; w as usize],
+            snap: vec![
+                Snap {
+                    ready_at: 0,
+                    mem: false,
+                };
+                w as usize
+            ],
             ready_mask: 0,
             parked_mask: 0,
             barrier_waiters: Vec::new(),
@@ -250,7 +214,7 @@ impl Core {
     }
 
     /// Activate warp 0 with one thread at `entry` (runtime doorbell).
-    pub fn reset_for_launch(&mut self, entry: u32) {
+    pub(crate) fn reset_for_launch(&mut self, entry: u32, text: Text) {
         for w in &mut self.warps {
             w.active = false;
             w.tmask = 0;
@@ -271,7 +235,7 @@ impl Core {
         self.lsu_next_free = 0;
         self.dcache.flush();
         self.rr_next = 0;
-        self.scan_tsb.fill(u64::MAX);
+        self.write_snap(0, entry, text);
         self.barrier_waiters.clear();
         self.next_event = 0;
         // Counters are per-launch: each `Simulator::run` reports only its
@@ -289,72 +253,20 @@ impl Core {
         self.active_n > 0
     }
 
-    /// Drop the macro-op cache: the loaded binary is about to change. The
-    /// issue snapshots were resolved from it, so they go too.
-    pub(crate) fn invalidate_tcache(&mut self) {
-        self.tcache = None;
-        self.scan_tsb.fill(u64::MAX);
-    }
-
-    /// Re-resolve one warp's issue snapshot from its current PC and
-    /// register ready-times: the one counted trace-cache lookup per
-    /// snapshot. Returns the scoreboard-ready cycle it stored.
-    fn refresh_slot(&mut self, wi: usize, program: &Program) -> u64 {
-        let pc = self.warps[wi].pc;
-        let decoded = if self.tcache_enabled {
-            self.tcache
-                .get_or_insert_with(|| TraceCache::new(program.instrs.len()))
-                .get(pc, program)
-                .map(|m| (m.sb, m.is_mem()))
-        } else {
-            program
-                .instrs
-                .get(pc as usize)
-                .map(|i| (regs_of(i), is_mem(i)))
+    /// Write warp `wi`'s issue snapshot from its PC `pc` and its register
+    /// ready-times.
+    #[inline(always)]
+    fn write_snap(&mut self, wi: usize, pc: u32, text: Text) {
+        self.snap[wi] = match text.fetch(pc) {
+            Some(op) => Snap {
+                ready_at: self.operands_ready_of(wi as u32, op.sb),
+                mem: op.mem,
+            },
+            None => Snap {
+                ready_at: 0,
+                mem: false,
+            },
         };
-        let (t_sb, mem) = match decoded {
-            Some((sb, mem)) => (self.operands_ready_of(wi as u32, sb), mem),
-            // "Ready now", so the scan funnels the warp into the issue
-            // path, whose fetch raises the fault.
-            None => (0, false),
-        };
-        self.scan_tsb[wi] = t_sb;
-        self.scan_mem[wi] = mem;
-        t_sb
-    }
-
-    /// The instruction at `pc` and its scoreboard destination index, for a
-    /// warp whose snapshot says it can issue: read in place from the trace
-    /// cache slot the refresh decoded (counter-free), or decoded on the
-    /// spot in `reference_mode`. `None` = PC outside the program.
-    #[inline]
-    fn fetch(&self, pc: u32, program: &Program) -> Option<(Instr, u8)> {
-        match &self.tcache {
-            Some(tc) => tc.peek(pc).map(|m| (m.instr, m.sb[2])),
-            None => program.instrs.get(pc as usize).map(|i| (*i, regs_of(i)[2])),
-        }
-    }
-
-    /// Whether the macro-op cache has been materialized (the zero-overhead
-    /// tests assert it never is in `reference_mode`).
-    pub fn trace_cache_built(&self) -> bool {
-        self.tcache.is_some()
-    }
-
-    /// Drain the macro-op cache counters `(hits, misses, fused_ops, runs)`
-    /// for the metrics registry.
-    pub(crate) fn take_tcache_counters(&mut self) -> (u64, u64, u64, u64) {
-        match &mut self.tcache {
-            Some(tc) => {
-                let c = (tc.hits, tc.misses, tc.fused_ops, tc.runs);
-                tc.hits = 0;
-                tc.misses = 0;
-                tc.fused_ops = 0;
-                tc.runs = 0;
-                c
-            }
-            None => (0, 0, 0, 0),
-        }
     }
 
     /// Index range of one register row — the `threads_n` lanes of `reg`
@@ -417,18 +329,19 @@ impl Core {
     /// away.
     ///
     /// [`fast_forward_stalls`]: Core::fast_forward_stalls
-    pub fn tick<S: TraceSink>(
+    #[inline(always)]
+    pub(crate) fn tick<S: TraceSink>(
         &mut self,
         now: u64,
-        program: &Program,
+        text: Text,
         mem: &mut SimMemory,
         view: &mut MemView,
         printf_out: &mut Vec<String>,
         sink: &mut S,
     ) -> Result<TickResult, SimError> {
         // Pick a ready warp, round-robin, from the per-warp issue
-        // snapshots — one cached ready-time compare per warp instead of an
-        // operand walk. Along the way, collect each blocked warp's exact
+        // snapshots — one ready-time compare per warp instead of an operand
+        // walk. Along the way, collect each blocked warp's exact
         // first-issuable cycle so a failed tick leaves `next_event` behind
         // for the event-driven run loop at no extra cost.
         #[cfg(debug_assertions)]
@@ -469,21 +382,21 @@ impl Core {
             while m != 0 {
                 let wi = m.trailing_zeros() as usize;
                 m &= m - 1;
-                // One ready-cycle load per blocked warp; the decoded
-                // instruction is only read on an actual issue.
-                let mut t_sb = self.scan_tsb[wi];
-                if t_sb == u64::MAX {
-                    t_sb = self.refresh_slot(wi, program);
-                }
-                let t_ready = if self.scan_mem[wi] {
+                let Snap {
+                    ready_at,
+                    mem: is_mem,
+                } = self.snap[wi];
+                #[cfg(debug_assertions)]
+                self.check_snap(wi, text);
+                let t_ready = if is_mem {
                     // Both conditions must hold at once; both are monotone,
                     // so the max is the exact first issuable cycle.
-                    t_sb.max(mshr_min)
+                    ready_at.max(mshr_min)
                 } else {
-                    t_sb
+                    ready_at
                 };
                 if t_ready > now {
-                    blocked.get_or_insert(if t_sb > now {
+                    blocked.get_or_insert(if ready_at > now {
                         StallKind::Scoreboard
                     } else {
                         StallKind::LsuFull
@@ -492,7 +405,7 @@ impl Core {
                     continue;
                 }
                 let pc = self.warps[wi].pc;
-                let Some((instr, dst)) = self.fetch(pc, program) else {
+                let Some(op) = text.fetch(pc) else {
                     return Err(SimError::BadPc {
                         core: self.id,
                         warp: wi as u32,
@@ -508,11 +421,11 @@ impl Core {
                     cycle: now,
                     pc,
                 });
-                self.execute(
-                    now, wi as u32, instr, dst, program, mem, view, printf_out, sink,
-                )?;
+                let next_pc =
+                    self.execute(now, wi as u32, pc, op, text, mem, view, printf_out, sink)?;
                 // The issue moved the warp's PC and its register ready-times.
-                self.scan_tsb[wi] = u64::MAX;
+                self.warps[wi].pc = next_pc;
+                self.write_snap(wi, next_pc, text);
                 return Ok(TickResult::Issued);
             }
         }
@@ -549,12 +462,12 @@ impl Core {
             if !w.active || w.barrier.is_some() {
                 continue;
             }
-            let Some(instr) = program.instrs.get(w.pc as usize) else {
+            let Some(op) = program.instrs.get(w.pc as usize).map(Op::decode) else {
                 // Bad PC: step densely so the next tick reports it.
                 return now + 1;
             };
-            let mut ready = self.operands_ready_at(wi as u32, instr);
-            if is_mem(instr) {
+            let mut ready = self.operands_ready_of(wi as u32, op.sb);
+            if op.mem {
                 ready = ready.max(self.mshr_min);
             }
             t = t.min(ready);
@@ -580,13 +493,7 @@ impl Core {
     /// The skipped span is mirrored into `sink` as aggregate stall events
     /// with the same classification, so a fast-forward trace canonicalizes
     /// to the dense loop's per-cycle trace.
-    pub fn fast_forward_stalls<S: TraceSink>(
-        &mut self,
-        from: u64,
-        to: u64,
-        program: &Program,
-        sink: &mut S,
-    ) {
+    pub fn fast_forward_stalls<S: TraceSink>(&mut self, from: u64, to: u64, sink: &mut S) {
         if to <= from {
             return;
         }
@@ -613,12 +520,9 @@ impl Core {
         };
         // A bad PC (snapshot 0, not a memory op) cannot get here: the tick
         // that would have opened the span faults on it instead.
-        let ready = match self.scan_tsb[wi] {
-            u64::MAX => self.refresh_slot(wi, program),
-            t => t,
-        };
-        let sb_cycles = ready.clamp(from, to) - from;
-        if self.scan_mem[wi] {
+        let Snap { ready_at, mem } = self.snap[wi];
+        let sb_cycles = ready_at.clamp(from, to) - from;
+        if mem {
             charge(
                 &mut self.stats,
                 StallKind::Scoreboard,
@@ -634,22 +538,35 @@ impl Core {
         }
     }
 
-    /// [`operands_ready_of`](Core::operands_ready_of) with a from-scratch
-    /// decode — the trace-cache-independent path `next_issue_cycle` uses as
-    /// a cross-check.
-    fn operands_ready_at(&self, warp: u32, i: &Instr) -> u64 {
-        self.operands_ready_of(warp, regs_of(i))
+    /// Debug builds: warp `wi`'s snapshot, and the op `text` holds at its
+    /// PC, equal what a from-scratch decode gives, so no snapshot write was
+    /// missed and no op comes from another program's table.
+    #[cfg(debug_assertions)]
+    fn check_snap(&self, wi: usize, text: Text) {
+        let pc = self.warps[wi].pc;
+        let op = text.program.instrs.get(pc as usize).map(Op::decode);
+        assert_eq!(text.fetch(pc), op, "core {} warp {wi}: stale op", self.id);
+        let ready_at = op.map_or(0, |o| self.operands_ready_of(wi as u32, o.sb));
+        let mem = op.is_some_and(|o| o.mem);
+        assert_eq!(
+            self.snap[wi],
+            Snap { ready_at, mem },
+            "core {} warp {wi}: stale issue snapshot at pc {pc}",
+            self.id
+        );
     }
 
     /// Latest ready-cycle over the scoreboard entries `sb` (see
-    /// [`regs_of`]): the first cycle at which the scoreboard no longer
+    /// [`Op::sb`]): the first cycle at which the scoreboard no longer
     /// blocks the instruction.
     #[inline]
     fn operands_ready_of(&self, warp: u32, sb: [u8; 3]) -> u64 {
-        let row = &self.ready[warp as usize * 64..][..64];
-        row[sb[0] as usize]
-            .max(row[sb[1] as usize])
-            .max(row[sb[2] as usize])
+        let row: &[u64; 64] = self.ready[warp as usize * 64..][..64]
+            .try_into()
+            .expect("a row is 64 entries");
+        row[sb[0] as usize & 63]
+            .max(row[sb[1] as usize & 63])
+            .max(row[sb[2] as usize & 63])
     }
 
     /// The next-event cycle cached by the last tick that issued nothing.
@@ -758,116 +675,168 @@ impl Core {
         }
     }
 
-    /// Execute the register-to-register instructions — everything whose
-    /// whole effect is one lane-row written from at most two lane-rows —
-    /// and return the producing unit's latency. Not generic over the sink,
-    /// so the per-opcode lane kernels are compiled once.
-    ///
-    /// Every arm resolves its rows and its opcode *before* the lane loop:
-    /// source rows are slices (`x0` reads its all-zero row), `rd == x0`
-    /// skips the write altogether, and the kernel runs over whole rows
-    /// under the full mask or walks the set bits of a divergent one (see
-    /// [`lanes2`]).
-    fn execute_rows(&mut self, wi: u32, instr: Instr, tmask: u64) -> u32 {
-        let part = (tmask != self.full_mask).then_some(Lanes(tmask));
-        match instr {
-            Instr::Lui { rd, imm } => {
-                self.set_int_row(wi, rd, part, |_| (imm as u32) << 12);
-                self.lat_alu
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                if rd != 0 {
-                    let (dst, a, _) = self.int_rows(wi, rd, rs1, rs1);
-                    let b = imm as u32;
-                    per_op!(op, K: AluOp { Add Sub Sll Slt Sltu Xor Srl Sra Or And } =>
-                        lanes1(dst, a, part, |x| alu(K, x, b)));
-                }
-                self.lat_alu
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                if rd != 0 {
-                    let (dst, a, b) = self.int_rows(wi, rd, rs1, rs2);
-                    per_op!(op, K: AluOp { Add Sub Sll Slt Sltu Xor Srl Sra Or And } =>
-                        lanes2(dst, a, b, part, |x, y| alu(K, x, y)));
-                }
-                self.lat_alu
-            }
-            Instr::MulDiv { op, rd, rs1, rs2 } => {
-                if rd != 0 {
-                    let (dst, a, b) = self.int_rows(wi, rd, rs1, rs2);
-                    per_op!(op, K: MulOp { Mul Mulh Mulhu Div Divu Rem Remu } =>
-                        lanes2(dst, a, b, part, |x, y| muldiv(K, x, y)));
-                }
-                match op {
-                    MulOp::Mul | MulOp::Mulh | MulOp::Mulhu => self.lat_mul,
-                    _ => self.lat_div,
-                }
-            }
-            Instr::FpOp { op, rd, rs1, rs2 } => {
-                let (dst, a, b) = self.fp_rows(wi, rd, rs1, rs2);
-                per_op!(op, K: FpOp { Add Sub Mul Div Min Max Sgnj SgnjN SgnjX } =>
-                    lanes2(dst, a, b, part, |x, y| fp_op(K, x, y)));
-                match op {
-                    FpOp::Div => self.lat_fdiv,
-                    _ => self.lat_fpu,
-                }
-            }
-            Instr::FpUn { op, rd, rs1 } => {
-                let (dst, a, _) = self.fp_rows(wi, rd, rs1, rs1);
-                per_op!(op, K: FpUnOp { Sqrt Exp Log Sin Cos Floor } =>
-                    lanes1(dst, a, part, |x| fp_un(K, x)));
-                match op {
-                    FpUnOp::Sqrt => self.lat_fdiv,
-                    _ => self.lat_sfu,
-                }
-            }
-            Instr::FpCmp { op, rd, rs1, rs2 } => {
-                if rd != 0 {
-                    let (d, a, b) = (self.row(wi, rd), self.row(wi, rs1), self.row(wi, rs2));
-                    let (dst, a, b) = (&mut self.iregs[d], &self.fregs[a], &self.fregs[b]);
-                    per_op!(op, K: FpCmpOp { Eq Lt Le } =>
-                        lanes2(dst, a, b, part, |x, y| fp_cmp(K, x, y)));
-                }
-                self.lat_fpu
-            }
-            Instr::FpCvt { op, rd, rs1 } => {
-                let to_int = matches!(op, CvtOp::F2I | CvtOp::F2U | CvtOp::MvF2X);
-                if !(to_int && rd == 0) {
-                    let (d, a) = (self.row(wi, rd), self.row(wi, rs1));
-                    let (dst, a) = if to_int {
-                        (&mut self.iregs[d], &self.fregs[a])
-                    } else {
-                        (&mut self.fregs[d], &self.iregs[a])
-                    };
-                    per_op!(op, K: CvtOp { F2I F2U I2F U2F MvF2X MvX2F } =>
-                        lanes1(dst, a, part, |x| fp_cvt(K, x)));
-                }
-                self.lat_fpu
-            }
-            Instr::CsrRead { rd, csr } => {
-                let uniform = match csr {
-                    Csr::ThreadId => None,
-                    Csr::WarpId => Some(wi),
-                    Csr::CoreId => Some(self.id),
-                    Csr::NumThreads => Some(self.threads_n),
-                    Csr::NumWarps => Some(self.warps_n),
-                    Csr::NumCores => Some(self.num_cores),
-                    Csr::Tmask => Some(tmask as u32),
-                };
-                self.set_int_row(wi, rd, part, |t| uniform.unwrap_or(t));
-                self.lat_alu
-            }
-            _ => unreachable!("{instr:?} is not a register-to-register instruction"),
-        }
-    }
-
-    /// Write `f(lane)` to the active lanes of integer register `rd`.
-    #[inline]
-    fn set_int_row(&mut self, wi: u32, rd: u8, part: Option<Lanes>, f: impl Fn(u32) -> u32) {
+    /// `rd = f(lane)` on the active lanes of integer register `rd`; one ALU
+    /// latency.
+    #[inline(always)]
+    fn int_row(&mut self, wi: u32, rd: u8, part: Option<Lanes>, f: impl Fn(u32) -> u32) -> u64 {
         if rd != 0 {
             let d = self.row(wi, rd);
             lanes0(&mut self.iregs[d], part, f);
         }
+        self.lat_alu.into()
+    }
+
+    /// Integer `rd = v` on every active lane; one ALU latency.
+    #[inline(always)]
+    fn int_uniform(&mut self, wi: u32, rd: u8, part: Option<Lanes>, v: u32) -> u64 {
+        self.int_row(wi, rd, part, |_| v)
+    }
+
+    /// Integer `rd = f(rs1, imm)`; one ALU latency.
+    #[inline(always)]
+    fn int_imm(
+        &mut self,
+        wi: u32,
+        op: Op,
+        part: Option<Lanes>,
+        f: impl Fn(u32, u32) -> u32,
+    ) -> u64 {
+        if op.rd != 0 {
+            let (dst, a, _) = self.int_rows(wi, op.rd, op.rs1, op.rs1);
+            let b = op.imm as u32;
+            lanes1(dst, a, part, |x| f(x, b));
+        }
+        self.lat_alu.into()
+    }
+
+    /// Integer `rd = f(rs1, rs2)` from a `lat`-cycle unit.
+    #[inline(always)]
+    fn int_op(
+        &mut self,
+        wi: u32,
+        op: Op,
+        part: Option<Lanes>,
+        lat: u32,
+        f: impl Fn(u32, u32) -> u32,
+    ) -> u64 {
+        if op.rd != 0 {
+            let (dst, a, b) = self.int_rows(wi, op.rd, op.rs1, op.rs2);
+            lanes2(dst, a, b, part, f);
+        }
+        lat.into()
+    }
+
+    /// Float `rd = f(rs1, rs2)` from a `lat`-cycle unit.
+    #[inline(always)]
+    fn fp_op2(
+        &mut self,
+        wi: u32,
+        op: Op,
+        part: Option<Lanes>,
+        lat: u32,
+        f: impl Fn(u32, u32) -> u32,
+    ) -> u64 {
+        let (dst, a, b) = self.fp_rows(wi, op.rd, op.rs1, op.rs2);
+        lanes2(dst, a, b, part, f);
+        lat.into()
+    }
+
+    /// Float `rd = f(rs1)` from a `lat`-cycle unit.
+    #[inline(always)]
+    fn fp_op1(
+        &mut self,
+        wi: u32,
+        op: Op,
+        part: Option<Lanes>,
+        lat: u32,
+        f: impl Fn(u32) -> u32,
+    ) -> u64 {
+        let (dst, a, _) = self.fp_rows(wi, op.rd, op.rs1, op.rs1);
+        lanes1(dst, a, part, f);
+        lat.into()
+    }
+
+    /// Integer `rd = f(rs1, rs2)` over float sources; one FPU latency.
+    #[inline(always)]
+    fn fp_cmp2(
+        &mut self,
+        wi: u32,
+        op: Op,
+        part: Option<Lanes>,
+        f: impl Fn(u32, u32) -> u32,
+    ) -> u64 {
+        if op.rd != 0 {
+            let (d, a, b) = (
+                self.row(wi, op.rd),
+                self.row(wi, op.rs1),
+                self.row(wi, op.rs2),
+            );
+            lanes2(&mut self.iregs[d], &self.fregs[a], &self.fregs[b], part, f);
+        }
+        self.lat_fpu.into()
+    }
+
+    /// `rd = f(rs1)` from the float file into the integer file (`to_int`)
+    /// or back; one FPU latency.
+    #[inline(always)]
+    fn cvt(
+        &mut self,
+        wi: u32,
+        op: Op,
+        part: Option<Lanes>,
+        to_int: bool,
+        f: impl Fn(u32) -> u32,
+    ) -> u64 {
+        if !(to_int && op.rd == 0) {
+            let (d, a) = (self.row(wi, op.rd), self.row(wi, op.rs1));
+            let (dst, a) = if to_int {
+                (&mut self.iregs[d], &self.fregs[a])
+            } else {
+                (&mut self.fregs[d], &self.iregs[a])
+            };
+            lanes1(dst, a, part, f);
+        }
+        self.lat_fpu.into()
+    }
+
+    /// A branch on `taken(rs1, rs2)`. Branches are warp-uniform by
+    /// construction — the compiler SPLIT-lowers divergent conditions
+    /// (§II-D) — so evaluating in the first active lane is sound.
+    #[inline(always)]
+    fn branch(&self, wi: u32, op: Op, next_pc: &mut u32, taken: impl Fn(u32, u32) -> bool) -> u64 {
+        if taken(self.read_uniform(wi, op.rs1), self.read_uniform(wi, op.rs2)) {
+            *next_pc = self.warps[wi as usize].pc.wrapping_add(op.imm as u32);
+        }
+        self.lat_alu.into()
+    }
+
+    /// An atomic `f`: one serialized access per active lane, bypassing
+    /// coalescing. Returns the cycles until `rd` holds the old values.
+    #[allow(clippy::too_many_arguments)]
+    fn amo<S: TraceSink>(
+        &mut self,
+        now: u64,
+        wi: u32,
+        op: Op,
+        f: AmoOp,
+        mem: &mut SimMemory,
+        view: &mut MemView,
+        sink: &mut S,
+    ) -> Result<u64, SimError> {
+        self.stats.loads += 1;
+        self.stats.stores += 1;
+        let pc = self.warps[wi as usize].pc;
+        let mut done = now;
+        for t in Lanes(self.warps[wi as usize].tmask) {
+            let addr = self.read_int(wi, op.rs1, t);
+            let v = self.read_int(wi, op.rs2, t);
+            let old = mem.load(self.id, addr).map_err(|e| at_pc(e, pc))?;
+            mem.store(self.id, addr, amo(f, old, v))
+                .map_err(|e| at_pc(e, pc))?;
+            self.write_int(wi, op.rd, t, old);
+            done = done.max(self.memory_time(now, &[addr], view, sink));
+        }
+        Ok(done - now)
     }
 
     /// Bit `t` set for every lane whose integer register `reg` is non-zero
@@ -879,45 +848,104 @@ impl Core {
             .fold(0, |m, (t, &v)| m | (u64::from(v != 0) << t))
     }
 
+    /// Execute one warp instruction: a single switch on the opcode. Every
+    /// register arm resolves its rows before the lane loop and calls the
+    /// scalar `alu`/`muldiv`/`fp_*` function — the one definition of the
+    /// semantics — with a constant operation, so each opcode compiles to
+    /// its own lane kernel: source rows are slices (`x0` reads its
+    /// all-zero row), `rd == x0` skips the write altogether, and the kernel
+    /// runs over whole rows under the full mask or walks the set bits of a
+    /// divergent one (see [`lanes2`]). Each arm yields the cycles until its
+    /// destination is ready; the warp's next PC is returned.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn execute<S: TraceSink>(
         &mut self,
         now: u64,
         wi: u32,
-        instr: Instr,
-        dst: u8,
-        program: &Program,
+        pc: u32,
+        op: Op,
+        text: Text,
         mem: &mut SimMemory,
         view: &mut MemView,
         printf_out: &mut Vec<String>,
         sink: &mut S,
-    ) -> Result<(), SimError> {
+    ) -> Result<u32, SimError> {
         let tmask = self.warps[wi as usize].tmask;
-        let pc = self.warps[wi as usize].pc;
         let mut next_pc = pc.wrapping_add(1);
-        let mut lat = self.lat_alu;
         let lanes = Lanes(tmask);
         let part = (tmask != self.full_mask).then_some(lanes);
-        match instr {
-            Instr::Lui { .. }
-            | Instr::OpImm { .. }
-            | Instr::Op { .. }
-            | Instr::MulDiv { .. }
-            | Instr::FpOp { .. }
-            | Instr::FpUn { .. }
-            | Instr::FpCmp { .. }
-            | Instr::FpCvt { .. }
-            | Instr::CsrRead { .. } => lat = self.execute_rows(wi, instr, tmask),
-            Instr::Lw { rd, rs1, imm } | Instr::Flw { rd, rs1, imm } => {
+        let lat: u64 = match op.code {
+            O::Lui => self.int_row(wi, op.rd, part, |_| (op.imm as u32) << 12),
+            O::Addi => self.int_imm(wi, op, part, |x, y| alu(AluOp::Add, x, y)),
+            O::Slli => self.int_imm(wi, op, part, |x, y| alu(AluOp::Sll, x, y)),
+            O::Slti => self.int_imm(wi, op, part, |x, y| alu(AluOp::Slt, x, y)),
+            O::Sltiu => self.int_imm(wi, op, part, |x, y| alu(AluOp::Sltu, x, y)),
+            O::Xori => self.int_imm(wi, op, part, |x, y| alu(AluOp::Xor, x, y)),
+            O::Srli => self.int_imm(wi, op, part, |x, y| alu(AluOp::Srl, x, y)),
+            O::Srai => self.int_imm(wi, op, part, |x, y| alu(AluOp::Sra, x, y)),
+            O::Ori => self.int_imm(wi, op, part, |x, y| alu(AluOp::Or, x, y)),
+            O::Andi => self.int_imm(wi, op, part, |x, y| alu(AluOp::And, x, y)),
+            O::Add => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Add, x, y)),
+            O::Sub => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Sub, x, y)),
+            O::Sll => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Sll, x, y)),
+            O::Slt => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Slt, x, y)),
+            O::Sltu => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Sltu, x, y)),
+            O::Xor => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Xor, x, y)),
+            O::Srl => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Srl, x, y)),
+            O::Sra => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Sra, x, y)),
+            O::Or => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Or, x, y)),
+            O::And => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::And, x, y)),
+            O::Mul => self.int_op(wi, op, part, self.lat_mul, |x, y| muldiv(MulOp::Mul, x, y)),
+            O::Mulh => self.int_op(wi, op, part, self.lat_mul, |x, y| muldiv(MulOp::Mulh, x, y)),
+            O::Mulhu => self.int_op(wi, op, part, self.lat_mul, |x, y| {
+                muldiv(MulOp::Mulhu, x, y)
+            }),
+            O::Div => self.int_op(wi, op, part, self.lat_div, |x, y| muldiv(MulOp::Div, x, y)),
+            O::Divu => self.int_op(wi, op, part, self.lat_div, |x, y| muldiv(MulOp::Divu, x, y)),
+            O::Rem => self.int_op(wi, op, part, self.lat_div, |x, y| muldiv(MulOp::Rem, x, y)),
+            O::Remu => self.int_op(wi, op, part, self.lat_div, |x, y| muldiv(MulOp::Remu, x, y)),
+            O::Fadd => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Add, x, y)),
+            O::Fsub => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Sub, x, y)),
+            O::Fmul => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Mul, x, y)),
+            O::Fdiv => self.fp_op2(wi, op, part, self.lat_fdiv, |x, y| fp_op(FpOp::Div, x, y)),
+            O::Fmin => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Min, x, y)),
+            O::Fmax => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Max, x, y)),
+            O::Fsgnj => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Sgnj, x, y)),
+            O::Fsgnjn => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::SgnjN, x, y)),
+            O::Fsgnjx => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::SgnjX, x, y)),
+            O::Fsqrt => self.fp_op1(wi, op, part, self.lat_fdiv, |x| fp_un(FpUnOp::Sqrt, x)),
+            O::Fexp => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Exp, x)),
+            O::Flog => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Log, x)),
+            O::Fsin => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Sin, x)),
+            O::Fcos => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Cos, x)),
+            O::Ffloor => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Floor, x)),
+            O::Feq => self.fp_cmp2(wi, op, part, |x, y| fp_cmp(FpCmpOp::Eq, x, y)),
+            O::Flt => self.fp_cmp2(wi, op, part, |x, y| fp_cmp(FpCmpOp::Lt, x, y)),
+            O::Fle => self.fp_cmp2(wi, op, part, |x, y| fp_cmp(FpCmpOp::Le, x, y)),
+            O::FcvtWS => self.cvt(wi, op, part, true, |x| fp_cvt(CvtOp::F2I, x)),
+            O::FcvtWuS => self.cvt(wi, op, part, true, |x| fp_cvt(CvtOp::F2U, x)),
+            O::FmvXW => self.cvt(wi, op, part, true, |x| fp_cvt(CvtOp::MvF2X, x)),
+            O::FcvtSW => self.cvt(wi, op, part, false, |x| fp_cvt(CvtOp::I2F, x)),
+            O::FcvtSWu => self.cvt(wi, op, part, false, |x| fp_cvt(CvtOp::U2F, x)),
+            O::FmvWX => self.cvt(wi, op, part, false, |x| fp_cvt(CvtOp::MvX2F, x)),
+            O::CsrThreadId => self.int_row(wi, op.rd, part, |t| t),
+            O::CsrWarpId => self.int_row(wi, op.rd, part, |_| wi),
+            O::CsrCoreId => self.int_uniform(wi, op.rd, part, self.id),
+            O::CsrNumThreads => self.int_uniform(wi, op.rd, part, self.threads_n),
+            O::CsrNumWarps => self.int_uniform(wi, op.rd, part, self.warps_n),
+            O::CsrNumCores => self.int_uniform(wi, op.rd, part, self.num_cores),
+            O::CsrTmask => self.int_uniform(wi, op.rd, part, tmask as u32),
+            O::Lw | O::Flw => {
                 self.stats.loads += 1;
                 let mut addrs = [0u32; 64];
-                let na = lane_addrs(&mut addrs, &self.iregs[self.row(wi, rs1)], imm, part);
-                let d = self.row(wi, rd);
+                let na = lane_addrs(&mut addrs, &self.iregs[self.row(wi, op.rs1)], op.imm, part);
+                let d = self.row(wi, op.rd);
                 // A load into `x0` still makes its accesses (they can
                 // fault) but writes nothing.
-                let mut dst_row = match instr {
-                    Instr::Flw { .. } => Some(&mut self.fregs[d]),
-                    _ if rd != 0 => Some(&mut self.iregs[d]),
+                let mut dst_row = match op.code {
+                    O::Flw => Some(&mut self.fregs[d]),
+                    _ if op.rd != 0 => Some(&mut self.iregs[d]),
                     _ => None,
                 };
                 for (&addr, t) in addrs[..na].iter().zip(lanes) {
@@ -926,18 +954,15 @@ impl Core {
                         row[t as usize] = v;
                     }
                 }
-                let done = self.memory_time(now, &addrs[..na], view, sink);
-                self.mark_dest(wi, dst, done);
-                self.warps[wi as usize].pc = next_pc;
-                return Ok(());
+                self.memory_time(now, &addrs[..na], view, sink) - now
             }
-            Instr::Sw { rs1, rs2, imm } | Instr::Fsw { rs1, rs2, imm } => {
+            O::Sw | O::Fsw => {
                 self.stats.stores += 1;
                 let mut addrs = [0u32; 64];
-                let na = lane_addrs(&mut addrs, &self.iregs[self.row(wi, rs1)], imm, part);
-                let s = self.row(wi, rs2);
-                let src = match instr {
-                    Instr::Fsw { .. } => &self.fregs[s],
+                let na = lane_addrs(&mut addrs, &self.iregs[self.row(wi, op.rs1)], op.imm, part);
+                let s = self.row(wi, op.rs2);
+                let src = match op.code {
+                    O::Fsw => &self.fregs[s],
                     _ => &self.iregs[s],
                 };
                 for (&addr, t) in addrs[..na].iter().zip(lanes) {
@@ -946,63 +971,34 @@ impl Core {
                 }
                 // Stores retire through the same LSU path (write-through),
                 // consuming bandwidth but not blocking a destination.
-                let _ = self.memory_time(now, &addrs[..na], view, sink);
-                self.warps[wi as usize].pc = next_pc;
-                return Ok(());
+                self.memory_time(now, &addrs[..na], view, sink);
+                0
             }
-            Instr::Amo { op, rd, rs1, rs2 } => {
-                self.stats.loads += 1;
-                self.stats.stores += 1;
-                // Atomics bypass coalescing: one serialized access per lane.
-                let mut done = now;
-                for t in lanes {
-                    let addr = self.read_int(wi, rs1, t);
-                    let v = self.read_int(wi, rs2, t);
-                    let old = mem.load(self.id, addr).map_err(|e| at_pc(e, pc))?;
-                    let new = amo(op, old, v);
-                    mem.store(self.id, addr, new).map_err(|e| at_pc(e, pc))?;
-                    self.write_int(wi, rd, t, old);
-                    done = done.max(self.memory_time(now, &[addr], view, sink));
-                }
-                self.mark_dest(wi, dst, done);
-                self.warps[wi as usize].pc = next_pc;
-                return Ok(());
+            O::AmoAdd => self.amo(now, wi, op, AmoOp::Add, mem, view, sink)?,
+            O::AmoSwap => self.amo(now, wi, op, AmoOp::Swap, mem, view, sink)?,
+            O::AmoXor => self.amo(now, wi, op, AmoOp::Xor, mem, view, sink)?,
+            O::AmoOr => self.amo(now, wi, op, AmoOp::Or, mem, view, sink)?,
+            O::AmoAnd => self.amo(now, wi, op, AmoOp::And, mem, view, sink)?,
+            O::AmoMin => self.amo(now, wi, op, AmoOp::Min, mem, view, sink)?,
+            O::AmoMax => self.amo(now, wi, op, AmoOp::Max, mem, view, sink)?,
+            O::AmoMinu => self.amo(now, wi, op, AmoOp::Minu, mem, view, sink)?,
+            O::AmoMaxu => self.amo(now, wi, op, AmoOp::Maxu, mem, view, sink)?,
+            O::Beq => self.branch(wi, op, &mut next_pc, |a, b| a == b),
+            O::Bne => self.branch(wi, op, &mut next_pc, |a, b| a != b),
+            O::Blt => self.branch(wi, op, &mut next_pc, |a, b| (a as i32) < (b as i32)),
+            O::Bge => self.branch(wi, op, &mut next_pc, |a, b| (a as i32) >= (b as i32)),
+            O::Bltu => self.branch(wi, op, &mut next_pc, |a, b| a < b),
+            O::Bgeu => self.branch(wi, op, &mut next_pc, |a, b| a >= b),
+            O::Jal => {
+                next_pc = pc.wrapping_add(op.imm as u32);
+                self.int_row(wi, op.rd, part, |_| pc + 1)
             }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                // Branches are warp-uniform by construction: the compiler
-                // SPLIT-lowers divergent conditions (§II-D), so evaluating
-                // in the first active lane is sound.
-                let a = self.read_uniform(wi, rs1);
-                let b = self.read_uniform(wi, rs2);
-                let taken = match cond {
-                    BranchCond::Eq => a == b,
-                    BranchCond::Ne => a != b,
-                    BranchCond::Lt => (a as i32) < (b as i32),
-                    BranchCond::Ge => (a as i32) >= (b as i32),
-                    BranchCond::Ltu => a < b,
-                    BranchCond::Geu => a >= b,
-                };
-                if taken {
-                    next_pc = pc.wrapping_add(offset as u32);
-                }
+            O::Jalr => {
+                next_pc = self.read_uniform(wi, op.rs1).wrapping_add(op.imm as u32);
+                self.int_row(wi, op.rd, part, |_| pc + 1)
             }
-            Instr::Jal { rd, offset } => {
-                self.set_int_row(wi, rd, part, |_| pc + 1);
-                next_pc = pc.wrapping_add(offset as u32);
-            }
-            Instr::Jalr { rd, rs1, imm } => {
-                let target = self.read_uniform(wi, rs1).wrapping_add(imm as u32);
-                self.set_int_row(wi, rd, part, |_| pc + 1);
-                next_pc = target;
-            }
-            Instr::Tmc { rs1 } => {
-                lat = self.lat_sfu;
-                let mask = self.read_uniform(wi, rs1) as u64 & self.full_mask;
+            O::Tmc => {
+                let mask = self.read_uniform(wi, op.rs1) as u64 & self.full_mask;
                 let w = &mut self.warps[wi as usize];
                 w.tmask = mask;
                 if mask == 0 {
@@ -1010,11 +1006,11 @@ impl Core {
                     self.active_n -= 1;
                     self.ready_mask &= !(1 << wi);
                 }
+                self.lat_sfu.into()
             }
-            Instr::Wspawn { rs1, rs2 } => {
-                lat = self.lat_sfu;
-                let count = self.read_uniform(wi, rs1).min(self.warps_n);
-                let entry = self.read_uniform(wi, rs2);
+            O::Wspawn => {
+                let count = self.read_uniform(wi, op.rs1).min(self.warps_n);
+                let entry = self.read_uniform(wi, op.rs2);
                 sink.event(&TraceEvent::Wspawn {
                     core: self.id,
                     warp: wi,
@@ -1022,8 +1018,8 @@ impl Core {
                     count,
                     entry,
                 });
-                for w in 1..count {
-                    let warp = &mut self.warps[w as usize];
+                for w in 1..count as usize {
+                    let warp = &mut self.warps[w];
                     if !warp.active {
                         self.active_n += 1;
                     }
@@ -1031,20 +1027,19 @@ impl Core {
                     warp.pc = entry;
                     warp.tmask = 1;
                     warp.stack.clear();
-                    // The spawn rewrote this warp's PC out from under its
-                    // issue snapshot.
-                    self.scan_tsb[w as usize] = u64::MAX;
                     self.ready_mask |= 1 << w;
                     self.parked_mask &= !(1 << w);
                     if let Some(key) = warp.barrier.take() {
                         // Respawning a parked warp shrinks its barrier group.
                         self.barrier_leave(key);
                     }
+                    // The spawn moved this warp's PC.
+                    self.write_snap(w, entry, text);
                 }
+                self.lat_sfu.into()
             }
-            Instr::Split { rs1, else_off } => {
-                lat = self.lat_sfu;
-                let taken = self.nonzero_lanes(wi, rs1) & tmask;
+            O::Split => {
+                let taken = self.nonzero_lanes(wi, op.rs1) & tmask;
                 let else_mask = tmask & !taken;
                 let w = &mut self.warps[wi as usize];
                 if else_mask == 0 {
@@ -1053,18 +1048,18 @@ impl Core {
                 } else if taken == 0 {
                     // All false: jump straight to else.
                     w.stack.push(Ipdom::Reconv { mask: tmask });
-                    next_pc = pc.wrapping_add(else_off as u32);
+                    next_pc = pc.wrapping_add(op.imm as u32);
                 } else {
                     w.stack.push(Ipdom::Reconv { mask: tmask });
                     w.stack.push(Ipdom::Else {
                         mask: else_mask,
-                        pc: pc.wrapping_add(else_off as u32),
+                        pc: pc.wrapping_add(op.imm as u32),
                     });
                     w.tmask = taken;
                 }
+                self.lat_sfu.into()
             }
-            Instr::Join { off } => {
-                lat = self.lat_sfu;
+            O::Join => {
                 let w = &mut self.warps[wi as usize];
                 match w.stack.pop() {
                     Some(Ipdom::Else { mask, pc: else_pc }) => {
@@ -1073,42 +1068,47 @@ impl Core {
                     }
                     Some(Ipdom::Reconv { mask }) => {
                         w.tmask = mask;
-                        next_pc = pc.wrapping_add(off as u32);
+                        next_pc = pc.wrapping_add(op.imm as u32);
                     }
                     None => {
                         // Unbalanced join: treat as no-op jump (compiler
                         // never emits this; hand-written tests might).
-                        next_pc = pc.wrapping_add(off as u32);
+                        next_pc = pc.wrapping_add(op.imm as u32);
                     }
                 }
+                self.lat_sfu.into()
             }
-            Instr::Pred { rs1, rs2, exit_off } => {
-                lat = self.lat_sfu;
-                let live = self.nonzero_lanes(wi, rs1) & tmask;
+            O::Pred => {
+                let live = self.nonzero_lanes(wi, op.rs1) & tmask;
                 if live != 0 {
                     self.warps[wi as usize].tmask = live;
                 } else {
-                    let restore = self.read_uniform(wi, rs2) as u64 & self.full_mask;
+                    let restore = self.read_uniform(wi, op.rs2) as u64 & self.full_mask;
                     self.warps[wi as usize].tmask = restore;
-                    next_pc = pc.wrapping_add(exit_off as u32);
+                    next_pc = pc.wrapping_add(op.imm as u32);
                 }
+                self.lat_sfu.into()
             }
-            Instr::Bar { rs1, rs2 } => {
-                lat = self.lat_sfu;
-                let id = self.read_uniform(wi, rs1);
-                let count = self.read_uniform(wi, rs2).max(1);
-                self.warps[wi as usize].barrier = Some((id, count));
+            O::Bar => {
+                let bar = self.read_uniform(wi, op.rs1);
+                let count = self.read_uniform(wi, op.rs2).max(1);
+                self.warps[wi as usize].barrier = Some((bar, count));
                 self.ready_mask &= !(1 << wi);
                 self.parked_mask |= 1 << wi;
-                self.barrier_arrive(wi, now, id, count, sink);
+                self.barrier_arrive(wi, now, bar, count, sink);
+                self.lat_sfu.into()
             }
-            Instr::Print { fmt } => {
-                let entry = program.printf_table.get(fmt as usize).cloned().unwrap_or(
-                    vortex_isa::PrintfFmt {
+            O::Print => {
+                let fmt = op.imm as u16;
+                let entry = text
+                    .program
+                    .printf_table
+                    .get(fmt as usize)
+                    .cloned()
+                    .unwrap_or(vortex_isa::PrintfFmt {
                         fmt: format!("<bad printf id {fmt}>"),
                         args: vec![],
-                    },
-                );
+                    });
                 for t in lanes {
                     let hart = (self.id * self.warps_n + wi) * self.threads_n + t;
                     let buf = PRINTF_BASE + hart * PRINTF_STRIDE;
@@ -1135,19 +1135,19 @@ impl Core {
                     }
                     printf_out.push(out);
                 }
+                self.lat_alu.into()
             }
-            Instr::Halt => {
+            O::Halt => {
                 let w = &mut self.warps[wi as usize];
                 w.tmask = 0;
                 w.active = false;
                 self.active_n -= 1;
                 self.ready_mask &= !(1 << wi);
+                self.lat_alu.into()
             }
-        }
-        let done = now + lat as u64;
-        self.mark_dest(wi, dst, done);
-        self.warps[wi as usize].pc = next_pc;
-        Ok(())
+        };
+        self.mark_dest(wi, op.sb[2], now + lat);
+        Ok(next_pc)
     }
 
     /// Timing for a warp memory access over the given lane addresses:
@@ -1525,15 +1525,16 @@ fn amo(op: AmoOp, old: u32, v: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memsys::MemSystem;
     use crate::trace::NopSink;
     use fpga_arch::VortexConfig;
     use repro_util::Rng;
-    use vortex_isa::abi;
+    use vortex_isa::{abi, Csr, Instr};
 
     fn test_core(warps: u32, threads: u32) -> Core {
         let cfg = SimConfig::new(VortexConfig::new(1, warps, threads));
         let mut core = Core::new(0, &cfg);
-        core.reset_for_launch(0);
+        core.reset_for_launch(0, Text::decoding(&Program::default()));
         core
     }
 
@@ -1555,9 +1556,10 @@ mod tests {
             imm: 1,
         });
         core.ready[abi::T0 as usize] = 40;
+        core.write_snap(0, 0, Text::decoding(&p));
         assert_eq!(core.next_issue_cycle(7, &p), 40);
         // The whole span is a scoreboard stall for a non-memory instruction.
-        core.fast_forward_stalls(8, 40, &p, &mut NopSink);
+        core.fast_forward_stalls(8, 40, &mut NopSink);
         assert_eq!(core.stats.stall_scoreboard, 32);
         assert_eq!(core.stats.stall_lsu, 0);
         assert_eq!(core.stats.stall_barrier, 0);
@@ -1574,11 +1576,12 @@ mod tests {
         core.ready[abi::T0 as usize] = 10;
         core.mshr_free.fill(33);
         core.mshr_min = 33;
+        core.write_snap(0, 0, Text::decoding(&p));
         // Operands ready at 10, but every MSHR is busy until 33.
         assert_eq!(core.next_issue_cycle(7, &p), 33);
         // Cycles 8..10 classify as scoreboard, 10..33 as LSU — exactly what
         // the dense loop would count tick by tick.
-        core.fast_forward_stalls(8, 33, &p, &mut NopSink);
+        core.fast_forward_stalls(8, 33, &mut NopSink);
         assert_eq!(core.stats.stall_scoreboard, 2);
         assert_eq!(core.stats.stall_lsu, 23);
     }
@@ -1589,7 +1592,7 @@ mod tests {
         core.warps[0].barrier = Some((0, 2));
         let p = one_instr(Instr::Halt);
         assert_eq!(core.next_issue_cycle(5, &p), u64::MAX);
-        core.fast_forward_stalls(6, 20, &p, &mut NopSink);
+        core.fast_forward_stalls(6, 20, &mut NopSink);
         assert_eq!(core.stats.stall_barrier, 14);
         assert_eq!(core.stats.stall_scoreboard, 0);
     }
@@ -1709,7 +1712,7 @@ mod tests {
     /// and three divergent ones, and compare both whole register files with
     /// the prior state plus `want(lane, src1, src2)` in the active lanes of
     /// the destination row — so inactive lanes, other rows, the other warp
-    /// and `x0` are checked too. Rows come from [`regs_of`], which makes
+    /// and `x0` are checked too. Rows come from [`Op::sb`], which makes
     /// this a cross-check of the scoreboard indices as well.
     fn check_rows(t_n: u32, instr: Instr, rng: &mut Rng, want: &dyn Fn(u32, u32, u32) -> u32) {
         let mut core = test_core(2, t_n);
@@ -1721,7 +1724,12 @@ mod tests {
             full & !(1 << (t_n - 1)),
         ];
         let (wi, t_n) = (1u32, t_n as usize);
-        let [s1, s2, d] = regs_of(&instr).map(|i| (wi as usize * 64 + i as usize) * t_n);
+        let op = Op::decode(&instr);
+        let [s1, s2, d] = op.sb.map(|i| (wi as usize * 64 + i as usize) * t_n);
+        let program = Program::default();
+        let cfg = SimConfig::new(VortexConfig::new(1, 2, t_n as u32));
+        let mut mem = SimMemory::new(cfg.global_mem_bytes, 1, cfg.local_mem_bytes);
+        let mut memsys = MemSystem::new(cfg.l2, cfg.dram, 1, cfg.epoch_cycles);
         let file = t_n * 32;
         for tmask in masks {
             fill_regs(&mut core, rng);
@@ -1740,7 +1748,21 @@ mod tests {
                     expect[d + i] = want(t, expect[s1 + i], expect[s2 + i]);
                 }
             }
-            core.execute_rows(wi, instr, tmask);
+            core.warps[wi as usize].tmask = tmask;
+            let view = memsys.view_mut(0);
+            let text = Text::decoding(&program);
+            core.execute(
+                0,
+                wi,
+                0,
+                op,
+                text,
+                &mut mem,
+                view,
+                &mut Vec::new(),
+                &mut NopSink,
+            )
+            .unwrap();
             for (i, (got, want)) in regs(&core).into_iter().zip(expect).enumerate() {
                 let both_nan = f32::from_bits(got).is_nan() && f32::from_bits(want).is_nan();
                 assert!(

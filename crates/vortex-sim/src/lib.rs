@@ -36,10 +36,14 @@ pub use mem::SimMemory;
 pub use memsys::{MemSystem, MemView};
 pub use profile::LaunchProfile;
 pub use stats::{SimStats, StallKind};
+pub use tcache::Image;
 pub use trace::{canonical_core_events, CacheLevel, NopSink, RecordingSink, TraceEvent, TraceSink};
+
+use std::sync::Arc;
 
 use fpga_arch::VortexConfig;
 use repro_util::metrics;
+use tcache::Text;
 use vortex_isa::Program;
 
 /// Largest machine the simulator models. Warp and thread masks are 64 bits
@@ -90,8 +94,8 @@ pub struct SimConfig {
     /// fast-forwarding. The two produce bit-identical results (cycles,
     /// stall breakdown, memory state); this is the escape hatch for
     /// differential testing and for debugging the scheduler itself.
-    /// Reference mode also disables the macro-op trace cache, keeping the
-    /// baseline on the from-scratch decode path.
+    /// Reference mode also never builds the decoded op table: the
+    /// baseline decodes from scratch at every issue.
     pub reference_mode: bool,
     /// Epoch length in cycles of the multi-core timing model (see
     /// [`memsys`]): both run loops freeze the shared L2/DRAM timing state
@@ -282,47 +286,41 @@ pub struct Simulator {
     pub mem: SimMemory,
     cores: Vec<Core>,
     memsys: MemSystem,
-    program: Program,
+    image: Arc<Image>,
 }
 
 impl Simulator {
     /// Build a machine and load `program`.
     pub fn new(cfg: SimConfig, program: Program) -> Self {
+        Self::with_image(cfg, Arc::new(Image::new(program)))
+    }
+
+    /// Build a machine and load `image`, which may be shared with other
+    /// machines: its op table is decoded at most once.
+    pub fn with_image(cfg: SimConfig, image: Arc<Image>) -> Self {
         let cores = (0..cfg.hw.cores).map(|c| Core::new(c, &cfg)).collect();
         Simulator {
             mem: SimMemory::new(cfg.global_mem_bytes, cfg.hw.cores, cfg.local_mem_bytes),
             memsys: MemSystem::new(cfg.l2, cfg.dram, cfg.hw.cores, cfg.epoch_cycles),
             cores,
-            program,
+            image,
             cfg,
         }
     }
 
-    /// Replace the loaded kernel binary (between launches of a multi-kernel
-    /// application); device memory is preserved, caches are cold. This is
-    /// the *only* point that invalidates the per-core macro-op trace
-    /// caches: within a launch sequence of one binary nothing is ever
-    /// re-decoded.
-    pub fn set_program(&mut self, program: Program) {
-        self.program = program;
-        for core in &mut self.cores {
-            core.invalidate_tcache();
-        }
+    /// Replace the loaded kernel (between launches of a multi-kernel
+    /// application); device memory is preserved. Issue snapshots are
+    /// written at launch start, so nothing decoded from the previous kernel
+    /// survives into the next launch.
+    pub fn set_image(&mut self, image: Arc<Image>) {
+        self.image = image;
     }
 
-    /// True if any core has materialized its macro-op trace cache. Stays
-    /// `false` for the lifetime of a `reference_mode` machine — the
+    /// True once the loaded image's op table is built. Stays `false` for
+    /// the lifetime of a `reference_mode` machine with its own image — the
     /// zero-overhead guarantee the baseline loop's tests pin down.
-    pub fn trace_cache_built(&self) -> bool {
-        self.cores.iter().any(|c| c.trace_cache_built())
-    }
-
-    /// Reset all cores to warp 0 / pc `entry` with one active thread, as the
-    /// runtime's doorbell does on real hardware.
-    pub fn start(&mut self) {
-        for core in &mut self.cores {
-            core.reset_for_launch(self.program.entry);
-        }
+    pub fn op_table_built(&self) -> bool {
+        self.image.decoded()
     }
 
     /// Run until every warp has halted. Returns statistics and console
@@ -350,7 +348,14 @@ impl Simulator {
         &mut self,
         sink: &mut S,
     ) -> Result<SimResult, Box<SimFault>> {
-        self.start();
+        let dense = self.cfg.reference_mode;
+        let image = Arc::clone(&self.image);
+        let (text, decoded) = image.text(!dense);
+        // Reset all cores to warp 0 at the entry with one active thread, as
+        // the runtime's doorbell does on real hardware.
+        for core in &mut self.cores {
+            core.reset_for_launch(image.program.entry, text);
+        }
         // A new launch restarts the clock: fold any logged tail of the
         // previous launch into the master memory-system models (device
         // caches stay warm across launches) and restart the epoch sequence.
@@ -361,10 +366,10 @@ impl Simulator {
         // own work and agree with the launch's event trace.
         let (l2_hits0, l2_misses0, dr_acc0, dr_rowhits0) = self.memsys.observed();
         let mut printf_output = Vec::new();
-        let outcome = if self.cfg.reference_mode {
-            self.run_dense(&mut printf_output, sink)
+        let outcome = if dense {
+            self.run_dense(text, &mut printf_output, sink)
         } else {
-            self.run_events(&mut printf_output, sink)
+            self.run_events(text, &mut printf_output, sink)
         };
         let (cycles, fault) = match outcome {
             Ok(cycles) => (cycles, None),
@@ -383,15 +388,10 @@ impl Simulator {
         stats.dram_accesses = dr_acc - dr_acc0;
         stats.dram_row_hits = dr_rowhits - dr_rowhits0;
         if metrics::enabled() {
-            let mut t = (0u64, 0u64, 0u64, 0u64);
-            for core in &mut self.cores {
-                let (h, m, f, r) = core.take_tcache_counters();
-                t = (t.0 + h, t.1 + m, t.2 + f, t.3 + r);
-            }
-            metrics::counter_add("sim.trace_cache.hits", t.0);
-            metrics::counter_add("sim.trace_cache.misses", t.1);
-            metrics::counter_add("sim.trace_cache.fused_ops", t.2);
-            metrics::counter_add("sim.trace_cache.runs", t.3);
+            // Issues served from the op table, and ops decoded into it.
+            let served = if dense { 0 } else { stats.instructions };
+            metrics::counter_add("sim.trace_cache.hits", served);
+            metrics::counter_add("sim.trace_cache.misses", decoded);
         }
         let result = SimResult {
             stats,
@@ -438,6 +438,7 @@ impl Simulator {
     /// partial statistics.
     fn run_dense<S: TraceSink>(
         &mut self,
+        text: Text,
         printf_output: &mut Vec<String>,
         sink: &mut S,
     ) -> Result<u64, (SimError, u64)> {
@@ -456,7 +457,7 @@ impl Simulator {
                     let r = core
                         .tick(
                             cycle,
-                            &self.program,
+                            text,
                             &mut self.mem,
                             self.memsys.view_mut(ci),
                             printf_output,
@@ -492,7 +493,9 @@ impl Simulator {
     }
 
     /// The event-driven scheduler: each core carries the next cycle it must
-    /// be ticked at, and the clock jumps straight to the earliest one.
+    /// be ticked at, and the clock jumps straight to the earliest one. One
+    /// pass over the cores per event cycle ticks the due ones and takes the
+    /// minimum for the next.
     ///
     /// Why this is exact: a core that fails to issue at cycle `c` cannot
     /// issue before [`Core::next_issue_cycle`] — scoreboard ready-times,
@@ -507,38 +510,87 @@ impl Simulator {
     /// classification.
     fn run_events<S: TraceSink>(
         &mut self,
+        text: Text,
         printf_output: &mut Vec<String>,
         sink: &mut S,
     ) -> Result<u64, (SimError, u64)> {
         let limit = self.cfg.max_cycles;
         let budget = self.cfg.max_instructions;
-        let n = self.cores.len();
-        let mut next_tick = vec![0u64; n];
-        let mut end: u64 = 0;
+        // Launch start made every core live and due at cycle 0.
+        let mut next_tick = vec![0u64; self.cores.len()];
+        let mut cycle: u64 = 0;
         // Running count of this launch's issues, so the budget check does
         // not re-sum the cores after every event cycle.
         let mut issued: u64 = 0;
         loop {
-            let mut cycle = u64::MAX;
+            self.memsys.advance_to(cycle);
+            let mut next = u64::MAX;
             let mut any_alive = false;
-            for (ci, core) in self.cores.iter().enumerate() {
-                if core.any_active() {
-                    any_alive = true;
-                    cycle = cycle.min(next_tick[ci]);
+            for (ci, tick_at) in next_tick.iter_mut().enumerate() {
+                let core = &mut self.cores[ci];
+                if !core.any_active() {
+                    continue;
                 }
+                if *tick_at == cycle {
+                    let r = core
+                        .tick(
+                            cycle,
+                            text,
+                            &mut self.mem,
+                            self.memsys.view_mut(ci),
+                            printf_output,
+                            sink,
+                        )
+                        .map_err(|e| (e, cycle + 1))?;
+                    if matches!(r, TickResult::Issued) {
+                        *tick_at = cycle + 1;
+                        issued += 1;
+                    } else {
+                        let target = core.next_event();
+                        debug_assert_eq!(
+                            target,
+                            core.next_issue_cycle(cycle, text.program),
+                            "cached next-event diverged from recomputation"
+                        );
+                        if target != u64::MAX {
+                            core.fast_forward_stalls(
+                                cycle + 1,
+                                target.min(limit.saturating_add(1)),
+                                sink,
+                            );
+                        }
+                        // A core parked forever (target = MAX) is left
+                        // alone: the deadlock check below fires once every
+                        // other core drains, without pre-charging stall
+                        // cycles that the abort would cut short.
+                        *tick_at = target;
+                    }
+                    if !core.any_active() {
+                        continue;
+                    }
+                }
+                any_alive = true;
+                next = next.min(*tick_at);
+            }
+            let end = cycle + 1;
+            debug_assert_eq!(issued, self.instructions_total());
+            if issued > budget {
+                // Issues happen in the identical order in both scheduler
+                // modes, so the budget trips at the identical instruction.
+                return Err((SimError::InstrLimit(budget), end));
             }
             if !any_alive {
                 // Every warp has halted; the dense loop would have broken
                 // out one cycle after the last issue.
                 return Ok(end);
             }
-            if cycle == u64::MAX {
+            if next == u64::MAX {
                 // No core has a pending event: every live warp is parked
                 // at a barrier — the same state the dense loop detects the
                 // cycle after the last arrival, with the same stuck set.
                 return Err((self.deadlock_error(), end));
             }
-            if cycle > limit {
+            if next > limit {
                 // The dense loop errors as soon as its counter passes the
                 // limit, always with value limit + 1.
                 return Err((
@@ -546,53 +598,7 @@ impl Simulator {
                     limit.saturating_add(1),
                 ));
             }
-            self.memsys.advance_to(cycle);
-            for (ci, tick_at) in next_tick.iter_mut().enumerate() {
-                if *tick_at != cycle || !self.cores[ci].any_active() {
-                    continue;
-                }
-                let r = self.cores[ci]
-                    .tick(
-                        cycle,
-                        &self.program,
-                        &mut self.mem,
-                        self.memsys.view_mut(ci),
-                        printf_output,
-                        sink,
-                    )
-                    .map_err(|e| (e, cycle + 1))?;
-                if matches!(r, TickResult::Issued) {
-                    *tick_at = cycle + 1;
-                    issued += 1;
-                } else {
-                    let target = self.cores[ci].next_event();
-                    debug_assert_eq!(
-                        target,
-                        self.cores[ci].next_issue_cycle(cycle, &self.program),
-                        "cached next-event diverged from recomputation"
-                    );
-                    if target != u64::MAX {
-                        self.cores[ci].fast_forward_stalls(
-                            cycle + 1,
-                            target.min(limit.saturating_add(1)),
-                            &self.program,
-                            sink,
-                        );
-                    }
-                    // A core parked forever (target = MAX) is left alone:
-                    // the deadlock check above fires once every other core
-                    // drains, without pre-charging stall cycles that the
-                    // abort would cut short.
-                    *tick_at = target;
-                }
-            }
-            end = cycle + 1;
-            debug_assert_eq!(issued, self.instructions_total());
-            if issued > budget {
-                // Issues happen in the identical order in both scheduler
-                // modes, so the budget trips at the identical instruction.
-                return Err((SimError::InstrLimit(budget), end));
-            }
+            cycle = next;
         }
     }
 }
@@ -685,7 +691,7 @@ mod tests {
 
     /// A warp that jumps outside the program faults at its next issue slot,
     /// with the same structured error from every run loop: the dense loop
-    /// (from-scratch fetch) and the event loop (trace-cache fetch).
+    /// (from-scratch fetch) and the event loop (op-table fetch).
     #[test]
     fn bad_pc_faults_identically_in_every_run_loop() {
         let p = Program {
@@ -1024,10 +1030,152 @@ mod tests {
         }
     }
 
-    /// Zero-overhead guard: the macro-op trace cache is never
-    /// materialized in `reference_mode` — the dense loop stays on the
-    /// from-scratch decode path — while the default loop builds it on the
-    /// first run.
+    /// Two programs of different lengths, swapped between launches on one
+    /// 4-core machine, the longer one's image shared by its launches. A
+    /// stale op table or issue snapshot after a swap would execute the
+    /// other program's ops or fetch past the end of the shorter one; both
+    /// loops must agree on every launch's stats and printf output, and on
+    /// the final memory.
+    #[test]
+    fn swapping_images_between_launches_matches_the_dense_loop() {
+        use vortex_isa::layout::HEAP_BASE;
+        use vortex_isa::{BranchCond, PrintfFmt};
+        let addi = |rd, rs1, imm| Instr::OpImm {
+            op: AluOp::Add,
+            rd,
+            rs1,
+            imm,
+        };
+        let slli = |rd, rs1, imm| Instr::OpImm {
+            op: AluOp::Sll,
+            rd,
+            rs1,
+            imm,
+        };
+        let add = |rd, rs1, rs2| Instr::Op {
+            op: AluOp::Add,
+            rd,
+            rs1,
+            rs2,
+        };
+        let heap = Instr::Lui {
+            rd: abi::T2,
+            imm: (HEAP_BASE >> 12) as i32,
+        };
+        // Every warp of every core sums 5 + 4 + ... + 1 onto its slot and
+        // prints. The spawned warps start on a load, so a spawn that left
+        // their snapshots alone would scan them as non-memory ops.
+        let long = Program {
+            instrs: vec![
+                Instr::CsrRead {
+                    rd: abi::T0,
+                    csr: Csr::NumWarps,
+                },
+                addi(abi::T1, abi::ZERO, 3),
+                Instr::Wspawn {
+                    rs1: abi::T0,
+                    rs2: abi::T1,
+                },
+                Instr::Lw {
+                    rd: 11,
+                    rs1: abi::ZERO,
+                    imm: 0,
+                },
+                Instr::CsrRead {
+                    rd: abi::T0,
+                    csr: Csr::WarpId,
+                },
+                Instr::CsrRead {
+                    rd: abi::T1,
+                    csr: Csr::CoreId,
+                },
+                slli(abi::T0, abi::T0, 2),
+                slli(abi::T1, abi::T1, 6),
+                add(abi::T0, abi::T0, abi::T1),
+                heap,
+                add(abi::T2, abi::T2, abi::T0),
+                Instr::Lw {
+                    rd: 10,
+                    rs1: abi::T2,
+                    imm: 0,
+                },
+                addi(9, abi::ZERO, 5),
+                add(10, 10, 9),
+                addi(9, 9, -1),
+                Instr::Branch {
+                    cond: BranchCond::Ne,
+                    rs1: 9,
+                    rs2: abi::ZERO,
+                    offset: -2,
+                },
+                Instr::Sw {
+                    rs1: abi::T2,
+                    rs2: 10,
+                    imm: 0,
+                },
+                Instr::Print { fmt: 0 },
+                Instr::Tmc { rs1: abi::ZERO },
+            ],
+            printf_table: vec![PrintfFmt {
+                fmt: "long\n".to_string(),
+                args: vec![],
+            }],
+            entry: 0,
+        };
+        // Warp 0 of every core adds 7 to its core's first slot.
+        let short = Program {
+            instrs: vec![
+                Instr::CsrRead {
+                    rd: abi::T0,
+                    csr: Csr::CoreId,
+                },
+                slli(abi::T0, abi::T0, 6),
+                heap,
+                add(abi::T2, abi::T2, abi::T0),
+                Instr::Lw {
+                    rd: 10,
+                    rs1: abi::T2,
+                    imm: 0,
+                },
+                addi(10, 10, 7),
+                Instr::Sw {
+                    rs1: abi::T2,
+                    rs2: 10,
+                    imm: 0,
+                },
+                Instr::Tmc { rs1: abi::ZERO },
+            ],
+            printf_table: vec![],
+            entry: 0,
+        };
+        let run = |reference_mode: bool| {
+            let mut cfg = SimConfig::new(VortexConfig::new(4, 4, 2));
+            cfg.reference_mode = reference_mode;
+            let long = Arc::new(Image::new(long.clone()));
+            let short = Arc::new(Image::new(short.clone()));
+            let mut sim = Simulator::with_image(cfg, Arc::clone(&long));
+            let mut launches = Vec::new();
+            for image in [&long, &short, &long, &short, &short, &long] {
+                sim.set_image(Arc::clone(image));
+                let r = sim.run().unwrap();
+                launches.push((r.stats, r.printf_output));
+            }
+            let words = sim.mem.read_bytes(HEAP_BASE, 256).unwrap().to_vec();
+            assert_eq!(long.decoded(), !reference_mode);
+            (launches, words)
+        };
+        let (fast, dense) = (run(false), run(true));
+        assert_eq!(fast.0, dense.0, "per-launch stats or printf diverge");
+        assert_eq!(fast.1, dense.1, "memory diverges");
+        // Core 0's first slot: three long launches of 15 each, three short
+        // ones of 7 each.
+        assert_eq!(fast.1[..4], (3 * 15 + 3 * 7u32).to_le_bytes());
+        assert_eq!(fast.0[0].1.len(), 16, "every warp of every core prints");
+    }
+
+    /// Zero-overhead guard: the decoded op table is never built in
+    /// `reference_mode` — the dense loop stays on the from-scratch decode
+    /// path — while the default loop builds it on the first run.
     #[test]
     fn trace_cache_not_constructed_in_reference_mode() {
         let mut cfg = SimConfig::new(VortexConfig::new(1, 2, 4));
@@ -1035,13 +1183,13 @@ mod tests {
         let mut dense = Simulator::new(cfg, store42());
         dense.run().unwrap();
         assert!(
-            !dense.trace_cache_built(),
-            "reference_mode must not pay for (or consult) the trace cache"
+            !dense.op_table_built(),
+            "reference_mode must not pay for (or consult) the op table"
         );
 
         let cfg = SimConfig::new(VortexConfig::new(1, 2, 4));
         let mut fast = Simulator::new(cfg, store42());
         fast.run().unwrap();
-        assert!(fast.trace_cache_built(), "default loop decodes into it");
+        assert!(fast.op_table_built(), "default loop decodes into it");
     }
 }

@@ -88,8 +88,10 @@ pub struct MemSystem {
     views: Vec<MemView>,
     /// Epoch length in cycles; boundaries sit at multiples of this.
     epoch_cycles: u64,
-    /// The boundary up to which all logged accesses have been merged.
-    committed: u64,
+    /// The first boundary not yet committed (`u64::MAX` on a single-core
+    /// machine, which never commits): all logged accesses so far are from
+    /// before it.
+    next_boundary: u64,
     /// Commit scratch: L2 sets touched this epoch (`touched_sets` is the
     /// membership bitmap, `set_list` the dense list to iterate and clear).
     /// A view can differ from the master only where its own accesses
@@ -119,12 +121,13 @@ impl MemSystem {
                 dram_row_hits: 0,
             })
             .collect();
+        let epoch_cycles = epoch_cycles.max(1);
         MemSystem {
             master_l2,
             master_dram,
             views,
-            epoch_cycles: epoch_cycles.max(1),
-            committed: 0,
+            epoch_cycles,
+            next_boundary: if cores > 1 { epoch_cycles } else { u64::MAX },
             touched_sets: vec![false; l2.sets as usize],
             set_list: Vec::new(),
             touched_banks: vec![false; dram.banks as usize],
@@ -155,14 +158,13 @@ impl MemSystem {
     /// logs into the master models in canonical core order and refresh the
     /// views. Must be called before any core ticks at `cycle`; all logged
     /// accesses so far came from ticks before the boundary being committed.
+    /// Between boundaries this is one compare.
+    #[inline]
     pub fn advance_to(&mut self, cycle: u64) {
-        if self.views.len() <= 1 {
-            return;
-        }
-        let boundary = cycle - (cycle % self.epoch_cycles);
-        if boundary > self.committed {
+        if cycle >= self.next_boundary {
             self.commit();
-            self.committed = boundary;
+            self.next_boundary =
+                (cycle - cycle % self.epoch_cycles).saturating_add(self.epoch_cycles);
         }
     }
 
@@ -174,7 +176,7 @@ impl MemSystem {
             return;
         }
         self.commit();
-        self.committed = 0;
+        self.next_boundary = self.epoch_cycles;
     }
 
     fn commit(&mut self) {

@@ -1,151 +1,137 @@
-//! Pre-decoded macro-op trace cache.
+//! The decode-once op table.
 //!
-//! The issue scan and the execute stage used to re-derive the scoreboard
-//! operands (`regs_of`) and the memory-op classification of the *same*
-//! instruction every cycle a warp sat at a PC. Kernel code is immutable per
-//! launch, so each core instead decodes straight-line runs once — on first
-//! touch of a PC the whole run from there to the next instruction that can
-//! redirect or stall the warp (branch/jump/SIMT op/barrier/memory op/halt)
-//! is fused into per-PC [`MacroOp`] slots with the scoreboard indices and
-//! the memory-op flag pre-resolved. A slot is 12 bytes and is never copied
-//! out: the snapshot refresh reads its scoreboard bytes through
-//! [`TraceCache::get`] (the one counted lookup) and the issue path re-reads
-//! the instruction in place through [`TraceCache::peek`]. An undecoded slot
-//! is a sentinel with no flag set, not an `Option`. Nothing is ever
-//! invalidated within a launch, and [`crate::Simulator::set_program`] drops
-//! the cache when the loaded binary actually changes.
+//! Kernel code never changes, so a program is decoded once into a flat
+//! table of [`Op`]s, one per instruction. An op is 12 bytes and `Copy`. It
+//! holds everything issue would otherwise re-derive from the instruction,
+//! all from one ISA table lookup: the fieldless [`Opcode`] that
+//! `Core::execute` switches on, the operand fields, the three scoreboard
+//! indices and the LSU flag.
 //!
-//! The cache is not constructed in `reference_mode` (the dense loop is the
-//! semantic baseline and stays on the from-scratch decode path), which the
-//! zero-overhead tests assert.
+//! The table belongs to an [`Image`]. All cores share it, and a runtime
+//! session keeps one image per kernel, so every launch of a kernel, and
+//! every switch back to it, reuses the same table. The event loop builds it
+//! on its first run. `reference_mode` never builds it: the dense oracle
+//! decodes from scratch at every issue, into the same [`Op`] (see [`Text`]).
+//!
+//! The metrics registry counts the table as `sim.trace_cache.misses` (ops
+//! decoded into a table) and `sim.trace_cache.hits` (issues served from
+//! one), so their rate is the share of issues that needed no decode.
 
-use crate::core::scoreboard;
-use vortex_isa::{Instr, Program};
+use std::sync::OnceLock;
 
-/// One pre-decoded instruction: the raw instruction plus everything the
-/// per-cycle paths would otherwise re-derive from it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MacroOp {
-    pub instr: Instr,
-    /// Scoreboard indices (see [`regs_of`](crate::core::regs_of)): two
-    /// sources, then the destination.
+use vortex_isa::encode::{Fields, OpSpec, Opcode, RegClass};
+use vortex_isa::{AluOp, Instr, Program};
+
+/// One decoded instruction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Op {
+    pub code: Opcode,
+    pub rd: u8,
+    pub rs1: u8,
+    pub rs2: u8,
+    pub imm: i32,
+    /// Scoreboard indices: two sources, then the destination, each an index
+    /// into the warp's 64-entry ready-time row (integer `r` at `r`, float
+    /// `r` at `32 + r`), from the register classes of the ISA row. Unused
+    /// positions hold index 0 — `x0`, whose ready time is always 0 because
+    /// `Core::mark_dest` never writes it — so the scoreboard check is three
+    /// loads and two `max`es for every instruction, and the destination is
+    /// checked too (WAW).
     pub sb: [u8; 3],
-    /// [`MacroOp::DECODED`] | [`MacroOp::MEM`] | [`MacroOp::ENDS_RUN`].
-    flags: u8,
+    /// The instruction goes through the LSU (needs an MSHR, can stall).
+    pub mem: bool,
 }
 
-impl MacroOp {
-    /// The slot holds a decoded instruction (clear only in the sentinel).
-    const DECODED: u8 = 1;
-    /// The instruction goes through the LSU.
-    const MEM: u8 = 2;
-    /// The instruction ends a straight-line run: anything that can
-    /// redirect the warp's PC, change its thread mask, park it, or stall in
-    /// the LSU.
-    const ENDS_RUN: u8 = 4;
+impl Op {
+    pub fn decode(instr: &Instr) -> Op {
+        let (row, x) = instr.shape();
+        // `subi` has `addi`'s row; it issues as `addi` of the negated
+        // immediate, which wraps to the same result for every value.
+        let imm = match instr {
+            Instr::OpImm { op: AluOp::Sub, .. } => x.imm.wrapping_neg(),
+            _ => x.imm,
+        };
+        Op {
+            code: row.code,
+            rd: x.rd,
+            rs1: x.rs1,
+            rs2: x.rs2,
+            imm,
+            sb: scoreboard(row, x),
+            mem: row.mem,
+        }
+    }
+}
 
-    /// The undecoded-slot sentinel.
-    const EMPTY: MacroOp = MacroOp {
-        instr: Instr::Halt,
-        sb: [0; 3],
-        flags: 0,
+fn scoreboard(row: &OpSpec, x: Fields) -> [u8; 3] {
+    let sb = |class, r| match class {
+        RegClass::None => 0,
+        RegClass::X => r,
+        RegClass::F => 32 + r,
     };
-
-    /// Everything from one ISA table lookup: each core fills every PC it
-    /// touches, so a fill costs one lookup, not three.
-    fn decode(instr: Instr) -> MacroOp {
-        let (op, x) = instr.shape();
-        let mut flags = MacroOp::DECODED;
-        if op.mem {
-            flags |= MacroOp::MEM | MacroOp::ENDS_RUN;
-        }
-        if op.ctrl {
-            flags |= MacroOp::ENDS_RUN;
-        }
-        MacroOp {
-            instr,
-            sb: scoreboard(op, x),
-            flags,
-        }
-    }
-
-    fn decoded(&self) -> bool {
-        self.flags & MacroOp::DECODED != 0
-    }
-
-    fn ends_run(&self) -> bool {
-        self.flags & MacroOp::ENDS_RUN != 0
-    }
-
-    pub fn is_mem(&self) -> bool {
-        self.flags & MacroOp::MEM != 0
-    }
+    [sb(row.rs1, x.rs1), sb(row.rs2, x.rs2), sb(row.rd, x.rd)]
 }
 
-/// Per-core trace cache: one slot per PC, filled a straight-line run at a
-/// time. Counters feed the `sim.trace_cache.*` metrics.
+/// A kernel binary as a machine runs it: the program, plus its op table
+/// once the event loop has built it.
 #[derive(Debug)]
-pub(crate) struct TraceCache {
-    slots: Vec<MacroOp>,
-    pub hits: u64,
-    pub misses: u64,
-    /// Macro-ops decoded across all runs (Σ run lengths).
-    pub fused_ops: u64,
-    /// Straight-line runs decoded.
-    pub runs: u64,
+pub struct Image {
+    pub program: Program,
+    ops: OnceLock<Box<[Op]>>,
 }
 
-impl TraceCache {
-    pub fn new(program_len: usize) -> Self {
-        TraceCache {
-            slots: vec![MacroOp::EMPTY; program_len],
-            hits: 0,
-            misses: 0,
-            fused_ops: 0,
-            runs: 0,
+impl Image {
+    pub fn new(program: Program) -> Self {
+        Image {
+            program,
+            ops: OnceLock::new(),
         }
     }
 
-    /// The macro-op at `pc`, decoding its straight-line run on first touch.
-    /// `None` means the PC is outside the program (the caller raises the
-    /// same `BadPc` the raw fetch would).
-    #[inline]
-    pub fn get(&mut self, pc: u32, program: &Program) -> Option<&MacroOp> {
-        let pc = pc as usize;
-        if self.slots.get(pc)?.decoded() {
-            self.hits += 1;
-        } else {
-            self.fill_run(pc, program);
+    /// Whether the op table has been built.
+    pub fn decoded(&self) -> bool {
+        self.ops.get().is_some()
+    }
+
+    /// Where one run fetches its ops: the table (built here on first use)
+    /// when `table` is set, the raw program otherwise. Also returns the
+    /// number of ops this call decoded.
+    pub(crate) fn text(&self, table: bool) -> (Text<'_>, u64) {
+        if !table {
+            return (Text::decoding(&self.program), 0);
         }
-        Some(&self.slots[pc])
+        let mut decoded = 0;
+        let ops = self.ops.get_or_init(|| {
+            decoded = self.program.instrs.len() as u64;
+            self.program.instrs.iter().map(Op::decode).collect()
+        });
+        let text = Text {
+            program: &self.program,
+            ops: Some(ops),
+        };
+        (text, decoded)
+    }
+}
+
+/// What issue reads: the op table, or — in `reference_mode` — the program,
+/// decoded from scratch at every fetch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Text<'a> {
+    pub program: &'a Program,
+    ops: Option<&'a [Op]>,
+}
+
+impl<'a> Text<'a> {
+    pub fn decoding(program: &'a Program) -> Self {
+        Text { program, ops: None }
     }
 
-    /// The already-decoded macro-op at `pc`, without touching the counters:
-    /// the issue path's re-read of a slot its snapshot refresh looked up.
-    /// `None` for a PC outside the program.
+    /// The op at `pc`; `None` for a PC outside the program.
     #[inline]
-    pub fn peek(&self, pc: u32) -> Option<&MacroOp> {
-        let m = self.slots.get(pc as usize)?;
-        debug_assert!(m.decoded(), "issue re-read of a slot no refresh decoded");
-        Some(m)
-    }
-
-    /// Decode the straight-line run starting at `pc` into the cache. Stops
-    /// at (and includes) the first run-ending instruction, at the end of
-    /// the program, or where it meets an already-decoded slot.
-    #[cold]
-    fn fill_run(&mut self, pc: usize, program: &Program) {
-        self.misses += 1;
-        self.runs += 1;
-        let mut j = pc;
-        loop {
-            let m = MacroOp::decode(program.instrs[j]);
-            self.slots[j] = m;
-            self.fused_ops += 1;
-            j += 1;
-            if m.ends_run() || j >= self.slots.len() || self.slots[j].decoded() {
-                break;
-            }
+    pub fn fetch(&self, pc: u32) -> Option<Op> {
+        match self.ops {
+            Some(ops) => ops.get(pc as usize).copied(),
+            None => self.program.instrs.get(pc as usize).map(Op::decode),
         }
     }
 }
@@ -156,9 +142,31 @@ mod tests {
 
     #[test]
     fn macro_op_fits_in_sixteen_bytes() {
-        // The issue path reads these in place; a slot that outgrows one
-        // 16-byte load is a regression of the whole design.
-        assert!(std::mem::size_of::<MacroOp>() <= 16);
-        assert_eq!(std::mem::size_of::<Instr>(), 8);
+        // Every issue reads one op, and every snapshot write reads the next
+        // one; an op that outgrows one 16-byte load, or a fetch result that
+        // needs more than the op's own bytes, is a regression of the design.
+        assert!(std::mem::size_of::<Op>() <= 16);
+        assert_eq!(std::mem::size_of::<Option<Op>>(), std::mem::size_of::<Op>());
+    }
+
+    /// `subi` issues as `addi` of the negated immediate.
+    #[test]
+    fn subi_decodes_to_addi_of_the_negated_immediate() {
+        for imm in [0, 5, -2048, i32::MIN] {
+            let sub = Instr::OpImm {
+                op: AluOp::Sub,
+                rd: 3,
+                rs1: 4,
+                imm,
+            };
+            let add = Instr::OpImm {
+                op: AluOp::Add,
+                rd: 3,
+                rs1: 4,
+                imm: imm.wrapping_neg(),
+            };
+            assert_eq!(Op::decode(&sub), Op::decode(&add));
+            assert_eq!(Op::decode(&add).code, Opcode::Addi);
+        }
     }
 }

@@ -308,10 +308,14 @@ fn out_of_range_geometry_is_rejected_typed_and_the_service_lives() {
         .map(|l| Json::parse(l).unwrap())
         .collect();
     assert_eq!(lines.len(), 7, "six responses plus the batch summary");
-    for (line, field) in lines
-        .iter()
-        .zip(["cores", "warps", "threads", "threads", "cores"])
-    {
+    let threads = ("threads", vortex_cc::MAX_THREADS);
+    for (line, (field, max)) in lines.iter().zip([
+        ("cores", vortex_sim::MAX_CORES),
+        ("warps", vortex_sim::MAX_WARPS),
+        threads,
+        threads,
+        ("cores", vortex_sim::MAX_CORES),
+    ]) {
         let err = line.get("error").expect("reject line carries the error");
         assert_eq!(
             err.get("kind").and_then(|v| v.as_str()),
@@ -321,7 +325,7 @@ fn out_of_range_geometry_is_rejected_typed_and_the_service_lives() {
         );
         let message = err.get("message").and_then(|v| v.as_str()).unwrap();
         assert!(
-            message.contains(field) && message.contains("1..=64"),
+            message.contains(field) && message.contains(&format!("1..={max}")),
             "message names neither `{field}` nor its bound: {message}"
         );
     }
