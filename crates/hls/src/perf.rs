@@ -12,7 +12,7 @@
 //!   - serialization = pipelined-load round trips on computed patterns (the
 //!     §III-B performance cost of the O2 optimization).
 
-use crate::analysis::{profile, AccessPattern, KernelProfile};
+use crate::analysis::{AccessPattern, KernelProfile};
 use fpga_arch::Device;
 use ocl_ir::interp::{run_ndrange, ExecResult, InterpError, KernelArg, Limits, Memory, NdRange};
 use ocl_ir::{Function, LoadHint};
@@ -39,19 +39,21 @@ const DEPTH: u64 = 240;
 /// nonconsecutive access patterns").
 const PIPELINED_PENALTY: u64 = 12;
 
-/// Execute `f` over `nd` against `mem`, returning the timing model output.
+/// Execute `f`, whose static profile is `p` ([`crate::analysis::profile`]),
+/// over `nd` against `mem`, returning the timing model output. The profile
+/// is the caller's so that a kernel launched many times is analysed once.
 pub fn execute_ndrange(
     f: &Function,
+    p: &KernelProfile,
     args: &[KernelArg],
     nd: &NdRange,
     mem: &mut Memory,
     device: &Device,
 ) -> Result<HlsRun, InterpError> {
-    let p = profile(f);
     let exec = repro_util::metrics::time("hls.execute", || {
         run_ndrange(f, args, nd, mem, &Limits::default())
     })?;
-    Ok(estimate(&p, nd, exec, device))
+    Ok(estimate(p, nd, exec, device))
 }
 
 /// Pure timing model, separated for testability.
@@ -92,6 +94,7 @@ fn estimate_inner(p: &KernelProfile, nd: &NdRange, exec: ExecResult, device: &De
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::profile;
     use fpga_arch::Device;
 
     fn run_src(src: &str, n: u32) -> (HlsRun, Memory, u32) {
@@ -103,6 +106,7 @@ mod tests {
         let po = mem.alloc(n * 4);
         let r = execute_ndrange(
             k,
+            &profile(k),
             &[KernelArg::Ptr(pa), KernelArg::Ptr(po)],
             &NdRange::d1(n, 16),
             &mut mem,
@@ -174,6 +178,7 @@ mod tests {
             let po = mem.alloc(n * 4);
             let r = execute_ndrange(
                 k,
+                &profile(k),
                 &[KernelArg::Ptr(pa), KernelArg::Ptr(po)],
                 &NdRange::d1(n, 16),
                 &mut mem,

@@ -1,80 +1,74 @@
 //! Reference NDRange interpreter — the functional golden model.
 //!
-//! Executes a kernel over an OpenCL NDRange exactly as the specification
-//! describes, one work-group at a time. It is the `interp` flow, the
-//! functional half of the HLS flow (`hls_flow::execute_ndrange` is this
-//! plus a timing estimate) and the oracle of every differential test.
+//! Executes a kernel over an OpenCL NDRange, one work-group at a time. It
+//! is the `interp` flow, the functional half of the HLS flow
+//! (`hls_flow::execute_ndrange` is this plus a timing estimate) and the
+//! oracle of every differential test.
 //!
-//! A launch runs in three stages:
+//! **Decode**, once per launch (`decode`). The reachable blocks are laid
+//! out in reverse post-order and flattened into one vector of 20-byte
+//! `Copy` ops: block ids become absolute pcs, terminators become ordinary
+//! ops, and every operand — register, constant, kernel argument, `__local`
+//! base address or work-item builtin — becomes a slot of one register row
+//! laid out `[vregs | scratch | constants and builtins]`. `Operand`,
+//! `Const` and `Function` are not looked at again.
 //!
-//! 1. **Decode and fuse**, once per launch (`decode`). The blocks are
-//!    flattened into one vector of 20-byte `Copy` ops: block ids become
-//!    absolute pcs, terminators become ordinary ops, and every operand —
-//!    register, constant, kernel argument, `__local` base address or
-//!    work-item builtin — becomes a slot of one register row laid out
-//!    `[vregs | scratch | constants and builtins]`. Operand fetch in the
-//!    run loop is `row[slot]`; `Operand`, `Const` and `Function` are not
-//!    looked at again. Then the hot adjacent pairs of each block are fused
-//!    into superinstructions (`fuse`, below).
-//! 2. **Register rows.** `group_size` rows are allocated once per launch.
-//!    At the start of each group every row is reset by copying a template
-//!    row (arguments, zeros, constants) and patching in the item's global
-//!    and local ids; local memory is cleared. Nothing is allocated inside
-//!    the group loop.
-//! 3. **Run to barrier.** Work-items of a group run round-robin in
-//!    lz/ly/lx order, each until it parks at a barrier or returns
-//!    (`Launch::run_item`), which gives well-defined results for every
-//!    barrier-synchronized kernel in the suite. When every item is parked
-//!    the barrier releases; if some returned while others wait, that is a
-//!    [`InterpError::BarrierDivergence`].
+//! **Gangs.** A work-group's items, in lz/ly/lx order, are cut into gangs
+//! of at most 64 ([`GANG`]; a `u64` is the lane mask). Each gang has its
+//! own register file, slot-major (`regs[slot * width + lane]`), reset per
+//! group from the template row with each lane's global and local ids
+//! patched in. A gang runs in lockstep: one op fetch and one `match` per
+//! op, whose arm then loops over the lanes of the running mask. Pure arms
+//! compute every lane of the gang as one slice loop and keep the masked
+//! lanes' results; memory, atomic and printf arms visit the masked lanes
+//! in lane order, so within one op lower lanes' effects come first.
+//!
+//! **Reconvergence** is min-PC. The gang keeps a small pc-sorted list of
+//! `(pc, mask)` entries and always runs the lowest pc; after each op one
+//! compare against the next waiting pc decides whether to merge with it
+//! or to switch to it. The reverse post-order layout visits each branch's
+//! else-successor first, so an if's then-arm and a loop's body sit before
+//! the join and the loop exit, where the lanes meet again. Which lanes run
+//! together affects only speed: every lane's own sequence of ops is fixed.
+//!
+//! **Barriers.** A lane that reaches a barrier parks. The group loop runs
+//! gang 0 until every lane is parked or returned, then gang 1, and so on;
+//! when every item of the group is parked the barrier releases, and if
+//! some returned while others wait, that is an
+//! [`InterpError::BarrierDivergence`] naming the group, the returned count
+//! and the parked items.
+//!
+//! **Step accounting** is per item. Every instruction and every
+//! terminator is one step, barriers and the final `ret` included, for
+//! each lane in the mask. The per-item limit is tested before each step
+//! as `steps > limit`, so an item may take `limit + 1` steps; the gang
+//! raises [`InterpError::StepLimit`] naming the lowest lane of the mask
+//! that would exceed it. A running entry counts its ops once and adds
+//! them to its lanes when its mask changes.
+//! [`ExecResult::steps`] and the global load/store counts feed the HLS
+//! cycle estimate, so they are part of the contract
+//! (`tests/interp_counts.rs` pins them for the whole suite).
+//!
+//! **Printf** output is buffered per item and flushed in item order at
+//! each barrier release and at the end of the group: the order in which
+//! items running one at a time to their next barrier would print.
+//!
+//! **Memory after an error** holds every effect of the ops run before it:
+//! the gangs before the faulting one ran to their barrier or end, the
+//! faulting gang's other entries stopped wherever they were waiting, and
+//! the faulting op's lower lanes did their part.
 //!
 //! **Opcodes.** The `(op, type)` pairs the suite's inner loops are made of
 //! — wrapping integer add/sub/mul, the bitwise ops and shifts, `f32`
 //! add/sub/mul/div, every comparison (`>`/`>=` as `<`/`<=` with swapped
 //! operands), select, mov, gep, global and local load and store, and the
-//! three terminators — have an opcode each, so one `match` dispatches
-//! them. Division, remainder, min/max, every [`UnOp`], atomics and printf
-//! are rare: they share one opcode that looks the operation up in a side
-//! table and calls [`eval_bin`], [`eval_un`] or [`eval_atomic`]. Those
-//! public functions (with [`eval_cmp`]) are the definition of the scalar
-//! semantics; the specialised arms are tested equal to them for every
-//! operator, type and operand shape, and the fused arms equal to them
-//! applied one op at a time.
-//!
-//! **Superinstructions.** Dispatch — fetching the op, the `match` and the
-//! limit test — costs more than most arms' arithmetic, and so does
-//! passing a result to the next op through the register row, so the seven
-//! adjacent pairs with about 2 % or more of the suite's dynamic steps (28
-//! benchmarks at paper scale and `DEFAULT_OPT`, 63 726 752 steps) get an
-//! opcode each ([`FUSED`]): `Mov→Br` 9.6 %, `Gep→LoadG` 7.8 %,
-//! `LtS→CondBr` 6.2 %, `AddI→Mov` 5.5 %, `AddI→Gep` 3.8 %, `LtF→CondBr`
-//! 3.4 % and `MulI→AddI` 3.0 %. Decoding rewrites the first op of each
-//! such pair inside one block, left to right, to the fused opcode when
-//! the partner reads the first op's result ([`linked`]); the partner stays
-//! in the next slot, and the fused arm does the first op, writes its
-//! result, then reads the partner's fields from that slot and does it with
-//! that result still in a register. A first op is never a terminator or a
-//! barrier, so no partner is a branch target or a resume point.
-//! Overlapping pairs (`AddI→Mov→Br`) fuse once, so about 61 % of steps run
-//! in a fused op: 0.69 dispatches per step. The table is re-measured
-//! whenever the passes change the op mix. Every conditional branch, fused
-//! or not, picks its target with a host branch (`branch`), which the host
-//! predicts, rather than a select, which makes each later op's fetch wait
-//! for the condition.
-//!
-//! **Step accounting.** Every instruction and every terminator is one
-//! step, barriers and the final `ret` included, and a fused op is its two
-//! steps. The per-item limit is tested *before* each step as `steps >
-//! limit`, so an item may take `limit + 1` steps; [`InterpError::StepLimit`]
-//! is raised before the step that would be number `limit + 2`, with every
-//! earlier store already applied. The run loop tests `steps >= limit`
-//! once per dispatch: while two or more steps remain a fused op runs
-//! whole, and with exactly one left it runs as its first op alone, so the
-//! partner's own test raises the limit with the first half done and the
-//! second not — the same state as the unfused sequence.
-//! [`ExecResult::steps`] and the global load/store counts feed the HLS
-//! cycle estimate, so they are part of the contract
-//! (`tests/interp_counts.rs` pins them for the whole suite).
+//! three terminators — have an opcode each. Division, remainder, min/max,
+//! every [`UnOp`], atomics and printf are rare: they share one opcode that
+//! looks the operation up in a side table and calls [`eval_bin`],
+//! [`eval_un`] or [`eval_atomic`]. Those public functions (with
+//! [`eval_cmp`]) are the definition of the scalar semantics; the
+//! specialised arms are tested equal to them for every operator, type and
+//! operand shape.
 //!
 //! Integer division semantics follow RISC-V (div-by-zero yields all-ones,
 //! `INT_MIN / -1` wraps) so that the interpreter and the Vortex simulator
@@ -555,72 +549,6 @@ enum Code {
     Ret,
     /// Entry `c` of [`Program::rare`].
     Rare,
-    // Superinstructions, one per row of [`FUSED`]: the first op with its
-    // own fields, then the partner op read from the next slot, which takes
-    // the first op's result from a register (see [`linked`]).
-    MovBr,
-    GepLoadG,
-    LtSCondBr,
-    AddIMov,
-    AddIGep,
-    LtFCondBr,
-    MulIAddI,
-}
-
-/// The fused pairs `(first, partner, fused)`, each with its share of the
-/// suite's dynamic steps (module doc, **Superinstructions**). `Mov→Rare`
-/// (2.3 %) is left out: its partner runs through the side table, whose
-/// arms a fused opcode would have to repeat.
-const FUSED: [(Code, Code, Code); 7] = [
-    (Code::Mov, Code::Br, Code::MovBr),         // 9.6 %
-    (Code::Gep, Code::LoadG, Code::GepLoadG),   // 7.8 %
-    (Code::LtS, Code::CondBr, Code::LtSCondBr), // 6.2 %
-    (Code::AddI, Code::Mov, Code::AddIMov),     // 5.5 %
-    (Code::AddI, Code::Gep, Code::AddIGep),     // 3.8 %
-    (Code::LtF, Code::CondBr, Code::LtFCondBr), // 3.4 %
-    (Code::MulI, Code::AddI, Code::MulIAddI),   // 3.0 %
-];
-
-impl Code {
-    /// The first op of a fused opcode; any other opcode itself.
-    fn unfused(self) -> Code {
-        FUSED.iter().find(|p| p.2 == self).map_or(self, |p| p.0)
-    }
-}
-
-/// Whether `partner` reads `first`'s result in the operand its fused arm
-/// takes from a register rather than the row: a gep's index `b`, every
-/// other partner's `a` (`Br` reads nothing). On the suite, table pairs are
-/// linked in all but 0.02 % of their executions.
-fn linked(first: &DOp, partner: &DOp) -> bool {
-    match partner.code {
-        Code::Br => true,
-        Code::Gep => partner.b == first.d,
-        _ => partner.a == first.d,
-    }
-}
-
-/// Fuse the linked adjacent pairs of one block's ops that [`FUSED`]
-/// lists, left to right, which on any run of fusable pairs fuses as many
-/// as any choice could. The partner keeps its slot, opcode and fields. No
-/// first op is a terminator or a barrier, so no partner is a branch target
-/// or a barrier's resume point.
-fn fuse(block: &mut [DOp]) {
-    let mut i = 0;
-    while i + 1 < block.len() {
-        let (first, partner) = (&block[i], &block[i + 1]);
-        let pair = (first.code, partner.code);
-        match FUSED
-            .iter()
-            .find(|p| (p.0, p.1) == pair && linked(first, partner))
-        {
-            Some(&(_, _, fused)) => {
-                block[i].code = fused;
-                i += 2;
-            }
-            None => i += 1,
-        }
-    }
 }
 
 /// The operations too rare to earn an opcode each; they run through the
@@ -783,20 +711,59 @@ fn cmp_code(op: CmpOp, ty: crate::Scalar) -> (Code, bool) {
     }
 }
 
-/// Flatten `f` into a [`Program`]: block ids become absolute pcs and every
-/// operand becomes a slot of the register row, so the run loop fetches
-/// operands as `row[slot]` without looking at `Operand` or `Const`. Each
-/// block's ops are then fused ([`fuse`]).
+/// The reachable blocks of `f` in reverse post-order from the entry, each
+/// branch's else-successor visited first. The then-side (a loop body, an
+/// if's then-arm) thus comes before the else-side (the loop exit, the
+/// join), which is where min-PC reconvergence wants the lanes to meet.
+fn layout(f: &Function) -> Vec<usize> {
+    let succs = |b: usize| match f.blocks[b].term {
+        Terminator::Ret => [None, None],
+        Terminator::Br { target } => [Some(target.index()), None],
+        Terminator::CondBr {
+            then_bb, else_bb, ..
+        } => [Some(else_bb.index()), Some(then_bb.index())],
+    };
+    let mut seen = vec![false; f.blocks.len()];
+    let mut post = Vec::with_capacity(f.blocks.len());
+    // (block, successors already looked at)
+    let mut stack = vec![(0, 0)];
+    seen[0] = true;
+    while let Some((b, next)) = stack.last_mut() {
+        match succs(*b).get(*next) {
+            Some(s) => {
+                *next += 1;
+                if let &Some(s) = s {
+                    if !seen[s] {
+                        seen[s] = true;
+                        stack.push((s, 0));
+                    }
+                }
+            }
+            None => {
+                post.push(*b);
+                stack.pop();
+            }
+        }
+    }
+    post.reverse();
+    post
+}
+
+/// Flatten `f` into a [`Program`]: blocks are laid out by [`layout`], block
+/// ids become absolute pcs and every operand becomes a slot of the register
+/// row, so the run loop fetches operands by slot without looking at
+/// `Operand` or `Const`.
 fn decode<'f>(f: &'f Function, args: &[KernelArg], local_offsets: &[u32]) -> Program<'f> {
     let mut template = vec![0u32; f.num_vregs() + 1];
     for (slot, a) in template.iter_mut().zip(args) {
         *slot = a.bits();
     }
-    let mut block_pc = Vec::with_capacity(f.blocks.len());
+    let order = layout(f);
+    let mut block_pc = vec![u32::MAX; f.blocks.len()];
     let mut pc = 0u32;
-    for b in &f.blocks {
-        block_pc.push(pc);
-        pc += b.insts.len() as u32 + 1;
+    for &b in &order {
+        block_pc[b] = pc;
+        pc += f.blocks[b].insts.len() as u32 + 1;
     }
     let mut p = Decoder {
         prog: Program {
@@ -808,8 +775,7 @@ fn decode<'f>(f: &'f Function, args: &[KernelArg], local_offsets: &[u32]) -> Pro
         scratch: f.num_vregs() as u32,
         const_slots: FxHashMap::default(),
     };
-    for block in &f.blocks {
-        let start = p.prog.ops.len();
+    for block in order.iter().map(|&b| &f.blocks[b]) {
         for inst in &block.insts {
             let (code, a, b, c) = match &inst.op {
                 Op::Bin { op, ty, a, b } => match bin_code(*op, *ty) {
@@ -888,10 +854,12 @@ fn decode<'f>(f: &'f Function, args: &[KernelArg], local_offsets: &[u32]) -> Pro
         };
         let d = p.scratch;
         p.prog.ops.push(DOp { code, d, a, b, c });
-        fuse(&mut p.prog.ops[start..]);
     }
     p.prog
 }
+
+/// Lanes per gang: a gang's lane mask is a `u64`.
+const GANG: usize = 64;
 
 /// Where a work-item stands between scheduling passes.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -901,18 +869,26 @@ enum Status {
     Done,
 }
 
-/// The per-launch execution state: one register row, pc, step count and
-/// status per work-item of a group, allocated once and reset per group.
+/// The per-launch execution state, allocated once and reset per group:
+/// one register file per gang, and a pc, step count, status and printf
+/// buffer per work-item.
 struct Launch<'a> {
     prog: &'a Program<'a>,
     nd: &'a NdRange,
     limit: u64,
-    /// `group_size` rows of `prog.template.len()` words.
+    /// Lanes per gang: the group size, at most [`GANG`].
+    width: usize,
+    /// One register file per gang: `prog.template.len()` slots of `width`
+    /// lanes, slot-major.
     regs: Vec<u32>,
     pc: Vec<u32>,
     steps: Vec<u64>,
     status: Vec<Status>,
+    /// Printf lines not yet flushed to the result.
+    printf: Vec<Vec<String>>,
     local_mem: Vec<u8>,
+    /// The running gang's waiting `(pc, lanes)` entries, highest pc first.
+    waiting: Vec<(u32, u64)>,
 }
 
 /// Execute `f` over the NDRange against `mem`.
@@ -944,10 +920,13 @@ pub fn run_ndrange(
         .local
         .iter()
         .try_fold(1usize, |n, &l| n.checked_mul(l as usize));
-    let (Some(items), Some(words)) = (
-        items,
-        items.and_then(|n| n.checked_mul(prog.template.len())),
-    ) else {
+    let width = items.map_or(0, |n| n.min(GANG));
+    let words = items.and_then(|n| {
+        n.div_ceil(GANG)
+            .checked_mul(width)?
+            .checked_mul(prog.template.len())
+    });
+    let (Some(items), Some(words)) = (items, words) else {
         return Err(InterpError::BadNdRange(format!(
             "work-group of {:?} items does not fit in host memory",
             nd.local
@@ -957,11 +936,14 @@ pub fn run_ndrange(
         prog: &prog,
         nd,
         limit: limits.max_steps_per_item,
+        width,
         regs: vec![0; words],
         pc: vec![0; items],
         steps: vec![0; items],
         status: vec![Status::Ready; items],
+        printf: vec![Vec::new(); items],
         local_mem: vec![0; local_total as usize],
+        waiting: Vec::new(),
     };
     let groups = nd.num_groups();
     let mut result = ExecResult::default();
@@ -976,42 +958,22 @@ pub fn run_ndrange(
 }
 
 impl Launch<'_> {
-    /// Run one work-group to completion: items round-robin in lz/ly/lx
-    /// order, each until it blocks at a barrier or returns.
+    /// Run one work-group to completion: gang after gang, each until every
+    /// lane parks at a barrier or returns, then release the barrier.
     fn run_group(
         &mut self,
         group: [u32; 3],
         mem: &mut Memory,
         result: &mut ExecResult,
     ) -> Result<(), InterpError> {
-        let row_len = self.prog.template.len();
-        let mut rows = self.regs.chunks_exact_mut(row_len);
-        let mut table = builtin_table(self.nd, group);
-        for lz in 0..self.nd.local[2] {
-            for ly in 0..self.nd.local[1] {
-                for lx in 0..self.nd.local[0] {
-                    let row = rows.next().expect("one row per work-item");
-                    row.copy_from_slice(&self.prog.template);
-                    let lid = [lx, ly, lz];
-                    for d in 0..3 {
-                        table[d] = group[d] * self.nd.local[d] + lid[d];
-                        table[3 + d] = lid[d];
-                    }
-                    for &(index, slot) in &self.prog.builtins {
-                        row[slot as usize] = table[index];
-                    }
-                }
-            }
-        }
-        self.pc.fill(0);
-        self.steps.fill(0);
-        self.status.fill(Status::Ready);
-        self.local_mem.fill(0);
+        self.reset(group);
+        let gangs = self.status.len().div_ceil(GANG);
         loop {
-            for item in 0..self.status.len() {
-                if self.status[item] == Status::Ready {
-                    self.status[item] = self.run_item(item, group, mem, result)?;
-                }
+            for gang in 0..gangs {
+                self.run_gang(gang, group, mem, result)?;
+            }
+            for lines in &mut self.printf {
+                result.printf_output.append(lines);
             }
             // Every item is now done or waiting. If some items already
             // *returned* while others wait, the barrier was executed under
@@ -1037,215 +999,330 @@ impl Launch<'_> {
         Ok(())
     }
 
-    /// Global id of the `item`-th work-item (lz/ly/lx order) of `group`.
-    fn global_id(&self, group: [u32; 3], item: usize) -> [u32; 3] {
-        let [lx, ly, _] = self.nd.local;
-        let item = item as u32;
-        let lid = [item % lx, item / lx % ly, item / (lx * ly)];
-        [0, 1, 2].map(|d| group[d] * self.nd.local[d] + lid[d])
+    /// Reset every item for `group`: each gang's registers from the
+    /// template, with each lane's global and local ids patched in.
+    fn reset(&mut self, group: [u32; 3]) {
+        let (w, template) = (self.width, &self.prog.template);
+        let file = template.len() * w;
+        for regs in self.regs.chunks_exact_mut(file) {
+            for (row, &v) in regs.chunks_exact_mut(w).zip(template) {
+                row.fill(v);
+            }
+        }
+        let mut table = builtin_table(self.nd, group);
+        let mut item = 0;
+        for lz in 0..self.nd.local[2] {
+            for ly in 0..self.nd.local[1] {
+                for lx in 0..self.nd.local[0] {
+                    let lid = [lx, ly, lz];
+                    for d in 0..3 {
+                        table[d] = group[d] * self.nd.local[d] + lid[d];
+                        table[3 + d] = lid[d];
+                    }
+                    let lane = item / w * file + item % w;
+                    for &(index, slot) in &self.prog.builtins {
+                        self.regs[lane + slot as usize * w] = table[index];
+                    }
+                    item += 1;
+                }
+            }
+        }
+        self.pc.fill(0);
+        self.steps.fill(0);
+        self.status.fill(Status::Ready);
+        self.local_mem.fill(0);
     }
 
-    /// Run one item from its saved pc until it parks at a barrier or
-    /// returns. Every instruction and every terminator is one step, a
-    /// fused op two; the limit is tested before each step, so an item may
-    /// take `limit + 1`. With one step left a fused op runs as its first
-    /// op alone, and the partner's own test raises the limit.
-    /// Kept out of line: inlined into the group loop, the step loop's
-    /// pc, step count and row pointer live on the stack.
-    #[inline(never)]
-    fn run_item(
+    /// Run the ready lanes of `gang` in lockstep until each parks at a
+    /// barrier or returns: always the waiting entry with the lowest pc,
+    /// until its next pc reaches the next waiting entry's (merge or
+    /// switch), its lanes split at a branch, or it parks or returns.
+    fn run_gang(
         &mut self,
-        item: usize,
+        gang: usize,
         group: [u32; 3],
         mem: &mut Memory,
         result: &mut ExecResult,
-    ) -> Result<Status, InterpError> {
-        let ops = &self.prog.ops[..];
-        let row_len = self.prog.template.len();
-        let row = &mut self.regs[item * row_len..(item + 1) * row_len];
+    ) -> Result<(), InterpError> {
+        let (w, limit) = (self.width, self.limit);
+        let first = gang * w;
+        let lanes = (self.status.len() - first).min(w);
+        let file = self.prog.template.len() * w;
+        let mut rows = Rows {
+            regs: &mut self.regs[gang * file..][..file],
+            w,
+            full: u64::MAX >> (GANG - lanes),
+            out: [0; GANG],
+        };
+        let steps = &mut self.steps[first..][..lanes];
+        let pcs = &mut self.pc[first..][..lanes];
+        let status = &mut self.status[first..][..lanes];
+        let printf = &mut self.printf[first..][..lanes];
         let local = &mut self.local_mem[..];
-        let mut pc = self.pc[item] as usize;
-        let mut steps = self.steps[item];
+        let (ops, rare) = (&self.prog.ops[..], &self.prog.rare[..]);
+        let waiting = &mut self.waiting;
+        for lane in 0..lanes {
+            if status[lane] == Status::Ready {
+                wait(waiting, pcs[lane], 1 << lane);
+            }
+        }
         let f = f32::from_bits;
-        let status = loop {
-            let mut op = ops[pc];
-            if steps >= self.limit {
-                if steps > self.limit {
+        'entries: while let Some((at, mask)) = waiting.pop() {
+            let mut pc = at as usize;
+            let most = each(mask).map(|l| steps[l]).max().unwrap_or(0);
+            // The ops this entry may run before a lane would take step
+            // `limit + 2`.
+            let budget = limit.saturating_add(1).saturating_sub(most);
+            let next = waiting.last().map_or(usize::MAX, |&(p, _)| p as usize);
+            // Ops run so far, not yet added to the lanes' step counts.
+            let mut n = 0;
+            loop {
+                if n == budget {
+                    let lane = each(mask)
+                        .find(|&l| steps[l] + n > limit)
+                        .expect("the lane with the most steps is at the limit");
                     return Err(InterpError::StepLimit {
-                        item: self.global_id(group, item),
-                        limit: self.limit,
+                        item: global_id(self.nd, group, first + lane),
+                        limit,
                     });
                 }
-                op.code = op.code.unfused();
-            }
-            steps += 1;
-            pc += 1;
-            let (a, b) = (op.a as usize, op.b as usize);
-            let value = match op.code {
-                Code::AddI => row[a].wrapping_add(row[b]),
-                Code::SubI => row[a].wrapping_sub(row[b]),
-                Code::MulI => row[a].wrapping_mul(row[b]),
-                Code::And => row[a] & row[b],
-                Code::Or => row[a] | row[b],
-                Code::Xor => row[a] ^ row[b],
-                Code::Shl => row[a] << (row[b] & 31),
-                Code::ShrS => ((row[a] as i32) >> (row[b] & 31)) as u32,
-                Code::ShrU => row[a] >> (row[b] & 31),
-                Code::AddF => (f(row[a]) + f(row[b])).to_bits(),
-                Code::SubF => (f(row[a]) - f(row[b])).to_bits(),
-                Code::MulF => (f(row[a]) * f(row[b])).to_bits(),
-                Code::DivF => (f(row[a]) / f(row[b])).to_bits(),
-                Code::Eq => (row[a] == row[b]) as u32,
-                Code::Ne => (row[a] != row[b]) as u32,
-                Code::LtS => ((row[a] as i32) < row[b] as i32) as u32,
-                Code::LeS => (row[a] as i32 <= row[b] as i32) as u32,
-                Code::LtU => (row[a] < row[b]) as u32,
-                Code::LeU => (row[a] <= row[b]) as u32,
-                Code::EqF => (f(row[a]) == f(row[b])) as u32,
-                Code::NeF => (f(row[a]) != f(row[b])) as u32,
-                Code::LtF => (f(row[a]) < f(row[b])) as u32,
-                Code::LeF => (f(row[a]) <= f(row[b])) as u32,
-                Code::Select => {
-                    if row[a] != 0 {
-                        row[b]
-                    } else {
-                        row[op.c as usize]
+                n += 1;
+                let op = ops[pc];
+                pc += 1;
+                match op.code {
+                    Code::AddI => rows.map2(mask, op, u32::wrapping_add),
+                    Code::SubI => rows.map2(mask, op, u32::wrapping_sub),
+                    Code::MulI => rows.map2(mask, op, u32::wrapping_mul),
+                    Code::And => rows.map2(mask, op, |x, y| x & y),
+                    Code::Or => rows.map2(mask, op, |x, y| x | y),
+                    Code::Xor => rows.map2(mask, op, |x, y| x ^ y),
+                    Code::Shl => rows.map2(mask, op, |x, y| x << (y & 31)),
+                    Code::ShrS => rows.map2(mask, op, |x, y| ((x as i32) >> (y & 31)) as u32),
+                    Code::ShrU => rows.map2(mask, op, |x, y| x >> (y & 31)),
+                    Code::AddF => rows.map2(mask, op, |x, y| (f(x) + f(y)).to_bits()),
+                    Code::SubF => rows.map2(mask, op, |x, y| (f(x) - f(y)).to_bits()),
+                    Code::MulF => rows.map2(mask, op, |x, y| (f(x) * f(y)).to_bits()),
+                    Code::DivF => rows.map2(mask, op, |x, y| (f(x) / f(y)).to_bits()),
+                    Code::Eq => rows.map2(mask, op, |x, y| (x == y) as u32),
+                    Code::Ne => rows.map2(mask, op, |x, y| (x != y) as u32),
+                    Code::LtS => rows.map2(mask, op, |x, y| ((x as i32) < y as i32) as u32),
+                    Code::LeS => rows.map2(mask, op, |x, y| (x as i32 <= y as i32) as u32),
+                    Code::LtU => rows.map2(mask, op, |x, y| (x < y) as u32),
+                    Code::LeU => rows.map2(mask, op, |x, y| (x <= y) as u32),
+                    Code::EqF => rows.map2(mask, op, |x, y| (f(x) == f(y)) as u32),
+                    Code::NeF => rows.map2(mask, op, |x, y| (f(x) != f(y)) as u32),
+                    Code::LtF => rows.map2(mask, op, |x, y| (f(x) < f(y)) as u32),
+                    Code::LeF => rows.map2(mask, op, |x, y| (f(x) <= f(y)) as u32),
+                    Code::Select => rows.map3(mask, op, |c, x, y| if c != 0 { x } else { y }),
+                    Code::Mov => rows.map2(mask, op, |x, _| x),
+                    Code::Gep => {
+                        let size = op.c;
+                        rows.map2(mask, op, |x, y| x.wrapping_add(y.wrapping_mul(size)))
                     }
-                }
-                Code::Mov => row[a],
-                Code::Gep => row[a].wrapping_add(row[b].wrapping_mul(op.c)),
-                Code::LoadG => {
-                    result.global_loads += 1;
-                    mem.read_u32(row[a])?
-                }
-                Code::LoadL => local_read(local, row[a])?,
-                Code::StoreG => {
-                    result.global_stores += 1;
-                    mem.write_u32(row[a], row[b])?;
-                    continue;
-                }
-                Code::StoreL => {
-                    local_write(local, row[a], row[b])?;
-                    continue;
-                }
-                Code::Barrier => break Status::AtBarrier,
-                Code::Br => {
-                    pc = a;
-                    continue;
-                }
-                Code::CondBr => {
-                    pc = branch(row[a], op.b, op.c);
-                    continue;
-                }
-                Code::Ret => break Status::Done,
-                Code::Rare => match &self.prog.rare[op.c as usize] {
-                    Rare::Bin(o, ty) => eval_bin(*o, *ty, row[a], row[b]),
-                    Rare::Un(o, ty) => eval_un(*o, *ty, row[a]),
-                    Rare::Atomic(o, ty, space) => {
-                        let addr = row[a];
-                        let old = match space {
-                            AddressSpace::Global => mem.read_u32(addr)?,
-                            AddressSpace::Local => local_read(local, addr)?,
-                        };
-                        let new = eval_atomic(*o, *ty, old, row[b]);
-                        match space {
-                            AddressSpace::Global => mem.write_u32(addr, new)?,
-                            AddressSpace::Local => local_write(local, addr, new)?,
+                    Code::LoadG => {
+                        result.global_loads += u64::from(mask.count_ones());
+                        for l in each(mask) {
+                            let v = mem.read_u32(rows.get(op.a, l))?;
+                            rows.set(op.d, l, v);
                         }
-                        old
                     }
-                    Rare::Printf(fmt, args) => {
-                        result.printf_output.push(format_printf(fmt, args, row));
-                        continue;
+                    Code::LoadL => {
+                        for l in each(mask) {
+                            let v = local_read(local, rows.get(op.a, l))?;
+                            rows.set(op.d, l, v);
+                        }
                     }
-                },
-                // A fused arm writes its first op's result `v`, then runs
-                // the partner from the next slot as its own second step,
-                // taking `v` from a register where `linked` proved it reads
-                // it and its other operands from the row, after the write.
-                // A partner that yields a value leaves it to the write below
-                // through `op`.
-                Code::MovBr => {
-                    row[op.d as usize] = row[a];
-                    steps += 1;
-                    pc = ops[pc].a as usize;
-                    continue;
+                    Code::StoreG => {
+                        result.global_stores += u64::from(mask.count_ones());
+                        for l in each(mask) {
+                            mem.write_u32(rows.get(op.a, l), rows.get(op.b, l))?;
+                        }
+                    }
+                    Code::StoreL => {
+                        for l in each(mask) {
+                            local_write(local, rows.get(op.a, l), rows.get(op.b, l))?;
+                        }
+                    }
+                    Code::Barrier => {
+                        settle(steps, mask, n);
+                        for l in each(mask) {
+                            status[l] = Status::AtBarrier;
+                            pcs[l] = pc as u32;
+                        }
+                        continue 'entries;
+                    }
+                    Code::Ret => {
+                        settle(steps, mask, n);
+                        for l in each(mask) {
+                            status[l] = Status::Done;
+                        }
+                        continue 'entries;
+                    }
+                    Code::Br => pc = op.a as usize,
+                    Code::CondBr => {
+                        let taken = rows.nonzero(op.a) & mask;
+                        if taken == mask {
+                            pc = op.b as usize;
+                        } else if taken == 0 {
+                            pc = op.c as usize;
+                        } else {
+                            settle(steps, mask, n);
+                            wait(waiting, op.b, taken);
+                            wait(waiting, op.c, mask & !taken);
+                            continue 'entries;
+                        }
+                    }
+                    Code::Rare => match &rare[op.c as usize] {
+                        Rare::Bin(o, ty) => rows.map2(mask, op, |x, y| eval_bin(*o, *ty, x, y)),
+                        Rare::Un(o, ty) => rows.map2(mask, op, |x, _| eval_un(*o, *ty, x)),
+                        Rare::Atomic(o, ty, space) => {
+                            for l in each(mask) {
+                                let addr = rows.get(op.a, l);
+                                let old = match space {
+                                    AddressSpace::Global => mem.read_u32(addr)?,
+                                    AddressSpace::Local => local_read(local, addr)?,
+                                };
+                                let new = eval_atomic(*o, *ty, old, rows.get(op.b, l));
+                                match space {
+                                    AddressSpace::Global => mem.write_u32(addr, new)?,
+                                    AddressSpace::Local => local_write(local, addr, new)?,
+                                }
+                                rows.set(op.d, l, old);
+                            }
+                        }
+                        Rare::Printf(fmt, args) => {
+                            for l in each(mask) {
+                                printf[l].push(format_printf(fmt, args, |slot| rows.get(slot, l)));
+                            }
+                        }
+                    },
                 }
-                Code::LtSCondBr => {
-                    let v = ((row[a] as i32) < row[b] as i32) as u32;
-                    row[op.d as usize] = v;
-                    steps += 1;
-                    let br = ops[pc];
-                    pc = branch(v, br.b, br.c);
-                    continue;
+                if pc >= next {
+                    settle(steps, mask, n);
+                    wait(waiting, pc as u32, mask);
+                    continue 'entries;
                 }
-                Code::LtFCondBr => {
-                    let v = (f(row[a]) < f(row[b])) as u32;
-                    row[op.d as usize] = v;
-                    steps += 1;
-                    let br = ops[pc];
-                    pc = branch(v, br.b, br.c);
-                    continue;
-                }
-                Code::GepLoadG => {
-                    let v = row[a].wrapping_add(row[b].wrapping_mul(op.c));
-                    row[op.d as usize] = v;
-                    steps += 1;
-                    op = ops[pc];
-                    pc += 1;
-                    result.global_loads += 1;
-                    mem.read_u32(v)?
-                }
-                Code::AddIMov => {
-                    let v = row[a].wrapping_add(row[b]);
-                    row[op.d as usize] = v;
-                    steps += 1;
-                    op = ops[pc];
-                    pc += 1;
-                    v
-                }
-                Code::AddIGep => {
-                    let v = row[a].wrapping_add(row[b]);
-                    row[op.d as usize] = v;
-                    steps += 1;
-                    op = ops[pc];
-                    pc += 1;
-                    row[op.a as usize].wrapping_add(v.wrapping_mul(op.c))
-                }
-                Code::MulIAddI => {
-                    let v = row[a].wrapping_mul(row[b]);
-                    row[op.d as usize] = v;
-                    steps += 1;
-                    op = ops[pc];
-                    pc += 1;
-                    v.wrapping_add(row[op.b as usize])
-                }
-            };
-            row[op.d as usize] = value;
-        };
-        self.pc[item] = pc as u32;
-        self.steps[item] = steps;
-        Ok(status)
+            }
+        }
+        Ok(())
     }
 }
 
-/// The pc a conditional branch on `cond` goes to, as a host branch rather
-/// than a select: the host predicts it and fetches the next op without
-/// waiting for `cond`, where a select makes every later op wait for it.
-/// Both directions are common; `cold_path` is only what keeps the two
-/// targets from being folded into a select.
-#[inline(always)]
-fn branch(cond: u32, then_pc: u32, else_pc: u32) -> usize {
-    if cond != 0 {
-        then_pc as usize
-    } else {
-        std::hint::cold_path();
-        else_pc as usize
+/// Global id of the `item`-th work-item (lz/ly/lx order) of `group`.
+fn global_id(nd: &NdRange, group: [u32; 3], item: usize) -> [u32; 3] {
+    let [lx, ly, _] = nd.local;
+    let item = item as u32;
+    let lid = [item % lx, item / lx % ly, item / (lx * ly)];
+    [0, 1, 2].map(|d| group[d] * nd.local[d] + lid[d])
+}
+
+/// The lanes of `mask`, lowest first.
+fn each(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// Add `n` steps to each lane of `mask`.
+fn settle(steps: &mut [u64], mask: u64, n: u64) {
+    for l in each(mask) {
+        steps[l] += n;
     }
 }
 
-/// Expand the `{}` placeholders of a device printf from the item's row.
-fn format_printf(fmt: &str, args: &[(u32, crate::Scalar)], row: &[u32]) -> String {
+/// Put `lanes` in the pc-sorted waiting list at `pc`, merged into the
+/// entry already there if there is one.
+fn wait(waiting: &mut Vec<(u32, u64)>, pc: u32, lanes: u64) {
+    match waiting.iter().position(|&(p, _)| p <= pc) {
+        Some(i) if waiting[i].0 == pc => waiting[i].1 |= lanes,
+        Some(i) => waiting.insert(i, (pc, lanes)),
+        None => waiting.push((pc, lanes)),
+    }
+}
+
+/// One gang's register file: `w` lanes per slot, slot-major.
+struct Rows<'r> {
+    regs: &'r mut [u32],
+    w: usize,
+    /// Every lane the gang has.
+    full: u64,
+    /// A pure op's results for all `w` lanes, before the masked write.
+    out: [u32; GANG],
+}
+
+impl Rows<'_> {
+    #[inline(always)]
+    fn get(&self, slot: u32, lane: usize) -> u32 {
+        self.regs[slot as usize * self.w + lane]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, slot: u32, lane: usize, v: u32) {
+        self.regs[slot as usize * self.w + lane] = v;
+    }
+
+    /// The `w` lanes of slot `slot`.
+    #[inline(always)]
+    fn row(regs: &[u32], w: usize, slot: u32) -> &[u32] {
+        &regs[slot as usize * w..][..w]
+    }
+
+    /// The lanes whose slot `a` is non-zero.
+    #[inline(always)]
+    fn nonzero(&self, a: u32) -> u64 {
+        let row = Self::row(self.regs, self.w, a);
+        row.iter()
+            .enumerate()
+            .fold(0, |m, (l, &v)| m | u64::from(v != 0) << l)
+    }
+
+    /// `d = f(a, b)` on every lane of `mask` (a one-operand op ignores `b`,
+    /// which decodes as slot 0). Pure ops compute all `w` lanes as one
+    /// slice loop and keep the masked ones.
+    #[inline(always)]
+    fn map2(&mut self, mask: u64, op: DOp, f: impl Fn(u32, u32) -> u32) {
+        let x = Self::row(self.regs, self.w, op.a);
+        let y = Self::row(self.regs, self.w, op.b);
+        for ((o, &x), &y) in self.out.iter_mut().zip(x).zip(y) {
+            *o = f(x, y);
+        }
+        self.commit(mask, op.d);
+    }
+
+    /// `d = f(a, b, c)` on every lane of `mask`.
+    #[inline(always)]
+    fn map3(&mut self, mask: u64, op: DOp, f: impl Fn(u32, u32, u32) -> u32) {
+        let x = Self::row(self.regs, self.w, op.a);
+        let y = Self::row(self.regs, self.w, op.b);
+        let z = Self::row(self.regs, self.w, op.c);
+        for (((o, &x), &y), &z) in self.out.iter_mut().zip(x).zip(y).zip(z) {
+            *o = f(x, y, z);
+        }
+        self.commit(mask, op.d);
+    }
+
+    /// Write the lanes of `mask` from `out` to slot `d`.
+    #[inline(always)]
+    fn commit(&mut self, mask: u64, d: u32) {
+        let w = self.w;
+        let dst = &mut self.regs[d as usize * w..][..w];
+        if mask == self.full {
+            dst.copy_from_slice(&self.out[..w]);
+        } else {
+            for l in each(mask) {
+                dst[l] = self.out[l];
+            }
+        }
+    }
+}
+
+/// Expand the `{}` placeholders of a device printf; `value` reads a slot
+/// of the printing item.
+fn format_printf(fmt: &str, args: &[(u32, crate::Scalar)], value: impl Fn(u32) -> u32) -> String {
     let mut out = String::with_capacity(fmt.len() + 8);
     let mut vals = args.iter();
     let mut chars = fmt.chars().peekable();
@@ -1254,7 +1331,7 @@ fn format_printf(fmt: &str, args: &[(u32, crate::Scalar)], row: &[u32]) -> Strin
             chars.next();
             match vals.next() {
                 Some(&(slot, t)) => {
-                    let bits = row[slot as usize];
+                    let bits = value(slot);
                     match t {
                         crate::Scalar::F32 => out.push_str(&format!("{}", f32::from_bits(bits))),
                         crate::Scalar::I32 => out.push_str(&format!("{}", bits as i32)),
@@ -1538,16 +1615,17 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn barrier_reduction_in_local_memory() {
-        // Tree reduction over one work-group of 8 using local memory.
+    /// Tree reduction of each work-group's `n` inputs through local
+    /// memory: `out[group] = sum`, one barrier per halving.
+    fn reduce_kernel(n: u32) -> Function {
         let mut b = FunctionBuilder::new("reduce", vec![gptr("in"), gptr("out")]);
-        let tile = b.local_array("tile", Scalar::F32, 8);
+        let tile = b.local_array("tile", Scalar::F32, n);
         let lid = b.workitem(Builtin::LocalId(0));
+        let gid = b.workitem(Builtin::GlobalId(0));
         let base = b.local_addr(tile);
         let pin = b.gep(
             Operand::Reg(b.param(0)),
-            lid.into(),
+            gid.into(),
             4,
             AddressSpace::Global,
         );
@@ -1555,8 +1633,8 @@ pub(crate) mod tests {
         let pl = b.gep(base.into(), lid.into(), 4, AddressSpace::Local);
         b.store(pl.into(), v.into(), Scalar::F32, AddressSpace::Local);
         b.barrier();
-        // stride loop: s = 4, 2, 1
-        let s = b.mov(Scalar::U32, Operand::imm_u32(4));
+        // stride loop: s = n / 2, ..., 2, 1
+        let s = b.mov(Scalar::U32, Operand::imm_u32(n / 2));
         let head = b.new_block();
         let body = b.new_block();
         let tail = b.new_block();
@@ -1592,9 +1670,10 @@ pub(crate) mod tests {
         b.switch_to(wr);
         let p0 = b.gep(base.into(), Operand::imm_u32(0), 4, AddressSpace::Local);
         let r = b.load(p0.into(), Scalar::F32, AddressSpace::Local);
+        let group = b.workitem(Builtin::GroupId(0));
         let pout = b.gep(
             Operand::Reg(b.param(1)),
-            Operand::imm_u32(0),
+            group.into(),
             4,
             AddressSpace::Global,
         );
@@ -1604,21 +1683,31 @@ pub(crate) mod tests {
         b.ret();
         let f = b.finish();
         crate::verify::verify_function(&f).unwrap();
+        f
+    }
 
-        let mut mem = Memory::new(1 << 12);
-        let input: Vec<f32> = (1..=8).map(|i| i as f32).collect();
-        let pin = mem.alloc_f32(&input);
-        let pout = mem.alloc(4);
-        let nd = NdRange::d1(8, 8);
-        run_ndrange(
-            &f,
-            &[KernelArg::Ptr(pin), KernelArg::Ptr(pout)],
-            &nd,
-            &mut mem,
-            &Limits::default(),
-        )
-        .unwrap();
-        assert_eq!(mem.read_f32_slice(pout, 1)[0], 36.0);
+    #[test]
+    fn barrier_reduction_in_local_memory() {
+        // 8 items: one gang; 128: two gangs, both reading the other's
+        // partial sums across each barrier.
+        for n in [8u32, 128] {
+            let f = reduce_kernel(n);
+            let mut mem = Memory::new(16 * n);
+            let input: Vec<f32> = (1..=2 * n).map(|i| i as f32).collect();
+            let pin = mem.alloc_f32(&input);
+            let pout = mem.alloc(8);
+            run_ndrange(
+                &f,
+                &[KernelArg::Ptr(pin), KernelArg::Ptr(pout)],
+                &NdRange::d1(2 * n, n),
+                &mut mem,
+                &Limits::default(),
+            )
+            .unwrap();
+            let sum = |r: std::ops::RangeInclusive<u32>| r.sum::<u32>() as f32;
+            let want = [sum(1..=n), sum(n + 1..=2 * n)];
+            assert_eq!(mem.read_f32_slice(pout, 2), want, "{n} items per group");
+        }
     }
 
     #[test]
@@ -1707,36 +1796,36 @@ pub(crate) mod tests {
 
     #[test]
     fn divergent_barrier_is_a_structured_deadlock() {
-        // Items with lid < 2 hit a barrier; the rest return immediately.
-        let mut b = FunctionBuilder::new("divbar", vec![]);
-        let lid = b.workitem(Builtin::LocalId(0));
-        let c = b.cmp(CmpOp::Lt, Scalar::U32, lid.into(), Operand::imm_u32(2));
-        let bar_bb = b.new_block();
-        let done = b.new_block();
-        b.cond_br(c.into(), bar_bb, done);
-        b.switch_to(bar_bb);
-        b.barrier();
-        b.br(done);
-        b.switch_to(done);
-        b.ret();
-        let f = b.finish();
-        let mut mem = Memory::new(1 << 12);
-        let e = run_ndrange(&f, &[], &NdRange::d1(4, 4), &mut mem, &Limits::default()).unwrap_err();
-        match &e {
-            InterpError::BarrierDivergence {
-                group,
-                done,
-                waiting,
-            } => {
-                assert_eq!(*group, [0, 0, 0]);
-                assert_eq!(*done, 2);
-                assert_eq!(waiting, &[0, 1]);
-            }
-            other => panic!("expected BarrierDivergence, got {other:?}"),
+        // Items with lid < k hit a barrier; the rest return immediately.
+        // With 128 items the parked ones span both gangs.
+        for (n, k) in [(4u32, 2u32), (128, 70)] {
+            let mut b = FunctionBuilder::new("divbar", vec![]);
+            let lid = b.workitem(Builtin::LocalId(0));
+            let c = b.cmp(CmpOp::Lt, Scalar::U32, lid.into(), Operand::imm_u32(k));
+            let bar_bb = b.new_block();
+            let done = b.new_block();
+            b.cond_br(c.into(), bar_bb, done);
+            b.switch_to(bar_bb);
+            b.barrier();
+            b.br(done);
+            b.switch_to(done);
+            b.ret();
+            let f = b.finish();
+            let mut mem = Memory::new(1 << 12);
+            let e =
+                run_ndrange(&f, &[], &NdRange::d1(n, n), &mut mem, &Limits::default()).unwrap_err();
+            assert_eq!(
+                e,
+                InterpError::BarrierDivergence {
+                    group: [0, 0, 0],
+                    done: n - k,
+                    waiting: (0..k).collect(),
+                }
+            );
+            let repro: repro_diag::ReproError = e.into();
+            assert_eq!(repro.kind(), "DivergenceDeadlock");
+            assert_eq!(repro.class(), repro_diag::FailureClass::Deadlock);
         }
-        let repro: repro_diag::ReproError = e.into();
-        assert_eq!(repro.kind(), "DivergenceDeadlock");
-        assert_eq!(repro.class(), repro_diag::FailureClass::Deadlock);
     }
 
     #[test]
@@ -1790,6 +1879,135 @@ pub(crate) mod tests {
         let mut mem = Memory::new(1 << 12);
         let r = run_ndrange(&f, &[], &NdRange::d1(2, 1), &mut mem, &Limits::default()).unwrap();
         assert_eq!(r.printf_output, vec!["item 0 says 2.5", "item 1 says 2.5"]);
+    }
+
+    #[test]
+    fn printf_around_a_barrier_comes_out_in_item_order() {
+        // "a lid", then "odd lid" on odd items only, a barrier, "b gid":
+        // each group's items print up to the barrier one item after the
+        // other, then past it, whatever the gangs interleave.
+        let mut b = FunctionBuilder::new("p", vec![]);
+        let lid = b.workitem(Builtin::LocalId(0));
+        let gid = b.workitem(Builtin::GlobalId(0));
+        b.printf("a {}", vec![(Operand::Reg(lid), Scalar::U32)]);
+        let odd = b.bin(BinOp::And, Scalar::U32, lid.into(), Operand::imm_u32(1));
+        let (then_bb, join) = (b.new_block(), b.new_block());
+        b.cond_br(odd.into(), then_bb, join);
+        b.switch_to(then_bb);
+        b.printf("odd {}", vec![(Operand::Reg(lid), Scalar::U32)]);
+        b.br(join);
+        b.switch_to(join);
+        b.barrier();
+        b.printf("b {}", vec![(Operand::Reg(gid), Scalar::U32)]);
+        b.ret();
+        let f = b.finish();
+        let mut mem = Memory::new(64);
+        let r = run_ndrange(
+            &f,
+            &[],
+            &NdRange::d1(256, 128),
+            &mut mem,
+            &Limits::default(),
+        )
+        .unwrap();
+        let mut want = Vec::new();
+        for group in 0..2 {
+            for lid in 0..128 {
+                want.push(format!("a {lid}"));
+                if lid % 2 == 1 {
+                    want.push(format!("odd {lid}"));
+                }
+            }
+            want.extend((0..128).map(|lid| format!("b {}", group * 128 + lid)));
+        }
+        assert_eq!(r.printf_output, want);
+    }
+
+    /// `out[gid] = acc` after `in[gid] % 7` trips of a loop whose body
+    /// branches on the trip's parity and, on odd trips, again on the item.
+    fn nested_divergence_kernel() -> Function {
+        let mut b = FunctionBuilder::new("nest", vec![gptr("in"), gptr("out")]);
+        let gid = b.workitem(Builtin::GlobalId(0));
+        let pin = b.gep(
+            Operand::Reg(b.param(0)),
+            gid.into(),
+            4,
+            AddressSpace::Global,
+        );
+        let v = b.load(pin.into(), Scalar::U32, AddressSpace::Global);
+        let trips = b.bin(BinOp::Rem, Scalar::U32, v.into(), Operand::imm_u32(7));
+        let j = b.mov(Scalar::U32, Operand::imm_u32(0));
+        let acc = b.mov(Scalar::U32, Operand::imm_u32(0));
+        let [head, body, odd, even, mine, theirs, latch, exit] = [(); 8].map(|_| b.new_block());
+        b.br(head);
+        b.switch_to(head);
+        let more = b.cmp(CmpOp::Lt, Scalar::U32, j.into(), trips.into());
+        b.cond_br(more.into(), body, exit);
+        b.switch_to(body);
+        let parity = b.bin(BinOp::And, Scalar::U32, j.into(), Operand::imm_u32(1));
+        b.cond_br(parity.into(), odd, even);
+        b.switch_to(odd);
+        let bit = b.bin(BinOp::And, Scalar::U32, gid.into(), Operand::imm_u32(2));
+        b.cond_br(bit.into(), mine, theirs);
+        b.switch_to(mine);
+        let t = b.bin(BinOp::Mul, Scalar::U32, j.into(), Operand::imm_u32(3));
+        let t = b.bin(BinOp::Add, Scalar::U32, acc.into(), t.into());
+        b.assign(acc, Scalar::U32, t.into());
+        b.br(latch);
+        b.switch_to(theirs);
+        let t = b.bin(BinOp::Xor, Scalar::U32, acc.into(), j.into());
+        b.assign(acc, Scalar::U32, t.into());
+        b.br(latch);
+        b.switch_to(even);
+        let t = b.bin(BinOp::Add, Scalar::U32, acc.into(), Operand::imm_u32(1));
+        b.assign(acc, Scalar::U32, t.into());
+        b.br(latch);
+        b.switch_to(latch);
+        let t = b.bin(BinOp::Add, Scalar::U32, j.into(), Operand::imm_u32(1));
+        b.assign(j, Scalar::U32, t.into());
+        b.br(head);
+        b.switch_to(exit);
+        let pout = b.gep(
+            Operand::Reg(b.param(1)),
+            gid.into(),
+            4,
+            AddressSpace::Global,
+        );
+        b.store(pout.into(), acc.into(), Scalar::U32, AddressSpace::Global);
+        b.ret();
+        b.finish()
+    }
+
+    #[test]
+    fn divergent_trip_counts_match_items_run_alone() {
+        let f = nested_divergence_kernel();
+        let input: Vec<u32> = (0..256u32)
+            .map(|i| i.wrapping_mul(2654435761) >> 7)
+            .collect();
+        let want: Vec<u32> = (0..256u32)
+            .map(|gid| {
+                (0..input[gid as usize] % 7).fold(0, |acc, j| match (j & 1, gid & 2) {
+                    (0, _) => acc + 1,
+                    (_, 0) => acc ^ j,
+                    _ => acc + 3 * j,
+                })
+            })
+            .collect();
+        let run = |local: u32| {
+            let mut mem = Memory::new(2048);
+            let pin = mem.alloc_u32(&input);
+            let pout = mem.alloc(1024);
+            let args = [KernelArg::Ptr(pin), KernelArg::Ptr(pout)];
+            let nd = NdRange::d1(256, local);
+            let r = run_ndrange(&f, &args, &nd, &mut mem, &Limits::default()).unwrap();
+            assert_eq!(mem.read_u32_slice(pout, 256), want, "local size {local}");
+            (r.steps, r.global_loads, r.global_stores)
+        };
+        // A group of one item is a gang of one lane: nothing to diverge.
+        let alone = run(1);
+        for local in [16, 64, 128, 256] {
+            assert_eq!(run(local), alone, "local size {local}");
+        }
     }
 
     #[test]
@@ -2036,240 +2254,6 @@ pub(crate) mod tests {
         }
     }
 
-    fn operand_value(o: Operand, regs: &[u32]) -> u32 {
-        match o {
-            Operand::Reg(r) => regs[r.0 as usize],
-            Operand::Const(k) => k.bits(),
-        }
-    }
-
-    /// What `op` writes, given the register file before it: `eval_*` for
-    /// the operators; `Mov`, `Gep` and `Load` have no evaluator and are a
-    /// copy, `base + index * size` and a word of `mem`.
-    fn reference(op: &Op, regs: &[u32], mem: &Memory) -> u32 {
-        let v = |o: &Operand| operand_value(*o, regs);
-        match op {
-            Op::Bin { op, ty, a, b } => eval_bin(*op, *ty, v(a), v(b)),
-            Op::Cmp { op, ty, a, b } => eval_cmp(*op, *ty, v(a), v(b)) as u32,
-            Op::Mov { a, .. } => v(a),
-            Op::Gep {
-                base,
-                index,
-                elem_bytes,
-                ..
-            } => v(base).wrapping_add(v(index).wrapping_mul(*elem_bytes)),
-            Op::Load { ptr, .. } => mem.read_u32(v(ptr)).unwrap(),
-            other => unreachable!("{other:?} is in no fused pair"),
-        }
-    }
-
-    /// The words a pair kernel loads from: the first allocation, at
-    /// [`GLOBAL_BASE`].
-    const PAIR_DATA: [u32; 4] = [0x8000_0000, 0xffff_ffff, 0x7fc0_0000, 31];
-
-    /// Run a one-item kernel `(out, x: ty, y: ty)` whose entry block opens
-    /// with the pair that `pair` builds from the registers of `x` and `y`
-    /// (a branching partner goes to the two blocks it is given), check that
-    /// decoding fused it into `fused` exactly when `pair` says the partner
-    /// reads the first op's result where the fused arm takes it, and hold
-    /// what it computes to the pair run one op at a time through
-    /// [`reference`]: every register defined by the end of the pair, and
-    /// which way a branch went.
-    fn check_pair(
-        fused: Code,
-        ty: Scalar,
-        (x, y): (u32, u32),
-        pair: impl FnOnce(&mut FunctionBuilder, (VReg, VReg), [crate::BlockId; 2]) -> bool,
-    ) {
-        let params = vec![gptr("out"), scalar_param("x", ty), scalar_param("y", ty)];
-        let mut b = FunctionBuilder::new("pair", params);
-        let targets = [b.new_block(), b.new_block()];
-        let regs = (b.param(1), b.param(2));
-        let fuses = pair(&mut b, regs, targets);
-        // Registers are numbered in order, so the next fresh one counts
-        // those the parameters and the pair defined.
-        let defined = b.fresh(Scalar::U32).0;
-        // out[i] = register i, then out[defined] = the way taken: 0 when
-        // the partner does not branch, else 1 + the target's index.
-        let dump = |b: &mut FunctionBuilder, way: u32| {
-            let out = Operand::Reg(b.param(0));
-            for i in 0..=defined {
-                let v = if i < defined {
-                    VReg(i).into()
-                } else {
-                    Operand::imm_u32(way)
-                };
-                let p = b.gep(out, Operand::imm_u32(i), 4, AddressSpace::Global);
-                b.store(p.into(), v, Scalar::U32, AddressSpace::Global);
-            }
-            b.ret();
-        };
-        let branches = b.is_terminated();
-        if !branches {
-            dump(&mut b, 0);
-        }
-        for (way, bb) in (1..).zip(targets) {
-            b.switch_to(bb);
-            if branches {
-                dump(&mut b, way);
-            } else {
-                b.ret();
-            }
-        }
-        let f = b.finish();
-        let mut mem = Memory::new(256);
-        let data = mem.alloc_u32(&PAIR_DATA);
-        assert_eq!(data, GLOBAL_BASE);
-        let out = mem.alloc(4 * (defined + 1));
-        let args = [KernelArg::Ptr(out), KernelArg::U32(x), KernelArg::U32(y)];
-        let code = decode(&f, &args, &[]).ops[0].code;
-        assert_eq!(code, if fuses { fused } else { fused.unfused() }, "{f}");
-        run_ndrange(&f, &args, &NdRange::d1(1, 1), &mut mem, &Limits::default()).unwrap();
-
-        let mut regs = vec![0; defined as usize];
-        for (r, a) in regs.iter_mut().zip(&args) {
-            *r = a.bits();
-        }
-        let entry = &f.blocks[0];
-        let steps = if branches { 1 } else { 2 };
-        for inst in &entry.insts[..steps] {
-            let v = reference(&inst.op, &regs, &mem);
-            regs[inst.result.unwrap().0 as usize] = v;
-        }
-        let way = match &entry.term {
-            _ if !branches => 0,
-            Terminator::CondBr { cond, .. } if operand_value(*cond, &regs) == 0 => 2,
-            _ => 1,
-        };
-        let mut want = regs;
-        want.push(way);
-        let got = mem.read_u32_slice(out, want.len());
-        assert_eq!(got, want, "{fused:?} {ty:?} {x:#x} {y:#x}\n{f}");
-    }
-
-    /// Append `op`, writing `dst` or a fresh register, and return that.
-    fn push_to(b: &mut FunctionBuilder, dst: Option<VReg>, op: Op) -> VReg {
-        match dst {
-            Some(d) => {
-                b.push_into(d, op);
-                d
-            }
-            None => b.push(op, Scalar::U32),
-        }
-    }
-
-    #[test]
-    fn fused_opcodes_match_eval() {
-        let vals = edge_values();
-        let pairs: Vec<(u32, u32)> = (0..vals.len())
-            .flat_map(|i| [1, 5, 11].map(|k| (vals[i], vals[(i + k) % vals.len()])))
-            .collect();
-        // A partner's operands, the one its fused arm takes from a
-        // register first, and its destination, given the first op's result
-        // `r`: it reads `r` there or in its other operand, ignores it for
-        // `y` and a constant, or overwrites `x`, an operand of the first op.
-        let links = |r: VReg, (rx, ry): (VReg, VReg), k: Operand| {
-            [
-                (Operand::from(r), Operand::from(ry), None),
-                (ry.into(), r.into(), None),
-                (ry.into(), k, None),
-                (r.into(), k, Some(rx)),
-            ]
-        };
-        for (x, y) in pairs.iter().copied() {
-            for shape in SHAPES {
-                for ty in [Scalar::I32, Scalar::U32, Scalar::Bool] {
-                    let arith = [
-                        (BinOp::Add, Code::AddIMov),
-                        (BinOp::Add, Code::AddIGep),
-                        (BinOp::Mul, Code::MulIAddI),
-                    ];
-                    for (op, fused) in arith {
-                        for link in 0..4 {
-                            check_pair(fused, ty, (x, y), |b, regs, _| {
-                                let (a, c, dst) = place(shape, ty, regs, (x, y));
-                                let r = push_to(b, dst, Op::Bin { op, ty, a, b: c });
-                                let (p, q, dst) = links(r, regs, konst(ty, x ^ y))[link];
-                                let partner = match fused {
-                                    Code::AddIMov => Op::Mov { ty, a: p },
-                                    Code::AddIGep => Op::Gep {
-                                        base: q,
-                                        index: p,
-                                        elem_bytes: 4,
-                                        space: AddressSpace::Global,
-                                    },
-                                    _ => Op::Bin {
-                                        op: BinOp::Add,
-                                        ty,
-                                        a: p,
-                                        b: q,
-                                    },
-                                };
-                                push_to(b, dst, partner);
-                                p == r.into()
-                            });
-                        }
-                    }
-                }
-                for (ty, fused) in [
-                    (Scalar::I32, Code::LtSCondBr),
-                    (Scalar::F32, Code::LtFCondBr),
-                ] {
-                    for op in [CmpOp::Lt, CmpOp::Gt] {
-                        // Branch on `r`, on `y`, or on a constant.
-                        for link in 0..3 {
-                            check_pair(fused, ty, (x, y), |b, regs, [then_bb, else_bb]| {
-                                let (a, c, dst) = place(shape, ty, regs, (x, y));
-                                let r = push_to(b, dst, Op::Cmp { op, ty, a, b: c });
-                                let cond = [r.into(), regs.1.into(), Operand::imm_u32(x & 1)];
-                                b.cond_br(cond[link], then_bb, else_bb);
-                                cond[link] == r.into()
-                            });
-                        }
-                    }
-                }
-                for ty in SCALARS {
-                    check_pair(Code::MovBr, ty, (x, y), |b, regs, [then_bb, _]| {
-                        let (a, _, dst) = place(shape, ty, regs, (x, y));
-                        push_to(b, dst, Op::Mov { ty, a });
-                        b.br(then_bb);
-                        true
-                    });
-                }
-            }
-        }
-        // Gep→LoadG on valid addresses only: `x` is the data words' base
-        // and `y` an index into them; `op(k, k)` would read out of range.
-        for shape in SHAPES.into_iter().filter(|&s| s != Shape::SameConst) {
-            for y in 0..PAIR_DATA.len() as u32 {
-                for link in 0..3 {
-                    let (x, ty) = (GLOBAL_BASE, Scalar::U32);
-                    check_pair(Code::GepLoadG, ty, (x, y), |b, regs, _| {
-                        let (base, index, dst) = place(shape, ty, regs, (x, y));
-                        let gep = Op::Gep {
-                            base,
-                            index,
-                            elem_bytes: 4,
-                            space: AddressSpace::Global,
-                        };
-                        let r = push_to(b, dst, gep);
-                        // Load through `r`, through `x` (still an address
-                        // when the gep overwrote it), or through `r` into `x`.
-                        let (ptr, dst) = [(r, None), (regs.0, None), (r, Some(regs.0))][link];
-                        let load = Op::Load {
-                            ptr: ptr.into(),
-                            ty,
-                            space: AddressSpace::Global,
-                            hint: Default::default(),
-                        };
-                        push_to(b, dst, load);
-                        ptr == r
-                    });
-                }
-            }
-        }
-    }
-
     #[test]
     fn atomics_match_eval_in_both_address_spaces() {
         let vals = edge_values();
@@ -2366,20 +2350,22 @@ pub(crate) mod tests {
     #[test]
     fn step_limit_admits_limit_plus_one_steps_and_keeps_earlier_stores() {
         let (f, long_steps) = detour_kernel();
-        let nd = NdRange::d2(4, 4, 2, 2);
-        let run = |limit: u64| {
-            let mut mem = Memory::new(256);
-            let out = mem.alloc(64);
+        let run = |nd: NdRange, limit: u64| {
+            let n = nd.total_items() as u32;
+            let mut mem = Memory::new(4 * n);
+            let out = mem.alloc(4 * n);
             let limits = Limits {
                 max_steps_per_item: limit,
             };
             let r = run_ndrange(&f, &[KernelArg::Ptr(out)], &nd, &mut mem, &limits);
-            (r, mem.read_u32_slice(out, 16))
+            (r, mem.read_u32_slice(out, n as usize))
         };
-        let (r, out) = run(long_steps - 1);
+        // 4 x 4 in 2 x 2 groups: the item at (3, 2) takes the detour.
+        let nd = NdRange::d2(4, 4, 2, 2);
+        let (r, out) = run(nd, long_steps - 1);
         assert_eq!(r.unwrap().steps, 15 * (long_steps - 3) + long_steps);
         assert_eq!(out, vec![7; 16]);
-        let (r, out) = run(long_steps - 2);
+        let (r, out) = run(nd, long_steps - 2);
         assert_eq!(
             r.unwrap_err(),
             InterpError::StepLimit {
@@ -2387,149 +2373,27 @@ pub(crate) mod tests {
                 limit: long_steps - 2
             }
         );
-        // Groups run in x-then-y order, items in lx-then-ly order: (3, 2)
-        // is the second item of the last group, so its own store and
-        // every earlier item's landed; (2, 3) and (3, 3) never ran.
-        let mut want = vec![7; 16];
-        want[14] = 0;
-        want[15] = 0;
+        // Groups run in x-then-y order, so (3, 2) is in the last group; its
+        // four items run as one gang, and each had stored before (3, 2)
+        // left them for its detour.
+        assert_eq!(out, vec![7; 16]);
+        // One group of 128 items, two gangs: item 11 of gang 0 takes the
+        // detour and fails, so gang 1 never ran.
+        let nd = NdRange::d1(128, 128);
+        let (r, out) = run(nd, long_steps - 1);
+        assert_eq!(r.unwrap().steps, 127 * (long_steps - 3) + long_steps);
+        assert_eq!(out, vec![7; 128]);
+        let (r, out) = run(nd, long_steps - 2);
+        assert_eq!(
+            r.unwrap_err(),
+            InterpError::StepLimit {
+                item: [11, 0, 0],
+                limit: long_steps - 2
+            }
+        );
+        let mut want = vec![7; 64];
+        want.resize(128, 0);
         assert_eq!(out, want);
-    }
-
-    /// A straight-line kernel holding every fused pair between global
-    /// stores; store `k` writes `out[k]`, and the blocks run in order.
-    fn every_pair_kernel() -> Function {
-        let params = vec![
-            gptr("out"),
-            gptr("data"),
-            scalar_param("x", Scalar::I32),
-            scalar_param("fx", Scalar::F32),
-            scalar_param("fy", Scalar::F32),
-        ];
-        let mut b = FunctionBuilder::new("every_pair", params);
-        let (out, data) = (Operand::Reg(b.param(0)), Operand::Reg(b.param(1)));
-        let (x, fx, fy) = (b.param(2), b.param(3), b.param(4));
-        let blocks = [b.new_block(), b.new_block(), b.new_block()];
-        let store = |b: &mut FunctionBuilder, k: u32, v: VReg| {
-            let p = b.gep(out, Operand::imm_u32(k), 4, AddressSpace::Global);
-            b.store(p.into(), v.into(), Scalar::U32, AddressSpace::Global);
-        };
-        let a = b.mov(Scalar::I32, x.into()); // Mov→Br
-        b.br(blocks[0]);
-        b.switch_to(blocks[0]);
-        store(&mut b, 0, a);
-        let q = b.gep(data, Operand::imm_u32(1), 4, AddressSpace::Global); // Gep→LoadG
-        let v = b.load(q.into(), Scalar::I32, AddressSpace::Global);
-        store(&mut b, 1, v);
-        let t = b.bin(BinOp::Add, Scalar::I32, v.into(), a.into()); // AddI→Mov
-        let m = b.mov(Scalar::I32, t.into());
-        store(&mut b, 2, m);
-        let u = b.bin(BinOp::Add, Scalar::I32, m.into(), Operand::imm_i32(1)); // AddI→Gep
-        let p = b.gep(out, u.into(), 4, AddressSpace::Global);
-        // Store 3, at out[u] with u = 3.
-        b.store(p.into(), u.into(), Scalar::U32, AddressSpace::Global);
-        let w = b.bin(BinOp::Mul, Scalar::I32, u.into(), Operand::imm_i32(5)); // MulI→AddI
-        let z = b.bin(BinOp::Add, Scalar::I32, w.into(), Operand::imm_i32(1));
-        store(&mut b, 4, z);
-        let c = b.cmp(CmpOp::Lt, Scalar::I32, z.into(), Operand::imm_i32(1000)); // LtS→CondBr
-        b.cond_br(c.into(), blocks[1], blocks[1]);
-        b.switch_to(blocks[1]);
-        store(&mut b, 5, c);
-        let cf = b.cmp(CmpOp::Lt, Scalar::F32, fx.into(), fy.into()); // LtF→CondBr
-        b.cond_br(cf.into(), blocks[2], blocks[2]);
-        b.switch_to(blocks[2]);
-        store(&mut b, 6, cf);
-        b.ret();
-        b.finish()
-    }
-
-    /// Run `f` as the one item of group (3, 0, 0) under `limit`, as
-    /// `run_ndrange` runs an item, and return the outcome with the item's
-    /// register row, which a `StepLimit` leaves as the last step wrote it.
-    fn run_one_item(
-        f: &Function,
-        args: &[KernelArg],
-        mem: &mut Memory,
-        limit: u64,
-    ) -> (Result<u64, InterpError>, Vec<u32>) {
-        let prog = decode(f, args, &[]);
-        let nd = NdRange::d1(4, 1);
-        let mut launch = Launch {
-            prog: &prog,
-            nd: &nd,
-            limit,
-            regs: vec![0; prog.template.len()],
-            pc: vec![0],
-            steps: vec![0],
-            status: vec![Status::Ready],
-            local_mem: Vec::new(),
-        };
-        let mut result = ExecResult::default();
-        let r = launch.run_group([3, 0, 0], mem, &mut result);
-        (r.map(|()| result.steps), launch.regs)
-    }
-
-    #[test]
-    fn step_limit_splits_every_fused_pair_exactly() {
-        let f = every_pair_kernel();
-        // The step at which each store lands and each register is written.
-        let (mut step, mut store_steps, mut def_step) = (0, vec![], vec![0; f.num_vregs()]);
-        for block in &f.blocks {
-            for inst in &block.insts {
-                step += 1;
-                match inst.result {
-                    Some(r) => def_step[r.0 as usize] = step,
-                    None => store_steps.push(step),
-                }
-            }
-            step += 1;
-        }
-        let total = step;
-        let codes: Vec<Code> = decode(&f, &[KernelArg::U32(0); 5], &[])
-            .ops
-            .iter()
-            .map(|op| op.code)
-            .collect();
-        for (_, _, fused) in FUSED {
-            assert!(codes.contains(&fused), "{fused:?} missing from {codes:?}");
-        }
-        let run = |limit: u64| {
-            let mut mem = Memory::new(256);
-            let out = mem.alloc_u32(&[u32::MAX; 7]);
-            let data = mem.alloc_i32(&[0, 1]);
-            let args = [
-                KernelArg::Ptr(out),
-                KernelArg::Ptr(data),
-                KernelArg::I32(1),
-                KernelArg::F32(1.0),
-                KernelArg::F32(2.0),
-            ];
-            let (r, regs) = run_one_item(&f, &args, &mut mem, limit);
-            (r, mem.read_u32_slice(out, 7), regs)
-        };
-        let (full, full_out, full_regs) = run(total);
-        assert_eq!(full, Ok(total));
-        // a = 1, v = 1, m = 2, u = 3, z = 16, c = 1, cf = 1.
-        assert_eq!(full_out, vec![1, 1, 2, 3, 16, 1, 1]);
-        let params = 5;
-        for limit in 0..=total {
-            let (r, out, regs) = run(limit);
-            let admitted = limit + 1;
-            if admitted < total {
-                let item = [3, 0, 0];
-                assert_eq!(r, Err(InterpError::StepLimit { item, limit }));
-            } else {
-                assert_eq!(r, Ok(total), "limit {limit}");
-            }
-            for (k, &s) in store_steps.iter().enumerate() {
-                let want = if s <= admitted { full_out[k] } else { u32::MAX };
-                assert_eq!(out[k], want, "limit {limit}: store {k} at step {s}");
-            }
-            for (r, &s) in def_step.iter().enumerate().skip(params) {
-                let want = if s <= admitted { full_regs[r] } else { 0 };
-                assert_eq!(regs[r], want, "limit {limit}: %{r} written at step {s}");
-            }
-        }
     }
 
     #[test]
@@ -2590,6 +2454,15 @@ pub(crate) mod tests {
             NdRange {
                 global: [2, 2, 4],
                 local: [1, 2, 2],
+            },
+            // One full gang, and two gangs of 3-D items.
+            NdRange {
+                global: [8, 4, 8],
+                local: [4, 4, 4],
+            },
+            NdRange {
+                global: [8, 8, 4],
+                local: [8, 4, 4],
             },
         ] {
             // out[18 * linear global id + 3 * kind + dim] = builtin(dim)

@@ -164,7 +164,7 @@ impl JobRequest {
     pub fn parse(j: &Json) -> Result<JobRequest, String> {
         let str_field = |k: &str| j.get(k).and_then(|v| v.as_str()).map(str::to_string);
         let u64_field = |k: &str| j.get(k).and_then(|v| v.as_u64());
-        let u32_field = |k: &str| u64_field(k).map(|v| v as u32);
+        let u32_field = |k: &str| j.get(k).map(|v| wire_u32(v, k)).transpose();
         let flow = match str_field("flow") {
             None => Flow::Vortex,
             Some(s) => Flow::parse(&s).ok_or_else(|| format!("unknown flow `{s}`"))?,
@@ -184,9 +184,8 @@ impl JobRequest {
             let kernel = str_field("kernel").ok_or("inline job missing `kernel`")?;
             let nd = j.get("nd").ok_or("inline job missing `nd`")?;
             let dim = |k: &str, default: u32| {
-                nd.get(k).map_or(Ok(default), |v| {
-                    v.as_u64().map(|v| v as u32).ok_or(format!("bad nd.{k}"))
-                })
+                nd.get(k)
+                    .map_or(Ok(default), |v| wire_u32(v, &format!("nd.{k}")))
             };
             let nd = NdSpec {
                 gx: dim("gx", 1)?,
@@ -200,7 +199,8 @@ impl JobRequest {
                     .as_array()
                     .ok_or("`buffers` must be an array of word counts")?
                     .iter()
-                    .map(|b| b.as_u64().map(|w| w as u32).ok_or("bad buffer length"))
+                    .enumerate()
+                    .map(|(i, b)| wire_u32(b, &format!("buffers[{i}]")))
                     .collect::<Result<_, _>>()?,
             };
             let args = match j.get("args") {
@@ -209,7 +209,8 @@ impl JobRequest {
                     .as_array()
                     .ok_or("`args` must be an array")?
                     .iter()
-                    .map(parse_arg)
+                    .enumerate()
+                    .map(|(i, a)| parse_arg(i, a))
                     .collect::<Result<_, _>>()?,
             };
             Payload::Source {
@@ -227,10 +228,10 @@ impl JobRequest {
             payload,
             flow,
             opt,
-            cores: u32_field("cores").unwrap_or(2),
-            warps: u32_field("warps").unwrap_or(4),
-            threads: u32_field("threads").unwrap_or(16),
-            sim_threads: u32_field("sim_threads").unwrap_or(1).max(1),
+            cores: u32_field("cores")?.unwrap_or(2),
+            warps: u32_field("warps")?.unwrap_or(4),
+            threads: u32_field("threads")?.unwrap_or(16),
+            sim_threads: u32_field("sim_threads")?.unwrap_or(1).max(1),
             max_cycles: u64_field("max_cycles"),
             max_instructions: u64_field("max_instructions"),
             deadline_ms: u64_field("deadline_ms"),
@@ -242,20 +243,38 @@ impl JobRequest {
     }
 }
 
-fn parse_arg(j: &Json) -> Result<ArgSpec, String> {
-    if let Some(i) = j.get("buf").and_then(|v| v.as_u64()) {
-        return Ok(ArgSpec::Buf(i as usize));
+/// Argument `i` of an inline job: exactly one of `buf`, `i32`, `u32` or
+/// `f32`, whose integer value must fit its type.
+fn parse_arg(i: usize, j: &Json) -> Result<ArgSpec, String> {
+    let field = |k: &str| j.get(k).map(|v| (v, format!("args[{i}].{k}")));
+    if let Some((v, name)) = field("buf") {
+        return Ok(ArgSpec::Buf(wire_u32(v, &name)? as usize));
     }
-    if let Some(v) = j.get("i32").and_then(|v| v.as_f64()) {
-        return Ok(ArgSpec::I32(v as i32));
+    if let Some((v, name)) = field("i32") {
+        let int = match *v {
+            Json::Int(x) => i32::try_from(x).ok(),
+            Json::UInt(x) => i32::try_from(x).ok(),
+            _ => None,
+        };
+        return int
+            .map(ArgSpec::I32)
+            .ok_or_else(|| format!("`{name}` must be an integer in {}..={}", i32::MIN, i32::MAX));
     }
-    if let Some(v) = j.get("u32").and_then(|v| v.as_u64()) {
-        return Ok(ArgSpec::U32(v as u32));
+    if let Some((v, name)) = field("u32") {
+        return Ok(ArgSpec::U32(wire_u32(v, &name)?));
     }
     if let Some(v) = j.get("f32").and_then(|v| v.as_f64()) {
         return Ok(ArgSpec::F32(v as f32));
     }
     Err("arg must be one of {buf, i32, u32, f32}".to_string())
+}
+
+/// A wire integer that must fit a `u32`; out of range, negative or not an
+/// integer is an error naming `field`, never a truncation.
+fn wire_u32(v: &Json, field: &str) -> Result<u32, String> {
+    v.as_u64()
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or_else(|| format!("`{field}` must be an integer in 0..={}", u32::MAX))
 }
 
 impl ToJson for JobRequest {
@@ -524,6 +543,73 @@ mod tests {
             let err = JobRequest::parse(&Json::parse(bad).unwrap()).unwrap_err();
             assert!(err.contains(needle), "`{bad}` -> {err}");
         }
+    }
+
+    #[test]
+    fn wire_integers_that_do_not_fit_are_errors_naming_the_field() {
+        let inline = |extra: &str, nd: &str, buffers: &str, arg: &str| {
+            format!(
+                r#"{{"source": "s", "kernel": "k", "nd": {{{nd}}}, "buffers": [{buffers}], "args": [{{"buf": 0}}, {arg}]{extra}}}"#
+            )
+        };
+        let ok = |extra: &str| inline(extra, r#""gx": 4"#, "4", r#"{"u32": 1}"#);
+        for (bad, field) in [
+            (ok(r#", "cores": 4294967297"#), "`cores`"),
+            (ok(r#", "warps": -1"#), "`warps`"),
+            (ok(r#", "threads": 1.5"#), "`threads`"),
+            (ok(r#", "sim_threads": 4294967296"#), "`sim_threads`"),
+            (
+                inline("", r#""lx": 4294967300"#, "4", r#"{"u32": 1}"#),
+                "`nd.lx`",
+            ),
+            (
+                inline("", r#""gx": 4"#, "4, 4294967296", r#"{"u32": 1}"#),
+                "`buffers[1]`",
+            ),
+            (
+                inline("", r#""gx": 4"#, "4", r#"{"u32": 4294967296}"#),
+                "`args[1].u32`",
+            ),
+            (
+                inline("", r#""gx": 4"#, "4", r#"{"i32": 1.5}"#),
+                "`args[1].i32`",
+            ),
+            (
+                inline("", r#""gx": 4"#, "4", r#"{"i32": 2147483648}"#),
+                "`args[1].i32`",
+            ),
+            (
+                inline("", r#""gx": 4"#, "4", r#"{"i32": -2147483649}"#),
+                "`args[1].i32`",
+            ),
+        ] {
+            let err = JobRequest::parse(&Json::parse(&bad).unwrap()).unwrap_err();
+            assert!(err.contains(field), "`{bad}` -> {err}");
+        }
+        // The extremes of each type still parse, unchanged.
+        let edge = inline(
+            r#", "cores": 4294967295"#,
+            r#""gx": 4294967295"#,
+            "4294967295",
+            r#"{"i32": -2147483648}, {"u32": 4294967295}"#,
+        );
+        let req = JobRequest::parse(&Json::parse(&edge).unwrap()).unwrap();
+        assert_eq!(req.cores, u32::MAX);
+        let Payload::Source {
+            nd, buffers, args, ..
+        } = req.payload
+        else {
+            panic!("an inline job");
+        };
+        assert_eq!((nd.gx, buffers), (u32::MAX, vec![u32::MAX]));
+        assert_eq!(
+            args,
+            [
+                ArgSpec::Buf(0),
+                ArgSpec::I32(i32::MIN),
+                ArgSpec::U32(u32::MAX)
+            ]
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use crate::spec::{Benchmark, HostData, LArg, LaunchOf, WorkloadOf};
 use fpga_arch::Device;
+use hls_flow::analysis::KernelProfile;
 use ocl_ir::interp::{self, KernelArg, Limits, Memory};
 use ocl_ir::passes::OptLevel;
 use ocl_ir::Module;
@@ -115,7 +116,8 @@ enum Target {
 
 enum HostExec {
     Interp(Limits),
-    Hls(Device),
+    /// The device, and the profile of each kernel launched so far.
+    Hls(Device, Vec<KernelProfile>),
 }
 
 impl Target {
@@ -164,7 +166,7 @@ impl Target {
             Backend::Hls { device } => {
                 metrics::counter_add("suite.runs.hls", 1);
                 cache.synthesize_hls(source, device)??;
-                host(HostExec::Hls(device.clone()))
+                host(HostExec::Hls(device.clone(), Vec::new()))
             }
         }
     }
@@ -222,8 +224,15 @@ impl Target {
             HostExec::Interp(limits) => metrics::time("suite.interp.launch", || {
                 interp::run_ndrange(kernel, &args, &l.nd, mem, limits)
             })?,
-            HostExec::Hls(device) => {
-                let r = hls_flow::execute_ndrange(kernel, &args, &l.nd, mem, device)?;
+            HostExec::Hls(device, profiles) => {
+                let p = match profiles.iter().position(|p| p.name == kernel.name) {
+                    Some(i) => &profiles[i],
+                    None => {
+                        profiles.push(hls_flow::analysis::profile(kernel));
+                        profiles.last().expect("just pushed")
+                    }
+                };
+                let r = hls_flow::execute_ndrange(kernel, p, &args, &l.nd, mem, device)?;
                 out.cycles += r.cycles;
                 r.exec
             }

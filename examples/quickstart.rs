@@ -64,6 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let py = mem.alloc_f32(&ys);
     let hls = hls_flow::execute_ndrange(
         &module.kernels[0],
+        &hls_flow::analysis::profile(&module.kernels[0]),
         &[
             KernelArg::Ptr(px),
             KernelArg::Ptr(py),

@@ -49,6 +49,7 @@ fn hls_cycles(src: &str, n: u32) -> u64 {
     let po = mem.alloc(n * 4);
     fpga_gpu_repro::hls::execute_ndrange(
         k,
+        &fpga_gpu_repro::hls::analysis::profile(k),
         &[KernelArg::Ptr(pa), KernelArg::Ptr(po)],
         &NdRange::d1(n, 16),
         &mut mem,

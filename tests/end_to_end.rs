@@ -67,6 +67,7 @@ fn three_backends_agree_bit_for_bit() {
     let ho = mem_h.alloc(n * 4);
     hls::execute_ndrange(
         k,
+        &hls::analysis::profile(k),
         &[
             KernelArg::Ptr(ha),
             KernelArg::Ptr(ho),

@@ -332,3 +332,38 @@ fn out_of_range_geometry_is_rejected_typed_and_the_service_lives() {
     assert_eq!(lines[5].get("ok").and_then(|v| v.as_bool()), Some(true));
     assert_eq!(lines[6].get("failed").and_then(|v| v.as_u64()), Some(5));
 }
+
+/// A wire integer too wide for its field — 2^32 + 1 cores, which used to
+/// wrap to 1 and run, or a fractional `i32` argument, which used to
+/// truncate — is a typed `Protocol` reject naming the field, and the job
+/// behind it in the same session still runs.
+#[test]
+fn wire_integers_that_do_not_fit_are_rejected_typed_and_the_service_lives() {
+    let input = r#"{"id":1,"bench":"Vecadd","cores":4294967297}
+{"id":2,"source":"__kernel void k(__global int* o, int v) { o[0] = v; }","kernel":"k","nd":{"gx":1},"buffers":[1],"args":[{"buf":0},{"i32":1.5}],"flow":"interp"}
+{"id":3,"bench":"Vecadd","cores":1}
+
+"#;
+    let exec = Executor::new(ExecConfig::with_workers(2));
+    let mut out = Vec::new();
+    let summary = serve_lines(&exec, &ServeOptions::default(), input.as_bytes(), &mut out)
+        .expect("serve loop survives malformed integers");
+    assert_eq!(
+        (summary.rejected, summary.jobs, summary.ok),
+        (2, 1, 1),
+        "{summary:?}"
+    );
+    let lines: Vec<Json> = std::str::from_utf8(&out)
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .collect();
+    for (line, field) in lines.iter().zip(["`cores`", "`args[1].i32`"]) {
+        let err = line.get("error").expect("reject line carries the error");
+        assert_eq!(err.get("kind").and_then(|v| v.as_str()), Some("Protocol"));
+        let detail = err.get("detail").and_then(|v| v.as_str()).unwrap();
+        assert!(detail.contains(field), "{field} not named: {detail}");
+    }
+    assert_eq!(lines[2].get("id").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(lines[2].get("ok").and_then(|v| v.as_bool()), Some(true));
+}
