@@ -1019,9 +1019,10 @@ impl Launch<'_> {
                         table[d] = group[d] * self.nd.local[d] + lid[d];
                         table[3 + d] = lid[d];
                     }
-                    let lane = item / w * file + item % w;
+                    // The item's lane of slot 0 in its gang's file.
+                    let at = item / w * file + item % w;
                     for &(index, slot) in &self.prog.builtins {
-                        self.regs[lane + slot as usize * w] = table[index];
+                        self.regs[at + slot as usize * w] = table[index];
                     }
                     item += 1;
                 }

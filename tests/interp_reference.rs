@@ -212,24 +212,18 @@ impl Env<'_> {
                 Op::Barrier => return Ok(()),
                 Op::Printf { fmt, args } => {
                     let mut vals = args.iter().map(|(o, t)| (v(o), *t));
-                    let line =
-                        fmt.split("{}")
-                            .enumerate()
-                            .fold(String::new(), |mut line, (i, piece)| {
-                                if i > 0 {
-                                    match vals.next() {
-                                        Some((bits, Scalar::F32)) => {
-                                            line += &f32::from_bits(bits).to_string()
-                                        }
-                                        Some((bits, Scalar::I32)) => {
-                                            line += &(bits as i32).to_string()
-                                        }
-                                        Some((bits, _)) => line += &bits.to_string(),
-                                        None => line += "{}",
-                                    }
-                                }
-                                line + piece
-                            });
+                    let mut line = String::new();
+                    for (i, piece) in fmt.split("{}").enumerate() {
+                        if i > 0 {
+                            line += &match vals.next() {
+                                Some((bits, Scalar::F32)) => f32::from_bits(bits).to_string(),
+                                Some((bits, Scalar::I32)) => (bits as i32).to_string(),
+                                Some((bits, _)) => bits.to_string(),
+                                None => "{}".to_string(),
+                            };
+                        }
+                        line += piece;
+                    }
                     self.out.printf_output.push(line);
                     continue;
                 }
