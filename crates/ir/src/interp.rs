@@ -14,14 +14,14 @@
 //! `Const` and `Function` are not looked at again.
 //!
 //! **Gangs.** A work-group's items, in lz/ly/lx order, are cut into gangs
-//! of at most 64 ([`GANG`]; a `u64` is the lane mask). Each gang has its
-//! own register file, slot-major (`regs[slot * width + lane]`), reset per
-//! group from the template row with each lane's global and local ids
-//! patched in. A gang runs in lockstep: one op fetch and one `match` per
-//! op, whose arm then loops over the lanes of the running mask. Pure arms
-//! compute every lane of the gang as one slice loop and keep the masked
-//! lanes' results; memory, atomic and printf arms visit the masked lanes
-//! in lane order, so within one op lower lanes' effects come first.
+//! of at most 64 ([`GANG`]; a `u64` is the lane mask), each with its own
+//! slot-major register file (`regs[slot * width + lane]`). The files of
+//! group `[0, 0, 0]` are built once per launch; a group starts from one
+//! copy of them with its global- and group-id rows moved. A gang runs in
+//! lockstep: one op fetch and one `match` per op. A pure arm on every lane
+//! whose destination is not a source writes the destination row in place
+//! as one slice loop; other pure arms and the memory, atomic and printf
+//! arms visit the masked lanes in lane order, lower lanes' effects first.
 //!
 //! **Reconvergence** is min-PC. The gang keeps a small pc-sorted list of
 //! `(pc, mask)` entries and always runs the lowest pc; after each op one
@@ -660,11 +660,12 @@ fn builtin_index(b: Builtin) -> usize {
     kind * 3 + d as usize
 }
 
-/// The work-item builtin values of `group`, indexed by [`builtin_index`].
-/// The global and local ids (entries 0..6) differ per item; the group loop
-/// rewrites them as it walks the items.
-fn builtin_table(nd: &NdRange, group: [u32; 3]) -> [u32; 18] {
+/// The work-item builtin values of the item with local id `lid` in
+/// `group`, indexed by [`builtin_index`].
+fn builtin_table(nd: &NdRange, group: [u32; 3], lid: [u32; 3]) -> [u32; 18] {
     let mut t = [0; 18];
+    t[..3].copy_from_slice(&[0, 1, 2].map(|d| group[d] * nd.local[d] + lid[d]));
+    t[3..6].copy_from_slice(&lid);
     t[6..9].copy_from_slice(&group);
     t[9..12].copy_from_slice(&nd.global);
     t[12..15].copy_from_slice(&nd.local);
@@ -881,6 +882,8 @@ struct Launch<'a> {
     /// One register file per gang: `prog.template.len()` slots of `width`
     /// lanes, slot-major.
     regs: Vec<u32>,
+    /// `regs` at the start of group `[0, 0, 0]` ([`initial_files`]).
+    initial: Vec<u32>,
     pc: Vec<u32>,
     steps: Vec<u64>,
     status: Vec<Status>,
@@ -938,6 +941,7 @@ pub fn run_ndrange(
         limit: limits.max_steps_per_item,
         width,
         regs: vec![0; words],
+        initial: initial_files(&prog, nd, width, items, words),
         pc: vec![0; items],
         steps: vec![0; items],
         status: vec![Status::Ready; items],
@@ -955,6 +959,24 @@ pub fn run_ndrange(
         }
     }
     Ok(result)
+}
+
+/// The `words` of gang register files at the start of group `[0, 0, 0]`:
+/// the template row in every lane, each of the `items` with its own ids.
+fn initial_files(prog: &Program, nd: &NdRange, w: usize, items: usize, words: usize) -> Vec<u32> {
+    let file = prog.template.len() * w;
+    let one_file: Vec<u32> = (0..file).map(|i| prog.template[i / w]).collect();
+    let mut regs = one_file.repeat(words / file);
+    for item in 0..items {
+        // In group `[0, 0, 0]` an item's global id is its local id.
+        let table = builtin_table(nd, [0; 3], global_id(nd, [0; 3], item));
+        // The item's lane of slot 0 in its gang's file.
+        let at = item / w * file + item % w;
+        for &(index, slot) in &prog.builtins {
+            regs[at + slot as usize * w] = table[index];
+        }
+    }
+    regs
 }
 
 impl Launch<'_> {
@@ -999,32 +1021,18 @@ impl Launch<'_> {
         Ok(())
     }
 
-    /// Reset every item for `group`: each gang's registers from the
-    /// template, with each lane's global and local ids patched in.
+    /// Reset every item for `group`: one copy of the initial files, then
+    /// `group * local` added to the global ids and `group` to the group ids.
     fn reset(&mut self, group: [u32; 3]) {
-        let (w, template) = (self.width, &self.prog.template);
-        let file = template.len() * w;
-        for regs in self.regs.chunks_exact_mut(file) {
-            for (row, &v) in regs.chunks_exact_mut(w).zip(template) {
-                row.fill(v);
-            }
-        }
-        let mut table = builtin_table(self.nd, group);
-        let mut item = 0;
-        for lz in 0..self.nd.local[2] {
-            for ly in 0..self.nd.local[1] {
-                for lx in 0..self.nd.local[0] {
-                    let lid = [lx, ly, lz];
-                    for d in 0..3 {
-                        table[d] = group[d] * self.nd.local[d] + lid[d];
-                        table[3 + d] = lid[d];
-                    }
-                    // The item's lane of slot 0 in its gang's file.
-                    let at = item / w * file + item % w;
-                    for &(index, slot) in &self.prog.builtins {
-                        self.regs[at + slot as usize * w] = table[index];
-                    }
-                    item += 1;
+        self.regs.copy_from_slice(&self.initial);
+        let (w, file) = (self.width, self.prog.template.len() * self.width);
+        let first = builtin_table(self.nd, [0; 3], [0; 3]);
+        let now = builtin_table(self.nd, group, [0; 3]);
+        for &(index, slot) in &self.prog.builtins {
+            let moved = now[index] - first[index];
+            for regs in self.regs.chunks_exact_mut(file) {
+                for id in &mut regs[slot as usize * w..][..w] {
+                    *id += moved;
                 }
             }
         }
@@ -1053,7 +1061,6 @@ impl Launch<'_> {
             regs: &mut self.regs[gang * file..][..file],
             w,
             full: u64::MAX >> (GANG - lanes),
-            out: [0; GANG],
         };
         let steps = &mut self.steps[first..][..lanes];
         let pcs = &mut self.pc[first..][..lanes];
@@ -1251,8 +1258,6 @@ struct Rows<'r> {
     w: usize,
     /// Every lane the gang has.
     full: u64,
-    /// A pure op's results for all `w` lanes, before the masked write.
-    out: [u32; GANG],
 }
 
 impl Rows<'_> {
@@ -1281,42 +1286,52 @@ impl Rows<'_> {
             .fold(0, |m, (l, &v)| m | u64::from(v != 0) << l)
     }
 
+    /// Row `d` to write, borrowed disjointly from a lookup of every other
+    /// row to read.
+    #[inline(always)]
+    fn split<'s>(&'s mut self, d: u32) -> (&'s mut [u32], impl Fn(u32) -> &'s [u32]) {
+        let w = self.w;
+        let (lo, rest) = self.regs.split_at_mut(d as usize * w);
+        let (dst, hi) = rest.split_at_mut(w);
+        let (lo, hi) = (&*lo, &*hi);
+        let src = move |s: u32| match s.checked_sub(d + 1) {
+            Some(above) => Self::row(hi, w, above),
+            None => Self::row(lo, w, s),
+        };
+        (dst, src)
+    }
+
     /// `d = f(a, b)` on every lane of `mask` (a one-operand op ignores `b`,
-    /// which decodes as slot 0). Pure ops compute all `w` lanes as one
-    /// slice loop and keep the masked ones.
+    /// which decodes as slot 0): with every lane and no source `d`, one
+    /// slice loop straight into row `d`, else lane by lane.
     #[inline(always)]
     fn map2(&mut self, mask: u64, op: DOp, f: impl Fn(u32, u32) -> u32) {
-        let x = Self::row(self.regs, self.w, op.a);
-        let y = Self::row(self.regs, self.w, op.b);
-        for ((o, &x), &y) in self.out.iter_mut().zip(x).zip(y) {
-            *o = f(x, y);
+        if mask == self.full && ![op.a, op.b].contains(&op.d) {
+            let (dst, src) = self.split(op.d);
+            for ((o, &x), &y) in dst.iter_mut().zip(src(op.a)).zip(src(op.b)) {
+                *o = f(x, y);
+            }
+            return;
         }
-        self.commit(mask, op.d);
+        for l in each(mask) {
+            self.set(op.d, l, f(self.get(op.a, l), self.get(op.b, l)));
+        }
     }
 
-    /// `d = f(a, b, c)` on every lane of `mask`.
+    /// `d = f(a, b, c)` on every lane of `mask`, as [`Rows::map2`].
     #[inline(always)]
     fn map3(&mut self, mask: u64, op: DOp, f: impl Fn(u32, u32, u32) -> u32) {
-        let x = Self::row(self.regs, self.w, op.a);
-        let y = Self::row(self.regs, self.w, op.b);
-        let z = Self::row(self.regs, self.w, op.c);
-        for (((o, &x), &y), &z) in self.out.iter_mut().zip(x).zip(y).zip(z) {
-            *o = f(x, y, z);
-        }
-        self.commit(mask, op.d);
-    }
-
-    /// Write the lanes of `mask` from `out` to slot `d`.
-    #[inline(always)]
-    fn commit(&mut self, mask: u64, d: u32) {
-        let w = self.w;
-        let dst = &mut self.regs[d as usize * w..][..w];
-        if mask == self.full {
-            dst.copy_from_slice(&self.out[..w]);
-        } else {
-            for l in each(mask) {
-                dst[l] = self.out[l];
+        if mask == self.full && ![op.a, op.b, op.c].contains(&op.d) {
+            let (dst, src) = self.split(op.d);
+            let (x, y, z) = (src(op.a), src(op.b), src(op.c));
+            for (((o, &x), &y), &z) in dst.iter_mut().zip(x).zip(y).zip(z) {
+                *o = f(x, y, z);
             }
+            return;
+        }
+        for l in each(mask) {
+            let v = f(self.get(op.a, l), self.get(op.b, l), self.get(op.c, l));
+            self.set(op.d, l, v);
         }
     }
 }
@@ -2151,40 +2166,71 @@ pub(crate) mod tests {
         }
     }
 
-    /// Run `out[0] = make(x, y)` with the operands placed per `shape`;
-    /// returns the stored word and the operand words the op really saw (a
-    /// `Bool` constant holds only 0 or 1, a register any word).
-    fn run_one_op(
+    /// What an item's destination holds before the op when it is a fresh
+    /// register.
+    const BEFORE: u32 = 0x5eed_c0de;
+
+    /// Run `r = make(x, y)` on one work-group of `pairs.len()` items, item
+    /// `i`'s registers holding `pairs[i]` and the constants placed per
+    /// `shape` holding `pairs[0]`; with `skip_odd` the odd items branch
+    /// around the op and must keep the value `r` held before. Returns each
+    /// even (or every) item's stored `r` and the operand words its op saw
+    /// (a `Bool` constant holds only 0 or 1, a register any word).
+    fn run_op(
         shape: Shape,
         ty: Scalar,
-        x: u32,
-        y: u32,
+        pairs: &[(u32, u32)],
+        skip_odd: bool,
         make: impl Fn(Operand, Operand) -> Op,
-    ) -> (u32, u32, u32) {
-        let params = vec![gptr("out"), scalar_param("x", ty), scalar_param("y", ty)];
-        let mut b = FunctionBuilder::new("one_op", params);
-        let (a, c, dst) = place(shape, ty, (b.param(1), b.param(2)), (x, y));
-        let seen = |o: Operand, raw: u32| o.as_const().map_or(raw, |k| k.bits());
-        let (xs, ys) = (
-            seen(a, x),
-            seen(c, if shape == Shape::SameConst { x } else { y }),
-        );
-        let r = match dst {
-            Some(d) => {
-                b.push_into(d, make(a, c));
-                d
-            }
-            None => b.push(make(a, c), Scalar::U32),
-        };
-        let p = Operand::Reg(b.param(0));
-        b.store(p, r.into(), Scalar::U32, AddressSpace::Global);
+    ) -> Vec<(u32, u32, u32)> {
+        let (x, y) = pairs[0];
+        let mut b = FunctionBuilder::new("one_op", vec![gptr("out"), gptr("x"), gptr("y")]);
+        let gid = b.workitem(Builtin::GlobalId(0));
+        let [rx, ry] = [1, 2].map(|i| {
+            let p = b.gep(b.param(i).into(), gid.into(), 4, AddressSpace::Global);
+            b.load(p.into(), ty, AddressSpace::Global)
+        });
+        let (a, c, dst) = place(shape, ty, (rx, ry), (x, y));
+        let r = dst.unwrap_or_else(|| b.mov(Scalar::U32, Operand::imm_u32(BEFORE)));
+        let join = b.new_block();
+        if skip_odd {
+            let odd = b.bin(BinOp::And, Scalar::U32, gid.into(), Operand::imm_u32(1));
+            let run = b.new_block();
+            b.cond_br(odd.into(), join, run);
+            b.switch_to(run);
+        }
+        b.push_into(r, make(a, c));
+        b.br(join);
+        b.switch_to(join);
+        let p = b.gep(b.param(0).into(), gid.into(), 4, AddressSpace::Global);
+        b.store(p.into(), r.into(), Scalar::U32, AddressSpace::Global);
         b.ret();
         let f = b.finish();
-        let mut mem = Memory::new(64);
-        let out = mem.alloc(4);
-        let args = [KernelArg::Ptr(out), KernelArg::U32(x), KernelArg::U32(y)];
-        run_ndrange(&f, &args, &NdRange::d1(1, 1), &mut mem, &Limits::default()).unwrap();
-        (mem.read_u32(out).unwrap(), xs, ys)
+        let n = pairs.len();
+        // Three buffers of `n` words, each rounded up to the allocator's 16.
+        let mut mem = Memory::new(16 * (n as u32 + 3));
+        let out = mem.alloc(4 * n as u32);
+        let xs: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let ys: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+        let args = [out, mem.alloc_u32(&xs), mem.alloc_u32(&ys)].map(KernelArg::Ptr);
+        let nd = NdRange::d1(n as u32, n as u32);
+        run_ndrange(&f, &args, &nd, &mut mem, &Limits::default()).unwrap();
+        let got = mem.read_u32_slice(out, n);
+        let seen = |o: Operand, raw: u32| o.as_const().map_or(raw, |k| k.bits());
+        let mut ran = Vec::with_capacity(n);
+        for (i, (&got, &(x, y))) in got.iter().zip(pairs).enumerate() {
+            if skip_odd && i % 2 == 1 {
+                let before = match dst {
+                    None => BEFORE,
+                    Some(d) if d == rx => x,
+                    Some(_) => y,
+                };
+                assert_eq!(got, before, "{shape:?} {ty:?}: item {i} skipped the op");
+            } else {
+                ran.push((got, seen(a, x), seen(c, y)));
+            }
+        }
+        ran
     }
 
     /// Bit equality, except that two float NaNs are the same result: which
@@ -2197,6 +2243,62 @@ pub(crate) mod tests {
             "{}: got {got:#x}, want {want:#x}",
             what()
         );
+    }
+
+    /// Every pure operation of `ty` with its operands placed per `shape`,
+    /// run by `run` (which returns each item's stored result and the
+    /// operand words it saw, as [`run_op`]), held to `eval_*`.
+    fn check_pure_ops(
+        shape: Shape,
+        ty: Scalar,
+        run: impl Fn(&dyn Fn(Operand, Operand) -> Op) -> Vec<(u32, u32, u32)>,
+    ) {
+        for op in BIN_OPS {
+            for (got, xs, ys) in run(&|a, b| Op::Bin { op, ty, a, b }) {
+                assert_same(got, eval_bin(op, ty, xs, ys), ty == Scalar::F32, || {
+                    format!("{op:?} {ty:?} {shape:?} {xs:#x} {ys:#x}")
+                });
+            }
+        }
+        for op in CMP_OPS {
+            for (got, xs, ys) in run(&|a, b| Op::Cmp { op, ty, a, b }) {
+                let want = eval_cmp(op, ty, xs, ys) as u32;
+                assert_eq!(got, want, "{op:?} {ty:?} {shape:?} {xs:#x} {ys:#x}");
+            }
+        }
+        let space = AddressSpace::Global;
+        let gep = |base, index| Op::Gep {
+            base,
+            index,
+            elem_bytes: 12,
+            space,
+        };
+        for (got, xs, ys) in run(&gep) {
+            let want = xs.wrapping_add(ys.wrapping_mul(12));
+            assert_eq!(got, want, "gep {shape:?} {xs:#x} {ys:#x}");
+        }
+        if !matches!(shape, Shape::RegReg | Shape::ConstConst | Shape::DstIsA) {
+            return;
+        }
+        for op in UN_OPS {
+            for (got, xs, _) in run(&|a, _| Op::Un { op, ty, a }) {
+                assert_same(got, eval_un(op, ty, xs), true, || {
+                    format!("{op:?} {ty:?} {shape:?} {xs:#x}")
+                });
+            }
+        }
+        for (got, xs, _) in run(&|a, _| Op::Mov { ty, a }) {
+            assert_eq!(got, xs, "mov {shape:?}");
+        }
+        let select = |a, b| Op::Select {
+            ty,
+            cond: a,
+            a: b,
+            b: a,
+        };
+        for (got, xs, ys) in run(&select) {
+            assert_eq!(got, if xs != 0 { ys } else { xs }, "select {shape:?}");
+        }
     }
 
     #[test]
@@ -2218,41 +2320,80 @@ pub(crate) mod tests {
         for ty in SCALARS {
             for shape in SHAPES {
                 for (x, y) in pairs(shape) {
-                    for op in BIN_OPS {
-                        let (got, xs, ys) =
-                            run_one_op(shape, ty, x, y, |a, b| Op::Bin { op, ty, a, b });
-                        assert_same(got, eval_bin(op, ty, xs, ys), ty == Scalar::F32, || {
-                            format!("{op:?} {ty:?} {shape:?} {xs:#x} {ys:#x}")
-                        });
-                    }
-                    for op in CMP_OPS {
-                        let (got, xs, ys) =
-                            run_one_op(shape, ty, x, y, |a, b| Op::Cmp { op, ty, a, b });
-                        assert_eq!(
-                            got,
-                            eval_cmp(op, ty, xs, ys) as u32,
-                            "{op:?} {ty:?} {shape:?} {xs:#x} {ys:#x}"
-                        );
-                    }
-                    if !matches!(shape, Shape::RegReg | Shape::ConstConst | Shape::DstIsA) {
-                        continue;
-                    }
-                    for op in UN_OPS {
-                        let (got, xs, _) = run_one_op(shape, ty, x, y, |a, _| Op::Un { op, ty, a });
-                        assert_same(got, eval_un(op, ty, xs), true, || {
-                            format!("{op:?} {ty:?} {shape:?} {xs:#x}")
-                        });
-                    }
-                    let (got, xs, ys) = run_one_op(shape, ty, x, y, |a, b| Op::Select {
-                        ty,
-                        cond: a,
-                        a: b,
-                        b: a,
-                    });
-                    assert_eq!(got, if xs != 0 { ys } else { xs }, "select {shape:?}");
+                    check_pure_ops(shape, ty, |make| run_op(shape, ty, &[(x, y)], false, make));
                 }
             }
         }
+    }
+
+    #[test]
+    fn pure_opcodes_match_eval_on_every_lane_with_all_or_half_the_lanes() {
+        // One gang of 16 and one of 64 lanes; with every lane, the result
+        // is written as one row unless the destination is a source, and
+        // with the odd lanes branched around the op, lane by lane.
+        let vals = edge_values();
+        let n = vals.len();
+        for items in [16, 64] {
+            for k in [0, 8, 16] {
+                let pairs: Vec<(u32, u32)> = (0..items)
+                    .map(|i| (vals[(i + k) % n], vals[(3 * i + 2 * k + 1) % n]))
+                    .collect();
+                for ty in SCALARS {
+                    for shape in SHAPES {
+                        for skip_odd in [false, true] {
+                            check_pure_ops(shape, ty, |make| {
+                                run_op(shape, ty, &pairs, skip_odd, make)
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_register_state_crosses_a_work_group() {
+        // if gid % 3 == 0 { v = gid + 1 }; out[gid] = v, over three groups
+        // of 128 items (two gangs each). No other path writes `v`, so an
+        // item that skips the write stores the template's 0, whatever its
+        // lane stored in the group before (128 % 3 != 0: the writing lanes
+        // differ from group to group).
+        let mut b = FunctionBuilder::new("stale", vec![gptr("out")]);
+        let gid = b.workitem(Builtin::GlobalId(0));
+        let v = b.fresh(Scalar::U32);
+        let third = b.bin(BinOp::Rem, Scalar::U32, gid.into(), Operand::imm_u32(3));
+        let hit = b.cmp(CmpOp::Eq, Scalar::U32, third.into(), Operand::imm_u32(0));
+        let (write, join) = (b.new_block(), b.new_block());
+        b.cond_br(hit.into(), write, join);
+        b.switch_to(write);
+        let op = Op::Bin {
+            op: BinOp::Add,
+            ty: Scalar::U32,
+            a: gid.into(),
+            b: Operand::imm_u32(1),
+        };
+        b.push_into(v, op);
+        b.br(join);
+        b.switch_to(join);
+        let p = b.gep(b.param(0).into(), gid.into(), 4, AddressSpace::Global);
+        b.store(p.into(), v.into(), Scalar::U32, AddressSpace::Global);
+        b.ret();
+        let f = b.finish();
+        let mut mem = Memory::new(4 * 384);
+        let out = mem.alloc(4 * 384);
+        let nd = NdRange::d1(384, 128);
+        run_ndrange(
+            &f,
+            &[KernelArg::Ptr(out)],
+            &nd,
+            &mut mem,
+            &Limits::default(),
+        )
+        .unwrap();
+        let want: Vec<u32> = (0..384)
+            .map(|g| if g % 3 == 0 { g + 1 } else { 0 })
+            .collect();
+        assert_eq!(mem.read_u32_slice(out, 384), want);
     }
 
     #[test]
