@@ -30,7 +30,7 @@
 //! binary; simulated cycles are pinned by the test goldens.
 //!
 //! `--fast` shrinks the Figure 7 problem sizes (useful without `--release`).
-//! `--workers N` sizes the work-stealing executor pool every execution
+//! `--workers N` sizes the executor pool every execution
 //! command submits its jobs to (`table1`, `run`, `check`, `serve`,
 //! `perf-report`, `fig7`, `all`) — cycle counts are bit-identical at any
 //! width, and the actual pool size is recorded in the manifest's
@@ -662,7 +662,7 @@ fn main() {
             }
         },
     };
-    // One work-stealing pool per invocation, shared by every batch the
+    // One worker pool per invocation, shared by every batch the
     // command submits (`table1`, `run`, `check`, `serve`, `perf-report`,
     // `fig7`).
     // Idle workers park, so the table commands pay nothing for it.

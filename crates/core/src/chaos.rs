@@ -457,7 +457,7 @@ fn run_sched_latency_deadline(seed: u64) -> RunReport {
 }
 
 fn run_sched_lost_unpark(seed: u64) -> RunReport {
-    // Every submit-time unpark is swallowed; the watcher's rescue tick
+    // Every submit-time wakeup is swallowed; the watcher's rescue tick
     // must still get all jobs through, unharmed.
     serve_chaos(
         FaultPlan::new(seed).always(FaultPoint::SchedLostUnpark, 0),

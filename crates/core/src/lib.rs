@@ -22,7 +22,7 @@
 //! * [`perf_report`] — the `repro perf-report` suite and pipeline-stage
 //!   tables (markdown + JSON);
 //! * [`serve`] — the `repro serve` long-running batch service (NDJSON jobs
-//!   over stdin or a socket into the shared work-stealing executor).
+//!   over stdin or a socket into the shared executor).
 
 pub mod analytic;
 pub mod chaos;

@@ -2,7 +2,7 @@
 //!
 //! Turns the one-shot CLI into a resident process: jobs arrive as
 //! newline-delimited JSON ([`repro_sched::JobRequest`] wire form) on stdin
-//! or a TCP socket, queue into one shared work-stealing
+//! or a TCP socket, queue into one shared FIFO
 //! [`repro_sched::Executor`], and come back as one compact JSON line per
 //! outcome plus a per-batch summary line. The process keeps the PR 7
 //! compile cache and the metrics registry warm across batches, so a second
@@ -258,8 +258,8 @@ fn inject_line_faults(buf: &mut Vec<u8>) -> Option<usize> {
 }
 
 /// `{"cmd":"stats"}` — one JSON line summarizing the rolling 5-minute
-/// window: throughput, latency percentiles, cache hit-rate, steal/park
-/// rates, and fault/retry counts, all *windowed* (what the service is
+/// window: throughput, latency percentiles, cache hit-rate, park rate,
+/// and fault/retry counts, all *windowed* (what the service is
 /// doing now), never cumulative totals. The raw windowed snapshot rides
 /// along under `"window"` for clients that want other series.
 fn write_stats(out: &mut dyn Write, exec: &Executor) -> std::io::Result<()> {
@@ -283,7 +283,6 @@ fn write_stats(out: &mut dyn Write, exec: &Executor) -> std::io::Result<()> {
         ("p50_latency_secs", lat.map_or(0.0, |h| h.p50).to_json()),
         ("p95_latency_secs", lat.map_or(0.0, |h| h.p95).to_json()),
         ("cache_hit_rate", hit_rate.to_json()),
-        ("steals_per_sec", w.rate("sched.steal", uptime).to_json()),
         ("parks_per_sec", w.rate("sched.park", uptime).to_json()),
         (
             "deadline_fired",

@@ -48,8 +48,8 @@ pub enum FaultPoint {
     /// Scheduled job body sleeps `param` extra milliseconds (lets
     /// deadlines genuinely fire).
     SchedJobLatency,
-    /// A worker unpark is dropped on submit (liveness must come from the
-    /// park timeout, not the notification).
+    /// A submit's worker wakeup is dropped (sent to the deadline watcher
+    /// instead); liveness must come from the watcher's tick.
     SchedLostUnpark,
     /// One DRAM word is bit-flipped before kernel launch; `param` packs
     /// `word_offset << 8 | bit_index`.

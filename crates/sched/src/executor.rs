@@ -1,23 +1,23 @@
-//! The work-stealing executor: a fixed pool of long-lived workers with
-//! per-worker deques, a park/unpark idle protocol, and a watcher thread
-//! that enforces per-job wall-clock deadlines.
+//! The executor: a fixed pool of long-lived workers popping one shared
+//! FIFO queue, and a watcher thread that enforces per-job wall-clock
+//! deadlines.
 //!
 //! Shape of the machine:
 //!
-//! - **Placement.** A submitted batch is dealt round-robin across the
-//!   per-worker deques, so even before any stealing each worker starts
-//!   with an equal share.
-//! - **Stealing.** A worker pops its own deque from the *front* (FIFO —
-//!   oldest local work first) and, when empty, scans the other deques
-//!   starting from its right-hand neighbour and steals from the *back*.
-//!   FIFO-own/LIFO-steal keeps a stolen task as far as possible from the
-//!   victim's current position, minimizing contention on the deque lock.
-//! - **Idle protocol.** A worker that finds every deque empty parks on
-//!   its [`Parker`]. Submission unparks every worker; task completion
-//!   unparks one. The parker's permit semantics make the classic lost
-//!   wakeup ("check queues, miss the push, sleep forever") impossible,
-//!   and the watcher doubles as a rescuer: on every tick it unparks all
-//!   workers if any work is still queued.
+//! - **One queue.** A batch is appended in submission order; workers pop
+//!   the front. With two workers and jobs of 0.25 ms and up, one mutex
+//!   around a `VecDeque` is not contended enough to need stealing.
+//! - **Chained wakeup.** `submit` pushes the whole batch under one lock and
+//!   wakes one worker; a worker that pops a task and leaves the queue
+//!   non-empty wakes one more before releasing the lock. `notify_all` on
+//!   submit and one `notify_one` per task both measured slower on
+//!   `serve-small` (ROADMAP item 13).
+//! - **No lost wakeup.** A worker checks the queue and starts waiting
+//!   under the lock `submit` pushes under, so a push is either seen by the
+//!   check or notifies a waiting worker. The one way to lose a wakeup is
+//!   the `sched.lost_unpark` fault, which sends the submit notification to
+//!   the watcher instead; the watcher wakes every worker on each tick
+//!   while the queue is non-empty.
 //! - **Deadlines.** Jobs with `deadline_ms` register in an in-flight
 //!   table; the watcher marks overdue entries, which (a) flips the job's
 //!   cooperative [`JobCtx`] cancel flag and (b) replaces its outcome with
@@ -33,15 +33,39 @@
 //! table by batch index, so scheduling order cannot reorder results. A
 //! batch pushed through the executor is bit-identical to running its jobs
 //! one by one.
+//!
+//! Concurrency audit — every value shared across threads, and why its
+//! ordering is enough:
+//!
+//! - **The state mutex** guards the queue, the in-flight table, `shutdown`
+//!   and `draining`; nothing touches them outside it. So
+//!   [`Executor::queue_depth`] is exact, and every task popped after
+//!   [`Executor::drain`] is rejected. The `sched.queue_depth` gauge is set
+//!   after the lock is released (the metrics registry has its own mutex):
+//!   a concurrent push or pop may leave it one write stale, never adrift.
+//! - **The batch mutex** guards a batch's outcome slots and remaining
+//!   count; the last `finish_one` notifies under it and
+//!   [`BatchHandle::wait`] reads the slots under it.
+//! - **[`ExecStats`]** counters are `Relaxed` statistics. A job's counters
+//!   are bumped before its `finish_one` (a deadline the watcher fires,
+//!   under the state lock the worker then takes to retire the job), so a
+//!   read after `wait` sees them; `parks` is only read as a lower bound.
+//! - **`cancelled` and `fired`** (per in-flight job): the watcher claims a
+//!   deadline with an `AcqRel` swap of `fired`, so it fires once, then
+//!   stores `cancelled` with `Release`; the job polls `cancelled` as a
+//!   stop hint that carries no data. The watcher fires only entries it
+//!   sees under the state lock, and the worker loads `fired` with
+//!   `Acquire` after retiring its entry under that lock, so a fire is
+//!   either seen or never happens.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use repro_diag::{run_isolated, ReproError};
 use repro_fault::{fire, fire_param, FaultPoint};
-use repro_util::{metrics, Parker, ToJson};
+use repro_util::{metrics, ToJson};
 
 use crate::job::{Job, JobCtx, JobOutcome};
 
@@ -81,12 +105,10 @@ impl ExecConfig {
 pub struct ExecStats {
     pub jobs: AtomicU64,
     pub jobs_failed: AtomicU64,
-    pub steals: AtomicU64,
     pub parks: AtomicU64,
-    pub unparks: AtomicU64,
     pub deadlines_fired: AtomicU64,
     /// Jobs completed with a typed rejection instead of executing
-    /// (drain-mode [`ReproError::Draining`], queue-expired deadlines).
+    /// (drain-mode [`ReproError::Draining`]).
     pub jobs_rejected: AtomicU64,
 }
 
@@ -94,8 +116,11 @@ impl ExecStats {
     pub fn jobs(&self) -> u64 {
         self.jobs.load(Ordering::Relaxed)
     }
+    /// Always 0: the executor has one queue and nothing to steal. Kept only
+    /// because the benchmark's layer pass still reports a `sched.steals`
+    /// row; it goes when that row does (ROADMAP item 1(vii)).
     pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
+        0
     }
     pub fn parks(&self) -> u64 {
         self.parks.load(Ordering::Relaxed)
@@ -113,33 +138,30 @@ struct Task {
     job: Job,
     index: usize,
     batch: Arc<BatchShared>,
-    /// Absolute wall-clock deadline, anchored at *submission*. A deadline
-    /// is a service-latency promise, so queue time counts against it: a
-    /// job whose deadline expires while it is still parked in a deque is
-    /// rejected typed when a worker picks it up, without executing.
-    deadline: Option<Instant>,
     /// Deterministic correlation id, computed at submission from the
     /// request's canonical wire form and batch position.
     trace_id: u64,
-    /// When the task entered the deque — the queue-wait span's start.
+    /// When the task entered the queue: the queue-wait span's start and the
+    /// deadline's anchor. Queue time counts against a deadline, so a job
+    /// whose deadline expires while it is queued is rejected typed when a
+    /// worker picks it up, without executing.
     submitted: Instant,
 }
 
-/// Shared state of one submitted batch: the outcome slots and a
-/// remaining-count the waiter blocks on.
+/// Shared state of one submitted batch: the outcome slots and the count
+/// of jobs still without one, which the waiter blocks on.
 struct BatchShared {
-    slots: Mutex<Vec<Option<JobOutcome>>>,
-    remaining: AtomicUsize,
-    done: Mutex<bool>,
-    done_cv: Condvar,
+    done: Mutex<(Vec<Option<JobOutcome>>, usize)>,
+    cv: Condvar,
 }
 
 impl BatchShared {
     fn finish_one(&self, index: usize, outcome: JobOutcome) {
-        self.slots.lock().unwrap()[index] = Some(outcome);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *self.done.lock().unwrap() = true;
-            self.done_cv.notify_all();
+        let mut done = self.done.lock().unwrap();
+        done.0[index] = Some(outcome);
+        done.1 -= 1;
+        if done.1 == 0 {
+            self.cv.notify_all();
         }
     }
 }
@@ -153,12 +175,10 @@ pub struct BatchHandle {
 impl BatchHandle {
     pub fn wait(self) -> Vec<JobOutcome> {
         let mut done = self.shared.done.lock().unwrap();
-        while !*done {
-            done = self.shared.done_cv.wait(done).unwrap();
+        while done.1 > 0 {
+            done = self.shared.cv.wait(done).unwrap();
         }
-        drop(done);
-        let mut slots = self.shared.slots.lock().unwrap();
-        slots
+        done.0
             .drain(..)
             .map(|s| s.expect("batch complete but slot empty"))
             .collect()
@@ -172,47 +192,42 @@ struct InFlight {
     deadline: Instant,
 }
 
-struct Shared {
-    /// One lock-guarded deque per worker. Simple and honest: at suite job
-    /// granularity (milliseconds per job) the lock is uncontended; the
-    /// stealing protocol, not the deque implementation, is the design.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    parkers: Vec<Parker>,
-    watcher_parker: Parker,
-    /// Tasks queued across all deques (the `sched.queue_depth` gauge).
-    queued: AtomicUsize,
-    shutdown: AtomicBool,
+/// Everything the workers and the watcher share, behind one lock.
+#[derive(Default)]
+struct State {
+    queue: VecDeque<Task>,
+    inflight: Vec<InFlight>,
+    shutdown: bool,
     /// Graceful-drain mode: in-flight jobs finish, queued jobs complete
     /// with a typed [`ReproError::Draining`] rejection instead of running.
-    draining: AtomicBool,
-    inflight: Mutex<Vec<InFlight>>,
-    stats: ExecStats,
-    next_worker: AtomicUsize,
+    draining: bool,
 }
 
-/// The work-stealing worker pool. One executor serves any number of
-/// batches over its lifetime; dropping it drains queued work, then joins
-/// every thread.
+struct Shared {
+    state: Mutex<State>,
+    /// Workers wait here for queued work.
+    work: Condvar,
+    /// The watcher waits here for a deadline to arm (or a lost wakeup).
+    watch: Condvar,
+    stats: ExecStats,
+}
+
+/// The worker pool. One executor serves any number of batches over its
+/// lifetime; dropping it drains queued work, then joins every thread.
 pub struct Executor {
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
     watcher: Option<std::thread::JoinHandle<()>>,
-    workers: usize,
 }
 
 impl Executor {
     pub fn new(config: ExecConfig) -> Executor {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            parkers: (0..workers).map(|_| Parker::new()).collect(),
-            watcher_parker: Parker::new(),
-            queued: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            inflight: Mutex::new(Vec::new()),
+            state: Mutex::new(State::default()),
+            work: Condvar::new(),
+            watch: Condvar::new(),
             stats: ExecStats::default(),
-            next_worker: AtomicUsize::new(0),
         });
         let threads = (0..workers)
             .map(|me| {
@@ -223,37 +238,31 @@ impl Executor {
                     .expect("spawn sched worker")
             })
             .collect();
-        let watcher = {
-            let shared = Arc::clone(&shared);
-            let tick = config.watch_tick;
-            Some(
-                std::thread::Builder::new()
-                    .name("sched-watcher".to_string())
-                    .spawn(move || watcher_loop(&shared, tick))
-                    .expect("spawn sched watcher"),
-            )
-        };
+        let watched = Arc::clone(&shared);
+        let watcher = std::thread::Builder::new()
+            .name("sched-watcher".to_string())
+            .spawn(move || watcher_loop(&watched, config.watch_tick))
+            .expect("spawn sched watcher");
         Executor {
             shared,
             threads,
-            watcher,
-            workers,
+            watcher: Some(watcher),
         }
     }
 
     /// Number of worker threads in the pool.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.threads.len()
     }
 
     pub fn stats(&self) -> &ExecStats {
         &self.shared.stats
     }
 
-    /// Tasks currently queued across all worker deques (excludes jobs
-    /// already executing). The admission-control signal for `repro serve`.
+    /// Tasks currently queued (excludes jobs already executing). The
+    /// admission-control signal for `repro serve`.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queued.load(Ordering::Acquire)
+        self.shared.state.lock().unwrap().queue.len()
     }
 
     /// Enter graceful-drain mode: jobs already executing finish normally,
@@ -263,68 +272,48 @@ impl Executor {
     /// submissions are rejected the same way. Irreversible for this
     /// executor — drain is the first half of shutdown.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
-        for p in &self.shared.parkers {
-            p.unpark();
-        }
-        self.shared.watcher_parker.unpark();
+        self.shared.state.lock().unwrap().draining = true;
     }
 
     /// Whether [`drain`](Self::drain) has been called.
     pub fn draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
+        self.shared.state.lock().unwrap().draining
     }
 
-    /// Submit a batch of jobs; returns immediately with a handle. Jobs are
-    /// dealt round-robin across the worker deques and outcomes come back
-    /// in submission order regardless of execution order.
+    /// Submit a batch of jobs; returns immediately with a handle. Jobs
+    /// queue in submission order and outcomes come back in submission
+    /// order regardless of execution order.
     pub fn submit(&self, jobs: Vec<Job>) -> BatchHandle {
         let n = jobs.len();
-        let shared = Arc::new(BatchShared {
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: AtomicUsize::new(n),
-            done: Mutex::new(n == 0),
-            done_cv: Condvar::new(),
+        let batch = Arc::new(BatchShared {
+            done: Mutex::new(((0..n).map(|_| None).collect(), n)),
+            cv: Condvar::new(),
         });
-        let start = self.shared.next_worker.fetch_add(n, Ordering::Relaxed);
         let now = Instant::now();
-        // Count before publishing: a worker that is already awake can pop a
-        // task the moment it lands in a deque, and its decrement must find
-        // the increment already there.
-        let depth = self.shared.queued.fetch_add(n, Ordering::AcqRel) + n;
-        metrics::gauge_set("sched.queue_depth", depth as f64);
-        for (index, job) in jobs.into_iter().enumerate() {
-            let w = (start + index) % self.workers;
-            let deadline = job
-                .req
-                .deadline_ms
-                .map(|ms| now + Duration::from_millis(ms));
-            let trace_id = repro_obs::trace_id(&job.req.to_json().to_compact(), index);
-            self.shared.deques[w].lock().unwrap().push_back(Task {
+        let tasks: Vec<Task> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(index, job)| Task {
+                trace_id: repro_obs::trace_id(&job.req.to_json().to_compact(), index),
                 job,
                 index,
-                batch: Arc::clone(&shared),
-                deadline,
-                trace_id,
+                batch: Arc::clone(&batch),
                 submitted: now,
-            });
+            })
+            .collect();
+        let mut state = self.shared.state.lock().unwrap();
+        state.queue.extend(tasks);
+        let depth = state.queue.len();
+        drop(state);
+        // `sched.lost_unpark` drops the notification; liveness must then
+        // come from the watcher's tick, so the watcher is woken instead.
+        if fire(FaultPoint::SchedLostUnpark) {
+            self.shared.watch.notify_one();
+        } else {
+            self.shared.work.notify_one();
         }
-        let mut woken = 0u64;
-        for p in &self.shared.parkers {
-            // `sched.lost_unpark` drops the notification; liveness must
-            // then come from the watcher's rescue tick, not this unpark.
-            if fire(FaultPoint::SchedLostUnpark) {
-                continue;
-            }
-            p.unpark();
-            woken += 1;
-        }
-        self.shared
-            .stats
-            .unparks
-            .fetch_add(woken, Ordering::Relaxed);
-        self.shared.watcher_parker.unpark();
-        BatchHandle { shared }
+        metrics::gauge_set("sched.queue_depth", depth as f64);
+        BatchHandle { shared: batch }
     }
 
     /// Submit and wait: the one-shot convenience used by every CLI entry
@@ -338,235 +327,164 @@ impl Drop for Executor {
     /// Graceful drain: workers finish everything already queued, then
     /// exit; no submitted job is ever dropped on the floor.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        for p in &self.shared.parkers {
-            p.unpark();
-        }
+        self.shared.state.lock().unwrap().shutdown = true;
+        self.shared.work.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.shared.watcher_parker.unpark();
+        self.shared.watch.notify_one();
         if let Some(w) = self.watcher.take() {
             let _ = w.join();
         }
     }
 }
 
-/// Pop local work (front) or steal from a victim (back), scanning
-/// neighbours to the right of `me` so thieves spread instead of mobbing
-/// worker 0.
-fn find_task(me: usize, shared: &Shared) -> Option<(Task, bool)> {
-    if let Some(task) = shared.deques[me].lock().unwrap().pop_front() {
-        return Some((task, false));
-    }
-    let n = shared.deques.len();
-    for off in 1..n {
-        let victim = (me + off) % n;
-        if let Some(task) = shared.deques[victim].lock().unwrap().pop_back() {
-            return Some((task, true));
-        }
-    }
-    None
-}
-
 fn worker_loop(me: usize, shared: &Shared) {
+    let mut state = shared.state.lock().unwrap();
     loop {
-        match find_task(me, shared) {
-            Some((task, stolen)) => {
-                if stolen {
-                    shared.stats.steals.fetch_add(1, Ordering::Relaxed);
-                    metrics::counter_add("sched.steal", 1);
-                }
-                let depth = shared.queued.fetch_sub(1, Ordering::AcqRel) - 1;
-                metrics::gauge_set("sched.queue_depth", depth as f64);
-                execute(me, task, shared);
-                // Work may remain; wake one neighbour to help drain it.
-                if shared.queued.load(Ordering::Acquire) > 0 {
-                    shared.parkers[(me + 1) % shared.deques.len()].unpark();
-                    shared.stats.unparks.fetch_add(1, Ordering::Relaxed);
-                }
+        if let Some(task) = state.queue.pop_front() {
+            // Chain the wakeup: work remains, so one more worker can help.
+            if !state.queue.is_empty() {
+                shared.work.notify_one();
             }
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                shared.stats.parks.fetch_add(1, Ordering::Relaxed);
-                metrics::counter_add("sched.park", 1);
-                shared.parkers[me].park();
-            }
+            let (depth, draining) = (state.queue.len(), state.draining);
+            drop(state);
+            metrics::gauge_set("sched.queue_depth", depth as f64);
+            execute(me, task, draining, shared);
+            state = shared.state.lock().unwrap();
+        } else if state.shutdown {
+            return;
+        } else {
+            shared.stats.parks.fetch_add(1, Ordering::Relaxed);
+            metrics::counter_add("sched.park", 1);
+            state = shared.work.wait(state).unwrap();
         }
     }
 }
 
-fn execute(me: usize, task: Task, shared: &Shared) {
+fn execute(me: usize, task: Task, draining: bool, shared: &Shared) {
     let Task {
         job,
         index,
         batch,
-        deadline,
         trace_id,
         submitted,
     } = task;
-    let id = job.req.id;
-    let label = job.req.label();
-    let deadline_ms = job.req.deadline_ms;
+    let deadline = job
+        .req
+        .deadline_ms
+        .map(|ms| submitted + Duration::from_millis(ms));
+    let deadline_ms = job.req.deadline_ms.unwrap_or(0);
+    let mut outcome = JobOutcome {
+        id: job.req.id,
+        index,
+        label: job.req.label(),
+        result: Err(ReproError::Draining),
+        wall_secs: 0.0,
+        worker: me,
+        deadline_fired: false,
+        trace_id,
+        spans: None,
+    };
     // Drain mode: queued work completes with a typed rejection instead of
     // executing, so every submitted job still gets exactly one outcome.
-    if shared.draining.load(Ordering::Acquire) {
+    if draining {
         shared.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
         metrics::counter_add("sched.rejected", 1);
-        batch.finish_one(
-            index,
-            JobOutcome {
-                id,
-                index,
-                label,
-                result: Err(ReproError::Draining),
-                wall_secs: 0.0,
-                worker: me,
-                deadline_fired: false,
-                trace_id,
-                spans: None,
-            },
-        );
+        batch.finish_one(index, outcome);
         return;
     }
-    // Deadline already expired in the queue (`deadline_ms: 0` is the
-    // degenerate case): classify without burning worker time on a job
-    // whose latency promise is already broken.
     if deadline.is_some_and(|d| Instant::now() >= d) {
+        // Deadline already expired in the queue (`deadline_ms: 0` is the
+        // degenerate case): classify without burning worker time on a job
+        // whose latency promise is already broken.
+        outcome.deadline_fired = true;
         shared.stats.deadlines_fired.fetch_add(1, Ordering::Relaxed);
         metrics::counter_add("sched.deadline_fired", 1);
-        shared.stats.jobs.fetch_add(1, Ordering::Relaxed);
-        metrics::counter_add("sched.jobs", 1);
-        shared.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        metrics::counter_add("sched.jobs_failed", 1);
-        batch.finish_one(
-            index,
-            JobOutcome {
-                id,
-                index,
-                label,
-                result: Err(ReproError::DeadlineExceeded {
-                    deadline_ms: deadline_ms.unwrap_or(0),
-                }),
-                wall_secs: 0.0,
-                worker: me,
-                deadline_fired: true,
-                trace_id,
-                spans: None,
-            },
-        );
-        return;
-    }
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let fired = Arc::new(AtomicBool::new(false));
-    if let Some(d) = deadline {
-        shared.inflight.lock().unwrap().push(InFlight {
+    } else {
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let fired = Arc::new(AtomicBool::new(false));
+        if let Some(d) = deadline {
+            shared.state.lock().unwrap().inflight.push(InFlight {
+                cancelled: Arc::clone(&cancelled),
+                fired: Arc::clone(&fired),
+                deadline: d,
+            });
+            shared.watch.notify_one();
+        }
+        let ctx = JobCtx {
             cancelled: Arc::clone(&cancelled),
-            fired: Arc::clone(&fired),
-            deadline: d,
-        });
-        shared.watcher_parker.unpark();
-    }
-    let ctx = JobCtx {
-        cancelled: Arc::clone(&cancelled),
-    };
-    // Span recording (armed only under `repro serve`): the queue-wait
-    // interval elapsed before we picked the task up, so it is attached as
-    // an already-measured leaf; everything from here on records live.
-    if repro_obs::begin_job(trace_id) {
-        let wait_us = submitted.elapsed().as_micros() as u64;
-        let now_us = repro_obs::now_us();
-        repro_obs::attach_span("queue_wait", now_us.saturating_sub(wait_us), wait_us);
-    }
-    let start = Instant::now();
-    let mut result = run_isolated(|| {
-        // `sched.job.panic`: a bug in our own stack, not the kernel — must
-        // be caught right here at the isolation boundary.
-        if fire(FaultPoint::SchedJobPanic) {
-            panic!("injected fault: worker panic");
+        };
+        // Span recording (armed only under `repro serve`): the queue-wait
+        // interval elapsed before we picked the task up, so it is attached
+        // as an already-measured leaf; everything from here on records live.
+        if repro_obs::begin_job(trace_id) {
+            let wait_us = submitted.elapsed().as_micros() as u64;
+            let now_us = repro_obs::now_us();
+            repro_obs::attach_span("queue_wait", now_us.saturating_sub(wait_us), wait_us);
         }
-        // `sched.job.latency`: stall (in cancellable slices) so wall-clock
-        // deadlines genuinely fire rather than being untestably fast.
-        if let Some(ms) = fire_param(FaultPoint::SchedJobLatency) {
-            let until = Instant::now() + Duration::from_millis(ms);
-            while Instant::now() < until && !ctx.cancelled() {
-                std::thread::sleep(Duration::from_millis(1));
+        let start = Instant::now();
+        outcome.result = run_isolated(|| {
+            // `sched.job.panic`: a bug in our own stack, not the kernel —
+            // must be caught right here at the isolation boundary.
+            if fire(FaultPoint::SchedJobPanic) {
+                panic!("injected fault: worker panic");
             }
-        }
-        job.execute(&ctx)
-    });
-    let wall_secs = start.elapsed().as_secs_f64();
-    let spans = repro_obs::end_job();
-    // Retire from the in-flight table (identity: our cancelled flag).
-    shared
-        .inflight
-        .lock()
-        .unwrap()
-        .retain(|f| !Arc::ptr_eq(&f.cancelled, &cancelled));
-    let deadline_fired = fired.load(Ordering::Acquire);
-    if deadline_fired {
-        result = Err(ReproError::DeadlineExceeded {
-            deadline_ms: deadline_ms.unwrap_or(0),
+            // `sched.job.latency`: stall (in cancellable slices) so
+            // wall-clock deadlines genuinely fire rather than being
+            // untestably fast.
+            if let Some(ms) = fire_param(FaultPoint::SchedJobLatency) {
+                let until = Instant::now() + Duration::from_millis(ms);
+                while Instant::now() < until && !ctx.cancelled() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            job.execute(&ctx)
         });
+        outcome.wall_secs = start.elapsed().as_secs_f64();
+        outcome.spans = repro_obs::end_job();
+        if deadline.is_some() {
+            // Retire from the in-flight table (identity: our fired flag).
+            let mut state = shared.state.lock().unwrap();
+            state.inflight.retain(|f| !Arc::ptr_eq(&f.fired, &fired));
+        }
+        outcome.deadline_fired = fired.load(Ordering::Acquire);
+        metrics::observe_secs("sched.job_latency", outcome.wall_secs);
+    }
+    if outcome.deadline_fired {
+        outcome.result = Err(ReproError::DeadlineExceeded { deadline_ms });
     }
     shared.stats.jobs.fetch_add(1, Ordering::Relaxed);
     metrics::counter_add("sched.jobs", 1);
-    if result.is_err() {
+    if outcome.result.is_err() {
         shared.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
         metrics::counter_add("sched.jobs_failed", 1);
     }
-    metrics::observe_secs("sched.job_latency", wall_secs);
-    batch.finish_one(
-        index,
-        JobOutcome {
-            id,
-            index,
-            label,
-            result,
-            wall_secs,
-            worker: me,
-            deadline_fired,
-            trace_id,
-            spans,
-        },
-    );
+    batch.finish_one(index, outcome);
 }
 
-/// The watcher: fires deadlines and rescues any theoretically-possible
-/// missed wakeup by re-unparking all workers while work is queued. Parks
-/// itself when the executor is completely idle and no deadline is armed.
+/// The watcher: fires deadlines, and wakes every worker on each tick while
+/// work is queued (the rescue for a dropped submit notification). Waits
+/// untimed when no deadline is armed and nothing is queued.
 fn watcher_loop(shared: &Shared, tick: Duration) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let armed = {
-            let now = Instant::now();
-            let inflight = shared.inflight.lock().unwrap();
-            for f in inflight.iter() {
-                if now >= f.deadline && !f.fired.swap(true, Ordering::AcqRel) {
-                    f.cancelled.store(true, Ordering::Release);
-                    shared.stats.deadlines_fired.fetch_add(1, Ordering::Relaxed);
-                    metrics::counter_add("sched.deadline_fired", 1);
-                }
-            }
-            !inflight.is_empty()
-        };
-        let queued = shared.queued.load(Ordering::Acquire);
-        if queued > 0 {
-            for p in &shared.parkers {
-                p.unpark();
+    let mut state = shared.state.lock().unwrap();
+    while !state.shutdown {
+        let now = Instant::now();
+        for f in &state.inflight {
+            if now >= f.deadline && !f.fired.swap(true, Ordering::AcqRel) {
+                f.cancelled.store(true, Ordering::Release);
+                shared.stats.deadlines_fired.fetch_add(1, Ordering::Relaxed);
+                metrics::counter_add("sched.deadline_fired", 1);
             }
         }
-        if armed || queued > 0 {
-            // Active phase: tick at deadline granularity.
-            shared.watcher_parker.park_timeout(tick);
+        if !state.queue.is_empty() {
+            shared.work.notify_all();
+        }
+        state = if state.inflight.is_empty() && state.queue.is_empty() {
+            shared.watch.wait(state).unwrap()
         } else {
-            // Idle: sleep until a submit or an armed deadline wakes us.
-            shared.watcher_parker.park();
-        }
+            shared.watch.wait_timeout(state, tick).unwrap().0
+        };
     }
 }
 
@@ -589,7 +507,7 @@ mod tests {
 
     #[test]
     fn outcomes_come_back_in_submission_order() {
-        let exec = Executor::new(ExecConfig::with_workers(4));
+        let (_g, exec) = pool(ExecConfig::with_workers(4));
         let jobs: Vec<Job> = (0..32)
             .map(|i| {
                 quick_job(i, move || {
@@ -611,14 +529,13 @@ mod tests {
     }
 
     #[test]
-    fn steals_rebalance_a_skewed_batch() {
+    fn a_blocked_worker_strands_no_queued_job() {
         // Maximally skewed workload: the first job blocks its worker until
-        // every OTHER job in the batch has finished. Round-robin placement
-        // leaves 7 more jobs queued behind it on that worker's deque, and
-        // the only thread free to run them is the other worker — which
-        // must steal them. Deterministic (no timing window): either
-        // stealing works and the batch completes, or the test hangs.
-        let exec = Executor::new(ExecConfig::with_workers(2));
+        // every OTHER job in the batch has finished, so the other worker
+        // must run all 15. Deterministic (no timing window): either the
+        // free worker keeps popping the queue and the batch completes, or
+        // the test hangs.
+        let (_g, exec) = pool(ExecConfig::with_workers(2));
         let done = Arc::new(AtomicU64::new(0));
         let jobs: Vec<Job> = (0..16)
             .map(|i| {
@@ -640,15 +557,8 @@ mod tests {
             assert!(oc.is_ok());
             assert_eq!(oc.stats().unwrap().cycles, i as u64 * 3);
         }
-        // The blocked worker held 7 queued jobs; every one was stolen.
-        assert!(
-            exec.stats().steals() >= 7,
-            "expected the free worker to steal the blocked worker's queue, saw {} steals",
-            exec.stats().steals()
-        );
-        // Which worker ran which job is scheduling-dependent (on a loaded
-        // host the free worker may even steal the blocking job before its
-        // owner wakes); the invariant is that all 16 ran exactly once.
+        // Which worker ran which job is scheduling-dependent; the
+        // invariant is that all 16 ran exactly once.
         let by_worker: Vec<usize> = (0..2)
             .map(|w| outcomes.iter().filter(|oc| oc.worker == w).count())
             .collect();
@@ -656,8 +566,48 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_wakes_the_workers_it_needs_without_the_watcher() {
+        // The watcher ticks once an hour, so only the submit and pop-side
+        // notifications can start the second worker. Each job waits (for
+        // at most 10 s) until both jobs have started and records whether
+        // they did.
+        let (_g, exec) = pool(ExecConfig {
+            workers: 2,
+            watch_tick: Duration::from_secs(3600),
+        });
+        // Both workers park on an empty queue before the batch arrives;
+        // the pause lets the watcher settle into its untimed wait too.
+        while exec.stats().parks() < 2 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Arc::new(AtomicU64::new(0));
+        let jobs: Vec<Job> = (0..2)
+            .map(|i| {
+                let started = Arc::clone(&started);
+                quick_job(i, move || {
+                    started.fetch_add(1, Ordering::AcqRel);
+                    let until = Instant::now() + Duration::from_secs(10);
+                    while started.load(Ordering::Acquire) < 2 && Instant::now() < until {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    u64::from(started.load(Ordering::Acquire) == 2)
+                })
+            })
+            .collect();
+        for oc in exec.run(jobs) {
+            assert_eq!(
+                oc.stats().unwrap().cycles,
+                1,
+                "job {} ran while the other job never started",
+                oc.id
+            );
+        }
+    }
+
+    #[test]
     fn deadline_fires_on_a_job_that_never_finishes_on_its_own() {
-        let exec = Executor::new(ExecConfig::with_workers(1));
+        let (_g, exec) = pool(ExecConfig::with_workers(1));
         let mut req = JobRequest::bench("spin", Flow::Interp);
         req.id = 9;
         req.deadline_ms = Some(50);
@@ -689,7 +639,7 @@ mod tests {
 
     #[test]
     fn deadline_does_not_fire_on_a_fast_job() {
-        let exec = Executor::new(ExecConfig::with_workers(1));
+        let (_g, exec) = pool(ExecConfig::with_workers(1));
         let mut req = JobRequest::bench("fast", Flow::Interp);
         req.deadline_ms = Some(10_000);
         let job = Job::new(req, |_, _| {
@@ -710,7 +660,7 @@ mod tests {
         // parked, so each submit must wake one. A single lost wakeup hangs
         // this test (the driver's test timeout catches it); completion is
         // the liveness proof.
-        let exec = Executor::new(ExecConfig::with_workers(2));
+        let (_g, exec) = pool(ExecConfig::with_workers(2));
         for i in 0..200u64 {
             let outcomes = exec.run(vec![quick_job(i, move || i)]);
             assert_eq!(outcomes[0].stats().unwrap().cycles, i);
@@ -739,7 +689,7 @@ mod tests {
         // those tasks: it never underflows, and it reads zero once both
         // batches are done.
         for workers in [2, 4, 8] {
-            let exec = Executor::new(ExecConfig::with_workers(workers));
+            let (_g, exec) = pool(ExecConfig::with_workers(workers));
             for round in 0..200u64 {
                 let gate = Gate(Arc::new(AtomicBool::new(false)));
                 let gated = exec.submit(
@@ -769,7 +719,7 @@ mod tests {
 
     #[test]
     fn drop_drains_queued_work_before_joining() {
-        let exec = Executor::new(ExecConfig::with_workers(2));
+        let (_g, exec) = pool(ExecConfig::with_workers(2));
         let jobs: Vec<Job> = (0..12)
             .map(|i| {
                 quick_job(i, move || {
@@ -789,7 +739,7 @@ mod tests {
 
     #[test]
     fn panicking_job_is_isolated_and_classified() {
-        let exec = Executor::new(ExecConfig::with_workers(2));
+        let (_g, exec) = pool(ExecConfig::with_workers(2));
         let mut jobs = vec![quick_job(0, || 7)];
         let req = JobRequest::bench("boom", Flow::Interp);
         jobs.push(Job::new(req, |_, _| panic!("kernel exploded")));
@@ -809,7 +759,7 @@ mod tests {
 
     #[test]
     fn empty_batch_completes_immediately() {
-        let exec = Executor::new(ExecConfig::with_workers(2));
+        let (_g, exec) = pool(ExecConfig::with_workers(2));
         assert!(exec.run(Vec::new()).is_empty());
     }
 
@@ -818,6 +768,13 @@ mod tests {
     fn fault_serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// An executor for one test, with the fault lock held: a fault armed
+    /// by another test must not land in this test's jobs. Bind the guard
+    /// first so the executor drops (and joins) while it is still held.
+    fn pool(config: ExecConfig) -> (std::sync::MutexGuard<'static, ()>, Executor) {
+        (fault_serial(), Executor::new(config))
     }
 
     fn deadline_job(id: u64, deadline_ms: u64, work_ms: u64) -> Job {
@@ -838,7 +795,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_classifies_without_executing() {
-        let exec = Executor::new(ExecConfig::with_workers(1));
+        let (_g, exec) = pool(ExecConfig::with_workers(1));
         let ran = Arc::new(AtomicU64::new(0));
         let mut req = JobRequest::bench("zero", Flow::Interp);
         req.deadline_ms = Some(0);
@@ -861,7 +818,7 @@ mod tests {
     fn deadline_shorter_than_the_job_fires_mid_run() {
         // Deadline 20ms against a 10s (cancellable) body — the stand-in
         // for "deadline shorter than compile time".
-        let exec = Executor::new(ExecConfig::with_workers(1));
+        let (_g, exec) = pool(ExecConfig::with_workers(1));
         let start = Instant::now();
         let outcomes = exec.run(vec![deadline_job(0, 20, 10_000)]);
         assert!(outcomes[0].deadline_fired);
@@ -879,7 +836,7 @@ mod tests {
         // One worker: job 0 holds it past job 1's whole deadline budget.
         // Deadlines are anchored at submission, so job 1 must come back
         // DeadlineExceeded without ever executing.
-        let exec = Executor::new(ExecConfig::with_workers(1));
+        let (_g, exec) = pool(ExecConfig::with_workers(1));
         let jobs = vec![deadline_job(0, 10_000, 120), deadline_job(1, 30, 1)];
         let outcomes = exec.run(jobs);
         assert!(outcomes[0].is_ok(), "long job finishes inside its deadline");
@@ -895,8 +852,7 @@ mod tests {
 
     #[test]
     fn injected_latency_makes_deadlines_fire() {
-        let _g = fault_serial();
-        let exec = Executor::new(ExecConfig::with_workers(1));
+        let (_g, exec) = pool(ExecConfig::with_workers(1));
         repro_fault::install(&repro_fault::FaultPlan::new(3).times(
             FaultPoint::SchedJobLatency,
             1,
@@ -917,8 +873,7 @@ mod tests {
 
     #[test]
     fn injected_panic_is_classified_and_isolated() {
-        let _g = fault_serial();
-        let exec = Executor::new(ExecConfig::with_workers(2));
+        let (_g, exec) = pool(ExecConfig::with_workers(2));
         repro_fault::install(&repro_fault::FaultPlan::new(4).times(
             FaultPoint::SchedJobPanic,
             1,
@@ -942,10 +897,9 @@ mod tests {
 
     #[test]
     fn lost_unparks_do_not_lose_liveness() {
-        let _g = fault_serial();
         // Every submit-side unpark is dropped; the watcher's rescue tick
         // is the only wakeup source left. Completion is the proof.
-        let exec = Executor::new(ExecConfig::with_workers(2));
+        let (_g, exec) = pool(ExecConfig::with_workers(2));
         repro_fault::install(
             &repro_fault::FaultPlan::new(5).always(FaultPoint::SchedLostUnpark, 0),
         );
@@ -959,7 +913,7 @@ mod tests {
 
     #[test]
     fn drain_rejects_queued_jobs_typed_and_finishes_inflight() {
-        let exec = Executor::new(ExecConfig::with_workers(1));
+        let (_g, exec) = pool(ExecConfig::with_workers(1));
         let started = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
         let (s, gate) = (Arc::clone(&started), Arc::clone(&release));

@@ -1,4 +1,4 @@
-//! `repro-sched` — the job-oriented work-stealing executor behind every
+//! `repro-sched` — the job-oriented executor behind every
 //! `repro` entry point.
 //!
 //! Before this crate, each CLI verb (`run`, `check`, `perf-report`) owned
@@ -11,10 +11,10 @@
 //!   [`job::Job`] (request + execution closure, bound one crate up in
 //!   `ocl-suite::jobs`), and [`job::JobOutcome`] (typed result, failure
 //!   class, wall/cycle stats).
-//! - [`executor`] runs jobs — a fixed worker pool with per-worker deques,
-//!   work stealing, a [`repro_util::Parker`]-based idle protocol, per-job
-//!   wall-clock deadlines enforced by a watcher thread, and catch_unwind
-//!   isolation so one bad kernel cannot take down a batch.
+//! - [`executor`] runs jobs — a fixed worker pool popping one FIFO queue
+//!   behind one mutex (each worker wakes the next while work remains),
+//!   per-job wall-clock deadlines enforced by a watcher thread, and
+//!   catch_unwind isolation so one bad kernel cannot take down a batch.
 //!
 //! Layering: this crate sits *below* the benchmark suite (it depends only
 //! on `repro-util`, `repro-diag` and `ocl-ir`), which is what lets the

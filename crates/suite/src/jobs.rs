@@ -15,7 +15,7 @@
 //!
 //! Determinism contract: [`run_request`] is a pure function of the request
 //! (the simulator is deterministic, compile results are content-addressed),
-//! so a batch pushed through the work-stealing executor is bit-identical
+//! so a batch pushed through the executor is bit-identical
 //! to running [`run_oneshot`] over the same requests in a plain loop.
 
 use fpga_arch::{Device, VortexConfig};

@@ -8,7 +8,6 @@
 //! * [`json`] — a minimal JSON value tree + pretty printer and the
 //!   [`json::ToJson`] trait, covering exactly what the `repro` harness
 //!   serializes;
-//! * [`par`] — [`par::Parker`], the executor workers' park/unpark token;
 //! * [`rng`] — a deterministic SplitMix64 generator for the randomized
 //!   differential tests;
 //! * [`metrics`] — the process-wide counters/gauges/histograms registry
@@ -17,11 +16,9 @@
 pub mod fnv;
 pub mod json;
 pub mod metrics;
-pub mod par;
 pub mod rng;
 pub mod timing;
 
 pub use fnv::{fnv1a, Fnv};
 pub use json::{Json, JsonError, ToJson};
-pub use par::Parker;
 pub use rng::Rng;

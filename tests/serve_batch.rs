@@ -1,7 +1,7 @@
 //! Scheduler determinism and fail-soft classification at service scale.
 //!
 //! The `repro serve` contract is that putting work through the
-//! work-stealing executor changes *when* things run, never *what* they
+//! executor's worker pool changes *when* things run, never *what* they
 //! compute: a 4-worker batch over the whole suite must be bit-identical —
 //! cycles, instructions, success/failure — to running the same requests
 //! one at a time in a plain loop. And adversarial kernels submitted as
