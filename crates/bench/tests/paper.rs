@@ -4,19 +4,20 @@
 //! `target/repro/fig7_{vecadd,transpose}.json` copies.
 //!
 //! Every case runs the built binary in a fresh directory under
-//! `CARGO_TARGET_TMPDIR`, so the checkout's `runs/` and `target/repro/` are
-//! never touched. Paper-scale Figure 7 takes too long in debug; it is an
+//! `CARGO_TARGET_TMPDIR` (see `support`), so the checkout's `runs/` and
+//! `target/repro/` are never touched. Paper-scale Figure 7 takes too long in debug; it is an
 //! `#[ignore]`d case that CI runs in release. Each case compares the whole
 //! golden, with the sections it does not run copied from the golden itself.
 //!
 //! Regenerate after an intentional change with
 //! `REGOLD=1 cargo test --release -p repro-bench --test paper -- --include-ignored`.
 
+mod support;
+
 use repro_util::Json;
 use std::fmt::Write;
 use std::fs;
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::Path;
 use std::sync::Mutex;
 
 /// The golden's sections in file order: a `repro` command line and whether
@@ -44,12 +45,8 @@ fn heading(cmd: &str) -> String {
 
 /// Run `repro <cmd>` in `dir` and render its section: stdout in a fence and,
 /// for `fig7`, one row per cell of both grids' JSON copies.
-fn run_section(dir: &PathBuf, cmd: &str) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(cmd.split_whitespace())
-        .current_dir(dir)
-        .output()
-        .expect("spawn repro");
+fn run_section(dir: &Path, cmd: &str) -> String {
+    let out = support::repro(dir, cmd);
     assert!(
         out.status.success(),
         "repro {cmd} failed: {}",
@@ -97,9 +94,7 @@ fn golden_section<'a>(golden: &'a str, cmd: &str) -> &'a str {
 
 /// Run this case's commands in a fresh directory and compare the golden.
 fn check(case: &str, paper_scale: bool) {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(case);
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
+    let dir = support::fresh_dir(case);
     let ran: Vec<(&str, String)> = SECTIONS
         .iter()
         .filter(|&&(_, paper)| paper == paper_scale)
