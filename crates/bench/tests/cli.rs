@@ -26,13 +26,17 @@ const FULL: [&str; 3] = ["check", "cache stats", "chaos --scenarios smoke"];
 const SHAPES: [&str; 2] = ["perf-report", "opt-report Backprop --timing"];
 
 /// Malformed command lines, each pinned by its exit code.
-const USAGE: [&str; 6] = [
+const USAGE: [&str; 10] = [
     "bogus",
     "run",
     "run Vecadd --flow gpu",
     "fig7 --workers",
     "chaos --seed x",
     "serve --deadline-ms 0",
+    "serve --once --listen",
+    "serve --once --retry 4294967297",
+    "table2 --timming",
+    "chaos --scenarios",
 ];
 
 /// Run `repro <cmd>` in `dir`, requiring success, and return its stdout.

@@ -20,7 +20,8 @@
 //! harness.
 
 use fpga_arch::VortexConfig;
-use ocl_ir::interp::{ExecResult, NdRange};
+use ocl_ir::interp::NdRange;
+use ocl_suite::RunOutcome;
 use repro_util::{Json, ToJson};
 use vortex_sim::SimConfig;
 
@@ -41,8 +42,9 @@ impl ToJson for AnalyticPrediction {
 }
 
 /// Predict kernel cycles for `hw` given the dynamic counts of a reference
-/// execution (`exec`, from the shared interpreter) over `nd`.
-pub fn predict(exec: &ExecResult, nd: &NdRange, cfg: &SimConfig) -> AnalyticPrediction {
+/// run on the interpreter (`counts`: its instructions are interpreter
+/// steps) over `nd`.
+pub fn predict(counts: &RunOutcome, nd: &NdRange, cfg: &SimConfig) -> AnalyticPrediction {
     let hw: VortexConfig = cfg.hw;
     let items = nd.total_items() as f64;
     let t = hw.threads as f64;
@@ -51,14 +53,14 @@ pub fn predict(exec: &ExecResult, nd: &NdRange, cfg: &SimConfig) -> AnalyticPred
 
     // Warp-instructions: per-lane dynamic instructions collapse across the
     // warp, plus the scheduler loop overhead per hardware thread pass.
-    let lane_instrs = exec.steps as f64 * 2.2; // IR op -> ISA expansion factor
+    let lane_instrs = counts.instructions as f64 * 2.2; // IR op -> ISA expansion factor
     let sched_overhead = 45.0 * (items / t).max(c * w);
     let warp_instrs = lane_instrs / t + sched_overhead;
     let issue = warp_instrs / c;
 
     // Memory: bytes over effective bandwidth. Interleaved streams thrash
     // DRAM row buffers: effective bandwidth decays with concurrent streams.
-    let bytes = (exec.global_loads + exec.global_stores) as f64 * 4.0;
+    let bytes = (counts.global_loads + counts.global_stores) as f64 * 4.0;
     let streams = (c * w).max(1.0);
     let peak_bw = cfg.dram.bus_bytes_per_cycle as f64;
     let row_hit_factor = 1.0 / (1.0 + 0.08 * streams);
@@ -88,8 +90,7 @@ pub fn predict(exec: &ExecResult, nd: &NdRange, cfg: &SimConfig) -> AnalyticPred
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocl_ir::interp::{run_ndrange, KernelArg, Limits, Memory};
-    use ocl_suite::Scale;
+    use ocl_suite::{Backend, HostData, LArg, Launch, Workload};
 
     /// Validate the model against the cycle simulator on vecadd across a
     /// small configuration sweep: predictions must rank configurations
@@ -99,24 +100,27 @@ mod tests {
     fn tracks_simulator_within_3x_on_vecadd() {
         let b = ocl_suite::benchmark("Vecadd").unwrap();
         let src = b.source;
-        let module = ocl_front::compile(src).unwrap();
-        let k = module.expect_kernel("vecadd");
         let n = 4096u32;
         let nd = NdRange::d1(n, 16);
         // Reference execution for dynamic counts.
-        let mut mem = Memory::new(1 << 20);
         let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let pa = mem.alloc_f32(&a);
-        let pb = mem.alloc_f32(&a);
-        let pc = mem.alloc(n * 4);
-        let exec = run_ndrange(
-            k,
-            &[KernelArg::Ptr(pa), KernelArg::Ptr(pb), KernelArg::Ptr(pc)],
-            &nd,
-            &mut mem,
-            &Limits::default(),
-        )
-        .unwrap();
+        let w = Workload {
+            buffers: vec![
+                HostData::F32(a.clone()),
+                HostData::F32(a.clone()),
+                HostData::Zeroed(n),
+            ],
+            launches: vec![Launch {
+                kernel: "vecadd",
+                nd,
+                args: vec![LArg::Buf(0), LArg::Buf(1), LArg::Buf(2)],
+            }],
+            check: Box::new(|_| Ok(())),
+        };
+        let interp = Backend::Interp {
+            limits: Default::default(),
+        };
+        let counts = ocl_suite::run(&interp, src, &w, None, None).unwrap();
 
         for hw in [
             VortexConfig::new(2, 2, 4),
@@ -124,7 +128,7 @@ mod tests {
             VortexConfig::new(4, 4, 4),
         ] {
             let cfg = SimConfig::new(hw);
-            let predicted = predict(&exec, &nd, &cfg).cycles;
+            let predicted = predict(&counts, &nd, &cfg).cycles;
             // Simulated truth (full flow) at matching problem size: use the
             // suite runner on the Test scale is too small, so run directly.
             let compiled = vortex_rt::compile_for(src, "vecadd", &cfg).unwrap();
@@ -149,6 +153,5 @@ mod tests {
                 "{hw}: predicted {predicted:.0} vs simulated {actual:.0} (ratio {ratio:.2})"
             );
         }
-        let _ = Scale::Test;
     }
 }

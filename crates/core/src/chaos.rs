@@ -30,6 +30,7 @@ use repro_fault::{clear, install, report, FaultPlan, FaultPoint};
 use repro_sched::{ExecConfig, Executor};
 use repro_util::{fnv1a, Json, ToJson};
 
+use crate::report::Table;
 use crate::serve::{serve_lines, ServeOptions, ServeSummary};
 
 /// Default sweep seed; `repro chaos --seed N` overrides it.
@@ -707,23 +708,28 @@ fn run_guarded(run: fn(u64) -> RunReport, seed: u64) -> RunReport {
 
 /// Markdown table for the CLI.
 pub fn render_chaos(reports: &[ScenarioReport], seed: u64) -> String {
-    let mut s = format!("## Chaos sweep — seed {seed}, each scenario run twice\n\n");
-    s.push_str("| scenario | subsystem | jobs | ok | failed | rejected | fires | deterministic | verdict |\n");
-    s.push_str("|---|---|---:|---:|---:|---:|---:|---|---|\n");
+    let mut t = Table::new([
+        "scenario",
+        "subsystem",
+        "jobs",
+        "ok",
+        "failed",
+        "rejected",
+        "fires",
+        "deterministic",
+        "verdict",
+    ])
+    .right(2..7);
     for r in reports {
-        s.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
-            r.name,
-            r.subsystem,
-            r.jobs,
-            r.ok,
-            r.failed,
-            r.rejected,
-            r.fired,
-            if r.deterministic { "yes" } else { "**NO**" },
-            if r.passed() { "pass" } else { "**FAIL**" },
-        ));
+        let counts = [r.jobs, r.ok, r.failed, r.rejected, r.fired].map(|n| n.to_string());
+        let deterministic = if r.deterministic { "yes" } else { "**NO**" };
+        let verdict = if r.passed() { "pass" } else { "**FAIL**" };
+        let mut cells = vec![r.name.to_string(), r.subsystem.to_string()];
+        cells.extend(counts);
+        cells.extend([deterministic, verdict].map(str::to_string));
+        t.row(cells);
     }
+    let mut s = format!("## Chaos sweep — seed {seed}, each scenario run twice\n\n{t}");
     for r in reports.iter().filter(|r| !r.passed()) {
         s.push_str(&format!("\n`{}` violations:\n", r.name));
         for v in &r.violations {

@@ -15,6 +15,7 @@
 //! `repro perf-report`.
 
 use crate::manifest::RunManifest;
+use crate::report::Table;
 use fpga_arch::VortexConfig;
 use ocl_suite::{all_benchmarks, FailureClass, ReproError, Scale};
 use repro_sched::{ExecConfig, Executor, Flow, JobRequest, Payload};
@@ -265,48 +266,29 @@ fn cell(r: &FlowCheck) -> String {
     }
 }
 
-/// Render the Table-I-style markdown coverage report.
+/// Render the Table-I-style markdown coverage report, then one row of
+/// failure-class counts.
 pub fn render_check(rows: &[CheckRow]) -> String {
-    let mut out = String::new();
-    out.push_str("| Benchmark | Vortex | HLS | Failure class | Detail |\n");
-    out.push_str("|---|---|---|---|---|\n");
+    let mut t = Table::new(["Benchmark", "Vortex", "HLS", "Failure class", "Detail"]);
     for r in rows {
-        let classes = r.failure_classes();
-        let class_cell = if classes.is_empty() {
-            String::new()
-        } else {
-            classes
-                .iter()
-                .map(|c| c.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
+        let classes: Vec<&str> = r.failure_classes().iter().map(|c| c.name()).collect();
         let detail = [&r.vortex, &r.hls]
             .into_iter()
             .filter_map(|x| x.outcome.as_ref().err().map(|e| e.to_string()))
             .collect::<Vec<_>>()
             .join("; ");
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} |\n",
-            r.name,
+        t.row([
+            r.name.clone(),
             cell(&r.vortex),
             cell(&r.hls),
-            class_cell,
-            detail
-        ));
+            classes.join(", "),
+            detail,
+        ]);
     }
-    out.push_str("\n| ");
-    for (c, _) in check_class_counts(rows) {
-        out.push_str(&format!("{c} | "));
-    }
-    out.push_str("\n|");
-    out.push_str(&"---|".repeat(FailureClass::all().len()));
-    out.push_str("\n| ");
-    for (_, n) in check_class_counts(rows) {
-        out.push_str(&format!("{n} | "));
-    }
-    out.push('\n');
-    out
+    let counts = check_class_counts(rows);
+    let mut totals = Table::new(counts.iter().map(|(c, _)| c.to_string()));
+    totals.row(counts.iter().map(|(_, n)| n));
+    format!("{t}\n{totals}")
 }
 
 /// The whole report as one JSON document (rows + class counts + verdict).

@@ -13,8 +13,9 @@
 //!   Vortex simulator) plus the §III-C derived percentages;
 //! * [`analytic`] — the analytical Vortex performance model the paper's
 //!   §IV-A calls for as future work, validated against the cycle simulator;
-//! * [`report`] — markdown / JSON rendering shared by the `repro` binary
-//!   and EXPERIMENTS.md;
+//! * [`report`] — [`report::Table`], the one markdown table model every
+//!   printed table goes through, and the renderers of Tables I–IV, the
+//!   Figure 7 grid and the profile report;
 //! * [`chrome_trace`] — chrome://tracing export of the Vortex simulator's
 //!   event stream (the `repro trace` artifact);
 //! * [`manifest`] — per-invocation RunManifest records (host/commit/config

@@ -8,6 +8,7 @@
 //! so the rendered table is goldenable (`render_opt_report` with
 //! `timing: false`).
 
+use crate::report::Table;
 use ocl_ir::interp::Limits;
 use ocl_ir::passes::{optimize_module, OptLevel};
 use ocl_suite::{benchmark, run, Backend, Scale};
@@ -108,57 +109,34 @@ pub fn opt_report(name: &str) -> Result<OptReport, String> {
     })
 }
 
-/// Render as a markdown table. With `timing: false` the output is fully
-/// deterministic (the golden test relies on this).
+/// Render as a markdown table. With `timing: false` the wall-clock column
+/// is left out and the output is fully deterministic (the golden test
+/// relies on this).
 pub fn render_opt_report(r: &OptReport, timing: bool) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "## Optimization report — {} (kernels: {})\n",
+    let headers = ["level", "rounds", "static insts"]
+        .into_iter()
+        .chain(PASS_COLUMNS)
+        .chain(["interp steps", "pass ms"]);
+    let mut t = Table::new(headers);
+    for row in &r.rows {
+        let rounds = row.rounds.to_string();
+        let insts = format!("{} -> {}", row.insts_before, row.insts_after);
+        let mut cells = vec![row.level.flag_name().to_string(), rounds, insts];
+        let rewrites = row
+            .rewrites
+            .iter()
+            .map(|c| c.map_or("-".into(), |n| n.to_string()));
+        cells.extend(rewrites);
+        cells.push(row.interp_steps.to_string());
+        cells.push(format!("{:.2}", row.pass_secs * 1e3));
+        t.row(cells);
+    }
+    t.retain_columns(|h| timing || !h.ends_with(" ms"));
+    format!(
+        "## Optimization report — {} (kernels: {})\n\n{t}",
         r.bench,
         r.kernels.join(", ")
-    );
-    let mut header = String::from("| level | rounds | static insts |");
-    let mut rule = String::from("|---|---|---|");
-    for p in PASS_COLUMNS {
-        let _ = write!(header, " {p} |");
-        rule.push_str("---|");
-    }
-    header.push_str(" interp steps |");
-    rule.push_str("---|");
-    if timing {
-        header.push_str(" pass ms |");
-        rule.push_str("---|");
-    }
-    let _ = writeln!(s, "{header}");
-    let _ = writeln!(s, "{rule}");
-    for row in &r.rows {
-        let _ = write!(
-            s,
-            "| {} | {} | {} -> {} |",
-            row.level.flag_name(),
-            row.rounds,
-            row.insts_before,
-            row.insts_after
-        );
-        for cell in &row.rewrites {
-            match cell {
-                Some(n) => {
-                    let _ = write!(s, " {n} |");
-                }
-                None => {
-                    let _ = write!(s, " - |");
-                }
-            }
-        }
-        let _ = write!(s, " {} |", row.interp_steps);
-        if timing {
-            let _ = write!(s, " {:.2} |", row.pass_secs * 1e3);
-        }
-        s.push('\n');
-    }
-    s
+    )
 }
 
 impl ToJson for OptReport {

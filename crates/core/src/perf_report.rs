@@ -13,6 +13,7 @@
 //! judged by the benchmark in `benchmark/`, not here.
 
 use crate::check::{check_suite_on, CheckRow};
+use crate::report::Table;
 use fpga_arch::VortexConfig;
 use ocl_suite::Scale;
 use repro_sched::Executor;
@@ -67,65 +68,42 @@ fn ms(secs: f64) -> String {
 }
 
 /// Render the report as markdown. With `timing: false` every wall-clock
-/// column is omitted and the output is fully deterministic — the golden
-/// test pins that form.
+/// column (and the slowest-benchmarks table) is left out and the output is
+/// fully deterministic — the golden test pins that form.
 pub fn render_perf_markdown(r: &PerfReport, timing: bool) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(s, "## Performance report\n");
-    let _ = writeln!(s, "### Benchmark sweep (Scale::Test, both flows)\n");
-    if timing {
-        let _ = writeln!(
-            s,
-            "| benchmark | vortex cycles | vortex instr | vortex ms | hls cycles | hls ms | status |"
-        );
-        let _ = writeln!(s, "|---|---|---|---|---|---|---|");
-    } else {
-        let _ = writeln!(
-            s,
-            "| benchmark | vortex cycles | vortex instr | hls cycles | status |"
-        );
-        let _ = writeln!(s, "|---|---|---|---|---|");
-    }
+    let keep = |h: &str| timing || !h.ends_with(" ms");
+    let mut sweep = Table::new([
+        "benchmark",
+        "vortex cycles",
+        "vortex instr",
+        "vortex ms",
+        "hls cycles",
+        "hls ms",
+        "status",
+    ]);
     for row in &r.rows {
-        let status = {
-            let classes = row.failure_classes();
-            if classes.is_empty() {
-                "ok".to_string()
-            } else {
-                classes
-                    .iter()
-                    .map(|c| c.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            }
+        let classes: Vec<&str> = row.failure_classes().iter().map(|c| c.name()).collect();
+        let status = if classes.is_empty() {
+            "ok".to_string()
+        } else {
+            classes.join(", ")
         };
         let fmt_u = |v: Option<u64>| v.map_or("-".to_string(), |x| x.to_string());
         let v_instr = row.vortex.outcome.as_ref().ok().map(|st| st.instructions);
-        if timing {
-            let _ = writeln!(
-                s,
-                "| {} | {} | {} | {} | {} | {} | {} |",
-                row.name,
-                fmt_u(row.vortex.cycles()),
-                fmt_u(v_instr),
-                ms(row.vortex.wall_secs),
-                fmt_u(row.hls.cycles()),
-                ms(row.hls.wall_secs),
-                status
-            );
-        } else {
-            let _ = writeln!(
-                s,
-                "| {} | {} | {} | {} | {} |",
-                row.name,
-                fmt_u(row.vortex.cycles()),
-                fmt_u(v_instr),
-                fmt_u(row.hls.cycles()),
-                status
-            );
-        }
+        sweep.row([
+            row.name.clone(),
+            fmt_u(row.vortex.cycles()),
+            fmt_u(v_instr),
+            ms(row.vortex.wall_secs),
+            fmt_u(row.hls.cycles()),
+            ms(row.hls.wall_secs),
+            status,
+        ]);
     }
+    sweep.retain_columns(keep);
+    let mut s = format!(
+        "## Performance report\n\n### Benchmark sweep (Scale::Test, both flows)\n\n{sweep}"
+    );
     if timing {
         let mut slowest: Vec<&CheckRow> = r.rows.iter().collect();
         slowest.sort_by(|a, b| {
@@ -133,47 +111,32 @@ pub fn render_perf_markdown(r: &PerfReport, timing: bool) -> String {
                 .partial_cmp(&(a.vortex.wall_secs + a.hls.wall_secs))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let _ = writeln!(
-            s,
-            "\n### Slowest benchmarks (host wall-clock, both flows)\n"
-        );
-        let _ = writeln!(s, "| benchmark | vortex ms | hls ms | total ms |");
-        let _ = writeln!(s, "|---|---|---|---|");
+        let mut t = Table::new(["benchmark", "vortex ms", "hls ms", "total ms"]);
         for row in slowest.iter().take(5) {
-            let _ = writeln!(
-                s,
-                "| {} | {} | {} | {} |",
-                row.name,
+            t.row([
+                row.name.clone(),
                 ms(row.vortex.wall_secs),
                 ms(row.hls.wall_secs),
-                ms(row.vortex.wall_secs + row.hls.wall_secs)
-            );
+                ms(row.vortex.wall_secs + row.hls.wall_secs),
+            ]);
         }
+        s.push_str(&format!(
+            "\n### Slowest benchmarks (host wall-clock, both flows)\n\n{t}"
+        ));
     }
-    let _ = writeln!(s, "\n### Pipeline stages\n");
-    if timing {
-        let _ = writeln!(s, "| stage | count | total ms | p50 ms | p95 ms | max ms |");
-        let _ = writeln!(s, "|---|---|---|---|---|---|");
-    } else {
-        let _ = writeln!(s, "| stage | count |");
-        let _ = writeln!(s, "|---|---|");
-    }
+    let mut stages = Table::new(["stage", "count", "total ms", "p50 ms", "p95 ms", "max ms"]);
     for st in &r.stages {
-        if timing {
-            let _ = writeln!(
-                s,
-                "| {} | {} | {} | {} | {} | {} |",
-                st.name,
-                st.count,
-                ms(st.total_secs),
-                ms(st.p50_secs),
-                ms(st.p95_secs),
-                ms(st.max_secs)
-            );
-        } else {
-            let _ = writeln!(s, "| {} | {} |", st.name, st.count);
-        }
+        stages.row([
+            st.name.clone(),
+            st.count.to_string(),
+            ms(st.total_secs),
+            ms(st.p50_secs),
+            ms(st.p95_secs),
+            ms(st.max_secs),
+        ]);
     }
+    stages.retain_columns(keep);
+    s.push_str(&format!("\n### Pipeline stages\n\n{stages}"));
     s
 }
 

@@ -1,35 +1,109 @@
-//! Markdown / JSON rendering of the experiment artifacts, shared by the
-//! `repro` harness binary and EXPERIMENTS.md generation.
+//! The markdown table model, [`Table`], and the renderers of the paper's
+//! artifacts built on it: Table I, the area tables, Table IV, the Figure 7
+//! grid and the `repro profile` report. Every markdown table the `repro`
+//! binary and the examples print is a [`Table`]; titles and prose lines
+//! stay with the code that prints them.
 
 use crate::coverage::CoverageRow;
 use crate::fig7::{Fig7Grid, Fig7Summary};
 use crate::tables::AreaRow;
 use fpga_arch::VortexConfig;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 use vortex_sim::LaunchProfile;
+
+/// A markdown table: columns, each a header and an alignment, and rows with
+/// one cell per column. `Display` renders it one line per row, each line
+/// `| a | b |`, with the rule row `|---|---:|` under the header marking the
+/// right-aligned columns.
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// The header row, then the rows in the order they were added.
+    lines: Vec<Vec<String>>,
+    /// Whether each column is right-aligned.
+    right: Vec<bool>,
+}
+
+impl Table {
+    /// A table with these column headers, every column left-aligned.
+    pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Table {
+        let header: Vec<String> = headers.into_iter().map(Into::into).collect();
+        let right = vec![false; header.len()];
+        Table {
+            lines: vec![header],
+            right,
+        }
+    }
+
+    /// Right-align the columns at `cols`.
+    pub fn right(mut self, cols: std::ops::Range<usize>) -> Table {
+        self.right[cols].fill(true);
+        self
+    }
+
+    /// Append a row. Panics unless it has one cell per column.
+    pub fn row<S: ToString>(&mut self, cells: impl IntoIterator<Item = S>) {
+        let row: Vec<String> = cells.into_iter().map(|c| c.to_string()).collect();
+        assert_eq!(row.len(), self.right.len(), "one cell per column");
+        self.lines.push(row);
+    }
+
+    /// Keep only the columns whose header satisfies `keep`, with their
+    /// cells in every row.
+    pub fn retain_columns(&mut self, keep: impl Fn(&str) -> bool) {
+        let kept: Vec<bool> = self.lines[0].iter().map(|h| keep(h)).collect();
+        for line in &mut self.lines {
+            let mut k = kept.iter();
+            line.retain(|_| *k.next().unwrap());
+        }
+        let mut k = kept.iter();
+        self.right.retain(|_| *k.next().unwrap());
+    }
+}
+
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rule: Vec<&str> = self
+            .right
+            .iter()
+            .map(|&r| if r { "---:" } else { "---" })
+            .collect();
+        for (i, line) in self.lines.iter().enumerate() {
+            writeln!(f, "| {} |", line.join(" | "))?;
+            if i == 0 {
+                writeln!(f, "|{}|", rule.join("|"))?;
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Render Table I as markdown.
 pub fn render_table1(rows: &[CoverageRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "| Benchmark | Vortex | Intel SDK | Reason to Fail |");
-    let _ = writeln!(s, "|---|---|---|---|");
+    let mut t = Table::new(["Benchmark", "Vortex", "Intel SDK", "Reason to Fail"]);
+    let mark = |ok| if ok { "O" } else { "X" };
     for r in rows {
-        let v = if r.vortex_ok() { "O" } else { "X" };
-        let h = if r.hls_ok() { "O" } else { "X" };
-        let _ = writeln!(s, "| {} | {} | {} | {} |", r.name, v, h, r.fail_reason());
+        t.row([
+            r.name.as_str(),
+            mark(r.vortex_ok()),
+            mark(r.hls_ok()),
+            &r.fail_reason(),
+        ]);
     }
-    s
+    t.to_string()
 }
 
 /// Render an area table (Tables II / III) as markdown with paper deltas.
 pub fn render_area_table(title: &str, rows: &[AreaRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "### {title}");
-    let _ = writeln!(
-        s,
-        "| Row | ALUTs | FFs | BRAMs | DSPs | BRAM util | paper BRAMs | Δ |"
-    );
-    let _ = writeln!(s, "|---|---|---|---|---|---|---|---|");
+    let mut t = Table::new([
+        "Row",
+        "ALUTs",
+        "FFs",
+        "BRAMs",
+        "DSPs",
+        "BRAM util",
+        "paper BRAMs",
+        "Δ",
+    ]);
     for r in rows {
         let (paper, delta) = match r.paper {
             Some(p) => {
@@ -38,47 +112,38 @@ pub fn render_area_table(title: &str, rows: &[AreaRow]) -> String {
             }
             None => ("-".to_string(), "-".to_string()),
         };
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {} | {} | {:.0}% | {} | {} |",
-            r.label,
-            r.model.aluts,
-            r.model.ffs,
-            r.model.brams,
-            r.model.dsps,
-            r.bram_pct,
-            paper,
-            delta
-        );
+        let m = &r.model;
+        let mut cells = vec![r.label.clone()];
+        cells.extend([m.aluts, m.ffs, m.brams, m.dsps].map(|n| n.to_string()));
+        cells.extend([format!("{:.0}%", r.bram_pct), paper, delta]);
+        t.row(cells);
     }
-    s
+    format!("### {title}\n{t}")
 }
 
 /// Render Table IV as markdown.
 pub fn render_table4(rows: &[(VortexConfig, AreaRow)]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| C | W | T | ALUTs | FFs | BRAMs | DSPs | paper ALUTs | paper BRAMs |"
-    );
-    let _ = writeln!(s, "|---|---|---|---|---|---|---|---|---|");
+    let mut t = Table::new([
+        "C",
+        "W",
+        "T",
+        "ALUTs",
+        "FFs",
+        "BRAMs",
+        "DSPs",
+        "paper ALUTs",
+        "paper BRAMs",
+    ]);
     for (cfg, r) in rows {
-        let p = r.paper.expect("table4 rows carry paper values");
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            cfg.cores,
-            cfg.warps,
-            cfg.threads,
-            r.model.aluts,
-            r.model.ffs,
-            r.model.brams,
-            r.model.dsps,
-            p.aluts,
-            p.brams
+        let (m, p) = (&r.model, r.paper.expect("table4 rows carry paper values"));
+        let shape = [cfg.cores, cfg.warps, cfg.threads].map(u64::from);
+        t.row(
+            shape
+                .into_iter()
+                .chain([m.aluts, m.ffs, m.brams, m.dsps, p.aluts, p.brams]),
         );
     }
-    s
+    t.to_string()
 }
 
 /// Render a Figure 7 grid as a normalized-cycles heat table (warps down,
@@ -89,37 +154,19 @@ pub fn render_fig7(grid: &Fig7Grid) -> String {
     let mut threads: Vec<u32> = grid.cells.iter().map(|c| c.threads).collect();
     threads.sort_unstable();
     threads.dedup();
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "### Figure 7 — {} ({} cores, cycles normalized to minimum)",
-        grid.benchmark, grid.cores
-    );
-    let _ = write!(s, "| warps \\\\ threads |");
-    for t in &threads {
-        let _ = write!(s, " {t} |");
-    }
-    let _ = writeln!(s);
-    let _ = write!(s, "|---|");
-    for _ in &threads {
-        let _ = write!(s, "---|");
-    }
-    let _ = writeln!(s);
+    let headers = threads.iter().map(u32::to_string);
+    let mut t = Table::new(std::iter::once("warps \\\\ threads".to_string()).chain(headers));
     for w in &warps {
-        let _ = write!(s, "| {w} |");
-        for t in &threads {
-            match grid.cell(*w, *t) {
-                Some(c) => {
-                    let _ = write!(s, " {:.2} |", c.normalized);
-                }
-                None => {
-                    let _ = write!(s, " - |");
-                }
-            }
-        }
-        let _ = writeln!(s);
+        let cells = threads.iter().map(|th| match grid.cell(*w, *th) {
+            Some(c) => format!("{:.2}", c.normalized),
+            None => "-".to_string(),
+        });
+        t.row(std::iter::once(w.to_string()).chain(cells));
     }
-    s
+    format!(
+        "### Figure 7 — {} ({} cores, cycles normalized to minimum)\n{t}",
+        grid.benchmark, grid.cores
+    )
 }
 
 /// One launch's slice of a `repro profile` report.
@@ -164,27 +211,21 @@ pub fn render_profile(bench: &str, sections: &[ProfileSection], top_n: usize) ->
             p.barrier_arrivals,
             p.wspawns
         );
-        let _ = writeln!(s, "\nTop stall sources:");
-        let _ = writeln!(s, "| rank | source | cycles | share of stalls |");
-        let _ = writeln!(s, "|---|---|---|---|");
+        let mut stalls = Table::new(["rank", "source", "cycles", "share of stalls"]);
         for (rank, (kind, cycles)) in p.stall_ranking().into_iter().take(top_n).enumerate() {
             let share = if stall_total > 0 {
                 100.0 * cycles as f64 / stall_total as f64
             } else {
                 0.0
             };
-            let _ = writeln!(
-                s,
-                "| {} | {} | {} | {:.1}% |",
-                rank + 1,
-                kind.label(),
-                cycles,
-                share
-            );
+            stalls.row([
+                (rank + 1).to_string(),
+                kind.label().to_string(),
+                cycles.to_string(),
+                format!("{share:.1}%"),
+            ]);
         }
-        let _ = writeln!(s, "\nHot PCs:");
-        let _ = writeln!(s, "| pc | instruction | issues | share |");
-        let _ = writeln!(s, "|---|---|---|---|");
+        let mut hot = Table::new(["pc", "instruction", "issues", "share"]);
         for &(pc, count) in p.hot_pcs.iter().take(top_n) {
             let text = sec
                 .disasm
@@ -192,8 +233,14 @@ pub fn render_profile(bench: &str, sections: &[ProfileSection], top_n: usize) ->
                 .map(String::as_str)
                 .unwrap_or("?");
             let share = 100.0 * count as f64 / p.instructions.max(1) as f64;
-            let _ = writeln!(s, "| {pc} | `{text}` | {count} | {share:.1}% |");
+            hot.row([
+                pc.to_string(),
+                format!("`{text}`"),
+                count.to_string(),
+                format!("{share:.1}%"),
+            ]);
         }
+        let _ = write!(s, "\nTop stall sources:\n{stalls}\nHot PCs:\n{hot}");
     }
     s
 }

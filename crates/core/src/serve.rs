@@ -35,7 +35,7 @@
 //! * **Retry.** With `retry_max > 0`, jobs that fail with a *transient*
 //!   class ([`ReproError::is_transient`]: deadline, panic, overload,
 //!   drain) are re-run up to `retry_max` times with deterministic
-//!   exponential backoff (`retry_backoff_ms << attempt`). Deterministic
+//!   exponential backoff (`retry_backoff_ms · 2^attempt`, saturating). Deterministic
 //!   failures are never retried — attempt three of a kernel that doesn't
 //!   compile is the same error at three times the cost.
 //! * **Admission control.** With `max_queue` set, a batch only admits as
@@ -65,7 +65,9 @@ use repro_util::{Json, ToJson};
 /// Configuration for one serve session.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker-pool width of the shared executor.
+    /// Unread: a session runs on the executor it is given, at
+    /// `exec.workers()`. Kept only because `benchmark/src/layers.rs` sets
+    /// it; see ROADMAP item 1(vii).
     pub workers: usize,
     /// Exit after the first submitted batch (CI smoke mode).
     pub once: bool,
@@ -76,9 +78,9 @@ pub struct ServeOptions {
     /// Re-run jobs that fail with a transient class up to this many times
     /// (0 disables retry).
     pub retry_max: u32,
-    /// Base backoff before retry attempt `n`: `retry_backoff_ms << n`
-    /// milliseconds — deterministic, no jitter, so two runs of the same
-    /// input retry on the same schedule.
+    /// Base backoff before retry attempt `n`: `retry_backoff_ms · 2ⁿ`
+    /// milliseconds, saturating — deterministic, no jitter, so two runs of
+    /// the same input retry on the same schedule.
     pub retry_backoff_ms: u64,
     /// Admission limit: a batch only admits jobs while the executor queue
     /// depth stays under this; the rest are shed with typed `Overloaded`
@@ -399,7 +401,10 @@ fn run_batch(
         if again.is_empty() {
             break;
         }
-        std::thread::sleep(Duration::from_millis(opts.retry_backoff_ms << attempt));
+        let factor = 2u64.saturating_pow(attempt);
+        std::thread::sleep(Duration::from_millis(
+            opts.retry_backoff_ms.saturating_mul(factor),
+        ));
         metrics::counter_add("serve.retry", again.len() as u64);
         repro_obs::event(
             "retry",
@@ -785,6 +790,27 @@ mod tests {
         };
         let s = serve_lines(&e, &opts, input.as_bytes(), &mut out).unwrap();
         assert_eq!((s.batches, s.jobs), (1, 1), "second batch never ran");
+    }
+
+    /// A job that fails transiently on every attempt is retried
+    /// `retry_max` times; past attempt 63 the doubling backoff saturates
+    /// instead of overflowing.
+    #[test]
+    fn retry_backoff_saturates_past_64_attempts() {
+        // `deadline_ms: 0` expires in the queue: a typed, transient failure
+        // on every attempt, without arming the process-global fault plan
+        // under other tests' jobs.
+        let input = "{\"id\": 1, \"bench\": \"Vecadd\", \"deadline_ms\": 0}\n\n";
+        let opts = ServeOptions {
+            retry_max: 65,
+            retry_backoff_ms: 0,
+            ..ServeOptions::default()
+        };
+        let mut out = Vec::new();
+        let s = serve_lines(&exec(1), &opts, input.as_bytes(), &mut out).unwrap();
+        assert_eq!((s.jobs, s.failed, s.retried), (1, 1, 65));
+        let err = lines(&out)[0].get("error").cloned().unwrap();
+        assert_eq!(err.get("kind").unwrap().as_str(), Some("DeadlineExceeded"));
     }
 
     #[test]
