@@ -400,7 +400,7 @@ fn trace_config() -> vortex_sim::SimConfig {
 }
 
 /// Run `name` traced and return the benchmark, its outcome, and the
-/// per-launch event streams. An unknown benchmark exits 2.
+/// per-launch event streams. An unknown benchmark is a harness error.
 fn traced_run(
     name: &str,
     level: OptLevel,
@@ -412,10 +412,8 @@ fn traced_run(
     ),
     ocl_suite::ReproError,
 > {
-    let Some(b) = ocl_suite::benchmark(name) else {
-        eprintln!("unknown benchmark `{name}`");
-        std::process::exit(2);
-    };
+    let b = ocl_suite::benchmark(name)
+        .ok_or_else(|| ocl_suite::ReproError::harness(format!("unknown benchmark `{name}`")))?;
     let vortex = ocl_suite::Backend::Vortex {
         cfg: trace_config(),
     };

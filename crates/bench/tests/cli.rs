@@ -8,6 +8,9 @@
 //!   cells and the slowest-benchmark order vary from run to run;
 //! - the exit code of each malformed command line.
 //!
+//! A second test holds every command that takes a benchmark to exit 1, with
+//! its run manifest written, when the benchmark does not exist.
+//!
 //! Every command runs the built binary in a fresh directory (see `support`).
 //! Regenerate after an intentional change with
 //! `REGOLD=1 cargo test -p repro-bench --test cli`.
@@ -111,4 +114,22 @@ fn cli_output_and_exit_codes_match_golden() {
         rendered, golden,
         "repro's output changed; if intentional, regenerate with REGOLD=1"
     );
+}
+
+/// An unknown benchmark is a failed run, not a malformed command line: each
+/// command that takes one exits 1 and still writes its run manifest.
+#[test]
+fn unknown_benchmark_exits_1_and_writes_the_manifest() {
+    let dir = support::fresh_dir("cli-unknown-benchmark");
+    for cmd in ["run", "trace", "profile", "opt-report"] {
+        let out = support::repro(&dir, &format!("{cmd} NoSuch"));
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "repro {cmd} NoSuch: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let manifest = dir.join("runs").join(format!("{cmd}.json"));
+        assert!(manifest.is_file(), "repro {cmd} NoSuch wrote no manifest");
+    }
 }

@@ -8,7 +8,9 @@
 //! * **Keys** are content addresses: an FNV-1a 64 fingerprint of the
 //!   preprocessed *token stream* (so whitespace- and comment-only edits may
 //!   still hit), mixed with the schema version, the pipeline stage and the
-//!   stage parameters (opt level, warp width, target device).
+//!   stage parameters (opt level, warp width, target device, and for the
+//!   `opt` and `vortex` stages the launched-kernel selection, omitted =
+//!   whole module).
 //! * **Artifacts** are the outputs of the four cacheable stages — lowered
 //!   IR, optimized IR, Vortex compiled kernels, HLS synthesis outcome —
 //!   stored as canonical bytes in the [`wire`] format.
@@ -32,6 +34,15 @@
 //! A cold source is preprocessed and lexed once: the lookup that has to lex
 //! for the fingerprint keeps the [`ocl_front::Lexed`] and the `Lower` miss
 //! that follows in the same call parses those tokens.
+//!
+//! A job compiles only the kernels it launches: [`Cache::optimize_kernels`]
+//! and [`Cache::codegen_kernels`] take a kernel selection, run the passes,
+//! `verify` and codegen on those kernels of the cached lowered module alone,
+//! and store them under a key with one more part, the FNV-1a of the sorted,
+//! deduplicated names (so launch order and repeats share one entry). The
+//! passes and codegen work kernel by kernel, so a selected artifact equals
+//! the matching kernels of the whole-module one; `tests/cache_equivalence.rs`
+//! pins that. Without a selection a stage keeps its whole-module key.
 
 pub mod artifacts;
 pub mod disk;
@@ -52,10 +63,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use vortex_cc::CompiledKernel;
 use wire::Wire;
 
-/// Version of the on-disk artifact schema. Bump this whenever any [`Wire`]
-/// encoding or the key derivation changes: the version is part of both the
-/// key mix and the disk envelope, so stale entries from older builds can
-/// never be decoded as current-format artifacts.
+/// Version of the on-disk artifact schema. Bump this whenever a [`Wire`]
+/// encoding or the meaning of an existing key changes: the version is part
+/// of both the key mix and the disk envelope, so stale entries from older
+/// builds can never be decoded as current-format artifacts. (A new kind of
+/// key, such as a kernel selection's, strands nothing and needs no bump.)
 pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// The cacheable pipeline stages.
@@ -63,9 +75,11 @@ pub const CACHE_SCHEMA_VERSION: u32 = 2;
 pub enum Stage {
     /// Front-end lowering: source → verified IR module, no middle end.
     Lower,
-    /// Lowering plus the PassManager at a specific [`OptLevel`].
+    /// Lowering plus the PassManager at a specific [`OptLevel`], of the
+    /// whole module or of a kernel selection.
     Opt,
-    /// Vortex back end: optimized module → compiled kernels.
+    /// Vortex back end: optimized module → compiled kernels, of the whole
+    /// module or of a kernel selection.
     Vortex,
     /// HLS synthesis outcome (report or typed failure) for a device.
     Hls,
@@ -319,12 +333,16 @@ impl Cache {
         Ok(Keyed { src, fp, lexed })
     }
 
-    fn key(stage: Stage, parts: &[u64]) -> Key {
+    /// A stage's key: its parts, then the selection's hash if it has one.
+    fn key(stage: Stage, parts: &[u64], sel: Option<&Selection>) -> Key {
         let mut h = Fnv::new();
         h.write_u64(CACHE_SCHEMA_VERSION as u64);
         h.write_u8(stage.tag());
         for &p in parts {
             h.write_u64(p);
+        }
+        if let Some(sel) = sel {
+            h.write_u64(sel.hash);
         }
         Key {
             stage,
@@ -340,7 +358,7 @@ impl Cache {
     }
 
     fn lower_keyed(&self, k: Keyed) -> Result<Module, ReproError> {
-        self.get_or_compute(Self::key(Stage::Lower, &[k.fp]), || {
+        self.get_or_compute(Self::key(Stage::Lower, &[k.fp], None), || {
             Ok(metrics::time("suite.frontend", || match &k.lexed {
                 Some(lexed) => ocl_front::compile_lexed(lexed),
                 None => ocl_front::compile(k.src),
@@ -348,14 +366,41 @@ impl Cache {
         })
     }
 
-    /// Lowering plus the shared middle end at `level`, verified.
-    pub fn optimize(&self, src: &str, level: OptLevel) -> Result<Module, ReproError> {
-        self.optimize_keyed(self.keyed(src)?, level)
+    /// The lowered module, cut down to `sel`'s kernels when there is one.
+    fn lower_selected(&self, k: Keyed, sel: Option<&Selection>) -> Result<Module, ReproError> {
+        let mut module = self.lower_keyed(k)?;
+        if let Some(sel) = sel {
+            sel.apply(&mut module)?;
+        }
+        Ok(module)
     }
 
-    fn optimize_keyed(&self, k: Keyed, level: OptLevel) -> Result<Module, ReproError> {
-        self.get_or_compute(Self::key(Stage::Opt, &[k.fp, level as u64]), || {
-            let mut module = self.lower_keyed(k)?;
+    /// Lowering plus the shared middle end at `level`, verified.
+    pub fn optimize(&self, src: &str, level: OptLevel) -> Result<Module, ReproError> {
+        self.optimize_keyed(self.keyed(src)?, level, None)
+    }
+
+    /// [`Cache::optimize`] of the named kernels only, in module order. The
+    /// names may come in any order and repeat; a name the source does not
+    /// define is a harness error, `kernel `<name>` not found in source`.
+    pub fn optimize_kernels(
+        &self,
+        src: &str,
+        level: OptLevel,
+        kernels: &[&str],
+    ) -> Result<Module, ReproError> {
+        self.optimize_keyed(self.keyed(src)?, level, Some(&Selection::new(kernels)))
+    }
+
+    fn optimize_keyed(
+        &self,
+        k: Keyed,
+        level: OptLevel,
+        sel: Option<&Selection>,
+    ) -> Result<Module, ReproError> {
+        let key = Self::key(Stage::Opt, &[k.fp, level as u64], sel);
+        self.get_or_compute(key, || {
+            let mut module = self.lower_selected(k, sel)?;
             metrics::time("suite.optimize", || {
                 ocl_ir::passes::optimize_module(&mut module, level)
             });
@@ -379,6 +424,28 @@ impl Cache {
         level: Option<OptLevel>,
         threads: u32,
     ) -> Result<Vec<CompiledKernel>, ReproError> {
+        self.codegen(src, level, threads, None)
+    }
+
+    /// [`Cache::codegen_vortex`] of the named kernels only, in module order,
+    /// with [`Cache::optimize_kernels`]'s rules for the names.
+    pub fn codegen_kernels(
+        &self,
+        src: &str,
+        level: Option<OptLevel>,
+        threads: u32,
+        kernels: &[&str],
+    ) -> Result<Vec<CompiledKernel>, ReproError> {
+        self.codegen(src, level, threads, Some(&Selection::new(kernels)))
+    }
+
+    fn codegen(
+        &self,
+        src: &str,
+        level: Option<OptLevel>,
+        threads: u32,
+        sel: Option<&Selection>,
+    ) -> Result<Vec<CompiledKernel>, ReproError> {
         if !(1..=vortex_cc::MAX_THREADS).contains(&threads) {
             return Err(ReproError::harness(format!(
                 "`threads` is {threads}, outside the code generator's 1..={}",
@@ -387,11 +454,11 @@ impl Cache {
         }
         let k = self.keyed(src)?;
         let level_part = level.map(|l| l as u64).unwrap_or(u64::MAX);
-        let key = Self::key(Stage::Vortex, &[k.fp, level_part, threads as u64]);
+        let key = Self::key(Stage::Vortex, &[k.fp, level_part, threads as u64], sel);
         self.get_or_compute(key, || {
             let module = match level {
-                Some(l) => self.optimize_keyed(k, l)?,
-                None => self.lower_keyed(k)?,
+                Some(l) => self.optimize_keyed(k, l, sel)?,
+                None => self.lower_selected(k, sel)?,
             };
             let opts = vortex_cc::CodegenOpts { threads };
             let kernels = module
@@ -413,7 +480,7 @@ impl Cache {
         device: &Device,
     ) -> Result<Result<SynthReport, SynthFailure>, ReproError> {
         let k = self.keyed(src)?;
-        let key = Self::key(Stage::Hls, &[k.fp, device.kind as u64]);
+        let key = Self::key(Stage::Hls, &[k.fp, device.kind as u64], None);
         self.get_or_compute(key, || {
             let module = self.lower_keyed(k)?;
             Ok(synthesize(&module, device, &SynthOptions::default()))
@@ -620,6 +687,45 @@ struct Keyed<'a> {
     lexed: Option<Lexed>,
 }
 
+/// The kernels one lookup asks for: the names as the caller gave them, and
+/// the key part of their canonical form.
+struct Selection<'a> {
+    names: &'a [&'a str],
+    /// FNV-1a over the sorted, deduplicated names, each followed by a NUL.
+    hash: u64,
+}
+
+impl<'a> Selection<'a> {
+    fn new(names: &'a [&'a str]) -> Selection<'a> {
+        let mut canonical = names.to_vec();
+        canonical.sort_unstable();
+        canonical.dedup();
+        let mut h = Fnv::new();
+        for name in canonical {
+            h.write(name.as_bytes());
+            h.write_u8(0);
+        }
+        Selection {
+            names,
+            hash: h.finish(),
+        }
+    }
+
+    /// Keep the selected kernels of `module`, in module order. The first
+    /// name, in the caller's order, that the module lacks is an error.
+    fn apply(&self, module: &mut Module) -> Result<(), ReproError> {
+        if let Some(name) = self.names.iter().find(|n| module.kernel(n).is_none()) {
+            return Err(ReproError::harness(format!(
+                "kernel `{name}` not found in source"
+            )));
+        }
+        module
+            .kernels
+            .retain(|f| self.names.contains(&f.name.as_str()));
+        Ok(())
+    }
+}
+
 /// FNV-1a 64 over the preprocessed token stream of `src`. Free function so
 /// tests can fingerprint without a cache instance.
 pub fn token_fingerprint(src: &str) -> Result<u64, CompileError> {
@@ -748,7 +854,7 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
         let cold = cache.lower(SRC).unwrap();
         cache.lower(&other).unwrap();
         let whole = cache.stats();
-        let key = Cache::key(Stage::Lower, &[token_fingerprint(SRC).unwrap()]);
+        let key = Cache::key(Stage::Lower, &[token_fingerprint(SRC).unwrap()], None);
         cache.overwrite_mem_entry(key, vec![0xff; 7]);
         // The bad entry is dropped, counted and recomputed...
         assert_eq!(cache.lower(SRC).unwrap(), cold);

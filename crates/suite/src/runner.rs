@@ -3,6 +3,11 @@
 //! platforms" methodology. [`run`] is the one launch path: a suite
 //! benchmark and an inline-source job are both a [`WorkloadOf`], and a
 //! [`Backend`] picks the interpreter, the Vortex flow or the HLS flow.
+//!
+//! A run compiles only the kernels its workload launches: the cache's `opt`
+//! and `vortex` stages are keyed on that selection (omitted = whole module,
+//! as for [`compile_bench`]). The front end still parses and checks the
+//! whole source, and the HLS synthesis gate still reads it as written.
 
 use crate::spec::{Benchmark, HostData, LArg, LaunchOf, WorkloadOf};
 use fpga_arch::Device;
@@ -25,7 +30,9 @@ pub const DEFAULT_OPT: OptLevel = OptLevel::VariableReuse;
 
 /// Compile a benchmark's source and run the shared middle end at `level`,
 /// through the process-global compile cache ([`repro_cache::global`]): the
-/// module [`run`] executes on the interpreter and the HLS flow.
+/// whole module. Every suite workload launches all of its benchmark's
+/// kernels, so this is the module [`run`] executes on the interpreter and
+/// the HLS flow, stored under the cache's whole-module key.
 pub fn compile_bench(b: &Benchmark, level: OptLevel) -> Result<ocl_ir::Module, ReproError> {
     repro_cache::global().optimize(b.source, level)
 }
@@ -121,9 +128,12 @@ enum HostExec {
 }
 
 impl Target {
-    /// Compile for `backend` and check that every launched kernel exists.
-    /// A Vortex session holds exactly the kernels the workload launches,
-    /// since its heap limit is sized from their largest stack.
+    /// Compile for `backend` the kernels the workload launches, and only
+    /// those: the Vortex program, or the optimized module the interpreter
+    /// and the HLS model run. A launched name the source does not define is
+    /// the cache's harness error, `kernel `<name>` not found in source`. A
+    /// Vortex session holds exactly the launched kernels, since its heap
+    /// limit is sized from their largest stack.
     fn open(
         backend: &Backend,
         source: &str,
@@ -131,19 +141,14 @@ impl Target {
         level: Option<OptLevel>,
     ) -> Result<Target, ReproError> {
         let cache = repro_cache::global();
-        let launched = |has: &dyn Fn(&str) -> bool| match w.launches.iter().find(|l| !has(l.kernel))
-        {
-            Some(l) => Err(ReproError::harness(format!(
-                "kernel `{}` not found in source",
-                l.kernel
-            ))),
-            None => Ok(()),
-        };
+        let launched: Vec<&str> = w.launches.iter().map(|l| l.kernel).collect();
         let host = |exec| {
-            let module = cache.optimize(source, level.unwrap_or(OptLevel::None))?;
-            launched(&|name| module.kernel(name).is_some())?;
             Ok(Target::Host {
-                module,
+                module: cache.optimize_kernels(
+                    source,
+                    level.unwrap_or(OptLevel::None),
+                    &launched,
+                )?,
                 mem: Memory::new(32 << 20),
                 exec,
             })
@@ -155,9 +160,7 @@ impl Target {
             }
             Backend::Vortex { cfg } => {
                 metrics::counter_add("suite.runs.vortex", 1);
-                let mut kernels = cache.codegen_vortex(source, level, cfg.hw.threads)?;
-                kernels.retain(|k| w.launches.iter().any(|l| l.kernel == k.name));
-                launched(&|name| kernels.iter().any(|k| k.name == name))?;
+                let kernels = cache.codegen_kernels(source, level, cfg.hw.threads, &launched)?;
                 Ok(Target::Sim(Box::new(VxSession::with_kernels(
                     cfg.clone(),
                     kernels,

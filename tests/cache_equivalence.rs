@@ -299,6 +299,95 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
     );
 }
 
+/// Holds one stage's kernel selections to its whole-module artifact: a
+/// selection of every kernel encodes to `whole`, cold and warm, under a key
+/// of its own; the same names reversed and repeated are no new miss; and
+/// each one-kernel selection encodes to `part(i)`, that kernel's element of
+/// `whole`, under a key of its own (so with two kernels `a` and `b`, the
+/// selections `{a}`, `{b}` and the whole module are three entries).
+fn check_selections(
+    cache: &Cache,
+    what: &str,
+    stage: Stage,
+    names: &[&str],
+    whole: &[u8],
+    part: impl Fn(usize) -> Vec<u8>,
+    select: impl Fn(&[&str]) -> Vec<u8>,
+) {
+    let misses = || cache.stats().misses_by_stage[stage.index()];
+    let start = misses();
+    for pass in ["cold", "warm"] {
+        assert_eq!(select(names), whole, "{what}: {pass}, every kernel");
+    }
+    let messy: Vec<&str> = names.iter().rev().chain(names).copied().collect();
+    assert_eq!(select(&messy), whole, "{what}: {messy:?}");
+    assert_eq!(
+        misses(),
+        start + 1,
+        "{what}: every kernel must be one new key, in any order"
+    );
+    for (i, name) in names.iter().enumerate() {
+        let before = misses();
+        for pass in ["cold", "warm"] {
+            assert_eq!(select(&[name]), part(i), "{what}: {pass}, {name} alone");
+        }
+        // With one kernel, `{name}` is the selection of every kernel.
+        let new = u64::from(names.len() > 1);
+        assert_eq!(misses(), before + new, "{what}: key of {name}");
+    }
+}
+
+/// A job compiles only the kernels it launches, which is sound because the
+/// passes, `verify` and codegen work kernel by kernel: over every benchmark
+/// × every opt level (`opt` and T = 4 `vortex`), plus the as-written T = 4
+/// Vortex build, each kernel selection is its part of the whole-module
+/// artifact, byte for byte; see [`check_selections`].
+#[test]
+fn kernel_selections_are_their_part_of_the_whole_module() {
+    let cache = mem_cache();
+    let mut multi_kernel = 0;
+    for b in all_benchmarks() {
+        let lowered = cache.lower(b.source).unwrap();
+        let names: Vec<&str> = lowered.kernels.iter().map(|k| k.name.as_str()).collect();
+        multi_kernel += usize::from(names.len() > 1);
+        for level in OptLevel::ALL {
+            let whole = cache.optimize(b.source, level).unwrap();
+            check_selections(
+                &cache,
+                &format!("{} opt@{}", b.name, level.flag_name()),
+                Stage::Opt,
+                &names,
+                &wire::encode(&whole),
+                |i| {
+                    wire::encode(&Module {
+                        kernels: vec![whole.kernels[i].clone()],
+                    })
+                },
+                |sel| wire::encode(&cache.optimize_kernels(b.source, level, sel).unwrap()),
+            );
+        }
+        for level in OptLevel::ALL.map(Some).into_iter().chain([None]) {
+            let whole = cache.codegen_vortex(b.source, level, 4).unwrap();
+            let label = level.map_or("as written", OptLevel::flag_name);
+            check_selections(
+                &cache,
+                &format!("{} vortex@{label}", b.name),
+                Stage::Vortex,
+                &names,
+                &wire::encode(&whole),
+                |i| wire::encode(&whole[i..=i].to_vec()),
+                |sel| wire::encode(&cache.codegen_kernels(b.source, level, 4, sel).unwrap()),
+            );
+        }
+    }
+    assert!(
+        multi_kernel > 0,
+        "no benchmark has two kernels to tell apart"
+    );
+    let s = cache.stats();
+    assert!(s.corrupt == 0 && s.disk_write_errors == 0);
+}
+
 /// Warm disk hits are byte-identical too: a second cache instance sharing
 /// only the on-disk store (fresh empty memory tier) must return the same
 /// bytes the first instance computed, serving them from disk.

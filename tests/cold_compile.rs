@@ -1,16 +1,18 @@
-//! A cold compile pays for compiling once: the cache lexes a new source a
-//! single time — for the fingerprint — and the `Lower` miss that follows
-//! parses those tokens. Its own test binary: the second test reads the
-//! process-global metrics registry.
+//! A cold compile pays for compiling once, and only for what it runs: the
+//! cache lexes a new source a single time — for the fingerprint — and the
+//! `Lower` miss that follows parses those tokens; a job optimizes and
+//! generates code for the kernels it launches and no others. Its own test
+//! binary: the tests read the process-global metrics registry and cache.
 
-use fpga_gpu_repro::cache::{Cache, CacheConfig};
+use fpga_gpu_repro::cache::{self, Cache, CacheConfig, Stage};
 use fpga_gpu_repro::front::{compile, compile_lexed, lex_source};
 use fpga_gpu_repro::ir::passes::OptLevel;
-use fpga_gpu_repro::suite::all_benchmarks;
+use fpga_gpu_repro::sched::{ArgSpec, Flow, JobRequest, NdSpec, Payload};
+use fpga_gpu_repro::suite::{all_benchmarks, run_oneshot};
 use repro_util::{metrics, Rng};
 use std::sync::{Mutex, MutexGuard};
 
-/// Both tests compile; only one may do it while the registry is armed.
+/// The tests compile; only one may do it while the registry is armed.
 fn lock() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
     GUARD.lock().unwrap_or_else(|e| e.into_inner())
@@ -76,4 +78,91 @@ fn every_lex_the_cache_causes_is_metered_and_there_is_one_per_cold_source() {
     assert_eq!(warm.counter("cache.miss"), Some(3 * SOURCES));
     assert_eq!(warm.counter("cache.hit"), Some(1));
     assert_eq!(cache.stats().misses, 3 * SOURCES);
+}
+
+/// Five kernels that differ in body and constant; `seed` makes the source
+/// one no other test compiles.
+fn five_kernels(seed: u64) -> String {
+    (0..5)
+        .map(|k| {
+            format!(
+                "__kernel void k{k}(__global int* d, int n) {{\n    int i = get_global_id(0);\n    \
+                 for (int j = 0; j < n + {k}; j++) {{ d[i] = (d[i] * {m}) ^ {seed}; }}\n}}\n",
+                m = k + 3
+            )
+        })
+        .collect()
+}
+
+/// A one-launch vortex job of `kernel` in `source` at the loop tier.
+fn launch(source: &str, kernel: &str) -> JobRequest {
+    let mut r = JobRequest::bench("unused", Flow::Vortex);
+    r.opt = Some(OptLevel::Loop);
+    r.payload = Payload::Source {
+        source: source.to_string(),
+        kernel: kernel.to_string(),
+        nd: NdSpec {
+            gx: 8,
+            gy: 1,
+            lx: 4,
+            ly: 1,
+        },
+        buffers: vec![32],
+        args: vec![ArgSpec::Buf(0), ArgSpec::I32(2)],
+    };
+    r
+}
+
+#[test]
+fn a_cold_job_compiles_only_the_kernel_it_launches() {
+    let _g = lock();
+    let src = five_kernels(0x4c41_554e);
+    assert_eq!(compile(&src).unwrap().kernels.len(), 5);
+    metrics::enable();
+    metrics::reset();
+    run_oneshot(&launch(&src, "k2")).expect("k2 runs");
+    let cold = metrics::snapshot();
+    metrics::disable();
+    metrics::reset();
+    // vortex → opt → lower, each once, and one kernel through codegen.
+    assert_eq!(cold.counter("cache.miss"), Some(3));
+    let codegens = cold.histogram("vortex_cc.codegen").map_or(0, |h| h.count);
+    assert_eq!(codegens, 1);
+    // The `opt` artifact the job stored holds the launched kernel alone.
+    let before = cache::global().stats();
+    let opt = cache::global()
+        .optimize_kernels(&src, OptLevel::Loop, &["k2"])
+        .unwrap();
+    assert_eq!(cache::global().stats().misses, before.misses);
+    let names: Vec<&str> = opt.kernels.iter().map(|k| k.name.as_str()).collect();
+    assert_eq!(names, ["k2"]);
+}
+
+#[test]
+fn a_job_naming_a_missing_kernel_fails_and_caches_nothing() {
+    let _g = lock();
+    let src = five_kernels(0x4d49_5353);
+    run_oneshot(&launch(&src, "k0")).expect("k0 runs");
+    let before = cache::global().stats();
+    for round in 1..=2 {
+        let err = run_oneshot(&launch(&src, "nope")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "harness error: kernel `nope` not found in source"
+        );
+        let after = cache::global().stats();
+        assert_eq!(
+            (after.mem_entries, after.mem_bytes),
+            (before.mem_entries, before.mem_bytes),
+            "an error stored an artifact"
+        );
+        // The lowered module hits; the `vortex` and `opt` lookups miss and
+        // fail inside the miss, again on the repeat: nothing was stored.
+        let misses = |stage: Stage| {
+            let i = stage.index();
+            after.misses_by_stage[i] - before.misses_by_stage[i]
+        };
+        assert_eq!(misses(Stage::Lower), 0);
+        assert_eq!((misses(Stage::Opt), misses(Stage::Vortex)), (round, round));
+    }
 }
