@@ -24,7 +24,7 @@ impl ResourceVector {
         dsps: 0,
     };
 
-    pub fn new(aluts: u64, ffs: u64, brams: u64, dsps: u64) -> Self {
+    pub const fn new(aluts: u64, ffs: u64, brams: u64, dsps: u64) -> Self {
         ResourceVector {
             aluts,
             ffs,
@@ -181,6 +181,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper;
 
     #[test]
     fn resource_vector_arithmetic() {
@@ -210,14 +211,10 @@ mod tests {
     fn backprop_utilization_matches_paper_percentages() {
         // Paper §III-B: 12,898 BRAMs = 188%, 9,882 = 144%, 5,694 = 83%.
         let dev = Device::mx2100();
-        let pct = |brams: u64| {
-            dev.utilization(&ResourceVector::new(0, 0, brams, 0))
-                .brams_pct
-                .round() as i64
-        };
-        assert_eq!(pct(12_898), 188);
-        assert_eq!(pct(9_882), 144);
-        assert_eq!(pct(5_694), 83);
+        for (row, pct) in paper::TABLE2.iter().zip(paper::TABLE2_BRAM_PCT) {
+            let used = dev.utilization(&row.area).brams_pct;
+            assert_eq!(used.round() as u64, pct, "{}", row.label);
+        }
     }
 
     #[test]

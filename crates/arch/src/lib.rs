@@ -5,10 +5,12 @@
 //! * **SX2800** (DDR4) — the board Vortex is synthesized on;
 //!
 //! plus the resource-vector arithmetic used by the coverage evaluation
-//! (Table I) and the Vortex area model calibrated to Table IV.
+//! (Table I), the Vortex area model calibrated to Table IV, and [`paper`],
+//! the one home of the paper's published numbers.
 
 pub mod device;
 pub mod memory;
+pub mod paper;
 pub mod vortex_area;
 
 pub use device::{Device, DeviceKind, ResourceVector, Utilization};

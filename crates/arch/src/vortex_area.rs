@@ -6,7 +6,7 @@
 //! describes in §III-C: more threads widen the register file and the
 //! ALU/FPU lanes; more warps grow the warp table.
 //!
-//! Calibration (five published (C, W, T) points):
+//! Calibration (the five published (C, W, T) points, `paper::TABLE4`):
 //! * DSPs and BRAMs reproduce Table IV **exactly**;
 //! * ALUTs and FFs are within 0.6% (the FF data is slightly non-linear in W;
 //!   we keep a piecewise-linear warp-table term). Residuals are reported in
@@ -23,7 +23,7 @@ pub struct VortexConfig {
 }
 
 impl VortexConfig {
-    pub fn new(cores: u32, warps: u32, threads: u32) -> Self {
+    pub const fn new(cores: u32, warps: u32, threads: u32) -> Self {
         VortexConfig {
             cores,
             warps,
@@ -74,40 +74,14 @@ pub fn vortex_area(cfg: &VortexConfig) -> ResourceVector {
     }
 }
 
-/// The five configurations the paper publishes in Table IV, with the paper's
-/// measured values (for harness output and EXPERIMENTS.md comparison).
-pub fn table4_reference() -> Vec<(VortexConfig, ResourceVector)> {
-    vec![
-        (
-            VortexConfig::new(2, 4, 16),
-            ResourceVector::new(332_143, 459_349, 1_275, 896),
-        ),
-        (
-            VortexConfig::new(2, 8, 16),
-            ResourceVector::new(336_568, 459_353, 1_299, 896),
-        ),
-        (
-            VortexConfig::new(2, 16, 16),
-            ResourceVector::new(341_134, 478_735, 1_299, 896),
-        ),
-        (
-            VortexConfig::new(4, 8, 16),
-            ResourceVector::new(617_748, 793_976, 2_235, 1_792),
-        ),
-        (
-            VortexConfig::new(4, 16, 16),
-            ResourceVector::new(626_688, 827_757, 2_235, 1_792),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::{self, TABLE4};
 
     #[test]
     fn brams_and_dsps_exact_on_all_table4_points() {
-        for (cfg, want) in table4_reference() {
+        for (cfg, want) in TABLE4 {
             let got = vortex_area(&cfg);
             assert_eq!(got.brams, want.brams, "BRAM mismatch for {cfg}");
             assert_eq!(got.dsps, want.dsps, "DSP mismatch for {cfg}");
@@ -116,17 +90,17 @@ mod tests {
 
     #[test]
     fn aluts_and_ffs_within_one_percent() {
-        for (cfg, want) in table4_reference() {
+        for (cfg, want) in TABLE4 {
             let got = vortex_area(&cfg);
-            let err = |a: u64, b: u64| (a as f64 - b as f64).abs() / b as f64;
+            let within = |got, want| paper::rel_err(got, want) < paper::TABLE4_ALUT_FF_TOL;
             assert!(
-                err(got.aluts, want.aluts) < 0.01,
+                within(got.aluts, want.aluts),
                 "{cfg}: ALUT {} vs paper {}",
                 got.aluts,
                 want.aluts
             );
             assert!(
-                err(got.ffs, want.ffs) < 0.01,
+                within(got.ffs, want.ffs),
                 "{cfg}: FF {} vs paper {}",
                 got.ffs,
                 want.ffs
@@ -154,7 +128,7 @@ mod tests {
     #[test]
     fn table4_configs_fit_the_sx2800() {
         let dev = crate::Device::sx2800();
-        for (cfg, _) in table4_reference() {
+        for (cfg, _) in TABLE4 {
             let a = vortex_area(&cfg);
             assert!(a.fits_in(&dev.capacity), "{cfg} should fit the SX2800: {a}");
         }

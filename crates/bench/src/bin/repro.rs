@@ -252,9 +252,7 @@ fn run_table1(exec: &Executor, timing: bool) {
     let checks = repro_core::check_suite_on(exec, Scale::Test, VortexConfig::new(2, 4, 16));
     let rows = coverage_table(&checks);
     print!("{}", report::render_table1(&rows));
-    let v_ok = rows.iter().filter(|r| r.vortex_ok()).count();
-    let h_ok = rows.iter().filter(|r| r.hls_ok()).count();
-    println!("\nVortex: {v_ok}/28 pass (paper: 28/28); Intel SDK: {h_ok}/28 pass (paper: 22/28)");
+    print!("\n{}", report::render_table1_summary(&rows));
     if timing {
         println!("\n### Synthesis wall-clock model (§IV-B)\n");
         let mut t = Table::new(["Benchmark", "outcome", "hours"]);

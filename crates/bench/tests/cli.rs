@@ -15,12 +15,11 @@
 //! Regenerate after an intentional change with
 //! `REGOLD=1 cargo test -p repro-bench --test cli`.
 
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
 mod support;
 
 use std::fmt::Write;
-use std::fs;
-
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/cli.md");
 
 /// Commands whose whole stdout is pinned, in the order they run.
 const FULL: [&str; 3] = ["check", "cache stats", "chaos --scenarios smoke"];
@@ -105,15 +104,7 @@ fn cli_output_and_exit_codes_match_golden() {
             .map_or("killed".to_string(), |c| c.to_string());
         writeln!(rendered, "| `repro {cmd}` | {code} |").unwrap();
     }
-    if std::env::var_os("REGOLD").is_some() {
-        fs::write(GOLDEN, &rendered).unwrap();
-        return;
-    }
-    let golden = fs::read_to_string(GOLDEN).unwrap_or_default();
-    assert_eq!(
-        rendered, golden,
-        "repro's output changed; if intentional, regenerate with REGOLD=1"
-    );
+    golden::check("cli.md", &rendered, "repro's output");
 }
 
 /// An unknown benchmark is a failed run, not a malformed command line: each

@@ -7,18 +7,20 @@
 //! `CARGO_TARGET_TMPDIR` (see `support`), so the checkout's `runs/` and
 //! `target/repro/` are never touched. Paper-scale Figure 7 takes too long in debug; it is an
 //! `#[ignore]`d case that CI runs in release. Each case compares the whole
-//! golden, with the sections it does not run copied from the golden itself.
+//! golden, with the sections it does not run copied from the golden itself
+//! (`golden::check_sections`).
 //!
 //! Regenerate after an intentional change with
 //! `REGOLD=1 cargo test --release -p repro-bench --test paper -- --include-ignored`.
 
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
 mod support;
 
 use repro_util::Json;
 use std::fmt::Write;
 use std::fs;
 use std::path::Path;
-use std::sync::Mutex;
 
 /// The golden's sections in file order: a `repro` command line and whether
 /// it belongs to the paper-scale case.
@@ -31,13 +33,6 @@ const SECTIONS: [(&str, bool); 7] = [
     ("analytic", false),
     ("fig7", true),
 ];
-
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/paper.md");
-
-const HEADER: &str = "# Paper artifacts (`repro` stdout)\n\n";
-
-/// Serialises the two cases' read-modify-write of the golden under `REGOLD`.
-static GOLDEN_LOCK: Mutex<()> = Mutex::new(());
 
 fn heading(cmd: &str) -> String {
     format!("## `repro {cmd}`\n")
@@ -80,43 +75,20 @@ fn run_section(dir: &Path, cmd: &str) -> String {
     s
 }
 
-/// The section of `golden` headed by `cmd` (empty when absent).
-fn golden_section<'a>(golden: &'a str, cmd: &str) -> &'a str {
-    let Some(start) = golden.find(&heading(cmd)) else {
-        return "";
-    };
-    let rest = &golden[start..];
-    match rest[1..].find("\n## `repro ") {
-        Some(end) => &rest[..end + 2],
-        None => rest,
-    }
-}
-
 /// Run this case's commands in a fresh directory and compare the golden.
 fn check(case: &str, paper_scale: bool) {
     let dir = support::fresh_dir(case);
-    let ran: Vec<(&str, String)> = SECTIONS
+    let sections: Vec<(String, Option<String>)> = SECTIONS
         .iter()
-        .filter(|&&(_, paper)| paper == paper_scale)
-        .map(|&(cmd, _)| (cmd, run_section(&dir, cmd)))
+        .map(|&(cmd, paper)| {
+            (
+                heading(cmd),
+                (paper == paper_scale).then(|| run_section(&dir, cmd)),
+            )
+        })
         .collect();
-    let _g = GOLDEN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let golden = fs::read_to_string(GOLDEN).unwrap_or_default();
-    let mut rendered = String::from(HEADER);
-    for (cmd, _) in SECTIONS {
-        match ran.iter().find(|(c, _)| *c == cmd) {
-            Some((_, section)) => rendered.push_str(section),
-            None => rendered.push_str(golden_section(&golden, cmd)),
-        }
-    }
-    if std::env::var_os("REGOLD").is_some() {
-        fs::write(GOLDEN, &rendered).unwrap();
-        return;
-    }
-    assert_eq!(
-        rendered, golden,
-        "paper artifacts changed; if intentional, regenerate with REGOLD=1"
-    );
+    let header = "# Paper artifacts (`repro` stdout)\n\n";
+    golden::check_sections("paper.md", header, &sections, "paper artifacts");
 }
 
 #[test]

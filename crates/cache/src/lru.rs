@@ -6,7 +6,7 @@
 //! is O(n) but trivially correct and plenty for the few hundred entries the
 //! pipeline produces.
 
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 use std::hash::Hash;
 
 struct Entry<V> {

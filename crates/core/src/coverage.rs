@@ -93,13 +93,14 @@ fn synth_report(name: &str, device: &Device) -> Result<hls_flow::SynthReport, St
 mod tests {
     use super::*;
     use crate::check::tests::suite_sweep;
+    use fpga_arch::paper;
 
     /// Table I built from the test binary's one whole-suite sweep, which
     /// `check_covers_all_benchmarks_fail_soft` also checks.
     #[test]
     fn coverage_reproduces_table1() {
         let rows = coverage_table(suite_sweep());
-        assert_eq!(rows.len(), 28);
+        assert_eq!(rows.len(), paper::TABLE1_BENCHMARKS);
         // Vortex column: all O.
         for r in &rows {
             assert!(r.vortex_ok(), "{}: {:?}", r.name, r.vortex);
@@ -110,23 +111,24 @@ mod tests {
             .filter(|r| !r.hls_ok())
             .map(|r| (r.name.as_str(), r.fail_reason()))
             .collect();
-        assert_eq!(
-            failures,
-            vec![
-                ("Lbm", "Not enough BRAM".to_string()),
-                ("Backprop", "Not enough BRAM".to_string()),
-                ("B+tree", "Not enough BRAM".to_string()),
-                ("Hybridsort", "Atomics".to_string()),
-                ("Dwd2d", "Not enough BRAM".to_string()),
-                ("LUD", "Not enough BRAM".to_string()),
-            ]
-        );
+        let expected = paper::TABLE1_HLS_FAILURES.map(|(name, reason)| (name, reason.to_string()));
+        assert_eq!(failures, expected);
         // Failures are fast, successes slow (§IV-B).
         for r in &rows {
             if r.hls_ok() {
-                assert!(r.hls_hours > 1.0, "{}: {}", r.name, r.hls_hours);
+                assert!(
+                    r.hls_hours > paper::SYNTH_HOURS_SUCCESS_MIN,
+                    "{}: {}",
+                    r.name,
+                    r.hls_hours
+                );
             } else if !r.fail_reason().contains("harness") {
-                assert!(r.hls_hours < 2.5, "{}: {}", r.name, r.hls_hours);
+                assert!(
+                    r.hls_hours < paper::SYNTH_HOURS_FAILURE_MAX,
+                    "{}: {}",
+                    r.name,
+                    r.hls_hours
+                );
             }
         }
     }

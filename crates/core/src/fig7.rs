@@ -6,7 +6,7 @@
 //! submitted to the caller's executor like every other sweep.
 
 use crate::check::bench_request;
-use fpga_arch::VortexConfig;
+use fpga_arch::{paper, VortexConfig};
 use ocl_suite::Scale;
 use repro_diag::ReproError;
 use repro_sched::{Executor, Flow};
@@ -116,7 +116,8 @@ pub fn fig7_grid(
     })
 }
 
-/// The §III-C prose numbers derived from the two grids.
+/// The §III-C prose numbers derived from the two grids, at the points
+/// `fpga_arch::paper` publishes.
 #[derive(Debug, Clone)]
 pub struct Fig7Summary {
     pub vecadd_best: (u32, u32),
@@ -143,17 +144,19 @@ impl ToJson for Fig7Summary {
     }
 }
 
-/// Derive the summary; grids must contain the referenced cells.
+/// Derive the summary at the points `paper` names; a grid without one of
+/// them reads NaN there.
 pub fn fig7_summary(vecadd: &Fig7Grid, transpose: &Fig7Grid) -> Fig7Summary {
+    let slowdown = |g: &Fig7Grid, (w, t)| g.degradation_pct(w, t).unwrap_or(f64::NAN);
     let b1 = vecadd.best();
     let b2 = transpose.best();
     Fig7Summary {
         vecadd_best: (b1.warps, b1.threads),
         transpose_best: (b2.warps, b2.threads),
-        vecadd_8w8t_pct: vecadd.degradation_pct(8, 8).unwrap_or(f64::NAN),
-        transpose_4w4t_pct: transpose.degradation_pct(4, 4).unwrap_or(f64::NAN),
-        vecadd_8w4t_pct: vecadd.degradation_pct(8, 4).unwrap_or(f64::NAN),
-        transpose_8w4t_pct: transpose.degradation_pct(8, 4).unwrap_or(f64::NAN),
+        vecadd_8w8t_pct: slowdown(vecadd, paper::FIG7_TRANSPOSE_BEST),
+        transpose_4w4t_pct: slowdown(transpose, paper::FIG7_VECADD_BEST),
+        vecadd_8w4t_pct: slowdown(vecadd, paper::FIG7_BOTH_SUBOPTIMAL),
+        transpose_8w4t_pct: slowdown(transpose, paper::FIG7_BOTH_SUBOPTIMAL),
     }
 }
 

@@ -7,6 +7,7 @@
 use crate::coverage::CoverageRow;
 use crate::fig7::{Fig7Grid, Fig7Summary};
 use crate::tables::AreaRow;
+use fpga_arch::paper::{self, beside};
 use fpga_arch::VortexConfig;
 use std::fmt::{self, Write};
 use vortex_sim::LaunchProfile;
@@ -77,6 +78,20 @@ impl fmt::Display for Table {
     }
 }
 
+/// Table I's summary line: how many of `rows` each flow passes, beside the
+/// paper's counts.
+pub fn render_table1_summary(rows: &[CoverageRow]) -> String {
+    let count = |ok: fn(&CoverageRow) -> bool| rows.iter().filter(|r| ok(r)).count();
+    let (n, all) = (rows.len(), paper::TABLE1_BENCHMARKS);
+    let (v, pv) = (count(CoverageRow::vortex_ok), paper::TABLE1_VORTEX_PASSES);
+    let (h, ph) = (count(CoverageRow::hls_ok), paper::TABLE1_HLS_PASSES);
+    format!(
+        "Vortex: {}; Intel SDK: {}\n",
+        beside(format!("{v}/{n} pass"), format!("{pv}/{all}")),
+        beside(format!("{h}/{n} pass"), format!("{ph}/{all}")),
+    )
+}
+
 /// Render Table I as markdown.
 pub fn render_table1(rows: &[CoverageRow]) -> String {
     let mut t = Table::new(["Benchmark", "Vortex", "Intel SDK", "Reason to Fail"]);
@@ -105,17 +120,12 @@ pub fn render_area_table(title: &str, rows: &[AreaRow]) -> String {
         "Δ",
     ]);
     for r in rows {
-        let (paper, delta) = match r.paper {
-            Some(p) => {
-                let d = 100.0 * (r.model.brams as f64 - p.brams as f64) / p.brams as f64;
-                (p.brams.to_string(), format!("{d:+.1}%"))
-            }
-            None => ("-".to_string(), "-".to_string()),
-        };
-        let m = &r.model;
+        let (m, p) = (&r.model, &r.paper);
+        let delta = 100.0 * (m.brams as f64 - p.brams as f64) / p.brams as f64;
         let mut cells = vec![r.label.clone()];
         cells.extend([m.aluts, m.ffs, m.brams, m.dsps].map(|n| n.to_string()));
-        cells.extend([format!("{:.0}%", r.bram_pct), paper, delta]);
+        let util = format!("{:.0}%", r.bram_pct);
+        cells.extend([util, p.brams.to_string(), format!("{delta:+.1}%")]);
         t.row(cells);
     }
     format!("### {title}\n{t}")
@@ -135,7 +145,7 @@ pub fn render_table4(rows: &[(VortexConfig, AreaRow)]) -> String {
         "paper BRAMs",
     ]);
     for (cfg, r) in rows {
-        let (m, p) = (&r.model, r.paper.expect("table4 rows carry paper values"));
+        let (m, p) = (&r.model, &r.paper);
         let shape = [cfg.cores, cfg.warps, cfg.threads].map(u64::from);
         t.row(
             shape
@@ -247,18 +257,26 @@ pub fn render_profile(bench: &str, sections: &[ProfileSection], top_n: usize) ->
 
 /// Render the §III-C summary sentence comparisons.
 pub fn render_fig7_summary(sm: &Fig7Summary) -> String {
+    use paper::*;
+    let wt = |(w, t): (u32, u32)| format!("{w}w{t}t");
+    let pct = |p: f64| format!("{p:+.0}%");
+    let (v, t) = (FIG7_VECADD_BEST, FIG7_TRANSPOSE_BEST);
+    let (v_both, t_both) = (pct(sm.vecadd_8w4t_pct), pct(sm.transpose_8w4t_pct));
     format!(
-        "vecadd best: {}w{}t (paper: 4w4t); transpose best: {}w{}t (paper: 8w8t)\n\
-         vecadd @8w8t: {:+.0}% (paper: ~+27%); transpose @4w4t: {:+.0}% (paper: ~+44%)\n\
-         @8w4t: vecadd {:+.0}% / transpose {:+.0}% (paper: +11% / +17%)\n",
-        sm.vecadd_best.0,
-        sm.vecadd_best.1,
-        sm.transpose_best.0,
-        sm.transpose_best.1,
-        sm.vecadd_8w8t_pct,
-        sm.transpose_4w4t_pct,
-        sm.vecadd_8w4t_pct,
-        sm.transpose_8w4t_pct,
+        "vecadd best: {}; transpose best: {}\n\
+         vecadd @{}: {}; transpose @{}: {}\n\
+         @{}: {}\n",
+        beside(wt(sm.vecadd_best), wt(v)),
+        beside(wt(sm.transpose_best), wt(t)),
+        wt(t),
+        beside(pct(sm.vecadd_8w8t_pct), FIG7_VECADD_AT_TRANSPOSE_BEST),
+        wt(v),
+        beside(pct(sm.transpose_4w4t_pct), FIG7_TRANSPOSE_AT_VECADD_BEST),
+        wt(FIG7_BOTH_SUBOPTIMAL),
+        beside(
+            format!("vecadd {v_both} / transpose {t_both}"),
+            format!("{FIG7_VECADD_AT_BOTH_SUBOPTIMAL} / {FIG7_TRANSPOSE_AT_BOTH_SUBOPTIMAL}")
+        ),
     )
 }
 
@@ -278,6 +296,11 @@ mod tests {
         }];
         let s = render_table1(&rows);
         assert!(s.contains("| Lbm | O | X | Not enough BRAM |"), "{s}");
+        let s = render_table1_summary(&rows);
+        assert!(
+            s.starts_with("Vortex: 1/1 pass (") && s.contains("; Intel SDK: 0/1 pass ("),
+            "{s}"
+        );
     }
 
     #[test]
@@ -285,7 +308,7 @@ mod tests {
         let rows = vec![AreaRow {
             label: "x".into(),
             model: ResourceVector::new(1, 2, 110, 4),
-            paper: Some(ResourceVector::new(1, 2, 100, 4)),
+            paper: ResourceVector::new(1, 2, 100, 4),
             bram_pct: 1.6,
         }];
         let s = render_area_table("T", &rows);

@@ -1,7 +1,8 @@
 //! Tables II, III and IV.
 
-use fpga_arch::{vortex_area, Device, ResourceVector, VortexConfig};
+use fpga_arch::{paper, vortex_area, Device, ResourceVector, VortexConfig};
 use hls_flow::{synthesize, SynthOptions};
+use ocl_ir::Module;
 use ocl_suite::benches::ml::{BACKPROP_O1, BACKPROP_O2, BACKPROP_ORIGINAL};
 use repro_util::{Json, ToJson};
 
@@ -10,7 +11,7 @@ use repro_util::{Json, ToJson};
 pub struct AreaRow {
     pub label: String,
     pub model: ResourceVector,
-    pub paper: Option<ResourceVector>,
+    pub paper: ResourceVector,
     /// BRAM utilization of the MX2100 in percent (the §III-B headline).
     pub bram_pct: f64,
 }
@@ -27,19 +28,29 @@ impl ToJson for AreaRow {
 }
 
 fn area_of(src: &str) -> ResourceVector {
-    let m = ocl_front::compile(src).expect("suite source compiles");
-    let device = Device::mx2100();
-    match synthesize(&m, &device, &SynthOptions::default()) {
+    area_of_module(&ocl_front::compile(src).expect("suite source compiles"))
+}
+
+/// The MX2100 area of `m`: its synthesized area, or the area it needs when
+/// it does not fit.
+fn area_of_module(m: &Module) -> ResourceVector {
+    match synthesize(m, &Device::mx2100(), &SynthOptions::default()) {
         Ok(r) => r.area,
         Err(hls_flow::SynthFailure::NotEnoughResources { required, .. }) => required,
         Err(other) => panic!("unexpected synthesis failure: {other}"),
     }
 }
 
-fn row(label: &str, model: ResourceVector, paper: Option<ResourceVector>) -> AreaRow {
-    let device = Device::mx2100();
+/// A row of `model` beside the published `paper` area, with its BRAM
+/// utilization of `device`.
+fn row(
+    label: impl Into<String>,
+    model: ResourceVector,
+    paper: ResourceVector,
+    device: &Device,
+) -> AreaRow {
     AreaRow {
-        label: label.to_string(),
+        label: label.into(),
         bram_pct: device.utilization(&model).brams_pct,
         model,
         paper,
@@ -49,88 +60,44 @@ fn row(label: &str, model: ResourceVector, paper: Option<ResourceVector>) -> Are
 /// Table II — backprop synthesis area under the cumulative source
 /// optimizations of §III-B (Figure 6's three listings).
 pub fn table2() -> Vec<AreaRow> {
-    vec![
-        row(
-            "Original code",
-            area_of(BACKPROP_ORIGINAL),
-            Some(ResourceVector::new(1_000_388, 2_158_459, 12_898, 17)),
-        ),
-        row(
-            "Variable reuse (O1)",
-            area_of(BACKPROP_O1),
-            Some(ResourceVector::new(826_993, 1_587_827, 9_882, 9)),
-        ),
-        row(
-            "Pipelined load (O2)",
-            area_of(BACKPROP_O2),
-            Some(ResourceVector::new(451_395, 1_051_467, 5_694, 11)),
-        ),
-    ]
+    let sources = [BACKPROP_ORIGINAL, BACKPROP_O1, BACKPROP_O2];
+    let mx2100 = Device::mx2100();
+    paper::TABLE2
+        .iter()
+        .zip(sources)
+        .map(|(p, src)| row(p.label, area_of(src), p.area, &mx2100))
+        .collect()
 }
 
 /// The automated form of O1: run the IR-level CSE pass on the *original*
 /// source and report the area it reaches (the compiler-automation
 /// opportunity §IV-B points at). Returns (manual O1 area, automated area).
 pub fn table2_automated_o1() -> (ResourceVector, ResourceVector) {
-    let manual = area_of(BACKPROP_O1);
     let mut m = ocl_front::compile(BACKPROP_ORIGINAL).expect("compiles");
     ocl_ir::passes::optimize_module(&mut m, ocl_ir::passes::OptLevel::VariableReuse);
-    let device = Device::mx2100();
-    let auto = match synthesize(&m, &device, &SynthOptions::default()) {
-        Ok(r) => r.area,
-        Err(hls_flow::SynthFailure::NotEnoughResources { required, .. }) => required,
-        Err(other) => panic!("unexpected synthesis failure: {other}"),
-    };
-    (manual, auto)
+    (area_of(BACKPROP_O1), area_of_module(&m))
 }
 
 /// Table III — HLS synthesis area for the four selected benchmarks.
 pub fn table3() -> Vec<AreaRow> {
-    let bench_area = |name: &str| {
-        let b = ocl_suite::benchmark(name).expect("benchmark exists");
-        area_of(b.source)
-    };
-    vec![
-        row(
-            "Vecadd",
-            bench_area("Vecadd"),
-            Some(ResourceVector::new(83_792, 263_632, 1_065, 1)),
-        ),
-        row(
-            "Matmul",
-            bench_area("Matmul"),
-            Some(ResourceVector::new(250_218, 415_893, 2_696, 5)),
-        ),
-        row(
-            "Gauss",
-            bench_area("Gaussian"),
-            Some(ResourceVector::new(537_571, 1_174_446, 6_384, 10)),
-        ),
-        row(
-            "BFS",
-            bench_area("BFS"),
-            Some(ResourceVector::new(256_690, 1_172_664, 5_892, 6)),
-        ),
-    ]
+    let benchmarks = ["Vecadd", "Matmul", "Gaussian", "BFS"];
+    let mx2100 = Device::mx2100();
+    paper::TABLE3
+        .iter()
+        .zip(benchmarks)
+        .map(|(p, name)| {
+            let b = ocl_suite::benchmark(name).expect("benchmark exists");
+            row(p.label, area_of(b.source), p.area, &mx2100)
+        })
+        .collect()
 }
 
 /// Table IV — Vortex synthesis area across (C, W, T) configurations.
 pub fn table4() -> Vec<(VortexConfig, AreaRow)> {
-    fpga_arch::vortex_area::table4_reference()
-        .into_iter()
-        .map(|(cfg, paper)| {
-            let model = vortex_area(&cfg);
-            let device = Device::sx2800();
-            (
-                cfg,
-                AreaRow {
-                    label: cfg.to_string(),
-                    bram_pct: device.utilization(&model).brams_pct,
-                    model,
-                    paper: Some(paper),
-                },
-            )
-        })
+    let sx2800 = Device::sx2800();
+    paper::TABLE4
+        .iter()
+        .map(|&(cfg, area)| (cfg, row(cfg.to_string(), vortex_area(&cfg), area, &sx2800)))
         .collect()
 }
 
@@ -152,10 +119,9 @@ mod tests {
         assert!(rows[2].bram_pct < 100.0, "{}", rows[2].bram_pct);
         // Within 25% of the paper's absolute numbers on every step.
         for r in &rows {
-            let paper = r.paper.unwrap();
-            let rel = (r.model.brams as f64 - paper.brams as f64).abs() / paper.brams as f64;
+            let paper = r.paper;
             assert!(
-                rel < 0.25,
+                paper::rel_err(r.model.brams, paper.brams) < paper::TABLE2_BRAM_TOL,
                 "{}: model {} paper {}",
                 r.label,
                 r.model.brams,
@@ -180,10 +146,9 @@ mod tests {
     fn table3_within_tolerance_and_ordered_like_paper() {
         let rows = table3();
         for r in &rows {
-            let paper = r.paper.unwrap();
-            let rel = (r.model.brams as f64 - paper.brams as f64).abs() / paper.brams as f64;
+            let paper = r.paper;
             assert!(
-                rel < 0.30,
+                paper::rel_err(r.model.brams, paper.brams) < paper::TABLE3_BRAM_TOL,
                 "{}: BRAM {} vs paper {}",
                 r.label,
                 r.model.brams,
@@ -199,7 +164,7 @@ mod tests {
     #[test]
     fn table4_exact_brams_dsps() {
         for (cfg, r) in table4() {
-            let paper = r.paper.unwrap();
+            let paper = r.paper;
             assert_eq!(r.model.brams, paper.brams, "{cfg}");
             assert_eq!(r.model.dsps, paper.dsps, "{cfg}");
         }

@@ -9,7 +9,7 @@ use ocl_ir::{
     AddressSpace, AtomicOp, BinOp, Builtin, CmpOp, Function, FunctionBuilder, LoadHint,
     LocalArrayId, Module, Operand, Param, Scalar, Type, UnOp, VReg,
 };
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 
 /// Semantic / lowering failure.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,7 +3,7 @@
 //! usage in the Rodinia / NVIDIA SDK kernels the suite ports (constants such
 //! as `ETA`, `MOMENTUM`, block sizes).
 
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 
 /// Preprocessing failure with a 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -137,6 +137,7 @@ pub fn module_area(profiles: &[KernelProfile]) -> ResourceVector {
 mod tests {
     use super::*;
     use crate::analysis::profile;
+    use fpga_arch::paper;
 
     fn area_of(src: &str) -> ResourceVector {
         let m = ocl_front::compile(src).unwrap();
@@ -155,11 +156,16 @@ mod tests {
         // Paper Table III: Vecadd = 83,792 ALUTs / 263,632 FFs / 1,065
         // BRAMs / 1 DSP. The model must land within 15% on every class.
         let a = area_of(VECADD);
-        let close = |got: u64, want: u64| ((got as f64 - want as f64).abs() / want as f64) < 0.15;
-        assert!(close(a.aluts, 83_792), "ALUTs {}", a.aluts);
-        assert!(close(a.ffs, 263_632), "FFs {}", a.ffs);
-        assert!(close(a.brams, 1_065), "BRAMs {}", a.brams);
-        assert_eq!(a.dsps, 1);
+        let want = paper::TABLE3
+            .iter()
+            .find(|r| r.label == "Vecadd")
+            .unwrap()
+            .area;
+        let close = |got, want| paper::rel_err(got, want) < paper::TABLE3_VECADD_TOL;
+        assert!(close(a.aluts, want.aluts), "ALUTs {}", a.aluts);
+        assert!(close(a.ffs, want.ffs), "FFs {}", a.ffs);
+        assert!(close(a.brams, want.brams), "BRAMs {}", a.brams);
+        assert_eq!(a.dsps, want.dsps);
     }
 
     #[test]

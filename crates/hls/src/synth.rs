@@ -152,6 +152,7 @@ fn synthesize_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpga_arch::paper;
 
     fn dev() -> Device {
         Device::mx2100()
@@ -165,7 +166,11 @@ mod tests {
         .unwrap();
         let r = synthesize(&m, &dev(), &SynthOptions::default()).unwrap();
         assert!(r.area.fits_in(&dev().capacity));
-        assert!(r.hours > 1.0 && r.hours < 12.0, "hours {}", r.hours);
+        assert!(
+            r.hours > paper::SYNTH_HOURS_SUCCESS_MIN && r.hours < 12.0,
+            "hours {}",
+            r.hours
+        );
         assert!(r.utilization.brams_pct < 100.0);
     }
 
@@ -183,8 +188,12 @@ mod tests {
         )
         .unwrap();
         let e = synthesize(&m, &dev(), &SynthOptions::default()).unwrap_err();
-        assert_eq!(e.reason(), "Not enough BRAM");
-        assert!(e.hours() < 2.5, "failures are fast: {}", e.hours());
+        assert_eq!(e.reason(), paper::NOT_ENOUGH_BRAM);
+        assert!(
+            e.hours() < paper::SYNTH_HOURS_FAILURE_MAX,
+            "failures are fast: {}",
+            e.hours()
+        );
     }
 
     #[test]
@@ -196,7 +205,7 @@ mod tests {
         )
         .unwrap();
         let e = synthesize(&m, &Device::mx2100(), &SynthOptions::default()).unwrap_err();
-        assert_eq!(e.reason(), "Atomics");
+        assert_eq!(e.reason(), paper::ATOMICS);
         // The same kernel synthesizes on the DDR4 board.
         synthesize(&m, &Device::sx2800(), &SynthOptions::default()).unwrap();
     }

@@ -78,7 +78,7 @@ use crate::func::Function;
 use crate::inst::{AtomicOp, BinOp, Builtin, CmpOp, Op, Terminator, UnOp};
 use crate::types::AddressSpace;
 use crate::value::{Operand, VReg};
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 use std::ops::Range;
 
 /// Base address of the first allocation in [`Memory`]; keeps address 0

@@ -9,7 +9,7 @@ use crate::inst::{BinOp, CmpOp, Op, UnOp};
 use crate::interp;
 use crate::types::Scalar;
 use crate::value::{Const, Operand, VReg};
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 
 /// Run the pass; returns the number of instructions folded or operands
 /// propagated.

@@ -6,7 +6,7 @@
 use crate::func::Function;
 use crate::inst::Op;
 use crate::value::{Operand, VReg};
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 
 /// Run the pass; returns the number of operands rewritten.
 pub fn run(f: &mut Function) -> usize {

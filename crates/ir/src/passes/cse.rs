@@ -20,7 +20,7 @@ use crate::func::Function;
 use crate::inst::{Op, UnOp};
 use crate::types::{AddressSpace, Scalar, Type};
 use crate::value::{Operand, VReg};
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 
 /// Alias class of a memory access: which underlying object the pointer can
 /// point into.

@@ -24,7 +24,7 @@ use crate::loops::Loop;
 use crate::passes::const_fold;
 use crate::types::Scalar;
 use crate::value::{Const, Operand, VReg};
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 
 /// Maximum provable trip count that is still worth straight-lining.
 pub const MAX_TRIPS: u32 = 8;

@@ -3,7 +3,7 @@
 //! on the HLS flow exactly the six benchmarks the paper lists must fail,
 //! with the paper's failure reasons.
 
-use fpga_arch::{Device, VortexConfig};
+use fpga_arch::{paper, Device, VortexConfig};
 use ocl_ir::interp::Limits;
 use ocl_suite::{
     all_benchmarks, benchmark, run, Backend, Benchmark, ReproError, RunOutcome, Scale, DEFAULT_OPT,
@@ -56,20 +56,14 @@ fn hls_coverage_matches_table1() {
     let hls = Backend::Hls {
         device: Device::mx2100(),
     };
-    let expected_failures: &[(&str, &str)] = &[
-        ("Lbm", "Not enough BRAM"),
-        ("Backprop", "Not enough BRAM"),
-        ("B+tree", "Not enough BRAM"),
-        ("Hybridsort", "Atomics"),
-        ("Dwd2d", "Not enough BRAM"),
-        ("LUD", "Not enough BRAM"),
-    ];
     for b in all_benchmarks() {
         let outcome = match run_test(&b, &hls) {
             Err(ReproError::Synthesis { reason, .. }) => Err(reason),
             other => Ok(other.unwrap_or_else(|e| panic!("{} harness error: {e}", b.name))),
         };
-        let expected = expected_failures.iter().find(|(n, _)| *n == b.name);
+        let expected = paper::TABLE1_HLS_FAILURES
+            .iter()
+            .find(|(n, _)| *n == b.name);
         match (outcome, expected) {
             (Ok(_), None) => {}
             (Err(f), Some((_, reason))) => {

@@ -1,8 +1,8 @@
-//! In-tree stand-in for the crates.io `rustc-hash` crate so the offline
-//! build keeps the `use rustc_hash::FxHashMap` sites working. The hasher
-//! here is an independent implementation (folded-multiply over 8-byte
-//! chunks, wyhash-style), not the upstream algorithm — callers only rely
-//! on it being fast, deterministic, and `BuildHasherDefault`-constructible.
+//! The Fx-style hasher behind the compiler passes' `FxHashMap`s, in the
+//! place of the crates.io `rustc-hash` crate, which the offline build cannot
+//! fetch. The hasher is an independent implementation (folded-multiply over
+//! 8-byte chunks, wyhash-style), not the upstream algorithm — callers only
+//! rely on it being fast, deterministic, and `BuildHasherDefault`-constructible.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

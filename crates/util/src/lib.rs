@@ -5,6 +5,8 @@
 //!
 //! * [`fnv`] — FNV-1a 64, the one stable hash behind cache keys, trace
 //!   ids and fault seeds;
+//! * [`fxhash`] — the fast `FxHashMap`/`FxHashSet` hasher of the compiler
+//!   passes (in the place of crates.io `rustc-hash`);
 //! * [`json`] — a minimal JSON value tree + pretty printer and the
 //!   [`json::ToJson`] trait, covering exactly what the `repro` harness
 //!   serializes;
@@ -14,6 +16,7 @@
 //!   behind `repro perf-report` (off by default, observably free while off).
 
 pub mod fnv;
+pub mod fxhash;
 pub mod json;
 pub mod metrics;
 pub mod rng;

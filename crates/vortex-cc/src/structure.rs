@@ -9,7 +9,7 @@ use ocl_ir::cfg::{Cfg, PostDominators};
 use ocl_ir::loops::LoopForest;
 use ocl_ir::workitem::WorkItemInfo;
 use ocl_ir::{BlockId, Function, Terminator};
-use rustc_hash::FxHashMap;
+use repro_util::fxhash::FxHashMap;
 
 /// How one divergent branch is lowered.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,23 +7,23 @@
 //! cargo run --release --example coverage_sweep
 //! ```
 
-use fpga_arch::VortexConfig;
+use fpga_arch::{paper, VortexConfig};
 use ocl_suite::Scale;
 use repro_core::{check_suite, coverage_table, report};
 
 fn main() {
     let rows = coverage_table(&check_suite(Scale::Test, VortexConfig::new(2, 4, 16)));
     print!("{}", report::render_table1(&rows));
-    let v = rows.iter().filter(|r| r.vortex_ok()).count();
-    let h = rows.iter().filter(|r| r.hls_ok()).count();
-    println!("\nVortex {v}/28, Intel SDK {h}/28 (paper: 28/28 and 22/28)");
+    print!("\n{}", report::render_table1_summary(&rows));
     let slowest = rows
         .iter()
         .max_by(|a, b| a.hls_hours.total_cmp(&b.hls_hours))
         .expect("28 rows");
     println!(
-        "longest modeled synthesis: {} at {:.1} h (the paper reports 10.4 h \
+        "longest modeled synthesis: {} at {:.1} h (the paper reports {} h \
          for its largest successful run)",
-        slowest.name, slowest.hls_hours
+        slowest.name,
+        slowest.hls_hours,
+        paper::SYNTH_HOURS_LARGEST
     );
 }
