@@ -445,7 +445,7 @@ fn run_batch(
     let limit = opts.max_queue.unwrap_or(0);
     for req in shed {
         let index = outcomes.len();
-        let trace_id = repro_obs::trace_id(&req.to_json().to_compact(), index);
+        let trace_id = req.trace_id(index);
         outcomes.push(JobOutcome {
             id: req.id,
             index,
