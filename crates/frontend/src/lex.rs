@@ -189,6 +189,83 @@ fn token_text(t: &Tok) -> &'static str {
     }
 }
 
+impl Tok {
+    /// The variant's name, as `{:?}` spells it: all of the Debug form of a
+    /// token without a payload, and its head (`Ident` of `Ident("x")`)
+    /// otherwise. The compile cache hashes this spelling.
+    pub fn variant_name(&self) -> &'static str {
+        match self {
+            Tok::Ident(_) => "Ident",
+            Tok::IntLit(_) => "IntLit",
+            Tok::FloatLit(_) => "FloatLit",
+            Tok::StrLit(_) => "StrLit",
+            Tok::Kernel => "Kernel",
+            Tok::Global => "Global",
+            Tok::Local => "Local",
+            Tok::Const => "Const",
+            Tok::Int => "Int",
+            Tok::Uint => "Uint",
+            Tok::Float => "Float",
+            Tok::BoolKw => "BoolKw",
+            Tok::Void => "Void",
+            Tok::If => "If",
+            Tok::Else => "Else",
+            Tok::For => "For",
+            Tok::While => "While",
+            Tok::Do => "Do",
+            Tok::Return => "Return",
+            Tok::Break => "Break",
+            Tok::Continue => "Continue",
+            Tok::True => "True",
+            Tok::False => "False",
+            Tok::LParen => "LParen",
+            Tok::RParen => "RParen",
+            Tok::LBrace => "LBrace",
+            Tok::RBrace => "RBrace",
+            Tok::LBracket => "LBracket",
+            Tok::RBracket => "RBracket",
+            Tok::Comma => "Comma",
+            Tok::Semi => "Semi",
+            Tok::Question => "Question",
+            Tok::Colon => "Colon",
+            Tok::Assign => "Assign",
+            Tok::PlusAssign => "PlusAssign",
+            Tok::MinusAssign => "MinusAssign",
+            Tok::StarAssign => "StarAssign",
+            Tok::SlashAssign => "SlashAssign",
+            Tok::PercentAssign => "PercentAssign",
+            Tok::AmpAssign => "AmpAssign",
+            Tok::PipeAssign => "PipeAssign",
+            Tok::CaretAssign => "CaretAssign",
+            Tok::ShlAssign => "ShlAssign",
+            Tok::ShrAssign => "ShrAssign",
+            Tok::Plus => "Plus",
+            Tok::Minus => "Minus",
+            Tok::Star => "Star",
+            Tok::Slash => "Slash",
+            Tok::Percent => "Percent",
+            Tok::Amp => "Amp",
+            Tok::Pipe => "Pipe",
+            Tok::Caret => "Caret",
+            Tok::Tilde => "Tilde",
+            Tok::Bang => "Bang",
+            Tok::Shl => "Shl",
+            Tok::Shr => "Shr",
+            Tok::Lt => "Lt",
+            Tok::Le => "Le",
+            Tok::Gt => "Gt",
+            Tok::Ge => "Ge",
+            Tok::EqEq => "EqEq",
+            Tok::NotEq => "NotEq",
+            Tok::AndAnd => "AndAnd",
+            Tok::OrOr => "OrOr",
+            Tok::PlusPlus => "PlusPlus",
+            Tok::MinusMinus => "MinusMinus",
+            Tok::Eof => "Eof",
+        }
+    }
+}
+
 /// A token with its source span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token {
@@ -606,6 +683,31 @@ mod tests {
             // Followed by an identifier, the token still ends where it should.
             assert_eq!(kinds(&format!("{text}x"))[0], t[0], "{text}x");
         }
+    }
+
+    #[test]
+    fn variant_name_is_the_debug_spelling() {
+        let src = "__kernel __global __local const int uint float bool void if else for \
+                   while do return break continue true false \
+                   <<= >>= << >> <= >= == != && || ++ -- += -= *= /= %= &= |= ^= \
+                   ( ) { } [ ] , ; ? : = + - * / % & | ^ ~ ! < > x 7 1.5f \"s\"";
+        let toks = kinds(src);
+        let mut seen = std::collections::BTreeSet::new();
+        for t in &toks {
+            let debug = format!("{t:?}");
+            match t {
+                Tok::Ident(_) | Tok::IntLit(_) | Tok::FloatLit(_) | Tok::StrLit(_) => {
+                    assert!(
+                        debug.starts_with(&format!("{}(", t.variant_name())),
+                        "{debug}"
+                    )
+                }
+                _ => assert_eq!(t.variant_name(), debug),
+            }
+            seen.insert(t.variant_name());
+        }
+        // Every variant of `Tok` occurs.
+        assert_eq!((toks.len(), seen.len()), (67, 67));
     }
 
     #[test]

@@ -136,9 +136,25 @@ pub fn lex_source(src: &str, defines: &[(&str, &str)]) -> Result<Lexed, CompileE
 /// `frontend.verify` stages. `compile_lexed(&lex_source(src, d)?)` is
 /// [`compile_with_defines`]`(src, d)`.
 pub fn compile_lexed(lexed: &Lexed) -> Result<Module, CompileError> {
+    compile_parsed(lexed, parse::parse)
+}
+
+/// [`compile_lexed`] of the kernels `names` lists, in source order: the
+/// others' bodies are skipped unparsed ([`parse::parse_selected`]), so only
+/// the named kernels are lowered and verified, and a syntax or type error
+/// inside another kernel's body is not reported. A name the source does not
+/// define is not an error; the module just lacks it.
+pub fn compile_lexed_kernels(lexed: &Lexed, names: &[&str]) -> Result<Module, CompileError> {
+    compile_parsed(lexed, |tokens| parse::parse_selected(tokens, names))
+}
+
+fn compile_parsed(
+    lexed: &Lexed,
+    parse: impl FnOnce(&[lex::Token]) -> Result<ast::TranslationUnit, parse::ParseError>,
+) -> Result<Module, CompileError> {
     use repro_util::metrics;
     let Lexed { pp, tokens } = lexed;
-    let unit = metrics::time("frontend.parse", || parse::parse(tokens)).map_err(|e| {
+    let unit = metrics::time("frontend.parse", || parse(tokens)).map_err(|e| {
         let (line, col) = e.span.line_col(pp);
         CompileError::Parse {
             message: e.message,

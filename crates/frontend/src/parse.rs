@@ -1,4 +1,11 @@
 //! Recursive-descent parser for the OpenCL-C subset.
+//!
+//! [`parse`] builds every kernel; [`parse_selected`] builds the named ones
+//! and skips the other bodies by brace matching, which is how a job that
+//! launches one kernel of a source avoids parsing the rest. Each kernel's
+//! signature is parsed either way, so the top level must be well formed for
+//! any selection; but a syntax error inside a skipped body is not seen
+//! (only a body that never closes is, as an error at the end of input).
 
 use crate::ast::*;
 use crate::lex::{Span, Tok, Token};
@@ -20,12 +27,32 @@ impl std::error::Error for ParseError {}
 
 /// Parse a token stream into a translation unit.
 pub fn parse(tokens: &[Token]) -> Result<TranslationUnit, ParseError> {
+    parse_kernels(tokens, |_| true)
+}
+
+/// [`parse`], keeping only the kernels `names` lists, in source order. Every
+/// kernel's signature is parsed; the body of a kernel that is not named is
+/// skipped by brace matching, so an error inside it goes unseen, while one
+/// that never closes is still an error at the end of input. A name the
+/// source does not define is not an error here: the unit just lacks it.
+pub fn parse_selected(tokens: &[Token], names: &[&str]) -> Result<TranslationUnit, ParseError> {
+    parse_kernels(tokens, |name| names.contains(&name))
+}
+
+fn parse_kernels(
+    tokens: &[Token],
+    keep: impl Fn(&str) -> bool,
+) -> Result<TranslationUnit, ParseError> {
     let mut p = Parser { tokens, pos: 0 };
     let mut unit = TranslationUnit::default();
+    let mut seen = false;
     while p.peek() != &Tok::Eof {
-        unit.kernels.push(p.kernel()?);
+        if let Some(k) = p.kernel(&keep)? {
+            unit.kernels.push(k);
+        }
+        seen = true;
     }
-    if unit.kernels.is_empty() {
+    if !seen {
         return Err(ParseError {
             message: "no __kernel definitions found".into(),
             span: Span::default(),
@@ -97,7 +124,9 @@ impl<'a> Parser<'a> {
 
     // ---- declarations ---------------------------------------------------
 
-    fn kernel(&mut self) -> Result<KernelDef, ParseError> {
+    /// One kernel definition; `None` when `keep` rejects its name, after
+    /// the body has been skipped.
+    fn kernel(&mut self, keep: impl Fn(&str) -> bool) -> Result<Option<KernelDef>, ParseError> {
         let start = self.expect(&Tok::Kernel)?;
         self.expect(&Tok::Void)?;
         let (name, _) = self.ident()?;
@@ -113,14 +142,36 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect(&Tok::LBrace)?;
+        if !keep(&name) {
+            self.skip_block_body()?;
+            return Ok(None);
+        }
         let body = self.block_body()?;
         let end = self.span();
-        Ok(KernelDef {
+        Ok(Some(KernelDef {
             name,
             params,
             body,
             span: Span::new(start.start, end.end),
-        })
+        }))
+    }
+
+    /// Skip to just past the `}` that closes the block whose `{` was the
+    /// last token consumed.
+    fn skip_block_body(&mut self) -> Result<(), ParseError> {
+        let mut depth = 1usize;
+        loop {
+            match self.peek() {
+                Tok::LBrace => depth += 1,
+                Tok::RBrace => depth -= 1,
+                Tok::Eof => return Err(self.err("unexpected end of input inside a block".into())),
+                _ => {}
+            }
+            self.bump();
+            if depth == 0 {
+                return Ok(());
+            }
+        }
     }
 
     fn param(&mut self) -> Result<ParamDecl, ParseError> {
@@ -797,5 +848,56 @@ mod tests {
         let toks = lex("__kernel void k( { }").unwrap();
         let e = parse(&toks).unwrap_err();
         assert!(e.message.contains("expected"), "{e}");
+    }
+
+    /// Three kernels whose bodies nest blocks three deep.
+    const NESTED: &str = "
+        __kernel void a(__global int* d, int n) {
+            for (int i = 0; i < n; i++) { if (d[i] > 0) { { d[i] -= 1; } } else { d[i] = 0; } }
+        }
+        __kernel void b(__global float* x) { { x[0] = 1.0f; } x[1] = 2.0f; }
+        __kernel void c(__global int* d) { while (d[0] < 9) { d[0] += 1; } }";
+
+    #[test]
+    fn parse_selected_of_every_name_is_parse() {
+        let toks = lex(NESTED).unwrap();
+        let whole = parse(&toks).unwrap();
+        assert_eq!(parse_selected(&toks, &["c", "a", "b"]).unwrap(), whole);
+        // Each one-kernel selection is that kernel of the whole unit, spans
+        // included, wherever it sits among skipped bodies.
+        for (i, name) in ["a", "b", "c"].into_iter().enumerate() {
+            let part = parse_selected(&toks, &[name]).unwrap();
+            assert_eq!(part.kernels, whole.kernels[i..=i], "{name}");
+        }
+        let none = parse_selected(&toks, &["zz"]).unwrap();
+        assert!(none.kernels.is_empty());
+    }
+
+    #[test]
+    fn a_skipped_body_hides_its_errors_but_not_an_unclosed_brace() {
+        let bad_body = "__kernel void a(__global int* d) { d[0] = ; { } }
+                        __kernel void b(__global int* d) { d[0] = 1; }";
+        let toks = lex(bad_body).unwrap();
+        assert!(parse(&toks).is_err());
+        let unit = parse_selected(&toks, &["b"]).unwrap();
+        assert_eq!(unit.kernels.len(), 1);
+        assert!(parse_selected(&toks, &["a"]).is_err());
+
+        let unclosed = "__kernel void a(__global int* d) { if (d[0]) { d[0] = 1; }
+                        __kernel void b(__global int* d) { d[0] = 1; }";
+        let toks = lex(unclosed).unwrap();
+        let e = parse_selected(&toks, &["b"]).unwrap_err();
+        assert_eq!(e.message, "unexpected end of input inside a block");
+        assert_eq!(
+            e.span,
+            toks.last().unwrap().span,
+            "reported at the end of input"
+        );
+
+        // The signatures are parsed for any selection.
+        let bad_sig = "__kernel void a(__global int* d { }  __kernel void b() { }";
+        assert!(parse_selected(&lex(bad_sig).unwrap(), &["b"]).is_err());
+        let no_kernels = lex("").unwrap();
+        assert!(parse_selected(&no_kernels, &["b"]).is_err());
     }
 }

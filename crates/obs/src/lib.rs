@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use repro_util::{fnv1a, Json, ToJson};
+use repro_util::{fnv1a, Fnv, Json, ToJson};
 
 mod events;
 mod span;
@@ -95,7 +95,19 @@ fn mix(mut x: u64) -> u64 {
 /// canonical wire form and its position in the submitted batch. No clock,
 /// no randomness — the same seeded plan reruns to the same ids.
 pub fn trace_id(canonical_request: &str, index: usize) -> u64 {
-    mix(fnv1a(canonical_request.as_bytes()) ^ mix(index as u64 + 1))
+    slot_id(fnv1a(canonical_request.as_bytes()), index)
+}
+
+/// [`trace_id`] of `request`'s compact form, hashed as it is written rather
+/// than from a `String` of it.
+pub fn trace_id_of(request: &Json, index: usize) -> u64 {
+    let mut h = Fnv::new();
+    let _ = request.write_compact(&mut h);
+    slot_id(h.finish(), index)
+}
+
+fn slot_id(request_hash: u64, index: usize) -> u64 {
+    mix(request_hash ^ mix(index as u64 + 1))
 }
 
 /// The wire spelling of a trace id: 16 lowercase hex digits. JSON numbers
@@ -204,6 +216,8 @@ mod tests {
         assert_eq!(hex.len(), 16);
         assert_eq!(parse_trace_id(&hex), Some(a));
         assert_eq!(parse_trace_id("zz"), None);
+        let req = Json::obj(vec![("bench", Json::Str("Vecadd".into()))]);
+        assert_eq!(trace_id_of(&req, 1), c);
     }
 
     #[test]

@@ -42,6 +42,15 @@ impl Fnv {
     }
 }
 
+/// Lets `write!` (or [`crate::Json::write_compact`]) spell a value straight
+/// into the hash, with no `String` in between.
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// One-shot FNV-1a 64 over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();

@@ -388,6 +388,60 @@ fn kernel_selections_are_their_part_of_the_whole_module() {
     assert!(s.corrupt == 0 && s.disk_write_errors == 0);
 }
 
+/// The front end parses and lowers only the selected kernels, which is sound
+/// because lowering and `verify` work kernel by kernel: for every benchmark
+/// source, each one-kernel `lower` selection encodes to that kernel cut from
+/// the whole-module artifact, whether the miss parses the tokens its own
+/// lookup lexed (a new cache) or lexes again (a source the memo has seen).
+/// A selection of every kernel, in any order, is the whole-module entry and
+/// adds no `lower` miss.
+#[test]
+fn lower_selections_are_their_part_of_the_whole_module() {
+    let cache = mem_cache();
+    let misses = || cache.stats().misses_by_stage[Stage::Lower.index()];
+    for b in all_benchmarks() {
+        let whole = cache.lower(b.source).unwrap();
+        let names: Vec<&str> = whole.kernels.iter().map(|k| k.name.as_str()).collect();
+        let start = misses();
+        let messy: Vec<&str> = names.iter().rev().chain(&names).copied().collect();
+        assert_eq!(
+            wire::encode(&cache.lower_kernels(b.source, &messy).unwrap()),
+            wire::encode(&whole),
+            "{}: every kernel",
+            b.name
+        );
+        assert_eq!(
+            misses(),
+            start,
+            "{}: every kernel is the whole-module key",
+            b.name
+        );
+        for (i, name) in names.iter().enumerate() {
+            let part = wire::encode(&Module {
+                kernels: vec![whole.kernels[i].clone()],
+            });
+            let before = misses();
+            for pass in ["cold", "warm"] {
+                let got = cache.lower_kernels(b.source, &[name]).unwrap();
+                assert_eq!(wire::encode(&got), part, "{}: {pass}, {name}", b.name);
+            }
+            assert_eq!(
+                misses(),
+                before + u64::from(names.len() > 1),
+                "{}: {name}",
+                b.name
+            );
+            let lexed_here = mem_cache().lower_kernels(b.source, &[name]).unwrap();
+            assert_eq!(
+                wire::encode(&lexed_here),
+                part,
+                "{}: {name}, new cache",
+                b.name
+            );
+        }
+    }
+}
+
 /// Warm disk hits are byte-identical too: a second cache instance sharing
 /// only the on-disk store (fresh empty memory tier) must return the same
 /// bytes the first instance computed, serving them from disk.

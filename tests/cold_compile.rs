@@ -1,10 +1,12 @@
 //! A cold compile pays for compiling once, and only for what it runs: the
 //! cache lexes a new source a single time — for the fingerprint — and the
-//! `Lower` miss that follows parses those tokens; a job optimizes and
-//! generates code for the kernels it launches and no others. Its own test
-//! binary: the tests read the process-global metrics registry and cache.
+//! `Lower` miss that follows parses those tokens; a job parses, lowers,
+//! optimizes and generates code for the kernels it launches and no others.
+//! Its own test binary: the tests read the process-global metrics registry
+//! and cache.
 
 use fpga_gpu_repro::cache::{self, Cache, CacheConfig, Stage};
+use fpga_gpu_repro::diag::ReproError;
 use fpga_gpu_repro::front::{compile, compile_lexed, lex_source};
 use fpga_gpu_repro::ir::passes::OptLevel;
 use fpga_gpu_repro::sched::{ArgSpec, Flow, JobRequest, NdSpec, Payload};
@@ -136,6 +138,37 @@ fn a_cold_job_compiles_only_the_kernel_it_launches() {
     assert_eq!(cache::global().stats().misses, before.misses);
     let names: Vec<&str> = opt.kernels.iter().map(|k| k.name.as_str()).collect();
     assert_eq!(names, ["k2"]);
+}
+
+/// The front end parses only the launched kernel's body: an error inside
+/// another kernel's body does not fail the job, though every whole-module
+/// entry point still reports it. A body that never closes hides the rest of
+/// the source, so it fails every job.
+#[test]
+fn a_job_does_not_parse_the_bodies_of_kernels_it_does_not_launch() {
+    let _g = lock();
+    let stage = |e: ReproError| match e {
+        ReproError::Frontend { stage, message, .. } => (stage, message),
+        other => panic!("not a front-end error: {other}"),
+    };
+    // `k4` alone multiplies by 7; `~` of a float is a type error.
+    let src = five_kernels(0x5459_5045).replace("(d[i] * 7)", "~2.0f");
+    let job = run_oneshot(&launch(&src, "k2"));
+    assert!(job.is_ok(), "k2 runs: {job:?}");
+    let whole = Cache::new(CacheConfig::default()).lower(&src).unwrap_err();
+    assert_eq!(stage(whole), ("sema", "`~` on a float".to_string()));
+    assert_eq!(
+        stage(run_oneshot(&launch(&src, "k4")).unwrap_err()).0,
+        "sema"
+    );
+
+    let unclosed = five_kernels(0x4f50_454e);
+    let unclosed = unclosed.strip_suffix("}\n").unwrap();
+    let (stage_name, message) = stage(run_oneshot(&launch(unclosed, "k2")).unwrap_err());
+    assert_eq!(
+        (stage_name, message.as_str()),
+        ("parse", "unexpected end of input inside a block")
+    );
 }
 
 #[test]
