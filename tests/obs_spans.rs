@@ -13,9 +13,16 @@
 //! can't differ by who compiled first.
 
 use fpga_gpu_repro::obs;
-use fpga_gpu_repro::sched::{ExecConfig, Executor, Flow, JobRequest};
+use fpga_gpu_repro::sched::{ArgSpec, ExecConfig, Executor, Flow, JobRequest, NdSpec, Payload};
 use fpga_gpu_repro::suite::{instantiate, run_oneshot};
 use repro_util::{metrics, ToJson};
+use std::sync::{Mutex, MutexGuard};
+
+/// Every test here sets the process-wide registry and arming state.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn batch() -> Vec<JobRequest> {
     ["Vecadd", "Saxpy", "Sfilter"]
@@ -45,6 +52,7 @@ fn run_at(workers: usize) -> Vec<(u64, String, usize)> {
 
 #[test]
 fn span_trees_are_identical_across_pool_widths_and_reruns() {
+    let _g = serial();
     metrics::enable();
     obs::arm();
     // Warm the compile cache so every scheduled run below is a cache hit.
@@ -84,6 +92,7 @@ fn span_trees_are_identical_across_pool_widths_and_reruns() {
 
 #[test]
 fn vortex_and_interp_flows_record_their_own_stage_spans() {
+    let _g = serial();
     metrics::enable();
     obs::arm();
     for req in batch() {
@@ -105,4 +114,69 @@ fn vortex_and_interp_flows_record_their_own_stage_spans() {
     let interp = sig_of(Flow::Interp);
     assert!(interp.contains("flow.interp("), "{interp}");
     assert!(interp.contains("suite.interp.launch"), "{interp}");
+}
+
+/// A one-kernel inline vortex job whose source no other run compiles, so
+/// every cache stage misses and the compile stages run.
+fn cold_vortex_job(seed: usize) -> JobRequest {
+    let mut r = JobRequest::bench("unused", Flow::Vortex);
+    r.payload = Payload::Source {
+        source: format!(
+            "__kernel void k(__global int* d) {{\n    int i = get_global_id(0);\n    \
+             d[i] = (d[i] + {}) ^ 0x5a17;\n}}\n",
+            0x0b5e_0000 + seed
+        ),
+        kernel: "k".to_string(),
+        nd: NdSpec {
+            gx: 8,
+            gy: 1,
+            lx: 4,
+            ly: 1,
+        },
+        buffers: vec![8],
+        args: vec![ArgSpec::Buf(0)],
+    };
+    r
+}
+
+/// What arming means: a job gets a tree only while spans are armed; the
+/// cache and flow scopes need nothing more, while the `metrics::time`
+/// stages (front end, codegen) nest in it only while the registry is on.
+#[test]
+fn job_trees_need_arming_and_stage_spans_also_need_the_registry() {
+    let _g = serial();
+    let states = [(false, false), (false, true), (true, false), (true, true)];
+    for (i, (registry, armed)) in states.into_iter().enumerate() {
+        if registry {
+            metrics::enable();
+        } else {
+            metrics::disable();
+        }
+        if armed {
+            obs::arm();
+        } else {
+            obs::disarm();
+        }
+        let exec = Executor::new(ExecConfig::with_workers(1));
+        let outcome = exec
+            .run(vec![instantiate(cold_vortex_job(i))])
+            .pop()
+            .expect("one outcome per job");
+        let state = format!("registry {registry}, armed {armed}");
+        assert!(outcome.is_ok(), "{state}: {:?}", outcome.result);
+        let Some(tree) = &outcome.spans else {
+            assert!(!armed, "{state}: an armed job must carry a tree");
+            continue;
+        };
+        assert!(armed, "{state}: a disarmed job must carry no tree");
+        let sig = tree.signature();
+        for scope in ["flow.vortex(", "cache.vortex", "cache.lower"] {
+            assert!(sig.contains(scope), "{state}: no {scope} in {sig}");
+        }
+        for stage in ["frontend.", "vortex_cc."] {
+            assert_eq!(sig.contains(stage), registry, "{state}: {stage} in {sig}");
+        }
+    }
+    obs::disarm();
+    metrics::disable();
 }
