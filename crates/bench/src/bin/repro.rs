@@ -119,7 +119,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--timing", value: "", set: |a, _| { a.timing = true; Some(()) } },
     Flag { name: "--serve", value: "", set: |a, _| { a.serve_log = true; Some(()) } },
     Flag { name: "--flow", value: "vortex|interp|hls", set: |a, v| Flow::parse(v).map(|f| a.flow = f) },
-    Flag { name: "--once", value: "", set: |a, _| { a.serve.once = true; Some(()) } },
     Flag { name: "--listen", value: "<addr>", set: |a, v| { a.listen = Some(v.to_string()); Some(()) } },
     Flag { name: "--deadline-ms", value: "<u64 ≥ 1>", set: |a, v| positive(v).map(|n| a.serve.deadline_ms = Some(n)) },
     Flag { name: "--retry", value: "<u32>", set: |a, v| v.parse().ok().map(|n| a.serve.retry_max = n) },
@@ -158,7 +157,7 @@ const COMMANDS: &[Command] = &[
               summary: "fail-soft coverage sweep with failure classes" },
     Command { name: "run", arg: Some("<bench>"), flags: &["--flow"], run: run_run,
               summary: "one benchmark as a scheduled job" },
-    Command { name: "serve", arg: None, flags: &["--once", "--listen", "--deadline-ms", "--retry", "--retry-backoff-ms", "--max-queue"],
+    Command { name: "serve", arg: None, flags: &["--listen", "--deadline-ms", "--retry", "--retry-backoff-ms", "--max-queue"],
               run: run_serve, summary: "long-running NDJSON batch service (stdin or socket)" },
     Command { name: "perf-report", arg: None, flags: &[], run: |_, x, m| { run_perf_report(x, m); Ok(0) },
               summary: "suite sweep and pipeline-stage tables (markdown and JSON)" },
@@ -611,7 +610,7 @@ fn run_serve(a: &Args, exec: &Executor, manifest: &mut RunManifest) -> Outcome {
 /// validates the JSON wire form of a hand-written plan and prints it back.
 fn run_chaos(a: &Args) -> i32 {
     if let Some(raw) = &a.plan {
-        return match repro_fault::FaultPlan::parse(raw) {
+        return match repro_util::fault::FaultPlan::parse(raw) {
             Ok(plan) => {
                 println!("{}", plan.to_json().to_pretty());
                 0
@@ -778,7 +777,7 @@ mod tests {
             "opt-report Backprop --timing",
             "check --workers 2",
             "run Vecadd --flow hls",
-            "serve --workers 2 --once",
+            "serve --workers 2",
             "serve --workers 2 --max-queue 2 --retry 2",
             "serve --workers 4 --listen 127.0.0.1:7878",
             "perf-report",
@@ -824,10 +823,7 @@ mod tests {
             ("table2 --timming", "unknown flag `--timming`"),
             ("fig7 --timing", "unknown flag `--timing`"),
             ("chaos --scenarios", "`--scenarios` expects"),
-            (
-                "serve --listen --once",
-                "`--listen` expects <addr>, got nothing",
-            ),
+            ("serve --listen", "`--listen` expects <addr>, got nothing"),
             ("serve --retry 4294967296", "got `4294967296`"),
             ("serve --deadline-ms 0", "got `0`"),
             ("check --workers 0", "got `0`"),

@@ -35,8 +35,8 @@ const USAGE: [&str; 10] = [
     "fig7 --workers",
     "chaos --seed x",
     "serve --deadline-ms 0",
-    "serve --once --listen",
-    "serve --once --retry 4294967297",
+    "serve --listen",
+    "serve --retry 4294967297",
     "table2 --timming",
     "chaos --scenarios",
 ];

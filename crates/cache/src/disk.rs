@@ -24,7 +24,7 @@
 
 use crate::wire::{Reader, WireError};
 use crate::{Key, Stage, CACHE_SCHEMA_VERSION};
-use repro_fault::{fire, FaultPoint};
+use repro_util::fault::{fire, FaultPoint};
 use repro_util::{fnv1a, Json, ToJson};
 use std::fs;
 use std::io;

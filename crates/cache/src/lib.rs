@@ -65,7 +65,7 @@ use ocl_front::{CompileError, Lexed};
 use ocl_ir::passes::OptLevel;
 use ocl_ir::Module;
 use repro_diag::ReproError;
-use repro_util::{fnv1a, metrics, Fnv};
+use repro_util::{fault, fnv1a, metrics, span, Fnv};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -545,9 +545,9 @@ impl Cache {
         compute: impl FnOnce() -> Result<T, ReproError>,
     ) -> Result<T, ReproError> {
         // Span the whole lookup under its stage name: a hit closes the
-        // span immediately, a miss nests the compile-stage spans (which
-        // arrive via the metrics::time hook) beneath it.
-        let _span = repro_obs::SpanScope::enter(key.stage.span_name());
+        // span immediately, a miss nests the compile-stage spans (its
+        // `metrics::time` stages) beneath it.
+        let _span = span::SpanScope::enter(key.stage.span_name());
         // Memory tier.
         let cached = self.mem.lock().unwrap().lru.get(&key).cloned();
         if let Some(bytes) = cached {
@@ -709,7 +709,7 @@ impl Cache {
 /// is already a regular file) is caught at construction time rather than
 /// one write error at a time. `cache.disk.open` injects the failure.
 fn probe_writable(dir: &Path) -> std::io::Result<()> {
-    if repro_fault::fire(repro_fault::FaultPoint::CacheDiskOpen) {
+    if fault::fire(fault::FaultPoint::CacheDiskOpen) {
         return Err(std::io::Error::other(
             "injected fault: read-only cache directory",
         ));
@@ -1039,14 +1039,12 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
     fn injected_open_fault_degrades_to_memory_only() {
         let _g = fault_serial();
         let dir = tmp_dir("openfault");
-        repro_fault::install(
-            &repro_fault::FaultPlan::new(7).always(repro_fault::FaultPoint::CacheDiskOpen, 0),
-        );
+        fault::install(&fault::FaultPlan::new(7).always(fault::FaultPoint::CacheDiskOpen, 0));
         let cache = Cache::new(CacheConfig {
             disk_dir: Some(dir.clone()),
             ..CacheConfig::default()
         });
-        repro_fault::clear();
+        fault::clear();
         assert!(!cache.disk_active(), "probe fault must disable the tier");
         cache.lower(SRC).unwrap();
         assert!(!dir.exists(), "no disk writes after a failed probe");
@@ -1061,14 +1059,12 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
             ..CacheConfig::default()
         });
         assert!(cache.disk_active());
-        repro_fault::install(
-            &repro_fault::FaultPlan::new(8).always(repro_fault::FaultPoint::CacheDiskEnospc, 0),
-        );
+        fault::install(&fault::FaultPlan::new(8).always(fault::FaultPoint::CacheDiskEnospc, 0));
         // Three distinct misses, three failed writes → tier offline.
         cache.lower(SRC).unwrap();
         cache.optimize(SRC, OptLevel::Basic).unwrap();
         cache.codegen_vortex(SRC, Some(OptLevel::Basic), 4).unwrap();
-        repro_fault::clear();
+        fault::clear();
         let s = cache.stats();
         assert!(
             s.disk_write_errors >= DISK_WRITE_ERROR_LIMIT,
@@ -1087,17 +1083,17 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
         let _g = fault_serial();
         let dir = tmp_dir("torn");
         let damage = [
-            repro_fault::FaultPoint::CacheDiskShortWrite,
-            repro_fault::FaultPoint::CacheDiskCorrupt,
+            fault::FaultPoint::CacheDiskShortWrite,
+            fault::FaultPoint::CacheDiskCorrupt,
         ];
         for (i, point) in damage.into_iter().enumerate() {
             let writer = Cache::new(CacheConfig {
                 disk_dir: Some(dir.clone()),
                 ..CacheConfig::default()
             });
-            repro_fault::install(&repro_fault::FaultPlan::new(9 + i as u64).always(point, 0));
+            fault::install(&fault::FaultPlan::new(9 + i as u64).always(point, 0));
             let cold = writer.lower(SRC).unwrap();
-            repro_fault::clear();
+            fault::clear();
             // A fresh instance over the same directory sees the damaged
             // entry, classifies it as corrupt, evicts, and recomputes an
             // identical module rather than serving garbage.

@@ -1,7 +1,7 @@
 //! `repro chaos` — seeded fault-injection sweeps asserting the fail-soft
 //! contract end to end.
 //!
-//! Each scenario arms a [`repro_fault::FaultPlan`] against one subsystem
+//! Each scenario arms a [`repro_util::fault::FaultPlan`] against one subsystem
 //! (cache disk tier, scheduler workers, simulator memory, serve input) and
 //! drives a real workload through the same code paths production uses.
 //! Every scenario is run **twice at the same seed** and must satisfy:
@@ -26,8 +26,8 @@ use std::path::PathBuf;
 
 use ocl_ir::passes::OptLevel;
 use repro_cache::{Cache, CacheConfig};
-use repro_fault::{clear, install, report, FaultPlan, FaultPoint};
 use repro_sched::{ExecConfig, Executor};
+use repro_util::fault::{clear, install, report, FaultPlan, FaultPoint};
 use repro_util::{fnv1a, Json, ToJson};
 
 use crate::report::Table;

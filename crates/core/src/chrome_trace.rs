@@ -253,7 +253,7 @@ pub const SERVE_PID: u64 = 1;
 /// chrome://tracing document — the host-time counterpart of
 /// [`chrome_trace`]'s cycle-time view.
 ///
-/// Every outcome line whose service ran with `repro-obs` armed carries a
+/// Every outcome line whose service ran with spans armed carries a
 /// `spans` tree; each node becomes one complete ("X") event with
 /// microsecond timestamps (span times are already µs since the process
 /// epoch, which is exactly the chrome-trace unit). Layout: one process
@@ -274,7 +274,7 @@ pub fn chrome_trace_serve(log: &str) -> Result<Json, String> {
         let Some(spans) = j.get("spans") else {
             continue;
         };
-        let tree = repro_obs::parse_span(spans)
+        let tree = repro_util::span::parse_span(spans)
             .ok_or_else(|| format!("line {}: malformed span tree", lineno + 1))?;
         let trace_id = j.get("trace_id").and_then(Json::as_str).unwrap_or("");
         let label = j.get("label").and_then(Json::as_str).unwrap_or("");
@@ -298,7 +298,7 @@ pub fn chrome_trace_serve(log: &str) -> Result<Json, String> {
 /// The host-time adapter: one complete event per span-tree node.
 fn serve_span_rows(
     rows: &mut Vec<Row>,
-    node: &repro_obs::SpanNode,
+    node: &repro_util::span::SpanNode,
     worker: u64,
     trace_id: &str,
     label: &str,

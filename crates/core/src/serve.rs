@@ -54,7 +54,7 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use repro_diag::ReproError;
-use repro_fault::{fire, fire_param, FaultPoint};
+use repro_util::fault::{fire, fire_param, FaultPoint};
 use repro_util::metrics;
 
 use ocl_ir::passes::OptLevel;
@@ -69,8 +69,6 @@ pub struct ServeOptions {
     /// `exec.workers()`. Kept only because `benchmark/src/layers.rs` sets
     /// it; see ROADMAP item 1(vii).
     pub workers: usize,
-    /// Exit after the first submitted batch (CI smoke mode).
-    pub once: bool,
     /// Wall-clock deadline applied to every job that does not set its own
     /// `deadline_ms` — the service-level guarantee that no client request
     /// can wedge a worker forever.
@@ -92,7 +90,6 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             workers: 1,
-            once: false,
             deadline_ms: None,
             retry_max: 0,
             retry_backoff_ms: 10,
@@ -483,9 +480,9 @@ pub fn serve_lines(
     let flush = |pending: &mut Vec<JobRequest>,
                  summary: &mut ServeSummary,
                  out: &mut dyn Write|
-     -> std::io::Result<bool> {
+     -> std::io::Result<()> {
         if pending.is_empty() {
-            return Ok(false);
+            return Ok(());
         }
         summary.batches += 1;
         let reqs = std::mem::take(pending);
@@ -496,8 +493,7 @@ pub fn serve_lines(
         summary.ok += batch.outcomes.iter().filter(|o| o.is_ok()).count() as u64;
         summary.failed += batch.outcomes.iter().filter(|o| !o.is_ok()).count() as u64;
         summary.deadline_fired += batch.outcomes.iter().filter(|o| o.deadline_fired).count() as u64;
-        write_batch(out, summary.batches, &batch, wall)?;
-        Ok(true)
+        write_batch(out, summary.batches, &batch, wall)
     };
     let mut buf = Vec::new();
     loop {
@@ -526,9 +522,7 @@ pub fn serve_lines(
             }
         };
         if line.is_empty() {
-            if flush(&mut pending, &mut summary, &mut out)? && opts.once {
-                return Ok(summary);
-            }
+            flush(&mut pending, &mut summary, &mut out)?;
             continue;
         }
         match Json::parse(line) {
@@ -542,9 +536,7 @@ pub fn serve_lines(
                         }
                     }
                 }
-                if flush(&mut pending, &mut summary, &mut out)? && opts.once {
-                    return Ok(summary);
-                }
+                flush(&mut pending, &mut summary, &mut out)?;
             }
             Ok(obj @ Json::Object(_)) => {
                 // Any object carrying a `cmd` key is a command, never a
@@ -613,7 +605,8 @@ pub fn serve_lines(
 /// Serve the NDJSON protocol on a listening TCP socket. Connections are
 /// handled one at a time — the parallelism lives in the worker pool, not
 /// in connection handling — and each connection runs the same protocol
-/// loop as stdin mode. With `once`, returns after the first connection.
+/// loop as stdin mode. Returns after the connection that sends
+/// `{"cmd":"drain"}`.
 pub fn serve_socket(
     exec: &Executor,
     opts: &ServeOptions,
@@ -636,7 +629,7 @@ pub fn serve_socket(
         total.healed += s.healed;
         total.deadline_fired += s.deadline_fired;
         total.drained |= s.drained;
-        if opts.once || s.drained {
+        if s.drained {
             break;
         }
     }
@@ -779,19 +772,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn once_mode_returns_after_the_first_batch() {
-        let input = "{\"bench\": \"Vecadd\"}\n\n{\"bench\": \"Saxpy\"}\n\n";
-        let mut out = Vec::new();
-        let e = exec(1);
-        let opts = ServeOptions {
-            once: true,
-            ..ServeOptions::default()
-        };
-        let s = serve_lines(&e, &opts, input.as_bytes(), &mut out).unwrap();
-        assert_eq!((s.batches, s.jobs), (1, 1), "second batch never ran");
-    }
-
     /// A job that fails transiently on every attempt is retried
     /// `retry_max` times; past attempt 63 the doubling backoff saturates
     /// instead of overflowing.
@@ -837,11 +817,7 @@ mod tests {
         let server_addr = addr.clone();
         let server = std::thread::spawn(move || {
             let e = exec(2);
-            let opts = ServeOptions {
-                once: true,
-                ..ServeOptions::default()
-            };
-            serve_socket(&e, &opts, &server_addr).unwrap()
+            serve_socket(&e, &ServeOptions::default(), &server_addr).unwrap()
         });
         // Connect with retry while the listener comes up.
         let mut conn = None;
@@ -855,7 +831,7 @@ mod tests {
             }
         }
         let mut conn = conn.expect("server listening");
-        conn.write_all(b"[{\"id\": 4, \"bench\": \"Vecadd\"}]\n")
+        conn.write_all(b"[{\"id\": 4, \"bench\": \"Vecadd\"}]\n{\"cmd\": \"drain\"}\n")
             .unwrap();
         conn.shutdown(std::net::Shutdown::Write).unwrap();
         let mut body = String::new();
@@ -863,9 +839,10 @@ mod tests {
         let s = server.join().unwrap();
         assert_eq!((s.batches, s.jobs, s.ok), (1, 1, 1));
         let resp: Vec<Json> = body.lines().map(|l| Json::parse(l).unwrap()).collect();
-        assert_eq!(resp.len(), 2);
+        assert_eq!(resp.len(), 3);
         assert_eq!(resp[0].get("id").unwrap().as_u64(), Some(4));
         assert_eq!(resp[0].get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(resp[2].get("cmd").unwrap().as_str(), Some("drain"));
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! chaos run gets.
 
 use std::collections::VecDeque;
+use std::sync::{Mutex, OnceLock};
+
+use repro_util::span::{armed, now_us};
+use repro_util::{Json, ToJson};
 
 /// Maximum events held between drains; older entries are dropped (and
 /// counted) when the ring is full.
@@ -19,7 +23,7 @@ pub struct Event {
     /// Monotonic sequence number (process-wide, never reset) — gaps after
     /// a drop tell the reader exactly how much history is missing.
     pub seq: u64,
-    /// Microseconds since the process [`epoch`](crate::epoch).
+    /// Microseconds since the process [`epoch`](repro_util::span::epoch).
     pub t_us: u64,
     /// Short machine-readable kind: `admit`, `shed`, `retry`, `drain`,
     /// `cache_degraded`, ...
@@ -28,14 +32,14 @@ pub struct Event {
     pub detail: String,
 }
 
-pub(crate) struct Ring {
+struct Ring {
     buf: VecDeque<Event>,
     next_seq: u64,
     dropped: u64,
 }
 
 impl Ring {
-    pub(crate) fn new() -> Ring {
+    fn new() -> Ring {
         Ring {
             buf: VecDeque::with_capacity(EVENT_RING_CAPACITY),
             next_seq: 0,
@@ -64,19 +68,36 @@ impl Ring {
     }
 }
 
+/// The process-wide event ring.
+fn ring() -> &'static Mutex<Ring> {
+    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
+    RING.get_or_init(|| Mutex::new(Ring::new()))
+}
+
+impl ToJson for Event {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("seq", self.seq.to_json()),
+            ("t_secs", (self.t_us as f64 * 1e-6).to_json()),
+            ("kind", self.kind.to_json()),
+            ("detail", self.detail.to_json()),
+        ])
+    }
+}
+
 /// Record one service event. One relaxed atomic load while disarmed.
 pub fn event(kind: &str, detail: &str) {
-    if !crate::armed() {
+    if !armed() {
         return;
     }
-    let t_us = crate::now_us();
-    let mut ring = crate::ring().lock().unwrap_or_else(|e| e.into_inner());
+    let t_us = now_us();
+    let mut ring = ring().lock().unwrap_or_else(|e| e.into_inner());
     ring.push(kind, detail, t_us);
 }
 
 /// Flush the ring: all buffered events (oldest first) plus how many were
 /// dropped since the previous drain.
 pub fn drain_events() -> (Vec<Event>, u64) {
-    let mut ring = crate::ring().lock().unwrap_or_else(|e| e.into_inner());
+    let mut ring = ring().lock().unwrap_or_else(|e| e.into_inner());
     ring.drain()
 }

@@ -64,8 +64,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use repro_diag::{run_isolated, ReproError};
-use repro_fault::{fire, fire_param, FaultPoint};
-use repro_util::metrics;
+use repro_util::fault::{fire, fire_param, FaultPoint};
+use repro_util::{metrics, span};
 
 use crate::job::{Job, JobCtx, JobOutcome};
 
@@ -418,10 +418,10 @@ fn execute(me: usize, task: Task, draining: bool, shared: &Shared) {
         // Span recording (armed only under `repro serve`): the queue-wait
         // interval elapsed before we picked the task up, so it is attached
         // as an already-measured leaf; everything from here on records live.
-        if repro_obs::begin_job(trace_id) {
+        if span::begin_job() {
             let wait_us = submitted.elapsed().as_micros() as u64;
-            let now_us = repro_obs::now_us();
-            repro_obs::attach_span("queue_wait", now_us.saturating_sub(wait_us), wait_us);
+            let now_us = span::now_us();
+            span::attach_span("queue_wait", now_us.saturating_sub(wait_us), wait_us);
         }
         let start = Instant::now();
         outcome.result = run_isolated(|| {
@@ -442,7 +442,7 @@ fn execute(me: usize, task: Task, draining: bool, shared: &Shared) {
             job.execute(&ctx)
         });
         outcome.wall_secs = start.elapsed().as_secs_f64();
-        outcome.spans = repro_obs::end_job();
+        outcome.spans = span::end_job();
         if deadline.is_some() {
             // Retire from the in-flight table (identity: our fired flag).
             let mut state = shared.state.lock().unwrap();
@@ -853,7 +853,7 @@ mod tests {
     #[test]
     fn injected_latency_makes_deadlines_fire() {
         let (_g, exec) = pool(ExecConfig::with_workers(1));
-        repro_fault::install(&repro_fault::FaultPlan::new(3).times(
+        repro_util::fault::install(&repro_util::fault::FaultPlan::new(3).times(
             FaultPoint::SchedJobLatency,
             1,
             10_000,
@@ -863,7 +863,7 @@ mod tests {
         let job = Job::new(req, |_, _| Ok(JobStats::default()));
         let start = Instant::now();
         let outcomes = exec.run(vec![job]);
-        repro_fault::clear();
+        repro_util::fault::clear();
         assert!(outcomes[0].deadline_fired, "latency fault must trip it");
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -874,13 +874,13 @@ mod tests {
     #[test]
     fn injected_panic_is_classified_and_isolated() {
         let (_g, exec) = pool(ExecConfig::with_workers(2));
-        repro_fault::install(&repro_fault::FaultPlan::new(4).times(
+        repro_util::fault::install(&repro_util::fault::FaultPlan::new(4).times(
             FaultPoint::SchedJobPanic,
             1,
             0,
         ));
         let outcomes = exec.run((0..4).map(|i| quick_job(i, move || i)).collect());
-        repro_fault::clear();
+        repro_util::fault::clear();
         let panicked = outcomes
             .iter()
             .filter(|oc| oc.class() == Some(FailureClass::Panic))
@@ -900,14 +900,14 @@ mod tests {
         // Every submit-side unpark is dropped; the watcher's rescue tick
         // is the only wakeup source left. Completion is the proof.
         let (_g, exec) = pool(ExecConfig::with_workers(2));
-        repro_fault::install(
-            &repro_fault::FaultPlan::new(5).always(FaultPoint::SchedLostUnpark, 0),
+        repro_util::fault::install(
+            &repro_util::fault::FaultPlan::new(5).always(FaultPoint::SchedLostUnpark, 0),
         );
         for i in 0..10u64 {
             let outcomes = exec.run(vec![quick_job(i, move || i * 2)]);
             assert_eq!(outcomes[0].stats().unwrap().cycles, i * 2);
         }
-        repro_fault::clear();
+        repro_util::fault::clear();
         assert_eq!(exec.stats().jobs(), 10);
     }
 

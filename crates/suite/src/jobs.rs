@@ -24,6 +24,7 @@ use repro_diag::{run_isolated, ReproError};
 use repro_sched::{
     Flow, Job, JobCtx, JobRequest, JobStats, Payload, DEFAULT_MAX_CYCLES, DEFAULT_MAX_INSTRUCTIONS,
 };
+use repro_util::span::SpanScope;
 use vortex_cc::MAX_THREADS;
 use vortex_sim::{SimConfig, MAX_CORES, MAX_WARPS};
 
@@ -43,11 +44,12 @@ pub fn sim_config(req: &JobRequest) -> SimConfig {
 
 /// Execute one request. This is the body of every scheduled job; the
 /// executor wraps it in panic isolation, the sequential reference path
-/// ([`run_oneshot`]) calls it directly. Under an armed `repro-obs` the
-/// whole execution records as one `flow.*` span, with the cache-lookup and
+/// ([`run_oneshot`]) calls it directly. With spans armed the whole
+/// execution records as one `flow.*` span, with the cache-lookup and
 /// compile-stage spans nesting beneath it.
 pub fn run_request(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproError> {
-    repro_obs::span(&format!("flow.{}", req.flow.name()), || bind_and_run(req))
+    let _span = SpanScope::enter(&format!("flow.{}", req.flow.name()));
+    bind_and_run(req)
 }
 
 /// A request's machine geometry comes straight off the wire; reject, typed

@@ -22,12 +22,12 @@
 //!
 //! The wire form (`FaultPlan::parse` / `to_json`) exists so plans can
 //! travel through CLI flags and CI scripts; the scenario matrix in
-//! `repro-core::chaos` builds plans programmatically.
+//! `repro_core::chaos` builds plans programmatically.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use repro_util::{fnv1a, metrics, Json, Rng, ToJson};
+use crate::{fnv1a, metrics, Json, Rng, ToJson};
 
 /// Every named place the engine can inject a fault. The discriminant
 /// indexes the per-point state tables; the string name is the stable wire
@@ -354,114 +354,4 @@ pub fn report() -> Vec<(&'static str, u64, u64)> {
         .filter(|&&p| e.specs[p as usize].is_some())
         .map(|&p| (p.name(), e.evaluated[p as usize], e.fired[p as usize]))
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The engine is process-global; tests that arm it must not
-    /// interleave.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn disarmed_probes_never_fire() {
-        let _g = serial();
-        clear();
-        assert!(!armed());
-        for p in ALL_POINTS {
-            assert!(!fire(p));
-            assert_eq!(fire_param(p), None);
-        }
-        assert!(report().is_empty());
-    }
-
-    #[test]
-    fn unplanned_points_stay_quiet_while_armed() {
-        let _g = serial();
-        install(&FaultPlan::new(1).always(FaultPoint::SchedJobPanic, 0));
-        assert!(!fire(FaultPoint::CacheDiskEnospc));
-        assert!(fire(FaultPoint::SchedJobPanic));
-        clear();
-    }
-
-    #[test]
-    fn max_fires_caps_the_schedule() {
-        let _g = serial();
-        install(&FaultPlan::new(2).times(FaultPoint::CacheDiskEnospc, 2, 0));
-        let fires: Vec<bool> = (0..5).map(|_| fire(FaultPoint::CacheDiskEnospc)).collect();
-        assert_eq!(fires, [true, true, false, false, false]);
-        let rep = report();
-        assert_eq!(rep, vec![("cache.disk.enospc", 5, 2)]);
-        clear();
-    }
-
-    #[test]
-    fn same_seed_same_decision_sequence() {
-        let _g = serial();
-        let plan = FaultPlan::new(0xDEAD).with(FaultPoint::SimDramBitflip, 0.3, None, 42);
-        let run = || -> Vec<Option<u64>> {
-            install(&plan);
-            let v = (0..64)
-                .map(|_| fire_param(FaultPoint::SimDramBitflip))
-                .collect();
-            clear();
-            v
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert!(a.iter().any(|d| d.is_some()), "0.3 over 64 draws fires");
-        assert!(a.iter().any(|d| d.is_none()), "0.3 over 64 draws skips");
-        assert!(
-            a.iter().flatten().all(|&p| p == 42),
-            "param comes from the spec"
-        );
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let _g = serial();
-        let decisions = |seed: u64| -> Vec<bool> {
-            install(&FaultPlan::new(seed).with(FaultPoint::SchedLostUnpark, 0.5, None, 0));
-            let v = (0..64).map(|_| fire(FaultPoint::SchedLostUnpark)).collect();
-            clear();
-            v
-        };
-        assert_ne!(decisions(1), decisions(2));
-    }
-
-    #[test]
-    fn plan_json_round_trips() {
-        let plan = FaultPlan::new(99)
-            .with(FaultPoint::CacheDiskCorrupt, 0.25, Some(3), 7)
-            .always(FaultPoint::ServeLineOversize, 1 << 20);
-        let back = FaultPlan::parse(&plan.to_json().to_pretty()).unwrap();
-        assert_eq!(back, plan);
-    }
-
-    #[test]
-    fn plan_parse_rejects_unknown_point_and_bad_prob() {
-        assert!(
-            FaultPlan::parse(r#"{"seed":1,"points":[{"point":"no.such"}]}"#)
-                .unwrap_err()
-                .contains("unknown point")
-        );
-        assert!(FaultPlan::parse(
-            r#"{"seed":1,"points":[{"point":"sched.job.panic","prob":1.5}]}"#
-        )
-        .unwrap_err()
-        .contains("out of [0,1]"));
-    }
-
-    #[test]
-    fn point_names_round_trip() {
-        for p in ALL_POINTS {
-            assert_eq!(FaultPoint::from_name(p.name()), Some(p));
-        }
-        assert_eq!(FaultPoint::from_name("nope"), None);
-    }
 }

@@ -41,28 +41,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::span::SpanScope;
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enter half of the span hook: returns whether a frame was opened (so the
-/// matching exit call can be skipped when it wasn't).
-pub type SpanEnter = fn(&str) -> bool;
-/// Exit half of the span hook.
-pub type SpanExit = fn();
-
-/// The installed span hook, if any. Set once per process — `repro-obs`
-/// registers itself here so every [`time`] call site doubles as a span in
-/// the current job's trace without this crate depending on the tracer.
-static SPAN_HOOK: OnceLock<(SpanEnter, SpanExit)> = OnceLock::new();
-
-/// Install the process-wide span hook (first caller wins; later calls are
-/// ignored). The hook only fires on [`time`]'s *enabled* path, so the
-/// disabled-registry cost stays one relaxed atomic load.
-pub fn set_span_hook(enter: SpanEnter, exit: SpanExit) {
-    let _ = SPAN_HOOK.set((enter, exit));
-}
 
 /// Samples a histogram series (cumulative, or one window bucket) retains.
 pub const SERIES_CAP: usize = 1024;
@@ -339,19 +323,18 @@ pub fn observe_secs(name: &str, secs: f64) {
     });
 }
 
-/// Time `f` and record the span into histogram `name`. While disabled this
-/// is a direct call — no clock is read and the span hook never fires.
+/// Time `f` and record the span into histogram `name`; with
+/// [`span`](crate::span) armed and a job recording on this thread, `name`
+/// also nests into the job's span tree. While disabled this is a direct
+/// call — no clock is read and no span opens.
 pub fn time<R>(name: &str, f: impl FnOnce() -> R) -> R {
     if !enabled() {
         return f();
     }
-    let hook = SPAN_HOOK.get().map(|&(enter, exit)| (enter(name), exit));
+    let _span = SpanScope::enter(name);
     let t0 = Instant::now();
     let r = f();
     observe_secs(name, t0.elapsed().as_secs_f64());
-    if let Some((true, exit)) = hook {
-        exit();
-    }
     r
 }
 
@@ -519,15 +502,10 @@ pub fn window_reset() {
     for_each_shard(|s| s.windows = WindowSet::new());
 }
 
-/// The process clock the global window rings are stamped with: period ids
-/// count `WINDOW_BUCKET_SECS` intervals since first use.
-fn window_epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
+/// The period id the global window rings are stamped with: the number of
+/// `WINDOW_BUCKET_SECS` intervals since the process [`epoch`](crate::span::epoch).
 fn current_period() -> u64 {
-    window_epoch().elapsed().as_secs() / WINDOW_BUCKET_SECS
+    crate::span::epoch().elapsed().as_secs() / WINDOW_BUCKET_SECS
 }
 
 /// One counter's bucket ring: `(period stamp, value)` per slot, indexed by
@@ -772,13 +750,7 @@ pub fn window_snapshot() -> WindowSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The registry is process-global; tests that mutate it must not
-    /// interleave. (`cargo test` runs `#[test]`s on threads.)
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::tests::serial;
 
     #[test]
     fn disabled_registry_records_nothing() {

@@ -1,10 +1,64 @@
 //! Per-job span trees: a nested record of where one request's host time
 //! went, built on the worker thread that executes the job.
+//!
+//! The executor brackets each job with [`begin_job`] / [`end_job`];
+//! everything recorded between the two on that thread lands in the tree:
+//! [`SpanScope`]s (cache lookups, the `flow.*` body), leaves attached with
+//! [`attach_span`] (queue wait), and every [`metrics::time`] stage while
+//! the registry is also enabled (front end, passes, codegen, launch).
+//!
+//! Like the registry, recording is **off by default and observably free
+//! while off**: every entry point checks one relaxed atomic load
+//! ([`armed`]) and returns before touching a clock, thread-local state or
+//! an allocation. Batch commands never arm it; `repro serve` does.
+//!
+//! Determinism: span *structure* (names, nesting, child order) is a pure
+//! function of what the job executed, never of which worker ran it or how
+//! wide the pool was; only the recorded durations are wall-clock.
+//!
+//! [`metrics::time`]: crate::metrics::time
 
-use repro_util::{Json, ToJson};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
+
+use crate::{Json, ToJson};
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Turn span recording on (idempotent).
+pub fn arm() {
+    ARMED.store(true, Ordering::Relaxed);
+}
+
+/// Turn recording off again (the default state).
+pub fn disarm() {
+    ARMED.store(false, Ordering::Relaxed);
+}
+
+/// Whether recording is armed — one relaxed atomic load, the entire cost
+/// of the disarmed path.
+#[inline]
+pub fn armed() -> bool {
+    ARMED.load(Ordering::Relaxed)
+}
+
+/// Process-wide host-time epoch: every span timestamp and event time is
+/// microseconds since this instant. Fixed at first use (service startup in
+/// practice), so all timestamps in one process share one timeline.
+pub fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Microseconds since [`epoch`].
+pub fn now_us() -> u64 {
+    epoch().elapsed().as_micros() as u64
+}
 
 /// One node of a job's span tree. Times are microseconds since the
-/// process [`epoch`](crate::epoch); durations are wall-clock and therefore
+/// process [`epoch`]; durations are wall-clock and therefore
 /// nondeterministic — everything else (name, nesting, child order) is a
 /// pure function of what the job executed.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,16 +149,13 @@ struct Frame {
 /// Per-thread span recorder for one job. The stack holds the chain of
 /// currently-open frames; closing a frame folds it into its parent's
 /// children. Index 0 is the synthetic `job` root.
-pub(crate) struct Recorder {
-    #[allow(dead_code)]
-    trace_id: u64,
+struct Recorder {
     stack: Vec<Frame>,
 }
 
 impl Recorder {
-    pub(crate) fn new(trace_id: u64, start_us: u64) -> Recorder {
+    fn new(start_us: u64) -> Recorder {
         Recorder {
-            trace_id,
             stack: vec![Frame {
                 name: "job".to_string(),
                 start_us,
@@ -122,8 +173,8 @@ impl Recorder {
     }
 
     fn exit(&mut self, now_us: u64) {
-        // Never pop the root: a stray exit (hook imbalance) is dropped
-        // rather than corrupting the tree.
+        // Never pop the root: a stray exit is dropped rather than
+        // corrupting the tree.
         if self.stack.len() <= 1 {
             return;
         }
@@ -141,7 +192,7 @@ impl Recorder {
             .push(node);
     }
 
-    pub(crate) fn attach(&mut self, name: &str, start_us: u64, dur_us: u64) {
+    fn attach(&mut self, name: &str, start_us: u64, dur_us: u64) {
         self.stack
             .last_mut()
             .expect("root always present")
@@ -156,7 +207,7 @@ impl Recorder {
 
     /// Close every still-open frame (a panicked job unwinds past its
     /// scopes) and return the finished tree.
-    pub(crate) fn finish(mut self, now_us: u64) -> SpanNode {
+    fn finish(mut self, now_us: u64) -> SpanNode {
         while self.stack.len() > 1 {
             self.exit(now_us);
         }
@@ -168,6 +219,48 @@ impl Recorder {
             children: root.children,
         }
     }
+}
+
+thread_local! {
+    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
+
+/// Start recording a span tree for one job on the current thread. Replaces
+/// any recorder a previous (possibly panicked) job left behind, so a
+/// poisoned tree can never leak across jobs. No-op while disarmed; returns
+/// whether recording actually started.
+pub fn begin_job() -> bool {
+    if !armed() {
+        return false;
+    }
+    RECORDER.with(|r| {
+        *r.borrow_mut() = Some(Recorder::new(now_us()));
+    });
+    true
+}
+
+/// Finish the current thread's job recording and return the completed span
+/// tree. Frames still open (a panicked job unwound past its scopes) are
+/// closed at the root's end time, so the tree always tiles. `None` while
+/// disarmed or if [`begin_job`] never ran on this thread.
+pub fn end_job() -> Option<SpanNode> {
+    RECORDER
+        .with(|r| r.borrow_mut().take())
+        .map(|rec| rec.finish(now_us()))
+}
+
+/// Attach an already-measured leaf span to the current job (used for the
+/// queue-wait interval, which elapses *before* the worker starts the job).
+/// No-op when no recording is active.
+pub fn attach_span(name: &str, start_us: u64, dur_us: u64) {
+    if !armed() {
+        return;
+    }
+    RECORDER.with(|r| {
+        if let Some(rec) = r.borrow_mut().as_mut() {
+            rec.attach(name, start_us, dur_us);
+        }
+    });
 }
 
 /// RAII guard for one nested span: created by [`enter`](SpanScope::enter),
@@ -188,7 +281,12 @@ impl SpanScope {
 impl Drop for SpanScope {
     fn drop(&mut self) {
         if self.live {
-            recorder_exit();
+            let now = now_us();
+            RECORDER.with(|r| {
+                if let Some(rec) = r.borrow_mut().as_mut() {
+                    rec.exit(now);
+                }
+            });
         }
     }
 }
@@ -197,37 +295,15 @@ impl Drop for SpanScope {
 /// Returns whether a frame was actually opened (so the matching exit can
 /// be skipped when it wasn't).
 fn recorder_enter(name: &str) -> bool {
-    if !crate::armed() {
+    if !armed() {
         return false;
     }
-    let now = crate::now_us();
-    crate::RECORDER.with(|r| match r.borrow_mut().as_mut() {
+    let now = now_us();
+    RECORDER.with(|r| match r.borrow_mut().as_mut() {
         Some(rec) => {
             rec.enter(name, now);
             true
         }
         None => false,
     })
-}
-
-fn recorder_exit() {
-    let now = crate::now_us();
-    crate::RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.exit(now);
-        }
-    });
-}
-
-/// [`repro_util::metrics::set_span_hook`] entry half: piggybacks every
-/// `metrics::time(...)` call site (compile stages, launch, cache tiers)
-/// onto the current job's span tree. Returns whether a frame opened, so
-/// the metrics layer knows whether to call [`hook_exit`].
-pub(crate) fn hook_enter(name: &str) -> bool {
-    recorder_enter(name)
-}
-
-/// Exit half of the metrics span hook.
-pub(crate) fn hook_exit() {
-    recorder_exit();
 }

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use ocl_ir::interp::NdRange;
-use repro_fault::{fire_param, FaultPoint};
+use repro_util::fault::{fire_param, FaultPoint};
 use vortex_cc::CompiledKernel;
 use vortex_isa::layout::{self, arg};
 use vortex_sim::{Image, SimConfig, SimError, SimFault, SimResult, Simulator, TraceSink};

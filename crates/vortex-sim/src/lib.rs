@@ -97,12 +97,6 @@ pub struct SimConfig {
     /// Reference mode also never builds the decoded op table: the
     /// baseline decodes from scratch at every issue.
     pub reference_mode: bool,
-    /// Epoch length in cycles of the multi-core timing model (see
-    /// [`memsys`]): both run loops freeze the shared L2/DRAM timing state
-    /// at multiples of this, so changing it changes multi-core timings
-    /// (deterministic for any fixed value); it never affects single-core
-    /// machines.
-    pub epoch_cycles: u64,
 }
 
 impl SimConfig {
@@ -136,11 +130,6 @@ impl SimConfig {
             max_cycles: 2_000_000_000,
             max_instructions: u64::MAX,
             reference_mode: false,
-            // The multi-core timing model: shared L2/DRAM state frozen
-            // per core at 2048-cycle boundaries, logs replayed in core
-            // order at the boundary; single-core machines skip it. Every
-            // golden and pinned cycle count is taken at this value.
-            epoch_cycles: 2048,
         }
     }
 }
@@ -301,7 +290,7 @@ impl Simulator {
         let cores = (0..cfg.hw.cores).map(|c| Core::new(c, &cfg)).collect();
         Simulator {
             mem: SimMemory::new(cfg.global_mem_bytes, cfg.hw.cores, cfg.local_mem_bytes),
-            memsys: MemSystem::new(cfg.l2, cfg.dram, cfg.hw.cores, cfg.epoch_cycles),
+            memsys: MemSystem::new(cfg.l2, cfg.dram, cfg.hw.cores),
             cores,
             image,
             cfg,

@@ -2,7 +2,7 @@
 //!
 //! Cores interact only through the shared L2 / DRAM timing models and
 //! functional memory. The timing side is quantized into fixed epochs of
-//! `SimConfig::epoch_cycles` (2048) cycles: each core works against its own
+//! [`EPOCH_CYCLES`] (2048) cycles: each core works against its own
 //! [`MemView`] — a copy of the shared L2/DRAM state frozen at the last epoch
 //! boundary — and logs every access it makes. As the clock passes a
 //! boundary the logs are replayed into the master models in core order (the
@@ -21,6 +21,12 @@
 
 use crate::cache::{Cache, CacheConfig};
 use crate::dram::{DramConfig, DramModel};
+
+/// Epoch length in cycles; boundaries sit at multiples of this. Both run
+/// loops freeze the shared L2/DRAM timing state at these boundaries, so a
+/// different value would change multi-core timings (deterministically);
+/// every golden and pinned cycle count is taken at this one.
+pub const EPOCH_CYCLES: u64 = 2048;
 
 /// One logged shared-memory-system access, replayed into the master models
 /// at the epoch boundary.
@@ -86,8 +92,6 @@ pub struct MemSystem {
     master_l2: Cache,
     master_dram: DramModel,
     views: Vec<MemView>,
-    /// Epoch length in cycles; boundaries sit at multiples of this.
-    epoch_cycles: u64,
     /// The first boundary not yet committed (`u64::MAX` on a single-core
     /// machine, which never commits): all logged accesses so far are from
     /// before it.
@@ -106,7 +110,7 @@ pub struct MemSystem {
 }
 
 impl MemSystem {
-    pub fn new(l2: CacheConfig, dram: DramConfig, cores: u32, epoch_cycles: u64) -> Self {
+    pub fn new(l2: CacheConfig, dram: DramConfig, cores: u32) -> Self {
         let master_l2 = Cache::new(l2);
         let master_dram = DramModel::new(dram);
         let views = (0..cores)
@@ -121,13 +125,11 @@ impl MemSystem {
                 dram_row_hits: 0,
             })
             .collect();
-        let epoch_cycles = epoch_cycles.max(1);
         MemSystem {
             master_l2,
             master_dram,
             views,
-            epoch_cycles,
-            next_boundary: if cores > 1 { epoch_cycles } else { u64::MAX },
+            next_boundary: if cores > 1 { EPOCH_CYCLES } else { u64::MAX },
             touched_sets: vec![false; l2.sets as usize],
             set_list: Vec::new(),
             touched_banks: vec![false; dram.banks as usize],
@@ -163,8 +165,7 @@ impl MemSystem {
     pub fn advance_to(&mut self, cycle: u64) {
         if cycle >= self.next_boundary {
             self.commit();
-            self.next_boundary =
-                (cycle - cycle % self.epoch_cycles).saturating_add(self.epoch_cycles);
+            self.next_boundary = (cycle - cycle % EPOCH_CYCLES).saturating_add(EPOCH_CYCLES);
         }
     }
 
@@ -176,7 +177,7 @@ impl MemSystem {
             return;
         }
         self.commit();
-        self.next_boundary = self.epoch_cycles;
+        self.next_boundary = EPOCH_CYCLES;
     }
 
     fn commit(&mut self) {
@@ -250,7 +251,7 @@ mod tests {
     #[test]
     fn single_core_never_commits() {
         let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 1, 64);
+        let mut ms = MemSystem::new(l2, dram, 1);
         let miss_first = ms.view_mut(0).l2_access(0x100, 5);
         assert!(!miss_first);
         ms.advance_to(1 << 20);
@@ -264,12 +265,15 @@ mod tests {
     #[test]
     fn cross_core_visibility_is_epoch_quantized() {
         let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 2, 64);
+        let mut ms = MemSystem::new(l2, dram, 2);
         assert!(!ms.view_mut(0).l2_access(0x100, 5), "cold: miss");
         // Same epoch, other core: the line is not in its frozen view.
         assert!(!ms.view_mut(1).l2_access(0x100, 6), "same epoch: miss");
-        ms.advance_to(64);
-        assert!(ms.view_mut(1).l2_access(0x100, 70), "next epoch: hit");
+        ms.advance_to(EPOCH_CYCLES);
+        assert!(
+            ms.view_mut(1).l2_access(0x100, EPOCH_CYCLES + 6),
+            "next epoch: hit"
+        );
         // Observed counters kept the per-core outcomes, not the replay's.
         assert_eq!(ms.observed(), (1, 2, 0, 0));
     }
@@ -279,7 +283,7 @@ mod tests {
     #[test]
     fn begin_run_commits_the_tail() {
         let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 2, 1 << 30);
+        let mut ms = MemSystem::new(l2, dram, 2);
         ms.view_mut(1).l2_access(0x200, 3);
         ms.begin_run();
         assert!(

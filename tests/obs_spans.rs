@@ -3,7 +3,7 @@
 //! its trace id is a pure function of the request — neither may depend on
 //! pool width, which worker ran the job, or wall-clock luck.
 //!
-//! Lives in its own integration binary on purpose: arming `repro-obs` and
+//! Lives in its own integration binary on purpose: arming spans and
 //! the metrics registry is process-global, and span recording piggybacks on
 //! every `metrics::time` call site — sharing a process with tests that
 //! assert empty registries or byte-identical serve output would race.
