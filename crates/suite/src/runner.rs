@@ -4,10 +4,12 @@
 //! benchmark and an inline-source job are both a [`WorkloadOf`], and a
 //! [`Backend`] picks the interpreter, the Vortex flow or the HLS flow.
 //!
-//! A run compiles only the kernels its workload launches: the cache's `opt`
+//! A run compiles only the kernels its workload launches: the front end
+//! skips the other kernels' bodies unparsed, and the cache's `lower`, `opt`
 //! and `vortex` stages are keyed on that selection (omitted = whole module,
-//! as for [`compile_bench`]). The front end still parses and checks the
-//! whole source, and the HLS synthesis gate still reads it as written.
+//! as for [`compile_bench`]). A selection of every kernel lowers under the
+//! whole-module `lower` key, but its `opt` and `vortex` entries are its
+//! own. The HLS synthesis gate still reads the whole source as written.
 
 use crate::spec::{Benchmark, HostData, LArg, LaunchOf, WorkloadOf};
 use fpga_arch::Device;
@@ -30,9 +32,11 @@ pub const DEFAULT_OPT: OptLevel = OptLevel::VariableReuse;
 
 /// Compile a benchmark's source and run the shared middle end at `level`,
 /// through the process-global compile cache ([`repro_cache::global`]): the
-/// whole module. Every suite workload launches all of its benchmark's
-/// kernels, so this is the module [`run`] executes on the interpreter and
-/// the HLS flow, stored under the cache's whole-module key.
+/// whole module, under the cache's whole-module `opt` key. Every suite
+/// workload launches all of its benchmark's kernels, so this equals the
+/// module [`run`] executes on the interpreter and the HLS flow; `run`
+/// stores that one under its every-kernel selection, a separate `opt`
+/// entry.
 pub fn compile_bench(b: &Benchmark, level: OptLevel) -> Result<ocl_ir::Module, ReproError> {
     repro_cache::global().optimize(b.source, level)
 }

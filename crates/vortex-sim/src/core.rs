@@ -1729,7 +1729,7 @@ mod tests {
         let program = Program::default();
         let cfg = SimConfig::new(VortexConfig::new(1, 2, t_n as u32));
         let mut mem = SimMemory::new(cfg.global_mem_bytes, 1, cfg.local_mem_bytes);
-        let mut memsys = MemSystem::new(cfg.l2, cfg.dram, 1);
+        let mut memsys = MemSystem::new(cfg.l2, cfg.dram, 1, crate::memsys::EPOCH_CYCLES);
         let file = t_n * 32;
         for tmask in masks {
             fill_regs(&mut core, rng);

@@ -290,7 +290,7 @@ impl Simulator {
         let cores = (0..cfg.hw.cores).map(|c| Core::new(c, &cfg)).collect();
         Simulator {
             mem: SimMemory::new(cfg.global_mem_bytes, cfg.hw.cores, cfg.local_mem_bytes),
-            memsys: MemSystem::new(cfg.l2, cfg.dram, cfg.hw.cores),
+            memsys: MemSystem::new(cfg.l2, cfg.dram, cfg.hw.cores, memsys::EPOCH_CYCLES),
             cores,
             image,
             cfg,

@@ -22,10 +22,11 @@
 use crate::cache::{Cache, CacheConfig};
 use crate::dram::{DramConfig, DramModel};
 
-/// Epoch length in cycles; boundaries sit at multiples of this. Both run
-/// loops freeze the shared L2/DRAM timing state at these boundaries, so a
-/// different value would change multi-core timings (deterministically);
-/// every golden and pinned cycle count is taken at this one.
+/// The epoch length both run loops build their machines with: they freeze
+/// the shared L2/DRAM timing state at its multiples, so another value would
+/// change multi-core timings (deterministically); every golden and pinned
+/// cycle count is taken at this one. [`MemSystem::new`] takes the length
+/// as an argument so unit tests can cross boundaries in a few cycles.
 pub const EPOCH_CYCLES: u64 = 2048;
 
 /// One logged shared-memory-system access, replayed into the master models
@@ -92,6 +93,8 @@ pub struct MemSystem {
     master_l2: Cache,
     master_dram: DramModel,
     views: Vec<MemView>,
+    /// Epoch length in cycles; boundaries sit at multiples of this.
+    epoch_cycles: u64,
     /// The first boundary not yet committed (`u64::MAX` on a single-core
     /// machine, which never commits): all logged accesses so far are from
     /// before it.
@@ -110,7 +113,7 @@ pub struct MemSystem {
 }
 
 impl MemSystem {
-    pub fn new(l2: CacheConfig, dram: DramConfig, cores: u32) -> Self {
+    pub fn new(l2: CacheConfig, dram: DramConfig, cores: u32, epoch_cycles: u64) -> Self {
         let master_l2 = Cache::new(l2);
         let master_dram = DramModel::new(dram);
         let views = (0..cores)
@@ -125,11 +128,13 @@ impl MemSystem {
                 dram_row_hits: 0,
             })
             .collect();
+        let epoch_cycles = epoch_cycles.max(1);
         MemSystem {
             master_l2,
             master_dram,
             views,
-            next_boundary: if cores > 1 { EPOCH_CYCLES } else { u64::MAX },
+            epoch_cycles,
+            next_boundary: if cores > 1 { epoch_cycles } else { u64::MAX },
             touched_sets: vec![false; l2.sets as usize],
             set_list: Vec::new(),
             touched_banks: vec![false; dram.banks as usize],
@@ -165,7 +170,8 @@ impl MemSystem {
     pub fn advance_to(&mut self, cycle: u64) {
         if cycle >= self.next_boundary {
             self.commit();
-            self.next_boundary = (cycle - cycle % EPOCH_CYCLES).saturating_add(EPOCH_CYCLES);
+            self.next_boundary =
+                (cycle - cycle % self.epoch_cycles).saturating_add(self.epoch_cycles);
         }
     }
 
@@ -177,7 +183,7 @@ impl MemSystem {
             return;
         }
         self.commit();
-        self.next_boundary = EPOCH_CYCLES;
+        self.next_boundary = self.epoch_cycles;
     }
 
     fn commit(&mut self) {
@@ -251,7 +257,7 @@ mod tests {
     #[test]
     fn single_core_never_commits() {
         let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 1);
+        let mut ms = MemSystem::new(l2, dram, 1, 64);
         let miss_first = ms.view_mut(0).l2_access(0x100, 5);
         assert!(!miss_first);
         ms.advance_to(1 << 20);
@@ -265,15 +271,12 @@ mod tests {
     #[test]
     fn cross_core_visibility_is_epoch_quantized() {
         let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 2);
+        let mut ms = MemSystem::new(l2, dram, 2, 64);
         assert!(!ms.view_mut(0).l2_access(0x100, 5), "cold: miss");
         // Same epoch, other core: the line is not in its frozen view.
         assert!(!ms.view_mut(1).l2_access(0x100, 6), "same epoch: miss");
-        ms.advance_to(EPOCH_CYCLES);
-        assert!(
-            ms.view_mut(1).l2_access(0x100, EPOCH_CYCLES + 6),
-            "next epoch: hit"
-        );
+        ms.advance_to(64);
+        assert!(ms.view_mut(1).l2_access(0x100, 70), "next epoch: hit");
         // Observed counters kept the per-core outcomes, not the replay's.
         assert_eq!(ms.observed(), (1, 2, 0, 0));
     }
@@ -283,7 +286,7 @@ mod tests {
     #[test]
     fn begin_run_commits_the_tail() {
         let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 2);
+        let mut ms = MemSystem::new(l2, dram, 2, 1 << 30);
         ms.view_mut(1).l2_access(0x200, 3);
         ms.begin_run();
         assert!(
