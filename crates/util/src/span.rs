@@ -272,29 +272,22 @@ pub struct SpanScope {
 
 impl SpanScope {
     pub fn enter(name: &str) -> SpanScope {
-        SpanScope {
-            live: recorder_enter(name),
-        }
+        SpanScope { live: enter(name) }
     }
 }
 
 impl Drop for SpanScope {
     fn drop(&mut self) {
         if self.live {
-            let now = now_us();
-            RECORDER.with(|r| {
-                if let Some(rec) = r.borrow_mut().as_mut() {
-                    rec.exit(now);
-                }
-            });
+            exit();
         }
     }
 }
 
 /// Push a frame onto the current thread's recorder, if one is active.
-/// Returns whether a frame was actually opened (so the matching exit can
-/// be skipped when it wasn't).
-fn recorder_enter(name: &str) -> bool {
+/// Returns whether a frame was actually opened (so the matching [`exit`]
+/// can be skipped when it wasn't).
+pub(crate) fn enter(name: &str) -> bool {
     if !armed() {
         return false;
     }
@@ -306,4 +299,14 @@ fn recorder_enter(name: &str) -> bool {
         }
         None => false,
     })
+}
+
+/// Close the innermost open frame of the current thread's recorder.
+pub(crate) fn exit() {
+    let now = now_us();
+    RECORDER.with(|r| {
+        if let Some(rec) = r.borrow_mut().as_mut() {
+            rec.exit(now);
+        }
+    });
 }
