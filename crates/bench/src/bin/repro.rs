@@ -460,21 +460,20 @@ fn run_trace_serve(path: &str) -> Outcome {
 fn run_profile(name: &str, level: OptLevel) -> Outcome {
     use vortex_sim::LaunchProfile;
     let (b, trace, launches) = traced_run(name, level)?;
-    let cfg = trace_config();
-    // Recompile for disassembly of the hot PCs (same optimized module and
-    // codegen options as the run, so PCs line up with what executed).
-    let module = ocl_suite::compile_bench(&b, level).expect("already compiled once");
-    let opts = vortex_cc::CodegenOpts {
-        threads: cfg.hw.threads,
-    };
+    // Disassemble the hot PCs from the program the run executed: the same
+    // cache lookup as the run's, so it hits.
+    let w = (b.workload)(Scale::Test);
+    let launched: Vec<&str> = w.launches.iter().map(|l| l.kernel).collect();
+    let threads = trace_config().hw.threads;
+    let kernels =
+        repro_cache::global().codegen_kernels(b.source, Some(level), threads, &launched)?;
     let disasm_of = |kernel: &str| -> Vec<String> {
-        module
-            .kernel(kernel)
-            .and_then(|k| vortex_cc::compile_kernel(k, &opts).ok())
+        kernels
+            .iter()
+            .find(|c| c.name == kernel)
             .map(|c| c.program.instrs.iter().map(|i| i.to_string()).collect())
             .unwrap_or_default()
     };
-    let w = (b.workload)(Scale::Test);
     let sections = launches
         .iter()
         .zip(&w.launches)

@@ -9,8 +9,8 @@
 //!   preprocessed *token stream* (so whitespace- and comment-only edits may
 //!   still hit), mixed with the schema version, the pipeline stage and the
 //!   stage parameters (opt level, warp width, target device, and for the
-//!   `lower`, `opt` and `vortex` stages the launched-kernel selection,
-//!   omitted = whole module).
+//!   `lower`, `opt` and `vortex` stages a selection of some but not all
+//!   kernels).
 //! * **Artifacts** are the outputs of the four cacheable stages — lowered
 //!   IR, optimized IR, Vortex compiled kernels, HLS synthesis outcome —
 //!   stored as canonical bytes in the [`wire`] format.
@@ -35,22 +35,23 @@
 //! for the fingerprint keeps the [`ocl_front::Lexed`] and the `Lower` miss
 //! that follows in the same call parses those tokens.
 //!
-//! A job compiles only the kernels it launches: [`Cache::optimize_kernels`]
-//! and [`Cache::codegen_kernels`] take a kernel selection and parse, lower,
-//! `verify`, optimize and generate code for those kernels alone, storing
-//! each stage under a key with one more part, the FNV-1a of the sorted,
-//! deduplicated names (so launch order and repeats share one entry). The
-//! front end skips the bodies of the other kernels unparsed
-//! ([`ocl_front::compile_lexed_kernels`]), so a job does not fail on a
-//! syntax or type error inside a kernel it does not launch; the
-//! whole-module entry points ([`Cache::lower`], [`Cache::optimize`],
-//! [`Cache::codegen_vortex`], HLS synthesis) still check every kernel. The
-//! kernel names come from the same token walk as the fingerprint and are
-//! memoized with it, so a name the source does not define fails before any
-//! lookup, and a selection of every kernel lowers under the whole-module
-//! key, shared with those entry points. Every stage works kernel by kernel,
-//! so a selected artifact equals the matching kernels of the whole-module
-//! one; `tests/cache_equivalence.rs` pins that.
+//! A job compiles only the kernels it launches: [`Cache::lower_kernels`],
+//! [`Cache::optimize_kernels`] and [`Cache::codegen_kernels`] take the
+//! launched names, which are resolved once, before any lookup, by one rule
+//! for every stage. A name the source does not define is a harness error
+//! and looks nothing up. Names covering every kernel, in any order and with
+//! repeats, are the whole module: the same key and artifact as
+//! [`Cache::lower`], [`Cache::optimize`] and [`Cache::codegen_vortex`]. Any
+//! other selection adds one key part, the FNV-1a of the sorted,
+//! deduplicated names, and parses, lowers, `verify`s, optimizes and
+//! generates code for those kernels alone. The front end skips the other
+//! kernels' bodies unparsed ([`ocl_front::compile_lexed_kernels`]), so such
+//! a job does not fail on a syntax or type error inside a kernel it does
+//! not launch; the whole module checks every kernel. The kernel names come
+//! from the same token walk as the fingerprint and are memoized with it.
+//! Every stage works kernel by kernel, so a selected artifact equals the
+//! matching kernels of the whole-module one; `tests/cache_equivalence.rs`
+//! pins that.
 
 pub mod artifacts;
 pub mod disk;
@@ -349,16 +350,17 @@ impl Cache {
         })
     }
 
-    /// A stage's key: its parts, then the selection's hash if it has one.
-    fn key(stage: Stage, parts: &[u64], sel: Option<&Selection>) -> Key {
+    /// A stage's key: its parts, then the selection's hash unless it is the
+    /// whole module.
+    fn key(stage: Stage, parts: &[u64], sel: &Selection) -> Key {
         let mut h = Fnv::new();
         h.write_u64(CACHE_SCHEMA_VERSION as u64);
         h.write_u8(stage.tag());
         for &p in parts {
             h.write_u64(p);
         }
-        if let Some(sel) = sel {
-            h.write_u64(sel.hash);
+        if let Selection::Kernels { hash, .. } = sel {
+            h.write_u64(*hash);
         }
         Key {
             stage,
@@ -370,56 +372,40 @@ impl Cache {
 
     /// Front-end lowering: source → verified IR module (no middle end).
     pub fn lower(&self, src: &str) -> Result<Module, ReproError> {
-        self.lower_keyed(self.keyed(src)?)
+        self.lower_keyed(self.keyed(src)?, &Selection::All)
     }
 
     /// [`Cache::lower`] of the named kernels only, in module order, with
     /// [`Cache::optimize_kernels`]'s rules for the names.
     pub fn lower_kernels(&self, src: &str, kernels: &[&str]) -> Result<Module, ReproError> {
-        self.lower_selected(self.keyed(src)?, Some(&Selection::new(kernels)))
+        let k = self.keyed(src)?;
+        let sel = k.select(kernels)?;
+        self.lower_keyed(k, &sel)
     }
 
-    fn lower_keyed(&self, k: Keyed) -> Result<Module, ReproError> {
-        self.get_or_compute(Self::key(Stage::Lower, &[k.fp], None), || {
-            Ok(metrics::time("suite.frontend", || match &k.lexed {
-                Some(lexed) => ocl_front::compile_lexed(lexed),
-                None => ocl_front::compile(k.src),
-            })?)
-        })
-    }
-
-    /// The lowered module of `sel`'s kernels, or of every kernel without a
-    /// selection. A selected name the source does not define fails before
-    /// any lookup; a selection of every kernel is the whole module, under
-    /// its key; any other is parsed and lowered alone, under a key of its
-    /// own.
-    fn lower_selected(&self, k: Keyed, sel: Option<&Selection>) -> Result<Module, ReproError> {
-        let Some(sel) = sel else {
-            return self.lower_keyed(k);
-        };
-        let defined = |name: &str| k.kernels.iter().any(|n| n == name);
-        if let Some(name) = sel.names.iter().find(|n| !defined(n)) {
-            return Err(ReproError::harness(format!(
-                "kernel `{name}` not found in source"
-            )));
-        }
-        if k.kernels.iter().all(|n| sel.names.contains(&n.as_str())) {
-            return self.lower_keyed(k);
-        }
-        self.get_or_compute(Self::key(Stage::Lower, &[k.fp], Some(sel)), || {
+    /// The lowered module of `sel`'s kernels. A miss parses the tokens this
+    /// call lexed, or lexes the source again when the memo had its
+    /// fingerprint.
+    fn lower_keyed(&self, k: Keyed, sel: &Selection) -> Result<Module, ReproError> {
+        self.get_or_compute(Self::key(Stage::Lower, &[k.fp], sel), || {
             Ok(metrics::time("suite.frontend", || {
                 let lexed = match k.lexed {
                     Some(lexed) => lexed,
                     None => ocl_front::lex_source(k.src, &[])?,
                 };
-                ocl_front::compile_lexed_kernels(&lexed, sel.names)
+                match sel {
+                    Selection::All => ocl_front::compile_lexed(&lexed),
+                    Selection::Kernels { names, .. } => {
+                        ocl_front::compile_lexed_kernels(&lexed, names)
+                    }
+                }
             })?)
         })
     }
 
     /// Lowering plus the shared middle end at `level`, verified.
     pub fn optimize(&self, src: &str, level: OptLevel) -> Result<Module, ReproError> {
-        self.optimize_keyed(self.keyed(src)?, level, None)
+        self.optimize_keyed(self.keyed(src)?, level, &Selection::All)
     }
 
     /// [`Cache::optimize`] of the named kernels only, in module order. The
@@ -431,18 +417,20 @@ impl Cache {
         level: OptLevel,
         kernels: &[&str],
     ) -> Result<Module, ReproError> {
-        self.optimize_keyed(self.keyed(src)?, level, Some(&Selection::new(kernels)))
+        let k = self.keyed(src)?;
+        let sel = k.select(kernels)?;
+        self.optimize_keyed(k, level, &sel)
     }
 
     fn optimize_keyed(
         &self,
         k: Keyed,
         level: OptLevel,
-        sel: Option<&Selection>,
+        sel: &Selection,
     ) -> Result<Module, ReproError> {
         let key = Self::key(Stage::Opt, &[k.fp, level as u64], sel);
         self.get_or_compute(key, || {
-            let mut module = self.lower_selected(k, sel)?;
+            let mut module = self.lower_keyed(k, sel)?;
             metrics::time("suite.optimize", || {
                 ocl_ir::passes::optimize_module(&mut module, level)
             });
@@ -466,7 +454,7 @@ impl Cache {
         level: Option<OptLevel>,
         threads: u32,
     ) -> Result<Vec<CompiledKernel>, ReproError> {
-        self.codegen(src, level, threads, None)
+        self.codegen(self.keyed(src)?, level, threads, &Selection::All)
     }
 
     /// [`Cache::codegen_vortex`] of the named kernels only, in module order,
@@ -478,15 +466,17 @@ impl Cache {
         threads: u32,
         kernels: &[&str],
     ) -> Result<Vec<CompiledKernel>, ReproError> {
-        self.codegen(src, level, threads, Some(&Selection::new(kernels)))
+        let k = self.keyed(src)?;
+        let sel = k.select(kernels)?;
+        self.codegen(k, level, threads, &sel)
     }
 
     fn codegen(
         &self,
-        src: &str,
+        k: Keyed,
         level: Option<OptLevel>,
         threads: u32,
-        sel: Option<&Selection>,
+        sel: &Selection,
     ) -> Result<Vec<CompiledKernel>, ReproError> {
         if !(1..=vortex_cc::MAX_THREADS).contains(&threads) {
             return Err(ReproError::harness(format!(
@@ -494,13 +484,12 @@ impl Cache {
                 vortex_cc::MAX_THREADS
             )));
         }
-        let k = self.keyed(src)?;
         let level_part = level.map(|l| l as u64).unwrap_or(u64::MAX);
         let key = Self::key(Stage::Vortex, &[k.fp, level_part, threads as u64], sel);
         self.get_or_compute(key, || {
             let module = match level {
                 Some(l) => self.optimize_keyed(k, l, sel)?,
-                None => self.lower_selected(k, sel)?,
+                None => self.lower_keyed(k, sel)?,
             };
             let opts = vortex_cc::CodegenOpts { threads };
             let kernels = module
@@ -522,9 +511,9 @@ impl Cache {
         device: &Device,
     ) -> Result<Result<SynthReport, SynthFailure>, ReproError> {
         let k = self.keyed(src)?;
-        let key = Self::key(Stage::Hls, &[k.fp, device.kind as u64], None);
+        let key = Self::key(Stage::Hls, &[k.fp, device.kind as u64], &Selection::All);
         self.get_or_compute(key, || {
-            let module = self.lower_keyed(k)?;
+            let module = self.lower_keyed(k, &Selection::All)?;
             Ok(synthesize(&module, device, &SynthOptions::default()))
         })
     }
@@ -662,15 +651,6 @@ impl Cache {
         mem.bytes = mem.bytes + added - old.len() as u64;
     }
 
-    /// Drop the in-memory tier (the disk tier is untouched).
-    pub fn clear_memory(&self) {
-        let mut mem = self.mem.lock().unwrap();
-        mem.lru.clear();
-        mem.bytes = 0;
-        metrics::gauge_set("cache.bytes", 0.0);
-        metrics::gauge_set("cache.entries", 0.0);
-    }
-
     /// Delete every on-disk entry; returns how many files were removed.
     pub fn clear_disk(&self) -> std::io::Result<usize> {
         match &self.disk {
@@ -733,16 +713,23 @@ struct Keyed<'a> {
     lexed: Option<Lexed>,
 }
 
-/// The kernels one lookup asks for: the names as the caller gave them, and
-/// the key part of their canonical form.
-struct Selection<'a> {
-    names: &'a [&'a str],
-    /// FNV-1a over the sorted, deduplicated names, each followed by a NUL.
-    hash: u64,
-}
-
-impl<'a> Selection<'a> {
-    fn new(names: &'a [&'a str]) -> Selection<'a> {
+impl Keyed<'_> {
+    /// Resolve the kernels a lookup names, once and before any lookup: a
+    /// name the source does not define is a harness error, names covering
+    /// every kernel (in any order, with repeats) are the whole module, and
+    /// anything else is a selection of its own.
+    fn select<'n>(&self, names: &'n [&'n str]) -> Result<Selection<'n>, ReproError> {
+        if let Some(name) = names
+            .iter()
+            .find(|&&n| !self.kernels.iter().any(|k| k == n))
+        {
+            return Err(ReproError::harness(format!(
+                "kernel `{name}` not found in source"
+            )));
+        }
+        if self.kernels.iter().all(|k| names.contains(&k.as_str())) {
+            return Ok(Selection::All);
+        }
         let mut canonical = names.to_vec();
         canonical.sort_unstable();
         canonical.dedup();
@@ -751,11 +738,21 @@ impl<'a> Selection<'a> {
             h.write(name.as_bytes());
             h.write_u8(0);
         }
-        Selection {
+        Ok(Selection::Kernels {
             names,
             hash: h.finish(),
-        }
+        })
     }
+}
+
+/// The kernels one lookup compiles, as [`Keyed::select`] resolved them.
+enum Selection<'a> {
+    /// Every kernel: the whole module, under the stage's whole-module key.
+    All,
+    /// Some kernels: the names as the caller gave them, and the key part of
+    /// their canonical form, FNV-1a over the sorted, deduplicated names,
+    /// each followed by a NUL.
+    Kernels { names: &'a [&'a str], hash: u64 },
 }
 
 /// FNV-1a 64 over the preprocessed token stream of `src`. Free function so
@@ -939,7 +936,11 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
         let cold = cache.lower(SRC).unwrap();
         cache.lower(&other).unwrap();
         let whole = cache.stats();
-        let key = Cache::key(Stage::Lower, &[token_fingerprint(SRC).unwrap()], None);
+        let key = Cache::key(
+            Stage::Lower,
+            &[token_fingerprint(SRC).unwrap()],
+            &Selection::All,
+        );
         cache.overwrite_mem_entry(key, vec![0xff; 7]);
         // The bad entry is dropped, counted and recomputed...
         assert_eq!(cache.lower(SRC).unwrap(), cold);

@@ -46,6 +46,16 @@ impl Flow {
         }
     }
 
+    /// Span name of a job on this flow (static so the disarmed
+    /// observability path never allocates).
+    pub fn span_name(self) -> &'static str {
+        match self {
+            Flow::Interp => "flow.interp",
+            Flow::Vortex => "flow.vortex",
+            Flow::Hls => "flow.hls",
+        }
+    }
+
     pub fn parse(s: &str) -> Option<Flow> {
         match s {
             "interp" => Some(Flow::Interp),

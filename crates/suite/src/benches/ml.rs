@@ -438,23 +438,3 @@ pub fn backprop() -> Benchmark {
         workload: backprop_workload,
     }
 }
-
-/// The O1 variable-reuse variant (Listing 2) as its own runnable benchmark.
-pub fn backprop_o1() -> Benchmark {
-    Benchmark {
-        name: "Backprop-O1",
-        origin: "Rodinia",
-        source: BACKPROP_O1,
-        workload: backprop_workload,
-    }
-}
-
-/// The O2 pipelined-load variant (Listing 3).
-pub fn backprop_o2() -> Benchmark {
-    Benchmark {
-        name: "Backprop-O2",
-        origin: "Rodinia",
-        source: BACKPROP_O2,
-        workload: backprop_workload,
-    }
-}

@@ -48,7 +48,7 @@ pub fn sim_config(req: &JobRequest) -> SimConfig {
 /// execution records as one `flow.*` span, with the cache-lookup and
 /// compile-stage spans nesting beneath it.
 pub fn run_request(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproError> {
-    let _span = SpanScope::enter(&format!("flow.{}", req.flow.name()));
+    let _span = SpanScope::enter(req.flow.span_name());
     bind_and_run(req)
 }
 

@@ -26,7 +26,7 @@ pub use jobs::{instantiate, run_oneshot, run_request};
 /// The crash-isolation primitive behind `repro check` and the scheduler's
 /// workers; it lives in `repro-diag` next to the failure taxonomy.
 pub use repro_diag::{run_isolated, FailureClass, ReproError};
-pub use runner::{compile_bench, run, Backend, RunOutcome, DEFAULT_OPT};
+pub use runner::{run, Backend, RunOutcome, DEFAULT_OPT};
 pub use spec::{Benchmark, HostData, LArg, Launch, Scale, Workload};
 
 /// All 28 benchmarks, in the paper's Table I order.

@@ -6,12 +6,13 @@
 //!
 //! A run compiles only the kernels its workload launches: the front end
 //! skips the other kernels' bodies unparsed, and the cache's `lower`, `opt`
-//! and `vortex` stages are keyed on that selection (omitted = whole module,
-//! as for [`compile_bench`]). A selection of every kernel lowers under the
-//! whole-module `lower` key, but its `opt` and `vortex` entries are its
-//! own. The HLS synthesis gate still reads the whole source as written.
+//! and `vortex` stages are keyed on that selection. A selection of every
+//! kernel is the whole module at every stage, under the key
+//! `Cache::optimize` and `Cache::codegen_vortex` use, so a suite workload
+//! shares its entries with them. The HLS synthesis gate still reads the
+//! whole source as written.
 
-use crate::spec::{Benchmark, HostData, LArg, LaunchOf, WorkloadOf};
+use crate::spec::{HostData, LArg, LaunchOf, WorkloadOf};
 use fpga_arch::Device;
 use hls_flow::analysis::KernelProfile;
 use ocl_ir::interp::{self, KernelArg, Limits, Memory};
@@ -29,17 +30,6 @@ use vortex_sim::{RecordingSink, SimConfig, SimStats, TraceEvent};
 /// source *as written*, because the paper's area story is about source-level
 /// rewrites fed verbatim to the Intel SDK; see [`Backend::Hls`].
 pub const DEFAULT_OPT: OptLevel = OptLevel::VariableReuse;
-
-/// Compile a benchmark's source and run the shared middle end at `level`,
-/// through the process-global compile cache ([`repro_cache::global`]): the
-/// whole module, under the cache's whole-module `opt` key. Every suite
-/// workload launches all of its benchmark's kernels, so this equals the
-/// module [`run`] executes on the interpreter and the HLS flow; `run`
-/// stores that one under its every-kernel selection, a separate `opt`
-/// entry.
-pub fn compile_bench(b: &Benchmark, level: OptLevel) -> Result<ocl_ir::Module, ReproError> {
-    repro_cache::global().optimize(b.source, level)
-}
 
 /// Which back end executes a workload, with the budget that binds it.
 #[derive(Debug, Clone)]

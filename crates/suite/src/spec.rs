@@ -88,14 +88,6 @@ impl HostData {
             other => panic!("expected i32 buffer, found {other:?}"),
         }
     }
-
-    /// The u32 view.
-    pub fn as_u32(&self) -> &[u32] {
-        match self {
-            HostData::U32(v) => v,
-            other => panic!("expected u32 buffer, found {other:?}"),
-        }
-    }
 }
 
 /// A launch argument: a workload buffer by index or an immediate scalar.

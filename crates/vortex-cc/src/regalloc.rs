@@ -23,12 +23,6 @@ pub enum Loc {
     SpillFp(usize),
 }
 
-impl Loc {
-    pub fn is_spill(self) -> bool {
-        matches!(self, Loc::SpillInt(_) | Loc::SpillFp(_))
-    }
-}
-
 /// Allocation result.
 #[derive(Debug)]
 pub struct Allocation {

@@ -61,17 +61,6 @@ pub enum RtError {
     },
 }
 
-impl RtError {
-    /// The partial simulation result salvaged by the watchdog, when the
-    /// error came from a running kernel.
-    pub fn partial(&self) -> Option<&SimResult> {
-        match self {
-            RtError::Fault(f) => Some(&f.partial),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for RtError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -419,11 +408,7 @@ pub fn compile_for(
     name: &str,
     cfg: &SimConfig,
 ) -> Result<CompiledKernel, Box<dyn std::error::Error>> {
-    let kernels = repro_cache::global().codegen_vortex(src, None, cfg.hw.threads)?;
-    kernels
-        .into_iter()
-        .find(|k| k.name == name)
-        .ok_or_else(|| format!("kernel `{name}` not found").into())
+    compile_named(src, name, cfg, None)
 }
 
 /// [`compile_for`] with the shared IR middle end run at `level` before
@@ -435,7 +420,16 @@ pub fn compile_for_at(
     cfg: &SimConfig,
     level: ocl_ir::passes::OptLevel,
 ) -> Result<CompiledKernel, Box<dyn std::error::Error>> {
-    let kernels = repro_cache::global().codegen_vortex(src, Some(level), cfg.hw.threads)?;
+    compile_named(src, name, cfg, Some(level))
+}
+
+fn compile_named(
+    src: &str,
+    name: &str,
+    cfg: &SimConfig,
+    level: Option<ocl_ir::passes::OptLevel>,
+) -> Result<CompiledKernel, Box<dyn std::error::Error>> {
+    let kernels = repro_cache::global().codegen_vortex(src, level, cfg.hw.threads)?;
     kernels
         .into_iter()
         .find(|k| k.name == name)

@@ -127,11 +127,6 @@ impl SimMemory {
         }
         Ok(&self.global[a..a + len])
     }
-
-    /// Global capacity in bytes.
-    pub fn global_len(&self) -> u32 {
-        self.global.len() as u32
-    }
 }
 
 #[cfg(test)]

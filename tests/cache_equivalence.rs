@@ -299,12 +299,13 @@ fn artifacts_byte_identical_cold_warm_fresh_across_matrix() {
     );
 }
 
-/// Holds one stage's kernel selections to its whole-module artifact: a
-/// selection of every kernel encodes to `whole`, cold and warm, under a key
-/// of its own; the same names reversed and repeated are no new miss; and
-/// each one-kernel selection encodes to `part(i)`, that kernel's element of
-/// `whole`, under a key of its own (so with two kernels `a` and `b`, the
-/// selections `{a}`, `{b}` and the whole module are three entries).
+/// Holds one stage's kernel selections to its whole-module artifact, which
+/// the caller has just looked up: a selection of every kernel, as given and
+/// reversed and repeated, encodes to `whole` and adds no miss, since it is
+/// the whole-module key; and each one-kernel selection encodes to
+/// `part(i)`, that kernel's element of `whole`, cold and warm, under a key
+/// of its own (so with two kernels `a` and `b`, the selections `{a}`, `{b}`
+/// and the whole module are three entries).
 fn check_selections(
     cache: &Cache,
     what: &str,
@@ -323,8 +324,8 @@ fn check_selections(
     assert_eq!(select(&messy), whole, "{what}: {messy:?}");
     assert_eq!(
         misses(),
-        start + 1,
-        "{what}: every kernel must be one new key, in any order"
+        start,
+        "{what}: every kernel, in any order, is the whole-module key"
     );
     for (i, name) in names.iter().enumerate() {
         let before = misses();
@@ -390,51 +391,35 @@ fn kernel_selections_are_their_part_of_the_whole_module() {
 
 /// The front end parses and lowers only the selected kernels, which is sound
 /// because lowering and `verify` work kernel by kernel: for every benchmark
-/// source, each one-kernel `lower` selection encodes to that kernel cut from
-/// the whole-module artifact, whether the miss parses the tokens its own
-/// lookup lexed (a new cache) or lexes again (a source the memo has seen).
-/// A selection of every kernel, in any order, is the whole-module entry and
-/// adds no `lower` miss.
+/// source the `lower` selections follow [`check_selections`]'s rule, and
+/// each one-kernel selection encodes to that kernel cut from the
+/// whole-module artifact whether the miss parses the tokens its own lookup
+/// lexed (a new cache) or lexes again (a source the memo has seen).
 #[test]
 fn lower_selections_are_their_part_of_the_whole_module() {
     let cache = mem_cache();
-    let misses = || cache.stats().misses_by_stage[Stage::Lower.index()];
     for b in all_benchmarks() {
         let whole = cache.lower(b.source).unwrap();
         let names: Vec<&str> = whole.kernels.iter().map(|k| k.name.as_str()).collect();
-        let start = misses();
-        let messy: Vec<&str> = names.iter().rev().chain(&names).copied().collect();
-        assert_eq!(
-            wire::encode(&cache.lower_kernels(b.source, &messy).unwrap()),
-            wire::encode(&whole),
-            "{}: every kernel",
-            b.name
-        );
-        assert_eq!(
-            misses(),
-            start,
-            "{}: every kernel is the whole-module key",
-            b.name
+        let part = |i: usize| {
+            wire::encode(&Module {
+                kernels: vec![whole.kernels[i].clone()],
+            })
+        };
+        check_selections(
+            &cache,
+            &format!("{} lower", b.name),
+            Stage::Lower,
+            &names,
+            &wire::encode(&whole),
+            part,
+            |sel| wire::encode(&cache.lower_kernels(b.source, sel).unwrap()),
         );
         for (i, name) in names.iter().enumerate() {
-            let part = wire::encode(&Module {
-                kernels: vec![whole.kernels[i].clone()],
-            });
-            let before = misses();
-            for pass in ["cold", "warm"] {
-                let got = cache.lower_kernels(b.source, &[name]).unwrap();
-                assert_eq!(wire::encode(&got), part, "{}: {pass}, {name}", b.name);
-            }
-            assert_eq!(
-                misses(),
-                before + u64::from(names.len() > 1),
-                "{}: {name}",
-                b.name
-            );
             let lexed_here = mem_cache().lower_kernels(b.source, &[name]).unwrap();
             assert_eq!(
                 wire::encode(&lexed_here),
-                part,
+                part(i),
                 "{}: {name}, new cache",
                 b.name
             );

@@ -16,9 +16,7 @@ use fpga_gpu_repro::ir::interp::{
 };
 use fpga_gpu_repro::ir::passes::OptLevel;
 use fpga_gpu_repro::ir::{AddressSpace, Builtin, Function, Op, Operand, Scalar, Terminator};
-use fpga_gpu_repro::suite::{
-    all_benchmarks, compile_bench, run, Backend, HostData, LArg, RunOutcome, Scale,
-};
+use fpga_gpu_repro::suite::{all_benchmarks, run, Backend, HostData, LArg, RunOutcome, Scale};
 use kernel_gen::{arb_atomic_kernel, arb_float_kernel, arb_kernel, arb_local_kernel, case_input};
 use repro_util::Rng;
 
@@ -304,7 +302,9 @@ fn summary(r: &ExecResult) -> (u64, u64, u64, &[String]) {
 /// runs it through the interpreter: same allocation order, same binding,
 /// the same final buffers read back.
 fn reference_outcome(b: &fpga_gpu_repro::suite::Benchmark, level: OptLevel) -> RunOutcome {
-    let module = compile_bench(b, level).unwrap();
+    let module = fpga_gpu_repro::cache::global()
+        .optimize(b.source, level)
+        .unwrap();
     let w = (b.workload)(Scale::Test);
     let mut mem = Memory::new(32 << 20);
     let addrs: Vec<u32> = w

@@ -149,8 +149,9 @@ fn vecadd_profile_matches_golden_file() {
     let (b, trace, events) = traced("Vecadd");
     let cfg = trace_config();
     // Disassembly must come from the same optimized module the run executed.
-    let module =
-        fpga_gpu_repro::suite::compile_bench(&b, DEFAULT_OPT).unwrap_or_else(|e| panic!("{e}"));
+    let module = fpga_gpu_repro::cache::global()
+        .optimize(b.source, DEFAULT_OPT)
+        .unwrap_or_else(|e| panic!("{e}"));
     let opts = vortex_cc::CodegenOpts {
         threads: cfg.hw.threads,
     };
