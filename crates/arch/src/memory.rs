@@ -50,11 +50,6 @@ impl MemorySystem {
     pub fn peak_bytes_per_cycle(&self) -> u64 {
         self.channels as u64 * self.bytes_per_cycle_per_channel as u64
     }
-
-    /// Aggregate peak bandwidth in GB/s at the given fabric clock.
-    pub fn peak_gbps(&self, clock_mhz: u32) -> f64 {
-        self.peak_bytes_per_cycle() as f64 * clock_mhz as f64 * 1e6 / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -71,10 +66,8 @@ mod tests {
 
     #[test]
     fn bandwidth_in_expected_range() {
-        // HBM2 ≈ 512 GB/s, DDR4 x4 ≈ 76.8 GB/s at 200 MHz.
-        let hbm = MemorySystem::hbm2().peak_gbps(200);
-        let ddr = MemorySystem::ddr4().peak_gbps(200);
-        assert!((hbm - 512.0).abs() < 1.0, "hbm={hbm}");
-        assert!((ddr - 19.2).abs() < 0.5, "ddr={ddr}");
+        // HBM2 ≈ 512 GB/s, DDR4 x4 ≈ 19.2 GB/s at 200 MHz.
+        assert_eq!(MemorySystem::hbm2().peak_bytes_per_cycle(), 2560);
+        assert_eq!(MemorySystem::ddr4().peak_bytes_per_cycle(), 96);
     }
 }

@@ -30,11 +30,6 @@ impl VortexConfig {
             threads,
         }
     }
-
-    /// Total hardware threads.
-    pub fn hw_threads(&self) -> u32 {
-        self.cores * self.warps * self.threads
-    }
 }
 
 impl std::fmt::Display for VortexConfig {
@@ -132,10 +127,5 @@ mod tests {
             let a = vortex_area(&cfg);
             assert!(a.fits_in(&dev.capacity), "{cfg} should fit the SX2800: {a}");
         }
-    }
-
-    #[test]
-    fn hw_threads_product() {
-        assert_eq!(VortexConfig::new(4, 8, 16).hw_threads(), 512);
     }
 }

@@ -65,7 +65,7 @@ use ocl_front::lex::Tok;
 use ocl_front::{CompileError, Lexed};
 use ocl_ir::passes::OptLevel;
 use ocl_ir::Module;
-use repro_diag::ReproError;
+use repro_util::diag::ReproError;
 use repro_util::{fault, fnv1a, metrics, span, Fnv};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -316,13 +316,6 @@ impl Cache {
     }
 
     // -- key derivation -----------------------------------------------------
-
-    /// Content fingerprint of a kernel source: FNV-1a 64 over the
-    /// preprocessed token stream. Formatting and comments do not contribute;
-    /// any token-level change does.
-    pub fn source_fingerprint(&self, src: &str) -> Result<u64, CompileError> {
-        Ok(self.keyed(src)?.fp)
-    }
 
     /// Fingerprint `src`, once per public lookup. A source whose exact bytes
     /// the memo has seen costs one hash and one lock acquisition; any other
@@ -922,10 +915,7 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
             0xfbea_b55f_2fe1_c238
         );
         let cache = mem_cache();
-        assert_eq!(
-            cache.source_fingerprint(TWO_KERNELS).unwrap(),
-            0xfbea_b55f_2fe1_c238
-        );
+        assert_eq!(cache.keyed(TWO_KERNELS).unwrap().fp, 0xfbea_b55f_2fe1_c238);
         cache.lower(TWO_KERNELS).unwrap();
     }
 

@@ -9,7 +9,7 @@
 //! 1. **Survival** — the service returns; injected panics, torn writes and
 //!    bit flips never escape as process aborts.
 //! 2. **Typed classification** — every failed job carries an expected
-//!    [`repro_diag::ReproError`] kind; nothing degenerates into a panic or
+//!    [`repro_util::diag::ReproError`] kind; nothing degenerates into a panic or
 //!    an unclassified error.
 //! 3. **Accounting** — every submitted job gets exactly one response
 //!    (`jobs == ok + failed`), shed and rejected lines included.

@@ -18,7 +18,7 @@ use crate::manifest::RunManifest;
 use crate::report::Table;
 use fpga_arch::VortexConfig;
 use ocl_suite::{all_benchmarks, FailureClass, ReproError, Scale};
-use repro_sched::{ExecConfig, Executor, Flow, JobRequest, Payload};
+use repro_sched::{ExecConfig, Executor, Flow, JobRequest, JobStats, Payload};
 use repro_util::{Json, ToJson};
 
 /// Watchdog budgets for the sweep. `Scale::Test` benchmarks finish in well
@@ -29,19 +29,11 @@ use repro_util::{Json, ToJson};
 pub const CHECK_MAX_CYCLES: u64 = repro_sched::DEFAULT_MAX_CYCLES;
 pub const CHECK_MAX_INSTRUCTIONS: u64 = repro_sched::DEFAULT_MAX_INSTRUCTIONS;
 
-/// Counters of one successful flow run — what the budget was spent on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowStats {
-    /// Simulated (Vortex) or modeled (HLS) kernel cycles.
-    pub cycles: u64,
-    /// Dynamic instructions (simulator retires or interpreter steps).
-    pub instructions: u64,
-}
-
 /// One flow's outcome plus its host-side wall-clock.
 #[derive(Debug, Clone)]
 pub struct FlowCheck {
-    pub outcome: Result<FlowStats, ReproError>,
+    /// The counters of a successful run — what the budget was spent on.
+    pub outcome: Result<JobStats, ReproError>,
     /// Host seconds the whole flow took (compile + run + verify), measured
     /// around the panic-isolation boundary so failures are timed too.
     pub wall_secs: f64,
@@ -196,10 +188,7 @@ pub fn check_suite_on(exec: &Executor, scale: Scale, hw: VortexConfig) -> Vec<Ch
         .chunks(2)
         .map(|pair| {
             let to_flow = |oc: &repro_sched::JobOutcome| FlowCheck {
-                outcome: oc.result.clone().map(|s| FlowStats {
-                    cycles: s.cycles,
-                    instructions: s.instructions,
-                }),
+                outcome: oc.result.clone(),
                 wall_secs: oc.wall_secs,
             };
             let name = pair[0]

@@ -8,8 +8,8 @@
 use crate::check::bench_request;
 use fpga_arch::{paper, VortexConfig};
 use ocl_suite::Scale;
-use repro_diag::ReproError;
 use repro_sched::{Executor, Flow};
+use repro_util::diag::ReproError;
 use repro_util::{Json, ToJson};
 
 /// One grid cell.

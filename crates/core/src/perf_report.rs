@@ -172,20 +172,21 @@ impl ToJson for PerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{FlowCheck, FlowStats};
+    use crate::check::FlowCheck;
+    use repro_sched::JobStats;
 
     fn row(name: &str, cycles: u64, wall: f64) -> CheckRow {
         CheckRow {
             name: name.to_string(),
             vortex: FlowCheck {
-                outcome: Ok(FlowStats {
+                outcome: Ok(JobStats {
                     cycles,
                     instructions: cycles / 2,
                 }),
                 wall_secs: wall,
             },
             hls: FlowCheck {
-                outcome: Ok(FlowStats {
+                outcome: Ok(JobStats {
                     cycles: cycles * 3,
                     instructions: cycles,
                 }),

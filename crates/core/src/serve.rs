@@ -53,7 +53,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-use repro_diag::ReproError;
+use repro_util::diag::ReproError;
 use repro_util::fault::{fire, fire_param, FaultPoint};
 use repro_util::metrics;
 

@@ -57,9 +57,9 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-impl From<CompileError> for repro_diag::ReproError {
+impl From<CompileError> for repro_util::diag::ReproError {
     fn from(e: CompileError) -> Self {
-        use repro_diag::ReproError;
+        use repro_util::diag::ReproError;
         match e {
             CompileError::Preprocess(p) => ReproError::Frontend {
                 stage: "preprocess",

@@ -53,14 +53,6 @@ impl KernelProfile {
             .filter(|s| s.hint == LoadHint::BurstCoalesced)
             .count()
     }
-
-    /// Total pipelined load sites (1 load unit each).
-    pub fn pipelined_load_sites(&self) -> usize {
-        self.load_sites
-            .iter()
-            .filter(|s| s.hint == LoadHint::Pipelined)
-            .count()
-    }
 }
 
 /// Build the profile for a kernel.
@@ -221,7 +213,8 @@ mod tests {
                 o[i] = __pipelined_load(a + i);
             }",
         );
-        assert_eq!(p.pipelined_load_sites(), 1);
+        assert_eq!(p.load_sites.len(), 1);
+        assert_eq!(p.load_sites[0].hint, LoadHint::Pipelined);
         assert_eq!(p.burst_load_sites(), 0);
     }
 

@@ -73,9 +73,9 @@ impl std::fmt::Display for SynthFailure {
 
 impl std::error::Error for SynthFailure {}
 
-impl From<SynthFailure> for repro_diag::ReproError {
+impl From<SynthFailure> for repro_util::diag::ReproError {
     fn from(e: SynthFailure) -> Self {
-        repro_diag::ReproError::Synthesis {
+        repro_util::diag::ReproError::Synthesis {
             reason: e.reason(),
             hours: e.hours(),
         }

@@ -128,14 +128,6 @@ impl Function {
             .any(|i| matches!(i.op, crate::inst::Op::Barrier))
     }
 
-    /// Whether the kernel contains atomic operations.
-    pub fn uses_atomics(&self) -> bool {
-        self.blocks
-            .iter()
-            .flat_map(|b| &b.insts)
-            .any(|i| matches!(i.op, crate::inst::Op::AtomicRmw { .. }))
-    }
-
     /// Whether the kernel contains device-side printf.
     pub fn uses_printf(&self) -> bool {
         self.blocks
@@ -199,7 +191,6 @@ mod tests {
         assert_eq!(f.entry(), BlockId(0));
         assert_eq!(f.num_insts(), 4);
         assert!(!f.uses_barrier());
-        assert!(!f.uses_atomics());
         assert_eq!(f.local_bytes(), 0);
         assert!(f.vreg_type(VReg(0)).is_ptr());
     }

@@ -99,7 +99,7 @@ pub struct Memory {
 ///
 /// These mirror the Vortex simulator's fault set so differential tests can
 /// assert that a faulty kernel is *classified the same way* by both
-/// backends (see [`From<InterpError> for repro_diag::ReproError`]).
+/// backends (see [`From<InterpError> for repro_util::diag::ReproError`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InterpError {
     OutOfBounds {
@@ -174,9 +174,9 @@ impl std::fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
-impl From<InterpError> for repro_diag::ReproError {
+impl From<InterpError> for repro_util::diag::ReproError {
     fn from(e: InterpError) -> Self {
-        use repro_diag::{ReproError, StuckWarp};
+        use repro_util::diag::{ReproError, StuckWarp};
         match e {
             InterpError::OutOfBounds { addr, space } => ReproError::OutOfBounds {
                 addr,
@@ -1838,9 +1838,9 @@ pub(crate) mod tests {
                     waiting: (0..k).collect(),
                 }
             );
-            let repro: repro_diag::ReproError = e.into();
+            let repro: repro_util::diag::ReproError = e.into();
             assert_eq!(repro.kind(), "DivergenceDeadlock");
-            assert_eq!(repro.class(), repro_diag::FailureClass::Deadlock);
+            assert_eq!(repro.class(), repro_util::diag::FailureClass::Deadlock);
         }
     }
 
@@ -1856,8 +1856,8 @@ pub(crate) mod tests {
             })
         ));
         let e = mem.write_u32(p + 1, 7).unwrap_err();
-        let repro: repro_diag::ReproError = e.into();
-        assert_eq!(repro.class(), repro_diag::FailureClass::Memory);
+        let repro: repro_util::diag::ReproError = e.into();
+        assert_eq!(repro.class(), repro_util::diag::FailureClass::Memory);
     }
 
     #[test]
@@ -1868,8 +1868,8 @@ pub(crate) mod tests {
         assert!(matches!(e, InterpError::OutOfMemory { requested: 64, .. }));
         // Overflowing sizes are exhaustion too, not a panic.
         assert!(mem.try_alloc(u32::MAX).is_err());
-        let repro: repro_diag::ReproError = e.into();
-        assert_eq!(repro.class(), repro_diag::FailureClass::Memory);
+        let repro: repro_util::diag::ReproError = e.into();
+        assert_eq!(repro.class(), repro_util::diag::FailureClass::Memory);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::cfg::{Cfg, Dominators};
 use crate::func::{Function, Module};
 use crate::liveness::Liveness;
 use crate::loops::LoopForest;
+use std::time::Instant;
 
 /// Optimization level, matching the flags both flows accept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,7 +79,7 @@ impl OptLevel {
 /// Lazily-computed, cached analyses shared by the passes of one pipeline
 /// run — the only place a pass gets a CFG, dominators, loops or liveness
 /// from. The manager invalidates entries according to each pass's
-/// [`Pass::preserves_cfg`] contract, so a pass that only rewrites operands
+/// `preserves_cfg` flag, so a pass that only rewrites operands
 /// does not force a CFG rebuild for the next one; a pass that rewrites the
 /// CFG and wants to look again calls [`Analyses::invalidate_all`] itself.
 #[derive(Default)]
@@ -130,105 +131,108 @@ impl Analyses {
     }
 }
 
-/// A named transformation over one function.
-pub trait Pass {
+/// A named transformation over one function: one row of the pipeline
+/// table.
+struct Pass {
     /// Stable name used in reports and goldens.
-    fn name(&self) -> &'static str;
-    /// `("ir.pass.<name>", "ir.rewrites.<name>")`: the histogram and counter
-    /// the driver records each invocation under. Static, so a recorded
-    /// sample formats nothing; `pass_names!` writes both methods.
-    fn metric_names(&self) -> (&'static str, &'static str);
+    name: &'static str,
+    /// `"ir.pass.<name>"`: the histogram the driver records each
+    /// invocation's wall time under. Static, so a sample formats nothing.
+    secs_metric: &'static str,
+    /// `"ir.rewrites.<name>"`: the counter of the invocation's rewrites.
+    rewrites_metric: &'static str,
     /// Apply the pass; returns the number of rewrites performed (0 means
     /// the function is unchanged).
-    fn run(&self, f: &mut Function, an: &mut Analyses) -> usize;
+    run: fn(&mut Function, &mut Analyses) -> usize,
     /// Whether the pass leaves block structure and edges untouched. The
     /// manager keeps CFG-derived analyses cached across passes that do.
-    fn preserves_cfg(&self) -> bool {
-        true
-    }
+    preserves_cfg: bool,
 }
 
-/// [`Pass::name`] and [`Pass::metric_names`] from the one literal.
-macro_rules! pass_names {
-    ($name:literal) => {
-        fn name(&self) -> &'static str {
-            $name
-        }
-        fn metric_names(&self) -> (&'static str, &'static str) {
-            (concat!("ir.pass.", $name), concat!("ir.rewrites.", $name))
-        }
+impl Pass {
+    /// Constant folding and per-block constant propagation.
+    const CONST_FOLD: Pass = Pass {
+        name: "const-fold",
+        secs_metric: "ir.pass.const-fold",
+        rewrites_metric: "ir.rewrites.const-fold",
+        run: |f, _| const_fold::run(f),
+        preserves_cfg: true,
+    };
+    /// Per-block copy propagation.
+    const COPY_PROP: Pass = Pass {
+        name: "copy-prop",
+        secs_metric: "ir.pass.copy-prop",
+        rewrites_metric: "ir.rewrites.copy-prop",
+        run: |f, _| copy_prop::run(f),
+        preserves_cfg: true,
+    };
+    /// Common-subexpression and redundant-load elimination (automated O1).
+    const CSE: Pass = Pass {
+        name: "cse",
+        secs_metric: "ir.pass.cse",
+        rewrites_metric: "ir.rewrites.cse",
+        run: |f, _| cse::run(f),
+        preserves_cfg: true,
+    };
+    /// Liveness-driven dead-code elimination.
+    const DCE: Pass = Pass {
+        name: "dce",
+        secs_metric: "ir.pass.dce",
+        rewrites_metric: "ir.rewrites.dce",
+        run: |f, an| {
+            let (_, live) = an.cfg_live(f);
+            dce::run_with(f, live)
+        },
+        preserves_cfg: true,
+    };
+    /// Loop-invariant code motion (inserts preheaders).
+    const LICM: Pass = Pass {
+        name: "licm",
+        secs_metric: "ir.pass.licm",
+        rewrites_metric: "ir.rewrites.licm",
+        run: licm::run,
+        preserves_cfg: false,
+    };
+    /// Integer strength reduction and algebraic identities.
+    const STRENGTH_REDUCE: Pass = Pass {
+        name: "strength-reduce",
+        secs_metric: "ir.pass.strength-reduce",
+        rewrites_metric: "ir.rewrites.strength-reduce",
+        run: |f, _| strength_reduce::run(f),
+        preserves_cfg: true,
+    };
+    /// Bounded full unrolling of constant-trip loops.
+    const UNROLL: Pass = Pass {
+        name: "unroll",
+        secs_metric: "ir.pass.unroll",
+        rewrites_metric: "ir.rewrites.unroll",
+        run: unroll::run,
+        preserves_cfg: false,
     };
 }
 
-/// Constant folding and per-block constant propagation.
-pub struct ConstFold;
-impl Pass for ConstFold {
-    pass_names!("const-fold");
-    fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
-        const_fold::run(f)
-    }
-}
-
-/// Per-block copy propagation.
-pub struct CopyProp;
-impl Pass for CopyProp {
-    pass_names!("copy-prop");
-    fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
-        copy_prop::run(f)
-    }
-}
-
-/// Common-subexpression and redundant-load elimination (automated O1).
-pub struct Cse;
-impl Pass for Cse {
-    pass_names!("cse");
-    fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
-        cse::run(f)
-    }
-}
-
-/// Liveness-driven dead-code elimination.
-pub struct Dce;
-impl Pass for Dce {
-    pass_names!("dce");
-    fn run(&self, f: &mut Function, an: &mut Analyses) -> usize {
-        let (_, lv) = an.cfg_live(f);
-        dce::run_with(f, lv)
-    }
-}
-
-/// Loop-invariant code motion (inserts preheaders).
-pub struct Licm;
-impl Pass for Licm {
-    pass_names!("licm");
-    fn run(&self, f: &mut Function, an: &mut Analyses) -> usize {
-        licm::run(f, an)
-    }
-    fn preserves_cfg(&self) -> bool {
-        false
-    }
-}
-
-/// Integer strength reduction and algebraic identities.
-pub struct StrengthReduce;
-impl Pass for StrengthReduce {
-    pass_names!("strength-reduce");
-    fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
-        strength_reduce::run(f)
-    }
-}
-
-/// Bounded full unrolling of constant-trip loops.
-pub struct Unroll;
-impl Pass for Unroll {
-    pass_names!("unroll");
-    fn run(&self, f: &mut Function, an: &mut Analyses) -> usize {
-        unroll::run(f, an)
-    }
-    fn preserves_cfg(&self) -> bool {
-        false
-    }
-}
+/// The pipelines of [`PassManager::for_level`], one slot per row.
+/// `VariableReuse` runs the exact sequence the paper's automated-O1
+/// experiment used; `Loop` inserts the loop tier between CSE cleanup and
+/// the final DCE.
+const BASIC: &[Pass] = &[Pass::CONST_FOLD, Pass::COPY_PROP, Pass::DCE];
+const VARIABLE_REUSE: &[Pass] = &[
+    Pass::CONST_FOLD,
+    Pass::COPY_PROP,
+    Pass::CSE,
+    Pass::COPY_PROP,
+    Pass::DCE,
+];
+const LOOP: &[Pass] = &[
+    Pass::CONST_FOLD,
+    Pass::COPY_PROP,
+    Pass::CSE,
+    Pass::COPY_PROP,
+    Pass::LICM,
+    Pass::STRENGTH_REDUCE,
+    Pass::UNROLL,
+    Pass::DCE,
+];
 
 /// Upper bound on fixed-point rounds. Every pipeline in this crate
 /// converges far below it; hitting the cap means a pass keeps reporting
@@ -238,7 +242,7 @@ pub const MAX_ROUNDS: usize = 12;
 /// Accumulated statistics for one pipeline slot.
 #[derive(Debug, Clone)]
 pub struct PassRunStats {
-    /// [`Pass::name`] of the pass in this slot.
+    /// Name of the pass in this slot.
     pub name: &'static str,
     /// How many times the slot ran (once per round).
     pub runs: usize,
@@ -304,44 +308,20 @@ impl ModuleReport {
 }
 
 /// An ordered pipeline of passes plus the fixed-point driver.
-#[derive(Default)]
 pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
+    passes: &'static [Pass],
 }
 
 impl PassManager {
-    /// An empty pipeline (runs nothing).
-    pub fn new() -> Self {
-        PassManager { passes: Vec::new() }
-    }
-
-    /// Append a pass to the pipeline.
-    pub fn push(&mut self, p: Box<dyn Pass>) -> &mut Self {
-        self.passes.push(p);
-        self
-    }
-
-    /// The standard pipeline for an optimization level. `VariableReuse`
-    /// runs the exact sequence the paper's automated-O1 experiment used;
-    /// `Loop` inserts the loop tier between CSE cleanup and the final DCE.
+    /// The standard pipeline for an optimization level.
     pub fn for_level(level: OptLevel) -> Self {
-        let mut pm = PassManager::new();
-        if level == OptLevel::None {
-            return pm;
-        }
-        pm.push(Box::new(ConstFold));
-        pm.push(Box::new(CopyProp));
-        if matches!(level, OptLevel::VariableReuse | OptLevel::Loop) {
-            pm.push(Box::new(Cse));
-            pm.push(Box::new(CopyProp));
-        }
-        if level == OptLevel::Loop {
-            pm.push(Box::new(Licm));
-            pm.push(Box::new(StrengthReduce));
-            pm.push(Box::new(Unroll));
-        }
-        pm.push(Box::new(Dce));
-        pm
+        let passes = match level {
+            OptLevel::None => &[],
+            OptLevel::Basic => BASIC,
+            OptLevel::VariableReuse => VARIABLE_REUSE,
+            OptLevel::Loop => LOOP,
+        };
+        PassManager { passes }
     }
 
     /// Drive the pipeline to a fixed point on one function.
@@ -354,7 +334,7 @@ impl PassManager {
             .passes
             .iter()
             .map(|p| PassRunStats {
-                name: p.name(),
+                name: p.name,
                 runs: 0,
                 rewrites: 0,
                 secs: 0.0,
@@ -367,12 +347,13 @@ impl PassManager {
             rounds += 1;
             let mut round_rewrites = 0;
             for (si, p) in self.passes.iter().enumerate() {
-                let (n, secs) = repro_util::timing::time(|| p.run(f, &mut an));
-                let (pass_secs, pass_rewrites) = p.metric_names();
-                repro_util::metrics::observe_secs(pass_secs, secs);
-                repro_util::metrics::counter_add(pass_rewrites, n as u64);
+                let t0 = Instant::now();
+                let n = (p.run)(f, &mut an);
+                let secs = t0.elapsed().as_secs_f64();
+                repro_util::metrics::observe_secs(p.secs_metric, secs);
+                repro_util::metrics::counter_add(p.rewrites_metric, n as u64);
                 if n > 0 {
-                    if p.preserves_cfg() {
+                    if p.preserves_cfg {
                         an.invalidate_dataflow();
                     } else {
                         an.invalidate_all();
@@ -382,12 +363,11 @@ impl PassManager {
                     if let Err(e) = crate::verify::verify_function(f) {
                         panic!(
                             "IR verifier failed after pass `{}` on `{}`: {e}\n{f}",
-                            p.name(),
-                            f.name
+                            p.name, f.name
                         );
                     }
                 }
-                snapshot(f, rounds, si, p.name(), n);
+                snapshot(f, rounds, si, p.name, n);
                 slots[si].runs += 1;
                 slots[si].rewrites += n;
                 slots[si].secs += secs;
@@ -612,19 +592,20 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "IR verifier failed after pass `breaker`")]
     fn broken_pass_is_caught_by_debug_verifier() {
-        struct Breaker;
-        impl Pass for Breaker {
-            pass_names!("breaker");
-            fn run(&self, f: &mut Function, _an: &mut Analyses) -> usize {
+        const BREAKER: Pass = Pass {
+            name: "breaker",
+            secs_metric: "ir.pass.breaker",
+            rewrites_metric: "ir.rewrites.breaker",
+            run: |f, _| {
                 // Point the terminator at a block that does not exist.
                 f.blocks[0].term = crate::Terminator::Br {
                     target: crate::BlockId(999),
                 };
                 1
-            }
-        }
-        let mut pm = PassManager::new();
-        pm.push(Box::new(Breaker));
+            },
+            preserves_cfg: true,
+        };
+        let pm = PassManager { passes: &[BREAKER] };
         let mut f = redundant_kernel();
         pm.run(&mut f);
     }

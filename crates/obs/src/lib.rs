@@ -64,14 +64,6 @@ pub fn trace_id_hex(id: u64) -> String {
     format!("{id:016x}")
 }
 
-/// Parse the wire spelling back ([`trace_id_hex`] round trip).
-pub fn parse_trace_id(s: &str) -> Option<u64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,8 +86,7 @@ mod tests {
         assert_ne!(a, d, "different request differs");
         let hex = trace_id_hex(a);
         assert_eq!(hex.len(), 16);
-        assert_eq!(parse_trace_id(&hex), Some(a));
-        assert_eq!(parse_trace_id("zz"), None);
+        assert_eq!(u64::from_str_radix(&hex, 16), Ok(a));
         let req = Json::obj(vec![("bench", Json::Str("Vecadd".into()))]);
         assert_eq!(trace_id_of(&req, 1), c);
     }

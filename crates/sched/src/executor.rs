@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use repro_diag::{run_isolated, ReproError};
+use repro_util::diag::{run_isolated, ReproError};
 use repro_util::fault::{fire, fire_param, FaultPoint};
 use repro_util::{metrics, span};
 
@@ -492,7 +492,7 @@ fn watcher_loop(shared: &Shared, tick: Duration) {
 mod tests {
     use super::*;
     use crate::job::{Flow, JobRequest, JobStats};
-    use repro_diag::FailureClass;
+    use repro_util::diag::FailureClass;
 
     fn quick_job(id: u64, work: impl FnOnce() -> u64 + Send + 'static) -> Job {
         let mut req = JobRequest::bench("unit", Flow::Interp);

@@ -15,7 +15,7 @@
 //! [`JobStats`] or a classified [`ReproError`]".
 
 use ocl_ir::passes::OptLevel;
-use repro_diag::{FailureClass, ReproError};
+use repro_util::diag::{FailureClass, ReproError};
 use repro_util::span::SpanNode;
 use repro_util::{Json, ToJson};
 

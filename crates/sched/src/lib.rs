@@ -17,7 +17,7 @@
 //!   catch_unwind isolation so one bad kernel cannot take down a batch.
 //!
 //! Layering: this crate sits *below* the benchmark suite (it depends only
-//! on `repro-util`, `repro-diag` and `ocl-ir`), which is what lets the
+//! on `repro-util`, `repro-obs` and `ocl-ir`), which is what lets the
 //! long-running `repro serve` mode, the one-shot CLI verbs, and the unit
 //! tests all share the same scheduler without dependency cycles.
 

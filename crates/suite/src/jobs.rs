@@ -20,10 +20,10 @@
 
 use fpga_arch::{Device, VortexConfig};
 use ocl_ir::interp::{Limits, NdRange};
-use repro_diag::{run_isolated, ReproError};
 use repro_sched::{
     Flow, Job, JobCtx, JobRequest, JobStats, Payload, DEFAULT_MAX_CYCLES, DEFAULT_MAX_INSTRUCTIONS,
 };
+use repro_util::diag::{run_isolated, ReproError};
 use repro_util::span::SpanScope;
 use vortex_cc::MAX_THREADS;
 use vortex_sim::{SimConfig, MAX_CORES, MAX_WARPS};
@@ -291,7 +291,7 @@ mod tests {
             req.flow = flow;
             let err = run_oneshot(&req).unwrap_err();
             assert_eq!(err.kind(), "OutOfMemory", "{flow:?}: {err}");
-            assert_eq!(err.class(), repro_diag::FailureClass::Memory);
+            assert_eq!(err.class(), repro_util::diag::FailureClass::Memory);
         }
     }
 }

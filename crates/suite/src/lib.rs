@@ -24,8 +24,8 @@ pub mod spec;
 
 pub use jobs::{instantiate, run_oneshot, run_request};
 /// The crash-isolation primitive behind `repro check` and the scheduler's
-/// workers; it lives in `repro-diag` next to the failure taxonomy.
-pub use repro_diag::{run_isolated, FailureClass, ReproError};
+/// workers; it lives in `repro_util::diag` next to the failure taxonomy.
+pub use repro_util::diag::{run_isolated, FailureClass, ReproError};
 pub use runner::{run, Backend, RunOutcome, DEFAULT_OPT};
 pub use spec::{Benchmark, HostData, LArg, Launch, Scale, Workload};
 

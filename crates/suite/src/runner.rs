@@ -18,7 +18,7 @@ use hls_flow::analysis::KernelProfile;
 use ocl_ir::interp::{self, KernelArg, Limits, Memory};
 use ocl_ir::passes::OptLevel;
 use ocl_ir::Module;
-use repro_diag::ReproError;
+use repro_util::diag::ReproError;
 use repro_util::metrics;
 use vortex_rt::{Arg, Buffer, VxSession};
 use vortex_sim::{RecordingSink, SimConfig, SimStats, TraceEvent};

@@ -12,7 +12,10 @@
 //!   [`json::ToJson`] trait, covering exactly what the `repro` harness
 //!   serializes;
 //! * [`rng`] — a deterministic SplitMix64 generator for the randomized
-//!   differential tests and the fault engine's draws.
+//!   differential tests and the fault engine's draws;
+//! * [`diag`] — the failure taxonomy of the paper's Table I: every flow's
+//!   [`diag::ReproError`], its [`diag::FailureClass`], and the
+//!   [`diag::run_isolated`] panic boundary.
 //!
 //! The three instruments, each off by default and observably free while
 //! off (one relaxed atomic load per probe):
@@ -24,6 +27,7 @@
 //! * [`fault`] — the seeded fault-injection engine the chaos scenarios
 //!   arm; each fire counts into the registry as `fault.fired`.
 
+pub mod diag;
 pub mod fault;
 pub mod fnv;
 pub mod fxhash;
@@ -31,7 +35,6 @@ pub mod json;
 pub mod metrics;
 pub mod rng;
 pub mod span;
-pub mod timing;
 
 pub use fnv::{fnv1a, Fnv};
 pub use json::{Json, JsonError, ToJson};

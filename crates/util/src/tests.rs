@@ -1,10 +1,12 @@
-//! Unit tests of the fault engine and the span recorder, and the one lock
-//! every test of the crate's process-wide instruments takes: the metrics,
-//! span and fault tests share this binary, and a fault that fires counts
-//! into the registry, so they must not interleave.
+//! Unit tests of the fault engine, the span recorder and the failure
+//! taxonomy, and the one lock every test of the crate's process-wide
+//! instruments takes: the metrics, span and fault tests share this binary,
+//! and a fault that fires counts into the registry, so they must not
+//! interleave.
 
 use std::sync::{Mutex, MutexGuard};
 
+use crate::diag::{panic_message, FailureClass, ReproError, StuckWarp};
 use crate::fault::{
     armed, clear, fire, fire_param, install, report, FaultPlan, FaultPoint, ALL_POINTS,
 };
@@ -184,4 +186,143 @@ fn unclosed_frames_are_closed_at_end_job() {
     let tree = end_job().unwrap();
     disarm();
     assert!(tree.children.is_empty());
+}
+
+#[test]
+fn classes_partition_the_taxonomy() {
+    let stuck = vec![StuckWarp {
+        core: 0,
+        warp: 1,
+        pc: 0x80,
+        barrier: Some((0, 4)),
+        arrived: 2,
+    }];
+    let cases: Vec<(ReproError, FailureClass)> = vec![
+        (
+            ReproError::Frontend {
+                stage: "parse",
+                message: "x".into(),
+                line: 3,
+                col: 7,
+            },
+            FailureClass::Compile,
+        ),
+        (
+            ReproError::Synthesis {
+                reason: "Irregular".into(),
+                hours: 40.0,
+            },
+            FailureClass::Synthesis,
+        ),
+        (
+            ReproError::OutOfBounds {
+                addr: 0x1000,
+                pc: 0,
+                space: "global".into(),
+            },
+            FailureClass::Memory,
+        ),
+        (
+            ReproError::BarrierDeadlock {
+                stuck: stuck.clone(),
+            },
+            FailureClass::Deadlock,
+        ),
+        (
+            ReproError::DivergenceDeadlock { stuck },
+            FailureClass::Deadlock,
+        ),
+        (ReproError::CycleBudget { limit: 10 }, FailureClass::Hang),
+        (
+            ReproError::DeadlineExceeded { deadline_ms: 250 },
+            FailureClass::Hang,
+        ),
+        (
+            ReproError::Panic {
+                message: "boom".into(),
+            },
+            FailureClass::Panic,
+        ),
+    ];
+    for (err, class) in cases {
+        assert_eq!(err.class(), class, "{err}");
+    }
+}
+
+#[test]
+fn display_names_stuck_warps() {
+    let err = ReproError::BarrierDeadlock {
+        stuck: vec![StuckWarp {
+            core: 1,
+            warp: 2,
+            pc: 0x40,
+            barrier: Some((0, 8)),
+            arrived: 4,
+        }],
+    };
+    let text = err.to_string();
+    assert!(text.contains("core 1 warp 2"), "{text}");
+    assert!(text.contains("barrier 0 (4/8 arrived)"), "{text}");
+}
+
+#[test]
+fn json_carries_class_and_payload() {
+    let err = ReproError::Misaligned {
+        addr: 0x1001,
+        align: 4,
+        pc: 0x20,
+        space: "global".into(),
+    };
+    let j = err.to_json();
+    assert_eq!(j.get("class").unwrap().as_str(), Some("Memory"));
+    assert_eq!(j.get("kind").unwrap().as_str(), Some("Misaligned"));
+    assert_eq!(j.get("addr").unwrap().as_u64(), Some(0x1001));
+}
+
+#[test]
+fn transient_split_is_conservative() {
+    // Transient: worth a retry.
+    assert!(ReproError::DeadlineExceeded { deadline_ms: 5 }.is_transient());
+    assert!(ReproError::Panic {
+        message: "x".into()
+    }
+    .is_transient());
+    assert!(ReproError::Overloaded {
+        queued: 9,
+        limit: 8
+    }
+    .is_transient());
+    assert!(ReproError::Draining.is_transient());
+    // Permanent: deterministic properties of the job.
+    assert!(!ReproError::harness("bad args").is_transient());
+    assert!(!ReproError::CycleBudget { limit: 10 }.is_transient());
+    assert!(!ReproError::WrongResult {
+        message: "x".into()
+    }
+    .is_transient());
+    assert!(!ReproError::Verify {
+        message: "x".into()
+    }
+    .is_transient());
+}
+
+#[test]
+fn overload_and_drain_are_typed_harness_rejections() {
+    let err = ReproError::Overloaded {
+        queued: 12,
+        limit: 8,
+    };
+    assert_eq!(err.class(), FailureClass::Harness);
+    let j = err.to_json();
+    assert_eq!(j.get("kind").unwrap().as_str(), Some("Overloaded"));
+    assert_eq!(j.get("queued").unwrap().as_u64(), Some(12));
+    assert_eq!(j.get("limit").unwrap().as_u64(), Some(8));
+    assert_eq!(ReproError::Draining.class(), FailureClass::Harness);
+    assert_eq!(ReproError::Draining.kind(), "Draining");
+}
+
+#[test]
+fn panic_payloads_downcast() {
+    let err = std::panic::catch_unwind(|| panic!("kernel bug {}", 7)).unwrap_err();
+    assert_eq!(panic_message(err.as_ref()), "kernel bug 7");
 }

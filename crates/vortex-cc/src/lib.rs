@@ -95,9 +95,9 @@ impl std::fmt::Display for CodegenError {
 
 impl std::error::Error for CodegenError {}
 
-impl From<CodegenError> for repro_diag::ReproError {
+impl From<CodegenError> for repro_util::diag::ReproError {
     fn from(e: CodegenError) -> Self {
-        repro_diag::ReproError::Codegen {
+        repro_util::diag::ReproError::Codegen {
             message: e.to_string(),
         }
     }

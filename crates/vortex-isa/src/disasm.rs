@@ -60,16 +60,6 @@ impl fmt::Display for Operand {
     }
 }
 
-/// Render a whole program with instruction indices.
-pub fn disassemble(instrs: &[Instr]) -> String {
-    use std::fmt::Write;
-    let mut s = String::with_capacity(instrs.len() * 24);
-    for (i, instr) in instrs.iter().enumerate() {
-        writeln!(s, "{i:6}: {instr}").expect("string write");
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +95,5 @@ mod tests {
             "vx.split x7, +4"
         );
         assert_eq!(Instr::Halt.to_string(), "vx.halt");
-    }
-
-    #[test]
-    fn disassemble_numbers_lines() {
-        let s = disassemble(&[Instr::Halt, Instr::Join { off: -2 }]);
-        assert!(s.contains("0: vx.halt"));
-        assert!(s.contains("1: vx.join -2"));
     }
 }

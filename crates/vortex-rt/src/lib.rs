@@ -92,9 +92,9 @@ impl From<Box<SimFault>> for RtError {
     }
 }
 
-impl From<RtError> for repro_diag::ReproError {
+impl From<RtError> for repro_util::diag::ReproError {
     fn from(e: RtError) -> Self {
-        use repro_diag::ReproError as R;
+        use repro_util::diag::ReproError as R;
         match e {
             RtError::Sim(e) => e.into(),
             RtError::Fault(f) => f.error.into(),

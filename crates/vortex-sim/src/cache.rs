@@ -9,12 +9,6 @@ pub struct CacheConfig {
     pub line_bytes: u32,
 }
 
-impl CacheConfig {
-    pub fn capacity_bytes(&self) -> u32 {
-        self.sets * self.ways * self.line_bytes
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
     tag: u32,
@@ -150,19 +144,6 @@ mod tests {
         assert!(!c.access(b, 4), "b was evicted; refilling evicts a (LRU)");
         assert!(c.access(d, 5), "d survived (more recent than a was)");
         assert!(!c.access(a, 6), "a was the LRU victim of step 4");
-    }
-
-    #[test]
-    fn capacity_math() {
-        assert_eq!(
-            CacheConfig {
-                sets: 64,
-                ways: 4,
-                line_bytes: 64
-            }
-            .capacity_bytes(),
-            16384
-        );
     }
 
     #[test]

@@ -578,7 +578,7 @@ impl Core {
     /// resume PC (the instruction after the barrier) and how many warps
     /// have arrived so far — the payload of a deadlock report. Pure state
     /// inspection, so both scheduler loops report the identical set.
-    pub fn stuck_warps(&self) -> Vec<repro_diag::StuckWarp> {
+    pub fn stuck_warps(&self) -> Vec<repro_util::diag::StuckWarp> {
         self.warps
             .iter()
             .enumerate()
@@ -591,7 +591,7 @@ impl Core {
                     .find(|(k, _)| *k == key)
                     .map(|(_, n)| *n)
                     .unwrap_or(0);
-                repro_diag::StuckWarp {
+                repro_util::diag::StuckWarp {
                     core: self.id,
                     warp: wi as u32,
                     pc: w.pc,

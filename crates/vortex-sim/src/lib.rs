@@ -153,7 +153,7 @@ pub enum SimError {
     /// or never spawned) — the count was reachable had that warp
     /// participated, i.e. a barrier was executed under divergence.
     Deadlock {
-        stuck: Vec<repro_diag::StuckWarp>,
+        stuck: Vec<repro_util::diag::StuckWarp>,
         divergence: bool,
     },
     /// Decode failure on fetch.
@@ -193,9 +193,9 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-impl From<SimError> for repro_diag::ReproError {
+impl From<SimError> for repro_util::diag::ReproError {
     fn from(e: SimError) -> Self {
-        use repro_diag::ReproError as R;
+        use repro_util::diag::ReproError as R;
         let space = |addr: u32| {
             if SimMemory::is_local(addr) {
                 "local".to_string()
@@ -256,7 +256,7 @@ impl std::fmt::Display for SimFault {
 
 impl std::error::Error for SimFault {}
 
-impl From<Box<SimFault>> for repro_diag::ReproError {
+impl From<Box<SimFault>> for repro_util::diag::ReproError {
     fn from(f: Box<SimFault>) -> Self {
         f.error.into()
     }

@@ -18,13 +18,6 @@ pub struct CoreProfile {
     pub warp_issues: Vec<u64>,
 }
 
-impl CoreProfile {
-    /// Issued + stalled cycles: the cycles this core was live.
-    pub fn live_cycles(&self) -> u64 {
-        self.issued + self.stalls.iter().sum::<u64>()
-    }
-}
-
 /// Aggregated view of one launch's event trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchProfile {
@@ -206,8 +199,9 @@ mod tests {
         assert_eq!(p.stall_total(), 11);
         assert_eq!(p.per_core[0].issued, 2);
         assert_eq!(p.per_core[0].warp_issues, vec![1, 1]);
-        assert_eq!(p.per_core[0].live_cycles(), 10);
-        assert_eq!(p.per_core[1].live_cycles(), 4);
+        assert_eq!(p.per_core[0].stalls[StallKind::Scoreboard.index()], 8);
+        assert_eq!(p.per_core[1].issued, 1);
+        assert_eq!(p.per_core[1].stalls[StallKind::LsuFull.index()], 3);
         assert_eq!(p.stall_ranking()[0], (StallKind::Scoreboard, 8));
     }
 

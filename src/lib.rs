@@ -6,10 +6,10 @@ pub use ocl_ir as ir;
 pub use ocl_suite as suite;
 pub use repro_cache as cache;
 pub use repro_core as repro;
-pub use repro_diag as diag;
 pub use repro_obs as obs;
 pub use repro_sched as sched;
 pub use repro_util as util;
+pub use repro_util::diag;
 pub use repro_util::fault;
 pub use vortex_cc as vcc;
 pub use vortex_isa as visa;
