@@ -643,7 +643,6 @@ const CACHE_DIR: &str = "runs/cache";
 fn cache_config() -> repro_cache::CacheConfig {
     repro_cache::CacheConfig {
         disk_dir: Some(CACHE_DIR.into()),
-        ..Default::default()
     }
 }
 

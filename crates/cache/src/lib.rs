@@ -142,22 +142,14 @@ pub struct Key {
     pub hash: u64,
 }
 
+/// Capacity of a [`Cache`]'s in-memory tier, in entries.
+const MEM_ENTRIES: usize = 512;
+
 /// Construction options for a [`Cache`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CacheConfig {
-    /// Capacity of the in-memory tier, in entries.
-    pub mem_entries: usize,
     /// Root of the on-disk tier; `None` keeps the cache memory-only.
     pub disk_dir: Option<PathBuf>,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            mem_entries: 512,
-            disk_dir: None,
-        }
-    }
 }
 
 /// Point-in-time counters of one cache instance. Unlike the mirrored global
@@ -254,7 +246,7 @@ impl Cache {
         let degraded = disk_requested && disk.is_none();
         Cache {
             mem: Mutex::new(MemTier {
-                lru: lru::Lru::new(config.mem_entries),
+                lru: lru::Lru::new(MEM_ENTRIES),
                 bytes: 0,
             }),
             disk,
@@ -853,10 +845,7 @@ pub fn global() -> &'static Cache {
         let disk_dir = std::env::var_os("REPRO_CACHE_DIR")
             .filter(|v| !v.is_empty())
             .map(PathBuf::from);
-        Cache::new(CacheConfig {
-            disk_dir,
-            ..CacheConfig::default()
-        })
+        Cache::new(CacheConfig { disk_dir })
     })
 }
 
@@ -1015,7 +1004,6 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
         std::fs::write(&file, b"x").unwrap();
         let cache = Cache::new(CacheConfig {
             disk_dir: Some(file.clone()),
-            ..CacheConfig::default()
         });
         assert!(!cache.disk_active());
         assert!(cache.disk_dir().is_none());
@@ -1033,7 +1021,6 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
         fault::install(&fault::FaultPlan::new(7).always(fault::FaultPoint::CacheDiskOpen, 0));
         let cache = Cache::new(CacheConfig {
             disk_dir: Some(dir.clone()),
-            ..CacheConfig::default()
         });
         fault::clear();
         assert!(!cache.disk_active(), "probe fault must disable the tier");
@@ -1047,7 +1034,6 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
         let dir = tmp_dir("enospc");
         let cache = Cache::new(CacheConfig {
             disk_dir: Some(dir.clone()),
-            ..CacheConfig::default()
         });
         assert!(cache.disk_active());
         fault::install(&fault::FaultPlan::new(8).always(fault::FaultPoint::CacheDiskEnospc, 0));
@@ -1080,7 +1066,6 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
         for (i, point) in damage.into_iter().enumerate() {
             let writer = Cache::new(CacheConfig {
                 disk_dir: Some(dir.clone()),
-                ..CacheConfig::default()
             });
             fault::install(&fault::FaultPlan::new(9 + i as u64).always(point, 0));
             let cold = writer.lower(SRC).unwrap();
@@ -1090,7 +1075,6 @@ __kernel void hist(__global const uint* in, __global uint* out, int n) {
             // identical module rather than serving garbage.
             let reader = Cache::new(CacheConfig {
                 disk_dir: Some(dir.clone()),
-                ..CacheConfig::default()
             });
             let warm = reader.lower(SRC).unwrap();
             assert_eq!(cold, warm, "{point:?}");

@@ -23,7 +23,8 @@ use fpga_arch::VortexConfig;
 use ocl_ir::interp::NdRange;
 use ocl_suite::RunOutcome;
 use repro_util::{Json, ToJson};
-use vortex_sim::SimConfig;
+use vortex_sim::dram::{BASE_LATENCY, BUS_BYTES_PER_CYCLE};
+use vortex_sim::{SimConfig, MSHRS};
 
 /// Model output.
 #[derive(Debug, Clone)]
@@ -62,7 +63,7 @@ pub fn predict(counts: &RunOutcome, nd: &NdRange, cfg: &SimConfig) -> AnalyticPr
     // DRAM row buffers: effective bandwidth decays with concurrent streams.
     let bytes = (counts.global_loads + counts.global_stores) as f64 * 4.0;
     let streams = (c * w).max(1.0);
-    let peak_bw = cfg.dram.bus_bytes_per_cycle as f64;
+    let peak_bw = BUS_BYTES_PER_CYCLE as f64;
     let row_hit_factor = 1.0 / (1.0 + 0.08 * streams);
     let bw_eff = peak_bw * (0.35 + 0.65 * row_hit_factor);
     let memory = bytes / bw_eff;
@@ -71,8 +72,8 @@ pub fn predict(counts: &RunOutcome, nd: &NdRange, cfg: &SimConfig) -> AnalyticPr
     // parallelism (bounded by MSHRs) hides it.
     let line = cfg.dcache.line_bytes as f64;
     let misses = (bytes / line).max(1.0);
-    let hiding = w.min(cfg.mshrs as f64).max(1.0);
-    let latency = misses * (cfg.dram.base_latency as f64 + 12.0) / (hiding * c);
+    let hiding = w.min(MSHRS as f64).max(1.0);
+    let latency = misses * (BASE_LATENCY as f64 + 12.0) / (hiding * c);
 
     let (bound, dominant) = [("issue", issue), ("memory", memory), ("latency", latency)]
         .into_iter()

@@ -274,10 +274,7 @@ fn cache_chaos(
     clear();
     let sources = ["Vecadd", "Saxpy", "Sgemm"].map(bench_src);
     let reference: Vec<Result<u64, String>> = {
-        let mem = Cache::new(CacheConfig {
-            disk_dir: None,
-            ..Default::default()
-        });
+        let mem = Cache::new(CacheConfig::default());
         sources.iter().map(|s| module_hash(&mem, s)).collect()
     };
     let dir = chaos_dir(tag, seed);
@@ -285,7 +282,6 @@ fn cache_chaos(
     install(&plan);
     let cache = Cache::new(CacheConfig {
         disk_dir: Some(dir.clone()),
-        ..Default::default()
     });
     let mut violations = Vec::new();
     let mut ok = 0u64;
@@ -371,13 +367,11 @@ fn run_cache_torn_write(seed: u64) -> RunReport {
     );
     let writer = Cache::new(CacheConfig {
         disk_dir: Some(dir.clone()),
-        ..Default::default()
     });
     let want = module_hash(&writer, bench_src("Vecadd"));
     clear();
     let reader = Cache::new(CacheConfig {
         disk_dir: Some(dir.clone()),
-        ..Default::default()
     });
     let got = module_hash(&reader, bench_src("Vecadd"));
     let stats = reader.stats();

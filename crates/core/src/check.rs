@@ -18,16 +18,11 @@ use crate::manifest::RunManifest;
 use crate::report::Table;
 use fpga_arch::VortexConfig;
 use ocl_suite::{all_benchmarks, FailureClass, ReproError, Scale};
-use repro_sched::{ExecConfig, Executor, Flow, JobRequest, JobStats, Payload};
+use repro_sched::{
+    ExecConfig, Executor, Flow, JobRequest, JobStats, Payload, DEFAULT_MAX_CYCLES,
+    DEFAULT_MAX_INSTRUCTIONS,
+};
 use repro_util::{Json, ToJson};
-
-/// Watchdog budgets for the sweep. `Scale::Test` benchmarks finish in well
-/// under a million cycles; these ceilings are generous enough to never trip
-/// on a healthy kernel while still bounding a runaway one to seconds.
-/// These are the scheduler-wide defaults — every job submitted without
-/// explicit budgets runs under exactly these ceilings.
-pub const CHECK_MAX_CYCLES: u64 = repro_sched::DEFAULT_MAX_CYCLES;
-pub const CHECK_MAX_INSTRUCTIONS: u64 = repro_sched::DEFAULT_MAX_INSTRUCTIONS;
 
 /// One flow's outcome plus its host-side wall-clock.
 #[derive(Debug, Clone)]
@@ -131,7 +126,7 @@ impl ToJson for CheckRow {
                 "vortex",
                 outcome_json(
                     &self.vortex,
-                    Some((CHECK_MAX_CYCLES, CHECK_MAX_INSTRUCTIONS)),
+                    Some((DEFAULT_MAX_CYCLES, DEFAULT_MAX_INSTRUCTIONS)),
                 ),
             ),
             ("hls", outcome_json(&self.hls, None)),
@@ -349,7 +344,7 @@ pub(crate) mod tests {
                 assert!((0.0..0.5).contains(&frac), "cycles_frac {frac}");
                 assert_eq!(
                     budget.get("max_cycles").and_then(|x| x.as_u64()),
-                    Some(CHECK_MAX_CYCLES)
+                    Some(DEFAULT_MAX_CYCLES)
                 );
             }
         }

@@ -41,7 +41,7 @@ pub mod tables;
 pub use chaos::{chaos_json, render_chaos, run_chaos, ScenarioReport, CHAOS_SEED};
 pub use check::{
     check_has_hard_failure, check_json, check_requests, check_suite, check_suite_on, fill_manifest,
-    render_check, CheckRow, FlowCheck, CHECK_MAX_CYCLES, CHECK_MAX_INSTRUCTIONS,
+    render_check, CheckRow, FlowCheck,
 };
 pub use chrome_trace::{chrome_trace, chrome_trace_serve};
 pub use coverage::{coverage_table, CoverageRow};

@@ -12,9 +12,9 @@
 //!
 //! The manager drives the selected pipeline to a fixed point (bounded by
 //! [`MAX_ROUNDS`]), re-verifies the IR after every pass in debug builds,
-//! records per-pass rewrite counts and wall-clock time in a
-//! [`FunctionReport`], and — with the `OCL_IR_SNAPSHOT` environment
-//! variable set — dumps the IR between passes for debugging.
+//! and records per-pass rewrite counts and wall-clock time in a
+//! [`FunctionReport`]. To look at the IR between passes, print the
+//! [`Function`] with its `Display` impl.
 
 pub mod const_fold;
 pub mod copy_prop;
@@ -367,7 +367,6 @@ impl PassManager {
                         );
                     }
                 }
-                snapshot(f, rounds, si, p.name, n);
                 slots[si].runs += 1;
                 slots[si].rewrites += n;
                 slots[si].secs += secs;
@@ -387,31 +386,6 @@ impl PassManager {
             insts_after: f.num_insts(),
             passes: slots,
         }
-    }
-}
-
-/// Best-effort IR dump between passes, gated on `OCL_IR_SNAPSHOT`:
-/// `1`/`stderr` prints to stderr, anything else names a directory that
-/// receives one file per (kernel, round, slot) that rewrote something.
-fn snapshot(f: &Function, round: usize, slot: usize, pass: &str, rewrites: usize) {
-    if rewrites == 0 {
-        return;
-    }
-    let Ok(dest) = std::env::var("OCL_IR_SNAPSHOT") else {
-        return;
-    };
-    let text = format!(
-        "; {}: round {round} slot {slot} `{pass}` ({rewrites} rewrites)\n{f}",
-        f.name
-    );
-    if dest == "1" || dest == "stderr" {
-        eprintln!("{text}");
-    } else {
-        let _ = std::fs::create_dir_all(&dest);
-        let _ = std::fs::write(
-            format!("{dest}/{}_r{round:02}_s{slot:02}_{pass}.ir", f.name),
-            text,
-        );
     }
 }
 

@@ -15,8 +15,13 @@ pub const HEAP_BASE: u32 = 0x0010_0000;
 /// Harts the printf region holds (8 192): a machine with more cannot run a
 /// kernel that prints, or the last harts' buffers would land in the heap.
 pub const PRINTF_HARTS: u32 = (HEAP_BASE - PRINTF_BASE) / PRINTF_STRIDE;
+/// Bytes of global memory, mapped from address 0; the runtime puts the
+/// top of the per-hart stacks at its end.
+pub const GLOBAL_MEM_BYTES: u32 = 64 << 20;
 /// Per-core local (work-group) memory window base.
 pub const LOCAL_BASE: u32 = 0x8000_0000;
+/// Bytes in each core's local memory window.
+pub const LOCAL_MEM_BYTES: u32 = 64 << 10;
 
 /// Offsets (bytes, within the ARG block) of launch geometry fields.
 pub mod arg {
@@ -49,6 +54,8 @@ mod tests {
         assert!(ARG_BASE + arg::KERNEL_ARGS + 4 * 64 < PRINTF_BASE);
         assert_eq!(PRINTF_HARTS, 8192);
         assert!(PRINTF_BASE + PRINTF_STRIDE * PRINTF_HARTS <= HEAP_BASE);
-        assert!(HEAP_BASE < LOCAL_BASE);
+        assert!(HEAP_BASE < GLOBAL_MEM_BYTES);
+        assert!(GLOBAL_MEM_BYTES <= LOCAL_BASE);
+        assert!(LOCAL_BASE.checked_add(LOCAL_MEM_BYTES).is_some());
     }
 }

@@ -146,7 +146,7 @@ impl VxSession {
                 k.name, k.threads, cfg.hw.threads
             );
         }
-        let mem_top = cfg.global_mem_bytes;
+        let mem_top = layout::GLOBAL_MEM_BYTES;
         let total_warps = cfg.hw.cores * cfg.hw.warps;
         let max_stack = kernels
             .iter()
@@ -328,10 +328,11 @@ impl VxSession {
                     kernel.name, cfg.hw.threads
                 )));
             }
-            if kernel.local_bytes > cfg.local_mem_bytes {
+            if kernel.local_bytes > layout::LOCAL_MEM_BYTES {
                 return Err(RtError::BadLaunch(format!(
                     "kernel needs {} bytes of local memory, core has {}",
-                    kernel.local_bytes, cfg.local_mem_bytes
+                    kernel.local_bytes,
+                    layout::LOCAL_MEM_BYTES
                 )));
             }
         }
@@ -349,7 +350,7 @@ impl VxSession {
         w(&mut self.sim, arg::GROUPS_X, groups[0])?;
         w(&mut self.sim, arg::GROUPS_Y, groups[1])?;
         w(&mut self.sim, arg::GROUPS_Z, groups[2])?;
-        w(&mut self.sim, arg::STACK_TOP, cfg.global_mem_bytes)?;
+        w(&mut self.sim, arg::STACK_TOP, layout::GLOBAL_MEM_BYTES)?;
         w(&mut self.sim, arg::STACK_STRIDE, warp_stack_bytes)?;
         w(
             &mut self.sim,

@@ -18,10 +18,22 @@ use crate::memsys::MemView;
 use crate::stats::{CoreStats, StallKind};
 use crate::tcache::{Op, Text};
 use crate::trace::{CacheLevel, TraceEvent, TraceSink};
-use crate::{SimConfig, SimError, MAX_THREADS, MAX_WARPS};
+use crate::{SimConfig, SimError, MAX_THREADS, MAX_WARPS, MSHRS};
 use vortex_isa::encode::Opcode as O;
 use vortex_isa::layout::{PRINTF_BASE, PRINTF_STRIDE};
 use vortex_isa::{AluOp, AmoOp, CvtOp, FpCmpOp, FpOp, FpUnOp, MulOp, PrintArg, Program};
+
+// Execution-unit latencies in cycles.
+const LAT_ALU: u32 = 2;
+const LAT_MUL: u32 = 4;
+const LAT_DIV: u32 = 16;
+const LAT_FPU: u32 = 6;
+const LAT_FDIV: u32 = 16;
+const LAT_SFU: u32 = 12;
+/// D-cache hit latency.
+const LAT_DCACHE: u32 = 2;
+/// L2 hit latency.
+const LAT_L2: u32 = 10;
 
 /// IPDOM stack entries for SPLIT/JOIN (§II-D).
 #[derive(Debug, Clone, Copy)]
@@ -144,15 +156,6 @@ pub struct Core {
     /// a by-product of the issue scan so the event-driven run loop never
     /// needs a second pass over the warps.
     next_event: u64,
-    // Cached latencies.
-    lat_alu: u32,
-    lat_mul: u32,
-    lat_div: u32,
-    lat_fpu: u32,
-    lat_fdiv: u32,
-    lat_sfu: u32,
-    lat_dcache: u32,
-    lat_l2: u32,
     num_cores: u32,
     pub stats: CoreStats,
 }
@@ -182,7 +185,7 @@ impl Core {
             fregs: vec![0; regs],
             row_tmp: [0; 64],
             ready: vec![0; (w * 64) as usize],
-            mshr_free: vec![0; cfg.mshrs as usize],
+            mshr_free: vec![0; MSHRS as usize],
             mshr_min: 0,
             lsu_next_free: 0,
             dcache: Cache::new(cfg.dcache),
@@ -200,14 +203,6 @@ impl Core {
             parked_mask: 0,
             barrier_waiters: Vec::new(),
             next_event: 0,
-            lat_alu: cfg.lat_alu,
-            lat_mul: cfg.lat_mul,
-            lat_div: cfg.lat_div,
-            lat_fpu: cfg.lat_fpu,
-            lat_fdiv: cfg.lat_fdiv,
-            lat_sfu: cfg.lat_sfu,
-            lat_dcache: cfg.lat_dcache,
-            lat_l2: cfg.lat_l2,
             num_cores: cfg.hw.cores,
             stats: CoreStats::default(),
         }
@@ -683,7 +678,7 @@ impl Core {
             let d = self.row(wi, rd);
             lanes0(&mut self.iregs[d], part, f);
         }
-        self.lat_alu.into()
+        LAT_ALU.into()
     }
 
     /// Integer `rd = v` on every active lane; one ALU latency.
@@ -706,7 +701,7 @@ impl Core {
             let b = op.imm as u32;
             lanes1(dst, a, part, |x| f(x, b));
         }
-        self.lat_alu.into()
+        LAT_ALU.into()
     }
 
     /// Integer `rd = f(rs1, rs2)` from a `lat`-cycle unit.
@@ -773,7 +768,7 @@ impl Core {
             );
             lanes2(&mut self.iregs[d], &self.fregs[a], &self.fregs[b], part, f);
         }
-        self.lat_fpu.into()
+        LAT_FPU.into()
     }
 
     /// `rd = f(rs1)` from the float file into the integer file (`to_int`)
@@ -796,7 +791,7 @@ impl Core {
             };
             lanes1(dst, a, part, f);
         }
-        self.lat_fpu.into()
+        LAT_FPU.into()
     }
 
     /// A branch on `taken(rs1, rs2)`. Branches are warp-uniform by
@@ -807,7 +802,7 @@ impl Core {
         if taken(self.read_uniform(wi, op.rs1), self.read_uniform(wi, op.rs2)) {
             *next_pc = self.warps[wi as usize].pc.wrapping_add(op.imm as u32);
         }
-        self.lat_alu.into()
+        LAT_ALU.into()
     }
 
     /// An atomic `f`: one serialized access per active lane, bypassing
@@ -886,40 +881,38 @@ impl Core {
             O::Srai => self.int_imm(wi, op, part, |x, y| alu(AluOp::Sra, x, y)),
             O::Ori => self.int_imm(wi, op, part, |x, y| alu(AluOp::Or, x, y)),
             O::Andi => self.int_imm(wi, op, part, |x, y| alu(AluOp::And, x, y)),
-            O::Add => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Add, x, y)),
-            O::Sub => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Sub, x, y)),
-            O::Sll => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Sll, x, y)),
-            O::Slt => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Slt, x, y)),
-            O::Sltu => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Sltu, x, y)),
-            O::Xor => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Xor, x, y)),
-            O::Srl => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Srl, x, y)),
-            O::Sra => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Sra, x, y)),
-            O::Or => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::Or, x, y)),
-            O::And => self.int_op(wi, op, part, self.lat_alu, |x, y| alu(AluOp::And, x, y)),
-            O::Mul => self.int_op(wi, op, part, self.lat_mul, |x, y| muldiv(MulOp::Mul, x, y)),
-            O::Mulh => self.int_op(wi, op, part, self.lat_mul, |x, y| muldiv(MulOp::Mulh, x, y)),
-            O::Mulhu => self.int_op(wi, op, part, self.lat_mul, |x, y| {
-                muldiv(MulOp::Mulhu, x, y)
-            }),
-            O::Div => self.int_op(wi, op, part, self.lat_div, |x, y| muldiv(MulOp::Div, x, y)),
-            O::Divu => self.int_op(wi, op, part, self.lat_div, |x, y| muldiv(MulOp::Divu, x, y)),
-            O::Rem => self.int_op(wi, op, part, self.lat_div, |x, y| muldiv(MulOp::Rem, x, y)),
-            O::Remu => self.int_op(wi, op, part, self.lat_div, |x, y| muldiv(MulOp::Remu, x, y)),
-            O::Fadd => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Add, x, y)),
-            O::Fsub => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Sub, x, y)),
-            O::Fmul => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Mul, x, y)),
-            O::Fdiv => self.fp_op2(wi, op, part, self.lat_fdiv, |x, y| fp_op(FpOp::Div, x, y)),
-            O::Fmin => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Min, x, y)),
-            O::Fmax => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Max, x, y)),
-            O::Fsgnj => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::Sgnj, x, y)),
-            O::Fsgnjn => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::SgnjN, x, y)),
-            O::Fsgnjx => self.fp_op2(wi, op, part, self.lat_fpu, |x, y| fp_op(FpOp::SgnjX, x, y)),
-            O::Fsqrt => self.fp_op1(wi, op, part, self.lat_fdiv, |x| fp_un(FpUnOp::Sqrt, x)),
-            O::Fexp => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Exp, x)),
-            O::Flog => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Log, x)),
-            O::Fsin => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Sin, x)),
-            O::Fcos => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Cos, x)),
-            O::Ffloor => self.fp_op1(wi, op, part, self.lat_sfu, |x| fp_un(FpUnOp::Floor, x)),
+            O::Add => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Add, x, y)),
+            O::Sub => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Sub, x, y)),
+            O::Sll => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Sll, x, y)),
+            O::Slt => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Slt, x, y)),
+            O::Sltu => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Sltu, x, y)),
+            O::Xor => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Xor, x, y)),
+            O::Srl => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Srl, x, y)),
+            O::Sra => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Sra, x, y)),
+            O::Or => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::Or, x, y)),
+            O::And => self.int_op(wi, op, part, LAT_ALU, |x, y| alu(AluOp::And, x, y)),
+            O::Mul => self.int_op(wi, op, part, LAT_MUL, |x, y| muldiv(MulOp::Mul, x, y)),
+            O::Mulh => self.int_op(wi, op, part, LAT_MUL, |x, y| muldiv(MulOp::Mulh, x, y)),
+            O::Mulhu => self.int_op(wi, op, part, LAT_MUL, |x, y| muldiv(MulOp::Mulhu, x, y)),
+            O::Div => self.int_op(wi, op, part, LAT_DIV, |x, y| muldiv(MulOp::Div, x, y)),
+            O::Divu => self.int_op(wi, op, part, LAT_DIV, |x, y| muldiv(MulOp::Divu, x, y)),
+            O::Rem => self.int_op(wi, op, part, LAT_DIV, |x, y| muldiv(MulOp::Rem, x, y)),
+            O::Remu => self.int_op(wi, op, part, LAT_DIV, |x, y| muldiv(MulOp::Remu, x, y)),
+            O::Fadd => self.fp_op2(wi, op, part, LAT_FPU, |x, y| fp_op(FpOp::Add, x, y)),
+            O::Fsub => self.fp_op2(wi, op, part, LAT_FPU, |x, y| fp_op(FpOp::Sub, x, y)),
+            O::Fmul => self.fp_op2(wi, op, part, LAT_FPU, |x, y| fp_op(FpOp::Mul, x, y)),
+            O::Fdiv => self.fp_op2(wi, op, part, LAT_FDIV, |x, y| fp_op(FpOp::Div, x, y)),
+            O::Fmin => self.fp_op2(wi, op, part, LAT_FPU, |x, y| fp_op(FpOp::Min, x, y)),
+            O::Fmax => self.fp_op2(wi, op, part, LAT_FPU, |x, y| fp_op(FpOp::Max, x, y)),
+            O::Fsgnj => self.fp_op2(wi, op, part, LAT_FPU, |x, y| fp_op(FpOp::Sgnj, x, y)),
+            O::Fsgnjn => self.fp_op2(wi, op, part, LAT_FPU, |x, y| fp_op(FpOp::SgnjN, x, y)),
+            O::Fsgnjx => self.fp_op2(wi, op, part, LAT_FPU, |x, y| fp_op(FpOp::SgnjX, x, y)),
+            O::Fsqrt => self.fp_op1(wi, op, part, LAT_FDIV, |x| fp_un(FpUnOp::Sqrt, x)),
+            O::Fexp => self.fp_op1(wi, op, part, LAT_SFU, |x| fp_un(FpUnOp::Exp, x)),
+            O::Flog => self.fp_op1(wi, op, part, LAT_SFU, |x| fp_un(FpUnOp::Log, x)),
+            O::Fsin => self.fp_op1(wi, op, part, LAT_SFU, |x| fp_un(FpUnOp::Sin, x)),
+            O::Fcos => self.fp_op1(wi, op, part, LAT_SFU, |x| fp_un(FpUnOp::Cos, x)),
+            O::Ffloor => self.fp_op1(wi, op, part, LAT_SFU, |x| fp_un(FpUnOp::Floor, x)),
             O::Feq => self.fp_cmp2(wi, op, part, |x, y| fp_cmp(FpCmpOp::Eq, x, y)),
             O::Flt => self.fp_cmp2(wi, op, part, |x, y| fp_cmp(FpCmpOp::Lt, x, y)),
             O::Fle => self.fp_cmp2(wi, op, part, |x, y| fp_cmp(FpCmpOp::Le, x, y)),
@@ -1006,7 +999,7 @@ impl Core {
                     self.active_n -= 1;
                     self.ready_mask &= !(1 << wi);
                 }
-                self.lat_sfu.into()
+                LAT_SFU.into()
             }
             O::Wspawn => {
                 let count = self.read_uniform(wi, op.rs1).min(self.warps_n);
@@ -1036,7 +1029,7 @@ impl Core {
                     // The spawn moved this warp's PC.
                     self.write_snap(w, entry, text);
                 }
-                self.lat_sfu.into()
+                LAT_SFU.into()
             }
             O::Split => {
                 let taken = self.nonzero_lanes(wi, op.rs1) & tmask;
@@ -1057,7 +1050,7 @@ impl Core {
                     });
                     w.tmask = taken;
                 }
-                self.lat_sfu.into()
+                LAT_SFU.into()
             }
             O::Join => {
                 let w = &mut self.warps[wi as usize];
@@ -1076,7 +1069,7 @@ impl Core {
                         next_pc = pc.wrapping_add(op.imm as u32);
                     }
                 }
-                self.lat_sfu.into()
+                LAT_SFU.into()
             }
             O::Pred => {
                 let live = self.nonzero_lanes(wi, op.rs1) & tmask;
@@ -1087,7 +1080,7 @@ impl Core {
                     self.warps[wi as usize].tmask = restore;
                     next_pc = pc.wrapping_add(op.imm as u32);
                 }
-                self.lat_sfu.into()
+                LAT_SFU.into()
             }
             O::Bar => {
                 let bar = self.read_uniform(wi, op.rs1);
@@ -1096,7 +1089,7 @@ impl Core {
                 self.ready_mask &= !(1 << wi);
                 self.parked_mask |= 1 << wi;
                 self.barrier_arrive(wi, now, bar, count, sink);
-                self.lat_sfu.into()
+                LAT_SFU.into()
             }
             O::Print => {
                 let fmt = op.imm as u16;
@@ -1135,7 +1128,7 @@ impl Core {
                     }
                     printf_out.push(out);
                 }
-                self.lat_alu.into()
+                LAT_ALU.into()
             }
             O::Halt => {
                 let w = &mut self.warps[wi as usize];
@@ -1143,7 +1136,7 @@ impl Core {
                 w.active = false;
                 self.active_n -= 1;
                 self.ready_mask &= !(1 << wi);
-                self.lat_alu.into()
+                LAT_ALU.into()
             }
         };
         self.mark_dest(wi, op.sb[2], now + lat);
@@ -1200,7 +1193,7 @@ impl Core {
             // serialization of distinct words beyond the bank count (4).
             let words = addrs.len().div_ceil(4) as u64;
             self.lsu_next_free = self.lsu_next_free.max(now) + words;
-            return self.lsu_next_free + self.lat_dcache as u64;
+            return self.lsu_next_free + LAT_DCACHE as u64;
         }
         // The banked D-cache ingests at most 4 lane requests per cycle, so
         // wide warps occupy the LSU for T/4 cycles even on hits — the
@@ -1224,7 +1217,7 @@ impl Core {
             });
             if dcache_hit {
                 self.stats.dcache_hits += 1;
-                done = done.max(t0 + self.lat_dcache as u64);
+                done = done.max(t0 + LAT_DCACHE as u64);
             } else {
                 self.stats.dcache_misses += 1;
                 // Take the earliest-free MSHR (backpressure as latency).
@@ -1248,9 +1241,9 @@ impl Core {
                     hit: l2_hit,
                 });
                 let fill = if l2_hit {
-                    start + self.lat_l2 as u64
+                    start + LAT_L2 as u64
                 } else {
-                    let issue = start + self.lat_l2 as u64;
+                    let issue = start + LAT_L2 as u64;
                     let (fill, row_hit) = view.dram_access(addr, line_bytes, issue);
                     sink.event(&TraceEvent::Dram {
                         core: self.id,
@@ -1268,7 +1261,7 @@ impl Core {
                     cycle: start,
                     fill,
                 });
-                done = done.max(fill + self.lat_dcache as u64);
+                done = done.max(fill + LAT_DCACHE as u64);
             }
         }
         done
@@ -1727,9 +1720,8 @@ mod tests {
         let op = Op::decode(&instr);
         let [s1, s2, d] = op.sb.map(|i| (wi as usize * 64 + i as usize) * t_n);
         let program = Program::default();
-        let cfg = SimConfig::new(VortexConfig::new(1, 2, t_n as u32));
-        let mut mem = SimMemory::new(cfg.global_mem_bytes, 1, cfg.local_mem_bytes);
-        let mut memsys = MemSystem::new(cfg.l2, cfg.dram, 1, crate::memsys::EPOCH_CYCLES);
+        let mut mem = SimMemory::new(1);
+        let mut memsys = MemSystem::new(1, crate::memsys::EPOCH_CYCLES);
         let file = t_n * 32;
         for tmask in masks {
             fill_regs(&mut core, rng);

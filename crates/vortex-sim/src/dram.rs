@@ -6,50 +6,21 @@
 //! queue on the bus, so effective bandwidth *drops* as parallelism grows —
 //! exactly the "memory bandwidth limitations" bottleneck §III-C describes.
 
-/// DRAM geometry and timing (cycles are fabric cycles).
-#[derive(Debug, Clone, Copy)]
-pub struct DramConfig {
-    /// Number of independent banks.
-    pub banks: u32,
-    /// Bytes in an open row.
-    pub row_bytes: u32,
-    /// Access latency when the row is already open.
-    pub row_hit_cycles: u32,
-    /// Extra latency to close + activate a row.
-    pub row_miss_cycles: u32,
-    /// Bus transfer bytes per cycle (aggregate).
-    pub bus_bytes_per_cycle: u32,
-    /// Base (controller + wire) latency added to every access.
-    pub base_latency: u32,
-}
+// DRAM geometry and timing: DDR4-class, as on the SX2800 board. Cycles
+// are fabric cycles.
 
-impl Default for DramConfig {
-    /// DDR4-class defaults (SX2800 board).
-    fn default() -> Self {
-        DramConfig {
-            banks: 8,
-            row_bytes: 2048,
-            row_hit_cycles: 4,
-            row_miss_cycles: 18,
-            bus_bytes_per_cycle: 16,
-            base_latency: 24,
-        }
-    }
-}
-
-impl DramConfig {
-    /// HBM2-class configuration (MX2100 board): many banks, wide bus.
-    pub fn hbm2() -> Self {
-        DramConfig {
-            banks: 32,
-            row_bytes: 1024,
-            row_hit_cycles: 3,
-            row_miss_cycles: 12,
-            bus_bytes_per_cycle: 128,
-            base_latency: 16,
-        }
-    }
-}
+/// Number of independent banks.
+pub(crate) const BANKS: u32 = 8;
+/// Bytes in an open row.
+const ROW_BYTES: u32 = 2048;
+/// Access latency when the row is already open.
+const ROW_HIT_CYCLES: u32 = 4;
+/// Extra latency to close + activate a row.
+const ROW_MISS_CYCLES: u32 = 18;
+/// Bus transfer bytes per cycle (aggregate).
+pub const BUS_BYTES_PER_CYCLE: u32 = 16;
+/// Base (controller + wire) latency added to every access.
+pub const BASE_LATENCY: u32 = 24;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
@@ -59,26 +30,15 @@ struct Bank {
 }
 
 /// The DRAM device state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DramModel {
-    cfg: DramConfig,
-    banks: Vec<Bank>,
+    banks: [Bank; BANKS as usize],
     bus_next_free: u64,
     accesses: u64,
     row_hits: u64,
 }
 
 impl DramModel {
-    pub fn new(cfg: DramConfig) -> Self {
-        DramModel {
-            banks: vec![Bank::default(); cfg.banks as usize],
-            cfg,
-            bus_next_free: 0,
-            accesses: 0,
-            row_hits: 0,
-        }
-    }
-
     /// Service a `bytes`-wide access to `addr` issued at `now`; returns the
     /// completion cycle.
     pub fn access(&mut self, addr: u32, bytes: u32, now: u64) -> u64 {
@@ -90,32 +50,32 @@ impl DramModel {
     /// record (the aggregate lives in [`stats`](DramModel::stats)).
     pub fn access_info(&mut self, addr: u32, bytes: u32, now: u64) -> (u64, bool) {
         self.accesses += 1;
-        let row_global = addr / self.cfg.row_bytes;
-        let bank_idx = (row_global % self.cfg.banks) as usize;
-        let row = row_global / self.cfg.banks;
+        let row_global = addr / ROW_BYTES;
+        let bank_idx = (row_global % BANKS) as usize;
+        let row = row_global / BANKS;
         let bank = &mut self.banks[bank_idx];
         let start = now.max(bank.next_free);
         let row_hit = bank.has_open && bank.open_row == row;
         let access_cycles = if row_hit {
             self.row_hits += 1;
-            self.cfg.row_hit_cycles
+            ROW_HIT_CYCLES
         } else {
             bank.open_row = row;
             bank.has_open = true;
-            self.cfg.row_miss_cycles
+            ROW_MISS_CYCLES
         };
         let bank_done = start + access_cycles as u64;
         bank.next_free = bank_done;
         // Bus occupancy: transfers serialize on the shared data bus.
-        let xfer = (bytes.div_ceil(self.cfg.bus_bytes_per_cycle)).max(1) as u64;
+        let xfer = (bytes.div_ceil(BUS_BYTES_PER_CYCLE)).max(1) as u64;
         let bus_start = bank_done.max(self.bus_next_free);
         self.bus_next_free = bus_start + xfer;
-        (bus_start + xfer + self.cfg.base_latency as u64, row_hit)
+        (bus_start + xfer + BASE_LATENCY as u64, row_hit)
     }
 
     /// Bank index `addr` maps to.
     pub fn bank_of(&self, addr: u32) -> u32 {
-        (addr / self.cfg.row_bytes) % self.cfg.banks
+        (addr / ROW_BYTES) % BANKS
     }
 
     /// Adopt `src`'s open-row/queue state for one bank (same geometry
@@ -141,7 +101,7 @@ mod tests {
 
     #[test]
     fn sequential_stream_gets_row_hits() {
-        let mut d = DramModel::new(DramConfig::default());
+        let mut d = DramModel::default();
         let mut t = 0;
         for i in 0..16u32 {
             t = d.access(i * 64, 64, t);
@@ -155,16 +115,11 @@ mod tests {
     #[test]
     fn interleaved_streams_thrash_rows() {
         // Two streams in the same bank but different rows, interleaved.
-        let cfg = DramConfig {
-            banks: 1,
-            ..DramConfig::default()
-        };
-        let mut d = DramModel::new(cfg);
+        let mut d = DramModel::default();
         let mut t = 0;
-        let row_span = cfg.row_bytes;
         for i in 0..8u32 {
             t = d.access(i * 64, 64, t);
-            t = d.access(8 * row_span + i * 64, 64, t);
+            t = d.access(BANKS * ROW_BYTES + i * 64, 64, t);
         }
         let (_, hits) = d.stats();
         assert_eq!(hits, 0, "alternating rows must never hit");
@@ -172,20 +127,16 @@ mod tests {
 
     #[test]
     fn interleaving_is_slower_than_streaming() {
-        let cfg = DramConfig {
-            banks: 1,
-            ..DramConfig::default()
-        };
-        let mut a = DramModel::new(cfg);
+        let mut a = DramModel::default();
         let mut t_stream = 0;
         for i in 0..32u32 {
             t_stream = a.access(i * 64, 64, t_stream);
         }
-        let mut b = DramModel::new(cfg);
+        let mut b = DramModel::default();
         let mut t_mix = 0;
         for i in 0..16u32 {
             t_mix = b.access(i * 64, 64, t_mix);
-            t_mix = b.access(1 << 20 | (i * 64), 64, t_mix);
+            t_mix = b.access(BANKS * ROW_BYTES + i * 64, 64, t_mix);
         }
         assert!(
             t_mix > t_stream,
@@ -195,27 +146,26 @@ mod tests {
 
     #[test]
     fn bus_serializes_wide_transfers() {
-        let mut d = DramModel::new(DramConfig::default());
+        let mut d = DramModel::default();
         let t1 = d.access(0, 64, 0);
         // Different bank, same time: bank-parallel but bus-serialized.
         let t2 = d.access(2048, 64, 0);
-        assert!(t2 > t1 - d.cfg.base_latency as u64);
+        assert!(t2 > t1 - BASE_LATENCY as u64);
     }
 
     #[test]
     fn banks_overlap_latency() {
-        let cfg = DramConfig::default();
-        let mut d = DramModel::new(cfg);
+        let mut d = DramModel::default();
         // 8 accesses to 8 different banks at t=0 finish much sooner than 8
         // accesses to one bank.
         let mut multi_done = 0;
-        for b in 0..8u32 {
-            multi_done = multi_done.max(d.access(b * cfg.row_bytes, 64, 0));
+        for b in 0..BANKS {
+            multi_done = multi_done.max(d.access(b * ROW_BYTES, 64, 0));
         }
-        let mut d2 = DramModel::new(cfg);
+        let mut d2 = DramModel::default();
         let mut single_done = 0;
-        for i in 0..8u32 {
-            single_done = single_done.max(d2.access(i * cfg.row_bytes * cfg.banks, 64, 0));
+        for i in 0..BANKS {
+            single_done = single_done.max(d2.access(i * ROW_BYTES * BANKS, 64, 0));
         }
         assert!(
             multi_done < single_done,

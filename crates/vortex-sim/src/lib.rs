@@ -18,6 +18,12 @@
 //!   performance beyond 4 warps × 4 threads (Figure 7);
 //! * SIMT control flow implements the TMC / WSPAWN / SPLIT / JOIN / PRED
 //!   semantics of §II-D with an explicit IPDOM stack.
+//!
+//! [`SimConfig`] holds only what callers vary: the machine shape, the
+//! D-cache geometry, the watchdog budgets and the reference loop. Every
+//! other parameter is a constant in the module that uses it. A parameter
+//! becomes a field only once two callers need different values; a banked
+//! LSU mode would be the first.
 
 pub mod cache;
 pub mod core;
@@ -31,7 +37,7 @@ pub mod trace;
 
 pub use crate::core::{Core, TickResult};
 pub use cache::{Cache, CacheConfig};
-pub use dram::{DramConfig, DramModel};
+pub use dram::DramModel;
 pub use mem::SimMemory;
 pub use memsys::{MemSystem, MemView};
 pub use profile::LaunchProfile;
@@ -55,34 +61,21 @@ pub const MAX_CORES: u32 = 64;
 pub const MAX_WARPS: u32 = 64;
 pub const MAX_THREADS: u32 = 64;
 
-/// Full simulator configuration.
+/// Miss-status holding registers per core: the LSU's outstanding line
+/// misses.
+pub const MSHRS: u32 = 4;
+
+/// What a simulation's callers vary. The rest of the machine is fixed, as
+/// in SimX: the unit latencies (`core.rs`), [`MSHRS`], the L2
+/// (`memsys.rs`), the DRAM ([`dram`]) and the memory sizes
+/// (`vortex_isa::layout`) are constants. A parameter becomes a field here
+/// only once two callers need different values for it.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Cores / warps / threads (the paper's C, W, T).
     pub hw: VortexConfig,
-    /// Per-core data cache.
+    /// Per-core data cache (the D-cache ablation sweeps it).
     pub dcache: CacheConfig,
-    /// Shared L2.
-    pub l2: CacheConfig,
-    /// Off-chip memory.
-    pub dram: DramConfig,
-    /// Miss-status holding registers per core (outstanding misses).
-    pub mshrs: u32,
-    /// Per-core local memory bytes.
-    pub local_mem_bytes: u32,
-    /// Global memory bytes.
-    pub global_mem_bytes: u32,
-    /// Execution-unit latencies in cycles.
-    pub lat_alu: u32,
-    pub lat_mul: u32,
-    pub lat_div: u32,
-    pub lat_fpu: u32,
-    pub lat_fdiv: u32,
-    pub lat_sfu: u32,
-    /// D-cache hit latency.
-    pub lat_dcache: u32,
-    /// L2 hit latency.
-    pub lat_l2: u32,
     /// Safety limit on simulated cycles.
     pub max_cycles: u64,
     /// Watchdog budget on issued instructions (`u64::MAX` = unlimited).
@@ -110,23 +103,6 @@ impl SimConfig {
                 ways: 4,
                 line_bytes: 64,
             },
-            l2: CacheConfig {
-                sets: 256,
-                ways: 4,
-                line_bytes: 64,
-            },
-            dram: DramConfig::default(),
-            mshrs: 4,
-            local_mem_bytes: 64 << 10,
-            global_mem_bytes: 64 << 20,
-            lat_alu: 2,
-            lat_mul: 4,
-            lat_div: 16,
-            lat_fpu: 6,
-            lat_fdiv: 16,
-            lat_sfu: 12,
-            lat_dcache: 2,
-            lat_l2: 10,
             max_cycles: 2_000_000_000,
             max_instructions: u64::MAX,
             reference_mode: false,
@@ -289,8 +265,8 @@ impl Simulator {
     pub fn with_image(cfg: SimConfig, image: Arc<Image>) -> Self {
         let cores = (0..cfg.hw.cores).map(|c| Core::new(c, &cfg)).collect();
         Simulator {
-            mem: SimMemory::new(cfg.global_mem_bytes, cfg.hw.cores, cfg.local_mem_bytes),
-            memsys: MemSystem::new(cfg.l2, cfg.dram, cfg.hw.cores, memsys::EPOCH_CYCLES),
+            mem: SimMemory::new(cfg.hw.cores),
+            memsys: MemSystem::new(cfg.hw.cores, memsys::EPOCH_CYCLES),
             cores,
             image,
             cfg,

@@ -2,7 +2,7 @@
 //! memory windows.
 
 use crate::SimError;
-use vortex_isa::layout::LOCAL_BASE;
+use vortex_isa::layout::{GLOBAL_MEM_BYTES, LOCAL_BASE, LOCAL_MEM_BYTES};
 
 /// Byte-addressed functional memory.
 #[derive(Debug, Clone)]
@@ -13,10 +13,12 @@ pub struct SimMemory {
 }
 
 impl SimMemory {
-    pub fn new(global_bytes: u32, cores: u32, local_bytes: u32) -> Self {
+    pub fn new(cores: u32) -> Self {
         SimMemory {
-            global: vec![0; global_bytes as usize],
-            locals: (0..cores).map(|_| vec![0; local_bytes as usize]).collect(),
+            global: vec![0; GLOBAL_MEM_BYTES as usize],
+            locals: (0..cores)
+                .map(|_| vec![0; LOCAL_MEM_BYTES as usize])
+                .collect(),
         }
     }
 
@@ -135,14 +137,14 @@ mod tests {
 
     #[test]
     fn global_roundtrip() {
-        let mut m = SimMemory::new(4096, 1, 256);
+        let mut m = SimMemory::new(1);
         m.write_u32(16, 0xDEADBEEF).unwrap();
         assert_eq!(m.read_u32(16).unwrap(), 0xDEADBEEF);
     }
 
     #[test]
     fn locals_are_per_core() {
-        let mut m = SimMemory::new(4096, 2, 256);
+        let mut m = SimMemory::new(2);
         m.store(0, LOCAL_BASE, 1).unwrap();
         m.store(1, LOCAL_BASE, 2).unwrap();
         assert_eq!(m.load(0, LOCAL_BASE).unwrap(), 1);
@@ -151,19 +153,20 @@ mod tests {
 
     #[test]
     fn out_of_bounds_rejected() {
-        let mut m = SimMemory::new(64, 1, 64);
-        assert!(m.read_u32(64).is_err());
-        assert!(m.store(0, LOCAL_BASE + 64, 0).is_err());
-        assert!(m.write_bytes(60, &[0; 8]).is_err());
+        let mut m = SimMemory::new(1);
+        let end = GLOBAL_MEM_BYTES;
+        assert!(m.read_u32(end).is_err());
+        assert!(m.store(0, LOCAL_BASE + LOCAL_MEM_BYTES, 0).is_err());
+        assert!(m.write_bytes(end - 4, &[0; 8]).is_err());
         assert_eq!(
-            m.write_words(60, [0u32; 2].into_iter()),
-            m.write_bytes(60, &[0; 8])
+            m.write_words(end - 4, [0u32; 2].into_iter()),
+            m.write_bytes(end - 4, &[0; 8])
         );
     }
 
     #[test]
     fn misaligned_word_access_rejected() {
-        let mut m = SimMemory::new(64, 1, 64);
+        let mut m = SimMemory::new(1);
         assert!(matches!(
             m.read_u32(2),
             Err(SimError::Misaligned { addr: 2, .. })
@@ -178,14 +181,15 @@ mod tests {
 
     #[test]
     fn bulk_copies() {
-        let mut m = SimMemory::new(128, 1, 0);
+        let mut m = SimMemory::new(1);
         m.write_bytes(8, &[1, 2, 3, 4]).unwrap();
         assert_eq!(m.read_bytes(8, 4).unwrap(), &[1, 2, 3, 4]);
         assert_eq!(m.read_u32(8).unwrap(), u32::from_le_bytes([1, 2, 3, 4]));
-        m.write_words(120, [0x0403_0201, u32::MAX].into_iter())
+        let tail = GLOBAL_MEM_BYTES - 8;
+        m.write_words(tail, [0x0403_0201, u32::MAX].into_iter())
             .unwrap();
         assert_eq!(
-            m.read_bytes(120, 8).unwrap(),
+            m.read_bytes(tail, 8).unwrap(),
             &[1, 2, 3, 4, 255, 255, 255, 255]
         );
     }

@@ -20,7 +20,14 @@
 //! nothing is logged and nothing is ever committed.
 
 use crate::cache::{Cache, CacheConfig};
-use crate::dram::{DramConfig, DramModel};
+use crate::dram::{DramModel, BANKS};
+
+/// Geometry of the shared L2 (64 KiB).
+const L2: CacheConfig = CacheConfig {
+    sets: 256,
+    ways: 4,
+    line_bytes: 64,
+};
 
 /// The epoch length both run loops build their machines with: they freeze
 /// the shared L2/DRAM timing state at its multiples, so another value would
@@ -113,9 +120,9 @@ pub struct MemSystem {
 }
 
 impl MemSystem {
-    pub fn new(l2: CacheConfig, dram: DramConfig, cores: u32, epoch_cycles: u64) -> Self {
-        let master_l2 = Cache::new(l2);
-        let master_dram = DramModel::new(dram);
+    pub fn new(cores: u32, epoch_cycles: u64) -> Self {
+        let master_l2 = Cache::new(L2);
+        let master_dram = DramModel::default();
         let views = (0..cores)
             .map(|_| MemView {
                 l2: master_l2.clone(),
@@ -135,9 +142,9 @@ impl MemSystem {
             views,
             epoch_cycles,
             next_boundary: if cores > 1 { epoch_cycles } else { u64::MAX },
-            touched_sets: vec![false; l2.sets as usize],
+            touched_sets: vec![false; L2.sets as usize],
             set_list: Vec::new(),
-            touched_banks: vec![false; dram.banks as usize],
+            touched_banks: vec![false; BANKS as usize],
             bank_list: Vec::new(),
         }
     }
@@ -241,23 +248,11 @@ impl MemSystem {
 mod tests {
     use super::*;
 
-    fn small() -> (CacheConfig, DramConfig) {
-        (
-            CacheConfig {
-                sets: 4,
-                ways: 2,
-                line_bytes: 64,
-            },
-            DramConfig::default(),
-        )
-    }
-
     /// With one core the view is authoritative and commits never run:
     /// timings match the pre-epoch simulator exactly.
     #[test]
     fn single_core_never_commits() {
-        let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 1, 64);
+        let mut ms = MemSystem::new(1, 64);
         let miss_first = ms.view_mut(0).l2_access(0x100, 5);
         assert!(!miss_first);
         ms.advance_to(1 << 20);
@@ -270,8 +265,7 @@ mod tests {
     /// view only after the boundary commit.
     #[test]
     fn cross_core_visibility_is_epoch_quantized() {
-        let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 2, 64);
+        let mut ms = MemSystem::new(2, 64);
         assert!(!ms.view_mut(0).l2_access(0x100, 5), "cold: miss");
         // Same epoch, other core: the line is not in its frozen view.
         assert!(!ms.view_mut(1).l2_access(0x100, 6), "same epoch: miss");
@@ -285,8 +279,7 @@ mod tests {
     /// and begin_run folds the tail so state persists across launches.
     #[test]
     fn begin_run_commits_the_tail() {
-        let (l2, dram) = small();
-        let mut ms = MemSystem::new(l2, dram, 2, 1 << 30);
+        let mut ms = MemSystem::new(2, 1 << 30);
         ms.view_mut(1).l2_access(0x200, 3);
         ms.begin_run();
         assert!(

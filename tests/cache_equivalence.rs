@@ -436,7 +436,6 @@ fn disk_hits_byte_identical_to_cold_compiles() {
     let mk = || {
         Cache::new(CacheConfig {
             disk_dir: Some(dir.clone()),
-            ..CacheConfig::default()
         })
     };
     let first = mk();
@@ -540,7 +539,6 @@ fn corrupt_and_partial_disk_entries_recompile_correctly() {
     let mk = || {
         Cache::new(CacheConfig {
             disk_dir: Some(dir.clone()),
-            ..CacheConfig::default()
         })
     };
     let writer = mk();
@@ -603,7 +601,6 @@ fn stale_version_entries_are_silently_recompiled() {
     let mk = || {
         Cache::new(CacheConfig {
             disk_dir: Some(dir.clone()),
-            ..CacheConfig::default()
         })
     };
     let writer = mk();
@@ -645,7 +642,6 @@ fn child_warm_probe() {
     };
     let cache = Cache::new(CacheConfig {
         disk_dir: Some(PathBuf::from(dir)),
-        ..CacheConfig::default()
     });
     let b = &all_benchmarks()[1];
     let mut h = Fnv::new();

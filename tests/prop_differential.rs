@@ -488,7 +488,6 @@ fn concurrent_cache_lookups_are_bit_identical_and_disk_stays_clean() {
     let mk = || {
         Cache::new(CacheConfig {
             disk_dir: Some(dir.clone()),
-            ..CacheConfig::default()
         })
     };
 
