@@ -62,7 +62,7 @@ use disk::{DiskRead, DiskStore};
 use fpga_arch::Device;
 use hls_flow::{synthesize, SynthFailure, SynthOptions, SynthReport};
 use ocl_front::lex::Tok;
-use ocl_front::{CompileError, Lexed};
+use ocl_front::Lexed;
 use ocl_ir::passes::OptLevel;
 use ocl_ir::Module;
 use repro_util::diag::ReproError;
@@ -314,7 +314,7 @@ impl Cache {
     /// is lexed here (outside the lock), and the tokens travel with the
     /// fingerprint so a `Lower` miss later in the same call need not lex
     /// them again.
-    fn keyed<'a>(&self, src: &'a str) -> Result<Keyed<'a>, CompileError> {
+    fn keyed<'a>(&self, src: &'a str) -> Result<Keyed<'a>, ReproError> {
         let raw = fnv1a(src.as_bytes());
         let memo = self.fingerprints.lock().unwrap().get(&raw).cloned();
         let ((fp, kernels), lexed) = match memo {
@@ -373,7 +373,7 @@ impl Cache {
     /// fingerprint.
     fn lower_keyed(&self, k: Keyed, sel: &Selection) -> Result<Module, ReproError> {
         self.get_or_compute(Self::key(Stage::Lower, &[k.fp], sel), || {
-            Ok(metrics::time("suite.frontend", || {
+            metrics::time("suite.frontend", || {
                 let lexed = match k.lexed {
                     Some(lexed) => lexed,
                     None => ocl_front::lex_source(k.src, &[])?,
@@ -384,7 +384,7 @@ impl Cache {
                         ocl_front::compile_lexed_kernels(&lexed, names)
                     }
                 }
-            })?)
+            })
         })
     }
 
@@ -395,7 +395,7 @@ impl Cache {
 
     /// [`Cache::optimize`] of the named kernels only, in module order. The
     /// names may come in any order and repeat; a name the source does not
-    /// define is a harness error, `kernel `<name>` not found in source`.
+    /// define is a harness error, ``kernel `<name>` not found in source``.
     pub fn optimize_kernels(
         &self,
         src: &str,
@@ -742,7 +742,7 @@ enum Selection<'a> {
 
 /// FNV-1a 64 over the preprocessed token stream of `src`. Free function so
 /// tests can fingerprint without a cache instance.
-pub fn token_fingerprint(src: &str) -> Result<u64, CompileError> {
+pub fn token_fingerprint(src: &str) -> Result<u64, ReproError> {
     Ok(fingerprint_tokens(&ocl_front::lex_source(src, &[])?).0)
 }
 

@@ -16,7 +16,7 @@
 //! * [`report`] — [`report::Table`], the one markdown table model every
 //!   printed table goes through, and the renderers of Tables I–IV, the
 //!   Figure 7 grid and the profile report;
-//! * [`chrome_trace`] — chrome://tracing export of the Vortex simulator's
+//! * [`chrome_trace`](mod@chrome_trace) — chrome://tracing export of the Vortex simulator's
 //!   event stream (the `repro trace` artifact);
 //! * [`manifest`] — per-invocation RunManifest records (host/commit/config
 //!   metadata + per-benchmark wall times + metrics snapshot);

@@ -5,6 +5,10 @@
 //! Both tool flows (`hls-flow` and `vortex-cc`) consume the resulting
 //! [`ocl_ir::Module`], mirroring how the paper runs *identical kernel source*
 //! through the Intel AOC compiler and the Vortex/PoCL compiler.
+//!
+//! Every entry point fails with a [`ReproError`]: `Frontend`, naming the
+//! stage (`preprocess`, `lex`, `parse` or `sema`) and the line and column in
+//! the preprocessed text, or `Verify` when the lowered IR fails the verifier.
 
 pub mod ast;
 pub mod lex;
@@ -13,85 +17,22 @@ pub mod parse;
 pub mod preprocess;
 
 use ocl_ir::Module;
+use repro_util::diag::ReproError;
 
-/// A front-end failure from any stage, with a human-readable rendering that
-/// includes line/column when available.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompileError {
-    Preprocess(preprocess::PreprocessError),
-    Lex {
-        message: String,
-        line: usize,
-        col: usize,
-    },
-    Parse {
-        message: String,
-        line: usize,
-        col: usize,
-    },
-    Lower {
-        message: String,
-        line: usize,
-        col: usize,
-    },
-    Verify(String),
-}
-
-impl std::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::Preprocess(e) => write!(f, "{e}"),
-            CompileError::Lex { message, line, col } => {
-                write!(f, "lex error at {line}:{col}: {message}")
-            }
-            CompileError::Parse { message, line, col } => {
-                write!(f, "parse error at {line}:{col}: {message}")
-            }
-            CompileError::Lower { message, line, col } => {
-                write!(f, "semantic error at {line}:{col}: {message}")
-            }
-            CompileError::Verify(m) => write!(f, "internal IR verification failed: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
-
-impl From<CompileError> for repro_util::diag::ReproError {
-    fn from(e: CompileError) -> Self {
-        use repro_util::diag::ReproError;
-        match e {
-            CompileError::Preprocess(p) => ReproError::Frontend {
-                stage: "preprocess",
-                message: p.message,
-                line: p.line as u32,
-                col: 0,
-            },
-            CompileError::Lex { message, line, col } => ReproError::Frontend {
-                stage: "lex",
-                message,
-                line: line as u32,
-                col: col as u32,
-            },
-            CompileError::Parse { message, line, col } => ReproError::Frontend {
-                stage: "parse",
-                message,
-                line: line as u32,
-                col: col as u32,
-            },
-            CompileError::Lower { message, line, col } => ReproError::Frontend {
-                stage: "sema",
-                message,
-                line: line as u32,
-                col: col as u32,
-            },
-            CompileError::Verify(message) => ReproError::Verify { message },
-        }
+/// The failure of front-end stage `stage` ("lex", "parse" or "sema") at
+/// `(line, col)` of the preprocessed text. Each stage keeps its own error
+/// struct, with the span this is computed from.
+fn stage_error(stage: &'static str, message: String, (line, col): (usize, usize)) -> ReproError {
+    ReproError::Frontend {
+        stage,
+        message,
+        line: line as u32,
+        col: col as u32,
     }
 }
 
 /// Compile OpenCL-C subset source to a verified IR module.
-pub fn compile(src: &str) -> Result<Module, CompileError> {
+pub fn compile(src: &str) -> Result<Module, ReproError> {
     compile_with_defines(src, &[])
 }
 
@@ -100,7 +41,7 @@ pub fn compile(src: &str) -> Result<Module, CompileError> {
 /// Each stage reports a wall-clock span into the `repro_util::metrics`
 /// registry (`frontend.preprocess` … `frontend.verify`) — a no-op unless a
 /// harness has enabled collection.
-pub fn compile_with_defines(src: &str, defines: &[(&str, &str)]) -> Result<Module, CompileError> {
+pub fn compile_with_defines(src: &str, defines: &[(&str, &str)]) -> Result<Module, ReproError> {
     compile_lexed(&lex_source(src, defines)?)
 }
 
@@ -115,27 +56,26 @@ pub struct Lexed {
 }
 
 /// Preprocess and lex: the `frontend.preprocess` and `frontend.lex` stages.
-pub fn lex_source(src: &str, defines: &[(&str, &str)]) -> Result<Lexed, CompileError> {
+pub fn lex_source(src: &str, defines: &[(&str, &str)]) -> Result<Lexed, ReproError> {
     use repro_util::metrics;
     let pp = metrics::time("frontend.preprocess", || {
         preprocess::preprocess(src, defines)
     })
-    .map_err(CompileError::Preprocess)?;
-    let tokens = metrics::time("frontend.lex", || lex::lex(&pp)).map_err(|e| {
-        let (line, col) = e.span.line_col(&pp);
-        CompileError::Lex {
-            message: e.message,
-            line,
-            col,
-        }
+    .map_err(|e| ReproError::Frontend {
+        stage: "preprocess",
+        message: e.message,
+        line: e.line as u32,
+        col: 0,
     })?;
+    let tokens = metrics::time("frontend.lex", || lex::lex(&pp))
+        .map_err(|e| stage_error("lex", e.message, e.span.line_col(&pp)))?;
     Ok(Lexed { pp, tokens })
 }
 
 /// Parse, lower and verify: the `frontend.parse`, `frontend.lower` and
 /// `frontend.verify` stages. `compile_lexed(&lex_source(src, d)?)` is
 /// [`compile_with_defines`]`(src, d)`.
-pub fn compile_lexed(lexed: &Lexed) -> Result<Module, CompileError> {
+pub fn compile_lexed(lexed: &Lexed) -> Result<Module, ReproError> {
     compile_parsed(lexed, parse::parse)
 }
 
@@ -144,33 +84,24 @@ pub fn compile_lexed(lexed: &Lexed) -> Result<Module, CompileError> {
 /// the named kernels are lowered and verified, and a syntax or type error
 /// inside another kernel's body is not reported. A name the source does not
 /// define is not an error; the module just lacks it.
-pub fn compile_lexed_kernels(lexed: &Lexed, names: &[&str]) -> Result<Module, CompileError> {
+pub fn compile_lexed_kernels(lexed: &Lexed, names: &[&str]) -> Result<Module, ReproError> {
     compile_parsed(lexed, |tokens| parse::parse_selected(tokens, names))
 }
 
 fn compile_parsed(
     lexed: &Lexed,
     parse: impl FnOnce(&[lex::Token]) -> Result<ast::TranslationUnit, parse::ParseError>,
-) -> Result<Module, CompileError> {
+) -> Result<Module, ReproError> {
     use repro_util::metrics;
     let Lexed { pp, tokens } = lexed;
-    let unit = metrics::time("frontend.parse", || parse(tokens)).map_err(|e| {
-        let (line, col) = e.span.line_col(pp);
-        CompileError::Parse {
-            message: e.message,
-            line,
-            col,
+    let unit = metrics::time("frontend.parse", || parse(tokens))
+        .map_err(|e| stage_error("parse", e.message, e.span.line_col(pp)))?;
+    let module = metrics::time("frontend.lower", || lower::lower(&unit))
+        .map_err(|e| stage_error("sema", e.message, e.span.line_col(pp)))?;
+    metrics::time("frontend.verify", || ocl_ir::verify::verify_module(&module)).map_err(|e| {
+        ReproError::Verify {
+            message: e.to_string(),
         }
     })?;
-    let module = metrics::time("frontend.lower", || lower::lower(&unit)).map_err(|e| {
-        let (line, col) = e.span.line_col(pp);
-        CompileError::Lower {
-            message: e.message,
-            line,
-            col,
-        }
-    })?;
-    metrics::time("frontend.verify", || ocl_ir::verify::verify_module(&module))
-        .map_err(|e| CompileError::Verify(e.to_string()))?;
     Ok(module)
 }

@@ -1,8 +1,9 @@
 //! End-to-end front-end tests: compile OpenCL-C subset source and execute it
 //! on the reference interpreter, checking against hand-computed results.
 
-use ocl_front::{compile, compile_lexed, compile_with_defines, lex_source, CompileError};
+use ocl_front::{compile, compile_lexed, compile_with_defines, lex_source};
 use ocl_ir::interp::{run_ndrange, KernelArg, Limits, Memory, NdRange};
+use repro_util::diag::ReproError;
 
 #[test]
 fn end_to_end_vecadd() {
@@ -75,7 +76,12 @@ fn end_to_end_loop_and_branch() {
 fn compile_error_reports_location() {
     let e = compile("__kernel void k(__global int* o) { int x = y; o[0] = x; }").unwrap_err();
     match e {
-        CompileError::Lower { message, line, .. } => {
+        ReproError::Frontend {
+            stage: "sema",
+            message,
+            line,
+            ..
+        } => {
             assert!(message.contains("undefined identifier"), "{message}");
             assert_eq!(line, 1);
         }
@@ -97,7 +103,7 @@ fn lexed_path_reports_the_same_errors_at_the_same_positions() {
             "__kernel void k(__global int* o) {\n\n    o[0] = ;\n}",
         ),
         (
-            "lower",
+            "sema",
             "#define N 4\n__kernel void k(__global int* o) {\n  int x = N;\n      o[0] = x + y;\n}",
         ),
     ];
@@ -107,11 +113,14 @@ fn lexed_path_reports_the_same_errors_at_the_same_positions() {
             .and_then(|l| compile_lexed(&l))
             .unwrap_err();
         assert_eq!(split, whole, "{stage}");
-        let (found, line, col) = match whole {
-            CompileError::Lex { line, col, .. } => ("lex", line, col),
-            CompileError::Parse { line, col, .. } => ("parse", line, col),
-            CompileError::Lower { line, col, .. } => ("lower", line, col),
-            other => panic!("{stage}: unexpected {other}"),
+        let ReproError::Frontend {
+            stage: found,
+            line,
+            col,
+            ..
+        } = whole
+        else {
+            panic!("{stage}: unexpected {whole}");
         };
         assert_eq!(found, stage);
         assert!(line > 1 && col > 1, "{stage}: {line}:{col}");

@@ -14,7 +14,7 @@
 //! `Const` and `Function` are not looked at again.
 //!
 //! **Gangs.** A work-group's items, in lz/ly/lx order, are cut into gangs
-//! of at most 64 ([`GANG`]; a `u64` is the lane mask), each with its own
+//! of at most 64 (`GANG`; a `u64` is the lane mask), each with its own
 //! slot-major register file (`regs[slot * width + lane]`). The files of
 //! group `[0, 0, 0]` are built once per launch; a group starts from one
 //! copy of them with its global- and group-id rows moved. A gang runs in

@@ -173,8 +173,8 @@ impl Target {
     fn alloc(&mut self, h: &HostData) -> Result<Buffer, ReproError> {
         let bytes = h.bytes();
         let addr = match (self, h) {
-            (Target::Sim(sess), HostData::Zeroed(_)) => return Ok(sess.alloc(bytes)?),
-            (Target::Sim(sess), _) => return Ok(sess.alloc_u32(&h.to_words())?),
+            (Target::Sim(sess), HostData::Zeroed(_)) => return sess.alloc(bytes),
+            (Target::Sim(sess), _) => return sess.alloc_u32(&h.to_words()),
             (Target::Host { mem, .. }, HostData::Zeroed(_)) => mem.try_alloc(bytes)?,
             (Target::Host { mem, .. }, _) => mem.try_alloc_u32(&h.to_words())?,
         };
@@ -195,9 +195,9 @@ impl Target {
                         let mut sink = RecordingSink::default();
                         let r = sess.launch_named_with_sink(l.kernel, args, &l.nd, &mut sink)?;
                         events.push(sink.events);
-                        Ok::<_, ReproError>(r)
+                        Ok(r)
                     }
-                    None => Ok(sess.launch_named(l.kernel, args, &l.nd)?),
+                    None => sess.launch_named(l.kernel, args, &l.nd),
                 })?;
                 out.cycles += r.stats.cycles;
                 out.instructions += r.stats.instructions;

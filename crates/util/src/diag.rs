@@ -7,10 +7,13 @@
 //! and why. A shared, classified error type is what lets the harness keep
 //! going after a failure and still say something precise about it.
 //!
-//! Producers keep their own local error types (`CompileError`,
-//! `InterpError`, `SimError`, …) and convert at the crate boundary via
-//! `From` impls defined next to those types. The taxonomy lives in
-//! `repro-util`, the one crate every other crate already depends on.
+//! The front end, the Vortex code generator, simulator and runtime build a
+//! `ReproError` at each fault site. Two producers keep a type of their own
+//! and convert through a `From` impl next to it: the interpreter's
+//! `InterpError`, whose group and item detail the interpreter's reference
+//! tests compare, and HLS's `SynthFailure`, a cached synthesis outcome
+//! rather than an error. The taxonomy lives in `repro-util`, the one crate
+//! every other crate already depends on.
 
 use crate::{Json, ToJson};
 use std::fmt;

@@ -324,7 +324,7 @@ pub fn observe_secs(name: &str, secs: f64) {
 }
 
 /// Time `f` and record the span into histogram `name`; with
-/// [`span`](crate::span) armed and a job recording on this thread, `name`
+/// [`span`] armed and a job recording on this thread, `name`
 /// also nests into the job's span tree. While disabled this is a direct
 /// call — no clock is read and no span opens.
 pub fn time<R>(name: &str, f: impl FnOnce() -> R) -> R {

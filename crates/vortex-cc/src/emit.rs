@@ -2,7 +2,7 @@
 
 use crate::regalloc::{allocate, Allocation, Loc};
 use crate::structure::{plan, DivBranch, DivPlan};
-use crate::{CodegenError, CodegenOpts, CompiledKernel};
+use crate::{limit, CodegenOpts, CompiledKernel};
 use ocl_ir::cfg::{Cfg, Dominators, PostDominators};
 use ocl_ir::liveness::Liveness;
 use ocl_ir::loops::LoopForest;
@@ -11,6 +11,7 @@ use ocl_ir::{
     AtomicOp, BinOp, BlockId, Builtin, CmpOp, Function, LocalArrayId, Op, Operand, Scalar,
     Terminator, UnOp, VReg,
 };
+use repro_util::diag::ReproError;
 
 use vortex_isa::layout::{self, arg, LOCAL_BASE, PRINTF_BASE, PRINTF_STRIDE};
 use vortex_isa::{
@@ -67,7 +68,7 @@ struct Emitter<'f> {
 
 /// Compile a kernel to a program (see crate docs for the two scheduler
 /// shapes).
-pub fn compile(f: &Function, opts: &CodegenOpts) -> Result<CompiledKernel, CodegenError> {
+pub fn compile(f: &Function, opts: &CodegenOpts) -> Result<CompiledKernel, ReproError> {
     // One of each analysis per kernel, shared by every consumer below.
     let cfg = Cfg::new(f);
     let pdom = PostDominators::new(f, &cfg);
@@ -111,9 +112,7 @@ pub fn compile(f: &Function, opts: &CodegenOpts) -> Result<CompiledKernel, Codeg
     let slot_count = NUM_ID_SLOTS + num_mask_slots + spill_slots;
     let warp_stack_bytes = (slot_count as u32 * 4 * opts.threads).next_multiple_of(64);
 
-    let instrs =
-        e.a.finish()
-            .map_err(|er| CodegenError::Limit(er.to_string()))?;
+    let instrs = e.a.finish().map_err(limit)?;
     Ok(CompiledKernel {
         program: Program {
             instrs,
@@ -242,7 +241,7 @@ impl<'f> Emitter<'f> {
 
     /// Materialize an integer operand into a register; `scratch` is used for
     /// spills and constants.
-    fn int_operand(&mut self, o: Operand, scratch: Reg) -> Result<Reg, CodegenError> {
+    fn int_operand(&mut self, o: Operand, scratch: Reg) -> Result<Reg, ReproError> {
         match o {
             Operand::Reg(v) => match self.alloc.locs[v.index()] {
                 Loc::Int(r) => Ok(r),
@@ -261,12 +260,7 @@ impl<'f> Emitter<'f> {
     }
 
     /// Materialize a float operand into an fp register.
-    fn fp_operand(
-        &mut self,
-        o: Operand,
-        fscratch: Reg,
-        iscratch: Reg,
-    ) -> Result<Reg, CodegenError> {
+    fn fp_operand(&mut self, o: Operand, fscratch: Reg, iscratch: Reg) -> Result<Reg, ReproError> {
         match o {
             Operand::Reg(v) => match self.alloc.locs[v.index()] {
                 Loc::Fp(r) => Ok(r),
@@ -306,14 +300,14 @@ impl<'f> Emitter<'f> {
         }
     }
 
-    fn finish_int_dest(&mut self, spill: Option<usize>, r: Reg) -> Result<(), CodegenError> {
+    fn finish_int_dest(&mut self, spill: Option<usize>, r: Reg) -> Result<(), ReproError> {
         if let Some(k) = spill {
             self.store_slot(r, k);
         }
         Ok(())
     }
 
-    fn finish_fp_dest(&mut self, spill: Option<usize>, r: Reg) -> Result<(), CodegenError> {
+    fn finish_fp_dest(&mut self, spill: Option<usize>, r: Reg) -> Result<(), ReproError> {
         if let Some(k) = spill {
             self.fstore_slot(r, k);
         }
@@ -447,7 +441,7 @@ impl<'f> Emitter<'f> {
     }
 
     /// Load kernel arguments into their allocated locations.
-    fn emit_param_loads(&mut self) -> Result<(), CodegenError> {
+    fn emit_param_loads(&mut self) -> Result<(), ReproError> {
         for i in 0..self.f.params.len() {
             let v = VReg(i as u32);
             let imm = (arg::KERNEL_ARGS + 4 * i as u32) as i32;
@@ -478,7 +472,7 @@ impl<'f> Emitter<'f> {
     /// covering adjacent items so accesses coalesce within the warp. With
     /// C·W warps streaming separate windows, memory-system pressure grows
     /// with the configuration — the §III-C bottleneck behaviour.
-    fn emit_stride_scheduler(&mut self, finish: Label) -> Result<(), CodegenError> {
+    fn emit_stride_scheduler(&mut self, finish: Label) -> Result<(), ReproError> {
         // x4 = T (per-iteration stride); x3 = first item; x28 = chunk end.
         let a = &mut self.a;
         a.emit(Instr::CsrRead {
@@ -660,7 +654,7 @@ impl<'f> Emitter<'f> {
     }
 
     /// Decompose the linear item index (x3) into the ids the body uses.
-    fn emit_stride_ids(&mut self) -> Result<(), CodegenError> {
+    fn emit_stride_ids(&mut self) -> Result<(), ReproError> {
         let u = self.used;
         let any_hi = u.gid[1] | u.gid[2] | u.lid[1] | u.lid[2] | u.grp[1] | u.grp[2];
         let dims: &[(u32, usize)] = &[(arg::GLOBAL_X, 0), (arg::GLOBAL_Y, 1), (arg::GLOBAL_Z, 2)];
@@ -731,7 +725,7 @@ impl<'f> Emitter<'f> {
     }
 
     /// Group-per-core scheduler for barrier / local-memory kernels.
-    fn emit_group_scheduler(&mut self, finish: Label) -> Result<(), CodegenError> {
+    fn emit_group_scheduler(&mut self, finish: Label) -> Result<(), ReproError> {
         let a = &mut self.a;
         // x4 = num cores; x3 = core id; x28 = total groups.
         a.emit(Instr::CsrRead {
@@ -805,7 +799,7 @@ impl<'f> Emitter<'f> {
 
     /// Compute ids in group mode: x3 is the linear group index; the hart's
     /// linear local id is wid*threads + tid.
-    fn emit_group_ids(&mut self) -> Result<(), CodegenError> {
+    fn emit_group_ids(&mut self) -> Result<(), ReproError> {
         // Group coordinates from x3.
         self.mv(T0, X_IDX);
         for d in 0..3usize {
@@ -904,7 +898,7 @@ impl<'f> Emitter<'f> {
 
     // ---- body -----------------------------------------------------------
 
-    fn emit_body(&mut self) -> Result<(), CodegenError> {
+    fn emit_body(&mut self) -> Result<(), ReproError> {
         for bi in 0..self.f.blocks.len() {
             let id = BlockId(bi as u32);
             self.a.bind(self.block_labels[bi]);
@@ -939,7 +933,7 @@ impl<'f> Emitter<'f> {
         }
     }
 
-    fn emit_terminator(&mut self, id: BlockId, term: &Terminator) -> Result<(), CodegenError> {
+    fn emit_terminator(&mut self, id: BlockId, term: &Terminator) -> Result<(), ReproError> {
         match term {
             Terminator::Ret => {
                 self.a.jump(self.item_done);
@@ -1011,7 +1005,7 @@ impl<'f> Emitter<'f> {
         Ok(())
     }
 
-    fn emit_inst(&mut self, inst: &ocl_ir::Inst) -> Result<(), CodegenError> {
+    fn emit_inst(&mut self, inst: &ocl_ir::Inst) -> Result<(), ReproError> {
         match &inst.op {
             Op::Bin { op, ty, a, b } => self.emit_bin(inst.result.unwrap(), *op, *ty, *a, *b),
             Op::Un { op, ty, a } => self.emit_un(inst.result.unwrap(), *op, *ty, *a),
@@ -1049,7 +1043,7 @@ impl<'f> Emitter<'f> {
         }
     }
 
-    fn emit_mov(&mut self, dest: VReg, a: Operand) -> Result<(), CodegenError> {
+    fn emit_mov(&mut self, dest: VReg, a: Operand) -> Result<(), ReproError> {
         if self.is_fp_class(dest) {
             let (rd, spill) = self.fp_dest(dest);
             let rs = self.fp_operand(a, FT0, T0)?;
@@ -1074,7 +1068,7 @@ impl<'f> Emitter<'f> {
         ty: Scalar,
         a: Operand,
         b: Operand,
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), ReproError> {
         if ty == Scalar::F32 {
             let (rd, spill) = self.fp_dest(dest);
             let ra = self.fp_operand(a, FT0, T0)?;
@@ -1129,11 +1123,7 @@ impl<'f> Emitter<'f> {
                         rs2: FT0,
                     });
                 }
-                _ => {
-                    return Err(CodegenError::Limit(format!(
-                        "bitwise op {op} on f32 operands"
-                    )))
-                }
+                _ => return Err(limit(format_args!("bitwise op {op} on f32 operands"))),
             }
             return self.finish_fp_dest(spill, rd);
         }
@@ -1306,13 +1296,7 @@ impl<'f> Emitter<'f> {
         self.finish_int_dest(spill, rd)
     }
 
-    fn emit_un(
-        &mut self,
-        dest: VReg,
-        op: UnOp,
-        ty: Scalar,
-        a: Operand,
-    ) -> Result<(), CodegenError> {
+    fn emit_un(&mut self, dest: VReg, op: UnOp, ty: Scalar, a: Operand) -> Result<(), ReproError> {
         match op {
             UnOp::Sqrt | UnOp::Exp | UnOp::Log | UnOp::Sin | UnOp::Cos | UnOp::Floor => {
                 let (rd, spill) = self.fp_dest(dest);
@@ -1443,7 +1427,7 @@ impl<'f> Emitter<'f> {
         ty: Scalar,
         a: Operand,
         b: Operand,
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), ReproError> {
         let (rd, spill) = self.int_dest(dest);
         if ty == Scalar::F32 {
             let ra = self.fp_operand(a, FT0, T0)?;
@@ -1557,7 +1541,7 @@ impl<'f> Emitter<'f> {
         cond: Operand,
         a: Operand,
         b: Operand,
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), ReproError> {
         let rc = self.int_operand(cond, T2)?;
         if ty == Scalar::F32 {
             let (rd, spill) = self.fp_dest(dest);
@@ -1640,7 +1624,7 @@ impl<'f> Emitter<'f> {
         base: Operand,
         index: Operand,
         elem_bytes: u32,
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), ReproError> {
         let (rd, spill) = self.int_dest(dest);
         let rb = self.int_operand(base, T0)?;
         if let Some(c) = index.as_const() {
@@ -1689,7 +1673,7 @@ impl<'f> Emitter<'f> {
         self.finish_int_dest(spill, rd)
     }
 
-    fn emit_load(&mut self, dest: VReg, ptr: Operand, ty: Scalar) -> Result<(), CodegenError> {
+    fn emit_load(&mut self, dest: VReg, ptr: Operand, ty: Scalar) -> Result<(), ReproError> {
         let rp = self.int_operand(ptr, T0)?;
         if ty == Scalar::F32 {
             let (rd, spill) = self.fp_dest(dest);
@@ -1710,7 +1694,7 @@ impl<'f> Emitter<'f> {
         }
     }
 
-    fn emit_store(&mut self, ptr: Operand, value: Operand, ty: Scalar) -> Result<(), CodegenError> {
+    fn emit_store(&mut self, ptr: Operand, value: Operand, ty: Scalar) -> Result<(), ReproError> {
         let rp = self.int_operand(ptr, T0)?;
         if ty == Scalar::F32 {
             let rv = self.fp_operand(value, FT0, T1)?;
@@ -1737,7 +1721,7 @@ impl<'f> Emitter<'f> {
         ptr: Operand,
         value: Operand,
         ty: Scalar,
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), ReproError> {
         let (rd, spill) = self.int_dest(dest);
         let rp = self.int_operand(ptr, T0)?;
         let mut rv = self.int_operand(value, T1)?;
@@ -1782,7 +1766,7 @@ impl<'f> Emitter<'f> {
         self.finish_int_dest(spill, rd)
     }
 
-    fn emit_workitem(&mut self, dest: VReg, w: Builtin) -> Result<(), CodegenError> {
+    fn emit_workitem(&mut self, dest: VReg, w: Builtin) -> Result<(), ReproError> {
         let (rd, spill) = self.int_dest(dest);
         match w {
             Builtin::GlobalId(d) => self.load_slot(rd, SLOT_GID + d as usize),
@@ -1807,7 +1791,7 @@ impl<'f> Emitter<'f> {
         self.finish_int_dest(spill, rd)
     }
 
-    fn emit_local_addr(&mut self, dest: VReg, id: LocalArrayId) -> Result<(), CodegenError> {
+    fn emit_local_addr(&mut self, dest: VReg, id: LocalArrayId) -> Result<(), ReproError> {
         let (rd, spill) = self.int_dest(dest);
         let mut off = 0u32;
         for a in &self.f.local_arrays[..id.index()] {
@@ -1832,7 +1816,7 @@ impl<'f> Emitter<'f> {
         self.finish_int_dest(spill, rd)
     }
 
-    fn emit_printf(&mut self, fmt: &str, args: &[(Operand, Scalar)]) -> Result<(), CodegenError> {
+    fn emit_printf(&mut self, fmt: &str, args: &[(Operand, Scalar)]) -> Result<(), ReproError> {
         // hart = ((core*NW + wid)*NT + tid); buf = PRINTF_BASE + hart*64.
         let a = &mut self.a;
         a.emit(Instr::CsrRead {

@@ -15,8 +15,9 @@
 //!   assigned to cores round-robin, one group resident at a time, with the
 //!   hardware BAR instruction implementing `barrier()`.
 //!
-//! Documented subset restrictions (checked, reported as
-//! [`CodegenError::Unstructured`]):
+//! Every failure is a [`ReproError::Codegen`]. Documented subset
+//! restrictions (checked, reported as ``kernel `k`: unsupported divergent
+//! control flow: …``):
 //! * `break`/`continue`/`return` under *divergent* control flow are not
 //!   lowered (kernels use guard flags instead — the idiom GPU kernels use
 //!   anyway); uniform ones are unrestricted.
@@ -28,6 +29,7 @@ pub mod regalloc;
 pub mod structure;
 
 use ocl_ir::Function;
+use repro_util::diag::ReproError;
 use vortex_isa::Program;
 
 /// Widest warp the emitted code supports. The prologue enables every lane
@@ -70,36 +72,11 @@ pub struct CompiledKernel {
     pub threads: u32,
 }
 
-/// Code-generation failure.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CodegenError {
-    /// Divergent control flow the SPLIT/JOIN/PRED lowering cannot express.
-    Unstructured { kernel: String, detail: String },
-    /// Internal limit (e.g. assembler offset range).
-    Limit(String),
-}
-
-impl std::fmt::Display for CodegenError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodegenError::Unstructured { kernel, detail } => {
-                write!(
-                    f,
-                    "kernel `{kernel}`: unsupported divergent control flow: {detail}"
-                )
-            }
-            CodegenError::Limit(m) => write!(f, "codegen limit: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CodegenError {}
-
-impl From<CodegenError> for repro_util::diag::ReproError {
-    fn from(e: CodegenError) -> Self {
-        repro_util::diag::ReproError::Codegen {
-            message: e.to_string(),
-        }
+/// A code generator limit: an assembler offset out of range, or an
+/// operation the subset does not lower.
+pub(crate) fn limit(message: impl std::fmt::Display) -> ReproError {
+    ReproError::Codegen {
+        message: format!("codegen limit: {message}"),
     }
 }
 
@@ -108,6 +85,6 @@ impl From<CodegenError> for repro_util::diag::ReproError {
 /// Reports a `vortex_cc.codegen` wall-clock span (with `vortex_cc.regalloc`
 /// nested inside it) into the `repro_util::metrics` registry when a harness
 /// has enabled collection.
-pub fn compile_kernel(f: &Function, opts: &CodegenOpts) -> Result<CompiledKernel, CodegenError> {
+pub fn compile_kernel(f: &Function, opts: &CodegenOpts) -> Result<CompiledKernel, ReproError> {
     repro_util::metrics::time("vortex_cc.codegen", || emit::compile(f, opts))
 }

@@ -9,6 +9,7 @@ use ocl_ir::cfg::{Cfg, PostDominators};
 use ocl_ir::loops::LoopForest;
 use ocl_ir::workitem::WorkItemInfo;
 use ocl_ir::{BlockId, Function, Terminator};
+use repro_util::diag::ReproError;
 use repro_util::fxhash::FxHashMap;
 
 /// How one divergent branch is lowered.
@@ -48,11 +49,13 @@ pub fn plan(
     pdom: &PostDominators,
     loops: &LoopForest,
     div: &WorkItemInfo,
-) -> Result<DivPlan, crate::CodegenError> {
+) -> Result<DivPlan, ReproError> {
     let mut plan = DivPlan::default();
-    let err = |detail: String| crate::CodegenError::Unstructured {
-        kernel: f.name.clone(),
-        detail,
+    let err = |detail: String| ReproError::Codegen {
+        message: format!(
+            "kernel `{}`: unsupported divergent control flow: {detail}",
+            f.name
+        ),
     };
     for (b, block) in f.iter_blocks() {
         if !cfg.is_reachable(b) || !div.is_divergent_branch(b) {
@@ -190,7 +193,7 @@ mod tests {
     use ocl_ir::cfg::Dominators;
     use ocl_ir::{AddressSpace, Builtin, CmpOp, FunctionBuilder, Operand, Param, Scalar, Type};
 
-    fn analyze(f: &Function) -> Result<DivPlan, crate::CodegenError> {
+    fn analyze(f: &Function) -> Result<DivPlan, ReproError> {
         let cfg = Cfg::new(f);
         let pdom = PostDominators::new(f, &cfg);
         let loops = LoopForest::find(f, &cfg, &Dominators::new(&cfg));

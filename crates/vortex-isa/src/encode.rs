@@ -4,7 +4,7 @@
 //! mnemonic, its [`Form`] (where the immediate sits and how assembly writes
 //! the operands), the bits the operation fixes and their mask, the register
 //! class of the `rd`, `rs1` and `rs2` fields, and whether it goes through
-//! the LSU. Everything else is derived from the table: [`encode`],
+//! the LSU. Everything else is derived from the table: [`encode`](fn@encode),
 //! [`decode`] (its exact inverse), the disassembler (`Display` for
 //! [`Instr`]), and the simulator's decoded ops (scoreboard indices and LSU
 //! flag).
@@ -502,7 +502,7 @@ pub fn encode(i: &Instr) -> Result<u32, EncodeError> {
     Ok(op.bits | (x.rd as u32) << 7 | (x.rs1 as u32) << 15 | (x.rs2 as u32) << 20 | imm)
 }
 
-/// Decode a 32-bit word: the exact inverse of [`encode`]. A word no row's
+/// Decode a 32-bit word: the exact inverse of [`encode`](fn@encode). A word no row's
 /// mask and bits match is an error.
 pub fn decode(w: u32) -> Result<Instr, DecodeError> {
     let (lo, hi) = BY_OPCODE[(w & 0x7F) as usize];

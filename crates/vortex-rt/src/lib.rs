@@ -9,14 +9,20 @@
 //! the group-per-core scheduler: for kernels using barriers or `__local`
 //! memory the flattened work-group size must be a multiple of the warp width
 //! and fit within one core's warps × threads.
+//!
+//! Every fallible call returns a [`ReproError`]: a refused launch or an
+//! unknown kernel is `Harness`, an exhausted heap `OutOfMemory`, a host copy
+//! outside device memory `OutOfBounds`, and a kernel that faults on the
+//! device reports the simulator's own error.
 
 use std::sync::Arc;
 
 use ocl_ir::interp::NdRange;
+use repro_util::diag::ReproError;
 use repro_util::fault::{fire_param, FaultPoint};
 use vortex_cc::CompiledKernel;
 use vortex_isa::layout::{self, arg};
-use vortex_sim::{Image, SimConfig, SimError, SimFault, SimResult, Simulator, TraceSink};
+use vortex_sim::{Image, SimConfig, SimResult, Simulator, TraceSink};
 
 /// A device buffer handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,71 +47,6 @@ impl Arg {
             Arg::I32(v) => *v as u32,
             Arg::U32(v) => *v,
             Arg::F32(v) => v.to_bits(),
-        }
-    }
-}
-
-/// Runtime failure modes.
-#[derive(Debug)]
-pub enum RtError {
-    /// Host-side memory-system error (bounds on a buffer copy, argument
-    /// block write): no kernel ran.
-    Sim(SimError),
-    /// The device faulted *while running a kernel*; partial statistics
-    /// and printf output survive in the fault.
-    Fault(Box<SimFault>),
-    BadLaunch(String),
-    OutOfMemory {
-        requested: u32,
-        available: u32,
-    },
-}
-
-impl std::fmt::Display for RtError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RtError::Sim(e) => write!(f, "simulator: {e}"),
-            RtError::Fault(e) => write!(f, "device fault: {e}"),
-            RtError::BadLaunch(m) => write!(f, "bad launch: {m}"),
-            RtError::OutOfMemory {
-                requested,
-                available,
-            } => write!(
-                f,
-                "device out of memory: need {requested}, have {available}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RtError {}
-
-impl From<SimError> for RtError {
-    fn from(e: SimError) -> Self {
-        RtError::Sim(e)
-    }
-}
-
-impl From<Box<SimFault>> for RtError {
-    fn from(f: Box<SimFault>) -> Self {
-        RtError::Fault(f)
-    }
-}
-
-impl From<RtError> for repro_util::diag::ReproError {
-    fn from(e: RtError) -> Self {
-        use repro_util::diag::ReproError as R;
-        match e {
-            RtError::Sim(e) => e.into(),
-            RtError::Fault(f) => f.error.into(),
-            RtError::BadLaunch(m) => R::Harness { message: m },
-            RtError::OutOfMemory {
-                requested,
-                available,
-            } => R::OutOfMemory {
-                requested,
-                available,
-            },
         }
     }
 }
@@ -169,7 +110,7 @@ impl VxSession {
     }
 
     /// Allocate `bytes` of device memory (16-byte aligned).
-    pub fn alloc(&mut self, bytes: u32) -> Result<Buffer, RtError> {
+    pub fn alloc(&mut self, bytes: u32) -> Result<Buffer, ReproError> {
         let addr = self.heap_next;
         // Checked: `bytes` can come off the wire, and a sum that wraps
         // would pass the limit test as a tiny allocation.
@@ -182,7 +123,7 @@ impl VxSession {
                 self.heap_next = next;
                 Ok(Buffer { addr, bytes })
             }
-            _ => Err(RtError::OutOfMemory {
+            _ => Err(ReproError::OutOfMemory {
                 requested: bytes,
                 available: self.heap_limit.saturating_sub(addr),
             }),
@@ -190,42 +131,40 @@ impl VxSession {
     }
 
     /// Allocate and fill from host f32 data.
-    pub fn alloc_f32(&mut self, data: &[f32]) -> Result<Buffer, RtError> {
+    pub fn alloc_f32(&mut self, data: &[f32]) -> Result<Buffer, ReproError> {
         let b = self.alloc((data.len() * 4) as u32)?;
         self.write_f32(b, data)?;
         Ok(b)
     }
 
     /// Allocate and fill from host i32 data.
-    pub fn alloc_i32(&mut self, data: &[i32]) -> Result<Buffer, RtError> {
+    pub fn alloc_i32(&mut self, data: &[i32]) -> Result<Buffer, ReproError> {
         let b = self.alloc((data.len() * 4) as u32)?;
         self.write_i32(b, data)?;
         Ok(b)
     }
 
     /// Allocate and fill from host u32 data.
-    pub fn alloc_u32(&mut self, data: &[u32]) -> Result<Buffer, RtError> {
+    pub fn alloc_u32(&mut self, data: &[u32]) -> Result<Buffer, ReproError> {
         let b = self.alloc((data.len() * 4) as u32)?;
         self.sim.mem.write_words(b.addr, data.iter().copied())?;
         Ok(b)
     }
 
     /// Host -> device copy.
-    pub fn write_f32(&mut self, b: Buffer, data: &[f32]) -> Result<(), RtError> {
+    pub fn write_f32(&mut self, b: Buffer, data: &[f32]) -> Result<(), ReproError> {
         let words = data.iter().map(|v| v.to_bits());
-        self.sim.mem.write_words(b.addr, words)?;
-        Ok(())
+        self.sim.mem.write_words(b.addr, words)
     }
 
     /// Host -> device copy.
-    pub fn write_i32(&mut self, b: Buffer, data: &[i32]) -> Result<(), RtError> {
+    pub fn write_i32(&mut self, b: Buffer, data: &[i32]) -> Result<(), ReproError> {
         let words = data.iter().map(|&v| v as u32);
-        self.sim.mem.write_words(b.addr, words)?;
-        Ok(())
+        self.sim.mem.write_words(b.addr, words)
     }
 
     /// Device -> host copy.
-    pub fn read_f32(&self, b: Buffer, len: usize) -> Result<Vec<f32>, RtError> {
+    pub fn read_f32(&self, b: Buffer, len: usize) -> Result<Vec<f32>, ReproError> {
         let bytes = self.sim.mem.read_bytes(b.addr, len * 4)?;
         Ok(bytes
             .chunks_exact(4)
@@ -234,7 +173,7 @@ impl VxSession {
     }
 
     /// Device -> host copy.
-    pub fn read_i32(&self, b: Buffer, len: usize) -> Result<Vec<i32>, RtError> {
+    pub fn read_i32(&self, b: Buffer, len: usize) -> Result<Vec<i32>, ReproError> {
         let bytes = self.sim.mem.read_bytes(b.addr, len * 4)?;
         Ok(bytes
             .chunks_exact(4)
@@ -243,7 +182,7 @@ impl VxSession {
     }
 
     /// Device -> host copy.
-    pub fn read_u32(&self, b: Buffer, len: usize) -> Result<Vec<u32>, RtError> {
+    pub fn read_u32(&self, b: Buffer, len: usize) -> Result<Vec<u32>, ReproError> {
         let bytes = self.sim.mem.read_bytes(b.addr, len * 4)?;
         Ok(bytes
             .chunks_exact(4)
@@ -252,18 +191,18 @@ impl VxSession {
     }
 
     /// Launch the session's (single) kernel over `nd`.
-    pub fn launch(&mut self, args: &[Arg], nd: &NdRange) -> Result<SimResult, RtError> {
+    pub fn launch(&mut self, args: &[Arg], nd: &NdRange) -> Result<SimResult, ReproError> {
         self.launch_with_sink(args, nd, &mut vortex_sim::NopSink)
     }
 
-    /// Like [`launch`](VxSession::launch), but streams [`TraceEvent`]s
-    /// (vortex_sim::TraceEvent) from the run into `sink`.
+    /// Like [`launch`](VxSession::launch), but streams
+    /// [`TraceEvent`](vortex_sim::TraceEvent)s from the run into `sink`.
     pub fn launch_with_sink<S: TraceSink>(
         &mut self,
         args: &[Arg],
         nd: &NdRange,
         sink: &mut S,
-    ) -> Result<SimResult, RtError> {
+    ) -> Result<SimResult, ReproError> {
         let name = self.kernels[self.current].name.clone();
         self.launch_named_with_sink(&name, args, nd, sink)
     }
@@ -274,7 +213,7 @@ impl VxSession {
         name: &str,
         args: &[Arg],
         nd: &NdRange,
-    ) -> Result<SimResult, RtError> {
+    ) -> Result<SimResult, ReproError> {
         self.launch_named_with_sink(name, args, nd, &mut vortex_sim::NopSink)
     }
 
@@ -288,21 +227,21 @@ impl VxSession {
         args: &[Arg],
         nd: &NdRange,
         sink: &mut S,
-    ) -> Result<SimResult, RtError> {
+    ) -> Result<SimResult, ReproError> {
         let idx = self
             .kernels
             .iter()
             .position(|k| k.name == name)
-            .ok_or_else(|| RtError::BadLaunch(format!("kernel `{name}` not in session")))?;
+            .ok_or_else(|| ReproError::harness(format!("kernel `{name}` not in session")))?;
         if idx != self.current {
             self.current = idx;
             self.sim.set_image(Arc::clone(&self.images[idx]));
         }
         let kernel = &self.kernels[self.current];
         nd.validate()
-            .map_err(|e| RtError::BadLaunch(e.to_string()))?;
+            .map_err(|e| ReproError::harness(e.to_string()))?;
         if args.len() != kernel.num_args {
-            return Err(RtError::BadLaunch(format!(
+            return Err(ReproError::harness(format!(
                 "kernel `{}` takes {} arguments, {} given",
                 kernel.name,
                 kernel.num_args,
@@ -312,7 +251,7 @@ impl VxSession {
         let cfg = self.sim.cfg.clone();
         let harts = cfg.hw.cores * cfg.hw.warps * cfg.hw.threads;
         if !kernel.program.printf_table.is_empty() && harts > layout::PRINTF_HARTS {
-            return Err(RtError::BadLaunch(format!(
+            return Err(ReproError::harness(format!(
                 "kernel `{}` calls printf, whose buffers hold {} harts; the machine has {harts}",
                 kernel.name,
                 layout::PRINTF_HARTS
@@ -322,14 +261,14 @@ impl VxSession {
         if kernel.group_mode {
             let wt = cfg.hw.warps * cfg.hw.threads;
             if !gsize.is_multiple_of(cfg.hw.threads) || gsize > wt {
-                return Err(RtError::BadLaunch(format!(
+                return Err(ReproError::harness(format!(
                     "group-mode kernel `{}` needs group size ({gsize}) to be a \
                      multiple of threads/warp ({}) and at most warps*threads ({wt})",
                     kernel.name, cfg.hw.threads
                 )));
             }
             if kernel.local_bytes > layout::LOCAL_MEM_BYTES {
-                return Err(RtError::BadLaunch(format!(
+                return Err(ReproError::harness(format!(
                     "kernel needs {} bytes of local memory, core has {}",
                     kernel.local_bytes,
                     layout::LOCAL_MEM_BYTES
@@ -382,7 +321,7 @@ impl VxSession {
     /// surface through the workload's own verification as `WrongResult`
     /// (or a `Memory` fault if the flipped word feeds an address), never
     /// as a panic.
-    fn flip_heap_bit(&mut self, param: u64) -> Result<(), RtError> {
+    fn flip_heap_bit(&mut self, param: u64) -> Result<(), ReproError> {
         let heap_words = (self.heap_next - layout::HEAP_BASE) / 4;
         if heap_words == 0 {
             return Ok(());
@@ -392,8 +331,7 @@ impl VxSession {
         let addr = layout::HEAP_BASE + word * 4;
         let bytes = self.sim.mem.read_bytes(addr, 4)?;
         let v = u32::from_le_bytes(bytes.try_into().unwrap());
-        self.sim.mem.write_u32(addr, v ^ (1 << bit))?;
-        Ok(())
+        self.sim.mem.write_u32(addr, v ^ (1 << bit))
     }
 }
 
@@ -404,11 +342,7 @@ impl VxSession {
 /// Compilation is served by the process-global content-addressed cache
 /// ([`repro_cache::global`]); every kernel in the module is compiled and
 /// cached together, and the named one is returned.
-pub fn compile_for(
-    src: &str,
-    name: &str,
-    cfg: &SimConfig,
-) -> Result<CompiledKernel, Box<dyn std::error::Error>> {
+pub fn compile_for(src: &str, name: &str, cfg: &SimConfig) -> Result<CompiledKernel, ReproError> {
     compile_named(src, name, cfg, None)
 }
 
@@ -420,7 +354,7 @@ pub fn compile_for_at(
     name: &str,
     cfg: &SimConfig,
     level: ocl_ir::passes::OptLevel,
-) -> Result<CompiledKernel, Box<dyn std::error::Error>> {
+) -> Result<CompiledKernel, ReproError> {
     compile_named(src, name, cfg, Some(level))
 }
 
@@ -429,10 +363,10 @@ fn compile_named(
     name: &str,
     cfg: &SimConfig,
     level: Option<ocl_ir::passes::OptLevel>,
-) -> Result<CompiledKernel, Box<dyn std::error::Error>> {
+) -> Result<CompiledKernel, ReproError> {
     let kernels = repro_cache::global().codegen_vortex(src, level, cfg.hw.threads)?;
     kernels
         .into_iter()
         .find(|k| k.name == name)
-        .ok_or_else(|| format!("kernel `{name}` not found").into())
+        .ok_or_else(|| ReproError::harness(format!("kernel `{name}` not found")))
 }

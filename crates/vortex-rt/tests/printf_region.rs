@@ -5,8 +5,9 @@
 
 use fpga_arch::VortexConfig;
 use ocl_ir::interp::NdRange;
+use repro_util::diag::ReproError;
 use vortex_isa::layout::PRINTF_HARTS;
-use vortex_rt::{compile_for, Arg, RtError, VxSession};
+use vortex_rt::{compile_for, Arg, VxSession};
 use vortex_sim::SimConfig;
 
 /// Items 8192..8199 print; every item writes its own index.
@@ -24,7 +25,7 @@ const ITEMS: usize = 16384;
 
 /// Launch the kernel over `ITEMS` items on a `cores` × 16 × 16 machine and
 /// return the output buffer and the printed lines.
-fn launch(cores: u32) -> Result<(Vec<i32>, Vec<String>), RtError> {
+fn launch(cores: u32) -> Result<(Vec<i32>, Vec<String>), ReproError> {
     let cfg = SimConfig::new(VortexConfig::new(cores, 16, 16));
     let kernel = compile_for(SRC, "tail", &cfg).unwrap();
     let mut session = VxSession::new(cfg, kernel);
@@ -37,8 +38,8 @@ fn launch(cores: u32) -> Result<(Vec<i32>, Vec<String>), RtError> {
 fn printf_kernel_on_more_harts_than_the_region_holds_is_a_bad_launch() {
     assert_eq!(64 * 16 * 16, 2 * PRINTF_HARTS);
     match launch(64) {
-        Err(RtError::BadLaunch(m)) => assert!(m.contains("printf"), "{m}"),
-        other => panic!("expected BadLaunch, got {other:?}"),
+        Err(ReproError::Harness { message }) => assert!(message.contains("printf"), "{message}"),
+        other => panic!("expected a harness error, got {other:?}"),
     }
 }
 

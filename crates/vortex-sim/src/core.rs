@@ -1,7 +1,7 @@
 //! One SIMT core: warps, register files, scoreboard, LSU and the Vortex
 //! SIMT control-flow semantics (Figure 4 of the paper).
 //!
-//! Issuing a warp instruction costs one read of a pre-decoded [`Op`] (from
+//! Issuing a warp instruction costs one read of a pre-decoded `Op` (from
 //! the kernel's decode-once table, or decoded on the spot in
 //! `reference_mode`), one switch on its opcode in `Core::execute`, and one
 //! write of the warp's issue snapshot. The snapshot — the first cycle the
@@ -18,7 +18,8 @@ use crate::memsys::MemView;
 use crate::stats::{CoreStats, StallKind};
 use crate::tcache::{Op, Text};
 use crate::trace::{CacheLevel, TraceEvent, TraceSink};
-use crate::{SimConfig, SimError, MAX_THREADS, MAX_WARPS, MSHRS};
+use crate::{SimConfig, MAX_THREADS, MAX_WARPS, MSHRS};
+use repro_util::diag::ReproError;
 use vortex_isa::encode::Opcode as O;
 use vortex_isa::layout::{PRINTF_BASE, PRINTF_STRIDE};
 use vortex_isa::{AluOp, AmoOp, CvtOp, FpCmpOp, FpOp, FpUnOp, MulOp, PrintArg, Program};
@@ -55,7 +56,7 @@ struct Warp {
     barrier: Option<(u32, u32)>,
 }
 
-/// Outcome of one [`Core::tick`].
+/// Outcome of one `Core::tick`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickResult {
     /// A warp-instruction issued this cycle.
@@ -333,7 +334,7 @@ impl Core {
         view: &mut MemView,
         printf_out: &mut Vec<String>,
         sink: &mut S,
-    ) -> Result<TickResult, SimError> {
+    ) -> Result<TickResult, ReproError> {
         // Pick a ready warp, round-robin, from the per-warp issue
         // snapshots — one ready-time compare per warp instead of an operand
         // walk. Along the way, collect each blocked warp's exact
@@ -401,11 +402,7 @@ impl Core {
                 }
                 let pc = self.warps[wi].pc;
                 let Some(op) = text.fetch(pc) else {
-                    return Err(SimError::BadPc {
-                        core: self.id,
-                        warp: wi as u32,
-                        pc,
-                    });
+                    return Err(bad_pc(pc));
                 };
                 // Issue.
                 self.rr_next = if wi + 1 == n { 0 } else { wi + 1 };
@@ -817,7 +814,7 @@ impl Core {
         mem: &mut SimMemory,
         view: &mut MemView,
         sink: &mut S,
-    ) -> Result<u64, SimError> {
+    ) -> Result<u64, ReproError> {
         self.stats.loads += 1;
         self.stats.stores += 1;
         let pc = self.warps[wi as usize].pc;
@@ -865,7 +862,7 @@ impl Core {
         view: &mut MemView,
         printf_out: &mut Vec<String>,
         sink: &mut S,
-    ) -> Result<u32, SimError> {
+    ) -> Result<u32, ReproError> {
         let tmask = self.warps[wi as usize].tmask;
         let mut next_pc = pc.wrapping_add(1);
         let lanes = Lanes(tmask);
@@ -1268,12 +1265,22 @@ impl Core {
     }
 }
 
-fn at_pc(e: SimError, pc: u32) -> SimError {
-    match e {
-        SimError::BadAccess { addr, .. } => SimError::BadAccess { addr, pc },
-        SimError::Misaligned { addr, .. } => SimError::Misaligned { addr, pc },
-        other => other,
+/// A fetch from `pc`, outside the program text.
+#[cold]
+fn bad_pc(pc: u32) -> ReproError {
+    ReproError::OutOfBounds {
+        addr: pc,
+        pc,
+        space: "text".to_string(),
     }
+}
+
+/// A memory fault `e` with the faulting instruction's `pc` filled in.
+fn at_pc(mut e: ReproError, pc: u32) -> ReproError {
+    if let ReproError::OutOfBounds { pc: at, .. } | ReproError::Misaligned { pc: at, .. } = &mut e {
+        *at = pc;
+    }
+    e
 }
 
 /// Rows `rd` (to write), `rs1` and `rs2` (to read) of `warp` in the register

@@ -24,6 +24,12 @@
 //! other parameter is a constant in the module that uses it. A parameter
 //! becomes a field only once two callers need different values; a banked
 //! LSU mode would be the first.
+//!
+//! A run that faults returns a [`SimFault`]: the [`ReproError`] of the
+//! fault (`OutOfBounds` or `Misaligned` in the `"global"`, `"local"` or `"text"`
+//! space at the faulting PC, a watchdog budget, or a deadlock report) and
+//! the statistics up to it. [`SimMemory`] fails with the same type, with
+//! `pc` 0 until the core that issued the access fills it in.
 
 pub mod cache;
 pub mod core;
@@ -48,6 +54,7 @@ pub use trace::{canonical_core_events, CacheLevel, NopSink, RecordingSink, Trace
 use std::sync::Arc;
 
 use fpga_arch::VortexConfig;
+use repro_util::diag::ReproError;
 use repro_util::metrics;
 use tcache::Text;
 use vortex_isa::Program;
@@ -110,113 +117,13 @@ impl SimConfig {
     }
 }
 
-/// Simulation failure modes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimError {
-    /// PC outside the program.
-    BadPc { core: u32, warp: u32, pc: u32 },
-    /// Memory access outside mapped regions.
-    BadAccess { addr: u32, pc: u32 },
-    /// Word access to a non-word-aligned address.
-    Misaligned { addr: u32, pc: u32 },
-    /// `max_cycles` exceeded (livelock guard).
-    CycleLimit(u64),
-    /// `max_instructions` exceeded (runaway-work guard).
-    InstrLimit(u64),
-    /// No warp can ever issue again: every live warp on every alive core
-    /// is parked at a barrier whose release count cannot be reached.
-    /// `divergence` is true when some warp slot is *not* parked (halted
-    /// or never spawned) — the count was reachable had that warp
-    /// participated, i.e. a barrier was executed under divergence.
-    Deadlock {
-        stuck: Vec<repro_util::diag::StuckWarp>,
-        divergence: bool,
-    },
-    /// Decode failure on fetch.
-    Decode(String),
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::BadPc { core, warp, pc } => {
-                write!(f, "core {core} warp {warp}: pc {pc} outside program")
-            }
-            SimError::BadAccess { addr, pc } => {
-                write!(f, "bad memory access at {addr:#x} (pc {pc})")
-            }
-            SimError::Misaligned { addr, pc } => {
-                write!(f, "misaligned word access at {addr:#x} (pc {pc})")
-            }
-            SimError::CycleLimit(c) => write!(f, "cycle limit {c} exceeded"),
-            SimError::InstrLimit(n) => write!(f, "instruction budget {n} exceeded"),
-            SimError::Deadlock { stuck, divergence } => {
-                write!(
-                    f,
-                    "{} deadlock: {} warp(s) stuck",
-                    if *divergence { "divergence" } else { "barrier" },
-                    stuck.len()
-                )?;
-                for w in stuck {
-                    write!(f, "; {w}")?;
-                }
-                Ok(())
-            }
-            SimError::Decode(m) => write!(f, "decode: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-impl From<SimError> for repro_util::diag::ReproError {
-    fn from(e: SimError) -> Self {
-        use repro_util::diag::ReproError as R;
-        let space = |addr: u32| {
-            if SimMemory::is_local(addr) {
-                "local".to_string()
-            } else {
-                "global".to_string()
-            }
-        };
-        match e {
-            SimError::BadPc { pc, .. } => R::OutOfBounds {
-                addr: pc,
-                pc,
-                space: "text".to_string(),
-            },
-            SimError::BadAccess { addr, pc } => R::OutOfBounds {
-                addr,
-                pc,
-                space: space(addr),
-            },
-            SimError::Misaligned { addr, pc } => R::Misaligned {
-                addr,
-                align: 4,
-                pc,
-                space: space(addr),
-            },
-            SimError::CycleLimit(limit) => R::CycleBudget { limit },
-            SimError::InstrLimit(limit) => R::InstructionBudget { limit },
-            SimError::Deadlock { stuck, divergence } => {
-                if divergence {
-                    R::DivergenceDeadlock { stuck }
-                } else {
-                    R::BarrierDeadlock { stuck }
-                }
-            }
-            SimError::Decode(m) => R::Codegen { message: m },
-        }
-    }
-}
-
 /// A simulation that aborted: the structured error plus everything the
 /// watchdog could salvage — statistics and printf output up to the abort
 /// point. Any trace events were already streamed to the sink, so a fault
 /// leaves the trace intact too.
 #[derive(Debug, Clone)]
 pub struct SimFault {
-    pub error: SimError,
+    pub error: ReproError,
     pub partial: SimResult,
 }
 
@@ -232,9 +139,9 @@ impl std::fmt::Display for SimFault {
 
 impl std::error::Error for SimFault {}
 
-impl From<Box<SimFault>> for repro_util::diag::ReproError {
+impl From<Box<SimFault>> for ReproError {
     fn from(f: Box<SimFault>) -> Self {
-        f.error.into()
+        f.error
     }
 }
 
@@ -291,7 +198,7 @@ impl Simulator {
     /// Run until every warp has halted. Returns statistics and console
     /// output.
     ///
-    /// The default scheduler is event-driven (see [`Simulator::run_events`]);
+    /// The default scheduler is event-driven (see `Simulator::run_events`);
     /// [`SimConfig::reference_mode`] selects the dense cycle-by-cycle loop.
     /// The two are bit-identical in every observable: final cycle count,
     /// stall breakdown, cache/DRAM counters, memory state, printf output.
@@ -380,7 +287,11 @@ impl Simulator {
     /// The structured no-progress report: every live warp on every alive
     /// core is parked at a barrier. Derived purely from core state, so
     /// both scheduler loops produce the identical report.
-    fn deadlock_error(&self) -> SimError {
+    /// `DivergenceDeadlock` when some warp slot is *not* parked (halted or
+    /// never spawned): the count was reachable had that warp participated,
+    /// so a barrier was executed under divergence. `BarrierDeadlock`
+    /// otherwise.
+    fn deadlock_error(&self) -> ReproError {
         let mut stuck = Vec::new();
         let mut divergence = false;
         for core in &self.cores {
@@ -392,7 +303,11 @@ impl Simulator {
             stuck.extend(core.stuck_warps());
             divergence |= core.has_inactive_warp();
         }
-        SimError::Deadlock { stuck, divergence }
+        if divergence {
+            ReproError::DivergenceDeadlock { stuck }
+        } else {
+            ReproError::BarrierDeadlock { stuck }
+        }
     }
 
     /// The dense reference loop: every core ticks every cycle while any
@@ -406,7 +321,7 @@ impl Simulator {
         text: Text,
         printf_output: &mut Vec<String>,
         sink: &mut S,
-    ) -> Result<u64, (SimError, u64)> {
+    ) -> Result<u64, (ReproError, u64)> {
         let budget = self.cfg.max_instructions;
         let mut cycle: u64 = 0;
         loop {
@@ -448,11 +363,11 @@ impl Simulator {
                 return Err((self.deadlock_error(), cycle + 1));
             }
             if budget != u64::MAX && self.instructions_total() > budget {
-                return Err((SimError::InstrLimit(budget), cycle + 1));
+                return Err((ReproError::InstructionBudget { limit: budget }, cycle + 1));
             }
             cycle += 1;
             if cycle > self.cfg.max_cycles {
-                return Err((SimError::CycleLimit(cycle), cycle));
+                return Err((ReproError::CycleBudget { limit: cycle }, cycle));
             }
         }
     }
@@ -478,7 +393,7 @@ impl Simulator {
         text: Text,
         printf_output: &mut Vec<String>,
         sink: &mut S,
-    ) -> Result<u64, (SimError, u64)> {
+    ) -> Result<u64, (ReproError, u64)> {
         let limit = self.cfg.max_cycles;
         let budget = self.cfg.max_instructions;
         // Launch start made every core live and due at cycle 0.
@@ -542,7 +457,7 @@ impl Simulator {
             if issued > budget {
                 // Issues happen in the identical order in both scheduler
                 // modes, so the budget trips at the identical instruction.
-                return Err((SimError::InstrLimit(budget), end));
+                return Err((ReproError::InstructionBudget { limit: budget }, end));
             }
             if !any_alive {
                 // Every warp has halted; the dense loop would have broken
@@ -559,7 +474,9 @@ impl Simulator {
                 // The dense loop errors as soon as its counter passes the
                 // limit, always with value limit + 1.
                 return Err((
-                    SimError::CycleLimit(limit.saturating_add(1)),
+                    ReproError::CycleBudget {
+                        limit: limit.saturating_add(1),
+                    },
                     limit.saturating_add(1),
                 ));
             }
@@ -622,7 +539,7 @@ mod tests {
         cfg.max_cycles = 10_000;
         let mut sim = Simulator::new(cfg, p);
         let fault = sim.run().unwrap_err();
-        assert!(matches!(fault.error, SimError::CycleLimit(_)));
+        assert!(matches!(fault.error, ReproError::CycleBudget { .. }));
         // The watchdog salvages the statistics accumulated so far.
         assert_eq!(fault.partial.stats.cycles, 10_001);
         assert!(fault.partial.stats.instructions > 0);
@@ -645,7 +562,10 @@ mod tests {
         cfg.reference_mode = true;
         let mut dense = Simulator::new(cfg, p);
         let dense_fault = dense.run().unwrap_err();
-        assert_eq!(fast_fault.error, SimError::InstrLimit(100));
+        assert_eq!(
+            fast_fault.error,
+            ReproError::InstructionBudget { limit: 100 }
+        );
         assert_eq!(fast_fault.error, dense_fault.error);
         assert_eq!(
             fast_fault.partial.stats.instructions,
@@ -672,10 +592,10 @@ mod tests {
             printf_table: vec![],
             entry: 0,
         };
-        let want = SimError::BadPc {
-            core: 0,
-            warp: 0,
+        let want = ReproError::OutOfBounds {
+            addr: 42,
             pc: 42,
+            space: "text".to_string(),
         };
         let mut faults = Vec::new();
         for reference_mode in [true, false] {
@@ -854,10 +774,10 @@ mod tests {
         cfg.reference_mode = true;
         let mut dense = Simulator::new(cfg, p);
         let dense_fault = dense.run().unwrap_err();
-        let SimError::Deadlock { stuck, divergence } = &fast_fault.error else {
-            panic!("expected deadlock, got {:?}", fast_fault.error);
+        // Warp 1 never spawned: the count was reachable.
+        let ReproError::DivergenceDeadlock { stuck } = &fast_fault.error else {
+            panic!("expected divergence deadlock, got {:?}", fast_fault.error);
         };
-        assert!(*divergence, "warp 1 never spawned: count was reachable");
         assert_eq!(stuck.len(), 1);
         assert_eq!(stuck[0].warp, 0);
         assert_eq!(stuck[0].barrier, Some((0, 2)));
@@ -916,10 +836,10 @@ mod tests {
         cfg.reference_mode = true;
         let mut dense = Simulator::new(cfg, p);
         let dense_fault = dense.run().unwrap_err();
-        let SimError::Deadlock { stuck, divergence } = &fast_fault.error else {
-            panic!("expected deadlock, got {:?}", fast_fault.error);
+        // All warps parked: the count is unsatisfiable.
+        let ReproError::BarrierDeadlock { stuck } = &fast_fault.error else {
+            panic!("expected barrier deadlock, got {:?}", fast_fault.error);
         };
-        assert!(!*divergence, "all warps parked: the count is unsatisfiable");
         assert_eq!(stuck.len(), 2, "both warps named in the report");
         assert!(stuck.iter().all(|w| w.barrier == Some((0, 3))));
         assert_eq!(fast_fault.error, dense_fault.error);

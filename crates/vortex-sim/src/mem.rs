@@ -1,7 +1,7 @@
 //! Functional memory: flat global space plus per-core local (work-group)
 //! memory windows.
 
-use crate::SimError;
+use repro_util::diag::ReproError;
 use vortex_isa::layout::{GLOBAL_MEM_BYTES, LOCAL_BASE, LOCAL_MEM_BYTES};
 
 /// Byte-addressed functional memory.
@@ -27,22 +27,55 @@ impl SimMemory {
         addr >= LOCAL_BASE
     }
 
+    /// The address space `addr` lies in, as a fault names it.
+    fn space(addr: u32) -> String {
+        if Self::is_local(addr) {
+            "local"
+        } else {
+            "global"
+        }
+        .to_string()
+    }
+
+    /// An access at `addr` outside mapped memory. `pc` is 0 until the
+    /// core that issued it fills it in.
+    #[cold]
+    fn out_of_bounds(addr: u32) -> ReproError {
+        ReproError::OutOfBounds {
+            addr,
+            pc: 0,
+            space: Self::space(addr),
+        }
+    }
+
     /// Reject word accesses to non-word-aligned addresses. The ISA is
     /// word-only (LW/SW/FLW/FSW/AMO), so this catches pointer arithmetic
     /// gone wrong in a kernel before it silently straddles elements.
-    fn check_aligned(addr: u32) -> Result<(), SimError> {
+    fn check_aligned(addr: u32) -> Result<(), ReproError> {
         if !addr.is_multiple_of(4) {
-            return Err(SimError::Misaligned { addr, pc: 0 });
+            return Err(Self::misaligned(addr));
         }
         Ok(())
     }
 
+    /// A word access at the unaligned `addr`; `pc` as for
+    /// [`out_of_bounds`](SimMemory::out_of_bounds).
+    #[cold]
+    fn misaligned(addr: u32) -> ReproError {
+        ReproError::Misaligned {
+            addr,
+            align: 4,
+            pc: 0,
+            space: Self::space(addr),
+        }
+    }
+
     /// Read a word from `addr` (global space).
-    pub fn read_u32(&self, addr: u32) -> Result<u32, SimError> {
+    pub fn read_u32(&self, addr: u32) -> Result<u32, ReproError> {
         Self::check_aligned(addr)?;
         let a = addr as usize;
         if a + 4 > self.global.len() {
-            return Err(SimError::BadAccess { addr, pc: 0 });
+            return Err(Self::out_of_bounds(addr));
         }
         Ok(u32::from_le_bytes(
             self.global[a..a + 4].try_into().unwrap(),
@@ -50,24 +83,24 @@ impl SimMemory {
     }
 
     /// Write a word to `addr` (global space).
-    pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), SimError> {
+    pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), ReproError> {
         Self::check_aligned(addr)?;
         let a = addr as usize;
         if a + 4 > self.global.len() {
-            return Err(SimError::BadAccess { addr, pc: 0 });
+            return Err(Self::out_of_bounds(addr));
         }
         self.global[a..a + 4].copy_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
     /// Read a word as seen by `core` (routing local-window addresses).
-    pub fn load(&self, core: u32, addr: u32) -> Result<u32, SimError> {
+    pub fn load(&self, core: u32, addr: u32) -> Result<u32, ReproError> {
         if Self::is_local(addr) {
             Self::check_aligned(addr)?;
             let off = (addr - LOCAL_BASE) as usize;
             let l = &self.locals[core as usize];
             if off + 4 > l.len() {
-                return Err(SimError::BadAccess { addr, pc: 0 });
+                return Err(Self::out_of_bounds(addr));
             }
             Ok(u32::from_le_bytes(l[off..off + 4].try_into().unwrap()))
         } else {
@@ -76,13 +109,13 @@ impl SimMemory {
     }
 
     /// Write a word as seen by `core`.
-    pub fn store(&mut self, core: u32, addr: u32, v: u32) -> Result<(), SimError> {
+    pub fn store(&mut self, core: u32, addr: u32, v: u32) -> Result<(), ReproError> {
         if Self::is_local(addr) {
             Self::check_aligned(addr)?;
             let off = (addr - LOCAL_BASE) as usize;
             let l = &mut self.locals[core as usize];
             if off + 4 > l.len() {
-                return Err(SimError::BadAccess { addr, pc: 0 });
+                return Err(Self::out_of_bounds(addr));
             }
             l[off..off + 4].copy_from_slice(&v.to_le_bytes());
             Ok(())
@@ -92,18 +125,18 @@ impl SimMemory {
     }
 
     /// Bulk copy into global memory (runtime buffer writes).
-    pub fn write_bytes(&mut self, addr: u32, data: &[u8]) -> Result<(), SimError> {
+    pub fn write_bytes(&mut self, addr: u32, data: &[u8]) -> Result<(), ReproError> {
         self.global_mut(addr, data.len())?.copy_from_slice(data);
         Ok(())
     }
 
     /// `len` bytes of global memory at `addr`: the one bounds check of the
     /// bulk writes.
-    fn global_mut(&mut self, addr: u32, len: usize) -> Result<&mut [u8], SimError> {
+    fn global_mut(&mut self, addr: u32, len: usize) -> Result<&mut [u8], ReproError> {
         let a = addr as usize;
         self.global
             .get_mut(a..a + len)
-            .ok_or(SimError::BadAccess { addr, pc: 0 })
+            .ok_or_else(|| Self::out_of_bounds(addr))
     }
 
     /// Bulk copy of 32-bit words into global memory, little-endian, with no
@@ -113,7 +146,7 @@ impl SimMemory {
         &mut self,
         addr: u32,
         words: impl ExactSizeIterator<Item = u32>,
-    ) -> Result<(), SimError> {
+    ) -> Result<(), ReproError> {
         let dst = self.global_mut(addr, words.len() * 4)?;
         for (bytes, w) in dst.chunks_exact_mut(4).zip(words) {
             bytes.copy_from_slice(&w.to_le_bytes());
@@ -122,10 +155,10 @@ impl SimMemory {
     }
 
     /// Bulk copy out of global memory (runtime buffer reads).
-    pub fn read_bytes(&self, addr: u32, len: usize) -> Result<&[u8], SimError> {
+    pub fn read_bytes(&self, addr: u32, len: usize) -> Result<&[u8], ReproError> {
         let a = addr as usize;
         if a + len > self.global.len() {
-            return Err(SimError::BadAccess { addr, pc: 0 });
+            return Err(Self::out_of_bounds(addr));
         }
         Ok(&self.global[a..a + len])
     }
@@ -169,11 +202,11 @@ mod tests {
         let mut m = SimMemory::new(1);
         assert!(matches!(
             m.read_u32(2),
-            Err(SimError::Misaligned { addr: 2, .. })
+            Err(ReproError::Misaligned { addr: 2, .. })
         ));
         assert!(matches!(
             m.store(0, LOCAL_BASE + 1, 7),
-            Err(SimError::Misaligned { .. })
+            Err(ReproError::Misaligned { .. })
         ));
         // Byte-granular bulk copies stay unconstrained (host-side memcpy).
         assert!(m.write_bytes(3, &[1, 2]).is_ok());

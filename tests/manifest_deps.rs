@@ -1,20 +1,23 @@
-//! Holds every `[dependencies]` entry of the workspace's manifests to a use:
-//! the root package and each member under `crates/` must name each crate it
-//! depends on, as `<crate>::` or `use <crate>`, somewhere under its `src/`,
-//! `tests/`, `benches/` or `examples/`. A dependency nothing names only
-//! lengthens the build and misstates the crate graph.
+//! Holds every dependency of the workspace's manifests to a use: the root
+//! package and each member under `crates/` must name each crate its
+//! `[dependencies]` table lists, as `<crate>::` or `use <crate>`, somewhere
+//! under its `src/`, and each crate its `[dev-dependencies]` table lists
+//! under `src/`, `tests/`, `benches/` or `examples/`. A dependency nothing
+//! names only lengthens the build and misstates the crate graph; one only
+//! tests name belongs to the tests.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The crate names of the `[dependencies]` table of `manifest`, with `-`
-/// spelled `_` as code names them.
-fn dependencies(manifest: &str) -> Vec<String> {
+/// The crate names of the `[table]` table of `manifest`, with `-` spelled
+/// `_` as code names them.
+fn dependencies(manifest: &str, table: &str) -> Vec<String> {
+    let header = format!("[{table}]");
     let mut in_table = false;
     let mut deps = Vec::new();
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_table = line == "[dependencies]";
+            in_table = line == header;
         } else if in_table && !line.is_empty() && !line.starts_with('#') {
             let name = line.split(['.', '=', ' ']).next().unwrap();
             deps.push(name.replace('-', "_"));
@@ -38,8 +41,16 @@ fn sources(dir: &Path, out: &mut Vec<String>) {
     }
 }
 
-/// `(package directory, dependencies nothing under it names)` for the root
-/// package and every workspace member.
+/// Whether any of `texts` names crate `dep`.
+fn named(texts: &[String], dep: &str) -> bool {
+    let (path, import) = (format!("{dep}::"), format!("use {dep}"));
+    texts
+        .iter()
+        .any(|t| t.contains(&path) || t.contains(&import))
+}
+
+/// `(package directory relative to the root, dependencies not named where
+/// their table requires)` for the root package and every workspace member.
 fn unnamed_dependencies() -> Vec<(PathBuf, Vec<String>)> {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut packages = vec![root.clone()];
@@ -53,20 +64,22 @@ fn unnamed_dependencies() -> Vec<(PathBuf, Vec<String>)> {
         .into_iter()
         .map(|dir| {
             let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap();
-            let mut texts = Vec::new();
-            for sub in ["src", "tests", "benches", "examples"] {
-                sources(&dir.join(sub), &mut texts);
+            let mut code = Vec::new();
+            sources(&dir.join("src"), &mut code);
+            let mut all = code.clone();
+            for sub in ["tests", "benches", "examples"] {
+                sources(&dir.join(sub), &mut all);
             }
-            let unnamed = dependencies(&manifest)
+            let mut unnamed: Vec<String> = dependencies(&manifest, "dependencies")
                 .into_iter()
-                .filter(|dep| {
-                    let (path, import) = (format!("{dep}::"), format!("use {dep}"));
-                    !texts
-                        .iter()
-                        .any(|t| t.contains(&path) || t.contains(&import))
-                })
+                .filter(|dep| !named(&code, dep))
                 .collect();
-            (dir, unnamed)
+            unnamed.extend(
+                dependencies(&manifest, "dev-dependencies")
+                    .into_iter()
+                    .filter(|dep| !named(&all, dep)),
+            );
+            (dir.strip_prefix(&root).unwrap().to_path_buf(), unnamed)
         })
         .collect()
 }
@@ -80,7 +93,7 @@ fn every_manifest_dependency_is_named_in_code() {
         .collect();
     assert!(
         unnamed.is_empty(),
-        "dependencies no file of the package names:\n{}",
+        "dependencies no file that may use them names:\n{}",
         unnamed.join("\n")
     );
 }
@@ -89,5 +102,9 @@ fn every_manifest_dependency_is_named_in_code() {
 fn dependency_tables_parse() {
     let manifest = "[package]\nname = \"x\"\n\n[dependencies]\nrepro-util.workspace = true\n\
                     ocl-ir = { path = \"../ir\" }\n# note\n\n[dev-dependencies]\nocl-front.workspace = true\n";
-    assert_eq!(dependencies(manifest), ["repro_util", "ocl_ir"]);
+    assert_eq!(
+        dependencies(manifest, "dependencies"),
+        ["repro_util", "ocl_ir"]
+    );
+    assert_eq!(dependencies(manifest, "dev-dependencies"), ["ocl_front"]);
 }
