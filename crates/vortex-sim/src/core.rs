@@ -1508,6 +1508,7 @@ fn fp_cvt(op: CvtOp, a: u32) -> u32 {
     }
 }
 
+#[inline]
 fn amo(op: AmoOp, old: u32, v: u32) -> u32 {
     match op {
         AmoOp::Add => old.wrapping_add(v),

@@ -51,6 +51,7 @@ impl SimMemory {
     /// Reject word accesses to non-word-aligned addresses. The ISA is
     /// word-only (LW/SW/FLW/FSW/AMO), so this catches pointer arithmetic
     /// gone wrong in a kernel before it silently straddles elements.
+    #[inline]
     fn check_aligned(addr: u32) -> Result<(), ReproError> {
         if !addr.is_multiple_of(4) {
             return Err(Self::misaligned(addr));
@@ -71,6 +72,7 @@ impl SimMemory {
     }
 
     /// Read a word from `addr` (global space).
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<u32, ReproError> {
         Self::check_aligned(addr)?;
         let a = addr as usize;
@@ -83,6 +85,7 @@ impl SimMemory {
     }
 
     /// Write a word to `addr` (global space).
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), ReproError> {
         Self::check_aligned(addr)?;
         let a = addr as usize;
@@ -94,6 +97,10 @@ impl SimMemory {
     }
 
     /// Read a word as seen by `core` (routing local-window addresses).
+    // The word accessors run once per lane of every memory instruction.
+    // Left to itself the compiler calls them out of line, which costs
+    // `sim-paper` a few percent, so they are marked for inlining.
+    #[inline]
     pub fn load(&self, core: u32, addr: u32) -> Result<u32, ReproError> {
         if Self::is_local(addr) {
             Self::check_aligned(addr)?;
@@ -109,6 +116,7 @@ impl SimMemory {
     }
 
     /// Write a word as seen by `core`.
+    #[inline]
     pub fn store(&mut self, core: u32, addr: u32, v: u32) -> Result<(), ReproError> {
         if Self::is_local(addr) {
             Self::check_aligned(addr)?;
